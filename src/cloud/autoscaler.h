@@ -54,7 +54,7 @@ struct AutoscalerConfig {
   Micros scale_down_cooldown = 120 * kMicrosPerSecond;
 };
 
-/// Durable control-loop state, persisted in snapshot v4 so a restored
+/// Durable control-loop state, persisted in snapshots so a restored
 /// run resumes the same capacity trajectory deterministically.
 struct AutoscalerState {
   double write_units = 0;  // 0 = not yet initialized from the store
@@ -127,7 +127,7 @@ class Autoscaler {
 
   const AutoscalerConfig& config() const { return config_; }
   const AutoscalerState& state() const { return state_; }
-  /// Restores durable state (snapshot v4).  When the autoscaler is
+  /// Restores durable state (snapshot).  When the autoscaler is
   /// active and the state carries capacities, they are re-applied to the
   /// store's limiters at the restored window boundary.
   void Restore(const AutoscalerState& state);

@@ -22,7 +22,7 @@
 namespace webdex::cloud {
 
 /// Durable maintenance bookkeeping that travels with the cloud state
-/// (snapshot v3, cloud/snapshot.h): where an interrupted compaction pass
+/// (cloud/snapshot.h): where an interrupted compaction pass
 /// left off, and the high-water mark of allocated mutation generations.
 /// Both survive a planned crash + restore, so a resumed pass continues
 /// instead of restarting and new mutations keep stamping monotonically.

@@ -10,7 +10,10 @@ DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
                    FaultInjector* injector, common::MetricRegistry* metrics)
     : config_(config),
       meter_(meter),
-      injector_(injector),
+      endpoint_{ServiceId::kDynamoDb, meter, injector, config.request_latency,
+                metrics == nullptr
+                    ? nullptr
+                    : metrics->GetCounter("service.dynamodb.throttled.count")},
       batch_put_metrics_(OpMetrics::For(metrics, "service.dynamodb.batch_put")),
       get_metrics_(OpMetrics::For(metrics, "service.dynamodb.get")),
       batch_get_metrics_(OpMetrics::For(metrics, "service.dynamodb.batch_get")),
@@ -26,10 +29,6 @@ DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
           metrics == nullptr
               ? nullptr
               : metrics->GetGauge("service.dynamodb.read_units.total")),
-      throttled_metric_(
-          metrics == nullptr
-              ? nullptr
-              : metrics->GetCounter("service.dynamodb.throttled.count")),
       write_limiter_(config.write_units_per_second),
       read_limiter_(config.read_units_per_second) {
   if (config_.on_demand) {
@@ -39,44 +38,31 @@ DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
 }
 
 Status DynamoDb::CreateTable(SimAgent& agent, const std::string& table) {
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    // A faulted create bills its API round trip like every other faulted
-    // control call; a successful create is free and instantaneous
-    // (AWS control plane), which keeps fault-free runs bit-identical.
-    Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                        "ddb.createtable:" + table,
-                                        agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().ddb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      create_table_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) {
-    create_table_metrics_.Record(agent, op_start, /*error=*/true);
-    return Status::AlreadyExists("table exists: " + table);
-  }
-  create_table_metrics_.Record(agent, op_start, /*error=*/false);
+  // A faulted create bills its API round trip like every other faulted
+  // control call; a successful create is free and instantaneous (AWS
+  // control plane), which keeps fault-free runs bit-identical.
+  BilledCall call(endpoint_, agent, create_table_metrics_,
+                  &Usage::ddb_put_requests);
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("ddb.createtable:", table));
+  const bool created = tables_.Create(table);
+  call.Record(/*error=*/!created);
+  if (!created) return Status::AlreadyExists("table exists: " + table);
   return Status::OK();
 }
 
 Status DynamoDb::RestoreTable(const std::string& table) {
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) return Status::AlreadyExists("table exists: " + table);
+  if (!tables_.Create(table)) {
+    return Status::AlreadyExists("table exists: " + table);
+  }
   return Status::OK();
 }
 
 bool DynamoDb::HasTable(const std::string& table) const {
-  return tables_.count(table) > 0;
+  return tables_.Has(table);
 }
 
-double DynamoDb::WriteUnits(const Item& item) {
-  const double size = static_cast<double>(item.SizeBytes());
+double DynamoDb::WriteUnits(uint64_t item_bytes) {
+  const double size = static_cast<double>(item_bytes);
   return (size < kMinWriteBytes ? kMinWriteBytes : size) / 1024.0;
 }
 
@@ -167,37 +153,21 @@ void DynamoDb::RestoreOnDemand(const OnDemandState& state) {
   }
 }
 
-Status DynamoDb::MaybeThrottle(SimAgent& agent, const RateLimiter& limiter,
-                               bool write, Micros op_start,
-                               const OpMetrics& op) {
+Status DynamoDb::Admit(BilledCall& call, std::string_view site,
+                       const std::string& table, const RateLimiter& limiter,
+                       bool write) {
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate(site, table));
   // The control loop advances on every billed call, throttled or not, so
   // capacity can change at a window boundary *before* this request is
   // judged against the (possibly new) backlog.
-  if (autoscaler_ != nullptr) autoscaler_->Tick(agent.now());
-  OnDemandTick(agent.now());
-  if (config_.max_backlog_micros <= 0) return Status::OK();
-  const Micros backlog = limiter.BacklogAt(agent.now());
-  if (backlog <= config_.max_backlog_micros) return Status::OK();
-  // Like an injected fault, a throttle bills the API request and its
-  // round trip but consumes no capacity — AWS rejects before doing the
-  // work.  The hint names the virtual time at which the backlog, absent
-  // new arrivals, drains back to the bound: retrying exactly then gets
-  // admitted, retrying earlier is a guaranteed re-throttle.
-  const Micros hint = backlog - config_.max_backlog_micros;
-  if (write) {
-    meter_->mutable_usage().ddb_put_requests += 1;
-  } else {
-    meter_->mutable_usage().ddb_get_requests += 1;
+  if (autoscaler_ != nullptr) autoscaler_->Tick(call.now());
+  OnDemandTick(call.now());
+  Status throttled = call.ThrottleGate(limiter, config_.max_backlog_micros,
+                                       "provisioned throughput exceeded");
+  if (!throttled.ok() && autoscaler_ != nullptr) {
+    autoscaler_->ObserveThrottle(write);
   }
-  meter_->mutable_usage().throttled_requests += 1;
-  if (throttled_metric_ != nullptr) throttled_metric_->Add(1);
-  if (autoscaler_ != nullptr) autoscaler_->ObserveThrottle(write);
-  agent.Advance(config_.request_latency);
-  op.Record(agent, op_start, /*error=*/true);
-  return Status::ResourceExhausted(
-      StrFormat("provisioned throughput exceeded; retry after %lld us",
-                static_cast<long long>(hint)),
-      hint);
+  return throttled;
 }
 
 Status DynamoDb::ValidateItem(const Item& item) const {
@@ -226,80 +196,49 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
                           const std::vector<Item>& items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such table: " + table);
   for (const auto& item : items) {
     WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
   }
-  Table& t = it->second;
+  FaultInjector* injector = endpoint_.active_injector();
   const int batch_limit = BatchPutLimit();
   size_t index = 0;
   while (index < items.size()) {
     const size_t batch_end =
         std::min(items.size(), index + static_cast<size_t>(batch_limit));
-    const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      // A page-level transient error bills the API request and its round
-      // trip but consumes no write capacity (AWS throttles before
-      // writing); everything not yet stored is reported back.
-      Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                          "ddb.batchput:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().ddb_put_requests += 1;
-        agent.Advance(config_.request_latency);
-        batch_put_metrics_.Record(agent, page_start, /*error=*/true);
-        if (unprocessed != nullptr) {
-          unprocessed->insert(unprocessed->end(), items.begin() + index,
-                              items.end());
-        }
-        return fault;
-      }
-    }
-    Status throttled = MaybeThrottle(agent, write_limiter_, /*write=*/true,
-                                     page_start, batch_put_metrics_);
-    if (!throttled.ok()) {
+    // A rejected page (fault or throttle) consumes no write capacity (AWS
+    // rejects before writing); everything not yet stored is reported back.
+    BilledCall call(endpoint_, agent, batch_put_metrics_,
+                    &Usage::ddb_put_requests);
+    Status admitted =
+        Admit(call, "ddb.batchput:", table, write_limiter_, /*write=*/true);
+    if (!admitted.ok()) {
       if (unprocessed != nullptr) {
         unprocessed->insert(unprocessed->end(), items.begin() + index,
                             items.end());
       }
-      return throttled;
+      return admitted;
     }
     size_t commit_end = batch_end;
-    if (injector_ != nullptr && unprocessed != nullptr) {
+    if (injector != nullptr && unprocessed != nullptr) {
       // Partial batch failure: the page "succeeds" but a trailing subset
       // comes back as UnprocessedItems the caller must re-batch.  Only
       // injected when the caller can observe it.
       const size_t bounced =
-          injector_->UnprocessedCount(ServiceId::kDynamoDb,
-                                      "ddb.unprocessed:" + table,
-                                      batch_end - index);
+          injector->UnprocessedCount(ServiceId::kDynamoDb,
+                                     "ddb.unprocessed:" + table,
+                                     batch_end - index);
       commit_end = batch_end - bounced;
     }
     double batch_units = 0;
     for (size_t i = index; i < commit_end; ++i) {
-      const Item& item = items[i];
-      auto& hash_items = t.items[item.hash_key];
-      auto slot = hash_items.find(item.range_key);
-      if (slot != hash_items.end()) {
-        // Replacement semantics: the new item completely replaces the old
-        // one (Section 6), so subtract the old incarnation's size.
-        const Item old{item.hash_key, item.range_key, slot->second};
-        t.stored_bytes -= old.SizeBytes();
-        t.item_count -= 1;
-        slot->second = item.attrs;
-      } else {
-        hash_items.emplace(item.range_key, item.attrs);
-      }
-      t.stored_bytes += item.SizeBytes();
-      t.item_count += 1;
-      batch_units += WriteUnits(item);
-      meter_->mutable_usage().ddb_items_written += 1;
+      t->Put(items[i]);
+      batch_units += WriteUnits(items[i].SizeBytes());
     }
-    meter_->mutable_usage().ddb_put_requests += 1;
+    meter_->mutable_usage().ddb_items_written += commit_end - index;
     MeterWriteUnits(batch_units);
-    agent.AdvanceTo(write_limiter_.Acquire(agent.now(), batch_units));
-    agent.Advance(config_.request_latency);
-    batch_put_metrics_.Record(agent, page_start, /*error=*/false);
+    call.Succeed({&write_limiter_, batch_units});
     if (commit_end < batch_end) {
       unprocessed->insert(unprocessed->end(), items.begin() + commit_end,
                           items.begin() + batch_end);
@@ -312,83 +251,44 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
 Result<std::vector<Item>> DynamoDb::Get(SimAgent& agent,
                                         const std::string& table,
                                         const std::string& hash_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault =
-        injector_->MaybeFail(ServiceId::kDynamoDb, "ddb.get:" + table,
-                             agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().ddb_get_requests += 1;
-      agent.Advance(config_.request_latency);
-      get_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, read_limiter_, /*write=*/false,
-                                       op_start, get_metrics_));
-  std::vector<Item> out;
-  auto hit = it->second.items.find(hash_key);
-  if (hit != it->second.items.end()) {
-    for (const auto& [range_key, attrs] : hit->second) {
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
-  double units = 0;
-  for (const auto& item : out) {
-    units += ReadUnits(item.SizeBytes());
-  }
-  if (units == 0) units = ReadUnits(0);  // a miss still does a seek
-  meter_->mutable_usage().ddb_get_requests += 1;
-  MeterReadUnits(units);
-  agent.AdvanceTo(read_limiter_.Acquire(agent.now(), units));
-  agent.Advance(config_.request_latency);
-  get_metrics_.Record(agent, op_start, /*error=*/false);
-  return out;
+  return GetPages(agent, table, {&hash_key, 1}, "ddb.get:", get_metrics_);
 }
 
 Result<std::vector<Item>> DynamoDb::BatchGet(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  return GetPages(agent, table, hash_keys, "ddb.batchget:",
+                  batch_get_metrics_);
+}
+
+Result<std::vector<Item>> DynamoDb::GetPages(
+    SimAgent& agent, const std::string& table,
+    std::span<const std::string> hash_keys, std::string_view site,
+    const OpMetrics& op) {
+  const ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such table: " + table);
   std::vector<Item> out;
   const int batch_limit = BatchGetLimit();
   size_t index = 0;
   while (index < hash_keys.size()) {
     const size_t batch_end = std::min(
         hash_keys.size(), index + static_cast<size_t>(batch_limit));
-    const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                          "ddb.batchget:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().ddb_get_requests += 1;
-        agent.Advance(config_.request_latency);
-        batch_get_metrics_.Record(agent, page_start, /*error=*/true);
-        return fault;
-      }
-    }
-    WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, read_limiter_,
-                                         /*write=*/false, page_start,
-                                         batch_get_metrics_));
+    BilledCall call(endpoint_, agent, op, &Usage::ddb_get_requests);
+    WEBDEX_RETURN_IF_ERROR(
+        Admit(call, site, table, read_limiter_, /*write=*/false));
     double units = 0;
     for (size_t i = index; i < batch_end; ++i) {
-      auto hit = it->second.items.find(hash_keys[i]);
-      if (hit == it->second.items.end()) continue;
+      auto hit = t->items.find(hash_keys[i]);
+      if (hit == t->items.end()) continue;
       for (const auto& [range_key, attrs] : hit->second) {
         Item item{hash_keys[i], range_key, attrs};
         units += ReadUnits(item.SizeBytes());
         out.push_back(std::move(item));
       }
     }
-    if (units == 0) units = ReadUnits(0);
-    meter_->mutable_usage().ddb_get_requests += 1;
+    if (units == 0) units = ReadUnits(0);  // a miss still does a seek
     MeterReadUnits(units);
-    agent.AdvanceTo(read_limiter_.Acquire(agent.now(), units));
-    agent.Advance(config_.request_latency);
-    batch_get_metrics_.Record(agent, page_start, /*error=*/false);
+    call.Succeed({&read_limiter_, units});
     index = batch_end;
   }
   return out;
@@ -396,10 +296,10 @@ Result<std::vector<Item>> DynamoDb::BatchGet(
 
 Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
                                         const std::string& table) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  const ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such table: " + table);
   std::vector<Item> out;
-  for (const auto& [hash_key, ranges] : it->second.items) {
+  for (const auto& [hash_key, ranges] : t->items) {
     for (const auto& [range_key, attrs] : ranges) {
       out.push_back(Item{hash_key, range_key, attrs});
     }
@@ -409,20 +309,9 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
   constexpr uint64_t kScanPageBytes = 1024 * 1024;
   size_t index = 0;
   do {
-    const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                          "ddb.scan:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().ddb_get_requests += 1;
-        agent.Advance(config_.request_latency);
-        scan_metrics_.Record(agent, page_start, /*error=*/true);
-        return fault;
-      }
-    }
-    WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, read_limiter_,
-                                         /*write=*/false, page_start,
-                                         scan_metrics_));
+    BilledCall call(endpoint_, agent, scan_metrics_, &Usage::ddb_get_requests);
+    WEBDEX_RETURN_IF_ERROR(
+        Admit(call, "ddb.scan:", table, read_limiter_, /*write=*/false));
     uint64_t page_bytes = 0;
     double units = 0;
     while (index < out.size() && page_bytes < kScanPageBytes) {
@@ -432,11 +321,8 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
       ++index;
     }
     if (units == 0) units = ReadUnits(0);  // an empty table still seeks
-    meter_->mutable_usage().ddb_get_requests += 1;
     MeterReadUnits(units);
-    agent.AdvanceTo(read_limiter_.Acquire(agent.now(), units));
-    agent.Advance(config_.request_latency);
-    scan_metrics_.Record(agent, page_start, /*error=*/false);
+    call.Succeed({&read_limiter_, units});
   } while (index < out.size());
   return out;
 }
@@ -444,86 +330,42 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
 Status DynamoDb::DeleteItem(SimAgent& agent, const std::string& table,
                             const std::string& hash_key,
                             const std::string& range_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                        "ddb.delete:" + table, agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().ddb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      delete_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, write_limiter_, /*write=*/true,
-                                       op_start, delete_metrics_));
-  Table& t = it->second;
+  ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such table: " + table);
+  BilledCall call(endpoint_, agent, delete_metrics_, &Usage::ddb_put_requests);
+  WEBDEX_RETURN_IF_ERROR(
+      Admit(call, "ddb.delete:", table, write_limiter_, /*write=*/true));
   // Deletes consume write capacity sized by the deleted item (AWS);
   // deleting an absent key still pays the minimum.
-  double units = kMinWriteBytes / 1024.0;
-  auto hit = t.items.find(hash_key);
-  if (hit != t.items.end()) {
-    auto slot = hit->second.find(range_key);
-    if (slot != hit->second.end()) {
-      const Item old{hash_key, range_key, slot->second};
-      units = WriteUnits(old);
-      t.stored_bytes -= old.SizeBytes();
-      t.item_count -= 1;
-      hit->second.erase(slot);
-      if (hit->second.empty()) t.items.erase(hit);
-    }
-  }
-  meter_->mutable_usage().ddb_put_requests += 1;
+  const double units = WriteUnits(t->Erase(hash_key, range_key).value_or(0));
   MeterWriteUnits(units);
-  agent.AdvanceTo(write_limiter_.Acquire(agent.now(), units));
-  agent.Advance(config_.request_latency);
-  delete_metrics_.Record(agent, op_start, /*error=*/false);
+  call.Succeed({&write_limiter_, units});
   return Status::OK();
 }
 
 uint64_t DynamoDb::StoredBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.stored_bytes;
+  return tables_.Lookup(table).stored_bytes;
 }
 
 uint64_t DynamoDb::OverheadBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.item_count * kItemOverheadBytes;
+  return tables_.Lookup(table).item_count * kItemOverheadBytes;
 }
 
 uint64_t DynamoDb::ItemCount(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.item_count;
+  return tables_.Lookup(table).item_count;
 }
 
 void DynamoDb::ForEachItem(
     const std::function<void(const std::string&, const Item&)>& fn) const {
-  for (const auto& [name, table] : tables_) {
-    for (const auto& [hash_key, ranges] : table.items) {
-      for (const auto& [range_key, attrs] : ranges) {
-        fn(name, Item{hash_key, range_key, attrs});
-      }
-    }
-  }
+  tables_.ForEachItem(fn);
 }
 
 void DynamoDb::RestoreItem(const std::string& table, const Item& item) {
-  Table& t = tables_[table];
-  t.items[item.hash_key][item.range_key] = item.attrs;
-  t.stored_bytes += item.SizeBytes();
-  t.item_count += 1;
+  tables_.Restore(table, item);
 }
 
 std::vector<std::string> DynamoDb::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) {
-    (void)table;
-    names.push_back(name);
-  }
-  return names;
+  return tables_.TableNames();
 }
 
 }  // namespace webdex::cloud

@@ -1,10 +1,13 @@
 #ifndef WEBDEX_CLOUD_DYNAMODB_H_
 #define WEBDEX_CLOUD_DYNAMODB_H_
 
-#include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cloud/billed_call.h"
+#include "cloud/item_table.h"
 #include "cloud/kv_store.h"
 #include "cloud/sim.h"
 #include "cloud/trace.h"
@@ -36,6 +39,8 @@ struct DynamoDbConfig {
   bool on_demand = false;
 };
 
+class Autoscaler;
+
 /// Simulated Amazon DynamoDB (paper Section 6): tables of items of at most
 /// 64 KB, composite hash + range primary keys, multi-valued attributes,
 /// binary values, get / batchGet(100) / put / batchPut(25), and
@@ -43,9 +48,6 @@ struct DynamoDbConfig {
 ///
 /// Storage overhead: AWS bills 100 bytes of index overhead per item on top
 /// of raw item size; this is the ovh(D, I) term visible in Figure 8.
-class FaultInjector;
-class Autoscaler;
-
 class DynamoDb final : public KvStore {
  public:
   /// `injector` may be null (no fault injection); `metrics` may be null
@@ -90,7 +92,7 @@ class DynamoDb final : public KvStore {
       const override;
   void RestoreItem(const std::string& table, const Item& item) override;
   Status RestoreTable(const std::string& table) override;
-  bool Empty() const override { return tables_.empty(); }
+  bool Empty() const override { return tables_.Empty(); }
 
   /// Per-item storage overhead billed by the store.
   static constexpr uint64_t kItemOverheadBytes = 100;
@@ -129,14 +131,7 @@ class DynamoDb final : public KvStore {
   }
 
  private:
-  struct Table {
-    // hash key -> range key -> attributes.
-    std::map<std::string, std::map<std::string, Attributes>> items;
-    uint64_t stored_bytes = 0;
-    uint64_t item_count = 0;
-  };
-
-  /// Write capacity units for an item.
+  /// Write capacity units for an item of `item_bytes` billable bytes.
   ///
   /// Calibration note: AWS quantizes write units to 1 KB *per item*.  At
   /// the paper's scale (2 MB documents) per-key index payloads routinely
@@ -148,7 +143,7 @@ class DynamoDb final : public KvStore {
   /// simulation uses fractional units, max(bytes, kMinWriteBytes)/1024,
   /// instead of hard per-item ceilings; the small floor models per-item
   /// request overhead.
-  static double WriteUnits(const Item& item);
+  static double WriteUnits(uint64_t item_bytes);
   /// Read capacity units for an item: max(bytes, kMinReadBytes)/4096,
   /// fractional (same calibration rationale; AWS quantum is 4 KB).
   static double ReadUnits(uint64_t item_bytes);
@@ -171,18 +166,23 @@ class DynamoDb final : public KvStore {
   void MeterWriteUnits(double units);
   void MeterReadUnits(double units);
 
-  /// Organic throttle gate: when the delay bound is configured and the
-  /// limiter's backlog at `agent.now()` exceeds it, bills the rejected
-  /// API request (round trip, no capacity), records the error on `op`,
-  /// and returns kResourceExhausted carrying the Retry-After hint.
-  /// Returns OK (and touches nothing) otherwise.  Also drives the
-  /// attached autoscaler's control loop.
-  Status MaybeThrottle(SimAgent& agent, const RateLimiter& limiter,
-                       bool write, Micros op_start, const OpMetrics& op);
+  /// The gates of every data-plane call: the fault gate at site
+  /// `site` + `table`, then the autoscaler and on-demand control loops,
+  /// then the organic throttle gate over `limiter` (a throttle is also
+  /// reported to the autoscaler).
+  Status Admit(BilledCall& call, std::string_view site,
+               const std::string& table, const RateLimiter& limiter,
+               bool write);
+  /// Get and BatchGet: reads `hash_keys` in pages of BatchGetLimit()
+  /// keys, each page one billed request at fault site `site` + `table`.
+  Result<std::vector<Item>> GetPages(SimAgent& agent, const std::string& table,
+                                     std::span<const std::string> hash_keys,
+                                     std::string_view site,
+                                     const OpMetrics& op);
 
   DynamoDbConfig config_;
   UsageMeter* meter_;
-  FaultInjector* injector_;
+  ServiceEndpoint endpoint_;
   Autoscaler* autoscaler_ = nullptr;
   OpMetrics batch_put_metrics_;
   OpMetrics get_metrics_;
@@ -192,11 +192,10 @@ class DynamoDb final : public KvStore {
   OpMetrics create_table_metrics_;
   common::Gauge* write_units_metric_ = nullptr;
   common::Gauge* read_units_metric_ = nullptr;
-  common::Counter* throttled_metric_ = nullptr;
   RateLimiter write_limiter_;
   RateLimiter read_limiter_;
   OnDemandState ondemand_;
-  std::map<std::string, Table> tables_;
+  ItemTable tables_;
 };
 
 }  // namespace webdex::cloud

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cloud/fault.h"
 #include "common/strings.h"
 
 namespace webdex::cloud {
@@ -12,7 +11,7 @@ ObjectStore::ObjectStore(const ObjectStoreConfig& config, UsageMeter* meter,
                          common::MetricRegistry* metrics)
     : config_(config),
       meter_(meter),
-      injector_(injector),
+      endpoint_{ServiceId::kS3, meter, injector, config.request_latency},
       put_metrics_(OpMetrics::For(metrics, "service.s3.put")),
       get_metrics_(OpMetrics::For(metrics, "service.s3.get")),
       batch_get_metrics_(OpMetrics::For(metrics, "service.s3.batch_get")),
@@ -34,15 +33,14 @@ Status ObjectStore::CreateBucket(const std::string& bucket) {
   return Status::OK();
 }
 
-void ObjectStore::ChargeTransfer(SimAgent& agent, uint64_t bytes) {
-  agent.AdvanceTo(request_limiter_.Acquire(agent.now(), 1.0));
+RoundTrip ObjectStore::Transfer(uint64_t bytes) {
   Micros transfer = 0;
   if (config_.bandwidth_bytes_per_sec > 0) {
     transfer = static_cast<Micros>(static_cast<double>(bytes) /
                                    config_.bandwidth_bytes_per_sec *
                                    kMicrosPerSecond);
   }
-  agent.Advance(config_.request_latency + transfer);
+  return {&request_limiter_, 1.0, transfer};
 }
 
 Status ObjectStore::Put(SimAgent& agent, const std::string& bucket,
@@ -51,25 +49,15 @@ Status ObjectStore::Put(SimAgent& agent, const std::string& bucket,
   if (it == buckets_.end()) {
     return Status::NotFound("no such bucket: " + bucket);
   }
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    // A failed attempt still takes the full round trip (the request body
-    // was sent) and bills a put request, but stores nothing and does not
-    // count payload bytes as ingested.
-    Status fault =
-        injector_->MaybeFail(ServiceId::kS3, "s3.put:" + bucket, agent.now());
-    if (!fault.ok()) {
-      ChargeTransfer(agent, data.size());
-      meter_->mutable_usage().s3_put_requests += 1;
-      put_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  ChargeTransfer(agent, data.size());
-  meter_->mutable_usage().s3_put_requests += 1;
+  // A failed attempt still takes the full round trip (the request body
+  // was sent) and bills a put request, but stores nothing and does not
+  // count payload bytes as ingested.
+  BilledCall call(endpoint_, agent, put_metrics_, &Usage::s3_put_requests);
+  const RoundTrip upload = Transfer(data.size());
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.put:", bucket, upload));
   meter_->mutable_usage().s3_bytes_in += data.size();
   if (bytes_in_metric_ != nullptr) bytes_in_metric_->Add(data.size());
-  put_metrics_.Record(agent, op_start, /*error=*/false);
+  call.Succeed(upload);
   it->second[key] = std::move(data);
   return Status::OK();
 }
@@ -81,29 +69,18 @@ Result<std::string> ObjectStore::Get(SimAgent& agent,
   if (it == buckets_.end()) {
     return Status::NotFound("no such bucket: " + bucket);
   }
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault =
-        injector_->MaybeFail(ServiceId::kS3, "s3.get:" + bucket, agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().s3_get_requests += 1;
-      ChargeTransfer(agent, 0);
-      get_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
+  BilledCall call(endpoint_, agent, get_metrics_, &Usage::s3_get_requests);
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.get:", bucket, Transfer(0)));
   auto obj = it->second.find(key);
-  // A failed lookup is still a billed request that took a round trip.
-  meter_->mutable_usage().s3_get_requests += 1;
   if (obj == it->second.end()) {
-    ChargeTransfer(agent, 0);
-    get_metrics_.Record(agent, op_start, /*error=*/true);
-    return Status::NotFound("no such object: " + bucket + "/" + key);
+    // A failed lookup is still a billed request that took a round trip.
+    return call.Fail(
+        Status::NotFound("no such object: " + bucket + "/" + key),
+        Transfer(0));
   }
-  ChargeTransfer(agent, obj->second.size());
   meter_->mutable_usage().s3_bytes_out += obj->second.size();
   if (bytes_out_metric_ != nullptr) bytes_out_metric_->Add(obj->second.size());
-  get_metrics_.Record(agent, op_start, /*error=*/false);
+  call.Succeed(Transfer(obj->second.size()));
   return obj->second;
 }
 
@@ -117,20 +94,11 @@ Result<std::vector<std::string>> ObjectStore::BatchGet(
   if (it == buckets_.end()) {
     return Status::NotFound("no such bucket: " + bucket);
   }
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    // Call-level fault: the whole parallel fetch aborts before any
-    // transfers complete; one request round trip is billed.
-    Status fault =
-        injector_->MaybeFail(ServiceId::kS3, "s3.batchget:" + bucket,
-                             agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().s3_get_requests += 1;
-      ChargeTransfer(agent, 0);
-      batch_get_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
+  // Call-level fault: the whole parallel fetch aborts before any
+  // transfers complete; one request round trip is billed.
+  BilledCall call(endpoint_, agent, batch_get_metrics_,
+                  &Usage::s3_get_requests);
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.batchget:", bucket, Transfer(0)));
   std::vector<std::string> out;
   out.reserve(keys.size());
   // Model: `parallel_streams` concurrent connections; each request incurs
@@ -142,9 +110,9 @@ Result<std::vector<std::string>> ObjectStore::BatchGet(
   size_t next_stream = 0;
   for (const auto& key : keys) {
     auto obj = it->second.find(key);
-    meter_->mutable_usage().s3_get_requests += 1;
+    call.Bill();
     if (obj == it->second.end()) {
-      batch_get_metrics_.Record(agent, op_start, /*error=*/true);
+      call.Record(/*error=*/true);
       return Status::NotFound("no such object: " + bucket + "/" + key);
     }
     double micros = static_cast<double>(config_.request_latency);
@@ -165,7 +133,7 @@ Result<std::vector<std::string>> ObjectStore::BatchGet(
   agent.AdvanceTo(request_limiter_.Acquire(
       agent.now(), static_cast<double>(keys.size())));
   agent.Advance(static_cast<Micros>(makespan));
-  batch_get_metrics_.Record(agent, op_start, /*error=*/false);
+  call.Record(/*error=*/false);
   return out;
 }
 
@@ -175,7 +143,9 @@ Status ObjectStore::Delete(SimAgent& agent, const std::string& bucket,
   if (it == buckets_.end()) {
     return Status::NotFound("no such bucket: " + bucket);
   }
-  ChargeTransfer(agent, 0);
+  // Free, but still a round trip through the request limiter.
+  agent.AdvanceTo(request_limiter_.Acquire(agent.now(), 1.0));
+  agent.Advance(config_.request_latency);
   it->second.erase(key);
   return Status::OK();
 }
@@ -206,11 +176,11 @@ Result<std::vector<std::string>> ObjectStore::List(
        iter != it->second.end() && StartsWith(iter->first, prefix); ++iter) {
     keys.push_back(iter->first);
   }
-  const Micros op_start = agent.now();
+  BilledCall call(endpoint_, agent, list_metrics_, &Usage::s3_get_requests);
   const uint64_t pages = keys.empty() ? 1 : (keys.size() + 999) / 1000;
-  meter_->mutable_usage().s3_get_requests += pages;
-  for (uint64_t i = 0; i < pages; ++i) ChargeTransfer(agent, 0);
-  list_metrics_.Record(agent, op_start, /*error=*/false);
+  call.Bill(pages);
+  for (uint64_t i = 0; i < pages; ++i) call.Charge(Transfer(0));
+  call.Record(/*error=*/false);
   return keys;
 }
 

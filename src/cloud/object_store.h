@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "cloud/billed_call.h"
 #include "cloud/sim.h"
 #include "cloud/trace.h"
 #include "cloud/usage.h"
@@ -35,8 +36,6 @@ struct ObjectStoreConfig {
 /// advances its virtual clock by the modeled request latency plus transfer
 /// time; every call increments the shared `UsageMeter` with exactly the
 /// requests S3 would have billed.
-class FaultInjector;
-
 class ObjectStore {
  public:
   /// `injector` may be null (no fault injection), e.g. in unit tests that
@@ -116,13 +115,13 @@ class ObjectStore {
   void RestoreBucket(const std::string& bucket) { buckets_[bucket]; }
 
  private:
-  // Advances `agent` past the rate limiter and fixed latency plus the
-  // transfer time for `bytes`.
-  void ChargeTransfer(SimAgent& agent, uint64_t bytes);
+  // One request moving `bytes`: the rate limiter, then the fixed latency
+  // plus the transfer time.
+  RoundTrip Transfer(uint64_t bytes);
 
   ObjectStoreConfig config_;
   UsageMeter* meter_;
-  FaultInjector* injector_;
+  ServiceEndpoint endpoint_;
   // Per-operation service metrics (docs/OBSERVABILITY.md); no-ops when
   // the store was built without a registry.
   OpMetrics put_metrics_;

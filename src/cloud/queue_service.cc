@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "cloud/fault.h"
-
 namespace webdex::cloud {
 
 QueueService::QueueService(const QueueServiceConfig& config, UsageMeter* meter,
@@ -11,7 +9,7 @@ QueueService::QueueService(const QueueServiceConfig& config, UsageMeter* meter,
                            common::MetricRegistry* metrics)
     : config_(config),
       meter_(meter),
-      injector_(injector),
+      endpoint_{ServiceId::kSqs, meter, injector, config.request_latency},
       send_metrics_(OpMetrics::For(metrics, "service.sqs.send")),
       receive_metrics_(OpMetrics::For(metrics, "service.sqs.receive")),
       delete_metrics_(OpMetrics::For(metrics, "service.sqs.delete")),
@@ -32,20 +30,15 @@ Status QueueService::Send(SimAgent& agent, const std::string& queue,
                           std::string body) {
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("no such queue: " + queue);
-  const Micros op_start = agent.now();
-  agent.Advance(config_.request_latency);
-  meter_->mutable_usage().sqs_requests += 1;
+  BilledCall call(endpoint_, agent, send_metrics_, &Usage::sqs_requests);
+  call.Settle();  // before the gate: an outage check sees now + latency
+  // A faulted send is billed, and nothing is enqueued.
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("sqs.send:", queue));
   Micros delay = 0;
-  if (injector_ != nullptr) {
-    Status fault =
-        injector_->MaybeFail(ServiceId::kSqs, "sqs.send:" + queue, agent.now());
-    if (!fault.ok()) {
-      send_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;  // billed, nothing enqueued
-    }
-    delay = injector_->DeliveryDelay(ServiceId::kSqs, "sqs.delay:" + queue);
+  if (FaultInjector* injector = endpoint_.active_injector()) {
+    delay = injector->DeliveryDelay(ServiceId::kSqs, "sqs.delay:" + queue);
   }
-  send_metrics_.Record(agent, op_start, /*error=*/false);
+  call.Succeed();
   PendingMessage msg;
   msg.body = std::move(body);
   msg.visible_at = agent.now() + delay;
@@ -57,19 +50,10 @@ Result<std::optional<ReceivedMessage>> QueueService::Receive(
     SimAgent& agent, const std::string& queue) {
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("no such queue: " + queue);
-  const Micros op_start = agent.now();
-  agent.Advance(config_.request_latency);
-  meter_->mutable_usage().sqs_requests += 1;
-  if (injector_ != nullptr) {
-    Status fault =
-        injector_->MaybeFail(ServiceId::kSqs, "sqs.receive:" + queue,
-                             agent.now());
-    if (!fault.ok()) {
-      receive_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  receive_metrics_.Record(agent, op_start, /*error=*/false);
+  BilledCall call(endpoint_, agent, receive_metrics_, &Usage::sqs_requests);
+  call.Settle();  // before the gate: an outage check sees now + latency
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("sqs.receive:", queue));
+  call.Succeed();
   for (auto& msg : it->second) {
     if (msg.visible_at <= agent.now()) {
       msg.visible_at = agent.now() + config_.visibility_timeout;
@@ -83,8 +67,9 @@ Result<std::optional<ReceivedMessage>> QueueService::Receive(
       out.body = msg.body;
       out.receipt = msg.receipt;
       out.delivery_count = msg.delivery_count;
-      if (injector_ != nullptr &&
-          injector_->ShouldDuplicate(ServiceId::kSqs, "sqs.dup:" + queue)) {
+      FaultInjector* injector = endpoint_.active_injector();
+      if (injector != nullptr &&
+          injector->ShouldDuplicate(ServiceId::kSqs, "sqs.dup:" + queue)) {
         // At-least-once duplicate: the message stays deliverable, so the
         // receipt just handed out is already stale — this delivery's
         // Delete will hit "receipt expired" and the work is redone.
@@ -100,19 +85,10 @@ Status QueueService::Delete(SimAgent& agent, const std::string& queue,
                             uint64_t receipt) {
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("no such queue: " + queue);
-  const Micros op_start = agent.now();
-  agent.Advance(config_.request_latency);
-  meter_->mutable_usage().sqs_requests += 1;
-  if (injector_ != nullptr) {
-    Status fault =
-        injector_->MaybeFail(ServiceId::kSqs, "sqs.delete:" + queue,
-                             agent.now());
-    if (!fault.ok()) {
-      delete_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  delete_metrics_.Record(agent, op_start, /*error=*/false);
+  BilledCall call(endpoint_, agent, delete_metrics_, &Usage::sqs_requests);
+  call.Settle();  // before the gate: an outage check sees now + latency
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("sqs.delete:", queue));
+  call.Succeed();
   auto& msgs = it->second;
   for (auto iter = msgs.begin(); iter != msgs.end(); ++iter) {
     if (iter->receipt == receipt && receipt != 0) {
@@ -132,19 +108,10 @@ Status QueueService::RenewLease(SimAgent& agent, const std::string& queue,
                                 uint64_t receipt) {
   auto it = queues_.find(queue);
   if (it == queues_.end()) return Status::NotFound("no such queue: " + queue);
-  const Micros op_start = agent.now();
-  agent.Advance(config_.request_latency);
-  meter_->mutable_usage().sqs_requests += 1;
-  if (injector_ != nullptr) {
-    Status fault =
-        injector_->MaybeFail(ServiceId::kSqs, "sqs.renew:" + queue,
-                             agent.now());
-    if (!fault.ok()) {
-      renew_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  renew_metrics_.Record(agent, op_start, /*error=*/false);
+  BilledCall call(endpoint_, agent, renew_metrics_, &Usage::sqs_requests);
+  call.Settle();  // before the gate: an outage check sees now + latency
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("sqs.renew:", queue));
+  call.Succeed();
   for (auto& msg : it->second) {
     if (msg.receipt == receipt && receipt != 0) {
       if (msg.visible_at <= agent.now()) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "cloud/billed_call.h"
 #include "cloud/sim.h"
 #include "cloud/trace.h"
 #include "cloud/usage.h"
@@ -46,8 +47,6 @@ struct QueueServiceConfig {
 /// delete, lease renewal) advances the caller's virtual clock and
 /// increments the usage meter, because SQS charges per request (QS$ in
 /// Table 3).
-class FaultInjector;
-
 class QueueService {
  public:
   /// `injector` may be null (no fault injection); `metrics` may be null
@@ -107,7 +106,7 @@ class QueueService {
 
   QueueServiceConfig config_;
   UsageMeter* meter_;
-  FaultInjector* injector_;
+  ServiceEndpoint endpoint_;
   OpMetrics send_metrics_;
   OpMetrics receive_metrics_;
   OpMetrics delete_metrics_;

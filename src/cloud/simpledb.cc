@@ -21,83 +21,46 @@ SimpleDb::SimpleDb(const SimpleDbConfig& config, UsageMeter* meter,
                    FaultInjector* injector, common::MetricRegistry* metrics)
     : config_(config),
       meter_(meter),
-      injector_(injector),
+      endpoint_{ServiceId::kSimpleDb, meter, injector, config.request_latency,
+                metrics == nullptr
+                    ? nullptr
+                    : metrics->GetCounter("service.simpledb.throttled.count")},
       batch_put_metrics_(OpMetrics::For(metrics, "service.simpledb.batch_put")),
       get_metrics_(OpMetrics::For(metrics, "service.simpledb.get")),
       scan_metrics_(OpMetrics::For(metrics, "service.simpledb.scan")),
       delete_metrics_(OpMetrics::For(metrics, "service.simpledb.delete_item")),
       create_table_metrics_(
           OpMetrics::For(metrics, "service.simpledb.create_domain")),
-      throttled_metric_(
-          metrics == nullptr
-              ? nullptr
-              : metrics->GetCounter("service.simpledb.throttled.count")),
       request_limiter_(config.requests_per_second) {}
 
-Status SimpleDb::MaybeThrottle(SimAgent& agent, bool write, Micros op_start,
-                               const OpMetrics& op) {
-  if (config_.max_backlog_micros <= 0) return Status::OK();
-  const Micros backlog = request_limiter_.BacklogAt(agent.now());
-  if (backlog <= config_.max_backlog_micros) return Status::OK();
-  const Micros hint = backlog - config_.max_backlog_micros;
-  if (write) {
-    meter_->mutable_usage().sdb_put_requests += 1;
-  } else {
-    meter_->mutable_usage().sdb_get_requests += 1;
-  }
-  meter_->mutable_usage().throttled_requests += 1;
-  if (throttled_metric_ != nullptr) throttled_metric_->Add(1);
-  agent.Advance(config_.request_latency);
-  op.Record(agent, op_start, /*error=*/true);
-  return Status::ResourceExhausted(
-      StrFormat("request rate exceeded; retry after %lld us",
-                static_cast<long long>(hint)),
-      hint);
+Status SimpleDb::Admit(BilledCall& call, std::string_view site,
+                       const std::string& table) {
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate(site, table));
+  return call.ThrottleGate(request_limiter_, config_.max_backlog_micros,
+                           "request rate exceeded");
 }
 
 Status SimpleDb::CreateTable(SimAgent& agent, const std::string& table) {
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    // Same contract as DynamoDb::CreateTable: a faulted create bills its
-    // round trip, a successful one is free (keeps legacy runs identical).
-    Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                        "sdb.createdomain:" + table,
-                                        agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().sdb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      create_table_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) {
-    create_table_metrics_.Record(agent, op_start, /*error=*/true);
-    return Status::AlreadyExists("domain exists: " + table);
-  }
-  create_table_metrics_.Record(agent, op_start, /*error=*/false);
+  // Same contract as DynamoDb::CreateTable: a faulted create bills its
+  // round trip, a successful one is free (keeps legacy runs identical).
+  BilledCall call(endpoint_, agent, create_table_metrics_,
+                  &Usage::sdb_put_requests);
+  WEBDEX_RETURN_IF_ERROR(call.FaultGate("sdb.createdomain:", table));
+  const bool created = tables_.Create(table);
+  call.Record(/*error=*/!created);
+  if (!created) return Status::AlreadyExists("domain exists: " + table);
   return Status::OK();
 }
 
 Status SimpleDb::RestoreTable(const std::string& table) {
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) return Status::AlreadyExists("domain exists: " + table);
+  if (!tables_.Create(table)) {
+    return Status::AlreadyExists("domain exists: " + table);
+  }
   return Status::OK();
 }
 
 bool SimpleDb::HasTable(const std::string& table) const {
-  return tables_.count(table) > 0;
-}
-
-uint64_t SimpleDb::AttributeCount(const Attributes& attrs) {
-  uint64_t n = 0;
-  for (const auto& [name, values] : attrs) {
-    (void)name;
-    n += values.size();
-  }
-  return n;
+  return tables_.Has(table);
 }
 
 Status SimpleDb::ValidateItem(const Item& item) const {
@@ -107,7 +70,7 @@ Status SimpleDb::ValidateItem(const Item& item) const {
   if (item.hash_key.size() + item.range_key.size() > 1024) {
     return Status::InvalidArgument("item name exceeds 1KB");
   }
-  if (AttributeCount(item.attrs) > 256) {
+  if (ItemTable::CountValues(item.attrs) > 256) {
     return Status::InvalidArgument("more than 256 attributes per item");
   }
   for (const auto& [name, values] : item.attrs) {
@@ -132,68 +95,39 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
                           const std::vector<Item>& items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
+  ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such domain: " + table);
   for (const auto& item : items) {
     WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
   }
-  Table& t = it->second;
   const int batch_limit = BatchPutLimit();
   size_t index = 0;
   while (index < items.size()) {
     const size_t batch_end =
         std::min(items.size(), index + static_cast<size_t>(batch_limit));
-    const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      // A failed page bills its API round trip but no box usage (the
-      // data-proportional term); nothing of the page commits, and
-      // everything not yet stored is reported back for re-batching.
-      Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                          "sdb.batchput:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().sdb_put_requests += 1;
-        agent.Advance(config_.request_latency);
-        batch_put_metrics_.Record(agent, page_start, /*error=*/true);
-        if (unprocessed != nullptr) {
-          unprocessed->insert(unprocessed->end(), items.begin() + index,
-                              items.end());
-        }
-        return fault;
-      }
-    }
-    Status throttled =
-        MaybeThrottle(agent, /*write=*/true, page_start, batch_put_metrics_);
-    if (!throttled.ok()) {
+    // A rejected page bills its API round trip but no box usage (the
+    // data-proportional term); nothing of the page commits, and
+    // everything not yet stored is reported back for re-batching.
+    BilledCall call(endpoint_, agent, batch_put_metrics_,
+                    &Usage::sdb_put_requests);
+    Status admitted = Admit(call, "sdb.batchput:", table);
+    if (!admitted.ok()) {
       if (unprocessed != nullptr) {
         unprocessed->insert(unprocessed->end(), items.begin() + index,
                             items.end());
       }
-      return throttled;
+      return admitted;
     }
     double box_hours = 0;
     for (size_t i = index; i < batch_end; ++i) {
-      const Item& item = items[i];
-      auto& hash_items = t.items[item.hash_key];
-      auto slot = hash_items.find(item.range_key);
-      if (slot != hash_items.end()) {
-        const Item old{item.hash_key, item.range_key, slot->second};
-        t.stored_bytes -= old.SizeBytes();
-        t.item_count -= 1;
-        t.attribute_count -= AttributeCount(slot->second);
-        slot->second = item.attrs;
-      } else {
-        hash_items.emplace(item.range_key, item.attrs);
-      }
-      t.stored_bytes += item.SizeBytes();
-      t.item_count += 1;
-      t.attribute_count += AttributeCount(item.attrs);
+      t->Put(items[i]);
       box_hours += meter_->pricing().simpledb_box_hours_per_put;
-      meter_->mutable_usage().sdb_put_requests += 1;
     }
+    // SimpleDB bills every item of a batch put as one put request.
+    call.Bill(batch_end - index);
     meter_->mutable_usage().sdb_box_hours += box_hours;
-    agent.AdvanceTo(request_limiter_.Acquire(agent.now(), 1.0));
-    agent.Advance(config_.request_latency);
-    batch_put_metrics_.Record(agent, page_start, /*error=*/false);
+    call.Charge({&request_limiter_, 1.0});
+    call.Record(/*error=*/false);
     index = batch_end;
   }
   return Status::OK();
@@ -202,24 +136,13 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
 Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
                                         const std::string& table,
                                         const std::string& hash_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                        "sdb.get:" + table, agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().sdb_get_requests += 1;
-      agent.Advance(config_.request_latency);
-      get_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  WEBDEX_RETURN_IF_ERROR(
-      MaybeThrottle(agent, /*write=*/false, op_start, get_metrics_));
+  const ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such domain: " + table);
+  BilledCall call(endpoint_, agent, get_metrics_, &Usage::sdb_get_requests);
+  WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.get:", table));
   std::vector<Item> out;
-  auto hit = it->second.items.find(hash_key);
-  if (hit != it->second.items.end()) {
+  auto hit = t->items.find(hash_key);
+  if (hit != t->items.end()) {
     for (const auto& [range_key, attrs] : hit->second) {
       out.push_back(Item{hash_key, range_key, attrs});
     }
@@ -227,17 +150,14 @@ Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
   // SimpleDB's select paginates at 2500 attributes / 1 MB; model one extra
   // request round trip per page.
   uint64_t attr_total = 0;
-  for (const auto& item : out) attr_total += AttributeCount(item.attrs);
+  for (const auto& item : out) attr_total += ItemTable::CountValues(item.attrs);
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
-  meter_->mutable_usage().sdb_get_requests += pages;
+  call.Bill(pages);
   meter_->mutable_usage().sdb_box_hours +=
       meter_->pricing().simpledb_box_hours_per_get *
       static_cast<double>(pages);
-  for (uint64_t i = 0; i < pages; ++i) {
-    agent.AdvanceTo(request_limiter_.Acquire(agent.now(), 1.0));
-    agent.Advance(config_.request_latency);
-  }
-  get_metrics_.Record(agent, op_start, /*error=*/false);
+  for (uint64_t i = 0; i < pages; ++i) call.Charge({&request_limiter_, 1.0});
+  call.Record(/*error=*/false);
   return out;
 }
 
@@ -255,38 +175,24 @@ Result<std::vector<Item>> SimpleDb::BatchGet(
 
 Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
                                         const std::string& table) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
+  const ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such domain: " + table);
   std::vector<Item> out;
   uint64_t attr_total = 0;
-  for (const auto& [hash_key, ranges] : it->second.items) {
+  for (const auto& [hash_key, ranges] : t->items) {
     for (const auto& [range_key, attrs] : ranges) {
-      attr_total += AttributeCount(attrs);
+      attr_total += ItemTable::CountValues(attrs);
       out.push_back(Item{hash_key, range_key, attrs});
     }
   }
   // A full select paginates at 2500 attributes, like Get.
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   for (uint64_t page = 0; page < pages; ++page) {
-    const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                          "sdb.scan:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().sdb_get_requests += 1;
-        agent.Advance(config_.request_latency);
-        scan_metrics_.Record(agent, page_start, /*error=*/true);
-        return fault;
-      }
-    }
-    WEBDEX_RETURN_IF_ERROR(
-        MaybeThrottle(agent, /*write=*/false, page_start, scan_metrics_));
-    meter_->mutable_usage().sdb_get_requests += 1;
+    BilledCall call(endpoint_, agent, scan_metrics_, &Usage::sdb_get_requests);
+    WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.scan:", table));
     meter_->mutable_usage().sdb_box_hours +=
         meter_->pricing().simpledb_box_hours_per_get;
-    agent.AdvanceTo(request_limiter_.Acquire(agent.now(), 1.0));
-    agent.Advance(config_.request_latency);
-    scan_metrics_.Record(agent, page_start, /*error=*/false);
+    call.Succeed({&request_limiter_, 1.0});
   }
   return out;
 }
@@ -294,87 +200,42 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
 Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,
                             const std::string& hash_key,
                             const std::string& range_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
-  const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                        "sdb.delete:" + table, agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().sdb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      delete_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  WEBDEX_RETURN_IF_ERROR(
-      MaybeThrottle(agent, /*write=*/true, op_start, delete_metrics_));
-  Table& t = it->second;
-  auto hit = t.items.find(hash_key);
-  if (hit != t.items.end()) {
-    auto slot = hit->second.find(range_key);
-    if (slot != hit->second.end()) {
-      const Item old{hash_key, range_key, slot->second};
-      t.stored_bytes -= old.SizeBytes();
-      t.item_count -= 1;
-      t.attribute_count -= AttributeCount(slot->second);
-      hit->second.erase(slot);
-      if (hit->second.empty()) t.items.erase(hit);
-    }
-  }
-  meter_->mutable_usage().sdb_put_requests += 1;
+  ItemTable::Table* t = tables_.Find(table);
+  if (t == nullptr) return Status::NotFound("no such domain: " + table);
+  BilledCall call(endpoint_, agent, delete_metrics_, &Usage::sdb_put_requests);
+  WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.delete:", table));
+  t->Erase(hash_key, range_key);
   meter_->mutable_usage().sdb_box_hours +=
       meter_->pricing().simpledb_box_hours_per_put;
-  agent.AdvanceTo(request_limiter_.Acquire(agent.now(), 1.0));
-  agent.Advance(config_.request_latency);
-  delete_metrics_.Record(agent, op_start, /*error=*/false);
+  call.Succeed({&request_limiter_, 1.0});
   return Status::OK();
 }
 
 uint64_t SimpleDb::StoredBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.stored_bytes;
+  return tables_.Lookup(table).stored_bytes;
 }
 
 uint64_t SimpleDb::OverheadBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return 0;
-  return it->second.item_count * kPerItemOverheadBytes +
-         it->second.attribute_count * kPerAttributeOverheadBytes;
+  const ItemTable::Table& t = tables_.Lookup(table);
+  return t.item_count * kPerItemOverheadBytes +
+         t.value_count * kPerAttributeOverheadBytes;
 }
 
 uint64_t SimpleDb::ItemCount(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.item_count;
+  return tables_.Lookup(table).item_count;
 }
 
 void SimpleDb::ForEachItem(
     const std::function<void(const std::string&, const Item&)>& fn) const {
-  for (const auto& [name, table] : tables_) {
-    for (const auto& [hash_key, ranges] : table.items) {
-      for (const auto& [range_key, attrs] : ranges) {
-        fn(name, Item{hash_key, range_key, attrs});
-      }
-    }
-  }
+  tables_.ForEachItem(fn);
 }
 
 void SimpleDb::RestoreItem(const std::string& table, const Item& item) {
-  Table& t = tables_[table];
-  t.items[item.hash_key][item.range_key] = item.attrs;
-  t.stored_bytes += item.SizeBytes();
-  t.item_count += 1;
-  t.attribute_count += AttributeCount(item.attrs);
+  tables_.Restore(table, item);
 }
 
 std::vector<std::string> SimpleDb::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) {
-    (void)table;
-    names.push_back(name);
-  }
-  return names;
+  return tables_.TableNames();
 }
 
 }  // namespace webdex::cloud

@@ -1,10 +1,12 @@
 #ifndef WEBDEX_CLOUD_SIMPLEDB_H_
 #define WEBDEX_CLOUD_SIMPLEDB_H_
 
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cloud/billed_call.h"
+#include "cloud/item_table.h"
 #include "cloud/kv_store.h"
 #include "cloud/sim.h"
 #include "cloud/trace.h"
@@ -35,8 +37,6 @@ struct SimpleDbConfig {
 ///   * at most 256 attributes per item, 1 KB per attribute name;
 ///   * lower request throughput and higher latency;
 ///   * "box usage" machine-hour billing per request.
-class FaultInjector;
-
 class SimpleDb final : public KvStore {
  public:
   /// `injector` may be null (no fault injection); `metrics` may be null
@@ -81,7 +81,7 @@ class SimpleDb final : public KvStore {
       const override;
   void RestoreItem(const std::string& table, const Item& item) override;
   Status RestoreTable(const std::string& table) override;
-  bool Empty() const override { return tables_.empty(); }
+  bool Empty() const override { return tables_.Empty(); }
 
   /// SimpleDB billed 45 bytes of storage overhead per item name and per
   /// attribute name-value pair.
@@ -89,33 +89,24 @@ class SimpleDb final : public KvStore {
   static constexpr uint64_t kPerAttributeOverheadBytes = 45;
 
  private:
-  struct Table {
-    std::map<std::string, std::map<std::string, Attributes>> items;
-    uint64_t stored_bytes = 0;
-    uint64_t item_count = 0;
-    uint64_t attribute_count = 0;
-  };
-
   Status ValidateItem(const Item& item) const;
-  static uint64_t AttributeCount(const Attributes& attrs);
 
-  /// Organic throttle over the request-rate cap; same contract as
-  /// DynamoDb::MaybeThrottle (bills the rejected request's round trip,
-  /// no box usage, returns kResourceExhausted + Retry-After hint).
-  Status MaybeThrottle(SimAgent& agent, bool write, Micros op_start,
-                       const OpMetrics& op);
+  /// The gates of every data-plane call: the fault gate at site
+  /// `site` + `table`, then the organic throttle gate over the
+  /// request-rate cap (a rejected request bills no box usage).
+  Status Admit(BilledCall& call, std::string_view site,
+               const std::string& table);
 
   SimpleDbConfig config_;
   UsageMeter* meter_;
-  FaultInjector* injector_;
+  ServiceEndpoint endpoint_;
   OpMetrics batch_put_metrics_;
   OpMetrics get_metrics_;
   OpMetrics scan_metrics_;
   OpMetrics delete_metrics_;
   OpMetrics create_table_metrics_;
-  common::Counter* throttled_metric_ = nullptr;
   RateLimiter request_limiter_;
-  std::map<std::string, Table> tables_;
+  ItemTable tables_;
 };
 
 }  // namespace webdex::cloud

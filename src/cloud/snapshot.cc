@@ -9,22 +9,13 @@
 namespace webdex::cloud {
 namespace {
 
-// Version 2 appends the chaos sections (FaultInjector stream cursors and
-// circuit-breaker trackers) after the durable stores; version 3 appends
-// the maintenance section (compaction cursor, generation watermark) after
-// those; version 4 appends the autoscaler control-loop state, so a
-// restored run resumes the identical capacity trajectory; version 5
-// appends the deployment section (architecture spec, replication
-// watermarks, on-demand burst-ceiling state) so sharded / replicated /
-// on-demand runs resume bit-identically.  Older snapshots are still
-// restorable — into a default-architecture environment only, since their
-// physical table layout assumes the paper's single-table deployment —
-// and simply leave the missing state fresh.
-constexpr char kMagicV1[] = "WDXSNAP1";
-constexpr char kMagicV2[] = "WDXSNAP2";
-constexpr char kMagicV3[] = "WDXSNAP3";
-constexpr char kMagicV4[] = "WDXSNAP4";
-constexpr char kMagicV5[] = "WDXSNAP5";
+// The one snapshot format: the durable stores, then the chaos sections
+// (FaultInjector stream cursors, circuit-breaker trackers), the
+// maintenance section (compaction cursor, generation watermark), the
+// autoscaler control-loop state and the deployment section (architecture
+// spec, replication watermarks, on-demand burst-ceiling state), so every
+// run resumes bit-identically.  Any other header is rejected.
+constexpr char kMagic[] = "WDXSNAP5";
 constexpr size_t kMagicLen = 8;
 
 // Doubles travel as the varint of their IEEE-754 bit pattern: exact
@@ -114,7 +105,7 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
 }  // namespace
 
 std::string SerializeSnapshot(CloudEnv& env) {
-  std::string out(kMagicV5, kMagicLen);
+  std::string out(kMagic, kMagicLen);
 
   // File store section: bucket names first (so empty buckets survive),
   // then the objects.
@@ -155,14 +146,14 @@ std::string SerializeSnapshot(CloudEnv& env) {
     PutVarint64(&out, static_cast<uint64_t>(tracker.opened_at));
   }
 
-  // Maintenance section (v3): the compaction resume cursor and the
+  // Maintenance section: the compaction resume cursor and the
   // mutation-generation watermark are durable like the stores — a
   // crashed compaction resumes after restore, and new mutations keep
   // stamping monotonically above everything ever allocated.
   PutString(&out, env.maintenance().compact_cursor);
   PutVarint64(&out, env.maintenance().generation_watermark);
 
-  // Autoscaler section (v4): durable control-loop state.  All zeros when
+  // Autoscaler section: durable control-loop state.  All zeros when
   // the autoscaler is inactive; restoring that is a no-op.
   const AutoscalerState& scaler = env.autoscaler().state();
   PutDouble(&out, scaler.write_units);
@@ -176,7 +167,7 @@ std::string SerializeSnapshot(CloudEnv& env) {
   PutVarint64(&out, scaler.window_read_throttles);
   PutVarint64(&out, scaler.started);
 
-  // Deployment section (v5): the architecture spec (so restore can refuse
+  // Deployment section: the architecture spec (so restore can refuse
   // an incompatible environment), the replication watermarks, and the
   // on-demand burst-ceiling trajectory.
   const ArchitectureSpec& arch = env.deployment().spec();
@@ -248,43 +239,13 @@ Status RestoreChaosState(const std::string& snapshot, size_t* offset,
 }  // namespace
 
 Status RestoreSnapshot(const std::string& snapshot, CloudEnv* env) {
-  bool has_chaos_sections = false;
-  bool has_maintenance_section = false;
-  bool has_autoscaler_section = false;
-  bool has_deployment_section = false;
-  if (snapshot.size() >= kMagicLen &&
-      snapshot.compare(0, kMagicLen, kMagicV5) == 0) {
-    has_chaos_sections = true;
-    has_maintenance_section = true;
-    has_autoscaler_section = true;
-    has_deployment_section = true;
-  } else if (snapshot.size() >= kMagicLen &&
-             snapshot.compare(0, kMagicLen, kMagicV4) == 0) {
-    has_chaos_sections = true;
-    has_maintenance_section = true;
-    has_autoscaler_section = true;
-  } else if (snapshot.size() >= kMagicLen &&
-             snapshot.compare(0, kMagicLen, kMagicV3) == 0) {
-    has_chaos_sections = true;
-    has_maintenance_section = true;
-  } else if (snapshot.size() >= kMagicLen &&
-             snapshot.compare(0, kMagicLen, kMagicV2) == 0) {
-    has_chaos_sections = true;
-  } else if (snapshot.size() < kMagicLen ||
-             snapshot.compare(0, kMagicLen, kMagicV1) != 0) {
+  if (snapshot.compare(0, kMagicLen, kMagic) != 0) {
     return Status::Corruption("not a webdex snapshot");
   }
   if (!env->s3().Empty() || !env->dynamodb().Empty() ||
       !env->simpledb().Empty()) {
     return Status::AlreadyExists(
         "snapshot must be restored into a fresh CloudEnv");
-  }
-  // Pre-v5 snapshots carry no architecture spec: their physical table
-  // layout assumes the default single-table provisioned deployment.
-  if (!has_deployment_section && !env->deployment().spec().IsDefault()) {
-    return Status::InvalidArgument(
-        "pre-v5 snapshot requires the default architecture, environment is " +
-        env->deployment().spec().Name());
   }
   size_t offset = kMagicLen;
   WEBDEX_ASSIGN_OR_RETURN(uint64_t bucket_count,
@@ -303,82 +264,74 @@ Status RestoreSnapshot(const std::string& snapshot, CloudEnv* env) {
   }
   WEBDEX_RETURN_IF_ERROR(RestoreKvStore(snapshot, &offset, &env->dynamodb()));
   WEBDEX_RETURN_IF_ERROR(RestoreKvStore(snapshot, &offset, &env->simpledb()));
-  if (has_chaos_sections) {
-    WEBDEX_RETURN_IF_ERROR(RestoreChaosState(snapshot, &offset, env));
+  WEBDEX_RETURN_IF_ERROR(RestoreChaosState(snapshot, &offset, env));
+  WEBDEX_ASSIGN_OR_RETURN(env->maintenance().compact_cursor,
+                          GetString(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(env->maintenance().generation_watermark,
+                          GetVarint64(snapshot, &offset));
+  AutoscalerState scaler;
+  WEBDEX_ASSIGN_OR_RETURN(scaler.write_units, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.read_units, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t window_start,
+                          GetVarint64(snapshot, &offset));
+  scaler.window_start = static_cast<Micros>(window_start);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t last_up, GetVarint64(snapshot, &offset));
+  scaler.last_scale_up = static_cast<Micros>(last_up);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t last_down,
+                          GetVarint64(snapshot, &offset));
+  scaler.last_scale_down = static_cast<Micros>(last_down);
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_units,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_units,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_throttles,
+                          GetVarint64(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_throttles,
+                          GetVarint64(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.started, GetVarint64(snapshot, &offset));
+  env->autoscaler().Restore(scaler);
+  ArchitectureSpec arch;
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t capacity, GetVarint64(snapshot, &offset));
+  if (capacity > static_cast<uint64_t>(CapacityMode::kOnDemand)) {
+    return Status::Corruption("invalid capacity mode in snapshot");
   }
-  if (has_maintenance_section) {
-    WEBDEX_ASSIGN_OR_RETURN(env->maintenance().compact_cursor,
-                            GetString(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(env->maintenance().generation_watermark,
-                            GetVarint64(snapshot, &offset));
+  arch.capacity = static_cast<CapacityMode>(capacity);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t shards, GetVarint64(snapshot, &offset));
+  arch.shards = static_cast<int>(shards);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t replicas, GetVarint64(snapshot, &offset));
+  arch.replicas = static_cast<int>(replicas);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t lag, GetVarint64(snapshot, &offset));
+  arch.replication_lag = static_cast<Micros>(lag);
+  // Restoring into a different deployment shape would scatter items
+  // across the wrong physical tables; demand an exact match.
+  if (!(arch == env->deployment().spec())) {
+    return Status::InvalidArgument(
+        "snapshot architecture " + arch.Name() +
+        " does not match environment " + env->deployment().spec().Name());
   }
-  if (has_autoscaler_section) {
-    AutoscalerState scaler;
-    WEBDEX_ASSIGN_OR_RETURN(scaler.write_units, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.read_units, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t window_start,
-                            GetVarint64(snapshot, &offset));
-    scaler.window_start = static_cast<Micros>(window_start);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t last_up, GetVarint64(snapshot, &offset));
-    scaler.last_scale_up = static_cast<Micros>(last_up);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t last_down,
-                            GetVarint64(snapshot, &offset));
-    scaler.last_scale_down = static_cast<Micros>(last_down);
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_units,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_units,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_throttles,
-                            GetVarint64(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_throttles,
-                            GetVarint64(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.started, GetVarint64(snapshot, &offset));
-    env->autoscaler().Restore(scaler);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t watermark_count,
+                          GetVarint64(snapshot, &offset));
+  for (uint64_t i = 0; i < watermark_count; ++i) {
+    WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(snapshot, &offset));
+    WEBDEX_ASSIGN_OR_RETURN(uint64_t at, GetVarint64(snapshot, &offset));
+    env->deployment().RestoreWatermark(table, static_cast<Micros>(at));
   }
-  if (has_deployment_section) {
-    ArchitectureSpec arch;
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t capacity, GetVarint64(snapshot, &offset));
-    if (capacity > static_cast<uint64_t>(CapacityMode::kOnDemand)) {
-      return Status::Corruption("invalid capacity mode in snapshot");
-    }
-    arch.capacity = static_cast<CapacityMode>(capacity);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t shards, GetVarint64(snapshot, &offset));
-    arch.shards = static_cast<int>(shards);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t replicas, GetVarint64(snapshot, &offset));
-    arch.replicas = static_cast<int>(replicas);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t lag, GetVarint64(snapshot, &offset));
-    arch.replication_lag = static_cast<Micros>(lag);
-    // Restoring into a different deployment shape would scatter items
-    // across the wrong physical tables; demand an exact match.
-    if (!(arch == env->deployment().spec())) {
-      return Status::InvalidArgument(
-          "snapshot architecture " + arch.Name() +
-          " does not match environment " + env->deployment().spec().Name());
-    }
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t watermark_count,
-                            GetVarint64(snapshot, &offset));
-    for (uint64_t i = 0; i < watermark_count; ++i) {
-      WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(snapshot, &offset));
-      WEBDEX_ASSIGN_OR_RETURN(uint64_t at, GetVarint64(snapshot, &offset));
-      env->deployment().RestoreWatermark(table, static_cast<Micros>(at));
-    }
-    DynamoDb::OnDemandState ondemand;
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.write_ceiling,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.read_ceiling,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_write, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_read, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t window_start,
-                            GetVarint64(snapshot, &offset));
-    ondemand.window_start = static_cast<Micros>(window_start);
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.window_write_units,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.window_read_units,
-                            GetDouble(snapshot, &offset));
-    if (arch.capacity == CapacityMode::kOnDemand) {
-      env->dynamodb().RestoreOnDemand(ondemand);
-    }
+  DynamoDb::OnDemandState ondemand;
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.write_ceiling,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.read_ceiling,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_write, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_read, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t ondemand_start,
+                          GetVarint64(snapshot, &offset));
+  ondemand.window_start = static_cast<Micros>(ondemand_start);
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.window_write_units,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.window_read_units,
+                          GetDouble(snapshot, &offset));
+  if (arch.capacity == CapacityMode::kOnDemand) {
+    env->dynamodb().RestoreOnDemand(ondemand);
   }
   if (offset != snapshot.size()) {
     return Status::Corruption("trailing bytes in snapshot");

@@ -9,16 +9,16 @@
 namespace webdex::cloud {
 
 /// Persistence for the simulated region's *durable* state: every S3
-/// bucket/object and every DynamoDB / SimpleDB table/item, in a
-/// versioned binary format (varint-framed, corruption-checked).
+/// bucket/object and every DynamoDB / SimpleDB table/item, in one binary
+/// format, "WDXSNAP5" (varint-framed, corruption-checked).
 ///
 /// Rationale: real S3/DynamoDB state survives while EC2 fleets come and
 /// go; snapshots give the simulator the same property across process
 /// runs, so a corpus indexed once in `webdex_cli` can be reopened later
-/// ("save"/"restore").  Version 2 additionally rounds-trips the chaos
-/// state — FaultInjector stream cursors and circuit-breaker trackers —
-/// so a resumed faulted run draws the identical continuation of its
-/// fault schedule (docs/FAULTS.md).  Ephemeral state — virtual clocks,
+/// ("save"/"restore").  The chaos state — FaultInjector stream cursors
+/// and circuit-breaker trackers — round-trips too, so a resumed faulted
+/// run draws the identical continuation of its fault schedule
+/// (docs/FAULTS.md).  Ephemeral state — virtual clocks,
 /// queue contents, usage meters — is intentionally *not* saved: it
 /// belongs to the fleet/session, not to the durable stores.
 
@@ -27,7 +27,8 @@ std::string SerializeSnapshot(CloudEnv& env);
 
 /// Restores a serialized snapshot into `env`, which must be freshly
 /// constructed (no buckets or tables).  Fails with Corruption on any
-/// malformed input and with AlreadyExists if `env` is not empty.
+/// malformed input or other format's header, and with AlreadyExists if
+/// `env` is not empty.
 Status RestoreSnapshot(const std::string& snapshot, CloudEnv* env);
 
 /// File-based convenience wrappers.

@@ -291,7 +291,7 @@ class Warehouse {
   /// documents to canonical generation-0 postings; otherwise only
   /// superseded generations and collected tombstones are dropped.
   /// Resumes from the cursor checkpointed in the cloud's maintenance
-  /// state (snapshot v3), so a crash mid-pass — planned via CrashPoint
+  /// state (snapshot), so a crash mid-pass — planned via CrashPoint
   /// kMidCompaction — picks up at the URI boundary after restore.
   Result<CompactReport> Compact(bool full);
 
@@ -356,7 +356,7 @@ class Warehouse {
                    const std::string& task_key);
 
   /// Allocates the next mutation generation from the cloud's maintenance
-  /// watermark (monotone, persisted by snapshot v3).
+  /// watermark (monotone, persisted by snapshots).
   uint64_t AllocateGeneration();
 
   /// Publishes a copy-on-write update of the generation view: the

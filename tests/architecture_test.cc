@@ -412,15 +412,6 @@ TEST(ArchitectureTest, SnapshotRestoreRejectsArchitectureMismatch) {
   cloud::CloudEnv fresh_ondemand(other_config);
   EXPECT_TRUE(
       RestoreSnapshot(default_image, &fresh_ondemand).IsInvalidArgument());
-
-  // Pre-v5 legacy images carry no spec and assume the default layout.
-  const std::string v1 = std::string("WDXSNAP1") + std::string(6, '\0');
-  cloud::CloudEnv legacy_default;
-  EXPECT_TRUE(RestoreSnapshot(v1, &legacy_default).ok());
-  cloud::CloudConfig sharded_config2;
-  sharded_config2.arch = Arch(CapacityMode::kProvisioned, 4, 0);
-  cloud::CloudEnv legacy_sharded(sharded_config2);
-  EXPECT_TRUE(RestoreSnapshot(v1, &legacy_sharded).IsInvalidArgument());
 }
 
 TEST(ArchitectureTest, SnapshotV5RoundTripsOnDemandCeilings) {

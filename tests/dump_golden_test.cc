@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "cloud/deployment.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
 #include "xmark/xmark_generator.h"
@@ -55,15 +56,6 @@ std::string DumpIndex(const cloud::KvStore& store) {
     dump += '\n';
   });
   return dump;
-}
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 /// Builds the tiny corpus index with `host_threads` extraction threads
@@ -114,7 +106,8 @@ TEST(DumpGoldenTest, SerializedIndexMatchesGoldenPerStrategy) {
     ASSERT_FALSE(dump.empty()) << name;
     const std::string digest =
         StrFormat("%016llx-%zu",
-                  static_cast<unsigned long long>(Fnv1a(dump)), dump.size());
+                  static_cast<unsigned long long>(cloud::Fnv1a64(dump)),
+                  dump.size());
     regenerated << name << " " << digest << "\n";
     auto it = golden.find(name);
     if (update) continue;

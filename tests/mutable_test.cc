@@ -2,7 +2,7 @@
 // any interleaving of upserts, deletes and compaction — under a seeded
 // FaultPlan of transient service faults, duplicate/delayed deliveries
 // and instance crashes, including a *planned* mid-compaction crash with
-// a snapshot-v3 save/restore in the middle — must converge to index
+// a snapshot save/restore in the middle — must converge to index
 // tables and a document bucket byte-identical to a from-scratch build of
 // the final corpus, answering queries identically, at a strictly higher
 // bill than the fault-free incremental run.  And as everywhere else in
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cloud/cloud_env.h"
+#include "cloud/deployment.h"
 #include "cloud/snapshot.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
@@ -118,15 +119,6 @@ void ApplyBatch(Warehouse& warehouse, const std::vector<Step>& batch) {
   }
 }
 
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// Everything two runs must agree on (state) or be ordered on (cost).
 struct Fingerprint {
   std::vector<std::string> index_dump;
@@ -160,7 +152,7 @@ void CaptureState(cloud::CloudEnv& env, Warehouse& warehouse,
     if (b != bucket) return;
     fp->data_dump.push_back(StrFormat(
         "%s|%zu|%016llx", key.c_str(), data.size(),
-        static_cast<unsigned long long>(Fnv1a(data))));
+        static_cast<unsigned long long>(cloud::Fnv1a64(data))));
   });
 }
 

@@ -645,11 +645,12 @@ TEST(OverloadTest, SnapshotRoundTripsAutoscalerState) {
   EXPECT_EQ(SerializeSnapshot(restored), snapshot);
 }
 
+// The test keeps its historical name; older versions are now rejected
+// (see SnapshotTest), so what remains is the minimal WDXSNAP5 image.
 TEST(OverloadTest, LegacySnapshotVersionsStillRestore) {
   // A fresh environment serializes to the minimal v5 image: magic, the
-  // twenty zero bytes of the v4 sections (6 store varints, 2 chaos
-  // counts, empty cursor + watermark, 10 zeroed autoscaler fields), then
-  // the default deployment section.
+  // twenty zero bytes of the store, chaos, maintenance and autoscaler
+  // sections, then the default deployment section.
   cloud::CloudEnv fresh;
   std::string expected = std::string("WDXSNAP5") + std::string(20, '\0');
   expected += '\0';            // capacity: provisioned
@@ -660,22 +661,14 @@ TEST(OverloadTest, LegacySnapshotVersionsStillRestore) {
   expected += std::string(8, '\0');
   EXPECT_EQ(SerializeSnapshot(fresh), expected);
 
-  // Minimal legacy images: each version's sections, all empty.
-  const std::string v1 = std::string("WDXSNAP1") + std::string(6, '\0');
-  const std::string v2 = std::string("WDXSNAP2") + std::string(8, '\0');
-  const std::string v3 = std::string("WDXSNAP3") + std::string(10, '\0');
-  const std::string v4 = std::string("WDXSNAP4") + std::string(20, '\0');
-  for (const std::string& image : {v1, v2, v3, v4}) {
-    cloud::CloudEnv restored;
-    ASSERT_TRUE(RestoreSnapshot(image, &restored).ok())
-        << "version tag " << image.substr(0, 8);
-    EXPECT_TRUE(restored.dynamodb().Empty());
-    // The autoscaler section was absent: the control loop starts fresh.
-    EXPECT_EQ(restored.autoscaler().state().started, 0u);
-  }
-  // Trailing garbage is still rejected on every path.
+  cloud::CloudEnv restored;
+  ASSERT_TRUE(RestoreSnapshot(expected, &restored).ok());
+  EXPECT_TRUE(restored.dynamodb().Empty());
+  // The autoscaler section was all zeros: the control loop starts fresh.
+  EXPECT_EQ(restored.autoscaler().state().started, 0u);
+  // Trailing garbage is rejected.
   cloud::CloudEnv reject;
-  EXPECT_TRUE(RestoreSnapshot(v3 + "x", &reject).IsCorruption());
+  EXPECT_TRUE(RestoreSnapshot(expected + "x", &reject).IsCorruption());
 }
 
 }  // namespace

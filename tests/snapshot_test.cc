@@ -168,20 +168,26 @@ TEST(SnapshotTest, ChaosStateRoundTripsByteIdentically) {
   EXPECT_EQ(SerializeSnapshot(restored), snapshot);
 }
 
-// Version-1 snapshots (no chaos sections) still restore; the chaos state
-// simply starts fresh.
+// The test keeps its historical name, but WDXSNAP5 is now the only
+// snapshot format: a WDXSNAP1-4 header (v1 included) is rejected as
+// corrupt and restores nothing.
 TEST(SnapshotTest, LegacyV1SnapshotsStillRestore) {
-  // A minimal v1 image: magic plus six zero varints (no buckets, no
-  // objects, empty DynamoDB and SimpleDB sections).
-  std::string v1 = "WDXSNAP1";
-  v1.append(6, '\0');
-  CloudEnv restored;
-  ASSERT_TRUE(RestoreSnapshot(v1, &restored).ok());
-  EXPECT_TRUE(restored.s3().Empty());
-  EXPECT_TRUE(restored.dynamodb().Empty());
-  EXPECT_TRUE(restored.fault_injector().SaveStreams().empty());
   CloudEnv fresh;
-  EXPECT_TRUE(RestoreSnapshot(v1 + "x", &fresh).IsCorruption());
+  const std::string v5 = SerializeSnapshot(fresh);
+  ASSERT_EQ(v5.substr(0, 8), "WDXSNAP5");
+
+  for (const char* magic : {"WDXSNAP1", "WDXSNAP2", "WDXSNAP3", "WDXSNAP4"}) {
+    // The v5 body behind an older header, and the header alone.
+    for (const std::string& image :
+         {std::string(magic) + v5.substr(8), std::string(magic)}) {
+      CloudEnv env;
+      EXPECT_TRUE(RestoreSnapshot(image, &env).IsCorruption()) << magic;
+      EXPECT_TRUE(env.s3().Empty());
+      EXPECT_TRUE(env.dynamodb().Empty());
+      EXPECT_TRUE(env.simpledb().Empty());
+      EXPECT_EQ(SerializeSnapshot(env), v5) << magic;
+    }
+  }
 }
 
 // The point of saving chaos state: a faulted run snapshotted mid-way and
