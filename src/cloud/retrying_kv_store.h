@@ -120,11 +120,19 @@ class RetryingKvStore final : public KvStore {
  private:
   Rng& StreamFor(const std::string& site);
   uint64_t* RetryCounter();
-  /// Breaker gate before an attempt on `table`; OK when no breaker.
-  Status Gate(SimAgent& agent, const std::string& table);
-  /// Report an allowed attempt's outcome to the breaker.
-  void Record(SimAgent& agent, const std::string& table,
-              const Status& status);
+  /// One backoff sleep between attempts: advances `agent`'s clock.
+  void Backoff(SimAgent& agent, int64_t micros);
+  /// One attempt of any verb: an `attempt.<op>` span (`span_name`), the
+  /// breaker gate on `table`, the base `call`, and the breaker record.
+  template <typename Call>
+  auto Attempt(SimAgent& agent, const char* span_name, int attempt,
+               const std::string& table, const Call& call)
+      -> decltype(call());
+  /// `call` under CallWithRetry, one Attempt per try, jittered from the
+  /// stream keyed `site + table`.
+  template <typename Call>
+  auto Retry(SimAgent& agent, const char* site, const char* span_name,
+             const std::string& table, const Call& call) -> decltype(call());
 
   KvStore* base_;
   common::RetryPolicy policy_;

@@ -24,15 +24,11 @@ void AddFetchTail(const CostModel& model, const FetchShape& fetch,
                    fetch.vm_usd_per_hour * estimate->vm_seconds / 3600.0;
 }
 
-}  // namespace
-
-PathEstimate EstimateLookupPath(const CostModel& model,
-                                const LookupShape& lookup,
-                                const FetchShape& fetch) {
-  PathEstimate estimate;
-  estimate.index_keys = static_cast<double>(lookup.keys);
+/// Adds one index look-up's BatchGets and their read billing.
+void AddIndexReads(const CostModel& model, const LookupShape& lookup,
+                   PathEstimate* estimate) {
   const int limit = std::max(lookup.batch_get_limit, 1);
-  estimate.index_requests =
+  const double requests =
       lookup.requests_override > 0
           ? lookup.requests_override
           : (lookup.keys == 0 ? 0
@@ -40,30 +36,53 @@ PathEstimate EstimateLookupPath(const CostModel& model,
                                           static_cast<double>(limit)));
   const double billed_item_bytes =
       std::max(lookup.avg_item_bytes, lookup.min_read_bytes);
+  double read_units = 0;
+  double usd = 0;
   switch (lookup.billing) {
     case IndexBilling::kReadUnits: {
       // DynamoDB: 4 KB read units per item, floored per item; an empty
       // response still seeks once per API call.
-      estimate.index_read_units =
-          std::max(lookup.est_items, estimate.index_requests) *
-          billed_item_bytes / 4096.0;
+      read_units =
+          std::max(lookup.est_items, requests) * billed_item_bytes / 4096.0;
       const double unit_price = lookup.on_demand
                                     ? model.pricing().idx_ondemand_get
                                     : model.pricing().idx_get;
-      estimate.usd = unit_price * estimate.index_read_units *
-                     lookup.read_price_factor;
+      usd = unit_price * read_units * lookup.read_price_factor;
       break;
     }
     case IndexBilling::kBoxUsage: {
       // SimpleDB: box-usage machine-hours per retrieved item.
-      estimate.index_read_units =
-          std::max(lookup.est_items, estimate.index_requests);
-      estimate.usd = model.pricing().simpledb_machine_hour *
-                     model.pricing().simpledb_box_hours_per_get *
-                     estimate.index_read_units * lookup.read_price_factor;
+      read_units = std::max(lookup.est_items, requests);
+      usd = model.pricing().simpledb_machine_hour *
+            model.pricing().simpledb_box_hours_per_get * read_units *
+            lookup.read_price_factor;
       break;
     }
   }
+  estimate->index_keys += static_cast<double>(lookup.keys);
+  estimate->index_requests += requests;
+  estimate->index_read_units += read_units;
+  estimate->usd += usd;
+}
+
+}  // namespace
+
+PathEstimate EstimateLookupPath(const CostModel& model,
+                                const LookupShape& lookup,
+                                const FetchShape& fetch) {
+  PathEstimate estimate;
+  AddIndexReads(model, lookup, &estimate);
+  AddFetchTail(model, fetch, &estimate);
+  return estimate;
+}
+
+PathEstimate EstimateSemijoinPath(const CostModel& model,
+                                  const LookupShape& paths,
+                                  const LookupShape& ids,
+                                  const FetchShape& fetch) {
+  PathEstimate estimate;
+  AddIndexReads(model, paths, &estimate);
+  AddIndexReads(model, ids, &estimate);
   AddFetchTail(model, fetch, &estimate);
   return estimate;
 }

@@ -70,6 +70,14 @@ PathEstimate EstimateLookupPath(const CostModel& model,
                                 const LookupShape& lookup,
                                 const FetchShape& fetch);
 
+/// Prices the 2LUPI semijoin (Figure 5): both tables' look-ups, priced
+/// as if phase 2 always runs (it is skipped only when R1 is empty), then
+/// one fetch tail for the reduced candidates.
+PathEstimate EstimateSemijoinPath(const CostModel& model,
+                                  const LookupShape& paths,
+                                  const LookupShape& ids,
+                                  const FetchShape& fetch);
+
 /// Prices the full-scan access path: no index reads, every document
 /// fetched (the PR4 degraded fallback, now just the priciest path).
 PathEstimate EstimateScanPath(const CostModel& model,

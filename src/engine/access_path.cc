@@ -25,23 +25,23 @@ cost::FetchShape MakeFetchShape(const PlannerStats& stats, double docs) {
   return fetch;
 }
 
-LookupAccessPath::LookupAccessPath(std::string name, cloud::KvStore* store,
-                                   std::string table,
+LookupAccessPath::LookupAccessPath(std::string name, index::StrategyKind kind,
+                                   cloud::KvStore* store,
+                                   std::vector<std::string> tables,
                                    const query::TreePattern* pattern,
                                    const index::ExtractOptions& options,
                                    const PlannerStats& stats)
     : name_(std::move(name)),
+      kind_(kind),
       store_(store),
-      table_(std::move(table)),
+      tables_(std::move(tables)),
       pattern_(pattern),
       options_(options),
       stats_(stats),
       twig_(index::BuildKeyTwig(*pattern, options.include_words)) {}
 
-cost::PathEstimate LookupAccessPath::EstimateCost(
-    const cost::CostModel& model) const {
-  const std::vector<std::string> keys = LookupKeys();
-
+cost::LookupShape LookupAccessPath::ShapeFor(
+    const std::string& table, const std::vector<std::string>& keys) const {
   cost::LookupShape lookup;
   lookup.keys = keys.size();
   lookup.batch_get_limit = store_->BatchGetLimit();
@@ -72,16 +72,14 @@ cost::PathEstimate LookupAccessPath::EstimateCost(
   }
   // Average stored item size from the store's host-side accounting (free:
   // no simulated request is issued for it).
-  const uint64_t item_count = store_->ItemCount(table_);
+  const uint64_t item_count = store_->ItemCount(table);
   lookup.avg_item_bytes =
       item_count == 0 ? 0
-                      : static_cast<double>(store_->StoredBytes(table_)) /
+                      : static_cast<double>(store_->StoredBytes(table)) /
                             static_cast<double>(item_count);
 
   const index::PathSummary* summary = stats_.summary;
-  const bool has_summary = summary != nullptr && summary->documents() > 0;
-  double docs;
-  if (has_summary) {
+  if (summary != nullptr && summary->documents() > 0) {
     // Items per key: roughly one per document containing the key (long ID
     // lists are chunked across items, but the chunk factor is the same for
     // every candidate path against the same corpus).
@@ -90,8 +88,6 @@ cost::PathEstimate LookupAccessPath::EstimateCost(
       items += static_cast<double>(summary->DocsWithKey(key));
     }
     lookup.est_items = items;
-    docs = std::min(EstimateDocs(*summary),
-                    static_cast<double>(stats_.documents));
   } else {
     // No statistics yet: assume the worst (every key is in every document
     // and nothing prunes).  All lookup paths then tie on the fetch tail
@@ -99,53 +95,14 @@ cost::PathEstimate LookupAccessPath::EstimateCost(
     // LUP-side table — the paper's measured static default.
     lookup.est_items =
         static_cast<double>(keys.size()) * static_cast<double>(stats_.documents);
-    docs = static_cast<double>(stats_.documents);
   }
-
-  return cost::EstimateLookupPath(model, lookup, MakeFetchShape(stats_, docs));
+  return lookup;
 }
 
-std::vector<std::string> LuAccessPath::LookupKeys() const {
-  return twig_.DistinctKeys();
-}
+namespace {
 
-double LuAccessPath::EstimateDocs(const index::PathSummary& summary) const {
-  return static_cast<double>(summary.EstimateLuDocs(*pattern_));
-}
-
-Result<PathResult> LuAccessPath::Execute(cloud::SimAgent& agent) const {
-  PathResult result;
-  WEBDEX_ASSIGN_OR_RETURN(
-      std::set<std::string> uris,
-      index::LookupByKeys(agent, *store_, table_, twig_, &result.stats,
-                          stats_.generations.get()));
-  result.uris = index::SortedUris(uris);
-  return result;
-}
-
-std::vector<std::string> LupAccessPath::LookupKeys() const {
-  return index::PathLookupKeys(twig_);
-}
-
-double LupAccessPath::EstimateDocs(const index::PathSummary& summary) const {
-  return static_cast<double>(summary.EstimateLupDocs(*pattern_));
-}
-
-Result<PathResult> LupAccessPath::Execute(cloud::SimAgent& agent) const {
-  PathResult result;
-  WEBDEX_ASSIGN_OR_RETURN(
-      std::set<std::string> uris,
-      index::LookupByPaths(agent, *store_, table_, twig_, options_,
-                           &result.stats, stats_.generations.get()));
-  result.uris = index::SortedUris(uris);
-  return result;
-}
-
-std::vector<std::string> LuiAccessPath::LookupKeys() const {
-  return twig_.DistinctKeys();
-}
-
-double LuiAccessPath::EstimateDocs(const index::PathSummary& summary) const {
+double LuiDocs(const index::PathSummary& summary,
+               const query::TreePattern& pattern) {
   // Document-level path statistics cannot see the instance-level
   // correlation the twig join exploits, so any independence-flavoured
   // estimate predicts pruning that often is not there.  Trust the twig
@@ -153,22 +110,64 @@ double LuiAccessPath::EstimateDocs(const index::PathSummary& summary) const {
   // detector flags the pattern (common linear paths, rare co-occurrence);
   // otherwise assume path matching already captures the document-level
   // selectivity, and let the cheaper look-up win the tie.
-  const double lu = static_cast<double>(summary.EstimateLuDocs(*pattern_));
-  if (summary.AdviseLookup(*pattern_).lookup == index::StrategyKind::kLUI) {
-    const double combined =
-        std::ceil(summary.EstimateTwigJoinDocs(*pattern_));
+  const double lu = static_cast<double>(summary.EstimateLuDocs(pattern));
+  if (summary.AdviseLookup(pattern).lookup == index::StrategyKind::kLUI) {
+    const double combined = std::ceil(summary.EstimateTwigJoinDocs(pattern));
     return std::min(lu, std::max(combined, 0.0));
   }
-  const double lup = static_cast<double>(summary.EstimateLupDocs(*pattern_));
+  const double lup = static_cast<double>(summary.EstimateLupDocs(pattern));
   return std::min(lu, lup);
 }
 
-Result<PathResult> LuiAccessPath::Execute(cloud::SimAgent& agent) const {
+}  // namespace
+
+double LookupAccessPath::CandidateDocs() const {
+  const index::PathSummary* summary = stats_.summary;
+  const double all = static_cast<double>(stats_.documents);
+  if (summary == nullptr || summary->documents() == 0) return all;
+  double docs = all;
+  switch (kind_) {
+    case index::StrategyKind::kLU:
+      docs = static_cast<double>(summary->EstimateLuDocs(*pattern_));
+      break;
+    case index::StrategyKind::kLUP:
+      docs = static_cast<double>(summary->EstimateLupDocs(*pattern_));
+      break;
+    case index::StrategyKind::kLUI:
+      docs = LuiDocs(*summary, *pattern_);
+      break;
+    case index::StrategyKind::k2LUPI:
+      // The semijoin keeps the documents both phases accept.
+      docs = std::min(static_cast<double>(summary->EstimateLupDocs(*pattern_)),
+                      LuiDocs(*summary, *pattern_));
+      break;
+  }
+  return std::min(docs, all);
+}
+
+cost::PathEstimate LookupAccessPath::EstimateCost(
+    const cost::CostModel& model) const {
+  const cost::FetchShape fetch = MakeFetchShape(stats_, CandidateDocs());
+  // LUP-style look-ups (and the semijoin's first phase) fetch one key per
+  // query path; the others fetch the twig's distinct keys.
+  const bool by_paths = kind_ == index::StrategyKind::kLUP ||
+                        kind_ == index::StrategyKind::k2LUPI;
+  const cost::LookupShape first =
+      ShapeFor(tables_[0], by_paths ? index::PathLookupKeys(twig_)
+                                    : twig_.DistinctKeys());
+  if (kind_ != index::StrategyKind::k2LUPI) {
+    return cost::EstimateLookupPath(model, first, fetch);
+  }
+  return cost::EstimateSemijoinPath(
+      model, first, ShapeFor(tables_[1], twig_.DistinctKeys()), fetch);
+}
+
+Result<PathResult> LookupAccessPath::Execute(cloud::SimAgent& agent) const {
   PathResult result;
   WEBDEX_ASSIGN_OR_RETURN(
       std::set<std::string> uris,
-      index::LookupByIds(agent, *store_, table_, twig_, nullptr,
-                         &result.stats, stats_.generations.get()));
+      index::LookupByKind(kind_, agent, *store_, tables_, twig_, options_,
+                          &result.stats, stats_.generations.get()));
   result.uris = index::SortedUris(uris);
   return result;
 }

@@ -67,12 +67,12 @@ class AccessPath {
 
   /// Stable short name used in EXPLAIN output, QueryOutcome::chosen_path
   /// and bench columns: "LU", "LUP", "LUI", "2LUPI/lup", "2LUPI/lui",
-  /// "scan".
+  /// "2LUPI" (the semijoin), "scan".
   virtual const std::string& name() const = 0;
 
-  /// Index table this path reads — the circuit-breaker resource whose
+  /// Index tables this path reads — the circuit-breaker resources whose
   /// health gates the path's viability.  Empty for the scan path.
-  virtual const std::string& table() const = 0;
+  virtual const std::vector<std::string>& tables() const = 0;
 
   /// Prices the path from planner statistics and host-side store
   /// accounting only: no simulated requests, no virtual time, no billing.
@@ -86,70 +86,45 @@ class AccessPath {
   virtual Result<PathResult> Execute(cloud::SimAgent& agent) const = 0;
 };
 
-/// Shared machinery of the three index look-up paths: the key twig, the
-/// backing table, and summary-driven estimation.  Subclasses supply the
-/// look-up core (index/lookup_paths.h) and the candidate-document
-/// estimator.
-class LookupAccessPath : public AccessPath {
+/// An index look-up (Section 5) as an access path.  `kind` names the
+/// look-up core it runs over `tables` (index::LookupByKind):
+///   * kLU, kLUP, kLUI — one table.  Named "2LUPI/lup" / "2LUPI/lui"
+///     over a 2LUPI table, they run one side of that index on its own;
+///   * k2LUPI — the Figure 5 semijoin over the paths table then the ids
+///     table, named "2LUPI": the 2LUPI strategy's canonical path, planned
+///     only with the planner off (PlannerForce::kOff).
+class LookupAccessPath final : public AccessPath {
  public:
-  LookupAccessPath(std::string name, cloud::KvStore* store,
-                   std::string table, const query::TreePattern* pattern,
+  LookupAccessPath(std::string name, index::StrategyKind kind,
+                   cloud::KvStore* store, std::vector<std::string> tables,
+                   const query::TreePattern* pattern,
                    const index::ExtractOptions& options,
                    const PlannerStats& stats);
 
   const std::string& name() const override { return name_; }
-  const std::string& table() const override { return table_; }
+  const std::vector<std::string>& tables() const override {
+    return tables_;
+  }
   cost::PathEstimate EstimateCost(const cost::CostModel& model) const override;
+  Result<PathResult> Execute(cloud::SimAgent& agent) const override;
 
- protected:
-  /// Distinct index keys the look-up will BatchGet.
-  virtual std::vector<std::string> LookupKeys() const = 0;
-  /// Candidate documents predicted from a non-empty summary.
-  virtual double EstimateDocs(const index::PathSummary& summary) const = 0;
+ private:
+  /// The BatchGet of `keys` against `table`, sized from the summary and
+  /// the store's host-side accounting and adjusted for the deployment.
+  cost::LookupShape ShapeFor(const std::string& table,
+                             const std::vector<std::string>& keys) const;
+  /// Candidate documents the look-up is expected to keep, capped at |D|
+  /// (|D| itself without statistics).
+  double CandidateDocs() const;
 
   std::string name_;
+  index::StrategyKind kind_;
   cloud::KvStore* store_;
-  std::string table_;
+  std::vector<std::string> tables_;
   const query::TreePattern* pattern_;
   index::ExtractOptions options_;
   PlannerStats stats_;
   index::KeyTwig twig_;
-};
-
-/// The LU look-up (Section 5.1) as an access path.
-class LuAccessPath final : public LookupAccessPath {
- public:
-  using LookupAccessPath::LookupAccessPath;
-  Result<PathResult> Execute(cloud::SimAgent& agent) const override;
-
- protected:
-  std::vector<std::string> LookupKeys() const override;
-  double EstimateDocs(const index::PathSummary& summary) const override;
-};
-
-/// The LUP path-filter look-up (Section 5.2); with table
-/// "idx-2lupi-paths" it is the standalone LUP side of a 2LUPI index.
-class LupAccessPath final : public LookupAccessPath {
- public:
-  using LookupAccessPath::LookupAccessPath;
-  Result<PathResult> Execute(cloud::SimAgent& agent) const override;
-
- protected:
-  std::vector<std::string> LookupKeys() const override;
-  double EstimateDocs(const index::PathSummary& summary) const override;
-};
-
-/// The LUI twig-join look-up (Section 5.3); with table "idx-2lupi-ids"
-/// it is the standalone LUI side of a 2LUPI index (no semijoin
-/// pre-filter — the planner runs one side only).
-class LuiAccessPath final : public LookupAccessPath {
- public:
-  using LookupAccessPath::LookupAccessPath;
-  Result<PathResult> Execute(cloud::SimAgent& agent) const override;
-
- protected:
-  std::vector<std::string> LookupKeys() const override;
-  double EstimateDocs(const index::PathSummary& summary) const override;
 };
 
 /// The full warehouse scan (the PR4 degraded fallback relocated into the
@@ -163,13 +138,15 @@ class ScanAccessPath final : public AccessPath {
                  const PlannerStats& stats);
 
   const std::string& name() const override { return name_; }
-  const std::string& table() const override { return table_; }
+  const std::vector<std::string>& tables() const override {
+    return tables_;
+  }
   cost::PathEstimate EstimateCost(const cost::CostModel& model) const override;
   Result<PathResult> Execute(cloud::SimAgent& agent) const override;
 
  private:
   std::string name_ = "scan";
-  std::string table_;
+  std::vector<std::string> tables_;  // none
   const std::vector<std::string>* document_uris_;
   PlannerStats stats_;
 };

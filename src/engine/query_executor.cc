@@ -15,76 +15,10 @@ namespace webdex::engine {
 using cloud::Instance;
 using cloud::Micros;
 
-Status QueryExecutor::LookupLegacy(Instance& instance,
-                                   const query::LogicalPlan& logical,
-                                   std::vector<std::string>* to_fetch,
-                                   QueryOutcome* outcome) {
-  Warehouse& w = *warehouse_;
-  const auto& work = instance.work();
-  // Index look-up (Figure 1, step 10): per tree pattern, then union.
-  const cloud::Usage before = w.env_->meter().Snapshot();
-  std::set<std::string> fetch_set;
-  index::LookupStats stats;
-  const Micros get_start = instance.now();
-  Status lookup_status = Status::OK();
-  // Pin the generation view once for the whole query: look-ups stay
-  // bit-identical even if maintenance commits mid-evaluation.
-  const std::shared_ptr<const index::GenerationMap> view =
-      w.GenerationSnapshot();
-  for (const auto& pattern : logical.query().patterns()) {
-    auto uris = w.strategy_->LookupPattern(instance, w.index_store(), pattern,
-                                           w.config_.extract, &stats,
-                                           view.get());
-    if (!uris.ok()) {
-      lookup_status = uris.status();
-      break;
-    }
-    outcome->docs_from_index += uris.value().size();
-    fetch_set.insert(uris.value().begin(), uris.value().end());
-  }
-  outcome->timings.index_get = instance.now() - get_start;
-  // A permanent lookup failure is a real error; a retriable one means
-  // the index store is browned out (retries exhausted or its circuit
-  // breaker is open) and the query degrades to a full scan below.
-  if (!lookup_status.ok() && !lookup_status.IsRetriable()) {
-    return lookup_status;
-  }
-
-  // Physical plan over the fetched index data (step 11): URI-set
-  // merges, path matching, holistic twig joins.
-  const Micros plan_start = instance.now();
-  instance.ChargeParallelWork(
-      work.lookup_merge_per_item * static_cast<double>(stats.uri_merge_ops) +
-      work.lookup_merge_per_item * static_cast<double>(stats.items_fetched) +
-      work.path_match_per_path * static_cast<double>(stats.paths_tested) +
-      work.twig_per_id * static_cast<double>(stats.twig_id_ops));
-  outcome->timings.plan_exec = instance.now() - plan_start;
-  outcome->lookup = stats;
-
-  const cloud::Usage delta = w.env_->meter().Snapshot() - before;
-  outcome->index_get_units = delta.ddb_read_units + delta.sdb_get_requests;
-  if (lookup_status.ok()) {
-    outcome->chosen_path = w.strategy_->name();
-    to_fetch->assign(fetch_set.begin(), fetch_set.end());
-  } else {
-    // Degraded read (docs/FAULTS.md): answer from the ground truth by
-    // scanning every document, exactly like the no-index baseline.
-    // Same rows, higher cost — availability is bought with S3 traffic
-    // and VM time instead of index reads.
-    outcome->chosen_path = "scan";
-    outcome->degraded = true;
-    outcome->docs_from_index = 0;
-    outcome->scan_docs = w.document_uris_.size();
-    w.env_->meter().mutable_usage().degraded_queries += 1;
-    *to_fetch = w.document_uris_;
-  }
-  return Status::OK();
-}
-
-Status QueryExecutor::LookupPlanned(Instance& instance,
-                                    const query::LogicalPlan& logical,
-                                    std::vector<std::string>* to_fetch,
-                                    QueryOutcome* outcome) {
+Status QueryExecutor::Lookup(Instance& instance,
+                             const query::LogicalPlan& logical,
+                             std::vector<std::string>* to_fetch,
+                             QueryOutcome* outcome) {
   Warehouse& w = *warehouse_;
   const auto& work = instance.work();
   // Planning is host-side arithmetic over the path summary and breaker
@@ -145,7 +79,10 @@ Status QueryExecutor::LookupPlanned(Instance& instance,
   const cloud::Usage delta = w.env_->meter().Snapshot() - before;
   outcome->index_get_units = delta.ddb_read_units + delta.sdb_get_requests;
   if (scanned) {
-    // Degraded semantics identical to the legacy fallback (docs/FAULTS.md).
+    // Degraded read (docs/FAULTS.md): answer from the ground truth by
+    // scanning every document, exactly like the no-index baseline.  Same
+    // rows, higher cost — availability is bought with S3 traffic and VM
+    // time instead of index reads.
     outcome->chosen_path = "scan";
     outcome->degraded = true;
     outcome->docs_from_index = 0;
@@ -175,13 +112,7 @@ Status QueryExecutor::Run(Instance& instance, const QueryRequest& request,
   const cloud::Usage task_before = w.env_->meter().Snapshot();
   std::vector<std::string> to_fetch;
   if (w.config_.use_index) {
-    if (w.config_.use_planner) {
-      WEBDEX_RETURN_IF_ERROR(
-          LookupPlanned(instance, logical, &to_fetch, outcome));
-    } else {
-      WEBDEX_RETURN_IF_ERROR(
-          LookupLegacy(instance, logical, &to_fetch, outcome));
-    }
+    WEBDEX_RETURN_IF_ERROR(Lookup(instance, logical, &to_fetch, outcome));
     w.MaybeRenewLease(instance, w.config_.query_queue, receipt, lease_anchor);
   } else {
     // No index: the query runs over the entire warehouse.
@@ -277,8 +208,8 @@ Status QueryExecutor::Run(Instance& instance, const QueryRequest& request,
 
   // Engine-level metrics for this task, plus the planner's report card:
   // the actual/estimated cost ratio (1.0 = a perfect estimate), recorded
-  // only when the estimate was exercised as priced (planner on, not
-  // degraded mid-flight).
+  // only when the estimate was exercised as priced (an indexed query, not
+  // degraded).
   common::MetricRegistry& registry = w.env_->metrics();
   registry.GetCounter("engine.query.count")->Add(1);
   if (outcome->degraded) {
@@ -286,7 +217,7 @@ Status QueryExecutor::Run(Instance& instance, const QueryRequest& request,
   }
   registry.GetHistogram("engine.query.latency_us")
       ->Record(static_cast<double>(outcome->timings.total));
-  if (w.config_.use_planner && w.config_.use_index && !outcome->degraded &&
+  if (w.config_.use_index && !outcome->degraded &&
       outcome->estimated_cost_usd > 0) {
     registry.GetHistogram("planner.estimate_error_ratio")
         ->Record(outcome->actual_cost_usd / outcome->estimated_cost_usd);

@@ -12,14 +12,13 @@ namespace webdex::engine {
 
 /// The execution layer of the query engine (docs/PLANNER.md): runs one
 /// query task end to end on a simulated instance — parse to LogicalPlan,
-/// plan to PhysicalPlan (or the legacy fixed-strategy look-up when the
-/// planner is off), execute the chosen access paths, fetch + evaluate the
-/// candidate documents, store the result.
+/// plan to PhysicalPlan, execute the chosen access paths, fetch +
+/// evaluate the candidate documents, store the result.  Every indexed
+/// query takes this one route; with the planner off the plan simply has
+/// one candidate per pattern, the strategy's canonical path.
 ///
-/// Extracted from Warehouse::ProcessQuery; it operates on the warehouse's
-/// private state (stores, caches, retry streams) as a friend, so the
-/// observable behaviour of the planner-off path is byte-identical to the
-/// pre-refactor engine.
+/// It operates on the warehouse's private state (stores, caches, retry
+/// streams) as a friend.
 class QueryExecutor {
  public:
   explicit QueryExecutor(Warehouse* warehouse) : warehouse_(warehouse) {}
@@ -31,20 +30,12 @@ class QueryExecutor {
              QueryOutcome* outcome);
 
  private:
-  /// Planner-off look-up: the deployed strategy's fixed pipeline, with
-  /// retriable failure degrading to a full scan (pre-planner semantics,
-  /// preserved verbatim for the on/off equivalence tests).
-  Status LookupLegacy(cloud::Instance& instance,
-                      const query::LogicalPlan& logical,
-                      std::vector<std::string>* to_fetch,
-                      QueryOutcome* outcome);
-
-  /// Planner-on look-up: cost-based access-path choice per pattern, with
+  /// Index look-up: the planner's access-path choice per pattern, with
   /// the scan path as both the breaker-blocked and the runtime fallback.
-  Status LookupPlanned(cloud::Instance& instance,
-                       const query::LogicalPlan& logical,
-                       std::vector<std::string>* to_fetch,
-                       QueryOutcome* outcome);
+  /// IndexingStrategy::LookupPattern is a reference for tests and
+  /// benchmarks only; this route does not call it.
+  Status Lookup(cloud::Instance& instance, const query::LogicalPlan& logical,
+                std::vector<std::string>* to_fetch, QueryOutcome* outcome);
 
   Warehouse* warehouse_;
 };

@@ -26,6 +26,8 @@ const char* PlannerForceName(PlannerForce force) {
       return "force-lup";
     case PlannerForce::kLui:
       return "force-lui";
+    case PlannerForce::kOff:
+      return "off";
   }
   return "?";
 }
@@ -96,38 +98,36 @@ std::vector<PlannedPath> QueryPlanner::CandidatesFor(
     const query::TreePattern& pattern) const {
   std::vector<PlannedPath> candidates;
   if (!context_.use_index) return candidates;
-  auto add = [&](std::unique_ptr<AccessPath> path) {
+  auto add = [&](const char* name, index::StrategyKind kind,
+                 std::vector<std::string> tables) {
     PlannedPath planned;
-    planned.path = std::move(path);
+    planned.path = std::make_unique<LookupAccessPath>(
+        name, kind, context_.store, std::move(tables), &pattern,
+        context_.options, context_.stats);
     candidates.push_back(std::move(planned));
   };
   switch (context_.strategy) {
     case index::StrategyKind::kLU:
-      add(std::make_unique<LuAccessPath>("LU", context_.store, "idx-lu",
-                                         &pattern, context_.options,
-                                         context_.stats));
+      add("LU", index::StrategyKind::kLU, {"idx-lu"});
       break;
     case index::StrategyKind::kLUP:
-      add(std::make_unique<LupAccessPath>("LUP", context_.store, "idx-lup",
-                                          &pattern, context_.options,
-                                          context_.stats));
+      add("LUP", index::StrategyKind::kLUP, {"idx-lup"});
       break;
     case index::StrategyKind::kLUI:
-      add(std::make_unique<LuiAccessPath>("LUI", context_.store, "idx-lui",
-                                          &pattern, context_.options,
-                                          context_.stats));
+      add("LUI", index::StrategyKind::kLUI, {"idx-lui"});
       break;
     case index::StrategyKind::k2LUPI:
+      if (context_.force == PlannerForce::kOff) {
+        // The canonical path: the Figure 5 semijoin over both tables.
+        add("2LUPI", index::StrategyKind::k2LUPI,
+            {"idx-2lupi-paths", "idx-2lupi-ids"});
+        break;
+      }
       // Both materialized tables are first-class alternatives; the cost
       // model decides per pattern which one runs (the other is never
-      // billed).  This replaces the fixed Figure 5 semijoin pipeline of
-      // the planner-off engine.
-      add(std::make_unique<LupAccessPath>("2LUPI/lup", context_.store,
-                                          "idx-2lupi-paths", &pattern,
-                                          context_.options, context_.stats));
-      add(std::make_unique<LuiAccessPath>("2LUPI/lui", context_.store,
-                                          "idx-2lupi-ids", &pattern,
-                                          context_.options, context_.stats));
+      // billed).
+      add("2LUPI/lup", index::StrategyKind::kLUP, {"idx-2lupi-paths"});
+      add("2LUPI/lui", index::StrategyKind::kLUI, {"idx-2lupi-ids"});
       if (context_.force == PlannerForce::kLup) {
         candidates[1].viable = false;
         candidates[1].note = "disabled by force-lup";
@@ -156,21 +156,23 @@ PhysicalPlan QueryPlanner::Plan(const query::LogicalPlan& logical,
     // Breaker health gates viability: a look-up against a browned-out
     // table would only burn retries before falling back anyway.  Breakers
     // track *physical* tables, so a sharded deployment checks every
-    // shard backing the path's logical table — one browned-out shard
-    // sinks the whole fan-out.
+    // shard backing each of the path's logical tables — one browned-out
+    // shard sinks the whole fan-out.
     for (PlannedPath& candidate : pattern_plan.paths) {
       if (!candidate.viable || context_.breaker == nullptr) continue;
-      const std::vector<std::string> physical =
-          context_.stats.deployment != nullptr
-              ? context_.stats.deployment->PhysicalTables(
-                    candidate.path->table())
-              : std::vector<std::string>{candidate.path->table()};
-      for (const std::string& table : physical) {
-        if (!context_.breaker->WouldAllow(table, now)) {
-          candidate.viable = false;
-          candidate.note = "breaker open on " + table;
-          break;
+      for (const std::string& logical : candidate.path->tables()) {
+        const std::vector<std::string> physical =
+            context_.stats.deployment != nullptr
+                ? context_.stats.deployment->PhysicalTables(logical)
+                : std::vector<std::string>{logical};
+        for (const std::string& table : physical) {
+          if (!context_.breaker->WouldAllow(table, now)) {
+            candidate.viable = false;
+            candidate.note = "breaker open on " + table;
+            break;
+          }
         }
+        if (!candidate.viable) break;
       }
     }
 

@@ -13,10 +13,13 @@
 
 namespace webdex::engine {
 
-/// Which 2LUPI side the planner may use.  kAuto lets cost estimates
-/// decide per pattern; the forced modes exist for the always-LUP /
-/// always-LUI baselines that Table 5 compares the planner against.
-enum class PlannerForce { kAuto, kLup, kLui };
+/// How the planner chooses among the deployed strategy's access paths.
+/// kAuto lets cost estimates decide the 2LUPI side per pattern; kLup and
+/// kLui pin it, for the always-LUP / always-LUI baselines that Table 5
+/// compares the planner against.  kOff plans one candidate per pattern:
+/// the strategy's canonical path — LU, LUP, LUI, or for 2LUPI the
+/// Figure 5 semijoin — still priced, breaker-gated and backed by the scan.
+enum class PlannerForce { kAuto, kLup, kLui, kOff };
 
 const char* PlannerForceName(PlannerForce force);
 
@@ -41,9 +44,6 @@ struct PatternPlan {
   int chosen = -1;
 
   const PlannedPath& chosen_path() const { return paths[chosen]; }
-  /// The scan candidate (always present, always last) — the runtime
-  /// fallback if the chosen look-up fails retriably mid-query.
-  const PlannedPath& scan_path() const { return paths.back(); }
 };
 
 /// The physical layer's output: per-pattern access-path choices plus the

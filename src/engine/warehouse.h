@@ -59,13 +59,10 @@ struct WarehouseConfig {
 
   /// Cost-based query planning (docs/PLANNER.md): per pattern, the
   /// engine::QueryPlanner prices every access path the deployed strategy
-  /// supports and runs the cheapest healthy one.  false = the deployed
-  /// strategy's fixed look-up pipeline, byte-identical to the
-  /// pre-planner engine (same rows either way).
-  bool use_planner = true;
-  /// Pins the 2LUPI side choice, for the always-LUP / always-LUI
-  /// baselines the planner is benchmarked against (ignored by the other
-  /// strategies).
+  /// supports and runs the cheapest healthy one.  kLup / kLui pin the
+  /// 2LUPI side (the always-LUP / always-LUI baselines, ignored by the
+  /// other strategies); kOff plans only the strategy's canonical path
+  /// (same rows in every mode).
   PlannerForce planner_force = PlannerForce::kAuto;
 
   cloud::InstanceType instance_type = cloud::InstanceType::kLarge;
@@ -154,11 +151,11 @@ struct QueryOutcome {
   /// degraded).
   uint64_t scan_docs = 0;
   /// Which access path(s) answered the query: "+"-joined per-pattern
-  /// path names with the planner on (e.g. "2LUPI/lup"), the strategy
-  /// name with the planner off, "scan" for degraded/no-index queries.
+  /// path names (e.g. "2LUPI/lup", or "2LUPI" for the semijoin with the
+  /// planner off), "scan" for degraded/no-index queries.
   std::string chosen_path;
-  /// The planner's pre-execution price tag for the chosen paths (0 with
-  /// the planner off).
+  /// The planner's pre-execution price tag for the chosen paths (0 for
+  /// no-index queries).
   double estimated_cost_usd = 0;
   double estimated_requests = 0;
   /// What the task actually cost: requests + capacity metered during the
@@ -335,8 +332,7 @@ class Warehouse {
 
  private:
   /// The execution layer operates on the warehouse's private state
-  /// (stores, caches, retry streams) so the planner-off path stays
-  /// byte-identical to the pre-refactor ProcessQuery.
+  /// (stores, caches, retry streams).
   friend class QueryExecutor;
 
   class FrontEndAgent : public cloud::SimAgent {};

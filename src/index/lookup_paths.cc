@@ -326,4 +326,38 @@ Result<std::set<std::string>> LookupByIds(
   return result;
 }
 
+Result<std::set<std::string>> LookupSemijoin(
+    cloud::SimAgent& agent, KvStore& store, const std::string& paths_table,
+    const std::string& ids_table, const KeyTwig& twig,
+    const ExtractOptions& options, LookupStats* stats,
+    const GenerationMap* view) {
+  // Phase 1 (Figure 5, left): path look-up -> R1(URI).
+  WEBDEX_ASSIGN_OR_RETURN(
+      std::set<std::string> r1,
+      LookupByPaths(agent, store, paths_table, twig, options, stats, view));
+  if (r1.empty()) return r1;
+  // Phase 2: ID look-up semijoin-reduced by R1, then holistic twig join.
+  return LookupByIds(agent, store, ids_table, twig, &r1, stats, view);
+}
+
+Result<std::set<std::string>> LookupByKind(
+    StrategyKind kind, cloud::SimAgent& agent, KvStore& store,
+    const std::vector<std::string>& tables, const KeyTwig& twig,
+    const ExtractOptions& options, LookupStats* stats,
+    const GenerationMap* view) {
+  switch (kind) {
+    case StrategyKind::kLU:
+      return LookupByKeys(agent, store, tables[0], twig, stats, view);
+    case StrategyKind::kLUP:
+      return LookupByPaths(agent, store, tables[0], twig, options, stats,
+                           view);
+    case StrategyKind::kLUI:
+      return LookupByIds(agent, store, tables[0], twig, nullptr, stats, view);
+    case StrategyKind::k2LUPI:
+      return LookupSemijoin(agent, store, tables[0], tables[1], twig,
+                            options, stats, view);
+  }
+  return Status::InvalidArgument("unknown strategy");
+}
+
 }  // namespace webdex::index

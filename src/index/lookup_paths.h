@@ -14,14 +14,12 @@
 
 namespace webdex::index {
 
-/// The three index look-up cores of Section 5, factored out of the
-/// strategies so the query planner's physical access paths
-/// (engine/access_path.h) can run either side of a 2LUPI index on its
-/// own.  The strategies' LookupPattern methods delegate here with the
-/// tables of Table 2, so planner-off execution is byte-identical to the
-/// pre-planner code.
+/// The four index look-up cores of Section 5, behind one dispatch
+/// (LookupByKind) shared by the query planner's physical access paths
+/// (engine/access_path.h) and the strategies' reference LookupPattern,
+/// which passes the tables of Table 2.
 ///
-/// All three advance `agent`'s virtual clock through the store calls and
+/// All four advance `agent`'s virtual clock through the store calls and
 /// report CPU work via `stats`; the caller charges it to the simulated
 /// machine that ran the look-up.
 
@@ -72,6 +70,25 @@ Result<std::set<std::string>> LookupByIds(
     cloud::SimAgent& agent, cloud::KvStore& store, const std::string& table,
     const KeyTwig& twig, const std::set<std::string>* restrict_to,
     LookupStats* stats, const GenerationMap* view = nullptr);
+
+/// The 2LUPI look-up core (Figure 5): LookupByPaths over `paths_table`
+/// yields R1, then — unless R1 is empty — LookupByIds over `ids_table`,
+/// semijoin-reduced by R1.
+Result<std::set<std::string>> LookupSemijoin(
+    cloud::SimAgent& agent, cloud::KvStore& store,
+    const std::string& paths_table, const std::string& ids_table,
+    const KeyTwig& twig, const ExtractOptions& options, LookupStats* stats,
+    const GenerationMap* view = nullptr);
+
+/// Runs strategy `kind`'s look-up core over `tables`, its Table 2
+/// tables: one, or for 2LUPI the paths table then the ids table (the
+/// semijoin).  The one dispatch the planner's access paths and the
+/// strategies' reference LookupPattern share.
+Result<std::set<std::string>> LookupByKind(
+    StrategyKind kind, cloud::SimAgent& agent, cloud::KvStore& store,
+    const std::vector<std::string>& tables, const KeyTwig& twig,
+    const ExtractOptions& options, LookupStats* stats,
+    const GenerationMap* view = nullptr);
 
 /// The distinct index keys a LookupByPaths call fetches (the LookupKey of
 /// every query path, deduplicated in first-appearance order).  Exposed so

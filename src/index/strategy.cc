@@ -1,7 +1,5 @@
 #include "index/strategy.h"
 
-#include <algorithm>
-#include <map>
 #include <set>
 
 #include "common/strings.h"
@@ -9,8 +7,6 @@
 #include "index/key_twig.h"
 #include "index/lookup_paths.h"
 #include "index/keys.h"
-#include "index/path_match.h"
-#include "index/twig_join.h"
 
 namespace webdex::index {
 
@@ -215,18 +211,6 @@ class LuStrategy final : public IndexingStrategy {
     result.push_back(std::move(out));
     return result;
   }
-
-  Result<std::vector<std::string>> LookupPattern(
-      cloud::SimAgent& agent, KvStore& store,
-      const query::TreePattern& pattern, const ExtractOptions& options,
-      LookupStats* stats, const GenerationMap* view) const override {
-    const KeyTwig twig = BuildKeyTwig(pattern, options.include_words);
-    const std::vector<std::string> keys = twig.DistinctKeys();
-    WEBDEX_ASSIGN_OR_RETURN(
-        FetchedEntries entries,
-        FetchEntries(agent, store, "idx-lu", keys, stats, view));
-    return SortedUris(IntersectUris(entries, keys, stats));
-  }
 };
 
 class LupStrategy final : public IndexingStrategy {
@@ -269,18 +253,6 @@ class LupStrategy final : public IndexingStrategy {
     result.push_back(std::move(out));
     return result;
   }
-
-  Result<std::vector<std::string>> LookupPattern(
-      cloud::SimAgent& agent, KvStore& store,
-      const query::TreePattern& pattern, const ExtractOptions& options,
-      LookupStats* stats, const GenerationMap* view) const override {
-    const KeyTwig twig = BuildKeyTwig(pattern, options.include_words);
-    WEBDEX_ASSIGN_OR_RETURN(
-        std::set<std::string> uris,
-        LookupByPaths(agent, store, "idx-lup", twig, options, stats,
-                      view));
-    return SortedUris(uris);
-  }
 };
 
 class LuiStrategy final : public IndexingStrategy {
@@ -316,17 +288,6 @@ class LuiStrategy final : public IndexingStrategy {
     std::vector<TableItems> result;
     result.push_back(std::move(out));
     return result;
-  }
-
-  Result<std::vector<std::string>> LookupPattern(
-      cloud::SimAgent& agent, KvStore& store,
-      const query::TreePattern& pattern, const ExtractOptions& options,
-      LookupStats* stats, const GenerationMap* view) const override {
-    const KeyTwig twig = BuildKeyTwig(pattern, options.include_words);
-    WEBDEX_ASSIGN_OR_RETURN(
-        std::set<std::string> uris,
-        LookupByIds(agent, store, "idx-lui", twig, nullptr, stats, view));
-    return SortedUris(uris);
   }
 };
 
@@ -380,28 +341,20 @@ class TwoLupiStrategy final : public IndexingStrategy {
     result.push_back(std::move(ids_out));
     return result;
   }
-
-  Result<std::vector<std::string>> LookupPattern(
-      cloud::SimAgent& agent, KvStore& store,
-      const query::TreePattern& pattern, const ExtractOptions& options,
-      LookupStats* stats, const GenerationMap* view) const override {
-    const KeyTwig twig = BuildKeyTwig(pattern, options.include_words);
-    // Phase 1 (Figure 5, left): path look-up -> R1(URI).
-    WEBDEX_ASSIGN_OR_RETURN(
-        std::set<std::string> r1,
-        LookupByPaths(agent, store, "idx-2lupi-paths", twig, options,
-                      stats, view));
-    if (r1.empty()) return std::vector<std::string>{};
-    // Phase 2: ID look-up semijoin-reduced by R1, then holistic twig join.
-    WEBDEX_ASSIGN_OR_RETURN(
-        std::set<std::string> uris,
-        LookupByIds(agent, store, "idx-2lupi-ids", twig, &r1, stats,
-                    view));
-    return SortedUris(uris);
-  }
 };
 
 }  // namespace
+
+Result<std::vector<std::string>> IndexingStrategy::LookupPattern(
+    cloud::SimAgent& agent, cloud::KvStore& store,
+    const query::TreePattern& pattern, const ExtractOptions& options,
+    LookupStats* stats, const GenerationMap* view) const {
+  const KeyTwig twig = BuildKeyTwig(pattern, options.include_words);
+  WEBDEX_ASSIGN_OR_RETURN(std::set<std::string> uris,
+                          LookupByKind(kind(), agent, store, TableNames(),
+                                       twig, options, stats, view));
+  return SortedUris(uris);
+}
 
 std::unique_ptr<IndexingStrategy> IndexingStrategy::Create(
     StrategyKind kind) {

@@ -52,8 +52,8 @@ struct TableItems {
 };
 
 /// An indexing strategy: how documents are turned into key-value items
-/// (Table 2's indexing function I) and how a tree pattern is answered
-/// from the stored items (the per-strategy look-up of Section 5).
+/// (Table 2's indexing function I), plus the reference answer to a tree
+/// pattern from the stored items (the per-strategy look-up of Section 5).
 ///
 /// Strategies are stateless; the same instance may serve any number of
 /// stores and documents.  They adapt to the target store's capabilities
@@ -70,7 +70,8 @@ class IndexingStrategy {
   const char* name() const { return StrategyKindName(kind()); }
 
   /// Key-value tables this strategy stores its index in (2LUPI uses two,
-  /// everything else one — Section 6).  Call store.CreateTable for each.
+  /// paths then ids; everything else one — Section 6).  Call
+  /// store.CreateTable for each.
   virtual std::vector<std::string> TableNames() const = 0;
 
   /// Translates one parsed document into store items.  `uuid_rng` feeds
@@ -98,11 +99,15 @@ class IndexingStrategy {
       const ExtractOptions& options, const cloud::KvStore& store,
       Rng& uuid_rng, ExtractStats* stats) const = 0;
 
-  /// Answers the look-up task for one tree pattern (Section 5): returns
-  /// the sorted URIs of documents that may contain matches.  Index-store
-  /// round trips advance `agent`'s virtual clock; CPU work performed on
-  /// the fetched data is reported through `stats` so the caller can
-  /// charge it to the right simulated machine.
+  /// The reference look-up for one tree pattern (Section 5): returns
+  /// the sorted URIs of documents that may contain matches, by running
+  /// the strategy's look-up core (index/lookup_paths.h) over its Table 2
+  /// tables.  The query engine does not call it — queries run through
+  /// the planner's access paths (engine/access_path.h), which share the
+  /// same cores — but tests and benchmarks compare against it.
+  /// Index-store round trips advance `agent`'s virtual clock; CPU work
+  /// performed on the fetched data is reported through `stats` so the
+  /// caller can charge it to the right simulated machine.
   /// `options` must match the options the index was built with: when
   /// the index holds no word keys, word-based pruning is skipped.
   ///
@@ -111,10 +116,10 @@ class IndexingStrategy {
   /// tombstoned documents are invisible.  nullptr means the static
   /// default view (everything visible at generation 0) — byte-identical
   /// to the pre-mutability look-up.
-  virtual Result<std::vector<std::string>> LookupPattern(
+  Result<std::vector<std::string>> LookupPattern(
       cloud::SimAgent& agent, cloud::KvStore& store,
       const query::TreePattern& pattern, const ExtractOptions& options,
-      LookupStats* stats, const GenerationMap* view = nullptr) const = 0;
+      LookupStats* stats, const GenerationMap* view = nullptr) const;
 };
 
 }  // namespace webdex::index

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "engine/warehouse.h"
 #include "index/strategy.h"
+#include "query/parser.h"
 #include "xmark/xmark_generator.h"
 
 namespace webdex::engine {
@@ -48,7 +49,6 @@ struct Deployed {
 };
 
 Deployed Deploy(const xmark::GeneratorConfig& corpus, StrategyKind kind,
-                bool use_planner = true,
                 PlannerForce force = PlannerForce::kAuto,
                 const cloud::CloudConfig& cloud_config = cloud::CloudConfig()) {
   Deployed d;
@@ -56,7 +56,6 @@ Deployed Deploy(const xmark::GeneratorConfig& corpus, StrategyKind kind,
   d.env = std::make_unique<cloud::CloudEnv>(cloud_config);
   WarehouseConfig config;
   config.strategy = kind;
-  config.use_planner = use_planner;
   config.planner_force = force;
   d.warehouse = std::make_unique<Warehouse>(d.env.get(), config);
   EXPECT_TRUE(d.warehouse->Setup().ok());
@@ -74,11 +73,9 @@ Deployed Deploy(const xmark::GeneratorConfig& corpus, StrategyKind kind,
 
 /// A second warehouse facade over the same simulated cloud (documents
 /// and index tables persist), with a different planner configuration.
-std::unique_ptr<Warehouse> Facade(const Deployed& d, bool use_planner,
-                                  PlannerForce force) {
+std::unique_ptr<Warehouse> Facade(const Deployed& d, PlannerForce force) {
   WarehouseConfig config;
   config.strategy = d.kind;
-  config.use_planner = use_planner;
   config.planner_force = force;
   auto facade = std::make_unique<Warehouse>(d.env.get(), config);
   facade->AdoptExistingData(*d.warehouse);
@@ -119,19 +116,20 @@ TEST(TwoLupiPlannerTest, BranchingTwigChoosesLuiSide) {
 // side consumes, and the rows are identical everywhere.
 TEST(TwoLupiPlannerTest, LosingSideIsNeverBilled) {
   Deployed d = Deploy(Corpus(36, 24), StrategyKind::k2LUPI);
-  auto lup = Facade(d, true, PlannerForce::kLup);
-  auto lui = Facade(d, true, PlannerForce::kLui);
-  auto legacy = Facade(d, false, PlannerForce::kAuto);
+  auto lup = Facade(d, PlannerForce::kLup);
+  auto lui = Facade(d, PlannerForce::kLui);
+  auto off = Facade(d, PlannerForce::kOff);
 
   for (const char* query : {kPathSelective, kBranchingTwig}) {
     auto chosen = d.warehouse->ExecuteQuery(query);
     auto forced_lup = lup->ExecuteQuery(query);
     auto forced_lui = lui->ExecuteQuery(query);
-    auto semijoin = legacy->ExecuteQuery(query);
+    auto semijoin = off->ExecuteQuery(query);
     ASSERT_TRUE(chosen.ok() && forced_lup.ok() && forced_lui.ok() &&
                 semijoin.ok());
     EXPECT_EQ(forced_lup.value().chosen_path, "2LUPI/lup");
     EXPECT_EQ(forced_lui.value().chosen_path, "2LUPI/lui");
+    EXPECT_EQ(semijoin.value().chosen_path, "2LUPI");
     // The planner's run bills exactly the chosen side's look-up units —
     // nothing from the loser's table.
     const QueryOutcome& same_side =
@@ -145,10 +143,63 @@ TEST(TwoLupiPlannerTest, LosingSideIsNeverBilled) {
     EXPECT_NE(chosen.value().index_get_units, other_side.index_get_units)
         << query;
     // Bit-identical rows regardless of side, and identical to the
-    // legacy Figure 5 semijoin.
+    // Figure 5 semijoin the planner-off plan runs.
     EXPECT_EQ(chosen.value().result.rows, forced_lup.value().result.rows);
     EXPECT_EQ(chosen.value().result.rows, forced_lui.value().result.rows);
     EXPECT_EQ(chosen.value().result.rows, semijoin.value().result.rows);
+  }
+}
+
+// With the planner off, a 2LUPI query runs the Figure 5 semijoin as a
+// one-candidate plan: EXPLAIN shows exactly the plan that runs, and the
+// look-up reads exactly what the strategy's reference LookupPattern does.
+TEST(TwoLupiPlannerTest, PlannerOffExplainsAndRunsTheSemijoin) {
+  Deployed d = Deploy(Corpus(36, 24), StrategyKind::k2LUPI, PlannerForce::kOff);
+  auto planned = Facade(d, PlannerForce::kAuto);
+  // Every indexed route carries an estimate, so the planner's report card
+  // covers planner-off queries too.
+  auto ratios = [&d]() -> uint64_t {
+    const common::Histogram* ratio =
+        d.env->metrics().FindHistogram("planner.estimate_error_ratio");
+    return ratio == nullptr ? 0 : ratio->count();
+  };
+  for (const char* query : {kPathSelective, kBranchingTwig}) {
+    auto explain = d.warehouse->ExplainQuery(query);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain.value().find("physical: strategy 2LUPI, planner off\n"),
+              std::string::npos)
+        << explain.value();
+    EXPECT_NE(explain.value().find("  pattern 1: chose 2LUPI\n"),
+              std::string::npos)
+        << explain.value();
+    EXPECT_EQ(explain.value().find("2LUPI/l"), std::string::npos)
+        << explain.value();
+
+    const uint64_t ratios_before = ratios();
+    auto outcome = d.warehouse->ExecuteQuery(query);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(ratios(), ratios_before + 1);
+    EXPECT_EQ(outcome.value().chosen_path, "2LUPI");
+    EXPECT_GT(outcome.value().estimated_cost_usd, 0.0);
+    auto auto_outcome = planned->ExecuteQuery(query);
+    ASSERT_TRUE(auto_outcome.ok());
+    EXPECT_EQ(outcome.value().result.rows, auto_outcome.value().result.rows);
+
+    auto parsed = query::ParseQuery(query);
+    ASSERT_TRUE(parsed.ok());
+    auto strategy = index::IndexingStrategy::Create(StrategyKind::k2LUPI);
+    cloud::SimAgent& agent = d.warehouse->front_end();
+    const cloud::Usage before = d.env->meter().Snapshot();
+    index::LookupStats stats;
+    auto uris = strategy->LookupPattern(
+        agent, d.warehouse->index_store(), parsed.value().patterns()[0],
+        d.warehouse->config().extract, &stats);
+    ASSERT_TRUE(uris.ok());
+    const cloud::Usage delta = d.env->meter().Snapshot() - before;
+    EXPECT_EQ(outcome.value().index_get_units, delta.ddb_read_units) << query;
+    EXPECT_EQ(outcome.value().lookup.items_fetched, stats.items_fetched);
+    EXPECT_EQ(outcome.value().lookup.twig_id_ops, stats.twig_id_ops);
+    EXPECT_EQ(outcome.value().docs_from_index, uris.value().size());
   }
 }
 
@@ -200,8 +251,8 @@ TEST_P(PlannerSweepTest, RowsBitIdenticalAcrossPlannerAndOutage) {
 
   // Healthy deployment; the planner toggle is a facade over the same
   // cloud, so both runs answer from the very same index bytes.
-  Deployed healthy = Deploy(corpus, GetParam(), /*use_planner=*/true);
-  auto healthy_legacy = Facade(healthy, false, PlannerForce::kAuto);
+  Deployed healthy = Deploy(corpus, GetParam());
+  auto healthy_off = Facade(healthy, PlannerForce::kOff);
 
   // Browned-out deployments: a sustained index-store outage covering
   // the whole query phase (indexing is deterministic, so the healthy
@@ -212,34 +263,38 @@ TEST_P(PlannerSweepTest, RowsBitIdenticalAcrossPlannerAndOutage) {
   window.start = healthy.index_end;
   window.end = healthy.index_end + kForever;
   outage_config.faults.outages.push_back(window);
-  Deployed outage_planned = Deploy(corpus, GetParam(), true,
-                                   PlannerForce::kAuto, outage_config);
-  Deployed outage_legacy = Deploy(corpus, GetParam(), false,
-                                  PlannerForce::kAuto, outage_config);
+  Deployed outage_planned =
+      Deploy(corpus, GetParam(), PlannerForce::kAuto, outage_config);
+  Deployed outage_off =
+      Deploy(corpus, GetParam(), PlannerForce::kOff, outage_config);
 
   auto planned = healthy.warehouse->ExecuteQueries(workload);
-  auto legacy = healthy_legacy->ExecuteQueries(workload);
+  auto off = healthy_off->ExecuteQueries(workload);
   auto browned_planned = outage_planned.warehouse->ExecuteQueries(workload);
-  auto browned_legacy = outage_legacy.warehouse->ExecuteQueries(workload);
-  ASSERT_TRUE(planned.ok() && legacy.ok() && browned_planned.ok() &&
-              browned_legacy.ok());
+  auto browned_off = outage_off.warehouse->ExecuteQueries(workload);
+  ASSERT_TRUE(planned.ok() && off.ok() && browned_planned.ok() &&
+              browned_off.ok());
 
   ASSERT_EQ(planned.value().outcomes.size(), workload.size());
   for (size_t q = 0; q < workload.size(); ++q) {
     const auto& rows = planned.value().outcomes[q].result.rows;
-    EXPECT_EQ(rows, legacy.value().outcomes[q].result.rows)
+    EXPECT_EQ(rows, off.value().outcomes[q].result.rows)
         << workload[q] << " (planner off)";
     EXPECT_EQ(rows, browned_planned.value().outcomes[q].result.rows)
         << workload[q] << " (planner on, outage)";
-    EXPECT_EQ(rows, browned_legacy.value().outcomes[q].result.rows)
+    EXPECT_EQ(rows, browned_off.value().outcomes[q].result.rows)
         << workload[q] << " (planner off, outage)";
     EXPECT_TRUE(browned_planned.value().outcomes[q].degraded);
+    EXPECT_TRUE(browned_off.value().outcomes[q].degraded);
   }
-  // Under the outage the planner never burns attempts against an open
-  // breaker, and every query records at least one fallback to the scan
-  // path (value-join queries fall back once per tree pattern).
+  // Under the outage neither mode burns attempts against an open breaker
+  // — planner off is a one-candidate plan behind the same plan-time gate
+  // — and every query records at least one fallback to the scan path
+  // (value-join queries fall back once per tree pattern).
   EXPECT_EQ(outage_planned.env->meter().usage().breaker_short_circuits, 0u);
+  EXPECT_EQ(outage_off.env->meter().usage().breaker_short_circuits, 0u);
   EXPECT_GE(browned_planned.value().planner_fallbacks, workload.size());
+  EXPECT_GE(browned_off.value().planner_fallbacks, workload.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -31,7 +31,11 @@ Checks (docs/OBSERVABILITY.md):
     gauges, the per-shard `service.<svc>.<op>.s<shard>.count` counters,
     the replica read pool's counters and lag histogram, records at least
     one replica.read span in a traced query, and reports the deployment
-    line in `stats`.
+    line in `stats`;
+  * a scripted `strategy 2LUPI` / `planner off` session (docs/PLANNER.md)
+    runs its traced query as a one-candidate plan: one `plan` span, one
+    billed `path.2LUPI` span (the Figure 5 semijoin) covering its retry
+    attempts' usd, and an EXPLAIN that shows the plan that ran.
 
 Usage: trace_lint.py <path-to-webdex_cli>
 Exit code 0 on a clean lint; failures are listed on stderr.
@@ -375,6 +379,48 @@ def lint_sharded_session(binary):
         fail("sharded session is missing the replica.lag_us histogram")
 
 
+def lint_planner_off_session(binary):
+    """Drives a 2LUPI session with the planner off: the traced query must
+    plan one candidate, the semijoin path, and record it as a `plan` span
+    followed by a billed `path.2LUPI` span whose usd covers its children
+    (the generic invariant); EXPLAIN must print the same plan."""
+    with tempfile.NamedTemporaryFile(
+        suffix=".jsonl"
+    ) as jsonl, tempfile.NamedTemporaryFile(
+        mode="w", suffix=".webdex"
+    ) as script:
+        script.write(
+            "strategy 2LUPI\n"
+            "planner off\n"
+            "open\n"
+            "gen 12 8\n"
+            "index\n"
+            f"trace --jsonl {jsonl.name} {QUERY}\n"
+            f"explain {QUERY}\n"
+        )
+        script.flush()
+        out = run(binary, script.name)
+        spans = lint_trace_jsonl(jsonl.name, label="planner-off trace")
+
+    plans = [s for s in spans if s["name"] == "plan"]
+    paths = [s for s in spans if s["name"].startswith("path.")]
+    if len(plans) != 1:
+        fail(f"planner-off trace has {len(plans)} plan spans, expected 1")
+    if [s["name"] for s in paths] != ["path.2LUPI"]:
+        fail(
+            "planner-off trace paths are "
+            f"{[s['name'] for s in paths]}, expected ['path.2LUPI']"
+        )
+    elif paths[0].get("attrs", {}).get("usd", 0.0) <= 0:
+        fail("path.2LUPI span is unbilled (usd <= 0)")
+    elif plans and plans[0]["id"] > paths[0]["id"]:
+        fail("path.2LUPI span precedes the plan span")
+    if "physical: strategy 2LUPI, planner off" not in out:
+        fail("planner-off EXPLAIN does not say 'planner off'")
+    if "pattern 1: chose 2LUPI\n" not in out:
+        fail("planner-off EXPLAIN does not choose the 2LUPI semijoin")
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
@@ -397,6 +443,7 @@ def main():
     lint_compact_trace(binary)
     lint_autoscaled_session(binary)
     lint_sharded_session(binary)
+    lint_planner_off_session(binary)
 
     if errors:
         for e in errors:
@@ -405,7 +452,7 @@ def main():
     print(
         f"trace_lint: {len(names)} metric names clean, trace JSONL clean, "
         "compact.pass clean, autoscaled session clean, sharded session "
-        "clean"
+        "clean, planner-off session clean"
     )
 
 

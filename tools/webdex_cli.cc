@@ -230,8 +230,11 @@ class Cli {
         "                                   plans with every access path's\n"
         "                                   cost estimate (nothing billed)\n"
         "  planner on|off|force-lup|force-lui|auto\n"
-        "                                   cost-based access-path planning\n"
-        "                                   (applies at the next 'open')\n"
+        "                                   cost-based access-path planning;\n"
+        "                                   off plans only the strategy's\n"
+        "                                   canonical path (2LUPI: the\n"
+        "                                   Figure 5 semijoin); applies at\n"
+        "                                   the next 'open'\n"
         "  xquery <tree pattern query>      show the XQuery translation\n"
         "  advise <query>                   LUP-vs-LUI advice from stats\n"
         "  save <file>                      snapshot S3+index to disk\n"
@@ -1011,25 +1014,19 @@ class Cli {
 
   void SetPlanner(const std::string& args) {
     if (args == "on" || args == "auto") {
-      config_.use_planner = true;
       config_.planner_force = engine::PlannerForce::kAuto;
     } else if (args == "off") {
-      config_.use_planner = false;
-      config_.planner_force = engine::PlannerForce::kAuto;
+      config_.planner_force = engine::PlannerForce::kOff;
     } else if (args == "force-lup") {
-      config_.use_planner = true;
       config_.planner_force = engine::PlannerForce::kLup;
     } else if (args == "force-lui") {
-      config_.use_planner = true;
       config_.planner_force = engine::PlannerForce::kLui;
     } else {
       std::printf("usage: planner on|off|force-lup|force-lui|auto\n");
       return;
     }
     std::printf("planner: %s\n",
-                config_.use_planner
-                    ? engine::PlannerForceName(config_.planner_force)
-                    : "off (fixed strategy pipeline)");
+                engine::PlannerForceName(config_.planner_force));
     if (warehouse_ != nullptr) {
       std::printf("note: the open warehouse keeps its current planner\n");
     }
