@@ -29,7 +29,7 @@ enum class CrashPoint {
   kBetweenBatchPutPages,
   /// Between two documents of a compaction pass: the pass dies with its
   /// cursor checkpointed at the last completed URI, and a resumed pass
-  /// must converge from there (engine/compactor.h, docs/MUTABILITY.md).
+  /// must converge from there (engine/maintenance.h, docs/MUTABILITY.md).
   kMidCompaction,
 };
 

@@ -78,7 +78,7 @@ class KvStore {
 
   /// Reads every item of `table` in deterministic (hash, range) key
   /// order — the *billed* full-table walk (DynamoDB's Scan, SimpleDB's
-  /// paginated select) that the Scrubber uses, as opposed to the free
+  /// paginated select) that index maintenance uses, as opposed to the free
   /// host-side ForEachItem below.  Paginated internally; each page costs
   /// a request, its latency, and data-proportional read capacity.
   virtual Result<std::vector<Item>> Scan(SimAgent& agent,

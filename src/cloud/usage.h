@@ -99,7 +99,7 @@ struct Usage {
   uint64_t breaker_closes = 0;          // half-open -> closed
   uint64_t breaker_short_circuits = 0;  // calls failed fast, unbilled
   uint64_t degraded_queries = 0;        // answered via full scan fallback
-  uint64_t scrub_repaired = 0;          // URIs repaired by the Scrubber
+  uint64_t scrub_repaired = 0;          // URIs repaired by a scrub
 
   // Mutable-corpus maintenance accounting (docs/MUTABILITY.md).
   uint64_t tombstones_written = 0;  // delete tasks committed

@@ -54,13 +54,11 @@ Warehouse::Warehouse(cloud::CloudEnv* env, const WarehouseConfig& config)
   if (deployment.sharded()) {
     sharded_store_ = std::make_unique<cloud::ShardedKvStore>(
         top, &deployment, &env->meter(), &env->metrics(), &env->tracer());
+    top = sharded_store_.get();
   }
-}
-
-cloud::KvStore& Warehouse::index_store() {
-  if (sharded_store_ != nullptr) return *sharded_store_;
-  if (replicated_store_ != nullptr) return *replicated_store_;
-  return *retrying_store_;
+  index_store_ = top;
+  maintainer_ = std::make_unique<IndexMaintainer>(
+      env, index_store_, strategy_.get(), config.extract, config.data_bucket);
 }
 
 bool Warehouse::ShouldCrash(cloud::CrashPoint point, int instance_id,
@@ -425,7 +423,7 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
     // dies afterwards.  The stale postings stay behind for compaction,
     // and so does the stored object: a queued revival (an UPSERT at a
     // higher generation) may already have re-put it, so reclaiming the
-    // storage is the Compactor's call — made on the *folded* generation
+    // storage is compaction's call — made on the *folded* generation
     // state — never this task's.
     const Status put = index_store().BatchPut(
         instance, index::kMetaTable,
@@ -877,13 +875,15 @@ Result<QueryRunReport> Warehouse::ExecuteQueries(
 }
 
 Result<ScrubReport> Warehouse::Scrub(bool repair) {
+  if (!config_.use_index) {
+    return Status::FailedPrecondition(
+        "scrubbing requires an indexed warehouse");
+  }
   cloud::MeteredSpan pass_span(&env_->tracer(), &env_->meter(), front_end_,
                                "scrub.pass");
   pass_span.AddAttr("repair", repair ? 1 : 0);
   env_->metrics().GetCounter("engine.scrub.passes.count")->Add(1);
-  Scrubber scrubber(env_, retrying_store_.get(), strategy_.get(),
-                    config_.extract, config_.data_bucket);
-  return scrubber.Run(front_end_, repair, GenerationSnapshot().get());
+  return maintainer_->Scrub(front_end_, repair, *GenerationSnapshot());
 }
 
 Result<CompactReport> Warehouse::Compact(bool full) {
@@ -900,8 +900,6 @@ Result<CompactReport> Warehouse::Compact(bool full) {
   // boundary it checkpointed instead of restarting.
   std::string cursor = env_->maintenance().compact_cursor;
   pass_span.AddAttr("resumed", cursor.empty() ? 0 : 1);
-  Compactor compactor(env_, retrying_store_.get(), strategy_.get(),
-                      config_.extract, config_.data_bucket);
   auto should_crash = [this](const std::string& uri) {
     return ShouldCrash(cloud::CrashPoint::kMidCompaction, /*instance_id=*/0,
                        uri);
@@ -911,47 +909,38 @@ Result<CompactReport> Warehouse::Compact(bool full) {
   // compaction inherits the pipeline's at-least-once posture instead of
   // failing on the first bad fault window.  Only a planned crash or a
   // non-retriable error ends the loop early.
-  constexpr int kMaxSubPasses = 8;
-  CompactReport report;
-  Status pass_error;
+  common::RetryPolicy sub_passes = config_.retry;
+  sub_passes.max_attempts = 8;
+  sub_passes.deadline_micros = 0;
   Rng backoff_rng = Rng::ForKey(env_->config().seed, "wh:compact.backoff");
-  for (int attempt = 1;; ++attempt) {
-    auto sub = compactor.Run(front_end_, full, cursor, should_crash);
-    if (!sub.ok()) {
-      // The opening scans faulted out before any URI work.
-      if (!sub.status().IsRetriable() || attempt >= kMaxSubPasses) {
-        pass_error = sub.status();
-        break;
-      }
-    } else {
-      report.documents_checked += sub.value().documents_checked;
-      report.items_scanned += sub.value().items_scanned;
-      report.items_put += sub.value().items_put;
-      report.items_deleted += sub.value().items_deleted;
-      for (auto& uri : sub.value().canonicalized_uris) {
-        report.canonicalized_uris.push_back(std::move(uri));
-      }
-      for (auto& uri : sub.value().collected_uris) {
-        report.collected_uris.push_back(std::move(uri));
-      }
-      report.crashed = sub.value().crashed;
-      report.faulted = sub.value().faulted;
-      report.fault = sub.value().fault;
-      report.resume_cursor = sub.value().resume_cursor;
-      if (!report.faulted) break;
-      if (attempt >= kMaxSubPasses) {
-        pass_error = report.fault;
-        break;
-      }
-      cursor = report.resume_cursor;
-    }
-    const int64_t cap = common::BackoffCapMicros(config_.retry, attempt);
-    const int64_t wait =
-        cap <= 0 ? 0
-                 : static_cast<int64_t>(backoff_rng.NextDouble() *
-                                        static_cast<double>(cap + 1));
-    front_end_.Advance(static_cast<cloud::Micros>(wait));
-  }
+  CompactReport report;
+  const Status pass_error = common::CallWithRetry(
+      sub_passes, backoff_rng,
+      [&]() -> Status {
+        // A failed sub-pass faulted out of its opening scans before any
+        // URI work, so the cursor stays put.
+        WEBDEX_ASSIGN_OR_RETURN(
+            CompactReport sub,
+            maintainer_->Compact(front_end_, full, cursor, should_crash));
+        report.documents_checked += sub.documents_checked;
+        report.items_scanned += sub.items_scanned;
+        report.items_put += sub.items_put;
+        report.items_deleted += sub.items_deleted;
+        for (auto& uri : sub.canonicalized_uris) {
+          report.canonicalized_uris.push_back(std::move(uri));
+        }
+        for (auto& uri : sub.collected_uris) {
+          report.collected_uris.push_back(std::move(uri));
+        }
+        report.crashed = sub.crashed;
+        report.faulted = sub.faulted;
+        report.fault = sub.fault;
+        cursor = report.resume_cursor = sub.resume_cursor;
+        return sub.faulted ? sub.fault : Status::OK();
+      },
+      [this](int64_t micros) {
+        front_end_.Advance(static_cast<cloud::Micros>(micros));
+      });
   // Even a pass that ultimately gave up commits what its sub-passes
   // completed — the cloud-side rows are already folded, so the in-memory
   // view and the cursor must follow.
@@ -1043,18 +1032,16 @@ void Warehouse::DocCache::Erase(const std::string& uri) {
 
 uint64_t Warehouse::IndexRawBytes() const {
   uint64_t total = 0;
-  auto& store = const_cast<Warehouse*>(this)->index_store();
   for (const auto& table : strategy_->TableNames()) {
-    total += store.StoredBytes(table);
+    total += index_store_->StoredBytes(table);
   }
   return total;
 }
 
 uint64_t Warehouse::IndexOverheadBytes() const {
   uint64_t total = 0;
-  auto& store = const_cast<Warehouse*>(this)->index_store();
   for (const auto& table : strategy_->TableNames()) {
-    total += store.OverheadBytes(table);
+    total += index_store_->OverheadBytes(table);
   }
   return total;
 }

@@ -22,11 +22,10 @@
 #include "common/rng.h"
 #include "cost/cost_model.h"
 #include "engine/admission.h"
-#include "engine/compactor.h"
 #include "engine/extraction_pipeline.h"
+#include "engine/maintenance.h"
 #include "engine/message.h"
 #include "engine/query_planner.h"
-#include "engine/scrubber.h"
 #include "index/generation.h"
 #include "index/strategy.h"
 #include "index/summary.h"
@@ -278,18 +277,19 @@ class Warehouse {
 
   // --- Maintenance ---------------------------------------------------------
 
-  /// One scrub pass over this warehouse's index tables on the front
-  /// end's clock (billed).  With `repair`, missing/partial postings are
-  /// re-extracted and stale/orphaned ones deleted (engine/scrubber.h).
+  /// One scrub pass over the index tables (billed, on the front end's
+  /// clock, through the whole index_store() stack; engine/maintenance.h).
+  /// With `repair`, missing/partial postings are re-extracted and
+  /// stale/orphaned ones deleted.  FailedPrecondition without an index.
   Result<ScrubReport> Scrub(bool repair);
 
-  /// One compaction pass over the mutable index on the front end's clock
-  /// (billed; engine/compactor.h).  `full` rewrites alive upserted
-  /// documents to canonical generation-0 postings; otherwise only
-  /// superseded generations and collected tombstones are dropped.
-  /// Resumes from the cursor checkpointed in the cloud's maintenance
-  /// state (snapshot), so a crash mid-pass — planned via CrashPoint
-  /// kMidCompaction — picks up at the URI boundary after restore.
+  /// One compaction pass over the mutable index, run like Scrub.  `full`
+  /// rewrites alive upserted documents to canonical generation-0
+  /// postings; otherwise only superseded generations and collected
+  /// tombstones are dropped.  Resumes from the cursor checkpointed in
+  /// the cloud's maintenance state (snapshot), so a crash mid-pass —
+  /// planned via CrashPoint kMidCompaction — picks up at the URI
+  /// boundary after restore.
   Result<CompactReport> Compact(bool full);
 
   /// Re-drives every dead-lettered message back onto its origin queue
@@ -301,7 +301,7 @@ class Warehouse {
 
   cloud::CloudEnv& env() { return *env_; }
   cloud::SimAgent& front_end() { return front_end_; }
-  cloud::KvStore& index_store();
+  cloud::KvStore& index_store() { return *index_store_; }
   const WarehouseConfig& config() const { return config_; }
   const std::vector<std::string>& document_uris() const {
     return document_uris_;
@@ -488,13 +488,15 @@ class Warehouse {
   /// Decorator stack over the backend index store, bottom-up: retries
   /// always, then a replicated read pool when the deployment has
   /// replicas, then shard routing when it has shards
-  /// (docs/ARCHITECTURES.md).  index_store() returns the top, so every
-  /// index read/write inherits the whole stack; under the default
-  /// deployment only the retry decorator exists, preserving the paper's
-  /// layout bit-identically.
+  /// (docs/ARCHITECTURES.md).  `index_store_` is the top, so every index
+  /// read/write — indexing, queries and maintenance alike — inherits the
+  /// whole stack; under the default deployment only the retry decorator
+  /// exists, preserving the paper's layout bit-identically.
   std::unique_ptr<cloud::RetryingKvStore> retrying_store_;
   std::unique_ptr<cloud::ReplicatedKvStore> replicated_store_;
   std::unique_ptr<cloud::ShardedKvStore> sharded_store_;
+  cloud::KvStore* index_store_ = nullptr;
+  std::unique_ptr<IndexMaintainer> maintainer_;
   cloud::Cluster cluster_;
   FrontEndAgent front_end_;
   std::vector<std::string> document_uris_;

@@ -16,7 +16,7 @@ namespace webdex::index {
 /// write tombstones into a meta table instead of erasing in place.  A
 /// reader holding a GenerationMap sees exactly one generation per
 /// document, so queries stay bit-identical while superseded postings
-/// linger until the Compactor garbage-collects them.
+/// linger until compaction garbage-collects them.
 ///
 /// Generation 0 is the static corpus: postings carry *no* stamp
 /// attribute and the meta table holds *no* item, so a build with zero
@@ -63,7 +63,7 @@ class GenerationMap {
   /// (equivalently: was canonicalized back to generation 0).
   const GenerationInfo* Find(const std::string& uri) const;
 
-  /// Forgets `uri` — the Compactor rewrote it at generation 0 (or fully
+  /// Forgets `uri` — compaction rewrote it at generation 0 (or fully
   /// collected its tombstone), so the default visibility rule applies
   /// again.
   void Erase(const std::string& uri);

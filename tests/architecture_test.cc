@@ -67,7 +67,38 @@ struct RunOptions {
   cloud::FaultPlan faults;
   int host_threads = 1;
   int query_rounds = 1;
+  /// After the build, mutate the corpus and run both maintenance passes
+  /// (MaintainMutatedCorpus) before the state is fingerprinted.
+  bool maintenance = false;
 };
+
+/// Upserts two documents, deletes one, commits them, then scrubs,
+/// fully compacts and scrubs again — through whatever store stack the
+/// architecture built.  Both scrubs must audit clean.
+void MaintainMutatedCorpus(Warehouse& warehouse) {
+  // Only XMark documents change, so the painting query keeps its rows.
+  const std::vector<xmark::GeneratedDocument> corpus = Corpus();
+  const size_t n = corpus.size();
+  EXPECT_TRUE(
+      warehouse.UpsertDocument(corpus[n - 1].uri, corpus[n - 2].text).ok());
+  EXPECT_TRUE(
+      warehouse.UpsertDocument(corpus[n - 3].uri, corpus[n - 4].text).ok());
+  EXPECT_TRUE(warehouse.DeleteDocument(corpus[n - 5].uri).ok());
+  auto rerun = warehouse.RunIndexers();
+  EXPECT_TRUE(rerun.ok()) << rerun.status().ToString();
+  const auto expect_clean = [&warehouse](const char* when) {
+    auto audit = warehouse.Scrub(/*repair=*/false);
+    ASSERT_TRUE(audit.ok()) << when << ": " << audit.status().ToString();
+    EXPECT_TRUE(audit.value().Clean()) << when << ": "
+                                       << audit.value().ToString();
+  };
+  expect_clean("before compaction");
+  auto compacted = warehouse.Compact(/*full=*/true);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted.value().canonicalized_uris.size(), 2u);
+  EXPECT_EQ(compacted.value().collected_uris.size(), 1u);
+  expect_clean("after compaction");
+}
 
 ArchFingerprint RunArch(const ArchitectureSpec& arch,
                         const RunOptions& options = RunOptions()) {
@@ -89,6 +120,7 @@ ArchFingerprint RunArch(const ArchitectureSpec& arch,
   auto report = warehouse.RunIndexers();
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   if (report.ok()) out.report = report.value();
+  if (options.maintenance) MaintainMutatedCorpus(warehouse);
   out.index_fingerprint = cloud::FingerprintStore(warehouse.index_store());
   warehouse.index_store().ForEachItem(
       [&out](const std::string& table, const cloud::Item& item) {
@@ -184,7 +216,8 @@ TEST(DeploymentTest, ReplicaReadableFollowsWatermark) {
 class ArchitectureTest : public ::testing::TestWithParam<IndexBackend> {};
 
 TEST_P(ArchitectureTest, AllArchitecturesConvergeToSameLogicalState) {
-  const RunOptions options{GetParam(), cloud::FaultPlan(), 1, 1};
+  RunOptions options{GetParam(), cloud::FaultPlan(), 1, 1};
+  options.maintenance = true;
   const ArchFingerprint baseline = RunArch(ArchitectureSpec(), options);
   ASSERT_FALSE(baseline.rows.empty());
   EXPECT_EQ(baseline.rows[0][0], "Delacroix");
@@ -235,6 +268,34 @@ TEST(ArchitectureTest, ReplicaReadsAreBilledAtHalfPrice) {
   // Same read requests, strictly fewer billed read units.
   EXPECT_EQ(replicated.usage.ddb_get_requests, primary.usage.ddb_get_requests);
   EXPECT_LT(replicated.usage.ddb_read_units, primary.usage.ddb_read_units);
+}
+
+// Maintenance writes go through the replicated pool like any other
+// write: deleting postings moves the table's replication watermark, so
+// a replica read right after a compaction cannot serve the stale rows.
+TEST(ArchitectureTest, CompactionAdvancesReplicaWatermark) {
+  cloud::CloudConfig cloud_config;
+  cloud_config.arch = Arch(CapacityMode::kProvisioned, 1, 2);
+  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
+  WarehouseConfig config;
+  config.strategy = StrategyKind::kLUP;
+  config.num_instances = 2;
+  Warehouse warehouse(env.get(), config);
+  ASSERT_TRUE(warehouse.Setup().ok());
+  const std::vector<xmark::GeneratedDocument> corpus = Corpus();
+  for (const auto& doc : corpus) {
+    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
+  }
+  ASSERT_TRUE(warehouse.RunIndexers().ok());
+  ASSERT_TRUE(warehouse.DeleteDocument(corpus.back().uri).ok());
+  ASSERT_TRUE(warehouse.RunIndexers().ok());
+
+  const cloud::Micros before = env->deployment().Watermark("idx-lup");
+  auto compacted = warehouse.Compact(/*full=*/true);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  ASSERT_EQ(compacted.value().collected_uris,
+            std::vector<std::string>{corpus.back().uri});
+  EXPECT_GT(env->deployment().Watermark("idx-lup"), before);
 }
 
 // On-demand capacity bills to the pay-per-request counters at a premium

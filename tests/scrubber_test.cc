@@ -1,4 +1,4 @@
-// Self-healing index contract (docs/FAULTS.md): the Scrubber walks a
+// Self-healing index contract (docs/FAULTS.md): a scrub pass walks a
 // strategy's index tables against the document bucket with *billed*
 // reads, detects the garbage faults leave behind — half-written postings
 // from a mid-BatchPut crash, missing postings from a dead-lettered task,
@@ -241,7 +241,7 @@ TEST(ScrubberTest, CleanIndexAuditsCleanForAPrice) {
 // An upserted document is audited at its *live* generation
 // (docs/MUTABILITY.md): losing its stamped postings is damage the scrub
 // detects and repairs byte-identically, while the superseded
-// generation-0 postings lingering for the Compactor are never flagged.
+// generation-0 postings lingering for compaction are never flagged.
 TEST(ScrubberTest, UpsertedDocumentIsRepairedAtItsLiveGeneration) {
   Deployment d = Deploy(StrategyKind::kLUP);
   const std::string victim = d.warehouse->document_uris().front();
@@ -285,8 +285,8 @@ TEST(ScrubberTest, UpsertedDocumentIsRepairedAtItsLiveGeneration) {
 }
 
 // Regression (docs/MUTABILITY.md): a tombstoned document must never be
-// resurrected by a repair scrub.  Its postings linger (awaiting the
-// Compactor) and its object is gone, but the scrub neither flags the
+// resurrected by a repair scrub.  Its postings linger (awaiting
+// compaction) and its object is gone, but the scrub neither flags the
 // leftovers as orphans nor re-puts anything.
 TEST(ScrubberTest, TombstonedUriIsNeverResurrected) {
   Deployment d = Deploy(StrategyKind::k2LUPI);
@@ -306,7 +306,7 @@ TEST(ScrubberTest, TombstonedUriIsNeverResurrected) {
   EXPECT_EQ(repair.value().items_deleted, 0u);
   EXPECT_EQ(Dump(*d.warehouse), tombstoned_dump);
 
-  // Retiring the tombstone is the Compactor's job; once collected, the
+  // Retiring the tombstone is compaction's job; once collected, the
   // scrub still audits clean (nothing resurfaces).
   auto compacted = d.warehouse->Compact(/*full=*/false);
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
@@ -322,6 +322,23 @@ TEST(ScrubberTest, TombstonedUriIsNeverResurrected) {
   auto second = d.warehouse->Scrub(/*repair=*/false);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.value().Clean());
+}
+
+// A warehouse without an index has nothing to scrub: the pass refuses up
+// front, as compaction does, instead of scanning tables never created.
+TEST(ScrubberTest, ScrubWithoutIndexIsAFailedPrecondition) {
+  cloud::CloudEnv env;
+  WarehouseConfig config;
+  config.use_index = false;
+  Warehouse warehouse(&env, config);
+  ASSERT_TRUE(warehouse.Setup().ok());
+  for (const bool repair : {false, true}) {
+    auto scrub = warehouse.Scrub(repair);
+    EXPECT_TRUE(scrub.status().IsFailedPrecondition())
+        << scrub.status().ToString();
+  }
+  EXPECT_TRUE(
+      warehouse.Compact(/*full=*/false).status().IsFailedPrecondition());
 }
 
 // The operational alternative to scrubbing: re-drive the dead-lettered

@@ -14,7 +14,8 @@ Checks (docs/OBSERVABILITY.md):
   * a scripted mutable-corpus session (upsert + delete + compact --full,
     docs/MUTABILITY.md) emits a `compact.pass` span whose JSONL obeys the
     same invariants — in particular the pass's usd covers the billed sum
-    of its child retry spans;
+    of its child retry spans — on the paper's layout and on a 4-shard
+    replicated one, where the pass must also hold `shard.fanout` scans;
   * every `admission.*` / `autoscale.*` span obeys the overload taxonomy
     (docs/OVERLOAD.md): only the documented names, each with its required
     attrs, `admission.shed` spans never billed (shed queries do no loser
@@ -227,17 +228,21 @@ def lint_trace_jsonl(path, label="trace"):
     return spans
 
 
-def lint_compact_trace(binary):
-    """Drives a mutable-corpus script session and lints the compact.pass
-    span: present, billed (positive usd), and obeying the generic
-    parent-covers-children usd invariant like every other span."""
+def lint_compact_trace(binary, arch=""):
+    """Drives a mutable-corpus script session on the deployment `arch`
+    (arguments of the CLI `arch` command; empty = the paper's layout) and
+    lints the compact.pass span: present, billed (positive usd), and
+    obeying the generic parent-covers-children usd invariant like every
+    other span.  On a sharded layout the pass runs through the shard
+    router, so its subtree must hold shard.fanout scans."""
     with tempfile.NamedTemporaryFile(
         suffix=".jsonl"
     ) as jsonl, tempfile.NamedTemporaryFile(
         mode="w", suffix=".webdex"
     ) as script:
         script.write(
-            "strategy 2LUPI\n"
+            (f"arch {arch}\n" if arch else "")
+            + "strategy 2LUPI\n"
             "open\n"
             "gen 12 8\n"
             "index\n"
@@ -258,6 +263,20 @@ def lint_compact_trace(binary):
         fail("compact.pass span is unbilled (usd <= 0)")
     if attrs.get("full") != 1:
         fail("compact --full span does not carry attr full=1")
+    if "--shards" in arch:
+        parents = {s["id"]: s["parent"] for s in spans}
+
+        def under_pass(sid):
+            while sid in parents:
+                sid = parents[sid]
+                if sid == passes[0]["id"]:
+                    return True
+            return False
+
+        if not any(
+            s["name"] == "shard.fanout" and under_pass(s["id"]) for s in spans
+        ):
+            fail(f"compact.pass on 'arch {arch}' has no shard.fanout descendant")
 
 
 def lint_autoscaled_session(binary):
@@ -441,6 +460,7 @@ def main():
         lint_trace_jsonl(tmp.name)
 
     lint_compact_trace(binary)
+    lint_compact_trace(binary, arch="--shards 4 --replicas 1")
     lint_autoscaled_session(binary)
     lint_sharded_session(binary)
     lint_planner_off_session(binary)
