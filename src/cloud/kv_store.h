@@ -97,7 +97,8 @@ class KvStore {
   // with simulated traffic on the event-loop thread.  Implementations
   // must therefore answer them from immutable configuration only — no
   // billing, no virtual latency, no mutable state (the DynamoDB and
-  // SimpleDB simulations return compile-time constants).
+  // SimpleDB simulations return compile-time constants, and every
+  // decorator inherits ForwardingKvStore's pass-through answers).
   virtual const char* Name() const = 0;
   virtual uint64_t MaxItemBytes() const = 0;
   virtual uint64_t MaxValueBytes() const = 0;
@@ -135,6 +136,89 @@ class KvStore {
   /// of CreateTable that snapshot restore uses (cloud/snapshot.cc).
   virtual Status RestoreTable(const std::string& table) = 0;
   virtual bool Empty() const = 0;
+};
+
+/// Pass-through base of the KvStore decorators (LevelDB's EnvWrapper
+/// idiom): forwards every method to the wrapped store, so the retrying,
+/// replicated and sharded decorators declare only the methods they
+/// change.  `base` must outlive the decorator.
+class ForwardingKvStore : public KvStore {
+ public:
+  explicit ForwardingKvStore(KvStore* base) : base_(base) {}
+
+  ForwardingKvStore(const ForwardingKvStore&) = delete;
+  ForwardingKvStore& operator=(const ForwardingKvStore&) = delete;
+
+  Status CreateTable(SimAgent& agent, const std::string& table) override {
+    return base_->CreateTable(agent, table);
+  }
+  bool HasTable(const std::string& table) const override {
+    return base_->HasTable(table);
+  }
+  Status BatchPut(SimAgent& agent, const std::string& table,
+                  const std::vector<Item>& items,
+                  std::vector<Item>* unprocessed = nullptr) override {
+    return base_->BatchPut(agent, table, items, unprocessed);
+  }
+  Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
+                                const std::string& hash_key) override {
+    return base_->Get(agent, table, hash_key);
+  }
+  Result<std::vector<Item>> BatchGet(
+      SimAgent& agent, const std::string& table,
+      const std::vector<std::string>& hash_keys) override {
+    return base_->BatchGet(agent, table, hash_keys);
+  }
+  Result<std::vector<Item>> Scan(SimAgent& agent,
+                                 const std::string& table) override {
+    return base_->Scan(agent, table);
+  }
+  Status DeleteItem(SimAgent& agent, const std::string& table,
+                    const std::string& hash_key,
+                    const std::string& range_key) override {
+    return base_->DeleteItem(agent, table, hash_key, range_key);
+  }
+
+  const char* Name() const override { return base_->Name(); }
+  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
+  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
+  bool SupportsBinaryValues() const override {
+    return base_->SupportsBinaryValues();
+  }
+  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
+  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
+  uint64_t MaxValuesPerItem() const override {
+    return base_->MaxValuesPerItem();
+  }
+
+  uint64_t StoredBytes(const std::string& table) const override {
+    return base_->StoredBytes(table);
+  }
+  uint64_t OverheadBytes(const std::string& table) const override {
+    return base_->OverheadBytes(table);
+  }
+  uint64_t ItemCount(const std::string& table) const override {
+    return base_->ItemCount(table);
+  }
+  std::vector<std::string> TableNames() const override {
+    return base_->TableNames();
+  }
+
+  void ForEachItem(
+      const std::function<void(const std::string&, const Item&)>& fn)
+      const override {
+    base_->ForEachItem(fn);
+  }
+  void RestoreItem(const std::string& table, const Item& item) override {
+    base_->RestoreItem(table, item);
+  }
+  Status RestoreTable(const std::string& table) override {
+    return base_->RestoreTable(table);
+  }
+  bool Empty() const override { return base_->Empty(); }
+
+ protected:
+  KvStore* base_;
 };
 
 /// FNV-1a 64 fingerprint of a canonical length-prefixed dump of every

@@ -8,7 +8,7 @@ ReplicatedKvStore::ReplicatedKvStore(KvStore* base, Deployment* deployment,
                                      UsageMeter* meter,
                                      common::MetricRegistry* metrics,
                                      common::Tracer* tracer)
-    : base_(base),
+    : ForwardingKvStore(base),
       deployment_(deployment),
       meter_(meter),
       tracer_(tracer),
@@ -22,33 +22,6 @@ ReplicatedKvStore::ReplicatedKvStore(KvStore* base, Deployment* deployment,
                                      : metrics->GetHistogram("replica.lag_us")) {
 }
 
-void ReplicatedKvStore::BookReplicaRead(const std::string& table,
-                                        const Usage& before, Micros now) {
-  // Eventually-consistent reads cost half the strongly-consistent price
-  // (as DynamoDB prices them): refund half of whatever read capacity the
-  // primary-path call just metered.  Request counts, latency and bytes
-  // are untouched — a replica moves the same data over the same wire.
-  Usage& u = meter_->mutable_usage();
-  u.ddb_read_units -= 0.5 * (u.ddb_read_units - before.ddb_read_units);
-  u.ddb_ondemand_read_units -=
-      0.5 * (u.ddb_ondemand_read_units - before.ddb_ondemand_read_units);
-  u.sdb_box_hours -= 0.5 * (u.sdb_box_hours - before.sdb_box_hours);
-  u.replica_reads += 1;
-  const Micros mark = deployment_->Watermark(table);
-  const Micros lag = mark == 0 ? 0 : now - mark;
-  if (replica_reads_metric_ != nullptr) replica_reads_metric_->Add(1);
-  if (lag_metric_ != nullptr) lag_metric_->Record(static_cast<double>(lag));
-}
-
-Status ReplicatedKvStore::CreateTable(SimAgent& agent,
-                                      const std::string& table) {
-  return base_->CreateTable(agent, table);
-}
-
-bool ReplicatedKvStore::HasTable(const std::string& table) const {
-  return base_->HasTable(table);
-}
-
 Status ReplicatedKvStore::BatchPut(SimAgent& agent, const std::string& table,
                                    const std::vector<Item>& items,
                                    std::vector<Item>* unprocessed) {
@@ -59,63 +32,58 @@ Status ReplicatedKvStore::BatchPut(SimAgent& agent, const std::string& table,
   return status;
 }
 
+template <typename Call>
+Result<std::vector<Item>> ReplicatedKvStore::Read(
+    SimAgent& agent, const std::string& table,
+    const std::string* replica_key, const Call& call) {
+  if (replica_key == nullptr ||
+      !deployment_->ReplicaReadable(table, agent.now())) {
+    if (primary_reads_metric_ != nullptr) primary_reads_metric_->Add(1);
+    return call();
+  }
+  MeteredSpan span(tracer_, meter_, agent, "replica.read");
+  span.AddAttr("replica", deployment_->ReplicaFor(table, *replica_key));
+  const Usage before = meter_->Snapshot();
+  auto result = call();
+  if (!result.status().ok()) return result;
+  const Micros mark = deployment_->Watermark(table);
+  const Micros lag = mark == 0 ? 0 : agent.now() - mark;
+  span.AddAttr("lag_us", static_cast<double>(lag));
+  // Eventually-consistent reads cost half the strongly-consistent price
+  // (as DynamoDB prices them): refund half of whatever read capacity the
+  // primary-path call just metered.  Request counts, latency and bytes
+  // are untouched — a replica moves the same data over the same wire.
+  Usage& u = meter_->mutable_usage();
+  u.ddb_read_units -= 0.5 * (u.ddb_read_units - before.ddb_read_units);
+  u.ddb_ondemand_read_units -=
+      0.5 * (u.ddb_ondemand_read_units - before.ddb_ondemand_read_units);
+  u.sdb_box_hours -= 0.5 * (u.sdb_box_hours - before.sdb_box_hours);
+  u.replica_reads += 1;
+  if (replica_reads_metric_ != nullptr) replica_reads_metric_->Add(1);
+  if (lag_metric_ != nullptr) lag_metric_->Record(static_cast<double>(lag));
+  return result;
+}
+
 Result<std::vector<Item>> ReplicatedKvStore::Get(SimAgent& agent,
                                                  const std::string& table,
                                                  const std::string& hash_key) {
-  if (!Eligible(agent, table)) {
-    if (primary_reads_metric_ != nullptr) primary_reads_metric_->Add(1);
-    return base_->Get(agent, table, hash_key);
-  }
-  MeteredSpan span(tracer_, meter_, agent, "replica.read");
-  span.AddAttr("replica", deployment_->ReplicaFor(table, hash_key));
-  const Usage before = meter_->Snapshot();
-  auto result = base_->Get(agent, table, hash_key);
-  if (result.status().ok()) {
-    const Micros mark = deployment_->Watermark(table);
-    span.AddAttr("lag_us",
-                 static_cast<double>(mark == 0 ? 0 : agent.now() - mark));
-    BookReplicaRead(table, before, agent.now());
-  }
-  return result;
+  return Read(agent, table, &hash_key,
+              [&] { return base_->Get(agent, table, hash_key); });
 }
 
 Result<std::vector<Item>> ReplicatedKvStore::BatchGet(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
-  if (hash_keys.empty() || !Eligible(agent, table)) {
-    if (primary_reads_metric_ != nullptr) primary_reads_metric_->Add(1);
-    return base_->BatchGet(agent, table, hash_keys);
-  }
-  MeteredSpan span(tracer_, meter_, agent, "replica.read");
-  span.AddAttr("replica", deployment_->ReplicaFor(table, hash_keys.front()));
-  const Usage before = meter_->Snapshot();
-  auto result = base_->BatchGet(agent, table, hash_keys);
-  if (result.status().ok()) {
-    const Micros mark = deployment_->Watermark(table);
-    span.AddAttr("lag_us",
-                 static_cast<double>(mark == 0 ? 0 : agent.now() - mark));
-    BookReplicaRead(table, before, agent.now());
-  }
-  return result;
+  // An empty batch has no key to pick a replica by: the primary serves it.
+  return Read(agent, table, hash_keys.empty() ? nullptr : &hash_keys.front(),
+              [&] { return base_->BatchGet(agent, table, hash_keys); });
 }
 
 Result<std::vector<Item>> ReplicatedKvStore::Scan(SimAgent& agent,
                                                   const std::string& table) {
-  if (!Eligible(agent, table)) {
-    if (primary_reads_metric_ != nullptr) primary_reads_metric_->Add(1);
-    return base_->Scan(agent, table);
-  }
-  MeteredSpan span(tracer_, meter_, agent, "replica.read");
-  span.AddAttr("replica", deployment_->ReplicaFor(table, std::string()));
-  const Usage before = meter_->Snapshot();
-  auto result = base_->Scan(agent, table);
-  if (result.status().ok()) {
-    const Micros mark = deployment_->Watermark(table);
-    span.AddAttr("lag_us",
-                 static_cast<double>(mark == 0 ? 0 : agent.now() - mark));
-    BookReplicaRead(table, before, agent.now());
-  }
-  return result;
+  const std::string whole_table;
+  return Read(agent, table, &whole_table,
+              [&] { return base_->Scan(agent, table); });
 }
 
 Status ReplicatedKvStore::DeleteItem(SimAgent& agent, const std::string& table,

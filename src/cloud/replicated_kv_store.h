@@ -29,7 +29,7 @@ namespace webdex::cloud {
 /// Sits *below* ShardedKvStore (it prices physical tables) and *above*
 /// RetryingKvStore in the stack, so the retry loop and breaker still see
 /// the same table names and jitter streams as an unreplicated run.
-class ReplicatedKvStore final : public KvStore {
+class ReplicatedKvStore final : public ForwardingKvStore {
  public:
   /// `deployment` must outlive the store and have replicas > 0.
   /// `metrics` and `tracer` may be null.
@@ -37,11 +37,6 @@ class ReplicatedKvStore final : public KvStore {
                     common::MetricRegistry* metrics = nullptr,
                     common::Tracer* tracer = nullptr);
 
-  ReplicatedKvStore(const ReplicatedKvStore&) = delete;
-  ReplicatedKvStore& operator=(const ReplicatedKvStore&) = delete;
-
-  Status CreateTable(SimAgent& agent, const std::string& table) override;
-  bool HasTable(const std::string& table) const override;
   Status BatchPut(SimAgent& agent, const std::string& table,
                   const std::vector<Item>& items,
                   std::vector<Item>* unprocessed = nullptr) override;
@@ -56,54 +51,16 @@ class ReplicatedKvStore final : public KvStore {
                     const std::string& hash_key,
                     const std::string& range_key) override;
 
-  const char* Name() const override { return base_->Name(); }
-  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
-  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
-  bool SupportsBinaryValues() const override {
-    return base_->SupportsBinaryValues();
-  }
-  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
-  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
-  uint64_t MaxValuesPerItem() const override {
-    return base_->MaxValuesPerItem();
-  }
-
-  uint64_t StoredBytes(const std::string& table) const override {
-    return base_->StoredBytes(table);
-  }
-  uint64_t OverheadBytes(const std::string& table) const override {
-    return base_->OverheadBytes(table);
-  }
-  uint64_t ItemCount(const std::string& table) const override {
-    return base_->ItemCount(table);
-  }
-  std::vector<std::string> TableNames() const override {
-    return base_->TableNames();
-  }
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override {
-    base_->ForEachItem(fn);
-  }
-  void RestoreItem(const std::string& table, const Item& item) override {
-    base_->RestoreItem(table, item);
-  }
-  Status RestoreTable(const std::string& table) override {
-    return base_->RestoreTable(table);
-  }
-  bool Empty() const override { return base_->Empty(); }
-
  private:
-  /// True when the read that starts now may be served by a replica.
-  bool Eligible(const SimAgent& agent, const std::string& table) const {
-    return deployment_->ReplicaReadable(table, agent.now());
-  }
-  /// Books a successful replica read: refunds half the read-unit delta
-  /// since `before`, counts it, and records the staleness histogram.
-  void BookReplicaRead(const std::string& table, const Usage& before,
-                       Micros now);
+  /// One read verb: `call` (the base store's read) served by a replica —
+  /// a `replica.read` span with `replica`/`lag_us` attrs and half-price
+  /// read units — when the table's watermark has aged past the lag, else
+  /// by the primary.  A null `replica_key` always reads the primary.
+  template <typename Call>
+  Result<std::vector<Item>> Read(SimAgent& agent, const std::string& table,
+                                 const std::string* replica_key,
+                                 const Call& call);
 
-  KvStore* base_;
   Deployment* deployment_;
   UsageMeter* meter_;
   common::Tracer* tracer_ = nullptr;

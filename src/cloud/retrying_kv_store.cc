@@ -8,7 +8,7 @@ RetryingKvStore::RetryingKvStore(KvStore* base,
                                  CircuitBreaker* breaker,
                                  common::MetricRegistry* metrics,
                                  common::Tracer* tracer)
-    : base_(base),
+    : ForwardingKvStore(base),
       policy_(policy),
       seed_(seed),
       meter_(meter),
@@ -82,10 +82,6 @@ Status RetryingKvStore::CreateTable(SimAgent& agent,
                                     const std::string& table) {
   return Retry(agent, "retry:createtable:", "attempt.create_table", table,
                [&] { return base_->CreateTable(agent, table); });
-}
-
-bool RetryingKvStore::HasTable(const std::string& table) const {
-  return base_->HasTable(table);
 }
 
 Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,

@@ -35,10 +35,11 @@ namespace webdex::cloud {
 /// retriable outcomes count against a table's health; a NotFound proves
 /// the service is up.
 ///
-/// The capability queries forward straight to the wrapped store (they are
-/// pure), so the decorator is safe to hand to the host-parallel extraction
-/// pipeline wherever the raw store was.
-class RetryingKvStore final : public KvStore {
+/// The capability queries, accounting and host-side tooling pass straight
+/// through ForwardingKvStore (they are pure), so the decorator is safe to
+/// hand to the host-parallel extraction pipeline wherever the raw store
+/// was.
+class RetryingKvStore final : public ForwardingKvStore {
  public:
   /// `breaker` may be null (no breaker gating).  `metrics` mirrors
   /// attempt/retry counts under `cloud.retry.*`; `tracer` (when enabled)
@@ -50,15 +51,11 @@ class RetryingKvStore final : public KvStore {
                   common::MetricRegistry* metrics = nullptr,
                   common::Tracer* tracer = nullptr);
 
-  RetryingKvStore(const RetryingKvStore&) = delete;
-  RetryingKvStore& operator=(const RetryingKvStore&) = delete;
-
   /// Routed through CallWithRetry like the data-plane verbs: transient
   /// create faults are retried under the breaker-gated backoff schedule
   /// instead of bypassing the whole resilience stack (the pre-refactor
   /// bug this fixes).  AlreadyExists is terminal, not retriable.
   Status CreateTable(SimAgent& agent, const std::string& table) override;
-  bool HasTable(const std::string& table) const override;
   /// Retries transient page errors and re-batches unprocessed items.  If
   /// items still remain after max_attempts rounds, returns kUnavailable
   /// with the survivors in `*unprocessed` (when non-null) so the caller
@@ -76,43 +73,6 @@ class RetryingKvStore final : public KvStore {
   Status DeleteItem(SimAgent& agent, const std::string& table,
                     const std::string& hash_key,
                     const std::string& range_key) override;
-
-  const char* Name() const override { return base_->Name(); }
-  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
-  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
-  bool SupportsBinaryValues() const override {
-    return base_->SupportsBinaryValues();
-  }
-  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
-  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
-  uint64_t MaxValuesPerItem() const override {
-    return base_->MaxValuesPerItem();
-  }
-
-  uint64_t StoredBytes(const std::string& table) const override {
-    return base_->StoredBytes(table);
-  }
-  uint64_t OverheadBytes(const std::string& table) const override {
-    return base_->OverheadBytes(table);
-  }
-  uint64_t ItemCount(const std::string& table) const override {
-    return base_->ItemCount(table);
-  }
-  std::vector<std::string> TableNames() const override {
-    return base_->TableNames();
-  }
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override {
-    base_->ForEachItem(fn);
-  }
-  void RestoreItem(const std::string& table, const Item& item) override {
-    base_->RestoreItem(table, item);
-  }
-  Status RestoreTable(const std::string& table) override {
-    return base_->RestoreTable(table);
-  }
-  bool Empty() const override { return base_->Empty(); }
 
   const common::RetryPolicy& policy() const { return policy_; }
   CircuitBreaker* breaker() const { return breaker_; }
@@ -134,7 +94,6 @@ class RetryingKvStore final : public KvStore {
   auto Retry(SimAgent& agent, const char* site, const char* span_name,
              const std::string& table, const Call& call) -> decltype(call());
 
-  KvStore* base_;
   common::RetryPolicy policy_;
   uint64_t seed_;
   UsageMeter* meter_;

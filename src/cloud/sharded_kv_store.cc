@@ -10,7 +10,7 @@ ShardedKvStore::ShardedKvStore(KvStore* base, Deployment* deployment,
                                UsageMeter* meter,
                                common::MetricRegistry* metrics,
                                common::Tracer* tracer)
-    : base_(base),
+    : ForwardingKvStore(base),
       deployment_(deployment),
       meter_(meter),
       metrics_(metrics),
@@ -192,28 +192,26 @@ Status ShardedKvStore::DeleteItem(SimAgent& agent, const std::string& logical,
                            hash_key, range_key);
 }
 
-uint64_t ShardedKvStore::StoredBytes(const std::string& logical) const {
+uint64_t ShardedKvStore::SumOverShards(
+    const std::string& logical,
+    uint64_t (KvStore::*stat)(const std::string&) const) const {
   uint64_t total = 0;
   for (const std::string& physical : deployment_->PhysicalTables(logical)) {
-    total += base_->StoredBytes(physical);
+    total += (base_->*stat)(physical);
   }
   return total;
+}
+
+uint64_t ShardedKvStore::StoredBytes(const std::string& logical) const {
+  return SumOverShards(logical, &KvStore::StoredBytes);
 }
 
 uint64_t ShardedKvStore::OverheadBytes(const std::string& logical) const {
-  uint64_t total = 0;
-  for (const std::string& physical : deployment_->PhysicalTables(logical)) {
-    total += base_->OverheadBytes(physical);
-  }
-  return total;
+  return SumOverShards(logical, &KvStore::OverheadBytes);
 }
 
 uint64_t ShardedKvStore::ItemCount(const std::string& logical) const {
-  uint64_t total = 0;
-  for (const std::string& physical : deployment_->PhysicalTables(logical)) {
-    total += base_->ItemCount(physical);
-  }
-  return total;
+  return SumOverShards(logical, &KvStore::ItemCount);
 }
 
 std::vector<std::string> ShardedKvStore::TableNames() const {

@@ -40,16 +40,13 @@ namespace webdex::cloud {
 /// retries), so retry jitter streams, breaker resources and fault sites
 /// are all keyed by physical table names — shard 3 of idx-lup can brown
 /// out while its siblings stay healthy.
-class ShardedKvStore final : public KvStore {
+class ShardedKvStore final : public ForwardingKvStore {
  public:
   /// `deployment` must outlive the store and have shards > 1.
   /// `metrics` and `tracer` may be null.
   ShardedKvStore(KvStore* base, Deployment* deployment, UsageMeter* meter,
                  common::MetricRegistry* metrics = nullptr,
                  common::Tracer* tracer = nullptr);
-
-  ShardedKvStore(const ShardedKvStore&) = delete;
-  ShardedKvStore& operator=(const ShardedKvStore&) = delete;
 
   /// Creates every physical shard of `logical` (first error wins).
   Status CreateTable(SimAgent& agent, const std::string& logical) override;
@@ -68,18 +65,6 @@ class ShardedKvStore final : public KvStore {
                     const std::string& hash_key,
                     const std::string& range_key) override;
 
-  const char* Name() const override { return base_->Name(); }
-  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
-  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
-  bool SupportsBinaryValues() const override {
-    return base_->SupportsBinaryValues();
-  }
-  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
-  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
-  uint64_t MaxValuesPerItem() const override {
-    return base_->MaxValuesPerItem();
-  }
-
   /// Storage accounting sums over the logical table's physical shards.
   uint64_t StoredBytes(const std::string& logical) const override;
   uint64_t OverheadBytes(const std::string& logical) const override;
@@ -94,13 +79,15 @@ class ShardedKvStore final : public KvStore {
       const override;
   void RestoreItem(const std::string& logical, const Item& item) override;
   Status RestoreTable(const std::string& logical) override;
-  bool Empty() const override { return base_->Empty(); }
 
  private:
   /// Per-physical-shard op counter `service.<svc>.<op>.s<shard>.count`.
   void CountOp(const char* op, int shard);
+  /// Sums the accounting query `stat` over `logical`'s physical shards.
+  uint64_t SumOverShards(
+      const std::string& logical,
+      uint64_t (KvStore::*stat)(const std::string&) const) const;
 
-  KvStore* base_;
   Deployment* deployment_;
   UsageMeter* meter_;
   common::MetricRegistry* metrics_ = nullptr;

@@ -106,36 +106,27 @@ std::vector<PlannedPath> QueryPlanner::CandidatesFor(
         context_.options, context_.stats);
     candidates.push_back(std::move(planned));
   };
-  switch (context_.strategy) {
-    case index::StrategyKind::kLU:
-      add("LU", index::StrategyKind::kLU, {"idx-lu"});
-      break;
-    case index::StrategyKind::kLUP:
-      add("LUP", index::StrategyKind::kLUP, {"idx-lup"});
-      break;
-    case index::StrategyKind::kLUI:
-      add("LUI", index::StrategyKind::kLUI, {"idx-lui"});
-      break;
-    case index::StrategyKind::k2LUPI:
-      if (context_.force == PlannerForce::kOff) {
-        // The canonical path: the Figure 5 semijoin over both tables.
-        add("2LUPI", index::StrategyKind::k2LUPI,
-            {"idx-2lupi-paths", "idx-2lupi-ids"});
-        break;
-      }
-      // Both materialized tables are first-class alternatives; the cost
-      // model decides per pattern which one runs (the other is never
-      // billed).
-      add("2LUPI/lup", index::StrategyKind::kLUP, {"idx-2lupi-paths"});
-      add("2LUPI/lui", index::StrategyKind::kLUI, {"idx-2lupi-ids"});
-      if (context_.force == PlannerForce::kLup) {
-        candidates[1].viable = false;
-        candidates[1].note = "disabled by force-lup";
-      } else if (context_.force == PlannerForce::kLui) {
-        candidates[0].viable = false;
-        candidates[0].note = "disabled by force-lui";
-      }
-      break;
+  const index::StrategyKind strategy = context_.strategy;
+  if (strategy != index::StrategyKind::k2LUPI ||
+      context_.force == PlannerForce::kOff) {
+    // The canonical path: the strategy's own look-up over all its tables
+    // (for 2LUPI the Figure 5 semijoin over both).
+    add(index::StrategyKindName(strategy), strategy,
+        index::StrategyTableNames(strategy));
+    return candidates;
+  }
+  // Both materialized 2LUPI tables are first-class alternatives; the cost
+  // model decides per pattern which one runs (the other is never billed).
+  const std::vector<index::TableLayout>& layout =
+      index::StrategyLayout(strategy);
+  add("2LUPI/lup", index::StrategyKind::kLUP, {layout[0].table});
+  add("2LUPI/lui", index::StrategyKind::kLUI, {layout[1].table});
+  if (context_.force == PlannerForce::kLup) {
+    candidates[1].viable = false;
+    candidates[1].note = "disabled by force-lup";
+  } else if (context_.force == PlannerForce::kLui) {
+    candidates[0].viable = false;
+    candidates[0].note = "disabled by force-lui";
   }
   return candidates;
 }

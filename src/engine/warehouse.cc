@@ -17,15 +17,6 @@ using cloud::Instance;
 using cloud::Micros;
 using cloud::WorkerStep;
 
-namespace {
-
-/// How a delivered task ended: acknowledged after success (kOk), left in
-/// flight for redelivery after an unabsorbed transient failure (kAbandon),
-/// or acknowledged without effect because it can never succeed (kPoison).
-enum class TaskOutcome { kOk, kAbandon, kPoison };
-
-}  // namespace
-
 Warehouse::Warehouse(cloud::CloudEnv* env, const WarehouseConfig& config)
     : env_(env),
       config_(config),
@@ -253,59 +244,80 @@ void Warehouse::UnregisterDocument(const std::string& uri) {
       document_uris_.end());
 }
 
-WorkerStep Warehouse::IndexerStep(Instance& instance,
-                                  ExtractionPipeline* pipeline,
-                                  IndexingRunReport* report) {
+Warehouse::TaskOutcome Warehouse::FailedWith(const Status& status) {
+  return status.IsRetriable() ? TaskOutcome::kAbandon : TaskOutcome::kPoison;
+}
+
+template <typename Body>
+WorkerStep Warehouse::RunTask(Instance& instance, const TaskQueue& task,
+                              IndexingRunReport* report, const Body& body) {
   auto& sqs = env_->sqs();
-  // Extraction-pipeline backpressure (docs/OVERLOAD.md): a deep loader
-  // queue plus fresh organic throttles means the index store is already
-  // shedding — defer this poll so in-flight retries pace out instead of
-  // piling more writes on.
-  const Micros backoff = admission_.IndexerBackoff(
-      instance.now(), sqs.Count(config_.loader_queue),
-      env_->meter().usage().throttled_requests);
-  if (backoff > 0) {
-    WorkerStep step;
-    step.processed = false;
-    step.retry_at = instance.now() + backoff;
-    return step;
-  }
-  auto received = sqs.Receive(instance, config_.loader_queue);
+  auto received = sqs.Receive(instance, task.queue);
   if (!received.ok() || !received.value().has_value()) {
-    WorkerStep step;
-    step.processed = false;
-    if (!sqs.Drained(config_.loader_queue)) {
-      auto next = sqs.NextDeliverableAt(config_.loader_queue);
-      step.retry_at = next.has_value() ? *next : -1;
+    WorkerStep idle;
+    if (!sqs.Drained(task.queue)) {
+      auto next = sqs.NextDeliverableAt(task.queue);
+      idle.retry_at = next.has_value() ? *next : -1;
     }
-    return step;
+    return idle;
   }
   const cloud::ReceivedMessage& msg = **received;
-  // One span per delivered indexing task (redeliveries are separate
-  // spans: each one bills its own requests and VM time).
+  const WorkerStep processed{/*processed=*/true};
+  // One span per delivered task (redeliveries are separate spans: each
+  // one bills its own requests and VM time).
   cloud::MeteredSpan task_span(&env_->tracer(), &env_->meter(), instance,
-                               "index.task");
+                               task.span);
   task_span.AddAttr("delivery", msg.delivery_count);
-  if (msg.delivery_count > 1) report->redeliveries += 1;
-  if (config_.max_deliveries > 0 &&
-      msg.delivery_count > config_.max_deliveries) {
+  if (report != nullptr && msg.delivery_count > 1) report->redeliveries += 1;
+  const int max_deliveries = config_.max_deliveries;  // <= 0: never
+  if (max_deliveries > 0 && msg.delivery_count > max_deliveries) {
     // Dead-letter: a task that keeps coming back is dropped so one poison
     // message cannot wedge the fleet forever.  The message is parked on
     // the dead-letter queue (tagged with its origin) for later
     // inspection or re-drive (DrainDeadLetters).
     env_->meter().mutable_usage().dead_lettered += 1;
-    report->dead_lettered += 1;
+    if (report != nullptr) report->dead_lettered += 1;
     if (!config_.dead_letter_queue.empty()) {
-      (void)RetryCall(instance, "ix.dlq", [&] {
+      (void)RetryCall(instance, task.dlq_site, [&] {
         return sqs.Send(instance, config_.dead_letter_queue,
-                        config_.loader_queue + "\n" + msg.body);
+                        task.queue + "\n" + msg.body);
       });
     }
-    (void)sqs.Delete(instance, config_.loader_queue, msg.receipt);
-    WorkerStep step;
-    step.processed = true;
-    return step;
+    (void)sqs.Delete(instance, task.queue, msg.receipt);
+    return processed;
   }
+  const TaskOutcome outcome = body(msg, task_span);
+  // An instance that crashed mid-task does nothing more.  Otherwise fault
+  // injection may crash it here, losing the delete: the message lease
+  // expires and another instance redoes the work (Section 3).  A
+  // transient failure the retry policy could not absorb keeps the
+  // message in flight the same way, so the task is redelivered.
+  if (outcome == TaskOutcome::kCrashed ||
+      ShouldCrash(cloud::CrashPoint::kBeforeDelete, instance.id(),
+                  msg.body) ||
+      outcome == TaskOutcome::kAbandon) {
+    return processed;
+  }
+  // Completed and malformed tasks are both acknowledged (the latter is
+  // poison-pill removal).
+  (void)RetryCall(instance, task.ack_site, [&] {
+    return sqs.Delete(instance, task.queue, msg.receipt);
+  });
+  return processed;
+}
+
+Warehouse::TaskOutcome Warehouse::PutMetaRow(Instance& instance,
+                                             const LoadRequest& request) {
+  const Status put = index_store().BatchPut(
+      instance, index::kMetaTable,
+      {index::MakeMetaItem(request.uri, request.generation,
+                           /*tombstoned=*/request.op == LoadOp::kDelete)});
+  return put.ok() ? TaskOutcome::kOk : FailedWith(put);
+}
+
+Warehouse::TaskOutcome Warehouse::IndexerStep(
+    Instance& instance, const cloud::ReceivedMessage& msg,
+    ExtractionPipeline* pipeline, IndexingRunReport* report) {
   Micros lease_anchor = instance.now();
 
   // Phase 1: fetch, parse, extract ("extraction time" in Table 4).  The
@@ -332,8 +344,7 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
                             request.value().uri);
     });
     if (!text.ok()) {
-      outcome = text.status().IsRetriable() ? TaskOutcome::kAbandon
-                                            : TaskOutcome::kPoison;
+      outcome = FailedWith(text.status());
     } else {
       const std::string& xml_text = text.value();
       const auto& work = instance.work();
@@ -380,7 +391,6 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
   const Micros upload_start = instance.now();
   cloud::MeteredSpan upload_span(&env_->tracer(), &env_->meter(), instance,
                                  "upload");
-  bool crashed = false;
   if (outcome == TaskOutcome::kOk && !is_delete) {
     const cloud::Usage before = env_->meter().Snapshot();
     for (const auto& batch : extraction->items) {
@@ -390,30 +400,24 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
       const UploadResult put =
           PutItemsPaged(instance, batch.table, batch.items, msg.body);
       if (put.crashed) {
-        crashed = true;
+        // Mid-upload crash: the half-written index is left as is; re-puts
+        // on redelivery replace the same (hash, range) keys, so the redone
+        // task converges to identical index contents.
+        outcome = TaskOutcome::kCrashed;
         break;
       }
       if (!put.status.ok()) {
-        outcome = put.status.IsRetriable() ? TaskOutcome::kAbandon
-                                           : TaskOutcome::kPoison;
+        outcome = FailedWith(put.status);
         break;
       }
     }
-    if (!crashed && outcome == TaskOutcome::kOk &&
+    if (outcome == TaskOutcome::kOk &&
         request.value().op == LoadOp::kUpsert) {
       // Once every posting page has landed, append the generation's meta
       // row — the durable record that makes the new generation the live
       // one for rebuilt readers.  Append-only: a redelivered lower
       // generation can never clobber a higher one.
-      const Status put = index_store().BatchPut(
-          instance, index::kMetaTable,
-          {index::MakeMetaItem(request.value().uri,
-                               request.value().generation,
-                               /*tombstoned=*/false)});
-      if (!put.ok()) {
-        outcome = put.IsRetriable() ? TaskOutcome::kAbandon
-                                    : TaskOutcome::kPoison;
-      }
+      outcome = PutMetaRow(instance, request.value());
     }
     const cloud::Usage delta = env_->meter().Snapshot() - before;
     report->index_put_units += delta.ddb_write_units + delta.sdb_put_requests;
@@ -425,28 +429,12 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
     // higher generation) may already have re-put it, so reclaiming the
     // storage is compaction's call — made on the *folded* generation
     // state — never this task's.
-    const Status put = index_store().BatchPut(
-        instance, index::kMetaTable,
-        {index::MakeMetaItem(request.value().uri, request.value().generation,
-                             /*tombstoned=*/true)});
-    if (!put.ok()) {
-      outcome = put.IsRetriable() ? TaskOutcome::kAbandon
-                                  : TaskOutcome::kPoison;
-    }
+    outcome = PutMetaRow(instance, request.value());
   }
   upload_span.End();
   report->upload_micros += instance.now() - upload_start;
   MaybeRenewLease(instance, config_.loader_queue, msg.receipt,
                   &lease_anchor);
-
-  if (crashed) {
-    // Mid-upload crash: the half-written index is left as is; re-puts on
-    // redelivery replace the same (hash, range) keys, so the redone task
-    // converges to identical index contents.
-    WorkerStep step;
-    step.processed = true;
-    return step;
-  }
 
   if (outcome == TaskOutcome::kOk && is_delete) {
     // Host-side delete commit — all idempotent under redelivery.
@@ -477,29 +465,7 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
     }
   }
 
-  // Fault injection: a crash here loses the delete; the message lease
-  // expires and another instance redoes the work (Section 3).
-  if (ShouldCrash(cloud::CrashPoint::kBeforeDelete, instance.id(),
-                  msg.body)) {
-    WorkerStep step;
-    step.processed = true;
-    return step;
-  }
-  if (outcome == TaskOutcome::kAbandon) {
-    // Transient failure the retry policy could not absorb: keep the
-    // message in flight; its lease expires and the task is redelivered.
-    WorkerStep step;
-    step.processed = true;
-    return step;
-  }
-  // Completed and malformed tasks are both acknowledged (the latter is
-  // poison-pill removal).
-  (void)RetryCall(instance, "ix.ack", [&] {
-    return sqs.Delete(instance, config_.loader_queue, msg.receipt);
-  });
-  WorkerStep step;
-  step.processed = true;
-  return step;
+  return outcome;
 }
 
 Warehouse::UploadResult Warehouse::PutItemsPaged(
@@ -583,7 +549,21 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
   cluster_.SyncClocks(front_end_.now());
   report.makespan = cluster_.RunUntilDrained(
       [this, &report, &pipeline](Instance& instance) {
-        return IndexerStep(instance, pipeline.get(), &report);
+        // Extraction-pipeline backpressure (docs/OVERLOAD.md): a deep
+        // loader queue plus fresh organic throttles means the index store
+        // is already shedding — defer this poll so in-flight retries pace
+        // out instead of piling more writes on.
+        const Micros backoff = admission_.IndexerBackoff(
+            instance.now(), env_->sqs().Count(config_.loader_queue),
+            env_->meter().usage().throttled_requests);
+        if (backoff > 0) return WorkerStep{false, instance.now() + backoff};
+        return RunTask(
+            instance,
+            {config_.loader_queue, "index.task", "ix.dlq", "ix.ack"},
+            &report,
+            [&](const cloud::ReceivedMessage& msg, cloud::MeteredSpan&) {
+              return IndexerStep(instance, msg, pipeline.get(), &report);
+            });
       },
       front_end_.now());
   // Bill the fleet's rented time.
@@ -599,14 +579,6 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
   // MetricRegistry contract requires.
   index::PublishInternMetrics(&env_->metrics());
   return report;
-}
-
-Status Warehouse::ProcessQuery(Instance& instance,
-                               const QueryRequest& request,
-                               uint64_t receipt, Micros* lease_anchor,
-                               QueryOutcome* outcome) {
-  QueryExecutor executor(this);
-  return executor.Run(instance, request, receipt, lease_anchor, outcome);
 }
 
 QueryPlanner Warehouse::MakePlanner() {
@@ -650,119 +622,61 @@ Result<std::string> Warehouse::ExplainQuery(const std::string& query_text) {
   return logical.ToString() + plan.ToString();
 }
 
-WorkerStep Warehouse::QueryStep(Instance& instance,
-                                std::map<uint64_t, QueryOutcome>* outcomes) {
-  auto& sqs = env_->sqs();
-  auto received = sqs.Receive(instance, config_.query_queue);
-  if (!received.ok() || !received.value().has_value()) {
-    WorkerStep step;
-    step.processed = false;
-    if (!sqs.Drained(config_.query_queue)) {
-      auto next = sqs.NextDeliverableAt(config_.query_queue);
-      step.retry_at = next.has_value() ? *next : -1;
-    }
-    return step;
-  }
-  const cloud::ReceivedMessage& msg = **received;
-  // One span per delivered query task, like index.task above.
-  cloud::MeteredSpan task_span(&env_->tracer(), &env_->meter(), instance,
-                               "query");
-  task_span.AddAttr("delivery", msg.delivery_count);
-  if (config_.max_deliveries > 0 &&
-      msg.delivery_count > config_.max_deliveries) {
-    env_->meter().mutable_usage().dead_lettered += 1;
-    if (!config_.dead_letter_queue.empty()) {
-      (void)RetryCall(instance, "qp.dlq", [&] {
-        return sqs.Send(instance, config_.dead_letter_queue,
-                        config_.query_queue + "\n" + msg.body);
-      });
-    }
-    (void)sqs.Delete(instance, config_.query_queue, msg.receipt);
-    WorkerStep step;
-    step.processed = true;
-    return step;
-  }
+Warehouse::TaskOutcome Warehouse::QueryStep(
+    Instance& instance, const cloud::ReceivedMessage& msg,
+    cloud::MeteredSpan& task_span,
+    std::map<uint64_t, QueryOutcome>* outcomes) {
   Micros lease_anchor = instance.now();
-
   auto request = QueryRequest::Parse(msg.body);
-  TaskOutcome task = request.ok() ? TaskOutcome::kOk : TaskOutcome::kPoison;
-  if (task == TaskOutcome::kOk) {
-    task_span.AddAttr("query_id",
-                      static_cast<double>(request.value().id));
-    // Admission gate (docs/OVERLOAD.md): may defer (advancing this
-    // instance's virtual clock within the deadline budget) or shed.  A
-    // shed query does zero index/file-store work — only the SQS response
-    // below is billed — and the front end learns its fate immediately.
-    const AdmissionDecision decision = admission_.Admit(
-        instance, request.value().tenant, request.value().id);
-    const Micros admitted_at = instance.now();
-    const uint64_t throttles_before =
-        env_->meter().usage().throttled_requests;
-    QueryOutcome outcome;
-    Status processed = Status::OK();
-    if (decision.admitted) {
-      processed = ProcessQuery(instance, request.value(), msg.receipt,
-                               &lease_anchor, &outcome);
-      admission_.OnCompleted(
-          admitted_at, instance.now(),
-          env_->meter().usage().throttled_requests > throttles_before);
-    } else {
-      task_span.AddAttr("shed", 1);
-      outcome.id = request.value().id;
-      outcome.query_text = request.value().query_text;
-      outcome.shed = true;
-    }
-    outcome.tenant = request.value().tenant;
-    if (processed.ok()) {
-      QueryResponse response;
-      response.id = request.value().id;
-      if (outcome.shed) {
-        response.shed = true;
-      } else {
-        response.result_key = StrFormat(
-            "result-%llu.xml",
-            static_cast<unsigned long long>(request.value().id));
-        response.row_count = outcome.result.rows.size();
-      }
-      cloud::MeteredSpan respond_span(&env_->tracer(), &env_->meter(),
-                                      instance, "respond");
-      const Status sent = RetryCall(instance, "qp.respond", [&] {
-        return sqs.Send(instance, config_.response_queue,
-                        response.Serialize());
-      });
-      respond_span.End();
-      if (sent.ok()) {
-        (*outcomes)[outcome.id] = std::move(outcome);
-      } else {
-        // The response never reached the front end: redo the whole task
-        // on redelivery (a duplicate response later is harmless — the
-        // front end dedups by query id).
-        task = sent.IsRetriable() ? TaskOutcome::kAbandon
-                                  : TaskOutcome::kPoison;
-      }
-    } else {
-      task = processed.IsRetriable() ? TaskOutcome::kAbandon
-                                     : TaskOutcome::kPoison;
-    }
+  if (!request.ok()) return TaskOutcome::kPoison;
+  task_span.AddAttr("query_id", static_cast<double>(request.value().id));
+  // Admission gate (docs/OVERLOAD.md): may defer (advancing this
+  // instance's virtual clock within the deadline budget) or shed.  A
+  // shed query does zero index/file-store work — only the SQS response
+  // below is billed — and the front end learns its fate immediately.
+  const AdmissionDecision decision = admission_.Admit(
+      instance, request.value().tenant, request.value().id);
+  const Micros admitted_at = instance.now();
+  const uint64_t throttles_before = env_->meter().usage().throttled_requests;
+  QueryOutcome outcome;
+  if (decision.admitted) {
+    // The query itself runs in the QueryExecutor layer
+    // (engine/query_executor.h); the lease renews across its phases.
+    const Status processed = QueryExecutor(this).Run(
+        instance, request.value(), msg.receipt, &lease_anchor, &outcome);
+    admission_.OnCompleted(
+        admitted_at, instance.now(),
+        env_->meter().usage().throttled_requests > throttles_before);
+    if (!processed.ok()) return FailedWith(processed);
+  } else {
+    task_span.AddAttr("shed", 1);
+    outcome.id = request.value().id;
+    outcome.query_text = request.value().query_text;
+    outcome.shed = true;
   }
-
-  if (ShouldCrash(cloud::CrashPoint::kBeforeDelete, instance.id(),
-                  msg.body)) {
-    WorkerStep step;
-    step.processed = true;
-    return step;
+  outcome.tenant = request.value().tenant;
+  QueryResponse response;
+  response.id = request.value().id;
+  response.shed = outcome.shed;
+  if (!outcome.shed) {
+    response.result_key =
+        StrFormat("result-%llu.xml",
+                  static_cast<unsigned long long>(request.value().id));
+    response.row_count = outcome.result.rows.size();
   }
-  if (task == TaskOutcome::kAbandon) {
-    WorkerStep step;
-    step.processed = true;
-    return step;
-  }
-  (void)RetryCall(instance, "qp.ack", [&] {
-    return sqs.Delete(instance, config_.query_queue, msg.receipt);
+  cloud::MeteredSpan respond_span(&env_->tracer(), &env_->meter(), instance,
+                                  "respond");
+  const Status sent = RetryCall(instance, "qp.respond", [&] {
+    return env_->sqs().Send(instance, config_.response_queue,
+                            response.Serialize());
   });
-  WorkerStep step;
-  step.processed = true;
-  return step;
+  respond_span.End();
+  // A response that never reached the front end redoes the whole task on
+  // redelivery (a duplicate response later is harmless — the front end
+  // dedups by query id).
+  if (!sent.ok()) return FailedWith(sent);
+  (*outcomes)[outcome.id] = std::move(outcome);
+  return TaskOutcome::kOk;
 }
 
 Result<QueryRunReport> Warehouse::ExecuteQueries(
@@ -800,7 +714,13 @@ Result<QueryRunReport> Warehouse::ExecuteQueries(
   cluster_.SyncClocks(front_end_.now());
   const Micros makespan = cluster_.RunUntilDrained(
       [this, &outcomes](Instance& instance) {
-        return QueryStep(instance, &outcomes);
+        return RunTask(
+            instance, {config_.query_queue, "query", "qp.dlq", "qp.ack"},
+            /*report=*/nullptr,
+            [&](const cloud::ReceivedMessage& msg,
+                cloud::MeteredSpan& task_span) {
+              return QueryStep(instance, msg, task_span, &outcomes);
+            });
       },
       front_end_.now());
   for (auto& inst : cluster_.instances()) {

@@ -432,18 +432,46 @@ class Warehouse {
                              const std::vector<cloud::Item>& items,
                              const std::string& task_key);
 
-  cloud::WorkerStep IndexerStep(cloud::Instance& instance,
-                                ExtractionPipeline* pipeline,
-                                IndexingRunReport* report);
-  cloud::WorkerStep QueryStep(cloud::Instance& instance,
-                              std::map<uint64_t, QueryOutcome>* outcomes);
+  /// How a delivered task ended: acknowledged after success (kOk), left
+  /// in flight for redelivery after an unabsorbed transient failure
+  /// (kAbandon), acknowledged without effect because it can never succeed
+  /// (kPoison), or cut short by an instance crash mid-task (kCrashed:
+  /// neither acknowledged nor abandoned — the lease just lapses).
+  enum class TaskOutcome { kOk, kAbandon, kPoison, kCrashed };
+  /// kAbandon for a retriable failure, kPoison otherwise.
+  static TaskOutcome FailedWith(const Status& status);
 
-  // Body of one query task, after the message has been received —
-  // delegates to the QueryExecutor layer (engine/query_executor.h).
-  // `receipt`/`lease_anchor` let long phases renew the message lease.
-  Status ProcessQuery(cloud::Instance& instance, const QueryRequest& request,
-                      uint64_t receipt, cloud::Micros* lease_anchor,
-                      QueryOutcome* outcome);
+  /// The names one queue's worker loop runs under.
+  struct TaskQueue {
+    const std::string& queue;
+    const char* span;      // task span
+    const char* dlq_site;  // RetryCall site of the dead-letter send
+    const char* ack_site;  // RetryCall site of the ack
+  };
+  /// One worker step over `task.queue`, the whole task lifecycle around
+  /// `body(msg, task_span)`: the receive (or an idle step with its
+  /// `retry_at`), the task span with its `delivery` attr, dead-lettering
+  /// past max_deliveries, and — inside the span — the kBeforeDelete crash
+  /// point, abandon, or ack of the TaskOutcome the body returns.
+  /// `report` (may be null) counts redeliveries and dead letters.
+  template <typename Body>
+  cloud::WorkerStep RunTask(cloud::Instance& instance, const TaskQueue& task,
+                            IndexingRunReport* report, const Body& body);
+  /// The indexing task body: fetch, parse and extract, then upload the
+  /// items and the meta row (or, for a delete, the tombstone only).
+  TaskOutcome IndexerStep(cloud::Instance& instance,
+                          const cloud::ReceivedMessage& msg,
+                          ExtractionPipeline* pipeline,
+                          IndexingRunReport* report);
+  /// The query task body: admission, the query itself, and the response.
+  TaskOutcome QueryStep(cloud::Instance& instance,
+                        const cloud::ReceivedMessage& msg,
+                        cloud::MeteredSpan& task_span,
+                        std::map<uint64_t, QueryOutcome>* outcomes);
+  /// Appends `request`'s generation row to the meta table: a tombstone
+  /// for a delete, the new live generation for an upsert.
+  TaskOutcome PutMetaRow(cloud::Instance& instance,
+                         const LoadRequest& request);
 
   /// Builds the cost-based planner over this warehouse's index store,
   /// corpus statistics, pricing and breaker (engine/query_planner.h).

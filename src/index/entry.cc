@@ -267,6 +267,9 @@ Result<std::vector<xml::NodeId>> DecodeIds(std::string_view blob) {
     WEBDEX_ASSIGN_OR_RETURN(uint64_t pre, GetVarint64(blob, &offset));
     WEBDEX_ASSIGN_OR_RETURN(uint64_t post, GetVarint64(blob, &offset));
     WEBDEX_ASSIGN_OR_RETURN(uint64_t depth, GetVarint64(blob, &offset));
+    if (pre > UINT32_MAX || post > UINT32_MAX || depth > UINT32_MAX) {
+      return Status::Corruption("node ID component exceeds 32 bits");
+    }
     id.pre = static_cast<uint32_t>(pre);
     id.post = static_cast<uint32_t>(post);
     id.depth = static_cast<uint32_t>(depth);
@@ -320,7 +323,7 @@ Result<std::vector<std::string>> DecodePaths(std::string_view blob) {
     if (shared > previous.size()) {
       return Status::Corruption("front-coded prefix exceeds predecessor");
     }
-    if (offset + suffix > blob.size()) {
+    if (suffix > blob.size() - offset) {
       return Status::Corruption("truncated front-coded path");
     }
     std::string path = previous.substr(0, shared);

@@ -179,171 +179,85 @@ void EntryPathViews(const DocIndex& index, const DocIndex::Entry& entry,
   }
 }
 
-// ---------------------------------------------------------------------------
-// The four strategies
-// ---------------------------------------------------------------------------
-
-class LuStrategy final : public IndexingStrategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::kLU; }
-  std::vector<std::string> TableNames() const override { return {"idx-lu"}; }
-
-  Result<std::vector<TableItems>> ExtractItems(
-      const xml::Document& doc, const DocIndex& index,
-      const ExtractOptions& options, const KvStore& store, Rng& uuid_rng,
-      ExtractStats* stats) const override {
-    TableItems out{"idx-lu", {}};
-    const std::vector<std::string_view> empty_value{""};
-    for (const auto& entry : index.entries()) {
-      // I_LU(d) = {(key(n), (URI(d), epsilon))} — Table 2.
-      WEBDEX_ASSIGN_OR_RETURN(
-          std::vector<Item> items,
-          BuildEntryItems(store, uuid_rng, index.key(entry), doc.uri(),
-                          options.generation, empty_value));
-      for (auto& item : items) {
-        stats->payload_bytes += item.SizeBytes();
-        out.items.push_back(std::move(item));
-      }
-      stats->entries += 1;
-    }
-    stats->items += out.items.size();
-    std::vector<TableItems> result;
-    result.push_back(std::move(out));
-    return result;
-  }
-};
-
-class LupStrategy final : public IndexingStrategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::kLUP; }
-  std::vector<std::string> TableNames() const override {
-    return {"idx-lup"};
-  }
-
-  Result<std::vector<TableItems>> ExtractItems(
-      const xml::Document& doc, const DocIndex& index,
-      const ExtractOptions& options, const KvStore& store, Rng& uuid_rng,
-      ExtractStats* stats) const override {
-    TableItems out{"idx-lup", {}};
-    std::vector<std::string_view> path_views;
-    std::vector<std::string> encoded;
-    std::vector<std::string_view> encoded_views;
-    for (const auto& entry : index.entries()) {
-      // I_LUP(d) = {(key(n), (URI(d), {inPath_1(n) ... inPath_y(n)}))};
-      // optionally front-coded (Section 8.5 extension).
-      EntryPathViews(index, entry, &path_views);
-      if (options.compress_paths) {
-        encoded = EncodePathChunks(store, path_views);
-        encoded_views.assign(encoded.begin(), encoded.end());
-      }
-      WEBDEX_ASSIGN_OR_RETURN(
-          std::vector<Item> items,
-          BuildEntryItems(store, uuid_rng, index.key(entry), doc.uri(),
-                          options.generation,
-                          options.compress_paths ? encoded_views
-                                                 : path_views));
-      for (auto& item : items) {
-        stats->payload_bytes += item.SizeBytes();
-        out.items.push_back(std::move(item));
-      }
-      stats->entries += 1;
-    }
-    stats->items += out.items.size();
-    std::vector<TableItems> result;
-    result.push_back(std::move(out));
-    return result;
-  }
-};
-
-class LuiStrategy final : public IndexingStrategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::kLUI; }
-  std::vector<std::string> TableNames() const override {
-    return {"idx-lui"};
-  }
-
-  Result<std::vector<TableItems>> ExtractItems(
-      const xml::Document& doc, const DocIndex& index,
-      const ExtractOptions& options, const KvStore& store, Rng& uuid_rng,
-      ExtractStats* stats) const override {
-    TableItems out{"idx-lui", {}};
-    std::vector<std::string> encoded;
-    std::vector<std::string_view> encoded_views;
-    for (const auto& entry : index.entries()) {
-      // I_LUI(d) = {(key(n), (URI(d), id_1(n)‖id_2(n)‖...‖id_z(n)))} with
-      // IDs pre-sorted so the twig join needs no sort (Section 5.3).
-      encoded = EncodeIdChunks(store, index.ids(entry), entry.id_count);
-      encoded_views.assign(encoded.begin(), encoded.end());
-      WEBDEX_ASSIGN_OR_RETURN(
-          std::vector<Item> items,
-          BuildEntryItems(store, uuid_rng, index.key(entry), doc.uri(),
-                          options.generation, encoded_views));
-      for (auto& item : items) {
-        stats->payload_bytes += item.SizeBytes();
-        out.items.push_back(std::move(item));
-      }
-      stats->entries += 1;
-    }
-    stats->items += out.items.size();
-    std::vector<TableItems> result;
-    result.push_back(std::move(out));
-    return result;
-  }
-};
-
-class TwoLupiStrategy final : public IndexingStrategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::k2LUPI; }
-  std::vector<std::string> TableNames() const override {
-    return {"idx-2lupi-paths", "idx-2lupi-ids"};
-  }
-
-  Result<std::vector<TableItems>> ExtractItems(
-      const xml::Document& doc, const DocIndex& index,
-      const ExtractOptions& options, const KvStore& store, Rng& uuid_rng,
-      ExtractStats* stats) const override {
-    TableItems paths_out{"idx-2lupi-paths", {}};
-    TableItems ids_out{"idx-2lupi-ids", {}};
-    std::vector<std::string_view> path_views;
-    std::vector<std::string> encoded;
-    std::vector<std::string_view> encoded_views;
-    for (const auto& entry : index.entries()) {
-      EntryPathViews(index, entry, &path_views);
-      if (options.compress_paths) {
-        encoded = EncodePathChunks(store, path_views);
-        encoded_views.assign(encoded.begin(), encoded.end());
-      }
-      WEBDEX_ASSIGN_OR_RETURN(
-          std::vector<Item> path_items,
-          BuildEntryItems(store, uuid_rng, index.key(entry), doc.uri(),
-                          options.generation,
-                          options.compress_paths ? encoded_views
-                                                 : path_views));
-      for (auto& item : path_items) {
-        stats->payload_bytes += item.SizeBytes();
-        paths_out.items.push_back(std::move(item));
-      }
-      encoded = EncodeIdChunks(store, index.ids(entry), entry.id_count);
-      encoded_views.assign(encoded.begin(), encoded.end());
-      WEBDEX_ASSIGN_OR_RETURN(
-          std::vector<Item> id_items,
-          BuildEntryItems(store, uuid_rng, index.key(entry), doc.uri(),
-                          options.generation, encoded_views));
-      for (auto& item : id_items) {
-        stats->payload_bytes += item.SizeBytes();
-        ids_out.items.push_back(std::move(item));
-      }
-      stats->entries += 1;
-    }
-    stats->items += paths_out.items.size() + ids_out.items.size();
-    std::vector<TableItems> result;
-    result.push_back(std::move(paths_out));
-    result.push_back(std::move(ids_out));
-    return result;
-  }
-};
-
 }  // namespace
+
+const std::vector<TableLayout>& StrategyLayout(StrategyKind kind) {
+  // Indexed by StrategyKind.
+  static const std::vector<TableLayout>* layouts =
+      new std::vector<TableLayout>[4]{
+          {{"idx-lu", Payload::kNone}},
+          {{"idx-lup", Payload::kPaths}},
+          {{"idx-lui", Payload::kIds}},
+          {{"idx-2lupi-paths", Payload::kPaths},
+           {"idx-2lupi-ids", Payload::kIds}},
+      };
+  return layouts[static_cast<int>(kind)];
+}
+
+std::vector<std::string> StrategyTableNames(StrategyKind kind) {
+  std::vector<std::string> names;
+  for (const TableLayout& table : StrategyLayout(kind)) {
+    names.emplace_back(table.table);
+  }
+  return names;
+}
+
+Result<std::vector<TableItems>> IndexingStrategy::ExtractItems(
+    const xml::Document& doc, const DocIndex& index,
+    const ExtractOptions& options, const KvStore& store, Rng& uuid_rng,
+    ExtractStats* stats) const {
+  const std::vector<TableLayout>& layout = StrategyLayout(kind_);
+  std::vector<TableItems> result;
+  result.reserve(layout.size());
+  for (const TableLayout& table : layout) result.push_back({table.table, {}});
+  // Per-entry scratch, reused across entries.
+  const std::vector<std::string_view> empty_value{""};
+  std::vector<std::string_view> path_views;
+  std::vector<std::string> encoded;
+  std::vector<std::string_view> encoded_views;
+  // Entries outside, tables inside: one entry's items for every table
+  // draw their UUIDs before the next entry's.
+  for (const auto& entry : index.entries()) {
+    for (size_t t = 0; t < layout.size(); ++t) {
+      const std::vector<std::string_view>* values = &empty_value;
+      switch (layout[t].payload) {
+        case Payload::kNone:
+          // I_LU(d) = {(key(n), (URI(d), epsilon))} — Table 2.
+          break;
+        case Payload::kPaths:
+          // I_LUP(d) = {(key(n), (URI(d), {inPath_1(n) ... inPath_y(n)}))};
+          // optionally front-coded (Section 8.5 extension).
+          EntryPathViews(index, entry, &path_views);
+          values = &path_views;
+          if (options.compress_paths) {
+            encoded = EncodePathChunks(store, path_views);
+            encoded_views.assign(encoded.begin(), encoded.end());
+            values = &encoded_views;
+          }
+          break;
+        case Payload::kIds:
+          // I_LUI(d) = {(key(n), (URI(d), id_1(n)‖id_2(n)‖...‖id_z(n)))}
+          // with IDs pre-sorted so the twig join needs no sort (Section
+          // 5.3).
+          encoded = EncodeIdChunks(store, index.ids(entry), entry.id_count);
+          encoded_views.assign(encoded.begin(), encoded.end());
+          values = &encoded_views;
+          break;
+      }
+      WEBDEX_ASSIGN_OR_RETURN(
+          std::vector<Item> items,
+          BuildEntryItems(store, uuid_rng, index.key(entry), doc.uri(),
+                          options.generation, *values));
+      for (auto& item : items) {
+        stats->payload_bytes += item.SizeBytes();
+        result[t].items.push_back(std::move(item));
+      }
+    }
+    stats->entries += 1;
+  }
+  for (const TableItems& table : result) stats->items += table.items.size();
+  return result;
+}
 
 Result<std::vector<std::string>> IndexingStrategy::LookupPattern(
     cloud::SimAgent& agent, cloud::KvStore& store,
@@ -351,24 +265,14 @@ Result<std::vector<std::string>> IndexingStrategy::LookupPattern(
     LookupStats* stats, const GenerationMap* view) const {
   const KeyTwig twig = BuildKeyTwig(pattern, options.include_words);
   WEBDEX_ASSIGN_OR_RETURN(std::set<std::string> uris,
-                          LookupByKind(kind(), agent, store, TableNames(),
+                          LookupByKind(kind_, agent, store, TableNames(),
                                        twig, options, stats, view));
   return SortedUris(uris);
 }
 
 std::unique_ptr<IndexingStrategy> IndexingStrategy::Create(
     StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kLU:
-      return std::make_unique<LuStrategy>();
-    case StrategyKind::kLUP:
-      return std::make_unique<LupStrategy>();
-    case StrategyKind::kLUI:
-      return std::make_unique<LuiStrategy>();
-    case StrategyKind::k2LUPI:
-      return std::make_unique<TwoLupiStrategy>();
-  }
-  return nullptr;
+  return std::make_unique<IndexingStrategy>(kind);
 }
 
 }  // namespace webdex::index

@@ -51,10 +51,34 @@ struct TableItems {
   std::vector<cloud::Item> items;
 };
 
+/// What an index item carries next to the document URI: Table 2's
+/// payload column.
+enum class Payload {
+  kNone,   // epsilon (LU)
+  kPaths,  // the node's label paths inPath_1(n) ... inPath_y(n) (LUP)
+  kIds,    // the node's structural IDs id_1(n) ... id_z(n) (LUI)
+};
+
+/// One table a strategy writes: every entry of a document becomes
+/// (key(n), (URI(d), payload)) items in `table`.
+struct TableLayout {
+  const char* table;
+  Payload payload;
+};
+
+/// Table 2 as data: the tables `kind` writes, in order.  2LUPI is LUP
+/// plus LUI written to two tables, paths then ids (Sections 5 and 6).
+const std::vector<TableLayout>& StrategyLayout(StrategyKind kind);
+
+/// The table names of StrategyLayout(kind), in order.
+std::vector<std::string> StrategyTableNames(StrategyKind kind);
+
 /// An indexing strategy: how documents are turned into key-value items
 /// (Table 2's indexing function I), plus the reference answer to a tree
 /// pattern from the stored items (the per-strategy look-up of Section 5).
 ///
+/// One class serves all four strategies: its kind selects a row of
+/// StrategyLayout, and one extraction body writes that row's tables.
 /// Strategies are stateless; the same instance may serve any number of
 /// stores and documents.  They adapt to the target store's capabilities
 /// (binary support, value/item size limits) at item-building time, which
@@ -62,17 +86,19 @@ struct TableItems {
 /// in Section 8.4.
 class IndexingStrategy {
  public:
-  virtual ~IndexingStrategy() = default;
+  explicit IndexingStrategy(StrategyKind kind) : kind_(kind) {}
 
   static std::unique_ptr<IndexingStrategy> Create(StrategyKind kind);
 
-  virtual StrategyKind kind() const = 0;
-  const char* name() const { return StrategyKindName(kind()); }
+  StrategyKind kind() const { return kind_; }
+  const char* name() const { return StrategyKindName(kind_); }
 
   /// Key-value tables this strategy stores its index in (2LUPI uses two,
   /// paths then ids; everything else one — Section 6).  Call
   /// store.CreateTable for each.
-  virtual std::vector<std::string> TableNames() const = 0;
+  std::vector<std::string> TableNames() const {
+    return StrategyTableNames(kind_);
+  }
 
   /// Translates one parsed document into store items.  `uuid_rng` feeds
   /// the client-generated UUID range keys (Section 6).  Items are sized
@@ -94,10 +120,10 @@ class IndexingStrategy {
 
   /// Same, from a precomputed `doc_index` (must be
   /// ExtractDocIndex(doc, options) for the same document and options).
-  virtual Result<std::vector<TableItems>> ExtractItems(
+  Result<std::vector<TableItems>> ExtractItems(
       const xml::Document& doc, const DocIndex& doc_index,
       const ExtractOptions& options, const cloud::KvStore& store,
-      Rng& uuid_rng, ExtractStats* stats) const = 0;
+      Rng& uuid_rng, ExtractStats* stats) const;
 
   /// The reference look-up for one tree pattern (Section 5): returns
   /// the sorted URIs of documents that may contain matches, by running
@@ -105,7 +131,7 @@ class IndexingStrategy {
   /// tables.  The query engine does not call it — queries run through
   /// the planner's access paths (engine/access_path.h), which share the
   /// same cores — but tests and benchmarks compare against it.
-  /// Index-store round trips advance `agent`'s virtual clock; CPU work
+  /// Index-store round trips advance `agent`'s simulated clock; CPU work
   /// performed on the fetched data is reported through `stats` so the
   /// caller can charge it to the right simulated machine.
   /// `options` must match the options the index was built with: when
@@ -120,6 +146,9 @@ class IndexingStrategy {
       cloud::SimAgent& agent, cloud::KvStore& store,
       const query::TreePattern& pattern, const ExtractOptions& options,
       LookupStats* stats, const GenerationMap* view = nullptr) const;
+
+ private:
+  StrategyKind kind_;
 };
 
 }  // namespace webdex::index

@@ -1,6 +1,9 @@
 // Byte-level equivalence oracle for the native index core: for every
 // strategy, the serialized index a tiny deterministic corpus produces is
 // pinned by a committed golden digest (tests/golden/index_dumps.txt).
+// Besides the four DynamoDB builds, rows pin the SimpleDB layouts (hex
+// armour, 255-value and 1 KB chunking), front-coded paths, and a 2LUPI
+// build after an upsert and a delete (stamped postings and meta rows).
 // Any change to key encoding, path escaping, varint codecs, item packing
 // or UUID range-key streams shifts the digest and fails here — which is
 // exactly what guarantees the interned hot path rewrote *how* the index
@@ -16,6 +19,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cloud/deployment.h"
 #include "common/strings.h"
@@ -58,15 +62,67 @@ std::string DumpIndex(const cloud::KvStore& store) {
   return dump;
 }
 
-/// Builds the tiny corpus index with `host_threads` extraction threads
-/// and returns the canonical dump.
-std::string BuildDump(StrategyKind strategy, int host_threads) {
-  auto env = std::make_unique<cloud::CloudEnv>(cloud::CloudConfig());
+/// One pinned build: a golden row name plus the configuration it runs.
+struct DumpCase {
+  std::string name;
+  StrategyKind strategy;
+  IndexBackend backend = IndexBackend::kDynamoDb;
+  bool compress_paths = false;
+  /// After the first build, upsert document 0 with new content, delete
+  /// document 1, and index again.
+  bool mutate = false;
+};
+
+/// Every golden row, in file order: the four DynamoDB builds first (their
+/// lines predate the others and must never move), then the rest.
+std::vector<DumpCase> GoldenCases() {
+  std::vector<DumpCase> cases;
+  for (const StrategyKind kind : index::AllStrategyKinds()) {
+    cases.push_back({index::StrategyKindName(kind), kind});
+  }
+  for (const StrategyKind kind : index::AllStrategyKinds()) {
+    cases.push_back({std::string("SimpleDB/") + index::StrategyKindName(kind),
+                     kind, IndexBackend::kSimpleDb});
+  }
+  for (const StrategyKind kind : {StrategyKind::kLUP, StrategyKind::k2LUPI}) {
+    cases.push_back({std::string("compressed/") +
+                         index::StrategyKindName(kind),
+                     kind, IndexBackend::kDynamoDb, /*compress_paths=*/true});
+  }
+  cases.push_back({"mutated/2LUPI", StrategyKind::k2LUPI,
+                   IndexBackend::kDynamoDb, /*compress_paths=*/false,
+                   /*mutate=*/true});
+  return cases;
+}
+
+/// A synthetic document past SimpleDB's per-item limits: label `x` under
+/// 300 distinct parents (more path values than the 255 one item holds)
+/// and 400 `y` siblings (an ID list longer than one 1 KB value).
+std::string WideDocument() {
+  std::string xml = "<wide>";
+  for (int i = 0; i < 300; ++i) xml += StrFormat("<p%d><x/></p%d>", i, i);
+  for (int i = 0; i < 400; ++i) xml += "<y/>";
+  return xml + "</wide>";
+}
+
+struct Built {
+  std::unique_ptr<cloud::CloudEnv> env;
+  std::unique_ptr<Warehouse> warehouse;
+};
+
+/// Builds the tiny corpus index for `c` with `host_threads` extraction
+/// threads.  SimpleDB builds also index WideDocument().
+Built BuildIndex(const DumpCase& c, int host_threads) {
+  Built built;
+  built.env = std::make_unique<cloud::CloudEnv>(cloud::CloudConfig());
   WarehouseConfig config;
-  config.strategy = strategy;
+  config.strategy = c.strategy;
+  config.backend = c.backend;
+  config.extract.compress_paths = c.compress_paths;
   config.num_instances = 4;
   config.host_threads = host_threads;
-  Warehouse warehouse(env.get(), config);
+  built.warehouse = std::make_unique<Warehouse>(built.env.get(), config);
+  Warehouse& warehouse = *built.warehouse;
   EXPECT_TRUE(warehouse.Setup().ok());
   const auto corpus = TinyCorpus();
   xmark::XmarkGenerator generator(corpus);
@@ -74,9 +130,28 @@ std::string BuildDump(StrategyKind strategy, int host_threads) {
     auto doc = generator.Generate(i);
     EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, std::move(doc.text)).ok());
   }
-  auto report = warehouse.RunIndexers();
-  EXPECT_TRUE(report.ok());
-  return DumpIndex(env->dynamodb());
+  if (c.backend == IndexBackend::kSimpleDb) {
+    EXPECT_TRUE(warehouse.SubmitDocument("wide.xml", WideDocument()).ok());
+  }
+  EXPECT_TRUE(warehouse.RunIndexers().ok());
+  if (c.mutate) {
+    EXPECT_TRUE(warehouse
+                    .UpsertDocument(generator.Generate(0).uri,
+                                    generator.Generate(corpus.num_documents)
+                                        .text)
+                    .ok());
+    EXPECT_TRUE(warehouse.DeleteDocument(generator.Generate(1).uri).ok());
+    EXPECT_TRUE(warehouse.RunIndexers().ok());
+  }
+  return built;
+}
+
+std::string BuildDump(const DumpCase& c, int host_threads) {
+  return DumpIndex(BuildIndex(c, host_threads).warehouse->index_store());
+}
+
+std::string BuildDump(StrategyKind strategy, int host_threads) {
+  return BuildDump(DumpCase{"", strategy}, host_threads);
 }
 
 std::string GoldenPath() {
@@ -100,22 +175,21 @@ TEST(DumpGoldenTest, SerializedIndexMatchesGoldenPerStrategy) {
   const auto golden = ReadGolden();
   std::ostringstream regenerated;
   bool all_match = true;
-  for (const StrategyKind kind : index::AllStrategyKinds()) {
-    const std::string name = index::StrategyKindName(kind);
-    const std::string dump = BuildDump(kind, /*host_threads=*/1);
-    ASSERT_FALSE(dump.empty()) << name;
+  for (const DumpCase& c : GoldenCases()) {
+    const std::string dump = BuildDump(c, /*host_threads=*/1);
+    ASSERT_FALSE(dump.empty()) << c.name;
     const std::string digest =
         StrFormat("%016llx-%zu",
                   static_cast<unsigned long long>(cloud::Fnv1a64(dump)),
                   dump.size());
-    regenerated << name << " " << digest << "\n";
-    auto it = golden.find(name);
+    regenerated << c.name << " " << digest << "\n";
+    auto it = golden.find(c.name);
     if (update) continue;
     ASSERT_NE(it, golden.end())
-        << name << " missing from " << GoldenPath()
+        << c.name << " missing from " << GoldenPath()
         << " — regenerate with WEBDEX_UPDATE_GOLDEN=1";
     EXPECT_EQ(it->second, digest)
-        << name << ": serialized index changed. If intentional, "
+        << c.name << ": serialized index changed. If intentional, "
         << "regenerate with WEBDEX_UPDATE_GOLDEN=1 and commit.";
     all_match = all_match && it->second == digest;
   }
@@ -148,12 +222,39 @@ TEST(DumpGoldenTest, ZeroMutationBuildsAreGenerationZero) {
   }
 }
 
+// The SimpleDB rows pin the chunked layouts only if the build actually
+// hits the store's limits: a path list split at 255 values per item, and
+// hex-armoured ID lists split across 1 KB values.
+TEST(DumpGoldenTest, SimpleDbRowsExerciseChunking) {
+  for (const StrategyKind kind : {StrategyKind::kLUP, StrategyKind::kLUI}) {
+    const Built built = BuildIndex(
+        DumpCase{"", kind, IndexBackend::kSimpleDb}, /*host_threads=*/1);
+    uint64_t full_items = 0;
+    uint64_t chunked_values = 0;
+    built.warehouse->index_store().ForEachItem(
+        [&](const std::string&, const cloud::Item& item) {
+          const auto it = item.attrs.find("wide.xml");
+          if (it == item.attrs.end()) return;
+          if (it->second.size() == 255) ++full_items;
+          for (const std::string& value : it->second) {
+            EXPECT_LE(value.size(), 1024u);
+            if (value.size() > 1000) ++chunked_values;
+          }
+        });
+    if (kind == StrategyKind::kLUP) {
+      EXPECT_GT(full_items, 0u) << "no 255-value item";
+    } else {
+      EXPECT_GT(chunked_values, 0u) << "no ID list split at 1 KB";
+    }
+  }
+}
+
 TEST(DumpGoldenTest, SerialAndParallelDumpsAreByteIdentical) {
-  for (const StrategyKind kind : index::AllStrategyKinds()) {
-    const std::string serial = BuildDump(kind, /*host_threads=*/1);
-    const std::string parallel = BuildDump(kind, /*host_threads=*/8);
+  for (const DumpCase& c : GoldenCases()) {
+    const std::string serial = BuildDump(c, /*host_threads=*/1);
+    const std::string parallel = BuildDump(c, /*host_threads=*/8);
     ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, parallel) << index::StrategyKindName(kind);
+    EXPECT_EQ(serial, parallel) << c.name;
   }
 }
 

@@ -155,6 +155,15 @@ TEST(IdCodecTest, TruncatedBlobFails) {
   EXPECT_TRUE(DecodeIds(blob).status().IsCorruption());
 }
 
+TEST(IdCodecTest, ComponentAboveUint32Fails) {
+  // A pre of 2^32 + 7 must not be silently truncated to 7.
+  std::string blob;
+  PutVarint64(&blob, (uint64_t{1} << 32) + 7);
+  PutVarint64(&blob, 1);
+  PutVarint64(&blob, 1);
+  EXPECT_TRUE(DecodeIds(blob).status().IsCorruption());
+}
+
 TEST(IdCodecTest, CompactForSmallIds) {
   std::vector<xml::NodeId> ids{{1, 2, 3}};
   EXPECT_EQ(EncodeIds(ids).size(), 3u);  // one byte per component
@@ -219,6 +228,17 @@ TEST(PathCodecTest, CorruptionDetected) {
   PutVarint64(&forged, 1);
   forged += "x";
   EXPECT_TRUE(DecodePaths(forged).status().IsCorruption());
+}
+
+TEST(PathCodecTest, HugeSuffixLengthDoesNotWrap) {
+  // varint(0) varint(2^64-1) 0x00: offset + suffix wraps past zero, so a
+  // naive bounds check accepts the 12-byte blob.
+  std::string blob;
+  PutVarint64(&blob, 0);
+  PutVarint64(&blob, ~uint64_t{0});
+  blob.push_back('\0');
+  ASSERT_EQ(blob.size(), 12u);
+  EXPECT_TRUE(DecodePaths(blob).status().IsCorruption());
 }
 
 TEST(PathCodecTest, RealExtractionRoundTrips) {

@@ -217,6 +217,37 @@ TEST(WarehouseTest, CrashedQueryTaskIsRedone) {
   EXPECT_EQ(outcome.value().result.rows.size(), 1u);
 }
 
+TEST(WarehouseTest, RedeliveredQueryTaskIsDeadLettered) {
+  // The first QUERY delivery answers and then loses its ack; with
+  // max_deliveries = 1 its redelivery is dead-lettered instead of redone.
+  WarehouseConfig config;
+  config.strategy = StrategyKind::kLU;
+  config.max_deliveries = 1;
+  bool crashed = false;
+  config.crash_plan = [&](cloud::CrashPoint point, int,
+                          const std::string& body) {
+    if (point == cloud::CrashPoint::kBeforeDelete && !crashed &&
+        body.rfind("QUERY", 0) == 0) {
+      crashed = true;
+      return true;
+    }
+    return false;
+  };
+  Harness setup = MakeWarehouse(config);
+  ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
+  auto outcome = setup.warehouse->ExecuteQuery(kQ3);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(crashed);
+  EXPECT_EQ(outcome.value().result.rows.size(), 1u);
+  EXPECT_EQ(setup.env->meter().usage().dead_lettered, 1u);
+  const auto parked = setup.env->sqs().PeekBodies("dead-letter");
+  ASSERT_EQ(parked.size(), 1u);
+  EXPECT_EQ(parked[0].rfind("query-requests\n", 0), 0u) << parked[0];
+  auto drained = setup.warehouse->DrainDeadLetters();
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  EXPECT_EQ(drained.value(), 1u);
+}
+
 TEST(WarehouseTest, MeterAccountsEveryService) {
   WarehouseConfig config;
   config.strategy = StrategyKind::kLUP;

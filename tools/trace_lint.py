@@ -11,6 +11,9 @@ Checks (docs/OBSERVABILITY.md):
   * a one-shot trace emits well-formed JSONL: ordinal ids, parents that
     precede their children, end >= start, non-negative `usd` attrs, and
     parent usd covering the sum of its children's;
+  * in the one-shot trace every `query` task span carries `delivery` and
+    `query_id`, and its last child is the `attempt.qp.ack` span: the task
+    is acknowledged inside its own span;
   * a scripted mutable-corpus session (upsert + delete + compact --full,
     docs/MUTABILITY.md) emits a `compact.pass` span whose JSONL obeys the
     same invariants — in particular the pass's usd covers the billed sum
@@ -226,6 +229,26 @@ def lint_trace_jsonl(path, label="trace"):
                 f"its children's sum {child_usd[sid]}"
             )
     return spans
+
+
+def lint_task_spans(spans):
+    """Pins the shape of each `query` task span: its `delivery` and
+    `query_id` attrs, and the ack as its last child."""
+    tasks = [s for s in spans if s["name"] == "query"]
+    if not tasks:
+        fail("one-shot trace has no query task span")
+    for task in tasks:
+        attrs = task.get("attrs", {})
+        for key in ("delivery", "query_id"):
+            if key not in attrs:
+                fail(f"query span {task['id']} missing required attr {key!r}")
+        children = [s for s in spans if s["parent"] == task["id"]]
+        last = children[-1]["name"] if children else None
+        if last != "attempt.qp.ack":
+            fail(
+                f"query span {task['id']} ends with child {last!r}, "
+                "expected 'attempt.qp.ack'"
+            )
 
 
 def lint_compact_trace(binary, arch=""):
@@ -457,7 +480,7 @@ def main():
 
     with tempfile.NamedTemporaryFile(suffix=".jsonl") as tmp:
         run(binary, "trace", "--jsonl", tmp.name, QUERY)
-        lint_trace_jsonl(tmp.name)
+        lint_task_spans(lint_trace_jsonl(tmp.name))
 
     lint_compact_trace(binary)
     lint_compact_trace(binary, arch="--shards 4 --replicas 1")
@@ -471,7 +494,7 @@ def main():
         sys.exit(1)
     print(
         f"trace_lint: {len(names)} metric names clean, trace JSONL clean, "
-        "compact.pass clean, autoscaled session clean, sharded session "
+        "query task spans clean, compact.pass clean, autoscaled session clean, sharded session "
         "clean, planner-off session clean"
     )
 
