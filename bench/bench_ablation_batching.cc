@@ -64,7 +64,7 @@ void BM_Upload(benchmark::State& state) {
           (void)env.dynamodb().BatchPut(agent, batch.table, batch.items);
         } else {
           for (const auto& item : batch.items) {
-            (void)env.dynamodb().BatchPut(agent, batch.table, {item});
+            (void)env.dynamodb().BatchPut(agent, batch.table, {&item, 1});
           }
         }
       }

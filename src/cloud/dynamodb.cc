@@ -193,7 +193,7 @@ Status DynamoDb::ValidateItem(const Item& item) const {
 }
 
 Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
-                          const std::vector<Item>& items,
+                          std::span<const Item> items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   ItemTable::Table* t = tables_.Find(table);
@@ -278,12 +278,10 @@ Result<std::vector<Item>> DynamoDb::GetPages(
         Admit(call, site, table, read_limiter_, /*write=*/false));
     double units = 0;
     for (size_t i = index; i < batch_end; ++i) {
-      auto hit = t->items.find(hash_keys[i]);
-      if (hit == t->items.end()) continue;
-      for (const auto& [range_key, attrs] : hit->second) {
-        Item item{hash_keys[i], range_key, attrs};
-        units += ReadUnits(item.SizeBytes());
-        out.push_back(std::move(item));
+      const size_t first = out.size();
+      t->AppendItems(hash_keys[i], &out);
+      for (size_t j = first; j < out.size(); ++j) {
+        units += ReadUnits(out[j].SizeBytes());
       }
     }
     if (units == 0) units = ReadUnits(0);  // a miss still does a seek
@@ -299,11 +297,7 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
   const ItemTable::Table* t = tables_.Find(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
   std::vector<Item> out;
-  for (const auto& [hash_key, ranges] : t->items) {
-    for (const auto& [range_key, attrs] : ranges) {
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
+  t->AppendAll(&out);
   // Page through at the 1 MB scan limit; every page is a billed request
   // that consumes read capacity for the bytes it returns.
   constexpr uint64_t kScanPageBytes = 1024 * 1024;
@@ -344,15 +338,15 @@ Status DynamoDb::DeleteItem(SimAgent& agent, const std::string& table,
 }
 
 uint64_t DynamoDb::StoredBytes(const std::string& table) const {
-  return tables_.Lookup(table).stored_bytes;
+  return tables_.Lookup(table).stored_bytes();
 }
 
 uint64_t DynamoDb::OverheadBytes(const std::string& table) const {
-  return tables_.Lookup(table).item_count * kItemOverheadBytes;
+  return tables_.Lookup(table).item_count() * kItemOverheadBytes;
 }
 
 uint64_t DynamoDb::ItemCount(const std::string& table) const {
-  return tables_.Lookup(table).item_count;
+  return tables_.Lookup(table).item_count();
 }
 
 void DynamoDb::ForEachItem(

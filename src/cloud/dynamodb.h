@@ -62,7 +62,7 @@ class DynamoDb final : public KvStore {
   Status CreateTable(SimAgent& agent, const std::string& table) override;
   bool HasTable(const std::string& table) const override;
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
                                 const std::string& hash_key) override;

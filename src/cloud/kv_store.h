@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,9 @@ class KvStore {
   /// Inserts `items` (any count; internally issued as batched API calls
   /// of at most BatchPutLimit() items).  An item with an existing
   /// (hash, range) key is completely replaced, as in DynamoDB.
+  /// `items` is borrowed for the call only: a caller may pass any
+  /// sub-span of its own vector (the engine pages uploads that way), and
+  /// a store copies what it keeps.  `items` must not view `*unprocessed`.
   /// Validation errors (oversized item/value, binary data in a text-only
   /// store) fail the whole call without partial effects.
   ///
@@ -61,7 +65,7 @@ class KvStore {
   /// `unprocessed` is null the caller cannot observe partial success, so
   /// stores must not inject it.  `*unprocessed` is cleared on entry.
   virtual Status BatchPut(SimAgent& agent, const std::string& table,
-                          const std::vector<Item>& items,
+                          std::span<const Item> items,
                           std::vector<Item>* unprocessed = nullptr) = 0;
 
   /// Returns all items whose hash key equals `hash_key` (the get(T,k)
@@ -156,7 +160,7 @@ class ForwardingKvStore : public KvStore {
     return base_->HasTable(table);
   }
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override {
     return base_->BatchPut(agent, table, items, unprocessed);
   }

@@ -23,7 +23,7 @@ ReplicatedKvStore::ReplicatedKvStore(KvStore* base, Deployment* deployment,
 }
 
 Status ReplicatedKvStore::BatchPut(SimAgent& agent, const std::string& table,
-                                   const std::vector<Item>& items,
+                                   std::span<const Item> items,
                                    std::vector<Item>* unprocessed) {
   Status status = base_->BatchPut(agent, table, items, unprocessed);
   // Even a failed round may have committed a prefix; moving the watermark

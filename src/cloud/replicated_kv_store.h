@@ -1,6 +1,7 @@
 #ifndef WEBDEX_CLOUD_REPLICATED_KV_STORE_H_
 #define WEBDEX_CLOUD_REPLICATED_KV_STORE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ class ReplicatedKvStore final : public ForwardingKvStore {
                     common::Tracer* tracer = nullptr);
 
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
                                 const std::string& hash_key) override;

@@ -85,7 +85,7 @@ Status RetryingKvStore::CreateTable(SimAgent& agent,
 }
 
 Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
-                                 const std::vector<Item>& items,
+                                 std::span<const Item> items,
                                  std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   // Each round re-submits only what has not committed yet: re-batched
@@ -94,29 +94,32 @@ Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
   // harmless anyway (replacement semantics, UUID range keys) — this just
   // avoids paying their write units twice.  A breaker short-circuit
   // leaves the batch as it was: nothing was attempted or billed.
-  const std::vector<Item>* batch = &items;
+  std::span<const Item> batch = items;
   std::vector<Item> pending;
   std::vector<Item> leftover;
+  bool attempted = false;
   int attempt = 0;
   const Status status = common::CallWithRetry(
       policy_, StreamFor("retry:batchput:" + table),
       [&]() -> Status {
         WEBDEX_RETURN_IF_ERROR(
             Attempt(agent, "attempt.batch_put", ++attempt, table, [&] {
-              Status put = base_->BatchPut(agent, table, *batch, &leftover);
+              Status put = base_->BatchPut(agent, table, batch, &leftover);
               pending = std::move(leftover);
               leftover.clear();
-              batch = &pending;
+              batch = pending;
+              attempted = true;
               return put;
             }));
-        if (batch->empty()) return Status::OK();
+        if (batch.empty()) return Status::OK();
         // A partial success is retried like a transient error.
         return Status::Unavailable(
             "unprocessed items remain after re-batching: " + table);
       },
       [&](int64_t micros) { Backoff(agent, micros); }, RetryCounter());
   if (!status.ok() && unprocessed != nullptr) {
-    *unprocessed = batch == &items ? items : std::move(pending);
+    *unprocessed = attempted ? std::move(pending)
+                             : std::vector<Item>(items.begin(), items.end());
   }
   return status;
 }

@@ -2,6 +2,7 @@
 #define WEBDEX_CLOUD_RETRYING_KV_STORE_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,7 @@ class RetryingKvStore final : public ForwardingKvStore {
   /// with the survivors in `*unprocessed` (when non-null) so the caller
   /// can decide between abandoning the task and dead-lettering it.
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
                                 const std::string& hash_key) override;

@@ -2,6 +2,7 @@
 #define WEBDEX_CLOUD_SHARDED_KV_STORE_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,7 @@ class ShardedKvStore final : public ForwardingKvStore {
   Status CreateTable(SimAgent& agent, const std::string& logical) override;
   bool HasTable(const std::string& logical) const override;
   Status BatchPut(SimAgent& agent, const std::string& logical,
-                  const std::vector<Item>& items,
+                  std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& logical,
                                 const std::string& hash_key) override;

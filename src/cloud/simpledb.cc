@@ -92,7 +92,7 @@ Status SimpleDb::ValidateItem(const Item& item) const {
 }
 
 Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
-                          const std::vector<Item>& items,
+                          std::span<const Item> items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   ItemTable::Table* t = tables_.Find(table);
@@ -141,12 +141,7 @@ Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
   BilledCall call(endpoint_, agent, get_metrics_, &Usage::sdb_get_requests);
   WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.get:", table));
   std::vector<Item> out;
-  auto hit = t->items.find(hash_key);
-  if (hit != t->items.end()) {
-    for (const auto& [range_key, attrs] : hit->second) {
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
+  t->AppendItems(hash_key, &out);
   // SimpleDB's select paginates at 2500 attributes / 1 MB; model one extra
   // request round trip per page.
   uint64_t attr_total = 0;
@@ -178,13 +173,8 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
   const ItemTable::Table* t = tables_.Find(table);
   if (t == nullptr) return Status::NotFound("no such domain: " + table);
   std::vector<Item> out;
-  uint64_t attr_total = 0;
-  for (const auto& [hash_key, ranges] : t->items) {
-    for (const auto& [range_key, attrs] : ranges) {
-      attr_total += ItemTable::CountValues(attrs);
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
+  t->AppendAll(&out);
+  const uint64_t attr_total = t->value_count();
   // A full select paginates at 2500 attributes, like Get.
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   for (uint64_t page = 0; page < pages; ++page) {
@@ -212,17 +202,17 @@ Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,
 }
 
 uint64_t SimpleDb::StoredBytes(const std::string& table) const {
-  return tables_.Lookup(table).stored_bytes;
+  return tables_.Lookup(table).stored_bytes();
 }
 
 uint64_t SimpleDb::OverheadBytes(const std::string& table) const {
   const ItemTable::Table& t = tables_.Lookup(table);
-  return t.item_count * kPerItemOverheadBytes +
-         t.value_count * kPerAttributeOverheadBytes;
+  return t.item_count() * kPerItemOverheadBytes +
+         t.value_count() * kPerAttributeOverheadBytes;
 }
 
 uint64_t SimpleDb::ItemCount(const std::string& table) const {
-  return tables_.Lookup(table).item_count;
+  return tables_.Lookup(table).item_count();
 }
 
 void SimpleDb::ForEachItem(

@@ -1,6 +1,7 @@
 #ifndef WEBDEX_CLOUD_SIMPLEDB_H_
 #define WEBDEX_CLOUD_SIMPLEDB_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,7 +52,7 @@ class SimpleDb final : public KvStore {
   Status CreateTable(SimAgent& agent, const std::string& table) override;
   bool HasTable(const std::string& table) const override;
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
                                 const std::string& hash_key) override;

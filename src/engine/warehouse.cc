@@ -308,10 +308,11 @@ WorkerStep Warehouse::RunTask(Instance& instance, const TaskQueue& task,
 
 Warehouse::TaskOutcome Warehouse::PutMetaRow(Instance& instance,
                                              const LoadRequest& request) {
-  const Status put = index_store().BatchPut(
-      instance, index::kMetaTable,
-      {index::MakeMetaItem(request.uri, request.generation,
-                           /*tombstoned=*/request.op == LoadOp::kDelete)});
+  const cloud::Item row =
+      index::MakeMetaItem(request.uri, request.generation,
+                          /*tombstoned=*/request.op == LoadOp::kDelete);
+  const Status put =
+      index_store().BatchPut(instance, index::kMetaTable, {&row, 1});
   return put.ok() ? TaskOutcome::kOk : FailedWith(put);
 }
 
@@ -470,7 +471,7 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
 
 Warehouse::UploadResult Warehouse::PutItemsPaged(
     Instance& instance, const std::string& table,
-    const std::vector<cloud::Item>& items, const std::string& task_key) {
+    std::span<const cloud::Item> items, const std::string& task_key) {
   // Paging is externalized from the store (one API call per page) so the
   // engine can crash *between* pages, leaving a half-written index that
   // the redelivered task must converge despite.  Fault-free, the billed
@@ -484,9 +485,8 @@ Warehouse::UploadResult Warehouse::PutItemsPaged(
                                  instance.id(), task_key)) {
       return UploadResult{Status::OK(), /*crashed=*/true};
     }
-    const std::vector<cloud::Item> page(items.begin() + index,
-                                        items.begin() + end);
-    const Status put = store.BatchPut(instance, table, page);
+    const Status put =
+        store.BatchPut(instance, table, items.subspan(index, end - index));
     if (!put.ok()) return UploadResult{put, /*crashed=*/false};
     index = end;
   }

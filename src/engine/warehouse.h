@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -429,7 +430,7 @@ class Warehouse {
   };
   UploadResult PutItemsPaged(cloud::Instance& instance,
                              const std::string& table,
-                             const std::vector<cloud::Item>& items,
+                             std::span<const cloud::Item> items,
                              const std::string& task_key);
 
   /// How a delivered task ended: acknowledged after success (kOk), left

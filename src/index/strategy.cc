@@ -78,40 +78,34 @@ Result<std::vector<Item>> BuildEntryItems(
     return Status::InvalidArgument("index key too large for store: " +
                                    std::string(key));
   }
-  auto fresh = [&]() {
-    Item item{std::string(key), rng.NextUuid(), {}};
+  for (size_t begin = 0; begin < values.size();) {
+    // Values [begin, end) fill one item; its first value always fits.
+    size_t end = begin;
+    uint64_t bytes = fixed;
+    do {
+      const std::string_view value = values[end];
+      if (value.size() > store.MaxValueBytes()) {
+        return Status::InvalidArgument(
+            StrFormat("value of %zu bytes exceeds the store's %llu-byte "
+                      "value limit (key %s)",
+                      value.size(),
+                      static_cast<unsigned long long>(store.MaxValueBytes()),
+                      std::string(key).c_str()));
+      }
+      bytes += value.size();
+      ++end;
+    } while (end < values.size() && end - begin < store.MaxValuesPerItem() &&
+             bytes + values[end].size() <= max_item);
+    Item& item =
+        items.emplace_back(Item{std::string(key), rng.NextUuid(), {}});
     if (generation > 0) item.attrs[kGenAttr] = {stamp};
-    return item;
-  };
-  Item current = fresh();
-  uint64_t current_bytes = fixed;
-  uint64_t current_values = 0;
-  auto flush = [&]() {
-    if (current_values > 0) {
-      items.push_back(std::move(current));
-      current = fresh();
-      current_bytes = fixed;
-      current_values = 0;
-    }
-  };
-  for (const std::string_view value : values) {
-    if (value.size() > store.MaxValueBytes()) {
-      return Status::InvalidArgument(
-          StrFormat("value of %zu bytes exceeds the store's %llu-byte "
-                    "value limit (key %s)",
-                    value.size(),
-                    static_cast<unsigned long long>(store.MaxValueBytes()),
-                    std::string(key).c_str()));
-    }
-    if (current_values + 1 > store.MaxValuesPerItem() ||
-        current_bytes + value.size() > max_item) {
-      flush();
-    }
-    current.attrs[uri].emplace_back(value);
-    current_bytes += value.size();
-    current_values += 1;
+    item.attrs[uri].assign(values.begin() + begin, values.begin() + end);
+    begin = end;
   }
-  flush();
+  // An entry consumes one UUID more than it has items: every stored
+  // range key (and every golden) was drawn with this stream layout.
+  rng.Next();
+  rng.Next();
   return items;
 }
 
@@ -131,12 +125,14 @@ std::vector<std::string> EncodeIdChunks(const KvStore& store,
     one.clear();
     AppendEncodedId(&one, ids[i]);
     if (!blob.empty() && blob.size() + one.size() > limit) {
-      chunks.push_back(binary ? blob : HexArmour(blob));
+      chunks.push_back(binary ? std::move(blob) : HexArmour(blob));
       blob.clear();
     }
     blob += one;
   }
-  if (!blob.empty()) chunks.push_back(binary ? blob : HexArmour(blob));
+  if (!blob.empty()) {
+    chunks.push_back(binary ? std::move(blob) : HexArmour(blob));
+  }
   return chunks;
 }
 
@@ -153,8 +149,8 @@ std::vector<std::string> EncodePathChunks(
   uint64_t group_bytes = 0;
   auto flush = [&]() {
     if (group.empty()) return;
-    const std::string blob = EncodePathViews(group);
-    chunks.push_back(binary ? blob : HexArmour(blob));
+    std::string blob = EncodePathViews(group);
+    chunks.push_back(binary ? std::move(blob) : HexArmour(blob));
     group.clear();
     group_bytes = 0;
   };

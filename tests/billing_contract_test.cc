@@ -139,7 +139,7 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
          [s, &agent] { return s->CreateTable(agent, "u"); }},
         {"batch_put", b.put_requests,
          [s, &agent] {
-           return s->BatchPut(agent, "t", {MakeItem("k", "r9", {"z"})});
+           return s->BatchPut(agent, "t", std::vector<Item>{MakeItem("k", "r9", {"z"})});
          }},
         {"get", b.get_requests,
          [s, &agent] { return s->Get(agent, "t", "k").status(); }},
@@ -225,7 +225,7 @@ TEST_P(BillingContractTest, ThrottledAttemptBillsOneRequestAndNoCapacity) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(store_
                     ->BatchPut(writer, "t",
-                               {MakeItem("w", "r" + std::to_string(i),
+                               std::vector<Item>{MakeItem("w", "r" + std::to_string(i),
                                          {value})})
                     .ok());
     ASSERT_TRUE(store_->Get(reader, "t", "w").ok());
@@ -263,7 +263,7 @@ TEST_P(BillingContractTest, ReplaceAndDeleteKeepAccountingInStep) {
   const uint64_t before_bytes = store_->StoredBytes("t");
   // Replacing (k, r1) with a larger, multi-valued item.
   ASSERT_TRUE(
-      store_->BatchPut(agent_, "t", {MakeItem("k", "r1", {"aaaa", "b", "c"})})
+      store_->BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r1", {"aaaa", "b", "c"})})
           .ok());
   EXPECT_EQ(store_->ItemCount("t"), 2u);
   EXPECT_EQ(store_->StoredBytes("t"), before_bytes + 5);
@@ -271,7 +271,7 @@ TEST_P(BillingContractTest, ReplaceAndDeleteKeepAccountingInStep) {
   // Replacing it again inside one batch, next to a fresh item.
   ASSERT_TRUE(store_
                   ->BatchPut(agent_, "t",
-                             {MakeItem("k", "r1", {"x"}),
+                             std::vector<Item>{MakeItem("k", "r1", {"x"}),
                               MakeItem("m", "r1", {"y", "z"})})
                   .ok());
   EXPECT_EQ(store_->ItemCount("t"), 3u);

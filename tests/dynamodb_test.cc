@@ -37,7 +37,7 @@ class DynamoDbTest : public ::testing::Test {
 
 TEST_F(DynamoDbTest, PutAndGetByHashKey) {
   ASSERT_TRUE(db_.BatchPut(agent_, "t",
-                           {MakeItem("k", "r1", {{"doc1.xml", {"v1"}}}),
+                           std::vector<Item>{MakeItem("k", "r1", {{"doc1.xml", {"v1"}}}),
                             MakeItem("k", "r2", {{"doc2.xml", {"v2"}}})})
                   .ok());
   auto items = db_.Get(agent_, "t", "k");
@@ -63,9 +63,9 @@ TEST_F(DynamoDbTest, UnknownTableFails) {
 
 TEST_F(DynamoDbTest, SamePrimaryKeyReplacesItem) {
   ASSERT_TRUE(
-      db_.BatchPut(agent_, "t", {MakeItem("k", "r", {{"a", {"old-value"}}})})
+      db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r", {{"a", {"old-value"}}})})
           .ok());
-  ASSERT_TRUE(db_.BatchPut(agent_, "t", {MakeItem("k", "r", {{"b", {"x"}}})})
+  ASSERT_TRUE(db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r", {{"b", {"x"}}})})
                   .ok());
   auto items = db_.Get(agent_, "t", "k");
   ASSERT_EQ(items.value().size(), 1u);
@@ -80,25 +80,25 @@ TEST_F(DynamoDbTest, SamePrimaryKeyReplacesItem) {
 TEST_F(DynamoDbTest, RejectsOversizedItem) {
   std::string huge(65 * 1024, 'x');
   auto status =
-      db_.BatchPut(agent_, "t", {MakeItem("k", "r", {{"a", {huge}}})});
+      db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r", {{"a", {huge}}})});
   EXPECT_TRUE(status.IsInvalidArgument());
   EXPECT_EQ(db_.ItemCount("t"), 0u);  // no partial effects
 }
 
 TEST_F(DynamoDbTest, RejectsEmptyOrHugeKeys) {
   EXPECT_TRUE(
-      db_.BatchPut(agent_, "t", {MakeItem("", "r", {})}).IsInvalidArgument());
+      db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("", "r", {})}).IsInvalidArgument());
   EXPECT_TRUE(
-      db_.BatchPut(agent_, "t", {MakeItem("k", "", {})}).IsInvalidArgument());
+      db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "", {})}).IsInvalidArgument());
   EXPECT_TRUE(db_.BatchPut(agent_, "t",
-                           {MakeItem(std::string(3000, 'k'), "r", {})})
+                           std::vector<Item>{MakeItem(std::string(3000, 'k'), "r", {})})
                   .IsInvalidArgument());
 }
 
 TEST_F(DynamoDbTest, BinaryValuesSupported) {
   std::string binary("\x00\x01\xff\x7f", 4);
   ASSERT_TRUE(
-      db_.BatchPut(agent_, "t", {MakeItem("k", "r", {{"u", {binary}}})})
+      db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r", {{"u", {binary}}})})
           .ok());
   auto items = db_.Get(agent_, "t", "k");
   EXPECT_EQ(items.value()[0].attrs.at("u")[0], binary);
@@ -108,7 +108,7 @@ TEST_F(DynamoDbTest, WriteUnitsProportionalToItemSize) {
   // ~2.5 KB item: fractional units, size/1024 (see WriteUnits note).
   std::string payload(2500, 'x');
   const Item item = MakeItem("k", "r", {{"u", {payload}}});
-  ASSERT_TRUE(db_.BatchPut(agent_, "t", {item}).ok());
+  ASSERT_TRUE(db_.BatchPut(agent_, "t", {&item, 1}).ok());
   EXPECT_DOUBLE_EQ(meter_.usage().ddb_write_units,
                    static_cast<double>(item.SizeBytes()) / 1024.0);
   EXPECT_EQ(meter_.usage().ddb_items_written, 1u);
@@ -117,7 +117,7 @@ TEST_F(DynamoDbTest, WriteUnitsProportionalToItemSize) {
 
 TEST_F(DynamoDbTest, TinyItemsPayThePerItemFloor) {
   const Item item = MakeItem("k", "r", {{"u", {"v"}}});
-  ASSERT_TRUE(db_.BatchPut(agent_, "t", {item}).ok());
+  ASSERT_TRUE(db_.BatchPut(agent_, "t", {&item, 1}).ok());
   EXPECT_DOUBLE_EQ(meter_.usage().ddb_write_units,
                    DynamoDb::kMinWriteBytes / 1024.0);
 }
@@ -148,7 +148,7 @@ TEST_F(DynamoDbTest, ProvisionedWriteCapacityThrottles) {
 TEST_F(DynamoDbTest, ReadUnitsProportionalToBytes) {
   std::string payload(9000, 'x');  // ~9 KB -> size/4096 read units
   const Item item = MakeItem("k", "r", {{"u", {payload}}});
-  ASSERT_TRUE(db_.BatchPut(agent_, "t", {item}).ok());
+  ASSERT_TRUE(db_.BatchPut(agent_, "t", {&item, 1}).ok());
   const double before = meter_.usage().ddb_read_units;
   ASSERT_TRUE(db_.Get(agent_, "t", "k").ok());
   EXPECT_DOUBLE_EQ(meter_.usage().ddb_read_units - before,
@@ -161,7 +161,7 @@ TEST_F(DynamoDbTest, BatchGetMergesAndBatches) {
     const std::string key = "k" + std::to_string(i);
     keys.push_back(key);
     ASSERT_TRUE(
-        db_.BatchPut(agent_, "t", {MakeItem(key, "r", {{"u", {"v"}}})}).ok());
+        db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem(key, "r", {{"u", {"v"}}})}).ok());
   }
   const auto before = meter_.usage().ddb_get_requests;
   auto items = db_.BatchGet(agent_, "t", keys);
@@ -172,7 +172,7 @@ TEST_F(DynamoDbTest, BatchGetMergesAndBatches) {
 
 TEST_F(DynamoDbTest, StorageOverheadPerItem) {
   ASSERT_TRUE(db_.BatchPut(agent_, "t",
-                           {MakeItem("k", "r1", {{"u", {"v"}}}),
+                           std::vector<Item>{MakeItem("k", "r1", {{"u", {"v"}}}),
                             MakeItem("k", "r2", {{"u", {"v"}}})})
                   .ok());
   EXPECT_EQ(db_.OverheadBytes("t"), 2 * DynamoDb::kItemOverheadBytes);

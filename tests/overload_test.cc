@@ -85,7 +85,7 @@ TEST(OverloadTest, OrganicThrottleCarriesRetryAfterHint) {
   Agent writer;
   ASSERT_TRUE(env.dynamodb().CreateTable(writer, "t").ok());
   cloud::Item item{"k", "r", {{"v", {std::string(8 * 1024, 'x')}}}};
-  ASSERT_TRUE(env.dynamodb().BatchPut(writer, "t", {item}).ok());
+  ASSERT_TRUE(env.dynamodb().BatchPut(writer, "t", {&item, 1}).ok());
 
   const cloud::Usage before = env.meter().Snapshot();
   Agent first;
@@ -131,7 +131,7 @@ TEST(OverloadTest, HintPacedRetriesConvergeToProvisionedThroughput) {
   Agent writer;
   ASSERT_TRUE(env.dynamodb().CreateTable(writer, "t").ok());
   cloud::Item item{"k", "r", {{"v", {std::string(8 * 1024, 'x')}}}};
-  ASSERT_TRUE(env.dynamodb().BatchPut(writer, "t", {item}).ok());
+  ASSERT_TRUE(env.dynamodb().BatchPut(writer, "t", {&item, 1}).ok());
   const double units_per_get = 2.0;  // 8 KB / 4 KB read quantum
   const cloud::Micros service_per_get = static_cast<cloud::Micros>(
       units_per_get / kReadUnitsPerSecond * cloud::kMicrosPerSecond);
@@ -604,7 +604,7 @@ TEST(OverloadTest, SnapshotRoundTripsAutoscalerState) {
   Agent writer;
   ASSERT_TRUE(env.dynamodb().CreateTable(writer, "t").ok());
   cloud::Item item{"k", "r", {{"v", {std::string(8 * 1024, 'x')}}}};
-  ASSERT_TRUE(env.dynamodb().BatchPut(writer, "t", {item}).ok());
+  ASSERT_TRUE(env.dynamodb().BatchPut(writer, "t", {&item, 1}).ok());
   // Hammer the store long enough for the control loop to scale.
   std::array<Agent, 4> agents;
   for (int round = 0; round < 40; ++round) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ class ScriptedStore final : public KvStore {
   }
   bool HasTable(const std::string&) const override { return true; }
   Status BatchPut(SimAgent& agent, const std::string&,
-                  const std::vector<Item>& items,
+                  std::span<const Item> items,
                   std::vector<Item>* unprocessed) override {
     if (unprocessed != nullptr) unprocessed->clear();
     batch_sizes.push_back(items.size());
@@ -330,6 +331,47 @@ TEST(RetryingKvStoreTest, BatchPutResubmitsOnlyTheUnprocessedSuffix) {
   EXPECT_EQ(h.Errors("attempt.batch_put"), (std::vector<int>{0, 1, 0}));
   EXPECT_EQ(h.Counter("cloud.retry.attempts.count"), 3u);
   EXPECT_EQ(h.Counter("cloud.retry.retries.count"), 2u);
+}
+
+// BatchPut borrows its input: a sub-span of a larger vector is all that
+// is submitted, stored and billed, and the survivors handed back are
+// exactly the sub-span's bounced items.
+TEST(RetryingKvStoreTest, BatchPutStoresOnlyTheSubSpan) {
+  common::RetryPolicy policy;
+  policy.max_attempts = 2;
+  const std::vector<Item> items = MakeItems(10);
+  const std::span<const Item> page = std::span(items).subspan(3, 5);
+  {
+    Harness h(policy);
+    h.store.script = {Step{Status::OK(), 2},
+                      Step{Status::Unavailable("page error"), 1}};
+    std::vector<Item> left;
+    const Status status = h.retrying.BatchPut(h.agent, "t", page, &left);
+    EXPECT_EQ(status.code(), Status::Code::kUnavailable);
+    EXPECT_EQ(h.store.batch_sizes, (std::vector<size_t>{5, 3}));
+    EXPECT_EQ(h.store.committed,
+              (std::vector<std::string>{"r3", "r4", "r5"}));
+    EXPECT_EQ(h.meter.usage().ddb_write_units, 3.0);
+    EXPECT_EQ(h.meter.usage().ddb_put_requests, 2u);
+    EXPECT_EQ(RangeKeys(left), (std::vector<std::string>{"r6", "r7"}));
+  }
+  // An open breaker attempts nothing: the whole sub-span, and only it,
+  // comes back.
+  {
+    CircuitBreakerConfig breaker;
+    breaker.failure_threshold = 1;
+    breaker.cooldown = 3600 * kMicrosPerSecond;
+    Harness h(policy, breaker);
+    h.store.script = {Step{Status::Unavailable("down"), 0}};
+    std::vector<Item> left;
+    (void)h.retrying.BatchPut(h.agent, "t", MakeItems(1), &left);
+    const Status status = h.retrying.BatchPut(h.agent, "t", page, &left);
+    EXPECT_EQ(status.code(), Status::Code::kUnavailable);
+    EXPECT_EQ(h.store.calls, 1);
+    EXPECT_TRUE(h.store.committed.empty());
+    EXPECT_EQ(RangeKeys(left),
+              (std::vector<std::string>{"r3", "r4", "r5", "r6", "r7"}));
+  }
 }
 
 TEST(RetryingKvStoreTest, BatchPutWithoutSinkStillDrains) {

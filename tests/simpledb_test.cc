@@ -32,7 +32,7 @@ class SimpleDbTest : public ::testing::Test {
 
 TEST_F(SimpleDbTest, PutGetRoundTrip) {
   ASSERT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {"path"}}})})
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {"path"}}})})
           .ok());
   auto items = db_.Get(agent_, "d", "k");
   ASSERT_TRUE(items.ok());
@@ -43,31 +43,31 @@ TEST_F(SimpleDbTest, PutGetRoundTrip) {
 TEST_F(SimpleDbTest, RejectsBinaryValues) {
   std::string binary("\x00\x01", 2);
   auto status =
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {binary}}})});
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {binary}}})});
   EXPECT_TRUE(status.IsInvalidArgument());
 }
 
 TEST_F(SimpleDbTest, RejectsValuesOverOneKilobyte) {
   std::string big(1025, 'x');
   EXPECT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {big}}})})
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {big}}})})
           .IsInvalidArgument());
   std::string exactly(1024, 'x');
   EXPECT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {exactly}}})})
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {exactly}}})})
           .ok());
 }
 
 TEST_F(SimpleDbTest, RejectsTooManyAttributes) {
   std::vector<std::string> values(257, "v");
   EXPECT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", values}})})
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", values}})})
           .IsInvalidArgument());
 }
 
 TEST_F(SimpleDbTest, BillsBoxUsageHours) {
   ASSERT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {"v"}}})}).ok());
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {"v"}}})}).ok());
   ASSERT_TRUE(db_.Get(agent_, "d", "k").ok());
   const Pricing pricing;
   EXPECT_DOUBLE_EQ(meter_.usage().sdb_box_hours,
@@ -78,13 +78,13 @@ TEST_F(SimpleDbTest, BillsBoxUsageHours) {
 
 TEST_F(SimpleDbTest, SlowerThanDynamoPerRequest) {
   ASSERT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {"v"}}})}).ok());
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {"v"}}})}).ok());
   EXPECT_GE(agent_.now(), 30'000);  // one 30 ms round trip at least
 }
 
 TEST_F(SimpleDbTest, OverheadPerItemAndAttribute) {
   ASSERT_TRUE(db_.BatchPut(agent_, "d",
-                           {MakeItem("k", "r", {{"doc", {"a", "b"}}})})
+                           std::vector<Item>{MakeItem("k", "r", {{"doc", {"a", "b"}}})})
                   .ok());
   EXPECT_EQ(db_.OverheadBytes("d"), SimpleDb::kPerItemOverheadBytes +
                                         2 * SimpleDb::kPerAttributeOverheadBytes);
@@ -92,10 +92,10 @@ TEST_F(SimpleDbTest, OverheadPerItemAndAttribute) {
 
 TEST_F(SimpleDbTest, ReplacementUpdatesAccounting) {
   ASSERT_TRUE(db_.BatchPut(agent_, "d",
-                           {MakeItem("k", "r", {{"doc", {"aaaa", "bb"}}})})
+                           std::vector<Item>{MakeItem("k", "r", {{"doc", {"aaaa", "bb"}}})})
                   .ok());
   ASSERT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {"c"}}})}).ok());
+      db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {"c"}}})}).ok());
   EXPECT_EQ(db_.ItemCount("d"), 1u);
   const Item current = MakeItem("k", "r", {{"doc", {"c"}}});
   EXPECT_EQ(db_.StoredBytes("d"), current.SizeBytes());

@@ -32,12 +32,12 @@ TEST(SnapshotTest, ObjectsAndItemsRoundTrip) {
   ASSERT_TRUE(env.dynamodb().CreateTable(agent, "idx").ok());
   ASSERT_TRUE(env.dynamodb()
                   .BatchPut(agent, "idx",
-                            {Item{"k", "r", {{"a.xml", {"v1", binary}}}}})
+                            std::vector<Item>{Item{"k", "r", {{"a.xml", {"v1", binary}}}}})
                   .ok());
   ASSERT_TRUE(env.simpledb().CreateTable(agent, "legacy").ok());
   ASSERT_TRUE(env.simpledb()
                   .BatchPut(agent, "legacy",
-                            {Item{"k2", "r2", {{"doc", {"text"}}}}})
+                            std::vector<Item>{Item{"k2", "r2", {{"doc", {"text"}}}}})
                   .ok());
 
   CloudEnv restored;
