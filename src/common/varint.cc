@@ -2,12 +2,18 @@
 
 namespace webdex {
 
-void PutVarint64(std::string* out, uint64_t value) {
+char* EncodeVarint64(char* dst, uint64_t value) {
   while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    *dst++ = static_cast<char>((value & 0x7f) | 0x80);
     value >>= 7;
   }
-  out->push_back(static_cast<char>(value));
+  *dst++ = static_cast<char>(value);
+  return dst;
+}
+
+void PutVarint64(std::string* out, uint64_t value) {
+  char buf[10];
+  out->append(buf, EncodeVarint64(buf, value));
 }
 
 Result<uint64_t> GetVarint64(std::string_view data, size_t* offset) {

@@ -16,6 +16,10 @@ namespace webdex {
 /// DynamoDB attribute value (paper Sections 5.3 and 8.4 credit this compact
 /// binary encoding for much of the DynamoDB-vs-SimpleDB improvement).
 
+/// Writes `value` varint-encoded at `dst`, which must have room for
+/// VarintLength(value) bytes; returns the byte after it.
+char* EncodeVarint64(char* dst, uint64_t value);
+
 /// Appends `value` varint-encoded to `*out`.
 void PutVarint64(std::string* out, uint64_t value);
 
