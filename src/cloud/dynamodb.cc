@@ -8,7 +8,15 @@ namespace webdex::cloud {
 
 DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
                    FaultInjector* injector, common::MetricRegistry* metrics)
-    : config_(config),
+    : ItemStore("DynamoDB", "table",
+                {.max_item_bytes = 64 * 1024,
+                 .max_value_bytes = 64 * 1024,
+                 .binary_values = true,
+                 .batch_put = 25,
+                 .batch_get = 100,
+                 .max_values_per_item = 1 << 20},
+                kItemOverheadBytes, /*value_overhead_bytes=*/0),
+      config_(config),
       meter_(meter),
       endpoint_{ServiceId::kDynamoDb, meter, injector, config.request_latency,
                 metrics == nullptr
@@ -44,21 +52,9 @@ Status DynamoDb::CreateTable(SimAgent& agent, const std::string& table) {
   BilledCall call(endpoint_, agent, create_table_metrics_,
                   &Usage::ddb_put_requests);
   WEBDEX_RETURN_IF_ERROR(call.FaultGate("ddb.createtable:", table));
-  const bool created = tables_.Create(table);
-  call.Record(/*error=*/!created);
-  if (!created) return Status::AlreadyExists("table exists: " + table);
-  return Status::OK();
-}
-
-Status DynamoDb::RestoreTable(const std::string& table) {
-  if (!tables_.Create(table)) {
-    return Status::AlreadyExists("table exists: " + table);
-  }
-  return Status::OK();
-}
-
-bool DynamoDb::HasTable(const std::string& table) const {
-  return tables_.Has(table);
+  Status created = Create(table);
+  call.Record(/*error=*/!created.ok());
+  return created;
 }
 
 double DynamoDb::WriteUnits(uint64_t item_bytes) {
@@ -183,7 +179,7 @@ Status DynamoDb::ValidateItem(const Item& item) const {
   if (item.range_key.size() > 1024) {
     return Status::InvalidArgument("range key exceeds 1KB");
   }
-  if (item.SizeBytes() > MaxItemBytes()) {
+  if (item.SizeBytes() > Limits().max_item_bytes) {
     return Status::InvalidArgument(
         StrFormat("item exceeds 64KB (%llu bytes) for hash key %s",
                   static_cast<unsigned long long>(item.SizeBytes()),
@@ -196,13 +192,12 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
                           std::span<const Item> items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
-  ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(ItemTable* t, Open(table));
   for (const auto& item : items) {
     WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
   }
   FaultInjector* injector = endpoint_.active_injector();
-  const int batch_limit = BatchPutLimit();
+  const int batch_limit = Limits().batch_put;
   size_t index = 0;
   while (index < items.size()) {
     const size_t batch_end =
@@ -265,10 +260,9 @@ Result<std::vector<Item>> DynamoDb::GetPages(
     SimAgent& agent, const std::string& table,
     std::span<const std::string> hash_keys, std::string_view site,
     const OpMetrics& op) {
-  const ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
   std::vector<Item> out;
-  const int batch_limit = BatchGetLimit();
+  const int batch_limit = Limits().batch_get;
   size_t index = 0;
   while (index < hash_keys.size()) {
     const size_t batch_end = std::min(
@@ -294,8 +288,7 @@ Result<std::vector<Item>> DynamoDb::GetPages(
 
 Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
                                         const std::string& table) {
-  const ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
   std::vector<Item> out;
   t->AppendAll(&out);
   // Page through at the 1 MB scan limit; every page is a billed request
@@ -324,8 +317,7 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
 Status DynamoDb::DeleteItem(SimAgent& agent, const std::string& table,
                             const std::string& hash_key,
                             const std::string& range_key) {
-  ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(ItemTable* t, Open(table));
   BilledCall call(endpoint_, agent, delete_metrics_, &Usage::ddb_put_requests);
   WEBDEX_RETURN_IF_ERROR(
       Admit(call, "ddb.delete:", table, write_limiter_, /*write=*/true));
@@ -335,31 +327,6 @@ Status DynamoDb::DeleteItem(SimAgent& agent, const std::string& table,
   MeterWriteUnits(units);
   call.Succeed({&write_limiter_, units});
   return Status::OK();
-}
-
-uint64_t DynamoDb::StoredBytes(const std::string& table) const {
-  return tables_.Lookup(table).stored_bytes();
-}
-
-uint64_t DynamoDb::OverheadBytes(const std::string& table) const {
-  return tables_.Lookup(table).item_count() * kItemOverheadBytes;
-}
-
-uint64_t DynamoDb::ItemCount(const std::string& table) const {
-  return tables_.Lookup(table).item_count();
-}
-
-void DynamoDb::ForEachItem(
-    const std::function<void(const std::string&, const Item&)>& fn) const {
-  tables_.ForEachItem(fn);
-}
-
-void DynamoDb::RestoreItem(const std::string& table, const Item& item) {
-  tables_.Restore(table, item);
-}
-
-std::vector<std::string> DynamoDb::TableNames() const {
-  return tables_.TableNames();
 }
 
 }  // namespace webdex::cloud

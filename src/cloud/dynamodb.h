@@ -48,7 +48,7 @@ class Autoscaler;
 ///
 /// Storage overhead: AWS bills 100 bytes of index overhead per item on top
 /// of raw item size; this is the ovh(D, I) term visible in Figure 8.
-class DynamoDb final : public KvStore {
+class DynamoDb final : public ItemStore {
  public:
   /// `injector` may be null (no fault injection); `metrics` may be null
   /// (no per-op `service.dynamodb.*` metrics).
@@ -56,11 +56,7 @@ class DynamoDb final : public KvStore {
            FaultInjector* injector = nullptr,
            common::MetricRegistry* metrics = nullptr);
 
-  DynamoDb(const DynamoDb&) = delete;
-  DynamoDb& operator=(const DynamoDb&) = delete;
-
   Status CreateTable(SimAgent& agent, const std::string& table) override;
-  bool HasTable(const std::string& table) const override;
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
@@ -74,25 +70,6 @@ class DynamoDb final : public KvStore {
   Status DeleteItem(SimAgent& agent, const std::string& table,
                     const std::string& hash_key,
                     const std::string& range_key) override;
-
-  const char* Name() const override { return "DynamoDB"; }
-  uint64_t MaxItemBytes() const override { return 64 * 1024; }
-  uint64_t MaxValueBytes() const override { return 64 * 1024; }
-  bool SupportsBinaryValues() const override { return true; }
-  int BatchPutLimit() const override { return 25; }
-  int BatchGetLimit() const override { return 100; }
-  uint64_t MaxValuesPerItem() const override { return 1 << 20; }
-
-  uint64_t StoredBytes(const std::string& table) const override;
-  uint64_t OverheadBytes(const std::string& table) const override;
-  uint64_t ItemCount(const std::string& table) const override;
-  std::vector<std::string> TableNames() const override;
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override;
-  void RestoreItem(const std::string& table, const Item& item) override;
-  Status RestoreTable(const std::string& table) override;
-  bool Empty() const override { return tables_.Empty(); }
 
   /// Per-item storage overhead billed by the store.
   static constexpr uint64_t kItemOverheadBytes = 100;
@@ -173,7 +150,7 @@ class DynamoDb final : public KvStore {
   Status Admit(BilledCall& call, std::string_view site,
                const std::string& table, const RateLimiter& limiter,
                bool write);
-  /// Get and BatchGet: reads `hash_keys` in pages of BatchGetLimit()
+  /// Get and BatchGet: reads `hash_keys` in pages of Limits().batch_get
   /// keys, each page one billed request at fault site `site` + `table`.
   Result<std::vector<Item>> GetPages(SimAgent& agent, const std::string& table,
                                      std::span<const std::string> hash_keys,
@@ -195,7 +172,6 @@ class DynamoDb final : public KvStore {
   RateLimiter write_limiter_;
   RateLimiter read_limiter_;
   OnDemandState ondemand_;
-  ItemTable tables_;
 };
 
 }  // namespace webdex::cloud

@@ -54,7 +54,7 @@ Tally MeasureRecord(size_t hash_size, std::string_view record,
 
 }  // namespace
 
-ItemTable::Table::Slot ItemTable::Table::Encode(const Item& item) {
+ItemTable::Slot ItemTable::Encode(const Item& item) {
   uint64_t size = item.range_key.size() + VarintLength(item.attrs.size());
   for (const auto& [name, values] : item.attrs) {
     size += VarintLength(name.size()) + name.size() +
@@ -76,7 +76,7 @@ ItemTable::Table::Slot ItemTable::Table::Encode(const Item& item) {
   return slot;
 }
 
-ItemTable::Table::Slots::iterator ItemTable::Table::Seek(
+ItemTable::Slots::iterator ItemTable::Seek(
     Slots& slots, std::string_view range_key) {
   return std::lower_bound(slots.begin(), slots.end(), range_key,
                           [](const Slot& slot, std::string_view range) {
@@ -84,8 +84,7 @@ ItemTable::Table::Slots::iterator ItemTable::Table::Seek(
                           });
 }
 
-uint64_t ItemTable::Table::Forget(std::string_view hash_key,
-                                  const Slot& slot) {
+uint64_t ItemTable::Forget(std::string_view hash_key, const Slot& slot) {
   const Tally tally =
       MeasureRecord(hash_key.size(), slot.record, slot.range_size);
   stored_bytes_ -= tally.bytes;
@@ -94,7 +93,7 @@ uint64_t ItemTable::Table::Forget(std::string_view hash_key,
   return tally.bytes;
 }
 
-Item ItemTable::Table::Decode(std::string_view hash_key, const Slot& slot) {
+Item ItemTable::Decode(std::string_view hash_key, const Slot& slot) {
   Item item{std::string(hash_key), std::string(slot.range_key()), {}};
   const char* p = slot.record.data() + slot.range_size;
   for (uint64_t attrs = ReadVarint(&p); attrs > 0; --attrs) {
@@ -110,7 +109,7 @@ Item ItemTable::Table::Decode(std::string_view hash_key, const Slot& slot) {
   return item;
 }
 
-void ItemTable::Table::Put(const Item& item) {
+void ItemTable::Put(const Item& item) {
   Slot slot = Encode(item);
   Slots& slots = index_.try_emplace(item.hash_key).first->second;
   auto pos = Seek(slots, item.range_key);
@@ -125,8 +124,8 @@ void ItemTable::Table::Put(const Item& item) {
   value_count_ += CountValues(item.attrs);
 }
 
-std::optional<uint64_t> ItemTable::Table::Erase(std::string_view hash_key,
-                                                std::string_view range_key) {
+std::optional<uint64_t> ItemTable::Erase(std::string_view hash_key,
+                                         std::string_view range_key) {
   auto hit = index_.find(hash_key);
   if (hit == index_.end()) return std::nullopt;
   Slots& slots = hit->second;
@@ -141,14 +140,14 @@ std::optional<uint64_t> ItemTable::Table::Erase(std::string_view hash_key,
 }
 
 template <typename Fn>
-void ItemTable::Table::ForEach(const Fn& fn) const {
+void ItemTable::ForEach(const Fn& fn) const {
   for (const auto& [hash_key, slots] : index_) {
     for (const Slot& slot : slots) fn(Decode(hash_key, slot));
   }
 }
 
-void ItemTable::Table::AppendItems(std::string_view hash_key,
-                                   std::vector<Item>* out) const {
+void ItemTable::AppendItems(std::string_view hash_key,
+                            std::vector<Item>* out) const {
   auto hit = index_.find(hash_key);
   if (hit == index_.end()) return;
   for (const Slot& slot : hit->second) {
@@ -156,7 +155,7 @@ void ItemTable::Table::AppendItems(std::string_view hash_key,
   }
 }
 
-void ItemTable::Table::AppendAll(std::vector<Item>* out) const {
+void ItemTable::AppendAll(std::vector<Item>* out) const {
   out->reserve(out->size() + item_count_);
   ForEach([out](Item&& item) { out->push_back(std::move(item)); });
 }
@@ -170,26 +169,43 @@ uint64_t ItemTable::CountValues(const Attributes& attrs) {
   return n;
 }
 
-bool ItemTable::Create(const std::string& name) {
-  return tables_.try_emplace(name).second;
+ItemStore::ItemStore(const char* name, const char* noun,
+                     const StoreLimits& limits, uint64_t item_overhead_bytes,
+                     uint64_t value_overhead_bytes)
+    : name_(name),
+      noun_(noun),
+      limits_(limits),
+      item_overhead_bytes_(item_overhead_bytes),
+      value_overhead_bytes_(value_overhead_bytes) {}
+
+Status ItemStore::Create(const std::string& table) {
+  if (!tables_.try_emplace(table).second) {
+    return Status::AlreadyExists(std::string(noun_) + " exists: " + table);
+  }
+  return Status::OK();
 }
 
-ItemTable::Table* ItemTable::Find(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
+Result<ItemTable*> ItemStore::Open(const std::string& table) {
+  auto it = tables_.find(table);
+  if (it == tables_.end()) {
+    return Status::NotFound("no such " + std::string(noun_) + ": " + table);
+  }
+  return &it->second;
 }
 
-const ItemTable::Table& ItemTable::Lookup(const std::string& name) const {
-  static const Table kEmpty;
-  auto it = tables_.find(name);
+const ItemTable& ItemStore::Lookup(const std::string& table) const {
+  static const ItemTable kEmpty;
+  auto it = tables_.find(table);
   return it == tables_.end() ? kEmpty : it->second;
 }
 
-void ItemTable::Restore(const std::string& name, const Item& item) {
-  tables_[name].Put(item);
+uint64_t ItemStore::OverheadBytes(const std::string& table) const {
+  const ItemTable& t = Lookup(table);
+  return t.item_count() * item_overhead_bytes_ +
+         t.value_count() * value_overhead_bytes_;
 }
 
-std::vector<std::string> ItemTable::TableNames() const {
+std::vector<std::string> ItemStore::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
   for (const auto& [name, table] : tables_) {
@@ -199,11 +215,15 @@ std::vector<std::string> ItemTable::TableNames() const {
   return names;
 }
 
-void ItemTable::ForEachItem(
+void ItemStore::ForEachItem(
     const std::function<void(const std::string&, const Item&)>& fn) const {
   for (const auto& [name, table] : tables_) {
     table.ForEach([&](const Item& item) { fn(name, item); });
   }
+}
+
+void ItemStore::RestoreItem(const std::string& table, const Item& item) {
+  tables_[table].Put(item);
 }
 
 }  // namespace webdex::cloud

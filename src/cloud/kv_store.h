@@ -32,6 +32,26 @@ struct Item {
   uint64_t SizeBytes() const;
 };
 
+/// What a key-value store accepts, as data: the Section 8.4 store
+/// comparison is mostly these limits (plus pricing and latency).
+struct StoreLimits {
+  uint64_t max_item_bytes = 0;
+  uint64_t max_value_bytes = 0;
+  /// False means values must be printable text (SimpleDB), so binary
+  /// payloads like varint-encoded node-ID lists must be armoured (hex),
+  /// doubling their size — the key difference behind Tables 7 and 8.
+  bool binary_values = false;
+  int batch_put = 0;  // items per BatchPut request
+  int batch_get = 0;  // keys per BatchGet request
+  /// Attribute values an index item build may pack into one item.
+  /// SimpleDB's 255 is one below its 256-attribute bound: an upsert
+  /// stamps each item with one more value (index/generation.h kGenAttr),
+  /// and the stamped item must still fit.
+  uint64_t max_values_per_item = 0;
+
+  bool operator==(const StoreLimits&) const = default;
+};
+
 /// Abstract key-value index store, implemented by the DynamoDB and
 /// SimpleDB simulations.  The indexing strategies are written against this
 /// interface so the paper's Section 8.4 store comparison swaps backends
@@ -49,7 +69,7 @@ class KvStore {
   virtual bool HasTable(const std::string& table) const = 0;
 
   /// Inserts `items` (any count; internally issued as batched API calls
-  /// of at most BatchPutLimit() items).  An item with an existing
+  /// of at most Limits().batch_put items).  An item with an existing
   /// (hash, range) key is completely replaced, as in DynamoDB.
   /// `items` is borrowed for the call only: a caller may pass any
   /// sub-span of its own vector (the engine pages uploads that way), and
@@ -74,7 +94,7 @@ class KvStore {
                                         const std::string& table,
                                         const std::string& hash_key) = 0;
 
-  /// Executes up to BatchGetLimit() gets per API request.  Results are
+  /// Executes up to Limits().batch_get gets per API request.  Results are
   /// concatenated in key order.
   virtual Result<std::vector<Item>> BatchGet(
       SimAgent& agent, const std::string& table,
@@ -95,26 +115,17 @@ class KvStore {
                             const std::string& range_key) = 0;
 
   // --- Store capability model -------------------------------------------
-  // Thread-safety contract: the capability queries below are consulted by
+  // Thread-safety contract: Name() and Limits() are consulted by
   // IndexingStrategy::ExtractItems while sizing items, which the engine's
   // host-parallel extraction pipeline runs on pooled threads concurrently
   // with simulated traffic on the event-loop thread.  Implementations
   // must therefore answer them from immutable configuration only — no
   // billing, no virtual latency, no mutable state (the DynamoDB and
-  // SimpleDB simulations return compile-time constants, and every
-  // decorator inherits ForwardingKvStore's pass-through answers).
+  // SimpleDB simulations return constructor data, and every decorator
+  // inherits ForwardingKvStore's pass-through answers).
   virtual const char* Name() const = 0;
-  virtual uint64_t MaxItemBytes() const = 0;
-  virtual uint64_t MaxValueBytes() const = 0;
-  /// False means values must be printable text (SimpleDB), so binary
-  /// payloads like varint-encoded node-ID lists must be armoured (hex),
-  /// doubling their size — the key difference behind Tables 7 and 8.
-  virtual bool SupportsBinaryValues() const = 0;
-  virtual int BatchPutLimit() const = 0;
-  virtual int BatchGetLimit() const = 0;
-  /// Maximum attribute values a single item may carry (SimpleDB: 256
-  /// attributes per item; DynamoDB: bounded only by item size).
-  virtual uint64_t MaxValuesPerItem() const = 0;
+  virtual const StoreLimits& Limits() const = 0;
+  int BatchGetLimit() const { return Limits().batch_get; }
 
   // --- Storage accounting (for Figure 8 and st$m) ------------------------
   /// Raw user bytes stored in `table` — sr(D, I) in Section 7.1.
@@ -139,7 +150,6 @@ class KvStore {
   /// Recreates a table host-side — the unbilled, fault-free counterpart
   /// of CreateTable that snapshot restore uses (cloud/snapshot.cc).
   virtual Status RestoreTable(const std::string& table) = 0;
-  virtual bool Empty() const = 0;
 };
 
 /// Pass-through base of the KvStore decorators (LevelDB's EnvWrapper
@@ -184,16 +194,7 @@ class ForwardingKvStore : public KvStore {
   }
 
   const char* Name() const override { return base_->Name(); }
-  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
-  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
-  bool SupportsBinaryValues() const override {
-    return base_->SupportsBinaryValues();
-  }
-  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
-  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
-  uint64_t MaxValuesPerItem() const override {
-    return base_->MaxValuesPerItem();
-  }
+  const StoreLimits& Limits() const override { return base_->Limits(); }
 
   uint64_t StoredBytes(const std::string& table) const override {
     return base_->StoredBytes(table);
@@ -219,7 +220,6 @@ class ForwardingKvStore : public KvStore {
   Status RestoreTable(const std::string& table) override {
     return base_->RestoreTable(table);
   }
-  bool Empty() const override { return base_->Empty(); }
 
  protected:
   KvStore* base_;

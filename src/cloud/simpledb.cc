@@ -19,7 +19,15 @@ bool IsTextual(const std::string& value) {
 
 SimpleDb::SimpleDb(const SimpleDbConfig& config, UsageMeter* meter,
                    FaultInjector* injector, common::MetricRegistry* metrics)
-    : config_(config),
+    : ItemStore("SimpleDB", "domain",
+                {.max_item_bytes = 256 * 1024,
+                 .max_value_bytes = 1024,
+                 .binary_values = false,
+                 .batch_put = 25,
+                 .batch_get = 20,
+                 .max_values_per_item = 255},
+                kPerItemOverheadBytes, kPerAttributeOverheadBytes),
+      config_(config),
       meter_(meter),
       endpoint_{ServiceId::kSimpleDb, meter, injector, config.request_latency,
                 metrics == nullptr
@@ -46,21 +54,9 @@ Status SimpleDb::CreateTable(SimAgent& agent, const std::string& table) {
   BilledCall call(endpoint_, agent, create_table_metrics_,
                   &Usage::sdb_put_requests);
   WEBDEX_RETURN_IF_ERROR(call.FaultGate("sdb.createdomain:", table));
-  const bool created = tables_.Create(table);
-  call.Record(/*error=*/!created);
-  if (!created) return Status::AlreadyExists("domain exists: " + table);
-  return Status::OK();
-}
-
-Status SimpleDb::RestoreTable(const std::string& table) {
-  if (!tables_.Create(table)) {
-    return Status::AlreadyExists("domain exists: " + table);
-  }
-  return Status::OK();
-}
-
-bool SimpleDb::HasTable(const std::string& table) const {
-  return tables_.Has(table);
+  Status created = Create(table);
+  call.Record(/*error=*/!created.ok());
+  return created;
 }
 
 Status SimpleDb::ValidateItem(const Item& item) const {
@@ -74,11 +70,11 @@ Status SimpleDb::ValidateItem(const Item& item) const {
     return Status::InvalidArgument("more than 256 attributes per item");
   }
   for (const auto& [name, values] : item.attrs) {
-    if (name.size() > MaxValueBytes()) {
+    if (name.size() > Limits().max_value_bytes) {
       return Status::InvalidArgument("attribute name exceeds 1KB");
     }
     for (const auto& v : values) {
-      if (v.size() > MaxValueBytes()) {
+      if (v.size() > Limits().max_value_bytes) {
         return Status::InvalidArgument(
             StrFormat("attribute value exceeds 1KB (%zu bytes)", v.size()));
       }
@@ -95,12 +91,11 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
                           std::span<const Item> items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
-  ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(ItemTable* t, Open(table));
   for (const auto& item : items) {
     WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
   }
-  const int batch_limit = BatchPutLimit();
+  const int batch_limit = Limits().batch_put;
   size_t index = 0;
   while (index < items.size()) {
     const size_t batch_end =
@@ -136,8 +131,7 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
 Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
                                         const std::string& table,
                                         const std::string& hash_key) {
-  const ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
   BilledCall call(endpoint_, agent, get_metrics_, &Usage::sdb_get_requests);
   WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.get:", table));
   std::vector<Item> out;
@@ -170,8 +164,7 @@ Result<std::vector<Item>> SimpleDb::BatchGet(
 
 Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
                                         const std::string& table) {
-  const ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
   std::vector<Item> out;
   t->AppendAll(&out);
   const uint64_t attr_total = t->value_count();
@@ -190,8 +183,7 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
 Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,
                             const std::string& hash_key,
                             const std::string& range_key) {
-  ItemTable::Table* t = tables_.Find(table);
-  if (t == nullptr) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(ItemTable* t, Open(table));
   BilledCall call(endpoint_, agent, delete_metrics_, &Usage::sdb_put_requests);
   WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.delete:", table));
   t->Erase(hash_key, range_key);
@@ -199,33 +191,6 @@ Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,
       meter_->pricing().simpledb_box_hours_per_put;
   call.Succeed({&request_limiter_, 1.0});
   return Status::OK();
-}
-
-uint64_t SimpleDb::StoredBytes(const std::string& table) const {
-  return tables_.Lookup(table).stored_bytes();
-}
-
-uint64_t SimpleDb::OverheadBytes(const std::string& table) const {
-  const ItemTable::Table& t = tables_.Lookup(table);
-  return t.item_count() * kPerItemOverheadBytes +
-         t.value_count() * kPerAttributeOverheadBytes;
-}
-
-uint64_t SimpleDb::ItemCount(const std::string& table) const {
-  return tables_.Lookup(table).item_count();
-}
-
-void SimpleDb::ForEachItem(
-    const std::function<void(const std::string&, const Item&)>& fn) const {
-  tables_.ForEachItem(fn);
-}
-
-void SimpleDb::RestoreItem(const std::string& table, const Item& item) {
-  tables_.Restore(table, item);
-}
-
-std::vector<std::string> SimpleDb::TableNames() const {
-  return tables_.TableNames();
 }
 
 }  // namespace webdex::cloud

@@ -38,7 +38,7 @@ struct SimpleDbConfig {
 ///   * at most 256 attributes per item, 1 KB per attribute name;
 ///   * lower request throughput and higher latency;
 ///   * "box usage" machine-hour billing per request.
-class SimpleDb final : public KvStore {
+class SimpleDb final : public ItemStore {
  public:
   /// `injector` may be null (no fault injection); `metrics` may be null
   /// (no per-op `service.simpledb.*` metrics).
@@ -46,11 +46,7 @@ class SimpleDb final : public KvStore {
            FaultInjector* injector = nullptr,
            common::MetricRegistry* metrics = nullptr);
 
-  SimpleDb(const SimpleDb&) = delete;
-  SimpleDb& operator=(const SimpleDb&) = delete;
-
   Status CreateTable(SimAgent& agent, const std::string& table) override;
-  bool HasTable(const std::string& table) const override;
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
@@ -64,25 +60,6 @@ class SimpleDb final : public KvStore {
   Status DeleteItem(SimAgent& agent, const std::string& table,
                     const std::string& hash_key,
                     const std::string& range_key) override;
-
-  const char* Name() const override { return "SimpleDB"; }
-  uint64_t MaxItemBytes() const override { return 256 * 1024; }
-  uint64_t MaxValueBytes() const override { return 1024; }
-  bool SupportsBinaryValues() const override { return false; }
-  int BatchPutLimit() const override { return 25; }
-  int BatchGetLimit() const override { return 20; }
-  uint64_t MaxValuesPerItem() const override { return 255; }
-
-  uint64_t StoredBytes(const std::string& table) const override;
-  uint64_t OverheadBytes(const std::string& table) const override;
-  uint64_t ItemCount(const std::string& table) const override;
-  std::vector<std::string> TableNames() const override;
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override;
-  void RestoreItem(const std::string& table, const Item& item) override;
-  Status RestoreTable(const std::string& table) override;
-  bool Empty() const override { return tables_.Empty(); }
 
   /// SimpleDB billed 45 bytes of storage overhead per item name and per
   /// attribute name-value pair.
@@ -107,7 +84,6 @@ class SimpleDb final : public KvStore {
   OpMetrics delete_metrics_;
   OpMetrics create_table_metrics_;
   RateLimiter request_limiter_;
-  ItemTable tables_;
 };
 
 }  // namespace webdex::cloud

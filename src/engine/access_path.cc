@@ -44,7 +44,7 @@ cost::LookupShape LookupAccessPath::ShapeFor(
     const std::string& table, const std::vector<std::string>& keys) const {
   cost::LookupShape lookup;
   lookup.keys = keys.size();
-  lookup.batch_get_limit = store_->BatchGetLimit();
+  lookup.batch_get_limit = store_->Limits().batch_get;
   lookup.min_read_bytes = stats_.min_read_bytes;
   lookup.billing = stats_.billing;
   if (const cloud::Deployment* deploy = stats_.deployment) {
@@ -57,7 +57,7 @@ cost::LookupShape LookupAccessPath::ShapeFor(
         ++per_shard[static_cast<size_t>(deploy->ShardFor(key))];
       }
       const double limit =
-          static_cast<double>(std::max(store_->BatchGetLimit(), 1));
+          static_cast<double>(std::max(store_->Limits().batch_get, 1));
       double requests = 0;
       for (uint64_t count : per_shard) {
         if (count > 0) requests += std::ceil(static_cast<double>(count) / limit);

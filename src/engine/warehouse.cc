@@ -477,7 +477,7 @@ Warehouse::UploadResult Warehouse::PutItemsPaged(
   // the redelivered task must converge despite.  Fault-free, the billed
   // sequence is bit-identical to the store's internal paging.
   auto& store = index_store();
-  const size_t limit = static_cast<size_t>(store.BatchPutLimit());
+  const size_t limit = static_cast<size_t>(store.Limits().batch_put);
   size_t index = 0;
   while (index < items.size()) {
     const size_t end = std::min(items.size(), index + limit);

@@ -420,7 +420,7 @@ class Warehouse {
                                  retries);
   }
 
-  /// Uploads `items` to `table` one BatchPutLimit()-sized page per API
+  /// Uploads `items` to `table` one Limits().batch_put-sized page per API
   /// call (externalizing the store's paging so the engine can crash
   /// between pages).  `crashed` means the instance died mid-upload: the
   /// caller must neither ack nor poison the task.

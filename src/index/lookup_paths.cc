@@ -195,7 +195,7 @@ Result<std::set<std::string>> LookupByPaths(cloud::SimAgent& agent,
   // vector.  Distinct query paths sharing a lookup key re-test the same
   // stored paths; pre-splitting each value once replaces the legacy
   // re-split-per-test inner loop.
-  const bool binary = store.SupportsBinaryValues();
+  const bool binary = store.Limits().binary_values;
   std::map<const std::vector<std::string>*, std::vector<SplitValue>> cache;
 
   std::set<std::string> result;
@@ -267,7 +267,7 @@ Result<std::set<std::string>> LookupByIds(
   // Decode ID lists per (key, URI).  Keys and URIs are borrowed as views
   // into `keys` / the fetched entries (both outlive the join), so this
   // stage allocates only the decoded ID vectors themselves.
-  const bool binary = store.SupportsBinaryValues();
+  const bool binary = store.Limits().binary_values;
   std::map<std::string_view,
            std::map<std::string_view, std::vector<xml::NodeId>>>
       ids_by_key_uri;

@@ -59,8 +59,8 @@ using cloud::KvStore;
 ///
 /// A generation > 0 (an upsert — index/generation.h) stamps every built
 /// item with a kGenAttr attribute; its bytes are part of `fixed` so the
-/// packing respects MaxItemBytes with the stamp included.  Generation 0
-/// emits exactly the pre-mutability item layout.
+/// packing respects Limits().max_item_bytes with the stamp included.
+/// Generation 0 emits exactly the pre-mutability item layout.
 Result<std::vector<Item>> BuildEntryItems(
     const KvStore& store, Rng& rng, std::string_view key,
     const std::string& uri, uint64_t generation,
@@ -73,8 +73,8 @@ Result<std::vector<Item>> BuildEntryItems(
   const uint64_t stamp_bytes =
       generation > 0 ? sizeof(kGenAttr) - 1 + stamp.size() : 0;
   const uint64_t fixed = key.size() + 36 /*uuid*/ + uri.size() + stamp_bytes;
-  const uint64_t max_item = store.MaxItemBytes();
-  if (fixed + 64 > max_item) {
+  const cloud::StoreLimits& limits = store.Limits();
+  if (fixed + 64 > limits.max_item_bytes) {
     return Status::InvalidArgument("index key too large for store: " +
                                    std::string(key));
   }
@@ -84,18 +84,18 @@ Result<std::vector<Item>> BuildEntryItems(
     uint64_t bytes = fixed;
     do {
       const std::string_view value = values[end];
-      if (value.size() > store.MaxValueBytes()) {
+      if (value.size() > limits.max_value_bytes) {
         return Status::InvalidArgument(
             StrFormat("value of %zu bytes exceeds the store's %llu-byte "
                       "value limit (key %s)",
                       value.size(),
-                      static_cast<unsigned long long>(store.MaxValueBytes()),
+                      static_cast<unsigned long long>(limits.max_value_bytes),
                       std::string(key).c_str()));
       }
       bytes += value.size();
       ++end;
-    } while (end < values.size() && end - begin < store.MaxValuesPerItem() &&
-             bytes + values[end].size() <= max_item);
+    } while (end < values.size() && end - begin < limits.max_values_per_item &&
+             bytes + values[end].size() <= limits.max_item_bytes);
     Item& item =
         items.emplace_back(Item{std::string(key), rng.NextUuid(), {}});
     if (generation > 0) item.attrs[kGenAttr] = {stamp};
@@ -114,10 +114,11 @@ Result<std::vector<Item>> BuildEntryItems(
 std::vector<std::string> EncodeIdChunks(const KvStore& store,
                                         const xml::NodeId* ids,
                                         uint32_t count) {
-  const bool binary = store.SupportsBinaryValues();
+  const cloud::StoreLimits& limits = store.Limits();
+  const bool binary = limits.binary_values;
   // Hex armouring doubles the encoded size.
   const uint64_t limit =
-      binary ? store.MaxValueBytes() : store.MaxValueBytes() / 2;
+      binary ? limits.max_value_bytes : limits.max_value_bytes / 2;
   std::vector<std::string> chunks;
   std::string blob;
   std::string one;
@@ -141,9 +142,10 @@ std::vector<std::string> EncodeIdChunks(const KvStore& store,
 /// front coding so chunks decode independently.
 std::vector<std::string> EncodePathChunks(
     const KvStore& store, const std::vector<std::string_view>& paths) {
-  const bool binary = store.SupportsBinaryValues();
+  const cloud::StoreLimits& limits = store.Limits();
+  const bool binary = limits.binary_values;
   const uint64_t limit =
-      binary ? store.MaxValueBytes() : store.MaxValueBytes() / 2;
+      binary ? limits.max_value_bytes : limits.max_value_bytes / 2;
   std::vector<std::string> chunks;
   std::vector<std::string_view> group;
   uint64_t group_bytes = 0;

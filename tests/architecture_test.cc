@@ -115,6 +115,13 @@ ArchFingerprint RunArch(const ArchitectureSpec& arch,
   config.host_threads = options.host_threads;
   Warehouse warehouse(env.get(), config);
   EXPECT_TRUE(warehouse.Setup().ok());
+  // Every decorator of the stack passes the backend's capabilities up.
+  const cloud::KvStore& backend =
+      options.backend == IndexBackend::kSimpleDb
+          ? static_cast<const cloud::KvStore&>(env->simpledb())
+          : env->dynamodb();
+  EXPECT_EQ(warehouse.index_store().Limits(), backend.Limits()) << arch.Name();
+  EXPECT_STREQ(warehouse.index_store().Name(), backend.Name()) << arch.Name();
   for (const auto& doc : Corpus()) {
     EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
   }

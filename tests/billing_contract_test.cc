@@ -2,9 +2,11 @@
 // (cloud/billed_call.h, docs/FAULTS.md): a faulted attempt bills exactly
 // one request and one round trip, records one error and changes no
 // stored state; an organically throttled attempt bills one request and
-// no capacity; and replacements and deletes keep the item table's size
-// accounting in step with the items it holds.  Swept over both key-value
-// backends, plus the object store's Put / Get / BatchGet.
+// no capacity; a call on a missing table bills nothing at all; and
+// replacements and deletes keep the item table's size accounting in step
+// with the items it holds.  Swept over both key-value backends, whose
+// limits are pinned here too, plus the object store's Put / Get /
+// BatchGet.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,8 @@ using StoreFactory = std::function<std::unique_ptr<KvStore>(
 
 struct Backend {
   const char* name;  // metric prefix: service.<name>.<op>
+  const char* noun;  // what error messages call a table
+  StoreLimits limits;
   ServiceId service;
   const char* create_op;
   const char* batch_get_op;  // SimpleDB answers BatchGet with Gets
@@ -73,6 +77,13 @@ std::unique_ptr<KvStore> MakeSimpleDb(UsageMeter* meter,
 }
 
 const Backend kDynamoDb{"dynamodb",
+                        "table",
+                        {.max_item_bytes = 64 * 1024,
+                         .max_value_bytes = 64 * 1024,
+                         .binary_values = true,
+                         .batch_put = 25,
+                         .batch_get = 100,
+                         .max_values_per_item = 1 << 20},
                         ServiceId::kDynamoDb,
                         "create_table",
                         "batch_get",
@@ -82,6 +93,13 @@ const Backend kDynamoDb{"dynamodb",
                         0,
                         MakeDynamoDb};
 const Backend kSimpleDb{"simpledb",
+                        "domain",
+                        {.max_item_bytes = 256 * 1024,
+                         .max_value_bytes = 1024,
+                         .binary_values = false,
+                         .batch_put = 25,
+                         .batch_get = 20,
+                         .max_values_per_item = 255},
                         ServiceId::kSimpleDb,
                         "create_domain",
                         "get",
@@ -130,25 +148,29 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
     store_->RestoreItem("t", MakeItem("k", "r2", {"b", "c"}));
   }
 
-  /// The data-plane and control-plane calls every backend bills.
-  std::vector<Call> Calls(SimAgent& agent) {
+  /// The data-plane and control-plane calls every backend bills; the
+  /// data-plane ones address `table`.
+  std::vector<Call> Calls(SimAgent& agent, const std::string& table = "t") {
     const Backend& b = GetParam();
     KvStore* s = store_.get();
     return {
         {b.create_op, b.put_requests,
          [s, &agent] { return s->CreateTable(agent, "u"); }},
         {"batch_put", b.put_requests,
-         [s, &agent] {
-           return s->BatchPut(agent, "t", std::vector<Item>{MakeItem("k", "r9", {"z"})});
+         [s, &agent, table] {
+           return s->BatchPut(agent, table,
+                              std::vector<Item>{MakeItem("k", "r9", {"z"})});
          }},
         {"get", b.get_requests,
-         [s, &agent] { return s->Get(agent, "t", "k").status(); }},
+         [s, &agent, table] { return s->Get(agent, table, "k").status(); }},
         {b.batch_get_op, b.get_requests,
-         [s, &agent] { return s->BatchGet(agent, "t", {"k"}).status(); }},
+         [s, &agent, table] {
+           return s->BatchGet(agent, table, {"k"}).status();
+         }},
         {"scan", b.get_requests,
-         [s, &agent] { return s->Scan(agent, "t").status(); }},
+         [s, &agent, table] { return s->Scan(agent, table).status(); }},
         {"delete_item", b.put_requests,
-         [s, &agent] { return s->DeleteItem(agent, "t", "k", "r1"); }},
+         [s, &agent, table] { return s->DeleteItem(agent, table, "k", "r1"); }},
     };
   }
 
@@ -255,6 +277,47 @@ TEST_P(BillingContractTest, ThrottledAttemptBillsOneRequestAndNoCapacity) {
     EXPECT_EQ(store_->StoredBytes("t"), bytes);
     EXPECT_EQ(store_->ItemCount("t"), items);
   }
+}
+
+// Every billed verb opens its table before it bills anything: on a
+// missing table it fails NotFound in the backend's own words, with no
+// usage, no virtual time and no stored change.  Creating or restoring a
+// table that exists fails AlreadyExists, also without a bill.
+TEST_P(BillingContractTest, MissingAndDuplicateTablesBillNothing) {
+  Open(FaultPlan());
+  const auto unbilled = [this](const std::function<Status()>& run) {
+    const Usage before = meter_.Snapshot();
+    const Micros start = agent_.now();
+    const Status status = run();
+    const Usage delta = meter_.usage() - before;
+    delta.ForEachField(
+        [](const char* field, auto value) { EXPECT_EQ(value, 0) << field; });
+    EXPECT_EQ(agent_.now(), start);
+    return status;
+  };
+  const std::string noun = GetParam().noun;
+  std::vector<Call> calls = Calls(agent_, "absent");
+  calls.erase(calls.begin());  // creation is checked below, on "t"
+  for (const Call& call : calls) {
+    SCOPED_TRACE(call.op);
+    const Status status = unbilled(call.run);
+    EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+    EXPECT_EQ(status.message(), "no such " + noun + ": absent");
+  }
+  EXPECT_FALSE(store_->HasTable("absent"));
+  for (const Status& status :
+       {unbilled([this] { return store_->CreateTable(agent_, "t"); }),
+        unbilled([this] { return store_->RestoreTable("t"); })}) {
+    EXPECT_TRUE(status.IsAlreadyExists()) << status.ToString();
+    EXPECT_EQ(status.message(), noun + " exists: t");
+  }
+  EXPECT_EQ(store_->ItemCount("t"), 2u);
+}
+
+TEST_P(BillingContractTest, LimitsArePinned) {
+  Open(FaultPlan());
+  EXPECT_EQ(store_->Limits(), GetParam().limits);
+  EXPECT_EQ(store_->BatchGetLimit(), GetParam().limits.batch_get);
 }
 
 TEST_P(BillingContractTest, ReplaceAndDeleteKeepAccountingInStep) {

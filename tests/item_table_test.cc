@@ -1,9 +1,11 @@
 // Differential test of the encoded item table (cloud/item_table.h):
-// seeded random Put / replace / Erase / Restore sequences run against a
-// plain nested-map reference model, which must agree on every item, in
-// order, on the accounting, and on every Erase result — across replace
-// and erase churn, empty attribute sets and values, binary values and
-// 64 KB items.
+// seeded random Put / replace / Erase sequences run against a plain
+// nested-map reference model, which must agree on every item, in order,
+// on the accounting, and on every Erase result — across replace and
+// erase churn, empty attribute sets and values, binary values and 64 KB
+// items.  The named tables above it are exercised through a real
+// DynamoDb: multi-table restores, deletes, iteration order and the
+// storage accounting the store bills from.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "cloud/dynamodb.h"
 #include "cloud/item_table.h"
 #include "cloud/kv_store.h"
 #include "common/rng.h"
@@ -20,28 +23,36 @@
 namespace webdex::cloud {
 namespace {
 
-/// The reference: table -> hash key -> range key -> attributes.
-using Model =
-    std::map<std::string,
-             std::map<std::string, std::map<std::string, Attributes>>>;
+class TestAgent : public SimAgent {};
 
-std::vector<std::pair<std::string, Item>> Contents(const ItemTable& table) {
-  std::vector<std::pair<std::string, Item>> out;
-  table.ForEachItem([&](const std::string& name, const Item& item) {
-    out.emplace_back(name, item);
-  });
+/// The reference of one table: hash key -> range key -> attributes.
+using TableModel = std::map<std::string, std::map<std::string, Attributes>>;
+/// The reference of a store: table -> its model.
+using Model = std::map<std::string, TableModel>;
+
+std::vector<Item> Contents(const TableModel& model) {
+  std::vector<Item> out;
+  for (const auto& [hash_key, ranges] : model) {
+    for (const auto& [range_key, attrs] : ranges) {
+      out.push_back(Item{hash_key, range_key, attrs});
+    }
+  }
   return out;
 }
 
 std::vector<std::pair<std::string, Item>> Contents(const Model& model) {
   std::vector<std::pair<std::string, Item>> out;
-  for (const auto& [name, hashes] : model) {
-    for (const auto& [hash_key, ranges] : hashes) {
-      for (const auto& [range_key, attrs] : ranges) {
-        out.emplace_back(name, Item{hash_key, range_key, attrs});
-      }
-    }
+  for (const auto& [name, table] : model) {
+    for (Item& item : Contents(table)) out.emplace_back(name, std::move(item));
   }
+  return out;
+}
+
+std::vector<std::pair<std::string, Item>> Contents(const KvStore& store) {
+  std::vector<std::pair<std::string, Item>> out;
+  store.ForEachItem([&](const std::string& name, const Item& item) {
+    out.emplace_back(name, item);
+  });
   return out;
 }
 
@@ -51,48 +62,62 @@ bool SameItem(const Item& a, const Item& b) {
 }
 
 /// Everything the table exposes equals the model's view of it.
-void ExpectMatches(const ItemTable& table, const Model& model) {
-  const auto got = Contents(table);
+void ExpectMatches(const ItemTable& t, const TableModel& model) {
+  uint64_t bytes = 0;
+  uint64_t values = 0;
+  const std::vector<Item> all = Contents(model);
+  for (const Item& item : all) {
+    bytes += item.SizeBytes();
+    values += ItemTable::CountValues(item.attrs);
+  }
+  for (const auto& [hash_key, ranges] : model) {
+    std::vector<Item> appended;
+    t.AppendItems(hash_key, &appended);
+    ASSERT_EQ(appended.size(), ranges.size()) << hash_key;
+    auto range = ranges.begin();
+    for (size_t i = 0; i < appended.size(); ++i, ++range) {
+      ASSERT_TRUE(
+          SameItem(appended[i], Item{hash_key, range->first, range->second}));
+    }
+  }
+  EXPECT_EQ(t.stored_bytes(), bytes);
+  EXPECT_EQ(t.item_count(), all.size());
+  EXPECT_EQ(t.value_count(), values);
+  std::vector<Item> appended{Item{"sentinel", "kept", {}}};
+  t.AppendAll(&appended);
+  ASSERT_EQ(appended.size(), all.size() + 1);
+  EXPECT_EQ(appended.front().hash_key, "sentinel");
+  for (size_t i = 0; i < all.size(); ++i) {
+    ASSERT_TRUE(SameItem(appended[i + 1], all[i])) << "item " << i;
+  }
+}
+
+/// Everything the store exposes equals the model's view of it: the items
+/// in (table, hash, range) order, the table names, and each table's
+/// accounting.
+void ExpectMatches(const DynamoDb& store, const Model& model) {
+  const auto got = Contents(store);
   const auto want = Contents(model);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].first, want[i].first) << "item " << i;
     ASSERT_TRUE(SameItem(got[i].second, want[i].second)) << "item " << i;
   }
-  for (const auto& [name, hashes] : model) {
-    const ItemTable::Table& t = table.Lookup(name);
+  std::vector<std::string> names;
+  for (const auto& [name, table] : model) {
+    names.push_back(name);
     uint64_t bytes = 0;
     uint64_t items = 0;
-    uint64_t values = 0;
-    std::vector<Item> all;
-    for (const auto& [hash_key, ranges] : hashes) {
-      std::vector<Item> by_hash;
-      for (const auto& [range_key, attrs] : ranges) {
-        const Item item{hash_key, range_key, attrs};
-        bytes += item.SizeBytes();
-        items += 1;
-        values += ItemTable::CountValues(attrs);
-        by_hash.push_back(item);
-        all.push_back(item);
-      }
-      std::vector<Item> appended;
-      t.AppendItems(hash_key, &appended);
-      ASSERT_EQ(appended.size(), by_hash.size()) << name << "/" << hash_key;
-      for (size_t i = 0; i < appended.size(); ++i) {
-        ASSERT_TRUE(SameItem(appended[i], by_hash[i]));
-      }
+    for (const Item& item : Contents(table)) {
+      bytes += item.SizeBytes();
+      items += 1;
     }
-    EXPECT_EQ(t.stored_bytes(), bytes) << name;
-    EXPECT_EQ(t.item_count(), items) << name;
-    EXPECT_EQ(t.value_count(), values) << name;
-    std::vector<Item> appended{Item{"sentinel", "kept", {}}};
-    t.AppendAll(&appended);
-    ASSERT_EQ(appended.size(), all.size() + 1) << name;
-    EXPECT_EQ(appended.front().hash_key, "sentinel");
-    for (size_t i = 0; i < all.size(); ++i) {
-      ASSERT_TRUE(SameItem(appended[i + 1], all[i]));
-    }
+    EXPECT_EQ(store.StoredBytes(name), bytes) << name;
+    EXPECT_EQ(store.ItemCount(name), items) << name;
+    EXPECT_EQ(store.OverheadBytes(name), items * DynamoDb::kItemOverheadBytes)
+        << name;
   }
+  EXPECT_EQ(store.TableNames(), names);
 }
 
 /// Random bytes of `size`, NUL and high bytes included.
@@ -122,66 +147,47 @@ Attributes RandomAttrs(Rng& rng) {
 }
 
 /// A model item picked uniformly, or nullopt when the model is empty.
-std::optional<std::pair<std::string, Item>> PickExisting(const Model& model,
-                                                         Rng& rng) {
+std::optional<Item> PickExisting(const TableModel& model, Rng& rng) {
   const auto all = Contents(model);
   if (all.empty()) return std::nullopt;
   return all[rng.NextBelow(all.size())];
 }
 
+const std::vector<std::string> kHashKeys = {"", "k", "key-1",
+                                            "a-much-longer-hash-key"};
+
 void RunRandomOps(uint64_t seed, int ops) {
   Rng rng(seed);
   ItemTable table;
-  Model model;
-  const std::vector<std::string> names = {"idx-a", "idx-b"};
-  for (const auto& name : names) {
-    ASSERT_TRUE(table.Create(name));
-    model[name];
-  }
-  const std::vector<std::string> hash_keys = {"", "k", "key-1",
-                                              "a-much-longer-hash-key"};
+  TableModel model;
   for (int op = 0; op < ops; ++op) {
     const uint64_t kind = rng.NextBelow(10);
     if (kind < 4) {  // put a new (or, by chance, an existing) key
-      const std::string& name = names[rng.NextBelow(names.size())];
-      Item item{hash_keys[rng.NextBelow(hash_keys.size())],
+      Item item{kHashKeys[rng.NextBelow(kHashKeys.size())],
                 rng.NextBelow(20) == 0 ? "" : rng.NextUuid().substr(0, 8),
                 RandomAttrs(rng)};
-      model[name][item.hash_key][item.range_key] = item.attrs;
-      table.Find(name)->Put(item);
+      model[item.hash_key][item.range_key] = item.attrs;
+      table.Put(item);
     } else if (kind < 7) {  // replace an existing item
       auto hit = PickExisting(model, rng);
       if (!hit) continue;
-      Item item = hit->second;
-      item.attrs = RandomAttrs(rng);
-      model[hit->first][item.hash_key][item.range_key] = item.attrs;
-      table.Find(hit->first)->Put(item);
-    } else if (kind < 9) {  // erase, mostly an existing item
-      const std::string& name = names[rng.NextBelow(names.size())];
+      hit->attrs = RandomAttrs(rng);
+      model[hit->hash_key][hit->range_key] = hit->attrs;
+      table.Put(*hit);
+    } else {  // erase, mostly an existing item
       std::optional<uint64_t> want;
-      Item key{hash_keys[rng.NextBelow(hash_keys.size())], "absent", {}};
+      Item key{kHashKeys[rng.NextBelow(kHashKeys.size())], "absent", {}};
       if (rng.NextBelow(4) != 0) {
         if (auto hit = PickExisting(model, rng)) {
-          key = hit->second;
+          key = *hit;
           want = key.SizeBytes();
-          auto& ranges = model[hit->first][key.hash_key];
+          auto& ranges = model[key.hash_key];
           ranges.erase(key.range_key);
-          if (ranges.empty()) model[hit->first].erase(key.hash_key);
-          EXPECT_EQ(table.Find(hit->first)->Erase(key.hash_key, key.range_key),
-                    want)
-              << "op " << op;
-          continue;
+          if (ranges.empty()) model.erase(key.hash_key);
         }
       }
-      EXPECT_EQ(table.Find(name)->Erase(key.hash_key, key.range_key),
-                std::nullopt)
+      EXPECT_EQ(table.Erase(key.hash_key, key.range_key), want)
           << "op " << op;
-    } else {  // snapshot restore, sometimes into a table not yet created
-      const std::string name = rng.NextBool(0.5) ? "idx-a" : "idx-restored";
-      Item item{hash_keys[rng.NextBelow(hash_keys.size())],
-                rng.NextUuid().substr(0, 8), RandomAttrs(rng)};
-      model[name][item.hash_key][item.range_key] = item.attrs;
-      table.Restore(name, item);
     }
     if (op % 97 == 0) {
       ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
@@ -197,48 +203,91 @@ TEST(ItemTableTest, RandomOpsMatchReferenceModel) {
   }
 }
 
+// Snapshot restores into created and not-yet-created tables, replaced by
+// later restores and removed by billed deletes: the store iterates, names
+// and accounts for exactly the model's tables and items.
+TEST(ItemStoreTest, RestoresAndDeletesAcrossTablesMatchReferenceModel) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    UsageMeter meter{Pricing()};
+    DynamoDb store(DynamoDbConfig(), &meter);
+    TestAgent agent;
+    Model model;
+    for (const char* name : {"idx-b", "idx-a"}) {
+      ASSERT_TRUE(store.RestoreTable(name).ok());
+      model[name];
+    }
+    EXPECT_TRUE(store.RestoreTable("idx-a").IsAlreadyExists());
+    const std::vector<std::string> names = {"idx-a", "idx-b", "idx-restored"};
+    for (int op = 0; op < 600; ++op) {
+      const std::string& name = names[rng.NextBelow(names.size())];
+      auto hit = rng.NextBool(0.5) && model.count(name) > 0
+                     ? PickExisting(model[name], rng)
+                     : std::nullopt;
+      if (hit && rng.NextBool(0.3)) {  // delete an existing item
+        ASSERT_TRUE(
+            store.DeleteItem(agent, name, hit->hash_key, hit->range_key).ok());
+        auto& ranges = model[name][hit->hash_key];
+        ranges.erase(hit->range_key);
+        if (ranges.empty()) model[name].erase(hit->hash_key);
+        continue;
+      }
+      // Restore a new item, or a replacement of an existing one.
+      Item item = hit ? *hit
+                      : Item{kHashKeys[rng.NextBelow(kHashKeys.size())],
+                             rng.NextUuid().substr(0, 8), {}};
+      item.attrs = RandomAttrs(rng);
+      store.RestoreItem(name, item);
+      model[name][item.hash_key][item.range_key] = item.attrs;
+      if (op % 61 == 0) {
+        ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, model));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, model));
+    EXPECT_EQ(store.StoredBytes("absent"), 0u);
+    EXPECT_EQ(store.ItemCount("absent"), 0u);
+    EXPECT_EQ(store.OverheadBytes("absent"), 0u);
+  }
+}
+
 // Replacing every item over and over, then erasing them all, changes
 // nothing a reader can tell from the model; the emptied table still works.
 TEST(ItemTableTest, ReplaceAndEraseChurnKeepsContents) {
   Rng rng(7);
-  ItemTable table;
-  ASSERT_TRUE(table.Create("t"));
-  ItemTable::Table& t = *table.Find("t");
-  Model model;
+  ItemTable t;
+  TableModel model;
   for (int i = 0; i < 200; ++i) {
     Item item{"k" + std::to_string(i % 13), "r" + std::to_string(i),
               RandomAttrs(rng)};
-    model["t"][item.hash_key][item.range_key] = item.attrs;
+    model[item.hash_key][item.range_key] = item.attrs;
     t.Put(item);
   }
-  ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   for (int round = 0; round < 5; ++round) {
-    for (const auto& [name, item] : Contents(model)) {
-      Item replaced = item;
+    for (Item replaced : Contents(model)) {
       replaced.attrs = RandomAttrs(rng);
-      model[name][replaced.hash_key][replaced.range_key] = replaced.attrs;
+      model[replaced.hash_key][replaced.range_key] = replaced.attrs;
       t.Put(replaced);
     }
-    ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   }
-  for (const auto& [name, item] : Contents(model)) {
+  for (const Item& item : Contents(model)) {
     EXPECT_EQ(t.Erase(item.hash_key, item.range_key), item.SizeBytes());
   }
-  model["t"].clear();
+  model.clear();
   EXPECT_EQ(t.item_count(), 0u);
   EXPECT_EQ(t.stored_bytes(), 0u);
-  ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   const Item again{"k", "r", {{"d", {"v"}}}};
   t.Put(again);
-  model["t"]["k"]["r"] = again.attrs;
-  ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
+  model["k"]["r"] = again.attrs;
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
 }
 
 TEST(ItemTableTest, EmptyAttributeSetsAndValuesRoundTrip) {
-  ItemTable table;
-  ASSERT_TRUE(table.Create("t"));
-  ItemTable::Table& t = *table.Find("t");
-  Model model;
+  ItemTable t;
+  TableModel model;
   const std::vector<Item> items = {
       Item{"k", "no-attrs", {}},
       Item{"k", "empty-value", {{"d", {""}}}},
@@ -248,44 +297,41 @@ TEST(ItemTableTest, EmptyAttributeSetsAndValuesRoundTrip) {
   };
   for (const Item& item : items) {
     t.Put(item);
-    model["t"][item.hash_key][item.range_key] = item.attrs;
+    model[item.hash_key][item.range_key] = item.attrs;
   }
-  ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   EXPECT_EQ(t.value_count(), 4u);
   EXPECT_EQ(t.Erase("", ""), 0u);
   EXPECT_EQ(t.Erase("", ""), std::nullopt);
 }
 
 TEST(ItemTableTest, BinaryValuesWithNulBytesRoundTrip) {
-  ItemTable table;
-  ASSERT_TRUE(table.Create("t"));
+  ItemTable t;
   const std::string binary("\x00\x01\xff\x00\x80\x7f", 6);
   const Item item{std::string("h\0sh", 4), std::string("r\0", 2),
                   {{std::string("n\0m", 3), {binary, std::string(1, '\0')}}}};
-  table.Find("t")->Put(item);
-  Model model;
-  model["t"][item.hash_key][item.range_key] = item.attrs;
-  ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
-  EXPECT_EQ(table.Lookup("t").stored_bytes(), item.SizeBytes());
+  t.Put(item);
+  TableModel model;
+  model[item.hash_key][item.range_key] = item.attrs;
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+  EXPECT_EQ(t.stored_bytes(), item.SizeBytes());
 }
 
 TEST(ItemTableTest, LargeItemRoundTrips) {
-  ItemTable table;
-  ASSERT_TRUE(table.Create("t"));
-  ItemTable::Table& t = *table.Find("t");
-  Model model;
+  ItemTable t;
+  TableModel model;
   Rng rng(11);
   const Item small_before{"k", "a", {{"d", {"before"}}}};
   const Item big{"k", "b", {{"d", {RandomBytes(rng, 64 * 1024)}}}};
   const Item small_after{"k", "c", {{"d", {"after"}}}};
   for (const Item* item : {&small_before, &big, &small_after}) {
     t.Put(*item);
-    model["t"][item->hash_key][item->range_key] = item->attrs;
+    model[item->hash_key][item->range_key] = item->attrs;
   }
-  ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   EXPECT_EQ(t.Erase("k", "b"), big.SizeBytes());
-  model["t"]["k"].erase("b");
-  ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
+  model["k"].erase("b");
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
 }
 
 }  // namespace

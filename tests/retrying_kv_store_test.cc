@@ -89,12 +89,15 @@ class ScriptedStore final : public KvStore {
   }
 
   const char* Name() const override { return "scripted"; }
-  uint64_t MaxItemBytes() const override { return 1 << 20; }
-  uint64_t MaxValueBytes() const override { return 1 << 20; }
-  bool SupportsBinaryValues() const override { return true; }
-  int BatchPutLimit() const override { return 25; }
-  int BatchGetLimit() const override { return 100; }
-  uint64_t MaxValuesPerItem() const override { return 1 << 20; }
+  const StoreLimits& Limits() const override {
+    static constexpr StoreLimits kLimits{.max_item_bytes = 1 << 20,
+                                         .max_value_bytes = 1 << 20,
+                                         .binary_values = true,
+                                         .batch_put = 25,
+                                         .batch_get = 100,
+                                         .max_values_per_item = 1 << 20};
+    return kLimits;
+  }
   uint64_t StoredBytes(const std::string&) const override { return 0; }
   uint64_t OverheadBytes(const std::string&) const override { return 0; }
   uint64_t ItemCount(const std::string&) const override { return 0; }
@@ -103,7 +106,6 @@ class ScriptedStore final : public KvStore {
       const override {}
   void RestoreItem(const std::string&, const Item&) override {}
   Status RestoreTable(const std::string&) override { return Status::OK(); }
-  bool Empty() const override { return committed.empty(); }
 
  private:
   Step Reach(SimAgent& agent, uint64_t Usage::*requests) {

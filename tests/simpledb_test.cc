@@ -103,10 +103,8 @@ TEST_F(SimpleDbTest, ReplacementUpdatesAccounting) {
                                         SimpleDb::kPerAttributeOverheadBytes);
 }
 
+// The limits themselves are pinned per backend in billing_contract_test.
 TEST_F(SimpleDbTest, CapabilityModel) {
-  EXPECT_FALSE(db_.SupportsBinaryValues());
-  EXPECT_EQ(db_.MaxValueBytes(), 1024u);
-  EXPECT_EQ(db_.MaxValuesPerItem(), 255u);
   EXPECT_STREQ(db_.Name(), "SimpleDB");
 }
 

@@ -281,6 +281,47 @@ TEST(StrategyStoreTest, ChunksOversizedIdListsForSimpleDb) {
   EXPECT_EQ(uris.value(), std::vector<std::string>{"big.xml"});
 }
 
+// SimpleDB packs at most 255 values into an index item, one below its
+// 256-attribute bound, so an upsert's generation stamp still fits: a key
+// whose ID list needs more than 255 chunks yields stamped items of
+// exactly 256 values that BatchPut accepts, and one value more is
+// rejected.
+TEST(StrategyStoreTest, StampedSimpleDbItemsFitTheAttributeBound) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 40000; ++i) xml += "<a/>";
+  xml += "</r>";
+  auto doc = xml::ParseDocument("wide.xml", xml);
+  ASSERT_TRUE(doc.ok());
+
+  cloud::CloudEnv env;
+  cloud::SimpleDb& store = env.simpledb();
+  ASSERT_EQ(store.Limits().max_values_per_item, 255u);
+  auto strategy = IndexingStrategy::Create(StrategyKind::kLUI);
+  ExtractOptions options;
+  options.generation = 1;
+  ExtractStats stats;
+  auto items =
+      strategy->ExtractItems(doc.value(), options, store, env.rng(), &stats);
+  ASSERT_TRUE(items.ok()) << items.status().ToString();
+  ASSERT_EQ(items.value().size(), 1u);
+  const std::vector<cloud::Item>& built = items.value()[0].items;
+  const cloud::Item* full = nullptr;
+  for (const cloud::Item& item : built) {
+    const uint64_t values = cloud::ItemTable::CountValues(item.attrs);
+    EXPECT_LE(values, 256u);
+    EXPECT_EQ(item.attrs.count(kGenAttr), 1u);
+    if (values == 256) full = &item;
+  }
+  ASSERT_NE(full, nullptr) << "no key needed more than 255 values";
+  TestAgent agent;
+  ASSERT_TRUE(store.CreateTable(agent, "idx-lui").ok());
+  ASSERT_TRUE(store.BatchPut(agent, "idx-lui", built).ok());
+  cloud::Item over = *full;
+  over.range_key += "-over";
+  over.attrs.at("wide.xml").push_back("00");
+  EXPECT_TRUE(store.BatchPut(agent, "idx-lui", {&over, 1}).IsInvalidArgument());
+}
+
 TEST(StrategyStoreTest, SameLookupResultsOnBothStores) {
   const auto corpus = xmark::GeneratePaintings();
   cloud::CloudEnv env;
