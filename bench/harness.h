@@ -312,10 +312,10 @@ inline void AppendFaultColumns(
 }
 
 /// Appends the metric registry's counters to a row's metrics as
-/// `metric.<name>` columns (service request/error totals, retry and
-/// fault counts, ...).  Gauges and histograms are skipped: the gauges
-/// mirror Usage fields the rows already carry, and a histogram has no
-/// single-number column.  std::map iteration makes the column set
+/// `metric.<name>` columns (service request/error totals, retry
+/// attempts, ...).  Gauges and histograms are skipped: the gauges
+/// mirror Usage fields (Usage alone counts faults, retries and bytes,
+/// see AppendFaultColumns), and a histogram has no single-number column.  std::map iteration makes the column set
 /// sorted, so rows stay diff-stable run over run.
 inline void AppendMetricColumns(
     const common::MetricRegistry& registry,

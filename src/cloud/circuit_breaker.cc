@@ -44,7 +44,6 @@ Status CircuitBreaker::Allow(std::string_view resource, Micros now) {
     return Status::OK();
   }
   meter_->mutable_usage().breaker_short_circuits += 1;
-  if (short_circuits_metric_ != nullptr) short_circuits_metric_->Add(1);
   std::string msg = "circuit breaker open: ";
   msg += resource;
   return Status::Unavailable(msg);
@@ -61,7 +60,6 @@ void CircuitBreaker::RecordSuccess(std::string_view resource) {
       if (++tracker.consecutive_successes >= config_.success_threshold) {
         tracker = HealthTracker();  // back to a fresh closed breaker
         meter_->mutable_usage().breaker_closes += 1;
-        if (closes_metric_ != nullptr) closes_metric_->Add(1);
         TraceTransition("breaker.close", resource, last_now_);
       }
       break;
@@ -82,7 +80,6 @@ void CircuitBreaker::RecordFailure(std::string_view resource, Micros now) {
         tracker.state = BreakerState::kOpen;
         tracker.opened_at = now;
         meter_->mutable_usage().breaker_opens += 1;
-        if (opens_metric_ != nullptr) opens_metric_->Add(1);
         TraceTransition("breaker.open", resource, now);
       }
       break;
@@ -92,7 +89,6 @@ void CircuitBreaker::RecordFailure(std::string_view resource, Micros now) {
       tracker.opened_at = now;
       tracker.consecutive_successes = 0;
       meter_->mutable_usage().breaker_opens += 1;
-      if (opens_metric_ != nullptr) opens_metric_->Add(1);
       TraceTransition("breaker.open", resource, now);
       break;
     case BreakerState::kOpen:

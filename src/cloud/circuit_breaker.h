@@ -10,7 +10,6 @@
 
 #include "cloud/sim.h"
 #include "cloud/usage.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "common/tracer.h"
 
@@ -62,25 +61,11 @@ class CircuitBreaker {
   /// One saved per-resource tracker (cloud/snapshot.cc).
   using TrackerState = std::pair<std::string, HealthTracker>;
 
-  /// `metrics` mirrors transition counts under `cloud.breaker.*`;
   /// `tracer` records a zero-duration span per transition
-  /// (`breaker.open:<resource>` etc.).  Both may be null.
+  /// (`breaker.open:<resource>` etc.); it may be null.
   CircuitBreaker(const CircuitBreakerConfig& config, UsageMeter* meter,
-                 common::MetricRegistry* metrics = nullptr,
                  common::Tracer* tracer = nullptr)
-      : config_(config),
-        meter_(meter),
-        tracer_(tracer),
-        opens_metric_(metrics == nullptr
-                          ? nullptr
-                          : metrics->GetCounter("cloud.breaker.opens.count")),
-        closes_metric_(metrics == nullptr
-                           ? nullptr
-                           : metrics->GetCounter("cloud.breaker.closes.count")),
-        short_circuits_metric_(
-            metrics == nullptr
-                ? nullptr
-                : metrics->GetCounter("cloud.breaker.short_circuits.count")) {}
+      : config_(config), meter_(meter), tracer_(tracer) {}
 
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
@@ -125,9 +110,6 @@ class CircuitBreaker {
   CircuitBreakerConfig config_;
   UsageMeter* meter_;
   common::Tracer* tracer_ = nullptr;
-  common::Counter* opens_metric_ = nullptr;
-  common::Counter* closes_metric_ = nullptr;
-  common::Counter* short_circuits_metric_ = nullptr;
   /// Virtual time of the last Allow/RecordFailure; RecordSuccess has no
   /// timestamp parameter, so its half-open -> closed transition span is
   /// stamped with this (the success it reports was observed then).

@@ -68,8 +68,8 @@ class CloudEnv {
       : config_(config),
         deployment_(config.arch),
         meter_(config.pricing),
-        injector_(config.faults, config.seed, &meter_, &metrics_),
-        breaker_(config.breaker, &meter_, &metrics_, &tracer_),
+        injector_(config.faults, config.seed, &meter_),
+        breaker_(config.breaker, &meter_, &tracer_),
         s3_(config.s3, &meter_, &injector_, &metrics_),
         dynamodb_(EffectiveDynamoConfig(config), &meter_, &injector_,
                   &metrics_),

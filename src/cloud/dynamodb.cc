@@ -23,20 +23,11 @@ DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
                     ? nullptr
                     : metrics->GetCounter("service.dynamodb.throttled.count")},
       batch_put_metrics_(OpMetrics::For(metrics, "service.dynamodb.batch_put")),
-      get_metrics_(OpMetrics::For(metrics, "service.dynamodb.get")),
       batch_get_metrics_(OpMetrics::For(metrics, "service.dynamodb.batch_get")),
       scan_metrics_(OpMetrics::For(metrics, "service.dynamodb.scan")),
       delete_metrics_(OpMetrics::For(metrics, "service.dynamodb.delete_item")),
       create_table_metrics_(
           OpMetrics::For(metrics, "service.dynamodb.create_table")),
-      write_units_metric_(
-          metrics == nullptr
-              ? nullptr
-              : metrics->GetGauge("service.dynamodb.write_units.total")),
-      read_units_metric_(
-          metrics == nullptr
-              ? nullptr
-              : metrics->GetGauge("service.dynamodb.read_units.total")),
       write_limiter_(config.write_units_per_second),
       read_limiter_(config.read_units_per_second) {
   if (config_.on_demand) {
@@ -120,7 +111,6 @@ void DynamoDb::MeterWriteUnits(double units) {
   } else {
     meter_->mutable_usage().ddb_write_units += units;
   }
-  if (write_units_metric_ != nullptr) write_units_metric_->Add(units);
   if (autoscaler_ != nullptr) autoscaler_->ObserveWrite(units);
 }
 
@@ -132,7 +122,6 @@ void DynamoDb::MeterReadUnits(double units) {
   } else {
     meter_->mutable_usage().ddb_read_units += units;
   }
-  if (read_units_metric_ != nullptr) read_units_metric_->Add(units);
   if (autoscaler_ != nullptr) autoscaler_->ObserveRead(units);
 }
 
@@ -243,23 +232,9 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
   return Status::OK();
 }
 
-Result<std::vector<Item>> DynamoDb::Get(SimAgent& agent,
-                                        const std::string& table,
-                                        const std::string& hash_key) {
-  return GetPages(agent, table, {&hash_key, 1}, "ddb.get:", get_metrics_);
-}
-
 Result<std::vector<Item>> DynamoDb::BatchGet(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
-  return GetPages(agent, table, hash_keys, "ddb.batchget:",
-                  batch_get_metrics_);
-}
-
-Result<std::vector<Item>> DynamoDb::GetPages(
-    SimAgent& agent, const std::string& table,
-    std::span<const std::string> hash_keys, std::string_view site,
-    const OpMetrics& op) {
   WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
   std::vector<Item> out;
   const int batch_limit = Limits().batch_get;
@@ -267,9 +242,10 @@ Result<std::vector<Item>> DynamoDb::GetPages(
   while (index < hash_keys.size()) {
     const size_t batch_end = std::min(
         hash_keys.size(), index + static_cast<size_t>(batch_limit));
-    BilledCall call(endpoint_, agent, op, &Usage::ddb_get_requests);
+    BilledCall call(endpoint_, agent, batch_get_metrics_,
+                    &Usage::ddb_get_requests);
     WEBDEX_RETURN_IF_ERROR(
-        Admit(call, site, table, read_limiter_, /*write=*/false));
+        Admit(call, "ddb.batchget:", table, read_limiter_, /*write=*/false));
     double units = 0;
     for (size_t i = index; i < batch_end; ++i) {
       const size_t first = out.size();

@@ -60,8 +60,6 @@ class DynamoDb final : public ItemStore {
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
-                                const std::string& hash_key) override;
   Result<std::vector<Item>> BatchGet(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
@@ -73,6 +71,9 @@ class DynamoDb final : public ItemStore {
 
   /// Per-item storage overhead billed by the store.
   static constexpr uint64_t kItemOverheadBytes = 100;
+  /// Billing floors of one item: see WriteUnits and ReadUnits.
+  static constexpr double kMinWriteBytes = 64;
+  static constexpr double kMinReadBytes = 128;
 
   /// Durable on-demand burst-ceiling state (snapshot v5).  All zero when
   /// `on_demand` is off.
@@ -125,12 +126,6 @@ class DynamoDb final : public ItemStore {
   /// fractional (same calibration rationale; AWS quantum is 4 KB).
   static double ReadUnits(uint64_t item_bytes);
 
- public:
-  static constexpr double kMinWriteBytes = 64;
-  static constexpr double kMinReadBytes = 128;
-
- private:
-
   Status ValidateItem(const Item& item) const;
 
   /// On-demand control loop: at each elapsed one-second window, folds the
@@ -150,25 +145,15 @@ class DynamoDb final : public ItemStore {
   Status Admit(BilledCall& call, std::string_view site,
                const std::string& table, const RateLimiter& limiter,
                bool write);
-  /// Get and BatchGet: reads `hash_keys` in pages of Limits().batch_get
-  /// keys, each page one billed request at fault site `site` + `table`.
-  Result<std::vector<Item>> GetPages(SimAgent& agent, const std::string& table,
-                                     std::span<const std::string> hash_keys,
-                                     std::string_view site,
-                                     const OpMetrics& op);
-
   DynamoDbConfig config_;
   UsageMeter* meter_;
   ServiceEndpoint endpoint_;
   Autoscaler* autoscaler_ = nullptr;
   OpMetrics batch_put_metrics_;
-  OpMetrics get_metrics_;
   OpMetrics batch_get_metrics_;
   OpMetrics scan_metrics_;
   OpMetrics delete_metrics_;
   OpMetrics create_table_metrics_;
-  common::Gauge* write_units_metric_ = nullptr;
-  common::Gauge* read_units_metric_ = nullptr;
   RateLimiter write_limiter_;
   RateLimiter read_limiter_;
   OnDemandState ondemand_;

@@ -57,20 +57,11 @@ const ServiceFaults& FaultPlan::Faults(ServiceId service) const {
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, uint64_t base_seed,
-                             UsageMeter* meter,
-                             common::MetricRegistry* metrics)
+                             UsageMeter* meter)
     : plan_(plan),
       base_seed_(MixSeeds(base_seed, plan.seed)),
       meter_(meter),
-      faults_metric_(metrics == nullptr ? nullptr
-                                        : metrics->GetCounter(
-                                              "cloud.faults.injected.count")),
       enabled_(plan.Any()) {}
-
-void FaultInjector::CountFault() {
-  meter_->mutable_usage().faulted_requests += 1;
-  if (faults_metric_ != nullptr) faults_metric_->Add(1);
-}
 
 Rng& FaultInjector::StreamFor(std::string_view site) {
   auto it = streams_.find(site);
@@ -107,7 +98,7 @@ Status FaultInjector::MaybeFail(ServiceId service, std::string_view site,
                        (outage.error_probability > 0 &&
                         StreamFor(site).NextBool(outage.error_probability));
     if (!fails) continue;
-    CountFault();
+    meter_->mutable_usage().faulted_requests += 1;
     std::string msg = "sustained outage at ";
     msg += site;
     const bool throttled =
@@ -121,7 +112,7 @@ Status FaultInjector::MaybeFail(ServiceId service, std::string_view site,
   if (faults.error_probability <= 0) return Status::OK();
   Rng& rng = StreamFor(site);
   if (!rng.NextBool(faults.error_probability)) return Status::OK();
-  CountFault();
+  meter_->mutable_usage().faulted_requests += 1;
   std::string msg = "injected fault at ";
   msg += site;
   if (rng.NextBool(faults.throttle_share)) {
@@ -138,7 +129,7 @@ size_t FaultInjector::UnprocessedCount(ServiceId service,
   if (faults.unprocessed_probability <= 0) return 0;
   Rng& rng = StreamFor(site);
   if (!rng.NextBool(faults.unprocessed_probability)) return 0;
-  CountFault();
+  meter_->mutable_usage().faulted_requests += 1;
   // 1 .. page_size items bounce (a whole-page bounce is AWS's behaviour
   // under sustained throttling).
   return 1 + static_cast<size_t>(
@@ -151,7 +142,7 @@ bool FaultInjector::ShouldDuplicate(ServiceId service, std::string_view site) {
   if (faults.duplicate_probability <= 0) return false;
   Rng& rng = StreamFor(site);
   if (!rng.NextBool(faults.duplicate_probability)) return false;
-  CountFault();
+  meter_->mutable_usage().faulted_requests += 1;
   return true;
 }
 

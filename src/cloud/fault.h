@@ -11,7 +11,6 @@
 
 #include "cloud/sim.h"
 #include "cloud/usage.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -150,10 +149,7 @@ class FaultInjector {
   /// One saved per-site stream cursor (cloud/snapshot.cc).
   using StreamState = std::pair<std::string, std::array<uint64_t, 4>>;
 
-  /// `metrics` may be null; when given, injected faults are mirrored to
-  /// the `cloud.faults.injected.count` counter.
-  FaultInjector(const FaultPlan& plan, uint64_t base_seed, UsageMeter* meter,
-                common::MetricRegistry* metrics = nullptr);
+  FaultInjector(const FaultPlan& plan, uint64_t base_seed, UsageMeter* meter);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -192,13 +188,9 @@ class FaultInjector {
  private:
   Rng& StreamFor(std::string_view site);
 
-  /// Bumps Usage::faulted_requests and its metric mirror together.
-  void CountFault();
-
   FaultPlan plan_;
   uint64_t base_seed_;
   UsageMeter* meter_;
-  common::Counter* faults_metric_ = nullptr;
   bool enabled_;
   std::map<std::string, Rng, std::less<>> streams_;
 };

@@ -88,14 +88,10 @@ class KvStore {
                           std::span<const Item> items,
                           std::vector<Item>* unprocessed = nullptr) = 0;
 
-  /// Returns all items whose hash key equals `hash_key` (the get(T,k)
-  /// operation of Section 6).  Empty vector if none.
-  virtual Result<std::vector<Item>> Get(SimAgent& agent,
-                                        const std::string& table,
-                                        const std::string& hash_key) = 0;
-
-  /// Executes up to Limits().batch_get gets per API request.  Results are
-  /// concatenated in key order.
+  /// Returns all items whose hash key is one of `hash_keys` (the get(T,k)
+  /// operation of Section 6, batched): up to Limits().batch_get keys per
+  /// API request, results concatenated in key order, nothing for a key
+  /// with no items.
   virtual Result<std::vector<Item>> BatchGet(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) = 0;
@@ -173,10 +169,6 @@ class ForwardingKvStore : public KvStore {
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override {
     return base_->BatchPut(agent, table, items, unprocessed);
-  }
-  Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
-                                const std::string& hash_key) override {
-    return base_->Get(agent, table, hash_key);
   }
   Result<std::vector<Item>> BatchGet(
       SimAgent& agent, const std::string& table,

@@ -16,12 +16,6 @@ ObjectStore::ObjectStore(const ObjectStoreConfig& config, UsageMeter* meter,
       get_metrics_(OpMetrics::For(metrics, "service.s3.get")),
       batch_get_metrics_(OpMetrics::For(metrics, "service.s3.batch_get")),
       list_metrics_(OpMetrics::For(metrics, "service.s3.list")),
-      bytes_in_metric_(metrics == nullptr
-                           ? nullptr
-                           : metrics->GetCounter("service.s3.bytes_in.total")),
-      bytes_out_metric_(metrics == nullptr
-                            ? nullptr
-                            : metrics->GetCounter("service.s3.bytes_out.total")),
       request_limiter_(config.requests_per_second) {}
 
 Status ObjectStore::CreateBucket(const std::string& bucket) {
@@ -56,7 +50,6 @@ Status ObjectStore::Put(SimAgent& agent, const std::string& bucket,
   const RoundTrip upload = Transfer(data.size());
   WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.put:", bucket, upload));
   meter_->mutable_usage().s3_bytes_in += data.size();
-  if (bytes_in_metric_ != nullptr) bytes_in_metric_->Add(data.size());
   call.Succeed(upload);
   it->second[key] = std::move(data);
   return Status::OK();
@@ -79,7 +72,6 @@ Result<std::string> ObjectStore::Get(SimAgent& agent,
         Transfer(0));
   }
   meter_->mutable_usage().s3_bytes_out += obj->second.size();
-  if (bytes_out_metric_ != nullptr) bytes_out_metric_->Add(obj->second.size());
   call.Succeed(Transfer(obj->second.size()));
   return obj->second;
 }
@@ -123,9 +115,6 @@ Result<std::vector<std::string>> ObjectStore::BatchGet(
     stream_micros[next_stream] += micros;
     next_stream = (next_stream + 1) % stream_micros.size();
     meter_->mutable_usage().s3_bytes_out += obj->second.size();
-    if (bytes_out_metric_ != nullptr) {
-      bytes_out_metric_->Add(obj->second.size());
-    }
     out.push_back(obj->second);
   }
   const double makespan =

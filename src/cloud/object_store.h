@@ -128,8 +128,6 @@ class ObjectStore {
   OpMetrics get_metrics_;
   OpMetrics batch_get_metrics_;
   OpMetrics list_metrics_;
-  common::Counter* bytes_in_metric_ = nullptr;
-  common::Counter* bytes_out_metric_ = nullptr;
   RateLimiter request_limiter_;
   // bucket -> key -> object payload.
   std::map<std::string, std::map<std::string, std::string>> buckets_;

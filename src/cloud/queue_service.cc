@@ -13,11 +13,7 @@ QueueService::QueueService(const QueueServiceConfig& config, UsageMeter* meter,
       send_metrics_(OpMetrics::For(metrics, "service.sqs.send")),
       receive_metrics_(OpMetrics::For(metrics, "service.sqs.receive")),
       delete_metrics_(OpMetrics::For(metrics, "service.sqs.delete")),
-      renew_metrics_(OpMetrics::For(metrics, "service.sqs.renew")),
-      redelivery_metric_(
-          metrics == nullptr
-              ? nullptr
-              : metrics->GetCounter("service.sqs.redeliveries.count")) {}
+      renew_metrics_(OpMetrics::For(metrics, "service.sqs.renew")) {}
 
 Status QueueService::CreateQueue(const std::string& queue) {
   auto [it, inserted] = queues_.try_emplace(queue);
@@ -59,10 +55,7 @@ Result<std::optional<ReceivedMessage>> QueueService::Receive(
       msg.visible_at = agent.now() + config_.visibility_timeout;
       msg.receipt = next_receipt_++;
       msg.delivery_count += 1;
-      if (msg.delivery_count > 1) {
-        meter_->mutable_usage().sqs_redeliveries += 1;
-        if (redelivery_metric_ != nullptr) redelivery_metric_->Add(1);
-      }
+      if (msg.delivery_count > 1) meter_->mutable_usage().sqs_redeliveries += 1;
       ReceivedMessage out;
       out.body = msg.body;
       out.receipt = msg.receipt;

@@ -111,7 +111,6 @@ class QueueService {
   OpMetrics receive_metrics_;
   OpMetrics delete_metrics_;
   OpMetrics renew_metrics_;
-  common::Counter* redelivery_metric_ = nullptr;
   uint64_t next_receipt_ = 1;
   std::map<std::string, std::deque<PendingMessage>> queues_;
 };

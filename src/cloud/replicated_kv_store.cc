@@ -12,9 +12,6 @@ ReplicatedKvStore::ReplicatedKvStore(KvStore* base, Deployment* deployment,
       deployment_(deployment),
       meter_(meter),
       tracer_(tracer),
-      replica_reads_metric_(metrics == nullptr
-                                ? nullptr
-                                : metrics->GetCounter("replica.reads.count")),
       primary_reads_metric_(metrics == nullptr
                                 ? nullptr
                                 : metrics->GetCounter("replica.primary.count")),
@@ -59,16 +56,8 @@ Result<std::vector<Item>> ReplicatedKvStore::Read(
       0.5 * (u.ddb_ondemand_read_units - before.ddb_ondemand_read_units);
   u.sdb_box_hours -= 0.5 * (u.sdb_box_hours - before.sdb_box_hours);
   u.replica_reads += 1;
-  if (replica_reads_metric_ != nullptr) replica_reads_metric_->Add(1);
   if (lag_metric_ != nullptr) lag_metric_->Record(static_cast<double>(lag));
   return result;
-}
-
-Result<std::vector<Item>> ReplicatedKvStore::Get(SimAgent& agent,
-                                                 const std::string& table,
-                                                 const std::string& hash_key) {
-  return Read(agent, table, &hash_key,
-              [&] { return base_->Get(agent, table, hash_key); });
 }
 
 Result<std::vector<Item>> ReplicatedKvStore::BatchGet(

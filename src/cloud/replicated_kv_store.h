@@ -41,8 +41,6 @@ class ReplicatedKvStore final : public ForwardingKvStore {
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
-                                const std::string& hash_key) override;
   Result<std::vector<Item>> BatchGet(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
@@ -65,7 +63,6 @@ class ReplicatedKvStore final : public ForwardingKvStore {
   Deployment* deployment_;
   UsageMeter* meter_;
   common::Tracer* tracer_ = nullptr;
-  common::Counter* replica_reads_metric_ = nullptr;
   common::Counter* primary_reads_metric_ = nullptr;
   common::Histogram* lag_metric_ = nullptr;
 };

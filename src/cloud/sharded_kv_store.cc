@@ -103,16 +103,6 @@ Status ShardedKvStore::BatchPut(SimAgent& agent, const std::string& logical,
   return Status::OK();
 }
 
-Result<std::vector<Item>> ShardedKvStore::Get(SimAgent& agent,
-                                              const std::string& logical,
-                                              const std::string& hash_key) {
-  const int shard = deployment_->ShardFor(hash_key);
-  CountOp("get", shard);
-  if (route_metric_ != nullptr) route_metric_->Add(1);
-  return base_->Get(agent, deployment_->PhysicalName(logical, shard),
-                    hash_key);
-}
-
 Result<std::vector<Item>> ShardedKvStore::BatchGet(
     SimAgent& agent, const std::string& logical,
     const std::vector<std::string>& hash_keys) {

@@ -55,8 +55,6 @@ class ShardedKvStore final : public ForwardingKvStore {
   Status BatchPut(SimAgent& agent, const std::string& logical,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> Get(SimAgent& agent, const std::string& logical,
-                                const std::string& hash_key) override;
   Result<std::vector<Item>> BatchGet(
       SimAgent& agent, const std::string& logical,
       const std::vector<std::string>& hash_keys) override;

@@ -128,18 +128,20 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
   return Status::OK();
 }
 
-Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
-                                        const std::string& table,
-                                        const std::string& hash_key) {
+Status SimpleDb::SelectKey(SimAgent& agent, const std::string& table,
+                           const std::string& hash_key,
+                           std::vector<Item>* out) {
   WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
   BilledCall call(endpoint_, agent, get_metrics_, &Usage::sdb_get_requests);
   WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.get:", table));
-  std::vector<Item> out;
-  t->AppendItems(hash_key, &out);
+  const size_t first = out->size();
+  t->AppendItems(hash_key, out);
   // SimpleDB's select paginates at 2500 attributes / 1 MB; model one extra
   // request round trip per page.
   uint64_t attr_total = 0;
-  for (const auto& item : out) attr_total += ItemTable::CountValues(item.attrs);
+  for (size_t i = first; i < out->size(); ++i) {
+    attr_total += ItemTable::CountValues((*out)[i].attrs);
+  }
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   call.Bill(pages);
   meter_->mutable_usage().sdb_box_hours +=
@@ -147,7 +149,7 @@ Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
       static_cast<double>(pages);
   for (uint64_t i = 0; i < pages; ++i) call.Charge({&request_limiter_, 1.0});
   call.Record(/*error=*/false);
-  return out;
+  return Status::OK();
 }
 
 Result<std::vector<Item>> SimpleDb::BatchGet(
@@ -155,9 +157,7 @@ Result<std::vector<Item>> SimpleDb::BatchGet(
     const std::vector<std::string>& hash_keys) {
   std::vector<Item> out;
   for (const auto& key : hash_keys) {
-    auto r = Get(agent, table, key);
-    if (!r.ok()) return r.status();
-    for (auto& item : r.value()) out.push_back(std::move(item));
+    WEBDEX_RETURN_IF_ERROR(SelectKey(agent, table, key, &out));
   }
   return out;
 }
@@ -168,7 +168,7 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
   std::vector<Item> out;
   t->AppendAll(&out);
   const uint64_t attr_total = t->value_count();
-  // A full select paginates at 2500 attributes, like Get.
+  // A full select paginates at 2500 attributes, like SelectKey.
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   for (uint64_t page = 0; page < pages; ++page) {
     BilledCall call(endpoint_, agent, scan_metrics_, &Usage::sdb_get_requests);

@@ -50,8 +50,6 @@ class SimpleDb final : public ItemStore {
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
-                                const std::string& hash_key) override;
   Result<std::vector<Item>> BatchGet(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
@@ -74,6 +72,11 @@ class SimpleDb final : public ItemStore {
   /// request-rate cap (a rejected request bills no box usage).
   Status Admit(BilledCall& call, std::string_view site,
                const std::string& table);
+  /// One key of a BatchGet: a select of `hash_key`'s items, appended to
+  /// `*out`, billed one request per 2500-attribute page at fault site
+  /// `sdb.get:` + `table`.
+  Status SelectKey(SimAgent& agent, const std::string& table,
+                   const std::string& hash_key, std::vector<Item>* out);
 
   SimpleDbConfig config_;
   UsageMeter* meter_;

@@ -51,7 +51,6 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
       concurrency_limit_(config.initial_concurrency) {
   if (metrics_ != nullptr) {
     admitted_metric_ = metrics_->GetCounter("admission.admitted.count");
-    shed_metric_ = metrics_->GetCounter("admission.shed.count");
     deferred_metric_ = metrics_->GetCounter("admission.deferred.count");
     backpressure_metric_ =
         metrics_->GetCounter("admission.backpressure.count");
@@ -140,7 +139,6 @@ AdmissionDecision AdmissionController::Admit(cloud::SimAgent& agent,
       decision.status =
           Status::Overloaded("admission rejected: over capacity");
       if (meter_ != nullptr) meter_->mutable_usage().shed_queries += 1;
-      if (shed_metric_ != nullptr) shed_metric_->Add(1);
       if (tracer_ != nullptr && meter_ != nullptr) {
         cloud::MeteredSpan span(tracer_, meter_, agent, "admission.shed");
         span.AddAttr("query_id", static_cast<double>(query_id));

@@ -146,7 +146,6 @@ class AdmissionController {
   common::MetricRegistry* metrics_;
   common::Tracer* tracer_;
   common::Counter* admitted_metric_ = nullptr;
-  common::Counter* shed_metric_ = nullptr;
   common::Counter* deferred_metric_ = nullptr;
   common::Counter* backpressure_metric_ = nullptr;
   common::Gauge* limit_gauge_ = nullptr;

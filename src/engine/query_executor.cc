@@ -77,7 +77,9 @@ Status QueryExecutor::Lookup(Instance& instance,
   outcome->lookup = stats;
 
   const cloud::Usage delta = w.env_->meter().Snapshot() - before;
-  outcome->index_get_units = delta.ddb_read_units + delta.sdb_get_requests;
+  outcome->index_get_units = delta.ddb_read_units +
+                             delta.ddb_ondemand_read_units +
+                             delta.sdb_get_requests;
   if (scanned) {
     // Degraded read (docs/FAULTS.md): answer from the ground truth by
     // scanning every document, exactly like the no-index baseline.  Same

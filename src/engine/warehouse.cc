@@ -31,7 +31,9 @@ Warehouse::Warehouse(cloud::CloudEnv* env, const WarehouseConfig& config)
           config.retry, env->config().seed, &env->meter(),
           &env->breaker(), &env->metrics(), &env->tracer())),
       cluster_(config.num_instances, config.instance_type,
-               &env->config().work) {
+               &env->config().work),
+      retrier_(config.retry, env->config().seed, &env->meter(),
+               /*breaker=*/nullptr, &env->metrics(), &env->tracer()) {
   // Deployment decorators (docs/ARCHITECTURES.md), constructed only when
   // the architecture asks for them so the default deployment's stack —
   // and with it every byte of its runs — is unchanged.
@@ -421,7 +423,9 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
       outcome = PutMetaRow(instance, request.value());
     }
     const cloud::Usage delta = env_->meter().Snapshot() - before;
-    report->index_put_units += delta.ddb_write_units + delta.sdb_put_requests;
+    report->index_put_units += delta.ddb_write_units +
+                               delta.ddb_ondemand_write_units +
+                               delta.sdb_put_requests;
   } else if (outcome == TaskOutcome::kOk && is_delete) {
     // Tombstone only: once it is durable no reader — live or rebuilt
     // from a snapshot — can resurrect the document, wherever the task
@@ -444,7 +448,6 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
     UnregisterDocument(request.value().uri);
     doc_cache_.Erase(request.value().uri);
     env_->meter().mutable_usage().tombstones_written += 1;
-    env_->metrics().GetCounter("index.tombstone.written.count")->Add(1);
   } else if (outcome == TaskOutcome::kOk) {
     report->extract_stats.entries += extraction->stats.entries;
     report->extract_stats.items += extraction->stats.items;
@@ -606,8 +609,7 @@ QueryPlanner Warehouse::MakePlanner() {
     context.stats.min_read_bytes = 0;
   } else {
     context.stats.billing = cost::IndexBilling::kReadUnits;
-    // DynamoDB's per-item read-unit floor (DynamoDb::kMinReadBytes).
-    context.stats.min_read_bytes = 128;
+    context.stats.min_read_bytes = cloud::DynamoDb::kMinReadBytes;
   }
   return QueryPlanner(std::move(context));
 }
@@ -875,9 +877,6 @@ Result<CompactReport> Warehouse::Compact(bool full) {
   // Collected tombstones reclaimed their stored objects (the delete task
   // itself never unlinks — docs/MUTABILITY.md).
   data_bytes_ = env_->s3().BucketBytes(config_.data_bucket);
-  env_->metrics()
-      .GetCounter("index.compact.gc_items.count")
-      ->Add(report.items_deleted);
   env_->metrics()
       .GetCounter("index.compact.canonicalized.count")
       ->Add(report.canonicalized_uris.size());

@@ -113,7 +113,8 @@ struct IndexingRunReport {
   /// instances start polling immediately) to last message deleted.
   cloud::Micros makespan = 0;
   index::ExtractStats extract_stats;
-  /// Index-store put units consumed (|op(D, I)| at pricing granularity).
+  /// Index-store put units consumed (|op(D, I)| at pricing granularity):
+  /// provisioned or on-demand DynamoDB write units, or SimpleDB puts.
   double index_put_units = 0;
   /// Fault-recovery accounting (docs/FAULTS.md).
   uint64_t redeliveries = 0;   // task deliveries with delivery_count > 1
@@ -140,7 +141,8 @@ struct QueryOutcome {
   uint64_t docs_from_index = 0;
   QueryTimings timings;
   index::LookupStats lookup;
-  /// Index-store get units consumed (|op(q, D, I)|).
+  /// Index-store get units consumed (|op(q, D, I)|), priced like
+  /// IndexingRunReport::index_put_units.
   double index_get_units = 0;
   /// True when the index lookup exhausted its retries (or hit an open
   /// circuit breaker) and the query fell back to a full warehouse scan.
@@ -371,53 +373,15 @@ class Warehouse {
   void UnregisterDocument(const std::string& uri);
 
   /// Runs `fn` (returning Status or Result<T>) under the configured retry
-  /// policy; backoff advances `agent`'s virtual clock and jitter is drawn
-  /// from a deterministic per-`site` stream.  With the tracer enabled,
-  /// each attempt gets its own `attempt.<site>` span carrying the usage
-  /// it metered (retried attempts show up as siblings, so a span tree
-  /// prices every billed attempt, not just the one that succeeded).
+  /// policy through the warehouse's Retrier (no breaker): jitter comes
+  /// from a deterministic per-`site` stream, and each attempt gets its
+  /// own `attempt.<site>` span carrying the usage it metered (retried
+  /// attempts show up as siblings, so a span tree prices every billed
+  /// attempt, not just the one that succeeded).
   template <typename Fn>
   auto RetryCall(cloud::SimAgent& agent, const std::string& site,
                  const Fn& fn) -> decltype(fn()) {
-    auto it = retry_streams_.find(site);
-    if (it == retry_streams_.end()) {
-      it = retry_streams_
-               .emplace(site, Rng::ForKey(env_->config().seed, "wh:" + site))
-               .first;
-    }
-    // The sleep callback fires exactly once per retry, in lockstep with
-    // the `retries` counter, so bumping the mirror metric here keeps
-    // `cloud.retry.retries.count` equal to Usage::retried_requests.
-    common::Counter* retries_metric =
-        env_->metrics().GetCounter("cloud.retry.retries.count");
-    const auto sleep = [&agent, retries_metric](int64_t micros) {
-      agent.Advance(static_cast<cloud::Micros>(micros));
-      retries_metric->Add(1);
-    };
-    common::Counter* attempts_metric =
-        env_->metrics().GetCounter("cloud.retry.attempts.count");
-    uint64_t* retries = &env_->meter().mutable_usage().retried_requests;
-    if (!env_->tracer().enabled()) {
-      const auto counted = [&]() -> decltype(fn()) {
-        attempts_metric->Add(1);
-        return fn();
-      };
-      return common::CallWithRetry(config_.retry, it->second, counted, sleep,
-                                   retries);
-    }
-    const std::string span_name = "attempt." + site;
-    int attempt = 0;
-    const auto traced = [&]() -> decltype(fn()) {
-      attempts_metric->Add(1);
-      cloud::MeteredSpan span(&env_->tracer(), &env_->meter(), agent,
-                              span_name);
-      span.AddAttr("attempt", ++attempt);
-      auto outcome = fn();
-      if (!common::StatusOf(outcome).ok()) span.AddAttr("error", 1);
-      return outcome;
-    };
-    return common::CallWithRetry(config_.retry, it->second, traced, sleep,
-                                 retries);
+    return retrier_.Call(agent, "wh:" + site, "attempt." + site, {}, fn);
   }
 
   /// Uploads `items` to `table` one Limits().batch_put-sized page per API
@@ -541,7 +505,8 @@ class Warehouse {
   uint64_t data_bytes_ = 0;
   uint64_t next_query_id_ = 1;
   DocCache doc_cache_;
-  std::map<std::string, Rng, std::less<>> retry_streams_;
+  /// The retry loop of the warehouse's own S3/SQS calls (RetryCall).
+  cloud::Retrier retrier_;
 };
 
 }  // namespace webdex::engine

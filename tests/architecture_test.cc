@@ -320,7 +320,7 @@ TEST(ArchitectureTest, OnDemandBillsPerRequest) {
   ASSERT_TRUE(env.dynamodb().CreateTable(agent, "t").ok());
   cloud::Item item{"k", "r", {{"v", {std::string(2048, 'x')}}}};
   ASSERT_TRUE(env.dynamodb().BatchPut(agent, "t", {&item, 1}).ok());
-  ASSERT_TRUE(env.dynamodb().Get(agent, "t", "k").ok());
+  ASSERT_TRUE(env.dynamodb().BatchGet(agent, "t", {"k"}).ok());
 
   const cloud::Usage& usage = env.meter().usage();
   EXPECT_GT(usage.ondemand_requests, 0u);
@@ -332,6 +332,36 @@ TEST(ArchitectureTest, OnDemandBillsPerRequest) {
   const cloud::Pricing& pricing = env.meter().pricing();
   EXPECT_GT(pricing.idx_ondemand_put, pricing.idx_put);
   EXPECT_GT(pricing.idx_ondemand_get, pricing.idx_get);
+}
+
+// Run reports count index units on either price sheet: an on-demand
+// deployment reports the on-demand units it metered, not zero.
+TEST(ArchitectureTest, OnDemandReportsIndexUnits) {
+  cloud::CloudConfig cloud_config;
+  cloud_config.arch = Arch(CapacityMode::kOnDemand, 1, 0);
+  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
+  WarehouseConfig config;
+  config.strategy = StrategyKind::kLUP;
+  config.num_instances = 2;
+  Warehouse warehouse(env.get(), config);
+  ASSERT_TRUE(warehouse.Setup().ok());
+  for (const auto& doc : Corpus()) {
+    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
+  }
+  auto report = warehouse.RunIndexers();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const double write_units = env->meter().usage().ddb_ondemand_write_units;
+  ASSERT_GT(write_units, 0.0);
+  EXPECT_NEAR(report.value().index_put_units, write_units,
+              1e-9 * write_units);
+
+  const cloud::Usage before = env->meter().Snapshot();
+  auto outcome = warehouse.ExecuteQuery(kQuery);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_GT(outcome.value().index_get_units, 0.0);
+  EXPECT_DOUBLE_EQ(
+      outcome.value().index_get_units,
+      (env->meter().Snapshot() - before).ddb_ondemand_read_units);
 }
 
 // The sharded router takes a borrowed sub-span: a batch whose items all

@@ -161,8 +161,6 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
            return s->BatchPut(agent, table,
                               std::vector<Item>{MakeItem("k", "r9", {"z"})});
          }},
-        {"get", b.get_requests,
-         [s, &agent, table] { return s->Get(agent, table, "k").status(); }},
         {b.batch_get_op, b.get_requests,
          [s, &agent, table] {
            return s->BatchGet(agent, table, {"k"}).status();
@@ -250,7 +248,7 @@ TEST_P(BillingContractTest, ThrottledAttemptBillsOneRequestAndNoCapacity) {
                                std::vector<Item>{MakeItem("w", "r" + std::to_string(i),
                                          {value})})
                     .ok());
-    ASSERT_TRUE(store_->Get(reader, "t", "w").ok());
+    ASSERT_TRUE(store_->BatchGet(reader, "t", {"w"}).ok());
   }
   ExpectAccountingInStep();
   const uint64_t bytes = store_->StoredBytes("t");

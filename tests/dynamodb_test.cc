@@ -40,7 +40,7 @@ TEST_F(DynamoDbTest, PutAndGetByHashKey) {
                            std::vector<Item>{MakeItem("k", "r1", {{"doc1.xml", {"v1"}}}),
                             MakeItem("k", "r2", {{"doc2.xml", {"v2"}}})})
                   .ok());
-  auto items = db_.Get(agent_, "t", "k");
+  auto items = db_.BatchGet(agent_, "t", {"k"});
   ASSERT_TRUE(items.ok());
   ASSERT_EQ(items.value().size(), 2u);
   EXPECT_EQ(items.value()[0].range_key, "r1");
@@ -48,7 +48,7 @@ TEST_F(DynamoDbTest, PutAndGetByHashKey) {
 }
 
 TEST_F(DynamoDbTest, GetMissingHashKeyReturnsEmpty) {
-  auto items = db_.Get(agent_, "t", "nope");
+  auto items = db_.BatchGet(agent_, "t", {"nope"});
   ASSERT_TRUE(items.ok());
   EXPECT_TRUE(items.value().empty());
   EXPECT_DOUBLE_EQ(meter_.usage().ddb_read_units,
@@ -56,7 +56,7 @@ TEST_F(DynamoDbTest, GetMissingHashKeyReturnsEmpty) {
 }
 
 TEST_F(DynamoDbTest, UnknownTableFails) {
-  EXPECT_TRUE(db_.Get(agent_, "nope", "k").status().IsNotFound());
+  EXPECT_TRUE(db_.BatchGet(agent_, "nope", {"k"}).status().IsNotFound());
   EXPECT_TRUE(db_.BatchPut(agent_, "nope", {}).IsNotFound());
   EXPECT_TRUE(db_.CreateTable(agent_, "t").IsAlreadyExists());
 }
@@ -67,7 +67,7 @@ TEST_F(DynamoDbTest, SamePrimaryKeyReplacesItem) {
           .ok());
   ASSERT_TRUE(db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r", {{"b", {"x"}}})})
                   .ok());
-  auto items = db_.Get(agent_, "t", "k");
+  auto items = db_.BatchGet(agent_, "t", {"k"});
   ASSERT_EQ(items.value().size(), 1u);
   EXPECT_EQ(items.value()[0].attrs.count("a"), 0u);
   EXPECT_EQ(items.value()[0].attrs.at("b")[0], "x");
@@ -100,7 +100,7 @@ TEST_F(DynamoDbTest, BinaryValuesSupported) {
   ASSERT_TRUE(
       db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r", {{"u", {binary}}})})
           .ok());
-  auto items = db_.Get(agent_, "t", "k");
+  auto items = db_.BatchGet(agent_, "t", {"k"});
   EXPECT_EQ(items.value()[0].attrs.at("u")[0], binary);
 }
 
@@ -150,7 +150,7 @@ TEST_F(DynamoDbTest, ReadUnitsProportionalToBytes) {
   const Item item = MakeItem("k", "r", {{"u", {payload}}});
   ASSERT_TRUE(db_.BatchPut(agent_, "t", {&item, 1}).ok());
   const double before = meter_.usage().ddb_read_units;
-  ASSERT_TRUE(db_.Get(agent_, "t", "k").ok());
+  ASSERT_TRUE(db_.BatchGet(agent_, "t", {"k"}).ok());
   EXPECT_DOUBLE_EQ(meter_.usage().ddb_read_units - before,
                    static_cast<double>(item.SizeBytes()) / 4096.0);
 }

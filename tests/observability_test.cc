@@ -2,14 +2,17 @@
 // log-bucketed histograms, the metric-name grammar, the virtual-time
 // span tracer, and — the acceptance check of the layer — exact cost
 // conservation: a traced run's rolled-up dollar cost equals the metered
-// Usage delta to the cent, fault-free and under chaos with retries, and
-// the canonical trace is byte-identical serial vs host_threads=8.
+// Usage delta to the cent, fault-free and under chaos with retries, the
+// canonical trace is byte-identical serial vs host_threads=8, and each
+// cloud event is counted once.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -426,12 +429,18 @@ TEST(TraceDeterminismTest, ChaosTracesAreByteIdenticalAcrossHostThreads) {
   EXPECT_EQ(serial.canonical, parallel.canonical);
 }
 
-// The registry mirrors the meter's fault/retry/redelivery accounting and
-// every registered name obeys the documented grammar.
-TEST(MetricsMirrorTest, RegistryAgreesWithUsageAfterChaosRun) {
+// Each cloud event has exactly one count.  Usage alone counts faults,
+// retries, breaker transitions, bytes, units, redeliveries, replica
+// reads, sheds, tombstones and collected items: no registry metric
+// re-counts them.  The attempt spans of the one retry loop (warehouse
+// S3/SQS sites and index-store verbs alike) agree with the attempts
+// counter and with Usage::retried_requests, and every registered name
+// obeys the documented grammar.
+TEST(OneCountPerEventTest, AttemptSpansMatchRetryCountsAfterChaosRun) {
   cloud::CloudConfig cloud_config;
   cloud_config.faults = ChaosPlan();
   auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
+  env->tracer().set_enabled(true);
   WarehouseConfig config;
   config.strategy = StrategyKind::k2LUPI;
   config.num_instances = 2;
@@ -446,23 +455,42 @@ TEST(MetricsMirrorTest, RegistryAgreesWithUsageAfterChaosRun) {
   const MetricRegistry& metrics = env->metrics();
   const cloud::Usage& usage = env->meter().usage();
   EXPECT_GT(usage.faulted_requests, 0u);
-  EXPECT_EQ(metrics.CounterValue("cloud.faults.injected.count"),
-            usage.faulted_requests);
-  EXPECT_EQ(metrics.CounterValue("cloud.retry.retries.count"),
-            usage.retried_requests);
-  EXPECT_EQ(metrics.CounterValue("service.sqs.redeliveries.count"),
-            usage.sqs_redeliveries);
-  EXPECT_EQ(metrics.CounterValue("cloud.breaker.opens.count"),
-            usage.breaker_opens);
+  const std::vector<std::string> names = metrics.Names();
+  for (const char* twin :
+       {"cloud.faults.injected.count", "cloud.breaker.opens.count",
+        "cloud.breaker.closes.count", "cloud.breaker.short_circuits.count",
+        "cloud.retry.retries.count", "service.s3.bytes_in.total",
+        "service.s3.bytes_out.total", "service.sqs.redeliveries.count",
+        "service.dynamodb.write_units.total",
+        "service.dynamodb.read_units.total", "replica.reads.count",
+        "admission.shed.count", "index.tombstone.written.count",
+        "index.compact.gc_items.count"}) {
+    EXPECT_EQ(std::count(names.begin(), names.end(), twin), 0) << twin;
+  }
+
+  const std::set<std::string> store_verbs = {
+      "attempt.create_table", "attempt.batch_put", "attempt.batch_get",
+      "attempt.scan", "attempt.delete_item"};
+  uint64_t attempts = 0;
+  uint64_t store_retries = 0;
+  uint64_t warehouse_retries = 0;
+  for (const TraceSpan& span : env->tracer().spans()) {
+    if (!span.name.starts_with("attempt.")) continue;
+    ++attempts;
+    if (Tracer::Attr(span, "attempt") <= 1) continue;
+    ++(store_verbs.count(span.name) > 0 ? store_retries : warehouse_retries);
+  }
+  EXPECT_EQ(attempts, metrics.CounterValue("cloud.retry.attempts.count"));
+  EXPECT_EQ(store_retries + warehouse_retries, usage.retried_requests);
+  EXPECT_GT(store_retries, 0u);
+  EXPECT_GT(warehouse_retries, 0u);
+
   EXPECT_EQ(metrics.CounterValue("engine.query.count"), 1u);
-  // Attempts = first tries + retries: at least one attempt per retry.
-  EXPECT_GE(metrics.CounterValue("cloud.retry.attempts.count"),
-            usage.retried_requests);
   const common::Histogram* latency =
       metrics.FindHistogram("engine.query.latency_us");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 1u);
-  for (const std::string& name : metrics.Names()) {
+  for (const std::string& name : names) {
     EXPECT_TRUE(ValidMetricName(name)) << name;
   }
 }

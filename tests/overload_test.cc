@@ -89,7 +89,7 @@ TEST(OverloadTest, OrganicThrottleCarriesRetryAfterHint) {
 
   const cloud::Usage before = env.meter().Snapshot();
   Agent first;
-  ASSERT_TRUE(env.dynamodb().Get(first, "t", "k").ok());
+  ASSERT_TRUE(env.dynamodb().BatchGet(first, "t", {"k"}).ok());
   const double units_per_get =
       (env.meter().Snapshot() - before).ddb_read_units;
   ASSERT_GT(units_per_get, 0.0);
@@ -97,7 +97,7 @@ TEST(OverloadTest, OrganicThrottleCarriesRetryAfterHint) {
   // A second reader at t=0 would queue behind ~2 s of committed work —
   // past the 1 s bound, so the store sheds it with a hint instead.
   Agent second;
-  auto throttled = env.dynamodb().Get(second, "t", "k");
+  auto throttled = env.dynamodb().BatchGet(second, "t", {"k"});
   ASSERT_TRUE(throttled.status().IsResourceExhausted())
       << throttled.status().ToString();
   EXPECT_TRUE(throttled.status().IsRetriable());
@@ -107,7 +107,7 @@ TEST(OverloadTest, OrganicThrottleCarriesRetryAfterHint) {
   // The hint is exact: a retry arriving hint micros later sits exactly at
   // the admission boundary and is served.
   second.Advance(static_cast<cloud::Micros>(hint));
-  EXPECT_TRUE(env.dynamodb().Get(second, "t", "k").ok());
+  EXPECT_TRUE(env.dynamodb().BatchGet(second, "t", {"k"}).ok());
 
   const cloud::Usage delta = env.meter().Snapshot() - before;
   EXPECT_EQ(delta.throttled_requests, 1u);
@@ -153,7 +153,7 @@ TEST(OverloadTest, HintPacedRetriesConvergeToProvisionedThroughput) {
       }
     }
     if (next < 0) break;
-    auto got = env.dynamodb().Get(agents[next], "t", "k");
+    auto got = env.dynamodb().BatchGet(agents[next], "t", {"k"});
     if (got.ok()) {
       ++done[next];
       continue;
@@ -609,7 +609,7 @@ TEST(OverloadTest, SnapshotRoundTripsAutoscalerState) {
   std::array<Agent, 4> agents;
   for (int round = 0; round < 40; ++round) {
     for (Agent& agent : agents) {
-      auto got = env.dynamodb().Get(agent, "t", "k");
+      auto got = env.dynamodb().BatchGet(agent, "t", {"k"});
       if (!got.ok()) {
         ASSERT_TRUE(got.status().IsResourceExhausted());
         agent.Advance(

@@ -1,6 +1,6 @@
 // Contract of the retry decorator (cloud/retrying_kv_store.h,
 // docs/FAULTS.md), pinned against a scripted store so every outcome is
-// chosen by the test: one `attempt.<op>` span per attempt for all six
+// chosen by the test: one `attempt.<op>` span per attempt for all five
 // verbs, unbilled breaker short-circuits, BatchPut re-submitting only the
 // unprocessed suffix, retry-after hints slept exactly, deadline and
 // max-attempt exits handing the survivors back, and the retry counters.
@@ -70,10 +70,6 @@ class ScriptedStore final : public KvStore {
       }
     }
     return step.status;
-  }
-  Result<std::vector<Item>> Get(SimAgent& agent, const std::string&,
-                                const std::string&) override {
-    return Items(Reach(agent, &Usage::ddb_get_requests).status);
   }
   Result<std::vector<Item>> BatchGet(SimAgent& agent, const std::string&,
                                      const std::vector<std::string>&) override {
@@ -195,8 +191,6 @@ std::vector<Verb> AllVerbs() {
          std::vector<Item> left;
          return h.retrying.BatchPut(h.agent, "t", MakeItems(3), &left);
        }},
-      {"attempt.get",
-       [](Harness& h) { return h.retrying.Get(h.agent, "t", "k").status(); }},
       {"attempt.batch_get",
        [](Harness& h) {
          return h.retrying.BatchGet(h.agent, "t", {"a", "b"}).status();
@@ -223,7 +217,6 @@ TEST(RetryingKvStoreTest, OneAttemptSpanPerAttemptForEveryVerb) {
     EXPECT_EQ(h.store.calls, 3) << verb.span;
     EXPECT_EQ(h.meter.usage().retried_requests, 2u) << verb.span;
     EXPECT_EQ(h.Counter("cloud.retry.attempts.count"), 3u) << verb.span;
-    EXPECT_EQ(h.Counter("cloud.retry.retries.count"), 2u) << verb.span;
   }
 }
 
@@ -235,7 +228,6 @@ TEST(RetryingKvStoreTest, FirstTrySuccessCountsOneAttemptAndNoRetry) {
     EXPECT_EQ(h.agent.now(), kLatency) << verb.span;
     EXPECT_EQ(h.meter.usage().retried_requests, 0u) << verb.span;
     EXPECT_EQ(h.Counter("cloud.retry.attempts.count"), 1u) << verb.span;
-    EXPECT_EQ(h.Counter("cloud.retry.retries.count"), 0u) << verb.span;
   }
 }
 
@@ -332,7 +324,6 @@ TEST(RetryingKvStoreTest, BatchPutResubmitsOnlyTheUnprocessedSuffix) {
   // A partial success is not an error; the page error is.
   EXPECT_EQ(h.Errors("attempt.batch_put"), (std::vector<int>{0, 1, 0}));
   EXPECT_EQ(h.Counter("cloud.retry.attempts.count"), 3u);
-  EXPECT_EQ(h.Counter("cloud.retry.retries.count"), 2u);
 }
 
 // BatchPut borrows its input: a sub-span of a larger vector is all that
@@ -436,7 +427,7 @@ TEST(RetryingKvStoreTest, DeadlineExitReturnsSurvivors) {
     policy.deadline_micros = 500;
     Harness h(policy);
     h.store.script = {Step{Status::ResourceExhausted("throttled", 1'000), 0}};
-    auto result = h.retrying.Get(h.agent, "t", "k");
+    auto result = h.retrying.BatchGet(h.agent, "t", {"k"});
     EXPECT_EQ(result.status().code(), Status::Code::kResourceExhausted);
     EXPECT_EQ(h.agent.now(), kLatency);
   }
@@ -460,7 +451,6 @@ TEST(RetryingKvStoreTest, MaxAttemptExitReturnsSurvivors) {
     EXPECT_EQ(h.meter.usage().ddb_write_units, 9.0);
     EXPECT_EQ(h.meter.usage().retried_requests, 2u);
     EXPECT_EQ(h.Counter("cloud.retry.attempts.count"), 3u);
-    EXPECT_EQ(h.Counter("cloud.retry.retries.count"), 2u);
   }
   // The last round fails outright: its status and suffix come back.
   {

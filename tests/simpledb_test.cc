@@ -34,7 +34,7 @@ TEST_F(SimpleDbTest, PutGetRoundTrip) {
   ASSERT_TRUE(
       db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {"path"}}})})
           .ok());
-  auto items = db_.Get(agent_, "d", "k");
+  auto items = db_.BatchGet(agent_, "d", {"k"});
   ASSERT_TRUE(items.ok());
   ASSERT_EQ(items.value().size(), 1u);
   EXPECT_EQ(items.value()[0].attrs.at("doc")[0], "path");
@@ -68,7 +68,7 @@ TEST_F(SimpleDbTest, RejectsTooManyAttributes) {
 TEST_F(SimpleDbTest, BillsBoxUsageHours) {
   ASSERT_TRUE(
       db_.BatchPut(agent_, "d", std::vector<Item>{MakeItem("k", "r", {{"doc", {"v"}}})}).ok());
-  ASSERT_TRUE(db_.Get(agent_, "d", "k").ok());
+  ASSERT_TRUE(db_.BatchGet(agent_, "d", {"k"}).ok());
   const Pricing pricing;
   EXPECT_DOUBLE_EQ(meter_.usage().sdb_box_hours,
                    pricing.simpledb_box_hours_per_put +

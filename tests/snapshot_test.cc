@@ -48,7 +48,7 @@ TEST(SnapshotTest, ObjectsAndItemsRoundTrip) {
   ASSERT_TRUE(object.ok());
   EXPECT_EQ(object.value(), "<a/>");
   EXPECT_EQ(restored.s3().Get(reader, "data", "blob").value(), binary);
-  auto items = restored.dynamodb().Get(reader, "idx", "k");
+  auto items = restored.dynamodb().BatchGet(reader, "idx", {"k"});
   ASSERT_TRUE(items.ok());
   ASSERT_EQ(items.value().size(), 1u);
   EXPECT_EQ(items.value()[0].attrs.at("a.xml"),

@@ -11,6 +11,10 @@ Checks (docs/OBSERVABILITY.md):
   * a one-shot trace emits well-formed JSONL: ordinal ids, parents that
     precede their children, end >= start, non-negative `usd` attrs, and
     parent usd covering the sum of its children's;
+  * every `attempt.*` span of the one retry loop carries an `attempt`
+    attr >= 1, and a span with `attempt` = n > 1 has an earlier sibling
+    of the same name with `attempt` = n - 1 (a retry follows the try
+    it retries, under the same parent);
   * in the one-shot trace every `query` task span carries `delivery` and
     `query_id`, and its last child is the `attempt.qp.ack` span: the task
     is acknowledged inside its own span;
@@ -33,7 +37,8 @@ Checks (docs/OBSERVABILITY.md):
     with its required attrs;
   * a sharded + replicated scripted session exposes the `deploy.*`
     gauges, the per-shard `service.<svc>.<op>.s<shard>.count` counters,
-    the replica read pool's counters and lag histogram, records at least
+    the replica read pool's `usage.replica_reads` gauge and its
+    `replica.lag_us` histogram, records at least
     one replica.read span in a traced query, and reports the deployment
     line in `stats`;
   * a scripted `strategy 2LUPI` / `planner off` session (docs/PLANNER.md)
@@ -180,6 +185,24 @@ def lint_deploy_span(span):
             fail(f"shard.fanout span {span['id']} fans out to < 2 shards")
 
 
+def lint_attempt_span(span, latest_attempt):
+    """An `attempt.*` span numbers its try from 1, and try n > 1 follows
+    an earlier sibling of the same name numbered n - 1.  `latest_attempt`
+    maps (parent, name) to the number of the latest such sibling seen."""
+    sid = span["id"]
+    attempt = span.get("attrs", {}).get("attempt")
+    if attempt is None or attempt < 1:
+        fail(f"span {sid} ({span['name']}) has attempt attr {attempt!r}")
+        return
+    key = (span["parent"], span["name"])
+    if attempt > 1 and latest_attempt.get(key) != attempt - 1:
+        fail(
+            f"span {sid} ({span['name']}) is attempt {attempt:g} without an "
+            f"earlier sibling attempt {attempt - 1:g}"
+        )
+    latest_attempt[key] = attempt
+
+
 def lint_trace_jsonl(path, label="trace"):
     with open(path) as f:
         spans = [json.loads(line) for line in f if line.strip()]
@@ -188,6 +211,7 @@ def lint_trace_jsonl(path, label="trace"):
         return spans
     usd = {}
     child_usd = {}
+    latest_attempt = {}
     for ordinal, span in enumerate(spans, start=1):
         sid = span["id"]
         if sid != ordinal:
@@ -207,6 +231,8 @@ def lint_trace_jsonl(path, label="trace"):
             lint_overload_span(span)
         if span["name"].startswith(("replica.", "shard.", "deploy.")):
             lint_deploy_span(span)
+        if span["name"].startswith("attempt."):
+            lint_attempt_span(span, latest_attempt)
         child_usd[span["parent"]] = child_usd.get(span["parent"], 0.0) + usd[sid]
     for span in spans:
         sid = span["id"]
@@ -359,7 +385,8 @@ def lint_autoscaled_session(binary):
 
 def lint_sharded_session(binary):
     """Drives a sharded + replicated scripted session: the deploy gauges,
-    per-shard service counters, replica-pool counters and lag histogram
+    per-shard service counters, the replica-read usage gauge and lag
+    histogram
     must surface in the metrics dump, a traced query must record at least
     one taxonomy-clean replica.read span (the 1 ms lag leaves the pool
     caught up by query time), and `stats` must report the deployment."""
@@ -410,10 +437,11 @@ def lint_sharded_session(binary):
                 f"sharded session gauge {gauge} is "
                 f"{gauges.get(gauge)!r}, expected {expected}"
             )
+    if gauges.get("usage.replica_reads", 0) <= 0:
+        fail("sharded session gauge usage.replica_reads did not count")
     counters = dump["counters"]
-    for counter in ("shard.route.count", "replica.reads.count"):
-        if counters.get(counter, 0) <= 0:
-            fail(f"sharded session counter {counter} did not count")
+    if counters.get("shard.route.count", 0) <= 0:
+        fail("sharded session counter shard.route.count did not count")
     per_shard = re.compile(r"^service\.[a-z0-9_]+\.[a-z0-9_]+\.s\d+\.count$")
     if not any(per_shard.match(name) for name in counters):
         fail("sharded session exposes no per-shard service.* counters")
