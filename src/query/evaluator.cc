@@ -1,168 +1,228 @@
 #include "query/evaluator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "xml/serializer.h"
 
 namespace webdex::query {
 namespace {
 
-/// A partial embedding of one pattern subtree: fixed-size slot vectors
-/// (one slot per annotated / join-tagged node of the whole pattern),
-/// filled only for the subtree already matched.  Slots of disjoint
-/// subtrees are disjoint, so merging is plain copying.
-struct Partial {
-  std::vector<std::string> outputs;
-  std::vector<std::string> joins;
-};
-
+/// Embeds one tree pattern into documents.  Each pattern node draws its
+/// candidates from the document's label stream of its (kind, label):
+/// the stream's slice inside the parent binding's subtree, on a child
+/// edge only the nodes one level below the parent binding.  A pattern
+/// node binds a document node only if its whole pattern subtree embeds
+/// below it, so the backtracking over pattern nodes never dead-ends.
+/// Bindings are document nodes; output strings are made only for full
+/// embeddings.
 class PatternMatcher {
  public:
-  PatternMatcher(const TreePattern& pattern, const xml::Document& doc)
-      : pattern_(pattern), doc_(doc) {
-    output_slot_.assign(static_cast<size_t>(pattern.size()), -1);
-    join_slot_.assign(static_cast<size_t>(pattern.size()), -1);
-    int out_slots = 0;
-    int join_slots = 0;
+  explicit PatternMatcher(const TreePattern& pattern)
+      : pattern_(pattern),
+        streams_(static_cast<size_t>(pattern.size())),
+        binding_(static_cast<size_t>(pattern.size()), nullptr) {
+    for (const PatternNode* node : pattern.output_nodes()) {
+      slots_.push_back({node->index, node->want_cont, nullptr, {}});
+    }
+    num_outputs_ = slots_.size();
     for (const PatternNode* node : pattern.nodes()) {
-      if (node->HasOutput()) {
-        output_slot_[static_cast<size_t>(node->index)] = out_slots++;
-      }
       if (!node->join_tag.empty()) {
-        join_slot_[static_cast<size_t>(node->index)] = join_slots++;
+        slots_.push_back({node->index, false, nullptr, {}});
       }
     }
-    num_output_slots_ = out_slots;
-    num_join_slots_ = join_slots;
   }
 
-  std::vector<PatternMatch> AllMatches(bool first_only) {
-    std::vector<Partial> partials;
-    const PatternNode& proot = pattern_.root();
-    // The pattern root may match any document node (its incoming axis is
-    // descendant-from-document-root); with an explicit child axis it must
-    // match the document element itself.
-    if (proot.axis == Axis::kChild) {
-      MatchAt(proot, doc_.root(), &partials, first_only);
-    } else {
-      MatchAnywhere(proot, doc_.root(), &partials, first_only);
-    }
-    std::vector<PatternMatch> matches;
-    matches.reserve(partials.size());
-    for (auto& partial : partials) {
-      PatternMatch match;
-      match.uri = doc_.uri();
-      match.outputs = std::move(partial.outputs);
-      match.join_values = std::move(partial.joins);
-      matches.push_back(std::move(match));
-    }
-    return matches;
-  }
+  size_t num_outputs() const { return num_outputs_; }
+  size_t num_joins() const { return slots_.size() - num_outputs_; }
 
- private:
-  static bool NodeMatches(const PatternNode& pnode, const xml::Node& dnode) {
-    if (pnode.is_attribute) {
-      if (!dnode.is_attribute()) return false;
-    } else {
-      if (!dnode.is_element()) return false;
-    }
-    if (pnode.label != dnode.label()) return false;
-    if (pnode.predicate.kind != PredicateKind::kNone) {
-      // Reuse one buffer across the scan's many predicate evaluations —
-      // StringValue() would allocate a fresh string per visited node.
-      thread_local std::string value;
-      value.clear();
-      dnode.AppendStringValue(&value);
-      if (!pnode.predicate.Matches(value)) return false;
+  /// Points the matcher at `doc`.  False when a pattern label is absent
+  /// from the document, so that no embedding exists.
+  bool Reset(const xml::Document& doc) {
+    doc_ = &doc;
+    for (Slot& slot : slots_) slot.cached = nullptr;
+    for (const PatternNode* node : pattern_.nodes()) {
+      auto& stream = streams_[static_cast<size_t>(node->index)];
+      stream = doc.Labelled(node->is_attribute ? xml::NodeKind::kAttribute
+                                               : xml::NodeKind::kElement,
+                            node->label);
+      if (stream.empty()) return false;
     }
     return true;
   }
 
-  // Tries to match `pnode` at every node of the subtree rooted at `dnode`
-  // (including dnode itself).
-  void MatchAnywhere(const PatternNode& pnode, const xml::Node& dnode,
-                     std::vector<Partial>* out, bool first_only) {
-    MatchAt(pnode, dnode, out, first_only);
-    if (first_only && !out->empty()) return;
-    for (const auto& child : dnode.children()) {
-      MatchAnywhere(pnode, *child, out, first_only);
-      if (first_only && !out->empty()) return;
+  bool AnyEmbedding() const {
+    const PatternNode& root = pattern_.root();
+    return AnyCandidate(root, nullptr, [&](const xml::Node* node) {
+      return Embeds(root, node);
+    });
+  }
+
+  /// Calls `emit()` once per embedding, in lexicographic order of the
+  /// bindings' document order, the bindings taken in pattern pre-order.
+  template <typename Emit>
+  void ForEachEmbedding(Emit&& emit) {
+    Enumerate(0, emit);
+  }
+
+  /// Appends the current embedding's outputs, in pattern pre-order.
+  void AppendOutputs(std::vector<std::string>* out) {
+    for (size_t s = 0; s < num_outputs_; ++s) out->push_back(Value(s));
+  }
+
+  /// Appends the string values of the current embedding's join-tagged
+  /// nodes, in pattern pre-order.
+  void AppendJoins(std::vector<std::string>* out) {
+    for (size_t s = num_outputs_; s < slots_.size(); ++s) {
+      out->push_back(Value(s));
     }
   }
 
-  // Appends to `out` every embedding that maps `pnode` exactly to `dnode`.
-  void MatchAt(const PatternNode& pnode, const xml::Node& dnode,
-               std::vector<Partial>* out, bool first_only) {
-    if (!NodeMatches(pnode, dnode)) return;
+ private:
+  /// A node whose string is materialized per embedding, and the last
+  /// string made for it.  Consecutive embeddings often share bindings.
+  struct Slot {
+    int pattern_index;
+    bool cont;
+    const xml::Node* cached = nullptr;
+    std::string value;
+  };
 
-    // Per-child lists of sub-embeddings.
-    std::vector<std::vector<Partial>> child_partials;
-    child_partials.reserve(pnode.children.size());
-    for (const auto& pchild : pnode.children) {
-      std::vector<Partial> candidates;
-      if (pchild->axis == Axis::kChild) {
-        for (const auto& dchild : dnode.children()) {
-          MatchAt(*pchild, *dchild, &candidates, first_only);
-          if (first_only && !candidates.empty()) break;
-        }
+  const std::string& Value(size_t s) {
+    Slot& slot = slots_[s];
+    const xml::Node* node = binding_[static_cast<size_t>(slot.pattern_index)];
+    if (slot.cached != node) {
+      slot.cached = node;
+      if (slot.cont) {
+        slot.value = xml::Serialize(*node);
       } else {
-        for (const auto& dchild : dnode.children()) {
-          MatchAnywhere(*pchild, *dchild, &candidates, first_only);
-          if (first_only && !candidates.empty()) break;
-        }
+        slot.value.clear();
+        node->AppendStringValue(&slot.value);
       }
-      if (candidates.empty()) return;  // conjunctive: all children required
-      child_partials.push_back(std::move(candidates));
     }
+    return slot.value;
+  }
 
-    // This node's own contribution.
-    Partial self;
-    self.outputs.assign(static_cast<size_t>(num_output_slots_), {});
-    self.joins.assign(static_cast<size_t>(num_join_slots_), {});
-    const int oslot = output_slot_[static_cast<size_t>(pnode.index)];
-    if (oslot >= 0) {
-      if (pnode.want_cont) {
-        self.outputs[static_cast<size_t>(oslot)] = xml::Serialize(dnode);
-      } else {
-        self.outputs[static_cast<size_t>(oslot)] = dnode.StringValue();
+  /// Calls `fn` on the candidates of `pnode` below `parent` (the
+  /// document when null) in document order, until one returns true.
+  /// Returns whether one did.
+  template <typename Fn>
+  bool AnyCandidate(const PatternNode& pnode, const xml::Node* parent,
+                    Fn&& fn) const {
+    const auto stream = streams_[static_cast<size_t>(pnode.index)];
+    if (parent == nullptr) {
+      // A child edge on the pattern root anchors it at the document
+      // element, which comes first in its stream.
+      if (pnode.axis == Axis::kChild) {
+        return stream.front() == &doc_->root() && fn(stream.front());
+      }
+      return std::any_of(stream.begin(), stream.end(), fn);
+    }
+    // The subtree of `parent` is the run of nodes after it in pre order
+    // whose post is below its own; its children are one level deeper.
+    const xml::NodeId& bound = parent->id();
+    auto it = std::upper_bound(
+        stream.begin(), stream.end(), bound.pre,
+        [](uint32_t pre, const xml::Node* node) { return pre < node->id().pre; });
+    for (; it != stream.end() && (*it)->id().post < bound.post; ++it) {
+      if ((pnode.axis == Axis::kDescendant ||
+           (*it)->id().depth == bound.depth + 1) &&
+          fn(*it)) {
+        return true;
       }
     }
-    const int jslot = join_slot_[static_cast<size_t>(pnode.index)];
-    if (jslot >= 0) {
-      self.joins[static_cast<size_t>(jslot)] = dnode.StringValue();
-    }
+    return false;
+  }
 
-    // Cartesian product over children, merged into `self`.
-    std::vector<Partial> combined{std::move(self)};
-    for (auto& candidates : child_partials) {
-      std::vector<Partial> next;
-      next.reserve(combined.size() * candidates.size());
-      for (const Partial& base : combined) {
-        for (const Partial& cand : candidates) {
-          Partial merged = base;
-          for (size_t i = 0; i < merged.outputs.size(); ++i) {
-            if (!cand.outputs[i].empty()) merged.outputs[i] = cand.outputs[i];
-          }
-          for (size_t i = 0; i < merged.joins.size(); ++i) {
-            if (!cand.joins[i].empty()) merged.joins[i] = cand.joins[i];
-          }
-          next.push_back(std::move(merged));
-          if (first_only) break;
-        }
-        if (first_only && !next.empty()) break;
-      }
-      combined = std::move(next);
+  /// True if the pattern subtree rooted at `pnode` embeds with `pnode`
+  /// bound to `node` (whose kind and label already match).
+  bool Embeds(const PatternNode& pnode, const xml::Node* node) const {
+    if (pnode.predicate.kind != PredicateKind::kNone) {
+      // One buffer for every predicate evaluation on this thread.
+      thread_local std::string value;
+      value.clear();
+      node->AppendStringValue(&value);
+      if (!pnode.predicate.Matches(value)) return false;
     }
-    for (auto& partial : combined) out->push_back(std::move(partial));
+    for (const auto& child : pnode.children) {
+      if (!AnyCandidate(*child, node, [&](const xml::Node* candidate) {
+            return Embeds(*child, candidate);
+          })) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  template <typename Emit>
+  void Enumerate(size_t i, Emit& emit) {
+    if (i == binding_.size()) {
+      emit();
+      return;
+    }
+    const PatternNode& pnode = *pattern_.nodes()[i];
+    const xml::Node* parent =
+        pnode.parent == nullptr
+            ? nullptr
+            : binding_[static_cast<size_t>(pnode.parent->index)];
+    AnyCandidate(pnode, parent, [&](const xml::Node* candidate) {
+      if (Embeds(pnode, candidate)) {
+        binding_[i] = candidate;
+        Enumerate(i + 1, emit);
+      }
+      return false;
+    });
   }
 
   const TreePattern& pattern_;
-  const xml::Document& doc_;
-  std::vector<int> output_slot_;
-  std::vector<int> join_slot_;
-  int num_output_slots_ = 0;
-  int num_join_slots_ = 0;
+  const xml::Document* doc_ = nullptr;
+  /// Per pattern node, the current document's stream of its label.
+  std::vector<std::span<const xml::Node* const>> streams_;
+  /// Per pattern node, its binding in the embedding being enumerated.
+  std::vector<const xml::Node*> binding_;
+  /// Output slots first, then join slots.
+  std::vector<Slot> slots_;
+  size_t num_outputs_ = 0;
+};
+
+/// The embeddings of one pattern over all evaluated documents, in
+/// evaluation order: `width` outputs and `join_width` join values each.
+struct PatternRelation {
+  size_t width = 0;
+  size_t join_width = 0;
+  std::vector<std::string> outputs;
+  std::vector<std::string> joins;
+  /// The document of each match; its size is the match count.
+  std::vector<const xml::Document*> docs;
+
+  const std::string& Join(uint32_t match, int slot) const {
+    return joins[match * join_width + static_cast<size_t>(slot)];
+  }
+};
+
+/// The join slot of pattern node `node`: its rank among the pattern's
+/// join-tagged nodes in pre-order, or -1 when it carries no tag.
+int JoinSlot(const TreePattern& pattern, int node) {
+  int slot = 0;
+  for (const PatternNode* n : pattern.nodes()) {
+    if (n->index == node) return n->join_tag.empty() ? -1 : slot;
+    if (!n->join_tag.empty()) ++slot;
+  }
+  return -1;
+}
+
+/// A value join resolved to join slots: pattern `self` is the later side
+/// and `other` <= `self` the earlier one.
+struct BoundJoin {
+  size_t self;
+  int self_slot;
+  size_t other;
+  int other_slot;
 };
 
 }  // namespace
@@ -186,14 +246,13 @@ std::string QueryResult::ToXml() const {
   std::string out = "<results>";
   for (const auto& row : rows) {
     out += "<row>";
-    for (const auto& col : row) {
+    for (size_t c = 0; c < row.size(); ++c) {
       out += "<col>";
-      // `cont` columns already hold XML; `val` columns are escaped text.
-      // Heuristic: serialized subtrees start with '<'.
-      if (!col.empty() && col[0] == '<') {
-        out += col;
+      // `cont` columns on elements already hold XML; the rest is text.
+      if (c < xml_columns.size() && xml_columns[c]) {
+        out += row[c];
       } else {
-        out += xml::EscapeText(col);
+        out += xml::EscapeText(row[c]);
       }
       out += "</col>";
     }
@@ -226,8 +285,16 @@ std::vector<PatternMatch> Evaluator::MatchPattern(const TreePattern& pattern,
                                                   const xml::Document& doc) {
   ThreadStats().doc_bytes_scanned += doc.size_bytes();
   ThreadStatsPending() = true;
-  PatternMatcher matcher(pattern, doc);
-  auto matches = matcher.AllMatches(/*first_only=*/false);
+  std::vector<PatternMatch> matches;
+  PatternMatcher matcher(pattern);
+  if (matcher.Reset(doc)) {
+    matcher.ForEachEmbedding([&] {
+      PatternMatch& match = matches.emplace_back();
+      match.uri = doc.uri();
+      matcher.AppendOutputs(&match.outputs);
+      matcher.AppendJoins(&match.join_values);
+    });
+  }
   ThreadStats().embeddings_found += matches.size();
   return matches;
 }
@@ -236,73 +303,127 @@ bool Evaluator::Matches(const TreePattern& pattern,
                         const xml::Document& doc) {
   ThreadStats().doc_bytes_scanned += doc.size_bytes();
   ThreadStatsPending() = true;
-  PatternMatcher matcher(pattern, doc);
-  return !matcher.AllMatches(/*first_only=*/true).empty();
+  PatternMatcher matcher(pattern);
+  return matcher.Reset(doc) && matcher.AnyEmbedding();
 }
 
 QueryResult Evaluator::Evaluate(const Query& query,
                                 const std::vector<const xml::Document*>& docs) {
-  // Step 1: evaluate each tree pattern individually over every document.
-  std::vector<std::vector<PatternMatch>> per_pattern(query.patterns().size());
-  for (size_t p = 0; p < query.patterns().size(); ++p) {
-    for (const xml::Document* doc : docs) {
-      auto matches = MatchPattern(query.patterns()[p], *doc);
-      for (auto& match : matches) {
-        per_pattern[p].push_back(std::move(match));
-      }
-    }
-  }
-
-  // Map (pattern, node index) -> join slot for predicate evaluation.
-  std::vector<std::vector<int>> join_slot(query.patterns().size());
-  for (size_t p = 0; p < query.patterns().size(); ++p) {
-    const TreePattern& pattern = query.patterns()[p];
-    join_slot[p].assign(static_cast<size_t>(pattern.size()), -1);
-    int slot = 0;
-    for (const PatternNode* node : pattern.nodes()) {
-      if (!node->join_tag.empty()) {
-        join_slot[p][static_cast<size_t>(node->index)] = slot++;
-      }
-    }
-  }
-
-  // Step 2: combine the per-pattern relations with the value joins
-  // (nested-loop; pattern result sets are small after index pruning).
+  const auto& patterns = query.patterns();
   QueryResult result;
-  std::vector<const PatternMatch*> current(query.patterns().size(), nullptr);
-  std::function<void(size_t)> combine = [&](size_t p) {
-    if (p == query.patterns().size()) {
-      std::vector<std::string> row;
-      std::vector<std::string> uris;
-      for (const PatternMatch* match : current) {
-        row.insert(row.end(), match->outputs.begin(), match->outputs.end());
-        uris.push_back(match->uri);
+  // Step 1: evaluate each tree pattern individually over every document.
+  std::vector<PatternRelation> relations(patterns.size());
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    PatternMatcher matcher(patterns[p]);
+    PatternRelation& rel = relations[p];
+    rel.width = matcher.num_outputs();
+    rel.join_width = matcher.num_joins();
+    for (const xml::Document* doc : docs) {
+      ThreadStats().doc_bytes_scanned += doc->size_bytes();
+      if (!matcher.Reset(*doc)) continue;
+      const size_t before = rel.docs.size();
+      matcher.ForEachEmbedding([&] {
+        matcher.AppendOutputs(&rel.outputs);
+        matcher.AppendJoins(&rel.joins);
+        rel.docs.push_back(doc);
+      });
+      ThreadStats().embeddings_found += rel.docs.size() - before;
+    }
+    for (const PatternNode* node : patterns[p].output_nodes()) {
+      result.xml_columns.push_back(node->want_cont && !node->is_attribute);
+    }
+  }
+
+  // Resolve each value join to join slots and file it under its later
+  // pattern: it can be checked as soon as that pattern is bound.
+  std::vector<std::vector<BoundJoin>> joins_at(patterns.size());
+  for (const ValueJoin& join : query.joins()) {
+    const auto left = static_cast<size_t>(join.left_pattern);
+    const auto right = static_cast<size_t>(join.right_pattern);
+    BoundJoin bound{left, JoinSlot(patterns[left], join.left_node), right,
+                    JoinSlot(patterns[right], join.right_node)};
+    if (bound.self_slot < 0 || bound.other_slot < 0) continue;  // untagged
+    if (bound.self < bound.other) {
+      std::swap(bound.self, bound.other);
+      std::swap(bound.self_slot, bound.other_slot);
+    }
+    joins_at[bound.self].push_back(bound);
+  }
+
+  // Step 2: combine the per-pattern relations with the value joins.  A
+  // pattern joined to an earlier one is reached through a hash index on
+  // its first such join: buckets of its matches keyed by join value,
+  // each bucket in match order (a chain through `next`).  The bound row
+  // probes its bucket and the pattern's other joins filter, so rows come
+  // out in the order a nested loop over all matches would give.
+  constexpr uint32_t kEnd = UINT32_MAX;
+  struct HashIndex {
+    const BoundJoin* key = nullptr;
+    std::unordered_map<std::string_view, uint32_t> head;
+    std::vector<uint32_t> next;
+  };
+  std::vector<HashIndex> index(patterns.size());
+  for (size_t p = 1; p < patterns.size(); ++p) {
+    const auto it = std::find_if(
+        joins_at[p].begin(), joins_at[p].end(),
+        [p](const BoundJoin& join) { return join.other < p; });
+    if (it == joins_at[p].end()) continue;
+    HashIndex& hash = index[p];
+    hash.key = &*it;
+    const auto n = static_cast<uint32_t>(relations[p].docs.size());
+    hash.head.reserve(n);
+    hash.next.assign(n, kEnd);
+    for (uint32_t m = n; m-- > 0;) {
+      const auto [head, added] =
+          hash.head.try_emplace(relations[p].Join(m, it->self_slot), m);
+      if (!added) {
+        hash.next[m] = head->second;
+        head->second = m;
       }
-      result.rows.push_back(std::move(row));
-      result.row_uris.push_back(std::move(uris));
+    }
+  }
+
+  std::vector<uint32_t> current(patterns.size(), 0);
+  auto combine = [&](auto& self, size_t p) -> void {
+    if (p == patterns.size()) {
+      std::vector<std::string>& row = result.rows.emplace_back();
+      std::vector<std::string>& uris = result.row_uris.emplace_back();
+      row.reserve(result.xml_columns.size());
+      uris.reserve(patterns.size());
+      for (size_t q = 0; q < patterns.size(); ++q) {
+        const PatternRelation& rel = relations[q];
+        const auto first = rel.outputs.begin() +
+                           static_cast<std::ptrdiff_t>(current[q] * rel.width);
+        row.insert(row.end(), first,
+                   first + static_cast<std::ptrdiff_t>(rel.width));
+        uris.push_back(rel.docs[current[q]]->uri());
+      }
       return;
     }
-    for (const PatternMatch& match : per_pattern[p]) {
-      current[p] = &match;
-      // Check every join whose two sides are already bound.
-      bool ok = true;
-      for (const ValueJoin& join : query.joins()) {
-        const size_t lp = static_cast<size_t>(join.left_pattern);
-        const size_t rp = static_cast<size_t>(join.right_pattern);
-        if (lp > p || rp > p) continue;  // a side not bound yet
-        const int ls = join_slot[lp][static_cast<size_t>(join.left_node)];
-        const int rs = join_slot[rp][static_cast<size_t>(join.right_node)];
-        if (ls < 0 || rs < 0) continue;  // join on untagged node: ignore
-        if (current[lp]->join_values[static_cast<size_t>(ls)] !=
-            current[rp]->join_values[static_cast<size_t>(rs)]) {
-          ok = false;
-          break;
+    auto bind = [&](uint32_t m) {
+      current[p] = m;
+      for (const BoundJoin& join : joins_at[p]) {
+        if (&join == index[p].key) continue;  // the bucket already agrees
+        if (relations[p].Join(m, join.self_slot) !=
+            relations[join.other].Join(current[join.other],
+                                       join.other_slot)) {
+          return;
         }
       }
-      if (ok) combine(p + 1);
+      self(self, p + 1);
+    };
+    const HashIndex& hash = index[p];
+    if (hash.key == nullptr) {
+      const auto n = static_cast<uint32_t>(relations[p].docs.size());
+      for (uint32_t m = 0; m < n; ++m) bind(m);
+      return;
     }
+    const auto bucket = hash.head.find(relations[hash.key->other].Join(
+        current[hash.key->other], hash.key->other_slot));
+    if (bucket == hash.head.end()) return;
+    for (uint32_t m = bucket->second; m != kEnd; m = hash.next[m]) bind(m);
   };
-  if (!query.patterns().empty()) combine(0);
+  if (!patterns.empty()) combine(combine, 0);
 
   ThreadStats().result_bytes += result.SizeBytes();
   ThreadStatsPending() = true;

@@ -30,6 +30,10 @@ struct QueryResult {
   /// documents (Section 5.5); Table 5's "documents with results" counts
   /// the distinct URIs appearing here.
   std::vector<std::vector<std::string>> row_uris;
+  /// Per column, true when it holds serialized XML: `cont` on an
+  /// element.  ToXml writes those columns raw and escapes every other
+  /// one (a missing entry counts as false).
+  std::vector<bool> xml_columns;
 
   /// Distinct documents contributing to at least one row.
   size_t ContributingDocuments() const;
@@ -50,7 +54,9 @@ struct QueryResult {
 class Evaluator {
  public:
   /// All embeddings of `pattern` into `doc` (every homomorphism that
-  /// respects labels, node kinds, edges and value predicates).
+  /// respects labels, node kinds, edges and value predicates), in
+  /// lexicographic order of the bound nodes' document order, the
+  /// bindings taken in pattern pre-order.
   static std::vector<PatternMatch> MatchPattern(const TreePattern& pattern,
                                                 const xml::Document& doc);
 
@@ -61,7 +67,8 @@ class Evaluator {
   /// are computed per document, then combined across documents by the
   /// value joins (Section 5.5: "evaluate first each tree pattern
   /// individually; then apply the value joins on the tree pattern
-  /// results").
+  /// results").  Rows come in nested-loop order: pattern by pattern,
+  /// each pattern's matches in `docs` order, then MatchPattern order.
   static QueryResult Evaluate(const Query& query,
                               const std::vector<const xml::Document*>& docs);
 

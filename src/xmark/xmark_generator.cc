@@ -447,9 +447,7 @@ xml::Document XmarkGenerator::GenerateDom(int index) const {
   std::string uri = StrFormat("xmark-%06d.xml", index);
   // Compute serialized size for the document's size metric.
   const std::string text = xml::Serialize(*root);
-  xml::Document doc(std::move(uri), std::move(root), text.size());
-  doc.AssignIds();
-  return doc;
+  return xml::Document(std::move(uri), std::move(root), text.size());
 }
 
 GeneratedDocument XmarkGenerator::Generate(int index) const {

@@ -1,5 +1,10 @@
 #include "xml/dom.h"
 
+#include <algorithm>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+
 #include "common/strings.h"
 
 namespace webdex::xml {
@@ -52,26 +57,63 @@ size_t Node::SubtreeSize() const {
   return n;
 }
 
-namespace {
-
-void AssignIdsRecursive(Node* node, uint32_t depth, uint32_t* pre,
-                        uint32_t* post) {
-  NodeId id;
-  id.pre = (*pre)++;
-  id.depth = depth;
-  for (auto& child : node->children()) {
-    AssignIdsRecursive(child.get(), depth + 1, pre, post);
-  }
-  id.post = (*post)++;
-  node->set_id(id);
-}
-
-}  // namespace
-
-void Document::AssignIds() {
+Document::Document(std::string uri, std::unique_ptr<Node> root,
+                   size_t size_bytes)
+    : uri_(std::move(uri)), root_(std::move(root)), size_bytes_(size_bytes) {
+  // One walk assigns the identifiers and tags every element and
+  // attribute node with its (kind, label) group, counting group sizes in
+  // `end`; a counting sort then lays the groups out in one array.
+  std::vector<std::pair<const Node*, uint32_t>> tagged;
+  std::vector<LabelRange> groups;
+  std::unordered_map<std::string_view, uint32_t> group_of[2];
   uint32_t pre = 1;
   uint32_t post = 1;
-  AssignIdsRecursive(root_.get(), 1, &pre, &post);
+  auto walk = [&](auto& self, Node* node, uint32_t depth) -> void {
+    NodeId id;
+    id.pre = pre++;
+    id.depth = depth;
+    if (!node->is_text()) {
+      auto& index = group_of[node->is_attribute() ? 1 : 0];
+      const auto [it, added] = index.try_emplace(
+          node->label(), static_cast<uint32_t>(groups.size()));
+      if (added) groups.push_back({node->kind(), node->label(), 0, 0});
+      ++groups[it->second].end;
+      tagged.emplace_back(node, it->second);
+    }
+    for (const auto& child : node->children()) {
+      self(self, child.get(), depth + 1);
+    }
+    id.post = post++;
+    node->set_id(id);
+  };
+  walk(walk, root_.get(), 1);
+
+  uint32_t offset = 0;
+  for (LabelRange& group : groups) {
+    group.begin = offset;
+    offset += group.end;
+    group.end = group.begin;
+  }
+  labelled_.resize(tagged.size());
+  for (const auto& [node, group] : tagged) {
+    labelled_[groups[group].end++] = node;
+  }
+  std::sort(groups.begin(), groups.end(),
+            [](const LabelRange& a, const LabelRange& b) {
+              return std::tie(a.kind, a.label) < std::tie(b.kind, b.label);
+            });
+  labels_.assign(groups.begin(), groups.end());
+}
+
+std::span<const Node* const> Document::Labelled(NodeKind kind,
+                                                std::string_view label) const {
+  const auto it = std::lower_bound(
+      labels_.begin(), labels_.end(), std::tie(kind, label),
+      [](const LabelRange& range, const auto& key) {
+        return std::tie(range.kind, range.label) < key;
+      });
+  if (it == labels_.end() || it->kind != kind || it->label != label) return {};
+  return {labelled_.data() + it->begin, it->end - it->begin};
 }
 
 void ForEachNode(const Node& node,

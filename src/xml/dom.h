@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace webdex::xml {
@@ -103,10 +105,16 @@ class Node {
 
 /// A parsed XML document: URI (its S3 object name), root element, and the
 /// serialized size used by the cost model's data metrics (Section 7.1).
+/// A Document is complete when constructed: the tree carries its
+/// (pre, post, depth) identifiers and the label streams are built.  The
+/// tree is not mutated afterwards.
 class Document {
  public:
-  Document(std::string uri, std::unique_ptr<Node> root, size_t size_bytes)
-      : uri_(std::move(uri)), root_(std::move(root)), size_bytes_(size_bytes) {}
+  /// Takes a finished tree.  Assigns (pre, post, depth) identifiers over
+  /// the whole tree in document order (elements, attributes and text
+  /// nodes, so word occurrences have positions) and builds the label
+  /// streams in the same walk.
+  Document(std::string uri, std::unique_ptr<Node> root, size_t size_bytes);
 
   Document(const Document&) = delete;
   Document& operator=(const Document&) = delete;
@@ -115,19 +123,31 @@ class Document {
 
   const std::string& uri() const { return uri_; }
   const Node& root() const { return *root_; }
-  Node* mutable_root() { return root_.get(); }
   size_t size_bytes() const { return size_bytes_; }
 
-  /// Re-assigns (pre, post, depth) identifiers over the whole tree in
-  /// document order (elements and attributes get IDs; text nodes too, so
-  /// word occurrences have positions).  Called by the parser; call again
-  /// after structural mutation.
-  void AssignIds();
+  /// The label stream of (kind, label): every element (or attribute)
+  /// node with that name, in document order.  Empty for text nodes and
+  /// for labels the document does not use.
+  std::span<const Node* const> Labelled(NodeKind kind,
+                                        std::string_view label) const;
 
  private:
+  /// One stream: the slice [begin, end) of `labelled_`.
+  struct LabelRange {
+    NodeKind kind;
+    std::string_view label;  // a node's label; nodes never move
+    uint32_t begin;
+    uint32_t end;
+  };
+
   std::string uri_;
   std::unique_ptr<Node> root_;
   size_t size_bytes_;
+  /// Element and attribute nodes grouped by (kind, label), each group in
+  /// document order; exactly sized.
+  std::vector<const Node*> labelled_;
+  /// One entry per group, sorted by (kind, label) for binary search.
+  std::vector<LabelRange> labels_;
 };
 
 /// Runs `fn(node)` over the subtree rooted at `node` in document order.

@@ -293,9 +293,7 @@ Result<Document> ParseDocument(std::string uri, std::string_view text,
   Parser parser(text, options);
   auto root = parser.Parse();
   if (!root.ok()) return root.status();
-  Document doc(std::move(uri), std::move(root).value(), text.size());
-  doc.AssignIds();
-  return doc;
+  return Document(std::move(uri), std::move(root).value(), text.size());
 }
 
 }  // namespace webdex::xml

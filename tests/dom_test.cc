@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/strings.h"
@@ -118,6 +121,75 @@ TEST_P(IdInvariants, PrePostDepthAgreeWithTree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Docs, IdInvariants, ::testing::Range(0, 10));
+
+// --- Label streams -----------------------------------------------------------
+
+std::vector<std::string> Labels(std::span<const Node* const> stream) {
+  std::vector<std::string> out;
+  for (const Node* node : stream) out.push_back(node->label());
+  return out;
+}
+
+TEST(LabelStreamTest, KeepsDocumentOrderWithinALabel) {
+  auto doc = ParseDocument(
+      "t", "<a><b id=\"1\"><b id=\"2\"/></b><c/><b id=\"3\">x</b></a>");
+  ASSERT_TRUE(doc.ok());
+  const auto stream = doc.value().Labelled(NodeKind::kElement, "b");
+  ASSERT_EQ(stream.size(), 3u);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_TRUE(stream[i]->is_element());
+    ASSERT_FALSE(stream[i]->children().empty());
+    EXPECT_EQ(stream[i]->children()[0]->value(), std::to_string(i + 1));
+    if (i > 0) {
+      EXPECT_LT(stream[i - 1]->id().pre, stream[i]->id().pre);
+    }
+  }
+  EXPECT_EQ(Labels(doc.value().Labelled(NodeKind::kElement, "a")),
+            (std::vector<std::string>{"a"}));
+  EXPECT_EQ(doc.value().Labelled(NodeKind::kAttribute, "id").size(), 3u);
+}
+
+TEST(LabelStreamTest, ElementAndAttributeOfOneNameStayApart) {
+  auto doc = ParseDocument(
+      "t",
+      "<site><person id=\"p1\"/><seller person=\"p1\"/>"
+      "<person id=\"p2\"><buyer person=\"p2\"/></person></site>");
+  ASSERT_TRUE(doc.ok());
+  const auto elements = doc.value().Labelled(NodeKind::kElement, "person");
+  const auto attributes =
+      doc.value().Labelled(NodeKind::kAttribute, "person");
+  ASSERT_EQ(elements.size(), 2u);
+  ASSERT_EQ(attributes.size(), 2u);
+  for (const Node* node : elements) EXPECT_TRUE(node->is_element());
+  for (const Node* node : attributes) EXPECT_TRUE(node->is_attribute());
+  EXPECT_EQ(attributes[0]->value(), "p1");
+  EXPECT_EQ(attributes[1]->value(), "p2");
+}
+
+TEST(LabelStreamTest, UnknownLabelGivesAnEmptyStream) {
+  auto doc = ParseDocument("t", "<a id=\"1\">text</a>");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_TRUE(doc.value().Labelled(NodeKind::kElement, "b").empty());
+  EXPECT_TRUE(doc.value().Labelled(NodeKind::kElement, "id").empty());
+  EXPECT_TRUE(doc.value().Labelled(NodeKind::kAttribute, "a").empty());
+  EXPECT_TRUE(doc.value().Labelled(NodeKind::kText, "").empty());
+}
+
+TEST(LabelStreamTest, DocumentIsCompleteWhenConstructed) {
+  // A tree handed to the constructor directly gets identifiers and
+  // streams, and both survive moving the document.
+  auto root = std::make_unique<Node>(NodeKind::kElement, "a");
+  root->AddElement("b")->AddText("x");
+  root->AddAttribute("id", "7");
+  Document built("t", std::move(root), 0);
+  const Document doc = std::move(built);
+  EXPECT_EQ(doc.root().id(), (NodeId{1, 4, 1}));
+  const auto stream = doc.Labelled(NodeKind::kElement, "b");
+  ASSERT_EQ(stream.size(), 1u);
+  EXPECT_EQ(stream[0]->id(), (NodeId{2, 2, 2}));
+  EXPECT_EQ(stream[0]->parent(), &doc.root());
+  EXPECT_EQ(doc.Labelled(NodeKind::kAttribute, "id").size(), 1u);
+}
 
 // --- Tokenizer ---------------------------------------------------------------
 

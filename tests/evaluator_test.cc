@@ -156,11 +156,36 @@ TEST_F(EvaluatorTest, NoMatchesYieldEmptyResult) {
 TEST_F(EvaluatorTest, ResultXmlSerialization) {
   QueryResult result;
   result.rows = {{"a & b", "<name>x</name>"}};
+  result.xml_columns = {false, true};
   const std::string xml = result.ToXml();
   EXPECT_EQ(xml,
             "<results><row><col>a &amp; b</col><col><name>x</name></col>"
             "</row></results>");
   EXPECT_GT(result.SizeBytes(), 0u);
+}
+
+TEST_F(EvaluatorTest, ResultXmlEscapesValColumnsByKind) {
+  // The string value "<x> y" came from escaped source text; it is text,
+  // not markup, even though it starts with '<'.
+  const xml::Document doc = Doc("d", "<a><b>&lt;x&gt; y</b></a>");
+  const QueryResult result = Evaluator::Evaluate(Q("//b:val"), {&doc});
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0][0], "<x> y");
+  const std::string xml = result.ToXml();
+  EXPECT_EQ(xml, "<results><row><col>&lt;x&gt; y</col></row></results>");
+  const auto reparsed = xml::ParseDocument("r", xml);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.value().root().StringValue(), "<x> y");
+}
+
+TEST_F(EvaluatorTest, ResultXmlKeepsElementContRawAndEscapesAttributeCont) {
+  const xml::Document doc = Doc("d", "<a id=\"7\"><b>x</b></a>");
+  const QueryResult result =
+      Evaluator::Evaluate(Q("//a[/@id:cont, /b:cont]"), {&doc});
+  EXPECT_EQ(result.xml_columns, (std::vector<bool>{false, true}));
+  EXPECT_EQ(result.ToXml(),
+            "<results><row><col>id=&quot;7&quot;</col><col><b>x</b></col>"
+            "</row></results>");
 }
 
 TEST_F(EvaluatorTest, AttributePatternRootMatchesAttributes) {
