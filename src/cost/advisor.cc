@@ -1,8 +1,5 @@
 #include "cost/advisor.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/strings.h"
 #include "engine/warehouse.h"
 
@@ -116,32 +113,6 @@ Result<AdvisorReport> AdviseStrategy(const AdvisorInput& input) {
     report.estimates.push_back(estimate);
   }
   return report;
-}
-
-BrownoutAdvice AdviseBrownout(const BrownoutInput& input) {
-  const double vm_per_second =
-      input.pricing.VmHour(input.instance_type) / 3600.0;
-  BrownoutAdvice advice;
-  advice.scan_cost =
-      static_cast<double>(input.documents) * input.pricing.st_get +
-      input.scan_seconds * vm_per_second;
-  advice.lookup_cost = input.lookup_get_units * input.pricing.idx_get;
-  advice.attempt_cost = input.attempt_seconds * vm_per_second;
-  const double gap = advice.scan_cost - advice.lookup_cost;
-  advice.breakeven_attempts =
-      advice.attempt_cost > 0
-          ? std::max(0.0, gap / advice.attempt_cost)
-          : std::numeric_limits<double>::infinity();
-  return advice;
-}
-
-std::string BrownoutAdvice::ToString() const {
-  return StrFormat(
-      "brownout: scan $%.7f, healthy lookup $%.7f, failed attempt "
-      "$%.7f\n  break-even after %.1f failed attempts — %s\n",
-      scan_cost, lookup_cost, attempt_cost, breakeven_attempts,
-      breakeven_attempts < 1 ? "scan immediately"
-                             : "retry, then fall back");
 }
 
 std::string AdvisorReport::ToString() const {

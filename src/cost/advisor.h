@@ -72,40 +72,6 @@ struct AdvisorReport {
 /// first-order approximation for query costs.
 Result<AdvisorReport> AdviseStrategy(const AdvisorInput& input);
 
-/// Input to the brownout advisor: what a query processor knows when its
-/// index lookups start failing (docs/FAULTS.md).
-struct BrownoutInput {
-  cloud::Pricing pricing;
-  cloud::InstanceType instance_type = cloud::InstanceType::kLarge;
-  /// |D|: documents a degraded full scan fetches and evaluates.
-  uint64_t documents = 0;
-  /// Virtual seconds the degraded scan takes (S3 transfer + parse/eval).
-  double scan_seconds = 0;
-  /// Index-store get units one *healthy* lookup of the query consumes.
-  double lookup_get_units = 0;
-  /// Virtual seconds one failed lookup attempt burns (request latency
-  /// plus the backoff sleep that follows it).
-  double attempt_seconds = 0;
-};
-
-/// Dollar break-even between "keep retrying the browned-out index" and
-/// "answer now from a full scan".  Failed attempts bill no capacity
-/// units (docs/FAULTS.md), so their cost is the rented VM time spent
-/// waiting; the scan pays file-store GETs plus VM time instead.
-struct BrownoutAdvice {
-  double scan_cost = 0;     // $ to answer now by scanning
-  double lookup_cost = 0;   // $ for the healthy indexed answer
-  double attempt_cost = 0;  // $ per failed retry attempt
-  /// Failed attempts after which cumulative retry spend exceeds the
-  /// scan: (scan_cost - lookup_cost) / attempt_cost, floored at 0.
-  /// Infinite when attempts are free (attempt_seconds == 0).
-  double breakeven_attempts = 0;
-
-  std::string ToString() const;
-};
-
-BrownoutAdvice AdviseBrownout(const BrownoutInput& input);
-
 }  // namespace webdex::cost
 
 #endif  // WEBDEX_COST_ADVISOR_H_

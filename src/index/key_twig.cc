@@ -91,6 +91,18 @@ std::vector<const TwigNode*> KeyTwig::Nodes() const {
   return nodes;
 }
 
+std::vector<xml::TwigEdge> KeyTwig::Edges() const {
+  std::vector<xml::TwigEdge> edges;
+  std::function<void(const TwigNode&, int)> walk = [&](const TwigNode& node,
+                                                       int parent) {
+    const int self = static_cast<int>(edges.size());
+    edges.push_back({parent, node.axis});
+    for (const auto& child : node.children) walk(*child, self);
+  };
+  if (root) walk(*root, -1);
+  return edges;
+}
+
 std::vector<std::string> KeyTwig::DistinctKeys() const {
   std::vector<std::string> keys;
   for (const TwigNode* node : Nodes()) {

@@ -6,13 +6,11 @@
 #include <vector>
 
 #include "query/tree_pattern.h"
+#include "xml/structural_join.h"
 
 namespace webdex::index {
 
-/// Edge type between key-twig nodes.  kSelf links an attribute to the
-/// words of its own value (they share one structural ID, because an
-/// attribute is a leaf in (pre, post, depth) space).
-enum class TwigAxis { kChild, kDescendant, kSelf };
+using TwigAxis = xml::TwigAxis;
 
 /// A node of the *key twig*: the tree pattern translated to index keys.
 ///
@@ -42,6 +40,9 @@ struct KeyTwig {
 
   /// All nodes, pre-order.
   std::vector<const TwigNode*> Nodes() const;
+  /// The edge into each node, parallel to Nodes(): the twig as
+  /// xml::SatisfyTwig reads it.
+  std::vector<xml::TwigEdge> Edges() const;
   /// Distinct keys of all nodes.
   std::vector<std::string> DistinctKeys() const;
   /// Root-to-leaf paths (sequences of nodes), for the LUP look-up.

@@ -1,10 +1,11 @@
 #include "index/lookup_paths.h"
 
 #include <algorithm>
+#include <span>
 
 #include "index/keys.h"
 #include "index/path_match.h"
-#include "index/twig_join.h"
+#include "xml/structural_join.h"
 
 namespace webdex::index {
 
@@ -298,14 +299,17 @@ Result<std::set<std::string>> LookupByIds(
   }
 
   // Holistic twig join per candidate document.  Inputs borrow the decoded
-  // vectors — no per-candidate ID copies.
+  // vectors, and one input and one satisfying-set buffer serve every
+  // candidate: no per-candidate ID copies.
   const std::vector<const TwigNode*> twig_nodes = twig.Nodes();
+  const std::vector<xml::TwigEdge> edges = twig.Edges();
+  std::vector<std::span<const xml::NodeId>> inputs(twig_nodes.size());
+  std::vector<std::vector<xml::NodeId>> sat;
   std::set<std::string> result;
   for (const std::string& uri : candidates) {
-    TwigInputs inputs;
     bool complete = true;
-    for (const TwigNode* node : twig_nodes) {
-      auto key_it = ids_by_key_uri.find(std::string_view(node->key));
+    for (size_t n = 0; n < twig_nodes.size(); ++n) {
+      auto key_it = ids_by_key_uri.find(std::string_view(twig_nodes[n]->key));
       if (key_it == ids_by_key_uri.end()) {
         complete = false;
         break;
@@ -315,13 +319,14 @@ Result<std::set<std::string>> LookupByIds(
         complete = false;
         break;
       }
-      inputs[node] = &uri_it->second;
+      inputs[n] = uri_it->second;
     }
-    if (!complete) continue;
-    TwigJoinStats twig_stats;
-    const bool matched = TwigMatch(twig, inputs, &twig_stats);
-    stats->twig_id_ops += twig_stats.id_ops;
-    if (matched) result.insert(uri);
+    if (complete &&
+        xml::SatisfyTwig<xml::NodeId>(
+            edges, inputs, [](size_t, const xml::NodeId&) { return true; },
+            &sat, &stats->twig_id_ops)) {
+      result.insert(uri);
+    }
   }
   return result;
 }

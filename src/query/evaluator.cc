@@ -9,24 +9,30 @@
 #include <utility>
 
 #include "xml/serializer.h"
+#include "xml/structural_join.h"
 
 namespace webdex::query {
 namespace {
 
-/// Embeds one tree pattern into documents.  Each pattern node draws its
-/// candidates from the document's label stream of its (kind, label):
-/// the stream's slice inside the parent binding's subtree, on a child
-/// edge only the nodes one level below the parent binding.  A pattern
-/// node binds a document node only if its whole pattern subtree embeds
-/// below it, so the backtracking over pattern nodes never dead-ends.
-/// Bindings are document nodes; output strings are made only for full
-/// embeddings.
+/// Embeds one tree pattern into documents.  Reset runs the structural
+/// twig join over the document's label streams, one per pattern node:
+/// a node's satisfying set holds the stream members that pass its value
+/// predicate and below which its whole pattern subtree embeds.  Binding
+/// pattern nodes in pre-order, each from its satisfying set inside its
+/// parent's binding, therefore never dead-ends.  Bindings are document
+/// nodes; output strings are made only for full embeddings.
 class PatternMatcher {
  public:
   explicit PatternMatcher(const TreePattern& pattern)
       : pattern_(pattern),
         streams_(static_cast<size_t>(pattern.size())),
         binding_(static_cast<size_t>(pattern.size()), nullptr) {
+    for (const PatternNode* node : pattern.nodes()) {
+      edges_.push_back({node->parent == nullptr ? -1 : node->parent->index,
+                        node->axis == Axis::kChild
+                            ? xml::TwigAxis::kChild
+                            : xml::TwigAxis::kDescendant});
+    }
     for (const PatternNode* node : pattern.output_nodes()) {
       slots_.push_back({node->index, node->want_cont, nullptr, {}});
     }
@@ -41,26 +47,30 @@ class PatternMatcher {
   size_t num_outputs() const { return num_outputs_; }
   size_t num_joins() const { return slots_.size() - num_outputs_; }
 
-  /// Points the matcher at `doc`.  False when a pattern label is absent
-  /// from the document, so that no embedding exists.
+  /// Points the matcher at `doc` and joins the pattern over it.  True
+  /// when at least one embedding exists.
   bool Reset(const xml::Document& doc) {
-    doc_ = &doc;
     for (Slot& slot : slots_) slot.cached = nullptr;
     for (const PatternNode* node : pattern_.nodes()) {
       auto& stream = streams_[static_cast<size_t>(node->index)];
       stream = doc.Labelled(node->is_attribute ? xml::NodeKind::kAttribute
                                                : xml::NodeKind::kElement,
                             node->label);
-      if (stream.empty()) return false;
+      if (stream.empty()) return false;  // skip the join: nothing embeds
     }
-    return true;
-  }
-
-  bool AnyEmbedding() const {
-    const PatternNode& root = pattern_.root();
-    return AnyCandidate(root, nullptr, [&](const xml::Node* node) {
-      return Embeds(root, node);
-    });
+    // A child edge on the pattern root anchors it at the document
+    // element.
+    const bool anchored = pattern_.root().axis == Axis::kChild;
+    auto keep = [&](size_t i, const xml::Node* node) {
+      if (i == 0 && anchored && node != &doc.root()) return false;
+      const Predicate& predicate = pattern_.nodes()[i]->predicate;
+      if (predicate.kind == PredicateKind::kNone) return true;
+      predicate_value_.clear();
+      node->AppendStringValue(&predicate_value_);
+      return predicate.Matches(predicate_value_);
+    };
+    return xml::SatisfyTwig<const xml::Node*>(edges_, streams_, keep, &sat_,
+                                              &id_ops_);
   }
 
   /// Calls `emit()` once per embedding, in lexicographic order of the
@@ -108,86 +118,43 @@ class PatternMatcher {
     return slot.value;
   }
 
-  /// Calls `fn` on the candidates of `pnode` below `parent` (the
-  /// document when null) in document order, until one returns true.
-  /// Returns whether one did.
-  template <typename Fn>
-  bool AnyCandidate(const PatternNode& pnode, const xml::Node* parent,
-                    Fn&& fn) const {
-    const auto stream = streams_[static_cast<size_t>(pnode.index)];
-    if (parent == nullptr) {
-      // A child edge on the pattern root anchors it at the document
-      // element, which comes first in its stream.
-      if (pnode.axis == Axis::kChild) {
-        return stream.front() == &doc_->root() && fn(stream.front());
-      }
-      return std::any_of(stream.begin(), stream.end(), fn);
-    }
-    // The subtree of `parent` is the run of nodes after it in pre order
-    // whose post is below its own; its children are one level deeper.
-    const xml::NodeId& bound = parent->id();
-    auto it = std::upper_bound(
-        stream.begin(), stream.end(), bound.pre,
-        [](uint32_t pre, const xml::Node* node) { return pre < node->id().pre; });
-    for (; it != stream.end() && (*it)->id().post < bound.post; ++it) {
-      if ((pnode.axis == Axis::kDescendant ||
-           (*it)->id().depth == bound.depth + 1) &&
-          fn(*it)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// True if the pattern subtree rooted at `pnode` embeds with `pnode`
-  /// bound to `node` (whose kind and label already match).
-  bool Embeds(const PatternNode& pnode, const xml::Node* node) const {
-    if (pnode.predicate.kind != PredicateKind::kNone) {
-      // One buffer for every predicate evaluation on this thread.
-      thread_local std::string value;
-      value.clear();
-      node->AppendStringValue(&value);
-      if (!pnode.predicate.Matches(value)) return false;
-    }
-    for (const auto& child : pnode.children) {
-      if (!AnyCandidate(*child, node, [&](const xml::Node* candidate) {
-            return Embeds(*child, candidate);
-          })) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   template <typename Emit>
   void Enumerate(size_t i, Emit& emit) {
     if (i == binding_.size()) {
       emit();
       return;
     }
-    const PatternNode& pnode = *pattern_.nodes()[i];
-    const xml::Node* parent =
-        pnode.parent == nullptr
-            ? nullptr
-            : binding_[static_cast<size_t>(pnode.parent->index)];
-    AnyCandidate(pnode, parent, [&](const xml::Node* candidate) {
-      if (Embeds(pnode, candidate)) {
-        binding_[i] = candidate;
-        Enumerate(i + 1, emit);
-      }
+    auto bind = [&](const xml::Node* node) {
+      binding_[i] = node;
+      Enumerate(i + 1, emit);
       return false;
-    });
+    };
+    const std::span<const xml::Node* const> sat = sat_[i];
+    const xml::TwigEdge& edge = edges_[i];
+    if (edge.parent < 0) {
+      for (const xml::Node* node : sat) bind(node);
+      return;
+    }
+    xml::AnyRelated(sat, binding_[static_cast<size_t>(edge.parent)]->id(),
+                    edge.axis, &id_ops_, bind);
   }
 
   const TreePattern& pattern_;
-  const xml::Document* doc_ = nullptr;
+  /// The pattern as a twig: per pattern node, its parent and edge axis.
+  std::vector<xml::TwigEdge> edges_;
   /// Per pattern node, the current document's stream of its label.
   std::vector<std::span<const xml::Node* const>> streams_;
+  /// Per pattern node, its satisfying set in the current document.
+  std::vector<std::vector<const xml::Node*>> sat_;
   /// Per pattern node, its binding in the embedding being enumerated.
   std::vector<const xml::Node*> binding_;
   /// Output slots first, then join slots.
   std::vector<Slot> slots_;
   size_t num_outputs_ = 0;
+  /// The join's work count; evaluation is charged by bytes instead.
+  uint64_t id_ops_ = 0;
+  /// Buffer for the string value a predicate tests.
+  std::string predicate_value_;
 };
 
 /// The embeddings of one pattern over all evaluated documents, in
@@ -304,7 +271,7 @@ bool Evaluator::Matches(const TreePattern& pattern,
   ThreadStats().doc_bytes_scanned += doc.size_bytes();
   ThreadStatsPending() = true;
   PatternMatcher matcher(pattern);
-  return matcher.Reset(doc) && matcher.AnyEmbedding();
+  return matcher.Reset(doc);
 }
 
 QueryResult Evaluator::Evaluate(const Query& query,

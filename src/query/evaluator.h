@@ -60,7 +60,7 @@ class Evaluator {
   static std::vector<PatternMatch> MatchPattern(const TreePattern& pattern,
                                                 const xml::Document& doc);
 
-  /// True if at least one embedding exists (early-exit variant).
+  /// True if at least one embedding exists.
   static bool Matches(const TreePattern& pattern, const xml::Document& doc);
 
   /// Evaluates a full query over a set of documents: per-pattern matches

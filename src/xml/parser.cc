@@ -73,6 +73,35 @@ class Parser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
+  // The code point of a character reference body ("65" or "x41"), or -1
+  // unless it is all decimal digits, or x and all hex digits, and names
+  // an XML Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+  // [#x10000-#x10FFFF].
+  static long CharacterReference(std::string_view body) {
+    const bool hex = !body.empty() && body[0] == 'x';
+    const std::string_view digits = body.substr(hex ? 1 : 0);
+    if (digits.empty()) return -1;
+    long code = 0;
+    for (const char d : digits) {
+      const char lower = static_cast<char>(d | 0x20);
+      long value = 0;
+      if (d >= '0' && d <= '9') {
+        value = d - '0';
+      } else if (hex && lower >= 'a' && lower <= 'f') {
+        value = lower - 'a' + 10;
+      } else {
+        return -1;
+      }
+      code = code * (hex ? 16 : 10) + value;
+      if (code > 0x10FFFF) return -1;
+    }
+    const bool is_char = code == 0x9 || code == 0xA || code == 0xD ||
+                         (code >= 0x20 && code <= 0xD7FF) ||
+                         (code >= 0xE000 && code <= 0xFFFD) ||
+                         code >= 0x10000;
+    return is_char ? code : -1;
+  }
+
   // Decodes &amp; &lt; &gt; &apos; &quot; and &#...; references in-place
   // while accumulating into `out`.
   Status AppendDecoded(std::string_view raw, std::string* out) {
@@ -100,14 +129,9 @@ class Parser {
       } else if (name == "quot") {
         out->push_back('"');
       } else if (!name.empty() && name[0] == '#') {
-        long code = 0;
-        if (name.size() > 1 && (name[1] == 'x' || name[1] == 'X')) {
-          code = std::strtol(std::string(name.substr(2)).c_str(), nullptr, 16);
-        } else {
-          code = std::strtol(std::string(name.substr(1)).c_str(), nullptr, 10);
-        }
+        const long code = CharacterReference(name.substr(1));
+        if (code < 0) return Error("bad character reference");
         // Encode as UTF-8.
-        if (code <= 0) return Error("bad character reference");
         if (code < 0x80) {
           out->push_back(static_cast<char>(code));
         } else if (code < 0x800) {

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "cost/advisor.h"
 #include "xmark/xmark_generator.h"
 
@@ -112,51 +110,6 @@ TEST(AdvisorTest, ReportRendersAllRows) {
                            "recommendation"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
-}
-
-// Brownout advisor (docs/FAULTS.md): dollar break-even between retrying
-// a browned-out index and answering now from a full scan.
-TEST(BrownoutAdvisorTest, BreakevenMatchesHandComputation) {
-  BrownoutInput input;
-  input.documents = 1000;
-  input.scan_seconds = 60;
-  input.lookup_get_units = 5;
-  input.attempt_seconds = 0.5;
-  const BrownoutAdvice advice = AdviseBrownout(input);
-  const double vm_per_second =
-      input.pricing.VmHour(input.instance_type) / 3600.0;
-  EXPECT_DOUBLE_EQ(advice.scan_cost,
-                   1000 * input.pricing.st_get + 60 * vm_per_second);
-  EXPECT_DOUBLE_EQ(advice.lookup_cost, 5 * input.pricing.idx_get);
-  EXPECT_DOUBLE_EQ(advice.attempt_cost, 0.5 * vm_per_second);
-  EXPECT_NEAR(advice.breakeven_attempts,
-              (advice.scan_cost - advice.lookup_cost) / advice.attempt_cost,
-              1e-9);
-  // The scan is far dearer than a few retries here: keep retrying.
-  EXPECT_GT(advice.breakeven_attempts, 1);
-  EXPECT_NE(advice.ToString().find("retry"), std::string::npos);
-}
-
-TEST(BrownoutAdvisorTest, FreeAttemptsNeverBreakEven) {
-  BrownoutInput input;
-  input.documents = 100;
-  input.scan_seconds = 10;
-  input.lookup_get_units = 1;
-  input.attempt_seconds = 0;  // attempts cost nothing: retry forever
-  const BrownoutAdvice advice = AdviseBrownout(input);
-  EXPECT_TRUE(std::isinf(advice.breakeven_attempts));
-}
-
-TEST(BrownoutAdvisorTest, CheapScanMeansScanImmediately) {
-  BrownoutInput input;
-  input.documents = 1;  // tiny warehouse: the scan is nearly free
-  input.scan_seconds = 0;
-  input.lookup_get_units = 1000;
-  input.attempt_seconds = 1;
-  const BrownoutAdvice advice = AdviseBrownout(input);
-  EXPECT_LT(advice.scan_cost, advice.lookup_cost);
-  EXPECT_EQ(advice.breakeven_attempts, 0);
-  EXPECT_NE(advice.ToString().find("scan immediately"), std::string::npos);
 }
 
 TEST(AdvisorTest, DeterministicReport) {

@@ -68,6 +68,26 @@ TEST(XmlParserTest, NumericCharacterReferences) {
   EXPECT_EQ(doc.value().root().StringValue(), "AB\xC3\xA9");
 }
 
+TEST(XmlParserTest, CharacterReferencesMustNameAnXmlChar) {
+  // Past U+10FFFF, far past it (not UTF-8 at all), a surrogate, a NUL,
+  // and bodies that are not wholly digits.
+  for (const char* text :
+       {"<a>&#x110000;</a>", "<a>&#x7FFFFFFF;</a>", "<a>&#xD800;</a>",
+        "<a>&#0;</a>", "<a>&#12abc;</a>", "<a>&#x;</a>", "<a>&#;</a>",
+        "<a>&#xFFFE;</a>", "<a>&#99999999999999999999;</a>"}) {
+    const auto doc = Parse(text);
+    ASSERT_FALSE(doc.ok()) << text;
+    EXPECT_TRUE(doc.status().IsCorruption()) << text;
+    EXPECT_NE(doc.status().ToString().find("bad character reference"),
+              std::string::npos)
+        << text << ": " << doc.status().ToString();
+  }
+  // The edges of the Char ranges still decode.
+  const auto doc = Parse("<a>&#9;&#x41;&#x10FFFF;</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc.value().root().StringValue(), "\tA\xF4\x8F\xBF\xBF");
+}
+
 TEST(XmlParserTest, WhitespaceTextSkippedByDefault) {
   auto doc = Parse("<a>\n  <b>x</b>\n</a>");
   ASSERT_TRUE(doc.ok());
