@@ -17,7 +17,12 @@ ExtractionPipeline::ExtractionPipeline(common::ThreadPool* pool,
       store_(store),
       s3_(s3),
       bucket_(std::move(bucket)),
-      base_seed_(base_seed) {}
+      base_seed_(base_seed),
+      window_(2 * static_cast<size_t>(pool->size())) {}
+
+ExtractionPipeline::~ExtractionPipeline() {
+  for (auto& [key, task] : in_flight_) task.wait();
+}
 
 ExtractionResult ExtractionPipeline::ExtractNow(
     const std::string& uri, const std::string& xml_text,
@@ -67,35 +72,68 @@ std::string TaskKey(const std::string& uri, uint64_t generation) {
 void ExtractionPipeline::Prefetch(const std::string& uri,
                                   uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = TaskKey(uri, generation);
-  if (tasks_.count(key) > 0) return;
-  tasks_.emplace(
-      key,
-      pool_->Submit([this, uri,
-                     generation]() -> std::shared_ptr<const ExtractionResult> {
-        const std::string* text = s3_->PeekObject(bucket_, uri);
-        if (text == nullptr) {
-          auto missing = std::make_shared<ExtractionResult>();
-          missing->status = Status::NotFound("no such object: " + uri);
-          return missing;
-        }
-        index::ExtractOptions options = options_;
-        options.generation = generation;
-        return std::make_shared<const ExtractionResult>(ExtractNow(
-            uri, *text, *strategy_, options, *store_, base_seed_));
-      }).share());
+  std::string key = TaskKey(uri, generation);
+  if (queued_.count(key) > 0 || in_flight_.count(key) > 0) return;
+  queued_.emplace(key, std::make_pair(uri, generation));
+  order_.push_back(std::move(key));
+  FillWindowLocked(nullptr);
 }
 
-std::shared_ptr<const ExtractionResult> ExtractionPipeline::Take(
-    const std::string& uri, uint64_t generation) {
-  std::shared_future<std::shared_ptr<const ExtractionResult>> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = tasks_.find(TaskKey(uri, generation));
-    if (it == tasks_.end()) return nullptr;
-    task = it->second;
+void ExtractionPipeline::FillWindowLocked(ResultPtr consumed) {
+  while (in_flight_.size() + 1 < window_ && !order_.empty()) {
+    std::string key = std::move(order_.front());
+    order_.pop_front();
+    auto queued = queued_.find(key);
+    if (queued == queued_.end()) continue;  // dropped by an early Take
+    std::string uri = std::move(queued->second.first);
+    const uint64_t generation = queued->second.second;
+    queued_.erase(queued);
+    in_flight_.emplace(
+        std::move(key),
+        pool_->Submit([this, uri = std::move(uri), generation,
+                       consumed = std::move(consumed)]() mutable
+                      -> ResultPtr {
+          // The slot's previous result goes first, so the slot never
+          // holds two.
+          consumed.reset();
+          const std::string* text = s3_->PeekObject(bucket_, uri);
+          if (text == nullptr) {
+            auto missing = std::make_shared<ExtractionResult>();
+            missing->status = Status::NotFound("no such object: " + uri);
+            return missing;
+          }
+          index::ExtractOptions options = options_;
+          options.generation = generation;
+          return std::make_shared<const ExtractionResult>(ExtractNow(
+              uri, *text, *strategy_, options, *store_, base_seed_));
+        }));
   }
-  return task.get();
+  // Nothing left to extract: free it on the pool all the same.
+  if (consumed != nullptr) pool_->Submit([consumed = std::move(consumed)] {});
+}
+
+ExtractionPipeline::ResultPtr ExtractionPipeline::Take(
+    const std::string& uri, uint64_t generation) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // The caller is done with the result of its previous Take.
+  ResultPtr consumed = std::move(consumed_);
+  const std::string key = TaskKey(uri, generation);
+  auto it = in_flight_.find(key);
+  if (it == in_flight_.end()) {
+    // Released, never prefetched, or still queued.  A queued key is
+    // dropped: its delivery is about to be extracted inline, and
+    // `consumed` is freed here first to make room for that result.
+    queued_.erase(key);
+    return nullptr;
+  }
+  Future task = std::move(it->second);
+  in_flight_.erase(it);
+  FillWindowLocked(std::move(consumed));
+  lock.unlock();
+  ResultPtr result = task.get();
+  lock.lock();
+  consumed_ = result;
+  return result;
 }
 
 }  // namespace webdex::engine

@@ -148,18 +148,31 @@ Status Warehouse::AttachToExistingCloud() {
   return Status::OK();
 }
 
-Status Warehouse::SubmitDocument(const std::string& uri,
-                                 std::string xml_text) {
-  if (config_.use_index && registered_uris_.count(uri) > 0) {
-    // Re-submission replaces the document; only the generation machinery
-    // keeps readers consistent through that, so route through it.
-    return UpsertDocument(uri, std::move(xml_text));
-  }
-  data_bytes_ += xml_text.size();
+Status Warehouse::PutDocumentObject(const std::string& uri,
+                                    const std::string& xml_text) {
   WEBDEX_RETURN_IF_ERROR(
       RetryCall(front_end_, "fe.put", [&] {
         return env_->s3().Put(front_end_, config_.data_bucket, uri, xml_text);
       }));
+  // A query fetches (and bills) the object just stored, so it must not
+  // evaluate a DOM cached from the bytes this put replaced.
+  doc_cache_.Erase(uri);
+  return Status::OK();
+}
+
+Status Warehouse::SubmitDocument(const std::string& uri,
+                                 std::string xml_text) {
+  if (registered_uris_.count(uri) > 0) {
+    // Re-submission replaces the document.  With an index only the
+    // generation machinery keeps readers consistent through that, so
+    // route through it; without one the stored object is all there is.
+    if (config_.use_index) return UpsertDocument(uri, std::move(xml_text));
+    WEBDEX_RETURN_IF_ERROR(PutDocumentObject(uri, xml_text));
+    data_bytes_ = env_->s3().BucketBytes(config_.data_bucket);
+    return Status::OK();
+  }
+  data_bytes_ += xml_text.size();
+  WEBDEX_RETURN_IF_ERROR(PutDocumentObject(uri, xml_text));
   document_uris_.push_back(uri);
   registered_uris_.insert(uri);
   if (config_.use_index) {
@@ -178,10 +191,7 @@ Status Warehouse::UpsertDocument(const std::string& uri,
     return Status::FailedPrecondition(
         "document mutation requires an indexed warehouse");
   }
-  WEBDEX_RETURN_IF_ERROR(
-      RetryCall(front_end_, "fe.put", [&] {
-        return env_->s3().Put(front_end_, config_.data_bucket, uri, xml_text);
-      }));
+  WEBDEX_RETURN_IF_ERROR(PutDocumentObject(uri, xml_text));
   // Replacement may shrink or grow the stored object; re-read the
   // bucket's authoritative size instead of accumulating deltas.
   data_bytes_ = env_->s3().BucketBytes(config_.data_bucket);
@@ -326,7 +336,7 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
   // Phase 1: fetch, parse, extract ("extraction time" in Table 4).  The
   // simulated fetch (billed, latency-charged) always happens here on the
   // event loop; the host CPU of parse + extract may already have been
-  // spent by the pipeline, in which case its memoized result is charged
+  // spent by the pipeline, in which case its prefetched result is charged
   // to this instance's virtual clock exactly as if computed inline.
   const Micros extract_start = instance.now();
   cloud::MeteredSpan extract_span(&env_->tracer(), &env_->meter(), instance,
@@ -360,10 +370,11 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
                                     request.value().generation);
       }
       if (extraction == nullptr || extraction->status.IsNotFound()) {
-        // Not prefetched (or the speculative read missed the object):
-        // run the identical extraction inline on this thread.  Upserts
-        // extract at their allocated generation so the new postings are
-        // stamped and drawn from the generation's own UUID stream.
+        // Not prefetched, already released to an earlier delivery, or
+        // the speculative read missed the object: run the identical
+        // extraction inline on this thread.  Upserts extract at their
+        // allocated generation so the new postings are stamped and drawn
+        // from the generation's own UUID stream.
         index::ExtractOptions options = config_.extract;
         options.generation = request.value().generation;
         extraction = std::make_shared<const ExtractionResult>(
@@ -524,11 +535,12 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
   }
   IndexingRunReport report;
 
-  // Speculative host parallelism: peek the pending loader requests and
-  // start fetch-parse-extract for each document on the pool now; the
-  // event loop below collects the memoized results as its virtual clocks
-  // reach the corresponding deliveries.  With host_threads == 1 the
-  // legacy serial path runs the identical extraction inline.
+  // Speculative host parallelism: queue the pending loader requests in
+  // queue order; the pipeline runs fetch-parse-extract for a bounded
+  // window of them on the pool, and the event loop below takes each
+  // result as its virtual clocks reach the corresponding delivery.  With
+  // host_threads == 1 the serial path runs the identical extraction
+  // inline.
   const int host_threads = ResolvedHostThreads();
   std::unique_ptr<common::ThreadPool> pool;
   std::unique_ptr<ExtractionPipeline> pipeline;

@@ -354,6 +354,11 @@ class Warehouse {
   bool ShouldCrash(cloud::CrashPoint point, int instance_id,
                    const std::string& task_key);
 
+  /// Stores `xml_text` as the data object of `uri` (billed front-end put)
+  /// and drops the URI's cached DOM, which described the replaced bytes.
+  Status PutDocumentObject(const std::string& uri,
+                           const std::string& xml_text);
+
   /// Allocates the next mutation generation from the cloud's maintenance
   /// watermark (monotone, persisted by snapshots).
   uint64_t AllocateGeneration();
@@ -449,11 +454,13 @@ class Warehouse {
   void MaybeRenewLease(cloud::Instance& instance, const std::string& queue,
                        uint64_t receipt, cloud::Micros* lease_anchor);
 
-  /// Host-side DOM cache (documents are immutable once loaded); purely a
+  /// Host-side DOM cache of the stored objects, keyed by URI; purely a
   /// real-CPU optimization — virtual parse time is charged per fetch.
-  /// Mutex-guarded: the indexing run warms it from results produced on
-  /// pooled host threads, and a future parallel query path may read it
-  /// concurrently.
+  /// Every overwrite of a stored object erases its entry
+  /// (PutDocumentObject), and a committed delete erases it too, so a hit
+  /// is always the DOM of the bytes the query fetched.  Mutex-guarded:
+  /// the indexing run warms it from results produced on pooled host
+  /// threads, and a future parallel query path may read it concurrently.
   class DocCache {
    public:
     std::shared_ptr<const xml::Document> Get(const std::string& uri) const;

@@ -4,7 +4,10 @@
 // the byte-for-byte contents of the index tables must be identical for
 // host_threads == 1 (legacy serial path) and host_threads == 8
 // (speculative pipeline), across all four strategies, with and without
-// crash-injection redeliveries.
+// crash-injection redeliveries -- including redeliveries of tasks whose
+// prefetched result the pipeline already released.  The pipeline's own
+// contract (window, release on take, out-of-order takes) is tested
+// through its public API at the end.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "engine/extraction_pipeline.h"
 #include "engine/warehouse.h"
 #include "query/evaluator.h"
@@ -36,6 +40,16 @@ std::vector<xmark::GeneratedDocument> Corpus() {
   return docs;
 }
 
+// Canonical serialization of one stored item.
+std::string ItemLine(const std::string& table, const cloud::Item& item) {
+  std::string line = table + "|" + item.hash_key + "|" + item.range_key;
+  for (const auto& [name, values] : item.attrs) {
+    line += "|" + name + "=";
+    for (const auto& value : values) line += value + ",";
+  }
+  return line;
+}
+
 /// Everything that must not depend on host_threads.
 struct RunFingerprint {
   IndexingRunReport report;
@@ -43,14 +57,16 @@ struct RunFingerprint {
   double dollars = 0;
 };
 
-RunFingerprint RunIndexing(WarehouseConfig config, int crashes = 0) {
+RunFingerprint RunIndexing(
+    WarehouseConfig config, int crashes = 0,
+    cloud::CrashPoint crash_at = cloud::CrashPoint::kBeforeDelete) {
   RunFingerprint out;
   int crashes_remaining = crashes;
   if (crashes > 0) {
-    config.crash_plan = [&crashes_remaining](cloud::CrashPoint point, int,
-                                             const std::string&) {
-      if (point == cloud::CrashPoint::kBeforeDelete &&
-          crashes_remaining > 0) {
+    config.crash_plan = [&crashes_remaining, crash_at](
+                            cloud::CrashPoint point, int,
+                            const std::string&) {
+      if (point == crash_at && crashes_remaining > 0) {
         --crashes_remaining;
         return true;
       }
@@ -68,12 +84,7 @@ RunFingerprint RunIndexing(WarehouseConfig config, int crashes = 0) {
   out.report = report.value();
   warehouse.index_store().ForEachItem(
       [&out](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" + item.range_key;
-        for (const auto& [name, values] : item.attrs) {
-          line += "|" + name + "=";
-          for (const auto& value : values) line += value + ",";
-        }
-        out.table_dump.push_back(std::move(line));
+        out.table_dump.push_back(ItemLine(table, item));
       });
   out.dollars = env->meter().ComputeBill().total();
   return out;
@@ -93,6 +104,8 @@ void ExpectIdentical(const RunFingerprint& serial,
             parallel.report.extract_stats.payload_bytes);
   EXPECT_DOUBLE_EQ(serial.report.index_put_units,
                    parallel.report.index_put_units);
+  EXPECT_EQ(serial.report.redeliveries, parallel.report.redeliveries);
+  EXPECT_EQ(serial.report.dead_lettered, parallel.report.dead_lettered);
   EXPECT_DOUBLE_EQ(serial.dollars, parallel.dollars);
   ASSERT_EQ(serial.table_dump.size(), parallel.table_dump.size());
   EXPECT_EQ(serial.table_dump, parallel.table_dump);
@@ -123,6 +136,30 @@ TEST_P(PipelineDeterminismTest, IdenticalUnderCrashRedeliveries) {
   const auto serial_run = RunIndexing(serial, /*crashes=*/3);
   const auto parallel_run = RunIndexing(parallel, /*crashes=*/3);
   EXPECT_EQ(serial_run.report.documents, Corpus().size() + 3);
+  ExpectIdentical(serial_run, parallel_run);
+}
+
+// A crash between two BatchPut pages lands after the task took its
+// prefetched result, which the pipeline then released: the redelivery
+// misses the pipeline and re-extracts inline, to the same items.
+TEST_P(PipelineDeterminismTest, IdenticalWhenReleasedResultsAreReExtracted) {
+  WarehouseConfig config;
+  config.strategy = GetParam();
+  config.num_instances = 2;
+  WarehouseConfig serial = config;
+  serial.host_threads = 1;
+  WarehouseConfig parallel = config;
+  parallel.host_threads = 8;
+  const auto clean = RunIndexing(serial);
+  const auto serial_run = RunIndexing(
+      serial, /*crashes=*/3, cloud::CrashPoint::kBetweenBatchPutPages);
+  const auto parallel_run = RunIndexing(
+      parallel, /*crashes=*/3, cloud::CrashPoint::kBetweenBatchPutPages);
+  // A mid-upload crash completes no task: `documents` stays the corpus
+  // size, and the three crashed tasks come back as redeliveries.
+  EXPECT_EQ(serial_run.report.redeliveries, 3u);
+  EXPECT_EQ(serial_run.report.documents, Corpus().size());
+  EXPECT_EQ(serial_run.table_dump, clean.table_dump);
   ExpectIdentical(serial_run, parallel_run);
 }
 
@@ -174,6 +211,100 @@ TEST(PipelineTest, QueriesAgreeAfterSerialAndParallelIndexing) {
   EXPECT_EQ(serial.second, parallel.second);
   ASSERT_FALSE(serial.first.empty());
   EXPECT_EQ(serial.first[0][0], "Delacroix");
+}
+
+// The ExtractionPipeline on its own: a data bucket holding Corpus(), a
+// LUP strategy and a two-thread pool, so the window (four results, three
+// of them in flight) is much smaller than the corpus.
+class ExtractionPipelineTest : public ::testing::Test {
+ protected:
+  ExtractionPipelineTest()
+      : strategy_(index::IndexingStrategy::Create(StrategyKind::kLUP)) {
+    EXPECT_TRUE(env_.s3().CreateBucket("data").ok());
+    cloud::SimAgent agent;
+    for (const auto& doc : corpus_) {
+      EXPECT_TRUE(env_.s3().Put(agent, "data", doc.uri, doc.text).ok());
+    }
+  }
+
+  std::unique_ptr<ExtractionPipeline> MakePipeline() {
+    auto pipeline = std::make_unique<ExtractionPipeline>(
+        &pool_, strategy_.get(), index::ExtractOptions{}, &env_.dynamodb(),
+        &env_.s3(), "data", kSeed);
+    for (const auto& doc : corpus_) pipeline->Prefetch(doc.uri);
+    return pipeline;
+  }
+
+  // The result of the serial path, as a canonical dump of its items.
+  std::vector<std::string> Expected(size_t i) {
+    return Dump(ExtractionPipeline::ExtractNow(
+        corpus_[i].uri, corpus_[i].text, *strategy_,
+        index::ExtractOptions{}, env_.dynamodb(), kSeed));
+  }
+
+  static std::vector<std::string> Dump(const ExtractionResult& result) {
+    std::vector<std::string> lines;
+    for (const auto& batch : result.items) {
+      for (const auto& item : batch.items) {
+        lines.push_back(ItemLine(batch.table, item));
+      }
+    }
+    return lines;
+  }
+
+  static constexpr uint64_t kSeed = 7;
+  const std::vector<xmark::GeneratedDocument> corpus_ = Corpus();
+  cloud::CloudEnv env_;
+  std::unique_ptr<index::IndexingStrategy> strategy_;
+  common::ThreadPool pool_{2};
+};
+
+TEST_F(ExtractionPipelineTest, DrainsMoreDocumentsThanTheWindow) {
+  ASSERT_GT(corpus_.size(), 4u * 3);
+  auto pipeline = MakePipeline();
+  for (size_t i = 0; i < corpus_.size(); ++i) {
+    auto result = pipeline->Take(corpus_[i].uri);
+    ASSERT_NE(result, nullptr) << corpus_[i].uri;
+    ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+    EXPECT_EQ(Dump(*result), Expected(i)) << corpus_[i].uri;
+  }
+}
+
+TEST_F(ExtractionPipelineTest, SecondTakeOfAKeyReturnsNull) {
+  auto pipeline = MakePipeline();
+  const std::string& uri = corpus_[0].uri;
+  EXPECT_NE(pipeline->Take(uri), nullptr);
+  EXPECT_EQ(pipeline->Take(uri), nullptr);
+  // Different generations of one URI are different keys.
+  EXPECT_EQ(pipeline->Take(uri, /*generation=*/3), nullptr);
+  EXPECT_EQ(pipeline->Take("never-prefetched.xml"), nullptr);
+}
+
+TEST_F(ExtractionPipelineTest, OutOfOrderTakesFallBackAndTheWindowAdvances) {
+  auto pipeline = MakePipeline();
+  const size_t last = corpus_.size() - 1;
+  // Still queued behind the window: not started, so no blocking wait;
+  // the key is dropped and its caller extracts inline.
+  EXPECT_EQ(pipeline->Take(corpus_[last].uri), nullptr);
+  // Inside the window but out of order: served.
+  auto third = pipeline->Take(corpus_[2].uri);
+  ASSERT_NE(third, nullptr);
+  EXPECT_EQ(Dump(*third), Expected(2));
+  for (size_t i = 0; i < last; ++i) {
+    if (i == 2) continue;
+    auto result = pipeline->Take(corpus_[i].uri);
+    ASSERT_NE(result, nullptr) << corpus_[i].uri;
+    EXPECT_EQ(Dump(*result), Expected(i)) << corpus_[i].uri;
+  }
+  // The dropped key was never submitted.
+  EXPECT_EQ(pipeline->Take(corpus_[last].uri), nullptr);
+}
+
+TEST_F(ExtractionPipelineTest, DestructionWaitsForUntakenExtractions) {
+  auto pipeline = MakePipeline();
+  EXPECT_NE(pipeline->Take(corpus_[0].uri), nullptr);
+  pipeline.reset();  // results still in flight must not outlive it
+  SUCCEED();
 }
 
 // The evaluator's thread_local work-stats contract (query/evaluator.h):

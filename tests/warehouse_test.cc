@@ -27,16 +27,34 @@ struct Harness {
   std::unique_ptr<Warehouse> warehouse;
 };
 
-Harness MakeWarehouse(WarehouseConfig config,
-                    cloud::CloudConfig cloud_config = {}) {
+Harness MakeWarehouse(
+    WarehouseConfig config, cloud::CloudConfig cloud_config = {},
+    const std::vector<xmark::GeneratedDocument>& corpus = Corpus()) {
   Harness setup;
   setup.env = std::make_unique<cloud::CloudEnv>(cloud_config);
   setup.warehouse = std::make_unique<Warehouse>(setup.env.get(), config);
   EXPECT_TRUE(setup.warehouse->Setup().ok());
-  for (const auto& doc : Corpus()) {
+  for (const auto& doc : corpus) {
     EXPECT_TRUE(setup.warehouse->SubmitDocument(doc.uri, doc.text).ok());
   }
   return setup;
+}
+
+// Corpus()'s first document, painting-000.xml ("The Lion Hunt"), with its
+// painter renamed: the one q3 row changes from Delacroix to Gericault.
+xmark::GeneratedDocument RenamedPainting() {
+  xmark::GeneratedDocument doc = Corpus().front();
+  const size_t at = doc.text.find("Delacroix");
+  EXPECT_NE(at, std::string::npos);
+  doc.text.replace(at, std::string("Delacroix").size(), "Gericault");
+  return doc;
+}
+
+// Corpus() after RenamedPainting() replaced its first document.
+std::vector<xmark::GeneratedDocument> FinalCorpus() {
+  auto docs = Corpus();
+  docs.front() = RenamedPainting();
+  return docs;
 }
 
 const char* kQ1 = "//painting[/name:val, //painter/name:val]";
@@ -93,6 +111,38 @@ TEST_P(WarehouseStrategyTest, MatchesNoIndexBaselineResults) {
   }
 }
 
+// The indexing run leaves every document's DOM cached.  An upsert stores
+// new bytes before its task re-indexes them; a query in between fetches
+// and bills the new object, so it must evaluate the new object too,
+// exactly like a scan of the final corpus.
+TEST_P(WarehouseStrategyTest, QueryBeforeReindexingEvaluatesTheStoredObject) {
+  WarehouseConfig config;
+  config.strategy = GetParam();
+  Harness indexed = MakeWarehouse(config);
+  ASSERT_TRUE(indexed.warehouse->RunIndexers().ok());
+  ASSERT_TRUE(indexed.warehouse->ExecuteQuery(kQ3).ok());  // warm cache
+
+  const auto renamed = RenamedPainting();
+  ASSERT_TRUE(
+      indexed.warehouse->UpsertDocument(renamed.uri, renamed.text).ok());
+  WarehouseConfig baseline_config;
+  baseline_config.use_index = false;
+  Harness baseline = MakeWarehouse(baseline_config, {}, FinalCorpus());
+
+  auto expected = baseline.warehouse->ExecuteQuery(kQ3);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected.value().result.rows.size(), 1u);
+  EXPECT_EQ(expected.value().result.rows[0][0], "Gericault");
+  auto before = indexed.warehouse->ExecuteQuery(kQ3);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before.value().result.rows, expected.value().result.rows);
+
+  ASSERT_TRUE(indexed.warehouse->RunIndexers().ok());
+  auto after = indexed.warehouse->ExecuteQuery(kQ3);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().result.rows, expected.value().result.rows);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, WarehouseStrategyTest,
     ::testing::ValuesIn(index::AllStrategyKinds()),
@@ -109,6 +159,31 @@ TEST(WarehouseTest, NoIndexFetchesEverything) {
   EXPECT_EQ(outcome.value().docs_fetched, Corpus().size());
   EXPECT_EQ(outcome.value().docs_from_index, 0u);
   EXPECT_EQ(outcome.value().timings.index_get, 0);
+}
+
+// Without an index a re-submission is a plain replacement of the stored
+// object: the URI is scanned once and its bytes are counted once.
+TEST(WarehouseTest, ResubmittingToANoIndexWarehouseReplacesTheDocument) {
+  WarehouseConfig config;
+  config.use_index = false;
+  Harness resubmitted = MakeWarehouse(config);
+  const auto renamed = RenamedPainting();
+  ASSERT_TRUE(
+      resubmitted.warehouse->SubmitDocument(renamed.uri, renamed.text).ok());
+  Harness baseline = MakeWarehouse(config, {}, FinalCorpus());
+
+  EXPECT_EQ(resubmitted.warehouse->document_uris().size(), Corpus().size());
+  EXPECT_EQ(resubmitted.warehouse->data_bytes(),
+            baseline.warehouse->data_bytes());
+  for (const char* query : {kQ1, kQ3}) {
+    auto outcome = resubmitted.warehouse->ExecuteQuery(query);
+    auto expected = baseline.warehouse->ExecuteQuery(query);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(outcome.value().docs_fetched, Corpus().size()) << query;
+    EXPECT_EQ(outcome.value().result.rows, expected.value().result.rows)
+        << query;
+  }
 }
 
 TEST(WarehouseTest, RunIndexersWithoutIndexFails) {
