@@ -159,13 +159,13 @@ Status DynamoDb::ValidateItem(const Item& item) const {
   if (item.hash_key.empty()) {
     return Status::InvalidArgument("empty hash key");
   }
-  if (item.range_key.empty()) {
+  if (item.range_key().empty()) {
     return Status::InvalidArgument("empty range key");
   }
   if (item.hash_key.size() > 2048) {
     return Status::InvalidArgument("hash key exceeds 2KB");
   }
-  if (item.range_key.size() > 1024) {
+  if (item.range_key().size() > 1024) {
     return Status::InvalidArgument("range key exceeds 1KB");
   }
   if (item.SizeBytes() > Limits().max_item_bytes) {

@@ -3,78 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/varint.h"
-
 namespace webdex::cloud {
-namespace {
-
-// Records are written and read only by this file, so the decoder trusts
-// its input: lengths and counts are common/varint.h's LEB128 varints.
-uint64_t ReadVarint(const char** p) {
-  uint64_t value = 0;
-  for (int shift = 0;; shift += 7) {
-    const auto byte = static_cast<uint8_t>(*(*p)++);
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if (byte < 0x80) return value;
-  }
-}
-
-char* WriteBytes(char* p, std::string_view bytes) {
-  p = EncodeVarint64(p, bytes.size());
-  if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
-  return p + bytes.size();
-}
-
-std::string_view ReadBytes(const char** p) {
-  const uint64_t size = ReadVarint(p);
-  const std::string_view bytes(*p, size);
-  *p += size;
-  return bytes;
-}
-
-/// An item's billable size (Item::SizeBytes) and value count.
-struct Tally {
-  uint64_t bytes = 0;
-  uint64_t values = 0;
-};
-
-/// Walks a record's attributes without materializing them.
-Tally MeasureRecord(size_t hash_size, std::string_view record,
-                    size_t range_size) {
-  Tally tally{hash_size + range_size, 0};
-  const char* p = record.data() + range_size;
-  for (uint64_t attrs = ReadVarint(&p); attrs > 0; --attrs) {
-    tally.bytes += ReadBytes(&p).size();
-    const uint64_t values = ReadVarint(&p);
-    tally.values += values;
-    for (uint64_t i = 0; i < values; ++i) tally.bytes += ReadBytes(&p).size();
-  }
-  return tally;
-}
-
-}  // namespace
-
-ItemTable::Slot ItemTable::Encode(const Item& item) {
-  uint64_t size = item.range_key.size() + VarintLength(item.attrs.size());
-  for (const auto& [name, values] : item.attrs) {
-    size += VarintLength(name.size()) + name.size() +
-            VarintLength(values.size());
-    for (const auto& v : values) size += VarintLength(v.size()) + v.size();
-  }
-  Slot slot{item.range_key.size(), std::string(size, '\0')};
-  char* p = slot.record.data();
-  if (!item.range_key.empty()) {
-    std::memcpy(p, item.range_key.data(), item.range_key.size());
-    p += item.range_key.size();
-  }
-  p = EncodeVarint64(p, item.attrs.size());
-  for (const auto& [name, values] : item.attrs) {
-    p = WriteBytes(p, name);
-    p = EncodeVarint64(p, values.size());
-    for (const auto& v : values) p = WriteBytes(p, v);
-  }
-  return slot;
-}
 
 ItemTable::Slots::iterator ItemTable::Seek(
     Slots& slots, std::string_view range_key) {
@@ -85,35 +14,32 @@ ItemTable::Slots::iterator ItemTable::Seek(
 }
 
 uint64_t ItemTable::Forget(std::string_view hash_key, const Slot& slot) {
-  const Tally tally =
-      MeasureRecord(hash_key.size(), slot.record, slot.range_size);
-  stored_bytes_ -= tally.bytes;
+  const uint64_t bytes = hash_key.size() + slot.payload_bytes;
+  stored_bytes_ -= bytes;
   item_count_ -= 1;
-  value_count_ -= tally.values;
-  return tally.bytes;
+  value_count_ -= slot.value_count;
+  return bytes;
 }
 
-Item ItemTable::Decode(std::string_view hash_key, const Slot& slot) {
-  Item item{std::string(hash_key), std::string(slot.range_key()), {}};
-  const char* p = slot.record.data() + slot.range_size;
-  for (uint64_t attrs = ReadVarint(&p); attrs > 0; --attrs) {
-    const std::string_view name = ReadBytes(&p);
-    // Records hold attributes in map order, so each lands at the end.
-    AttributeValues& values =
-        item.attrs.emplace_hint(item.attrs.end(), name, AttributeValues{})
-            ->second;
-    const uint64_t count = ReadVarint(&p);
-    values.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) values.emplace_back(ReadBytes(&p));
-  }
+Item ItemTable::Copy(const std::string& hash_key, const Slot& slot) {
+  Item item;
+  item.hash_key = hash_key;
+  item.record_.assign(slot.record.get(), slot.size);
+  item.range_size_ = slot.range_size;
+  item.value_count_ = slot.value_count;
+  item.payload_bytes_ = slot.payload_bytes;
   return item;
 }
 
 void ItemTable::Put(const Item& item) {
-  Slot slot = Encode(item);
+  const std::string& record = item.record();
+  Slot slot{std::make_unique_for_overwrite<char[]>(record.size()),
+            static_cast<uint32_t>(record.size()), item.range_size_,
+            item.value_count_, static_cast<uint32_t>(item.payload_bytes_)};
+  std::memcpy(slot.record.get(), record.data(), record.size());
   Slots& slots = index_.try_emplace(item.hash_key).first->second;
-  auto pos = Seek(slots, item.range_key);
-  if (pos != slots.end() && pos->range_key() == item.range_key) {
+  auto pos = Seek(slots, item.range_key());
+  if (pos != slots.end() && pos->range_key() == item.range_key()) {
     Forget(item.hash_key, *pos);
     *pos = std::move(slot);
   } else {
@@ -121,7 +47,7 @@ void ItemTable::Put(const Item& item) {
   }
   stored_bytes_ += item.SizeBytes();
   item_count_ += 1;
-  value_count_ += CountValues(item.attrs);
+  value_count_ += item.ValueCount();
 }
 
 std::optional<uint64_t> ItemTable::Erase(std::string_view hash_key,
@@ -139,34 +65,20 @@ std::optional<uint64_t> ItemTable::Erase(std::string_view hash_key,
   return bytes;
 }
 
-template <typename Fn>
-void ItemTable::ForEach(const Fn& fn) const {
-  for (const auto& [hash_key, slots] : index_) {
-    for (const Slot& slot : slots) fn(Decode(hash_key, slot));
-  }
-}
-
 void ItemTable::AppendItems(std::string_view hash_key,
                             std::vector<Item>* out) const {
   auto hit = index_.find(hash_key);
   if (hit == index_.end()) return;
   for (const Slot& slot : hit->second) {
-    out->push_back(Decode(hit->first, slot));
+    out->push_back(Copy(hit->first, slot));
   }
 }
 
 void ItemTable::AppendAll(std::vector<Item>* out) const {
   out->reserve(out->size() + item_count_);
-  ForEach([out](Item&& item) { out->push_back(std::move(item)); });
-}
-
-uint64_t ItemTable::CountValues(const Attributes& attrs) {
-  uint64_t n = 0;
-  for (const auto& [name, values] : attrs) {
-    (void)name;
-    n += values.size();
+  for (const auto& [hash_key, slots] : index_) {
+    for (const Slot& slot : slots) out->push_back(Copy(hash_key, slot));
   }
-  return n;
 }
 
 ItemStore::ItemStore(const char* name, const char* noun,
@@ -218,7 +130,11 @@ std::vector<std::string> ItemStore::TableNames() const {
 void ItemStore::ForEachItem(
     const std::function<void(const std::string&, const Item&)>& fn) const {
   for (const auto& [name, table] : tables_) {
-    table.ForEach([&](const Item& item) { fn(name, item); });
+    for (const auto& [hash_key, slots] : table.index_) {
+      for (const ItemTable::Slot& slot : slots) {
+        fn(name, ItemTable::Copy(hash_key, slot));
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,18 +18,15 @@ namespace webdex::cloud {
 /// range key), plus the size accounting the stores bill storage from.
 /// Host-side only — nothing here is billed or advances virtual time.
 ///
-/// The table keeps every item once, as one encoded record in a string
-/// of its own: the range key bytes, then the varint-encoded attributes.
-/// A hash-key index maps each hash key to its records, sorted by range
-/// key.  Replacing or erasing an item frees its record, so upserts,
-/// deletes and compaction hold no dead bytes.  Reads decode records into
-/// fresh `Item`s; nothing outside the table sees the encoding.
+/// The table keeps every item once: its encoded record (cloud/item.h) in
+/// an exactly sized buffer, with the tallies the item was built with.  A
+/// hash-key index maps each hash key to its records, sorted by range
+/// key, so the hash key is stored once per key.  Replacing or erasing an
+/// item frees its record, so upserts, deletes and compaction hold no dead
+/// bytes.  Puts copy the record and reads hand out copies of it; neither
+/// walks the attributes.
 class ItemTable {
  public:
-  /// Number of attribute values in `attrs` (a multi-valued attribute
-  /// counts once per value).
-  static uint64_t CountValues(const Attributes& attrs);
-
   /// Stores a copy of `item`.  An item with the same (hash, range) key
   /// is completely replaced (Section 6): its size, count and values
   /// leave the accounting before the new item's enter it.
@@ -49,25 +47,24 @@ class ItemTable {
   uint64_t value_count() const { return value_count_; }
 
  private:
-  /// One item's record: the range key bytes, then the encoded
-  /// attributes.
+  /// One stored item: its record and tallies (Item's, which the stores'
+  /// item limits keep far below 4 GB).
   struct Slot {
-    size_t range_size = 0;
-    std::string record;
-    std::string_view range_key() const { return {record.data(), range_size}; }
+    std::unique_ptr<char[]> record;
+    uint32_t size = 0;
+    uint32_t range_size = 0;
+    uint32_t value_count = 0;
+    uint32_t payload_bytes = 0;
+    std::string_view range_key() const { return {record.get(), range_size}; }
   };
   using Slots = std::vector<Slot>;
 
   /// The first slot whose range key is not below `range_key`.
   static Slots::iterator Seek(Slots& slots, std::string_view range_key);
-  /// Encodes `item`'s record.
-  static Slot Encode(const Item& item);
   /// Takes the record at `slot` out of the accounting; returns its
   /// billable size.
   uint64_t Forget(std::string_view hash_key, const Slot& slot);
-  static Item Decode(std::string_view hash_key, const Slot& slot);
-  template <typename Fn>
-  void ForEach(const Fn& fn) const;
+  static Item Copy(const std::string& hash_key, const Slot& slot);
 
   friend class ItemStore;
 

@@ -4,15 +4,6 @@
 
 namespace webdex::cloud {
 
-uint64_t Item::SizeBytes() const {
-  uint64_t size = hash_key.size() + range_key.size();
-  for (const auto& [name, values] : attrs) {
-    size += name.size();
-    for (const auto& v : values) size += v.size();
-  }
-  return size;
-}
-
 uint64_t KvStore::TotalStoredBytes() const {
   uint64_t total = 0;
   for (const auto& t : TableNames()) total += StoredBytes(t);
@@ -27,7 +18,7 @@ uint64_t KvStore::TotalOverheadBytes() const {
 
 uint64_t FingerprintStore(const KvStore& store) {
   std::string dump;
-  const auto append = [&dump](const std::string& field) {
+  const auto append = [&dump](std::string_view field) {
     dump += std::to_string(field.size());
     dump += ':';
     dump += field;
@@ -35,10 +26,10 @@ uint64_t FingerprintStore(const KvStore& store) {
   store.ForEachItem([&](const std::string& table, const Item& item) {
     append(table);
     append(item.hash_key);
-    append(item.range_key);
-    dump += std::to_string(item.attrs.size());
+    append(item.range_key());
+    dump += std::to_string(item.attrs().size());
     dump += ';';
-    for (const auto& [name, values] : item.attrs) {
+    for (const auto& [name, values] : item.attrs()) {
       append(name);
       dump += std::to_string(values.size());
       dump += ';';

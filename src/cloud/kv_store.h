@@ -3,34 +3,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cloud/item.h"
 #include "cloud/sim.h"
 #include "common/result.h"
 #include "common/status.h"
 
 namespace webdex::cloud {
-
-/// Attribute set of a key-value item: each attribute has a name and one or
-/// more values (paper Figure 6: table -> item -> attribute -> name/values).
-using AttributeValues = std::vector<std::string>;
-using Attributes = std::map<std::string, AttributeValues>;
-
-/// One stored item.  The primary key is composite: a hash key (the index
-/// key computed by key(n), Section 5) and a range key (a client-generated
-/// UUID, Section 6, so that concurrent loaders never overwrite each
-/// other's items).
-struct Item {
-  std::string hash_key;
-  std::string range_key;
-  Attributes attrs;
-
-  /// Billable size: keys plus attribute names and values, in bytes.
-  uint64_t SizeBytes() const;
-};
 
 /// What a key-value store accepts, as data: the Section 8.4 store
 /// comparison is mostly these limits (plus pricing and latency).

@@ -167,7 +167,7 @@ Result<std::vector<Item>> ShardedKvStore::Scan(SimAgent& agent,
   // Restore the unsharded store's deterministic (hash, range) key order.
   std::sort(out.begin(), out.end(), [](const Item& a, const Item& b) {
     if (a.hash_key != b.hash_key) return a.hash_key < b.hash_key;
-    return a.range_key < b.range_key;
+    return a.range_key() < b.range_key();
   });
   return out;
 }
@@ -224,7 +224,7 @@ void ShardedKvStore::ForEachItem(
   for (auto& [logical, items] : logical_tables) {
     std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
       if (a.hash_key != b.hash_key) return a.hash_key < b.hash_key;
-      return a.range_key < b.range_key;
+      return a.range_key() < b.range_key();
     });
     for (const Item& item : items) fn(logical, item);
   }

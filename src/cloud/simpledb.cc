@@ -8,7 +8,7 @@
 namespace webdex::cloud {
 namespace {
 
-bool IsTextual(const std::string& value) {
+bool IsTextual(std::string_view value) {
   for (unsigned char c : value) {
     if (c < 0x09) return false;  // NUL and other control bytes
   }
@@ -60,20 +60,20 @@ Status SimpleDb::CreateTable(SimAgent& agent, const std::string& table) {
 }
 
 Status SimpleDb::ValidateItem(const Item& item) const {
-  if (item.hash_key.empty() || item.range_key.empty()) {
+  if (item.hash_key.empty() || item.range_key().empty()) {
     return Status::InvalidArgument("empty key");
   }
-  if (item.hash_key.size() + item.range_key.size() > 1024) {
+  if (item.hash_key.size() + item.range_key().size() > 1024) {
     return Status::InvalidArgument("item name exceeds 1KB");
   }
-  if (ItemTable::CountValues(item.attrs) > 256) {
+  if (item.ValueCount() > 256) {
     return Status::InvalidArgument("more than 256 attributes per item");
   }
-  for (const auto& [name, values] : item.attrs) {
+  for (const auto& [name, values] : item.attrs()) {
     if (name.size() > Limits().max_value_bytes) {
       return Status::InvalidArgument("attribute name exceeds 1KB");
     }
-    for (const auto& v : values) {
+    for (const std::string_view v : values) {
       if (v.size() > Limits().max_value_bytes) {
         return Status::InvalidArgument(
             StrFormat("attribute value exceeds 1KB (%zu bytes)", v.size()));
@@ -140,7 +140,7 @@ Status SimpleDb::SelectKey(SimAgent& agent, const std::string& table,
   // request round trip per page.
   uint64_t attr_total = 0;
   for (size_t i = first; i < out->size(); ++i) {
-    attr_total += ItemTable::CountValues((*out)[i].attrs);
+    attr_total += (*out)[i].ValueCount();
   }
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   call.Bill(pages);

@@ -34,7 +34,7 @@ Result<double> GetDouble(const std::string& data, size_t* offset) {
   return value;
 }
 
-void PutString(std::string* out, const std::string& s) {
+void PutString(std::string* out, std::string_view s) {
   PutVarint64(out, s.size());
   out->append(s);
 }
@@ -59,13 +59,9 @@ void SerializeKvStore(const KvStore& store, std::string* out) {
   store.ForEachItem([&](const std::string& table, const Item& item) {
     PutString(out, table);
     PutString(out, item.hash_key);
-    PutString(out, item.range_key);
-    PutVarint64(out, item.attrs.size());
-    for (const auto& [name, values] : item.attrs) {
-      PutString(out, name);
-      PutVarint64(out, values.size());
-      for (const auto& value : values) PutString(out, value);
-    }
+    // The rest of an item's section is its record's attribute bytes.
+    PutString(out, item.range_key());
+    out->append(item.record(), item.range_key().size());
   });
 }
 
@@ -79,21 +75,21 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
   WEBDEX_ASSIGN_OR_RETURN(uint64_t item_count, GetVarint64(data, offset));
   for (uint64_t i = 0; i < item_count; ++i) {
     WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(data, offset));
-    Item item;
-    WEBDEX_ASSIGN_OR_RETURN(item.hash_key, GetString(data, offset));
-    WEBDEX_ASSIGN_OR_RETURN(item.range_key, GetString(data, offset));
+    WEBDEX_ASSIGN_OR_RETURN(std::string hash_key, GetString(data, offset));
+    WEBDEX_ASSIGN_OR_RETURN(std::string range_key, GetString(data, offset));
     WEBDEX_ASSIGN_OR_RETURN(uint64_t attr_count, GetVarint64(data, offset));
+    ItemBuilder builder(std::move(hash_key), range_key, attr_count);
     for (uint64_t a = 0; a < attr_count; ++a) {
       WEBDEX_ASSIGN_OR_RETURN(std::string name, GetString(data, offset));
       WEBDEX_ASSIGN_OR_RETURN(uint64_t value_count,
                               GetVarint64(data, offset));
-      AttributeValues values;
+      builder.AddAttribute(name, value_count);
       for (uint64_t v = 0; v < value_count; ++v) {
         WEBDEX_ASSIGN_OR_RETURN(std::string value, GetString(data, offset));
-        values.push_back(std::move(value));
+        builder.AddValue(value);
       }
-      item.attrs.emplace(std::move(name), std::move(values));
     }
+    const Item item = std::move(builder).Build();
     if (!store->HasTable(table)) {
       return Status::Corruption("snapshot item references unknown table");
     }

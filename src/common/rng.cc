@@ -1,7 +1,7 @@
 #include "common/rng.h"
 
 #include <cassert>
-#include <cstdio>
+#include <cstring>
 
 namespace webdex {
 namespace {
@@ -80,19 +80,26 @@ Rng Rng::ForKey(uint64_t base_seed, std::string_view key) {
 }
 
 std::string Rng::NextUuid() {
+  std::string uuid(kUuidSize, '\0');
+  WriteUuid(uuid.data());
+  return uuid;
+}
+
+void Rng::WriteUuid(char* out) {
   uint64_t hi = Next();
   uint64_t lo = Next();
   // Set version 4 and RFC 4122 variant bits.
   hi = (hi & 0xffffffffffff0fffULL) | 0x0000000000004000ULL;
   lo = (lo & 0x3fffffffffffffffULL) | 0x8000000000000000ULL;
-  char buf[37];
-  std::snprintf(buf, sizeof(buf), "%08x-%04x-%04x-%04x-%012llx",
-                static_cast<unsigned>(hi >> 32),
-                static_cast<unsigned>((hi >> 16) & 0xffff),
-                static_cast<unsigned>(hi & 0xffff),
-                static_cast<unsigned>(lo >> 48),
-                static_cast<unsigned long long>(lo & 0xffffffffffffULL));
-  return std::string(buf);
+  // Lowercase hex of hi then lo, grouped 8-4-4-4-12 by dashes.
+  static const char kHex[] = "0123456789abcdef";
+  char* p = out + kUuidSize;
+  for (int digit = 0; digit < 32; ++digit) {
+    if (digit == 12 || digit == 16 || digit == 20 || digit == 24) *--p = '-';
+    uint64_t& word = digit < 16 ? lo : hi;
+    *--p = kHex[word & 0xf];
+    word >>= 4;
+  }
 }
 
 size_t Rng::NextWeighted(const std::vector<double>& weights) {

@@ -51,6 +51,12 @@ class Rng {
   /// UUIDs as DynamoDB range keys so concurrent writers never collide.
   std::string NextUuid();
 
+  /// Characters in a UUID string.
+  static constexpr size_t kUuidSize = 36;
+  /// NextUuid() written at `out` (kUuidSize characters, no terminator)
+  /// instead of into a fresh string; draws the same two values.
+  void WriteUuid(char* out);
+
   /// Picks an element index weighted by `weights` (all >= 0, sum > 0).
   size_t NextWeighted(const std::vector<double>& weights);
 

@@ -1,6 +1,8 @@
 #include "engine/maintenance.h"
 
+#include <optional>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "common/strings.h"
@@ -8,17 +10,18 @@
 namespace webdex::engine {
 namespace {
 
-/// The document URI a stored posting belongs to, or null when the
-/// posting violates the layout.  Layout contract (index/strategy.cc
-/// BuildEntryItems): every posting carries exactly one attribute beyond
-/// the reserved generation stamp, and its *name* is the source
-/// document's URI ('~' cannot begin a URI, index/generation.h).
-const std::string* OwnerUri(const cloud::Item& item) {
-  const std::string* owner = nullptr;
-  for (const auto& [name, values] : item.attrs) {
+/// The document URI a stored posting belongs to (a view into its
+/// record), or nullopt when the posting violates the layout.  Layout
+/// contract (index/strategy.cc BuildEntryItems): every posting carries
+/// exactly one attribute beyond the reserved generation stamp, and its
+/// *name* is the source document's URI ('~' cannot begin a URI,
+/// index/generation.h).
+std::optional<std::string_view> OwnerUri(const cloud::Item& item) {
+  std::optional<std::string_view> owner;
+  for (const auto& [name, values] : item.attrs()) {
     if (name == index::kGenAttr) continue;
-    if (owner != nullptr) return nullptr;
-    owner = &name;
+    if (owner.has_value()) return std::nullopt;
+    owner = name;
   }
   return owner;
 }
@@ -81,27 +84,26 @@ IndexMaintainer::IndexMaintainer(cloud::CloudEnv* env, cloud::KvStore* store,
       options_(options),
       data_bucket_(std::move(data_bucket)) {}
 
-Result<std::map<std::string, IndexMaintainer::Postings>>
-IndexMaintainer::Inventory(
+Result<IndexMaintainer::PostingsByOwner> IndexMaintainer::Inventory(
     cloud::SimAgent& agent,
-    const std::function<bool(const std::string&, const cloud::Attributes&)>&
-        keep,
+    const std::function<bool(std::string_view, const cloud::Item&)>& keep,
     uint64_t* items_scanned) {
-  static const std::string kNoOwner;
-  std::map<std::string, Postings> by_owner;
+  PostingsByOwner by_owner;
   for (const auto& table : strategy_->TableNames()) {
     WEBDEX_ASSIGN_OR_RETURN(std::vector<cloud::Item> items,
                             store_->Scan(agent, table));
     *items_scanned += items.size();
     for (auto& item : items) {
-      const std::string* uri = OwnerUri(item);
-      const std::string& owner = uri != nullptr ? *uri : kNoOwner;
-      if (keep && !keep(owner, item.attrs)) continue;
-      // `owner` points into the attributes: look the group up before
-      // they move.
-      Postings& postings = by_owner[owner];
-      postings[ItemKey{table, std::move(item.hash_key),
-                       std::move(item.range_key)}] = std::move(item.attrs);
+      const std::string_view owner = OwnerUri(item).value_or("");
+      if (keep && !keep(owner, item)) continue;
+      // `owner` views the item's record: look the group up and key the
+      // posting before the item moves.
+      auto group = by_owner.find(owner);
+      if (group == by_owner.end()) {
+        group = by_owner.try_emplace(std::string(owner)).first;
+      }
+      ItemKey key{table, item.hash_key, std::string(item.range_key())};
+      group->second.insert_or_assign(std::move(key), std::move(item));
     }
   }
   return by_owner;
@@ -131,11 +133,11 @@ Status IndexMaintainer::Converge(cloud::SimAgent& agent,
         store_->BatchPut(agent, table_items.table, table_items.items));
     *items_put += table_items.items.size();
     for (const auto& item : table_items.items) {
-      produced.insert(
-          ItemKey{table_items.table, item.hash_key, item.range_key});
+      produced.insert(ItemKey{table_items.table, item.hash_key,
+                              std::string(item.range_key())});
     }
   }
-  for (const auto& [key, attrs] : candidates) {
+  for (const auto& [key, posting] : candidates) {
     if (produced.count(key) > 0) continue;
     WEBDEX_RETURN_IF_ERROR(
         store_->DeleteItem(agent, key.table, key.hash, key.range));
@@ -173,8 +175,8 @@ Result<ScrubReport> IndexMaintainer::Scrub(cloud::SimAgent& agent,
     Postings expected;
     for (const auto& table_items : extraction.items) {
       for (const auto& item : table_items.items) {
-        expected[ItemKey{table_items.table, item.hash_key, item.range_key}] =
-            item.attrs;
+        expected[ItemKey{table_items.table, item.hash_key,
+                         std::string(item.range_key())}] = item;
       }
     }
     // Only postings stamped at the live generation are compared:
@@ -217,14 +219,14 @@ Result<CompactReport> IndexMaintainer::Compact(
   // Billed walk of the meta table: every row is one mutation layer, the
   // highest generation per URI wins (max-wins fold, same as readers).
   // Per URI, its meta range keys (sorted = generation order).
-  std::map<std::string, std::vector<std::string>> mutated;
+  std::map<std::string, std::vector<std::string>, std::less<>> mutated;
   index::GenerationMap folded;
   {
     WEBDEX_ASSIGN_OR_RETURN(std::vector<cloud::Item> rows,
                             store_->Scan(agent, index::kMetaTable));
     for (auto& row : rows) {
       index::ApplyMetaItem(row, &folded);
-      mutated[row.hash_key].push_back(std::move(row.range_key));
+      mutated[row.hash_key].emplace_back(row.range_key());
     }
   }
   if (mutated.empty()) return report;  // nothing mutable to fold
@@ -233,10 +235,9 @@ Result<CompactReport> IndexMaintainer::Compact(
   // mutated URIs — untouched static documents are never rewritten, and
   // layout violations are scrub territory, not history — less, on a
   // GC-only pass, the live generation's, which stay stamped.
-  const auto foldable = [&](const std::string& owner,
-                            const cloud::Attributes& attrs) {
+  const auto foldable = [&](std::string_view owner, const cloud::Item& item) {
     return mutated.count(owner) > 0 &&
-           (full || !folded.Visible(owner, index::StampOf(attrs)));
+           (full || !folded.Visible(owner, index::StampOf(item)));
   };
   WEBDEX_ASSIGN_OR_RETURN(auto postings,
                           Inventory(agent, foldable, &report.items_scanned));

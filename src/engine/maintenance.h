@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/cloud_env.h"
@@ -137,16 +138,17 @@ class IndexMaintainer {
     auto operator<=>(const ItemKey&) const = default;
   };
   /// One owner's stored postings, in key order.
-  using Postings = std::map<ItemKey, cloud::Attributes>;
+  using Postings = std::map<ItemKey, cloud::Item>;
+  /// Owner URI -> its postings.
+  using PostingsByOwner = std::map<std::string, Postings, std::less<>>;
 
   /// Billed walk of every index table (TableNames() order), grouping
   /// postings by owner URI; layout violations group under "".  Only
-  /// postings `keep(owner, attrs)` accepts are retained (null keeps
+  /// postings `keep(owner, item)` accepts are retained (null keeps
   /// all).  Every scanned item counts toward `items_scanned`.
-  Result<std::map<std::string, Postings>> Inventory(
+  Result<PostingsByOwner> Inventory(
       cloud::SimAgent& agent,
-      const std::function<bool(const std::string&, const cloud::Attributes&)>&
-          keep,
+      const std::function<bool(std::string_view, const cloud::Item&)>& keep,
       uint64_t* items_scanned);
 
   /// Billed fetch of `uri` and its extraction at `generation`; a parse

@@ -312,6 +312,9 @@ WorkerStep Warehouse::RunTask(Instance& instance, const TaskQueue& task,
   }
   // Completed and malformed tasks are both acknowledged (the latter is
   // poison-pill removal).
+  if (outcome == TaskOutcome::kPoison && report != nullptr) {
+    report->poisoned += 1;
+  }
   (void)RetryCall(instance, task.ack_site, [&] {
     return sqs.Delete(instance, task.queue, msg.receipt);
   });

@@ -44,10 +44,13 @@ struct WarehouseConfig {
   std::string loader_queue = "loader-requests";
   std::string query_queue = "query-requests";
   std::string response_queue = "query-responses";
-  /// Poison messages are forwarded here (prefixed with their origin
-  /// queue) instead of being silently dropped, so an operator can
-  /// inspect or re-drive them (DrainDeadLetters, `webdex dlq drain`).
-  /// Empty disables forwarding; dead-lettering itself still applies.
+  /// Tasks dropped after `max_deliveries` are forwarded here (prefixed
+  /// with their origin queue) instead of being silently dropped, so an
+  /// operator can inspect or re-drive them (DrainDeadLetters, `webdex
+  /// dlq drain`).  A task that fails non-retriably (a malformed document
+  /// or message, a store InvalidArgument) is not: it is acked at once and
+  /// counted in IndexingRunReport::poisoned.  Empty disables forwarding;
+  /// dead-lettering itself still applies.
   std::string dead_letter_queue = "dead-letter";
 
   index::StrategyKind strategy = index::StrategyKind::kLUP;
@@ -119,6 +122,10 @@ struct IndexingRunReport {
   /// Fault-recovery accounting (docs/FAULTS.md).
   uint64_t redeliveries = 0;   // task deliveries with delivery_count > 1
   uint64_t dead_lettered = 0;  // poison tasks dropped after max_deliveries
+  /// Tasks acked after a non-retriable failure (a malformed document or
+  /// message, a store InvalidArgument): their work is dropped, and any
+  /// pages already written stay.  A report field only: nothing is billed.
+  uint64_t poisoned = 0;
 };
 
 /// Per-query timing split matching Figures 9b/9c.

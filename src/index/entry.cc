@@ -278,39 +278,24 @@ Result<std::vector<xml::NodeId>> DecodeIds(std::string_view blob) {
   return ids;
 }
 
-namespace {
-
-template <typename PathList>
-std::string EncodePathsImpl(const PathList& paths) {
-  std::string blob;
-  std::string_view previous;
-  bool have_previous = false;
-  for (const auto& path : paths) {
-    const std::string_view current(path);
-    size_t shared = 0;
-    if (have_previous) {
-      const size_t limit = std::min(previous.size(), current.size());
-      while (shared < limit && previous[shared] == current[shared]) {
-        ++shared;
-      }
-    }
-    PutVarint64(&blob, shared);
-    PutVarint64(&blob, current.size() - shared);
-    blob.append(current.data() + shared, current.size() - shared);
-    previous = current;
-    have_previous = true;
-  }
-  return blob;
+void AppendFrontCodedPath(std::string* blob, std::string_view previous,
+                          std::string_view path) {
+  const size_t limit = std::min(previous.size(), path.size());
+  size_t shared = 0;
+  while (shared < limit && previous[shared] == path[shared]) ++shared;
+  PutVarint64(blob, shared);
+  PutVarint64(blob, path.size() - shared);
+  blob->append(path.data() + shared, path.size() - shared);
 }
-
-}  // namespace
 
 std::string EncodePaths(const std::vector<std::string>& paths) {
-  return EncodePathsImpl(paths);
-}
-
-std::string EncodePathViews(const std::vector<std::string_view>& paths) {
-  return EncodePathsImpl(paths);
+  std::string blob;
+  std::string_view previous;
+  for (const std::string& path : paths) {
+    AppendFrontCodedPath(&blob, previous, path);
+    previous = path;
+  }
+  return blob;
 }
 
 Result<std::vector<std::string>> DecodePaths(std::string_view blob) {
@@ -336,14 +321,18 @@ Result<std::vector<std::string>> DecodePaths(std::string_view blob) {
 }
 
 std::string HexArmour(std::string_view binary) {
-  static const char* kHex = "0123456789abcdef";
   std::string out;
-  out.reserve(binary.size() * 2);
-  for (unsigned char c : binary) {
-    out.push_back(kHex[c >> 4]);
-    out.push_back(kHex[c & 0xF]);
-  }
+  AppendHexArmour(&out, binary);
   return out;
+}
+
+void AppendHexArmour(std::string* out, std::string_view binary) {
+  static const char* kHex = "0123456789abcdef";
+  out->reserve(out->size() + binary.size() * 2);
+  for (unsigned char c : binary) {
+    out->push_back(kHex[c >> 4]);
+    out->push_back(kHex[c & 0xF]);
+  }
 }
 
 Result<std::string> HexDearmour(std::string_view text) {

@@ -142,6 +142,8 @@ Result<std::vector<xml::NodeId>> DecodeIds(std::string_view blob);
 /// doubles the size, which is precisely the storage/cost penalty the
 /// paper measured against its earlier SimpleDB-based system (Table 7).
 std::string HexArmour(std::string_view binary);
+/// Appends HexArmour(binary) to `*out`.
+void AppendHexArmour(std::string* out, std::string_view binary);
 Result<std::string> HexDearmour(std::string_view text);
 
 // --- Path-set codec (Section 8.5 extension) --------------------------------
@@ -155,8 +157,10 @@ Result<std::string> HexDearmour(std::string_view text);
 /// Encodes `paths` (must be sorted) as one front-coded blob.
 std::string EncodePaths(const std::vector<std::string>& paths);
 
-/// Same, over views (the slab-serialization hot path).
-std::string EncodePathViews(const std::vector<std::string_view>& paths);
+/// Appends one path of a blob: `path` front-coded against `previous`,
+/// the blob's path before it (empty for its first path).
+void AppendFrontCodedPath(std::string* blob, std::string_view previous,
+                          std::string_view path);
 
 /// Decodes a front-coded blob back into the sorted path list.
 Result<std::vector<std::string>> DecodePaths(std::string_view blob);

@@ -13,7 +13,7 @@ void GenerationMap::Apply(const std::string& uri, uint64_t generation,
   info.tombstoned = tombstoned;
 }
 
-bool GenerationMap::Visible(const std::string& uri, uint64_t stamp) const {
+bool GenerationMap::Visible(std::string_view uri, uint64_t stamp) const {
   auto it = entries_.find(uri);
   if (it == entries_.end()) return stamp == 0;
   return !it->second.tombstoned && stamp == it->second.generation;
@@ -40,43 +40,43 @@ std::string GenerationRangeKey(uint64_t generation) {
 
 cloud::Item MakeMetaItem(const std::string& uri, uint64_t generation,
                          bool tombstoned) {
-  cloud::Item item;
-  item.hash_key = uri;
-  item.range_key = GenerationRangeKey(generation);
-  item.attrs[kGenAttr] = {
-      StrFormat("%llu", static_cast<unsigned long long>(generation))};
-  if (tombstoned) item.attrs[kTombstoneAttr] = {"1"};
-  return item;
+  cloud::Attributes attrs{
+      {kGenAttr,
+       {StrFormat("%llu", static_cast<unsigned long long>(generation))}}};
+  if (tombstoned) attrs[kTombstoneAttr] = {"1"};
+  return cloud::Item(uri, GenerationRangeKey(generation), attrs);
 }
 
-Result<uint64_t> ParseGenerationStamp(const std::string& value) {
+Result<uint64_t> ParseGenerationStamp(std::string_view value) {
   if (value.empty()) {
     return Status::InvalidArgument("empty generation stamp");
   }
   uint64_t stamp = 0;
   for (const char c : value) {
     if (c < '0' || c > '9') {
-      return Status::InvalidArgument("malformed generation stamp: " + value);
+      return Status::InvalidArgument("malformed generation stamp: " +
+                                     std::string(value));
     }
     stamp = stamp * 10 + static_cast<uint64_t>(c - '0');
   }
   return stamp;
 }
 
-uint64_t StampOf(const cloud::Attributes& attrs) {
-  auto it = attrs.find(kGenAttr);
-  if (it == attrs.end() || it->second.empty()) return 0;
-  auto stamp = ParseGenerationStamp(it->second.front());
+uint64_t StampOf(const cloud::Item& item) {
+  const auto values = item.attrs().Find(kGenAttr);
+  if (!values.has_value() || values->empty()) return 0;
+  auto stamp = ParseGenerationStamp(values->front());
   return stamp.ok() ? stamp.value() : 0;
 }
 
 void ApplyMetaItem(const cloud::Item& item, GenerationMap* map) {
-  auto gen_it = item.attrs.find(kGenAttr);
-  if (gen_it == item.attrs.end() || gen_it->second.empty()) return;
-  auto stamp = ParseGenerationStamp(gen_it->second.front());
+  const cloud::Item::AttributeList attrs = item.attrs();
+  const auto values = attrs.Find(kGenAttr);
+  if (!values.has_value() || values->empty()) return;
+  auto stamp = ParseGenerationStamp(values->front());
   if (!stamp.ok()) return;
   map->Apply(item.hash_key, stamp.value(),
-             item.attrs.count(kTombstoneAttr) > 0);
+             attrs.Find(kTombstoneAttr).has_value());
 }
 
 }  // namespace webdex::index

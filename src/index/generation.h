@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "cloud/kv_store.h"
 #include "common/result.h"
@@ -57,7 +58,7 @@ class GenerationMap {
   /// True when a posting stamped `stamp` for `uri` belongs to the
   /// generation this view exposes.  Unmutated documents (absent here)
   /// are visible exactly at stamp 0.
-  bool Visible(const std::string& uri, uint64_t stamp) const;
+  bool Visible(std::string_view uri, uint64_t stamp) const;
 
   /// The entry for `uri`, or nullptr when the document was never mutated
   /// (equivalently: was canonicalized back to generation 0).
@@ -71,12 +72,12 @@ class GenerationMap {
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
   uint64_t TombstoneCount() const;
-  const std::map<std::string, GenerationInfo>& entries() const {
+  const std::map<std::string, GenerationInfo, std::less<>>& entries() const {
     return entries_;
   }
 
  private:
-  std::map<std::string, GenerationInfo> entries_;
+  std::map<std::string, GenerationInfo, std::less<>> entries_;
 };
 
 /// Zero-padded decimal range key for a meta item, so range keys of one
@@ -91,10 +92,10 @@ cloud::Item MakeMetaItem(const std::string& uri, uint64_t generation,
                          bool tombstoned);
 
 /// Parses the decimal generation stamp of a posting's kGenAttr value.
-Result<uint64_t> ParseGenerationStamp(const std::string& value);
+Result<uint64_t> ParseGenerationStamp(std::string_view value);
 
-/// Reads a posting's stamp out of its attribute set (0 when unstamped).
-uint64_t StampOf(const cloud::Attributes& attrs);
+/// Reads a posting's stamp out of its attributes (0 when unstamped).
+uint64_t StampOf(const cloud::Item& item);
 
 /// Folds one scanned meta item into `map` (max-wins).  Items that are
 /// not meta-shaped are ignored.

@@ -26,12 +26,14 @@ Result<FetchedEntries> FetchEntries(cloud::SimAgent& agent, KvStore& store,
     // keeps them — superseded postings cost reads until compacted.
     stats->items_fetched += 1;
     stats->bytes_fetched += item.SizeBytes();
-    const uint64_t stamp = StampOf(item.attrs);
-    for (const auto& [uri, values] : item.attrs) {
+    const uint64_t stamp = StampOf(item);
+    for (const auto& [uri, values] : item.attrs()) {
       if (uri == kGenAttr) continue;  // reserved stamp, not an owner URI
       if (view != nullptr && !view->Visible(uri, stamp)) continue;
-      auto& dst = merged[item.hash_key][uri];
-      dst.insert(dst.end(), values.begin(), values.end());
+      auto& by_uri = merged[item.hash_key];
+      auto dst = by_uri.find(uri);
+      if (dst == by_uri.end()) dst = by_uri.try_emplace(std::string(uri)).first;
+      dst->second.insert(dst->second.end(), values.begin(), values.end());
     }
   }
   return merged;

@@ -25,8 +25,9 @@ namespace webdex::index {
 
 /// Merged view of everything the index holds for a set of keys:
 /// key -> URI -> concatenated attribute values.
-using FetchedEntries =
-    std::map<std::string, std::map<std::string, std::vector<std::string>>>;
+using FetchedEntries = std::map<
+    std::string,
+    std::map<std::string, std::vector<std::string>, std::less<>>>;
 
 /// BatchGets `keys` from `table` and merges the returned items per
 /// (key, URI) — the shared fetch front end of every look-up, and the one

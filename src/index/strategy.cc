@@ -51,37 +51,55 @@ using cloud::KvStore;
 // Item building (shared by all strategies)
 // ---------------------------------------------------------------------------
 
-/// Packs the (key, URI, values) entry into as few items as the store's
-/// limits allow.  Every item gets a fresh client-side UUID range key so
-/// concurrent loaders can write the same hash key without clobbering each
-/// other (Section 6).  `key` and `values` are views into the DocIndex
-/// slabs / intern arenas; bytes are copied only once, into the items.
-///
-/// A generation > 0 (an upsert — index/generation.h) stamps every built
-/// item with a kGenAttr attribute; its bytes are part of `fixed` so the
-/// packing respects Limits().max_item_bytes with the stamp included.
+/// What every item of one document shares: the URI attribute and, for
+/// an upsert (generation > 0, index/generation.h), a kGenAttr stamp.
 /// Generation 0 emits exactly the pre-mutability item layout.
-Result<std::vector<Item>> BuildEntryItems(
-    const KvStore& store, Rng& rng, std::string_view key,
-    const std::string& uri, uint64_t generation,
-    const std::vector<std::string_view>& values) {
-  std::vector<Item> items;
-  const std::string stamp =
-      generation > 0
-          ? StrFormat("%llu", static_cast<unsigned long long>(generation))
-          : std::string();
-  const uint64_t stamp_bytes =
-      generation > 0 ? sizeof(kGenAttr) - 1 + stamp.size() : 0;
-  const uint64_t fixed = key.size() + 36 /*uuid*/ + uri.size() + stamp_bytes;
-  const cloud::StoreLimits& limits = store.Limits();
+struct DocFrame {
+  std::string_view uri;
+  std::string stamp;  // empty at generation 0
+
+  /// Item bytes besides the values: the key, the UUID range key, the URI
+  /// name and the stamp.
+  uint64_t FixedBytes(std::string_view key) const {
+    return key.size() + Rng::kUuidSize + uri.size() +
+           (stamp.empty() ? 0 : sizeof(kGenAttr) - 1 + stamp.size());
+  }
+};
+
+/// Packs the (key, URI, values) entry into as few items as the store's
+/// limits allow and appends them to `*out`.  Every item gets a fresh
+/// client-side UUID range key so concurrent loaders can write the same
+/// hash key without clobbering each other (Section 6).  `key` and
+/// `values` are views into the DocIndex slabs, intern arenas or chunk
+/// buffer; each item's record is written once, exactly sized.
+Status BuildEntryItems(const cloud::StoreLimits& limits, Rng& rng,
+                       std::string_view key, const DocFrame& frame,
+                       const std::vector<std::string_view>& values,
+                       std::vector<Item>* out) {
+  const uint64_t fixed = frame.FixedBytes(key);
   if (fixed + 64 > limits.max_item_bytes) {
     return Status::InvalidArgument("index key too large for store: " +
                                    std::string(key));
   }
+  using cloud::ItemBuilder;
+  // A URI equal to the stamp's name would shadow it, as a map did.
+  const bool stamped = !frame.stamp.empty() && frame.uri != kGenAttr;
+  const bool stamp_first = stamped && frame.uri > kGenAttr;
+  const size_t stamp_bytes =
+      stamped ? ItemBuilder::AttributeBytes(kGenAttr, 1) +
+                    ItemBuilder::ValueBytes(frame.stamp.size())
+              : 0;
+  const auto add_stamp = [&frame](ItemBuilder& builder) {
+    builder.AddAttribute(kGenAttr, 1);
+    builder.AddValue(frame.stamp);
+  };
   for (size_t begin = 0; begin < values.size();) {
     // Values [begin, end) fill one item; its first value always fits.
     size_t end = begin;
     uint64_t bytes = fixed;
+    size_t record_bytes =
+        ItemBuilder::HeaderBytes(Rng::kUuidSize, stamped ? 2 : 1) +
+        stamp_bytes;
     do {
       const std::string_view value = values[end];
       if (value.size() > limits.max_value_bytes) {
@@ -93,77 +111,134 @@ Result<std::vector<Item>> BuildEntryItems(
                       std::string(key).c_str()));
       }
       bytes += value.size();
+      record_bytes += ItemBuilder::ValueBytes(value.size());
       ++end;
     } while (end < values.size() && end - begin < limits.max_values_per_item &&
              bytes + values[end].size() <= limits.max_item_bytes);
-    Item& item =
-        items.emplace_back(Item{std::string(key), rng.NextUuid(), {}});
-    if (generation > 0) item.attrs[kGenAttr] = {stamp};
-    item.attrs[uri].assign(values.begin() + begin, values.begin() + end);
+    record_bytes += ItemBuilder::AttributeBytes(frame.uri, end - begin);
+    char uuid[Rng::kUuidSize];
+    rng.WriteUuid(uuid);
+    ItemBuilder builder(std::string(key), {uuid, Rng::kUuidSize},
+                        stamped ? 2 : 1, record_bytes);
+    if (stamp_first) add_stamp(builder);
+    builder.AddAttribute(frame.uri, end - begin);
+    for (size_t i = begin; i < end; ++i) builder.AddValue(values[i]);
+    if (stamped && !stamp_first) add_stamp(builder);
+    out->push_back(std::move(builder).Build());
     begin = end;
   }
   // An entry consumes one UUID more than it has items: every stored
   // range key (and every golden) was drawn with this stream layout.
   rng.Next();
   rng.Next();
-  return items;
+  return Status::OK();
 }
 
-/// Splits a document's sorted ID list into encoded blobs that respect the
-/// store's value-size limit (with hex armouring for text-only stores).
-std::vector<std::string> EncodeIdChunks(const KvStore& store,
-                                        const xml::NodeId* ids,
-                                        uint32_t count) {
-  const cloud::StoreLimits& limits = store.Limits();
-  const bool binary = limits.binary_values;
-  // Hex armouring doubles the encoded size.
-  const uint64_t limit =
-      binary ? limits.max_value_bytes : limits.max_value_bytes / 2;
-  std::vector<std::string> chunks;
-  std::string blob;
-  std::string one;
-  for (uint32_t i = 0; i < count; ++i) {
-    one.clear();
-    AppendEncodedId(&one, ids[i]);
-    if (!blob.empty() && blob.size() + one.size() > limit) {
-      chunks.push_back(binary ? std::move(blob) : HexArmour(blob));
-      blob.clear();
+/// One entry's encoded payload chunks, back to back in one buffer that
+/// is reused across entries, so chunking allocates nothing once warm.
+class ChunkBuffer {
+ public:
+  /// Sizes chunks for an entry whose items carry `fixed` bytes besides
+  /// their values.  A chunk must fit both the store's value limit and,
+  /// with those bytes, its item limit; hex armouring for text-only
+  /// stores doubles a chunk's size.
+  void Start(const cloud::StoreLimits& limits, uint64_t fixed) {
+    binary_ = limits.binary_values;
+    const uint64_t room =
+        fixed < limits.max_item_bytes ? limits.max_item_bytes - fixed : 0;
+    value_limit_ =
+        binary_ ? limits.max_value_bytes : limits.max_value_bytes / 2;
+    item_limit_ = binary_ ? room : room / 2;
+    bytes_.clear();
+    ends_.clear();
+  }
+
+  /// Raw (unarmoured) bytes one chunk may hold.
+  uint64_t value_limit() const { return value_limit_; }
+  uint64_t item_limit() const { return item_limit_; }
+
+  /// Closes `raw` as the next chunk.
+  void Add(std::string_view raw) {
+    if (binary_) {
+      bytes_.append(raw);
+    } else {
+      AppendHexArmour(&bytes_, raw);
     }
-    blob += one;
+    ends_.push_back(bytes_.size());
   }
-  if (!blob.empty()) {
-    chunks.push_back(binary ? std::move(blob) : HexArmour(blob));
+
+  /// Views of the chunks, valid until the next Start.
+  const std::vector<std::string_view>& Views() {
+    views_.clear();
+    size_t begin = 0;
+    for (const size_t end : ends_) {
+      views_.emplace_back(bytes_.data() + begin, end - begin);
+      begin = end;
+    }
+    return views_;
   }
-  return chunks;
+
+ private:
+  bool binary_ = true;
+  uint64_t value_limit_ = 0;
+  uint64_t item_limit_ = 0;
+  std::string bytes_;
+  std::vector<size_t> ends_;
+  std::vector<std::string_view> views_;
+};
+
+/// Splits a document's sorted ID list into encoded chunks (see
+/// ChunkBuffer::Start for their size bound).  `blob` and `one` are
+/// scratch.
+void EncodeIdChunks(const xml::NodeId* ids, uint32_t count,
+                    ChunkBuffer* chunks, std::string* blob,
+                    std::string* one) {
+  const uint64_t limit = std::min(chunks->value_limit(), chunks->item_limit());
+  blob->clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    one->clear();
+    AppendEncodedId(one, ids[i]);
+    if (!blob->empty() && blob->size() + one->size() > limit) {
+      chunks->Add(*blob);
+      blob->clear();
+    }
+    *blob += *one;
+  }
+  if (!blob->empty()) chunks->Add(*blob);
 }
 
-/// Front-codes a sorted path list into blobs that respect the store's
-/// value-size limit (Section 8.5 extension).  Each chunk restarts the
-/// front coding so chunks decode independently.
-std::vector<std::string> EncodePathChunks(
-    const KvStore& store, const std::vector<std::string_view>& paths) {
-  const cloud::StoreLimits& limits = store.Limits();
-  const bool binary = limits.binary_values;
-  const uint64_t limit =
-      binary ? limits.max_value_bytes : limits.max_value_bytes / 2;
-  std::vector<std::string> chunks;
-  std::vector<std::string_view> group;
-  uint64_t group_bytes = 0;
-  auto flush = [&]() {
-    if (group.empty()) return;
-    std::string blob = EncodePathViews(group);
-    chunks.push_back(binary ? std::move(blob) : HexArmour(blob));
-    group.clear();
-    group_bytes = 0;
+/// Front-codes a sorted path list into chunks (Section 8.5 extension).
+/// Each chunk restarts the front coding so chunks decode independently.
+/// A chunk closes when its worst-case size (each path in full plus two
+/// varints) would pass the value limit, or its actual size the item
+/// limit.  `blob` is scratch.
+void EncodePathChunks(const std::vector<std::string_view>& paths,
+                      ChunkBuffer* chunks, std::string* blob) {
+  blob->clear();
+  uint64_t worst_case = 0;
+  std::string_view previous;
+  const auto flush = [&]() {
+    chunks->Add(*blob);
+    blob->clear();
+    worst_case = 0;
+    previous = {};
   };
   for (const std::string_view path : paths) {
-    // Worst case the path is stored in full plus two varints.
-    if (!group.empty() && group_bytes + path.size() + 10 > limit) flush();
-    group_bytes += path.size() + 10;
-    group.push_back(path);
+    if (!blob->empty() &&
+        worst_case + path.size() + 10 > chunks->value_limit()) {
+      flush();
+    }
+    const size_t before = blob->size();
+    AppendFrontCodedPath(blob, previous, path);
+    if (before > 0 && blob->size() > chunks->item_limit()) {
+      blob->resize(before);
+      flush();
+      AppendFrontCodedPath(blob, previous, path);
+    }
+    worst_case += path.size() + 10;
+    previous = path;
   }
-  flush();
-  return chunks;
+  if (!blob->empty()) flush();
 }
 
 /// Resolves one entry's path handles into views (reusing `*out`).
@@ -208,14 +283,23 @@ Result<std::vector<TableItems>> IndexingStrategy::ExtractItems(
   std::vector<TableItems> result;
   result.reserve(layout.size());
   for (const TableLayout& table : layout) result.push_back({table.table, {}});
+  const cloud::StoreLimits& limits = store.Limits();
+  const DocFrame frame{
+      doc.uri(),
+      options.generation > 0
+          ? StrFormat("%llu",
+                      static_cast<unsigned long long>(options.generation))
+          : std::string()};
   // Per-entry scratch, reused across entries.
   const std::vector<std::string_view> empty_value{""};
   std::vector<std::string_view> path_views;
-  std::vector<std::string> encoded;
-  std::vector<std::string_view> encoded_views;
+  ChunkBuffer chunks;
+  std::string blob;
+  std::string one;
   // Entries outside, tables inside: one entry's items for every table
   // draw their UUIDs before the next entry's.
   for (const auto& entry : index.entries()) {
+    const std::string_view key = index.key(entry);
     for (size_t t = 0; t < layout.size(); ++t) {
       const std::vector<std::string_view>* values = &empty_value;
       switch (layout[t].payload) {
@@ -228,27 +312,27 @@ Result<std::vector<TableItems>> IndexingStrategy::ExtractItems(
           EntryPathViews(index, entry, &path_views);
           values = &path_views;
           if (options.compress_paths) {
-            encoded = EncodePathChunks(store, path_views);
-            encoded_views.assign(encoded.begin(), encoded.end());
-            values = &encoded_views;
+            chunks.Start(limits, frame.FixedBytes(key));
+            EncodePathChunks(path_views, &chunks, &blob);
+            values = &chunks.Views();
           }
           break;
         case Payload::kIds:
           // I_LUI(d) = {(key(n), (URI(d), id_1(n)‖id_2(n)‖...‖id_z(n)))}
           // with IDs pre-sorted so the twig join needs no sort (Section
           // 5.3).
-          encoded = EncodeIdChunks(store, index.ids(entry), entry.id_count);
-          encoded_views.assign(encoded.begin(), encoded.end());
-          values = &encoded_views;
+          chunks.Start(limits, frame.FixedBytes(key));
+          EncodeIdChunks(index.ids(entry), entry.id_count, &chunks, &blob,
+                         &one);
+          values = &chunks.Views();
           break;
       }
-      WEBDEX_ASSIGN_OR_RETURN(
-          std::vector<Item> items,
-          BuildEntryItems(store, uuid_rng, index.key(entry), doc.uri(),
-                          options.generation, *values));
-      for (auto& item : items) {
-        stats->payload_bytes += item.SizeBytes();
-        result[t].items.push_back(std::move(item));
+      std::vector<Item>& items = result[t].items;
+      const size_t first = items.size();
+      WEBDEX_RETURN_IF_ERROR(
+          BuildEntryItems(limits, uuid_rng, key, frame, *values, &items));
+      for (size_t i = first; i < items.size(); ++i) {
+        stats->payload_bytes += items[i].SizeBytes();
       }
     }
     stats->entries += 1;

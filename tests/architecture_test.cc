@@ -133,8 +133,9 @@ ArchFingerprint RunArch(const ArchitectureSpec& arch,
   out.index_fingerprint = cloud::FingerprintStore(warehouse.index_store());
   warehouse.index_store().ForEachItem(
       [&out](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" + item.range_key;
-        for (const auto& [name, values] : item.attrs) {
+        std::string line = table + "|" + item.hash_key + "|" +
+                           std::string(item.range_key());
+        for (const auto& [name, values] : item.ToAttributes()) {
           line += "|" + name + "=";
           for (const auto& value : values) line += value + ",";
         }

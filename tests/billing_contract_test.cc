@@ -187,7 +187,7 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
       if (table != "t") return;
       bytes += item.SizeBytes();
       items += 1;
-      for (const auto& [name, attr_values] : item.attrs) {
+      for (const auto& [name, attr_values] : item.ToAttributes()) {
         (void)name;
         values += attr_values.size();
       }

@@ -93,8 +93,9 @@ ChaosFingerprint RunChaos(StrategyKind strategy, const cloud::FaultPlan& plan,
   if (report.ok()) out.report = report.value();
   warehouse.index_store().ForEachItem(
       [&out](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" + item.range_key;
-        for (const auto& [name, values] : item.attrs) {
+        std::string line = table + "|" + item.hash_key + "|" +
+                           std::string(item.range_key());
+        for (const auto& [name, values] : item.ToAttributes()) {
           line += "|" + name + "=";
           for (const auto& value : values) line += value + ",";
         }
@@ -243,7 +244,8 @@ TEST(ChaosTest, MidBatchPutCrashConvergesOnRedelivery) {
     std::vector<std::string> dump;
     warehouse.index_store().ForEachItem(
         [&dump](const std::string& table, const cloud::Item& item) {
-          dump.push_back(table + "|" + item.hash_key + "|" + item.range_key);
+          dump.push_back(table + "|" + item.hash_key + "|" +
+                         std::string(item.range_key()));
         });
     return std::make_pair(std::move(dump),
                           report.ok() ? report.value() : IndexingRunReport{});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <vector>
 
@@ -469,6 +470,34 @@ TEST(RngTest, UuidFormat) {
   EXPECT_EQ(uuid[23], '-');
   EXPECT_TRUE(uuid[19] == '8' || uuid[19] == '9' || uuid[19] == 'a' ||
               uuid[19] == 'b');  // RFC 4122 variant
+}
+
+// NextUuid and WriteUuid spell the two drawn words as printf's
+// "%08x-%04x-%04x-%04x-%012llx" would, after setting the version and
+// variant bits.
+TEST(RngTest, UuidSpellsTheDrawnWords) {
+  Rng rng(17);
+  Rng words(17);
+  for (int i = 0; i < 200; ++i) {
+    uint64_t hi = words.Next();
+    uint64_t lo = words.Next();
+    hi = (hi & 0xffffffffffff0fffULL) | 0x0000000000004000ULL;
+    lo = (lo & 0x3fffffffffffffffULL) | 0x8000000000000000ULL;
+    char want[Rng::kUuidSize + 1];
+    std::snprintf(want, sizeof(want), "%08x-%04x-%04x-%04x-%012llx",
+                  static_cast<unsigned>(hi >> 32),
+                  static_cast<unsigned>((hi >> 16) & 0xffff),
+                  static_cast<unsigned>(hi & 0xffff),
+                  static_cast<unsigned>(lo >> 48),
+                  static_cast<unsigned long long>(lo & 0xffffffffffffULL));
+    if (i % 2 == 0) {
+      EXPECT_EQ(rng.NextUuid(), want);
+    } else {
+      char got[Rng::kUuidSize];
+      rng.WriteUuid(got);
+      EXPECT_EQ(std::string(got, Rng::kUuidSize), want);
+    }
+  }
 }
 
 TEST(RngTest, UuidsDistinct) {

@@ -52,8 +52,8 @@ std::string DumpIndex(const cloud::KvStore& store) {
     };
     append(table);
     append(item.hash_key);
-    append(item.range_key);
-    for (const auto& [name, values] : item.attrs) {
+    append(std::string(item.range_key()));
+    for (const auto& [name, values] : item.ToAttributes()) {
       append(name);
       for (const std::string& value : values) append(value);
     }
@@ -233,10 +233,10 @@ TEST(DumpGoldenTest, SimpleDbRowsExerciseChunking) {
     uint64_t chunked_values = 0;
     built.warehouse->index_store().ForEachItem(
         [&](const std::string&, const cloud::Item& item) {
-          const auto it = item.attrs.find("wide.xml");
-          if (it == item.attrs.end()) return;
-          if (it->second.size() == 255) ++full_items;
-          for (const std::string& value : it->second) {
+          const auto values = item.attrs().Find("wide.xml");
+          if (!values.has_value()) return;
+          if (values->size() == 255) ++full_items;
+          for (const std::string_view value : *values) {
             EXPECT_LE(value.size(), 1024u);
             if (value.size() > 1000) ++chunked_values;
           }

@@ -9,11 +9,7 @@ class TestAgent : public SimAgent {};
 
 Item MakeItem(std::string hash, std::string range,
               std::map<std::string, std::vector<std::string>> attrs) {
-  Item item;
-  item.hash_key = std::move(hash);
-  item.range_key = std::move(range);
-  item.attrs = std::move(attrs);
-  return item;
+  return Item(std::move(hash), range, attrs);
 }
 
 class DynamoDbTest : public ::testing::Test {
@@ -43,8 +39,8 @@ TEST_F(DynamoDbTest, PutAndGetByHashKey) {
   auto items = db_.BatchGet(agent_, "t", {"k"});
   ASSERT_TRUE(items.ok());
   ASSERT_EQ(items.value().size(), 2u);
-  EXPECT_EQ(items.value()[0].range_key, "r1");
-  EXPECT_EQ(items.value()[1].attrs.at("doc2.xml")[0], "v2");
+  EXPECT_EQ(items.value()[0].range_key(), "r1");
+  EXPECT_EQ(items.value()[1].ToAttributes().at("doc2.xml")[0], "v2");
 }
 
 TEST_F(DynamoDbTest, GetMissingHashKeyReturnsEmpty) {
@@ -69,8 +65,8 @@ TEST_F(DynamoDbTest, SamePrimaryKeyReplacesItem) {
                   .ok());
   auto items = db_.BatchGet(agent_, "t", {"k"});
   ASSERT_EQ(items.value().size(), 1u);
-  EXPECT_EQ(items.value()[0].attrs.count("a"), 0u);
-  EXPECT_EQ(items.value()[0].attrs.at("b")[0], "x");
+  EXPECT_EQ(items.value()[0].ToAttributes().count("a"), 0u);
+  EXPECT_EQ(items.value()[0].ToAttributes().at("b")[0], "x");
   EXPECT_EQ(db_.ItemCount("t"), 1u);
   // Stored bytes reflect only the replacement.
   const Item replacement = MakeItem("k", "r", {{"b", {"x"}}});
@@ -101,7 +97,7 @@ TEST_F(DynamoDbTest, BinaryValuesSupported) {
       db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem("k", "r", {{"u", {binary}}})})
           .ok());
   auto items = db_.BatchGet(agent_, "t", {"k"});
-  EXPECT_EQ(items.value()[0].attrs.at("u")[0], binary);
+  EXPECT_EQ(items.value()[0].ToAttributes().at("u")[0], binary);
 }
 
 TEST_F(DynamoDbTest, WriteUnitsProportionalToItemSize) {

@@ -1,24 +1,35 @@
-// Differential test of the encoded item table (cloud/item_table.h):
-// seeded random Put / replace / Erase sequences run against a plain
-// nested-map reference model, which must agree on every item, in order,
-// on the accounting, and on every Erase result — across replace and
-// erase churn, empty attribute sets and values, binary values and 64 KB
-// items.  The named tables above it are exercised through a real
-// DynamoDb: multi-table restores, deletes, iteration order and the
-// storage accounting the store bills from.
+// Tests of the flat item (cloud/item.h) and of the item table that keeps
+// its records (cloud/item_table.h).  Items built from seeded random
+// attribute maps read back the same attributes, values and order, with
+// the billable size and value count of the map.  Seeded random Put /
+// replace / Erase sequences run against a plain nested-map reference
+// model, which must agree on every item, in order, on the accounting,
+// and on every Erase result — across replace and erase churn, empty
+// attribute sets and values, binary values and 64 KB items.  The named
+// tables above it are exercised through a real DynamoDb: multi-table
+// restores, deletes, iteration order and the storage accounting the
+// store bills from.  Last, the items every strategy extracts round-trip
+// through both stores byte for byte.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cloud/cloud_env.h"
 #include "cloud/dynamodb.h"
 #include "cloud/item_table.h"
 #include "cloud/kv_store.h"
+#include "cloud/simpledb.h"
 #include "common/rng.h"
+#include "index/strategy.h"
+#include "xmark/paintings.h"
+#include "xmark/xmark_generator.h"
+#include "xml/parser.h"
 
 namespace webdex::cloud {
 namespace {
@@ -29,6 +40,24 @@ class TestAgent : public SimAgent {};
 using TableModel = std::map<std::string, std::map<std::string, Attributes>>;
 /// The reference of a store: table -> its model.
 using Model = std::map<std::string, TableModel>;
+
+/// The billable size of a map-form item: keys plus attribute names and
+/// values.
+uint64_t ModelBytes(std::string_view hash_key, std::string_view range_key,
+                    const Attributes& attrs) {
+  uint64_t size = hash_key.size() + range_key.size();
+  for (const auto& [name, values] : attrs) {
+    size += name.size();
+    for (const auto& v : values) size += v.size();
+  }
+  return size;
+}
+
+uint64_t ModelValues(const Attributes& attrs) {
+  uint64_t n = 0;
+  for (const auto& [name, values] : attrs) n += values.size();
+  return n;
+}
 
 std::vector<Item> Contents(const TableModel& model) {
   std::vector<Item> out;
@@ -57,19 +86,23 @@ std::vector<std::pair<std::string, Item>> Contents(const KvStore& store) {
 }
 
 bool SameItem(const Item& a, const Item& b) {
-  return a.hash_key == b.hash_key && a.range_key == b.range_key &&
-         a.attrs == b.attrs;
+  return a == b && a.range_key() == b.range_key() &&
+         a.ToAttributes() == b.ToAttributes() &&
+         a.SizeBytes() == b.SizeBytes() && a.ValueCount() == b.ValueCount();
 }
 
-/// Everything the table exposes equals the model's view of it.
+/// Everything the table exposes equals the model's view of it, with the
+/// accounting summed over the model's maps.
 void ExpectMatches(const ItemTable& t, const TableModel& model) {
   uint64_t bytes = 0;
   uint64_t values = 0;
-  const std::vector<Item> all = Contents(model);
-  for (const Item& item : all) {
-    bytes += item.SizeBytes();
-    values += ItemTable::CountValues(item.attrs);
+  for (const auto& [hash_key, ranges] : model) {
+    for (const auto& [range_key, attrs] : ranges) {
+      bytes += ModelBytes(hash_key, range_key, attrs);
+      values += ModelValues(attrs);
+    }
   }
+  const std::vector<Item> all = Contents(model);
   for (const auto& [hash_key, ranges] : model) {
     std::vector<Item> appended;
     t.AppendItems(hash_key, &appended);
@@ -108,9 +141,11 @@ void ExpectMatches(const DynamoDb& store, const Model& model) {
     names.push_back(name);
     uint64_t bytes = 0;
     uint64_t items = 0;
-    for (const Item& item : Contents(table)) {
-      bytes += item.SizeBytes();
-      items += 1;
+    for (const auto& [hash_key, ranges] : table) {
+      for (const auto& [range_key, attrs] : ranges) {
+        bytes += ModelBytes(hash_key, range_key, attrs);
+        items += 1;
+      }
     }
     EXPECT_EQ(store.StoredBytes(name), bytes) << name;
     EXPECT_EQ(store.ItemCount(name), items) << name;
@@ -163,17 +198,18 @@ void RunRandomOps(uint64_t seed, int ops) {
   for (int op = 0; op < ops; ++op) {
     const uint64_t kind = rng.NextBelow(10);
     if (kind < 4) {  // put a new (or, by chance, an existing) key
-      Item item{kHashKeys[rng.NextBelow(kHashKeys.size())],
-                rng.NextBelow(20) == 0 ? "" : rng.NextUuid().substr(0, 8),
-                RandomAttrs(rng)};
-      model[item.hash_key][item.range_key] = item.attrs;
-      table.Put(item);
+      const std::string& hash_key = kHashKeys[rng.NextBelow(kHashKeys.size())];
+      const std::string range_key =
+          rng.NextBelow(20) == 0 ? "" : rng.NextUuid().substr(0, 8);
+      const Attributes attrs = RandomAttrs(rng);
+      model[hash_key][range_key] = attrs;
+      table.Put(Item{hash_key, range_key, attrs});
     } else if (kind < 7) {  // replace an existing item
       auto hit = PickExisting(model, rng);
       if (!hit) continue;
-      hit->attrs = RandomAttrs(rng);
-      model[hit->hash_key][hit->range_key] = hit->attrs;
-      table.Put(*hit);
+      const Attributes attrs = RandomAttrs(rng);
+      model[hit->hash_key][std::string(hit->range_key())] = attrs;
+      table.Put(Item{hit->hash_key, hit->range_key(), attrs});
     } else {  // erase, mostly an existing item
       std::optional<uint64_t> want;
       Item key{kHashKeys[rng.NextBelow(kHashKeys.size())], "absent", {}};
@@ -182,11 +218,11 @@ void RunRandomOps(uint64_t seed, int ops) {
           key = *hit;
           want = key.SizeBytes();
           auto& ranges = model[key.hash_key];
-          ranges.erase(key.range_key);
+          ranges.erase(std::string(key.range_key()));
           if (ranges.empty()) model.erase(key.hash_key);
         }
       }
-      EXPECT_EQ(table.Erase(key.hash_key, key.range_key), want)
+      EXPECT_EQ(table.Erase(key.hash_key, key.range_key()), want)
           << "op " << op;
     }
     if (op % 97 == 0) {
@@ -226,20 +262,22 @@ TEST(ItemStoreTest, RestoresAndDeletesAcrossTablesMatchReferenceModel) {
                      ? PickExisting(model[name], rng)
                      : std::nullopt;
       if (hit && rng.NextBool(0.3)) {  // delete an existing item
+        const std::string range_key(hit->range_key());
         ASSERT_TRUE(
-            store.DeleteItem(agent, name, hit->hash_key, hit->range_key).ok());
+            store.DeleteItem(agent, name, hit->hash_key, range_key).ok());
         auto& ranges = model[name][hit->hash_key];
-        ranges.erase(hit->range_key);
+        ranges.erase(range_key);
         if (ranges.empty()) model[name].erase(hit->hash_key);
         continue;
       }
       // Restore a new item, or a replacement of an existing one.
-      Item item = hit ? *hit
-                      : Item{kHashKeys[rng.NextBelow(kHashKeys.size())],
-                             rng.NextUuid().substr(0, 8), {}};
-      item.attrs = RandomAttrs(rng);
-      store.RestoreItem(name, item);
-      model[name][item.hash_key][item.range_key] = item.attrs;
+      const std::string hash_key =
+          hit ? hit->hash_key : kHashKeys[rng.NextBelow(kHashKeys.size())];
+      const std::string range_key = hit ? std::string(hit->range_key())
+                                        : rng.NextUuid().substr(0, 8);
+      const Attributes attrs = RandomAttrs(rng);
+      store.RestoreItem(name, Item{hash_key, range_key, attrs});
+      model[name][hash_key][range_key] = attrs;
       if (op % 61 == 0) {
         ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, model));
       }
@@ -258,22 +296,23 @@ TEST(ItemTableTest, ReplaceAndEraseChurnKeepsContents) {
   ItemTable t;
   TableModel model;
   for (int i = 0; i < 200; ++i) {
-    Item item{"k" + std::to_string(i % 13), "r" + std::to_string(i),
-              RandomAttrs(rng)};
-    model[item.hash_key][item.range_key] = item.attrs;
-    t.Put(item);
+    const std::string hash_key = "k" + std::to_string(i % 13);
+    const std::string range_key = "r" + std::to_string(i);
+    const Attributes attrs = RandomAttrs(rng);
+    model[hash_key][range_key] = attrs;
+    t.Put(Item{hash_key, range_key, attrs});
   }
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   for (int round = 0; round < 5; ++round) {
-    for (Item replaced : Contents(model)) {
-      replaced.attrs = RandomAttrs(rng);
-      model[replaced.hash_key][replaced.range_key] = replaced.attrs;
-      t.Put(replaced);
+    for (const Item& replaced : Contents(model)) {
+      const Attributes attrs = RandomAttrs(rng);
+      model[replaced.hash_key][std::string(replaced.range_key())] = attrs;
+      t.Put(Item{replaced.hash_key, replaced.range_key(), attrs});
     }
     ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   }
   for (const Item& item : Contents(model)) {
-    EXPECT_EQ(t.Erase(item.hash_key, item.range_key), item.SizeBytes());
+    EXPECT_EQ(t.Erase(item.hash_key, item.range_key()), item.SizeBytes());
   }
   model.clear();
   EXPECT_EQ(t.item_count(), 0u);
@@ -281,7 +320,7 @@ TEST(ItemTableTest, ReplaceAndEraseChurnKeepsContents) {
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   const Item again{"k", "r", {{"d", {"v"}}}};
   t.Put(again);
-  model["k"]["r"] = again.attrs;
+  model["k"]["r"] = again.ToAttributes();
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
 }
 
@@ -297,7 +336,7 @@ TEST(ItemTableTest, EmptyAttributeSetsAndValuesRoundTrip) {
   };
   for (const Item& item : items) {
     t.Put(item);
-    model[item.hash_key][item.range_key] = item.attrs;
+    model[item.hash_key][std::string(item.range_key())] = item.ToAttributes();
   }
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   EXPECT_EQ(t.value_count(), 4u);
@@ -312,7 +351,7 @@ TEST(ItemTableTest, BinaryValuesWithNulBytesRoundTrip) {
                   {{std::string("n\0m", 3), {binary, std::string(1, '\0')}}}};
   t.Put(item);
   TableModel model;
-  model[item.hash_key][item.range_key] = item.attrs;
+  model[item.hash_key][std::string(item.range_key())] = item.ToAttributes();
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   EXPECT_EQ(t.stored_bytes(), item.SizeBytes());
 }
@@ -326,12 +365,175 @@ TEST(ItemTableTest, LargeItemRoundTrips) {
   const Item small_after{"k", "c", {{"d", {"after"}}}};
   for (const Item* item : {&small_before, &big, &small_after}) {
     t.Put(*item);
-    model[item->hash_key][item->range_key] = item->attrs;
+    model[item->hash_key][std::string(item->range_key())] =
+        item->ToAttributes();
   }
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
   EXPECT_EQ(t.Erase("k", "b"), big.SizeBytes());
   model["k"].erase("b");
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+}
+
+// Seeded random attribute maps build items that read back the same
+// attributes, values and order, in place and copied out, with the
+// billable size and value count of the map.
+TEST(ItemTest, BuiltItemsReadBackTheirAttributes) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const std::string hash_key = kHashKeys[rng.NextBelow(kHashKeys.size())];
+    const std::string range_key = RandomBytes(rng, rng.NextBelow(40));
+    const Attributes attrs = RandomAttrs(rng);
+    const Item item{hash_key, range_key, attrs};
+    EXPECT_EQ(item.hash_key, hash_key);
+    EXPECT_EQ(item.range_key(), range_key);
+    EXPECT_EQ(item.SizeBytes(), ModelBytes(hash_key, range_key, attrs));
+    EXPECT_EQ(item.ValueCount(), ModelValues(attrs));
+    EXPECT_EQ(item.ToAttributes(), attrs);
+    ASSERT_EQ(item.attrs().size(), attrs.size());
+    auto want = attrs.begin();
+    for (const auto& [name, values] : item.attrs()) {
+      ASSERT_NE(want, attrs.end());
+      EXPECT_EQ(name, want->first);
+      ASSERT_EQ(values.size(), want->second.size());
+      size_t i = 0;
+      for (const std::string_view value : values) {
+        EXPECT_EQ(value, want->second[i++]);
+      }
+      const auto found = item.attrs().Find(want->first);
+      ASSERT_TRUE(found.has_value());
+      EXPECT_TRUE(std::equal(found->begin(), found->end(),
+                             want->second.begin(), want->second.end()));
+      ++want;
+    }
+    EXPECT_FALSE(item.attrs().Find("no-such-attribute").has_value());
+    // The builder writes the same record as the map constructor.
+    ItemBuilder builder(hash_key, range_key, attrs.size());
+    for (const auto& [name, values] : attrs) {
+      builder.AddAttribute(name, values.size());
+      for (const auto& value : values) builder.AddValue(value);
+    }
+    const Item built = std::move(builder).Build();
+    EXPECT_TRUE(SameItem(built, item));
+    EXPECT_EQ(built.record(), item.record());
+  }
+  const Item empty;
+  EXPECT_EQ(empty.SizeBytes(), 0u);
+  EXPECT_EQ(empty.ValueCount(), 0u);
+  EXPECT_EQ(empty.attrs().size(), 0u);
+  EXPECT_EQ(empty.attrs().begin(), empty.attrs().end());
+}
+
+// The table's accounting is the sum over its live items, recomputed
+// from their maps, after every put, replace, erase and restore.
+// SimpleDB bills overhead per value, so its overhead shows the value
+// count too.
+TEST(ItemStoreTest, AccountingIsTheSumOverLiveItems) {
+  UsageMeter meter{Pricing()};
+  SimpleDb store(SimpleDbConfig(), &meter);
+  TestAgent agent;
+  ASSERT_TRUE(store.CreateTable(agent, "t").ok());
+  const auto expect_sums = [&store] {
+    uint64_t bytes = 0;
+    uint64_t items = 0;
+    uint64_t values = 0;
+    store.ForEachItem([&](const std::string&, const Item& item) {
+      const Attributes attrs = item.ToAttributes();
+      bytes += ModelBytes(item.hash_key, item.range_key(), attrs);
+      items += 1;
+      values += ModelValues(attrs);
+    });
+    EXPECT_EQ(store.StoredBytes("t"), bytes);
+    EXPECT_EQ(store.ItemCount("t"), items);
+    EXPECT_EQ(store.OverheadBytes("t"),
+              items * SimpleDb::kPerItemOverheadBytes +
+                  values * SimpleDb::kPerAttributeOverheadBytes);
+  };
+  const std::vector<Item> first = {
+      Item{"k", "r1", {{"a.xml", {"x", "yy"}}, {"~g", {"3"}}}},
+      Item{"k", "r2", {{"b.xml", {""}}}},
+      Item{"other-longer-hash-key", "r1", {{"c.xml", {"zzz"}}}}};
+  ASSERT_TRUE(store.BatchPut(agent, "t", first).ok());
+  expect_sums();
+  const Item replaced{"k", "r1", {{"a.xml", {"a-much-longer-value"}}}};
+  ASSERT_TRUE(store.BatchPut(agent, "t", {&replaced, 1}).ok());
+  expect_sums();
+  ASSERT_TRUE(store.DeleteItem(agent, "t", "k", "r2").ok());
+  expect_sums();
+  store.RestoreItem("t", Item{"k", "r3", {{"d.xml", {"1", "2", "3"}}}});
+  store.RestoreItem("t", Item{"k", "r1", {}});
+  expect_sums();
+  ASSERT_TRUE(store.DeleteItem(agent, "t", "k", "r1").ok());
+  ASSERT_TRUE(store.DeleteItem(agent, "t", "k", "r3").ok());
+  ASSERT_TRUE(
+      store.DeleteItem(agent, "t", "other-longer-hash-key", "r1").ok());
+  expect_sums();
+  EXPECT_EQ(store.StoredBytes("t"), 0u);
+  EXPECT_EQ(store.OverheadBytes("t"), 0u);
+}
+
+// The items every strategy extracts — plain and front-coded paths, ID
+// chunks, hex-armoured SimpleDB values, generation stamps — round-trip
+// through BatchPut and Scan byte for byte on both stores.
+TEST(ItemRoundTripTest, ExtractedItemsRoundTripThroughBothStores) {
+  std::vector<xmark::GeneratedDocument> docs = xmark::GeneratePaintings();
+  xmark::GeneratorConfig config;
+  config.num_documents = 2;
+  config.entities_per_document = 20;
+  for (auto& doc : xmark::XmarkGenerator(config).GenerateAll()) {
+    docs.push_back(std::move(doc));
+  }
+  TestAgent agent;
+  for (const index::StrategyKind kind : index::AllStrategyKinds()) {
+    for (const bool simpledb : {false, true}) {
+      for (const bool compress : {false, true}) {
+        SCOPED_TRACE(std::string(index::StrategyKindName(kind)) +
+                     (simpledb ? " SimpleDB" : " DynamoDB") +
+                     (compress ? " compressed" : ""));
+        CloudEnv env;
+        KvStore& store = simpledb ? static_cast<KvStore&>(env.simpledb())
+                                  : static_cast<KvStore&>(env.dynamodb());
+        const auto strategy = index::IndexingStrategy::Create(kind);
+        for (const auto& table : strategy->TableNames()) {
+          ASSERT_TRUE(store.CreateTable(agent, table).ok());
+        }
+        std::map<std::string, std::vector<Item>> built;
+        for (size_t d = 0; d < docs.size(); ++d) {
+          auto parsed = xml::ParseDocument(docs[d].uri, docs[d].text);
+          ASSERT_TRUE(parsed.ok());
+          index::ExtractOptions options;
+          options.compress_paths = compress;
+          options.generation = d % 2;  // every other document stamped
+          index::ExtractStats stats;
+          auto items = strategy->ExtractItems(parsed.value(), options, store,
+                                              env.rng(), &stats);
+          ASSERT_TRUE(items.ok()) << items.status().ToString();
+          for (const auto& table : items.value()) {
+            ASSERT_TRUE(store.BatchPut(agent, table.table, table.items).ok());
+            auto& all = built[table.table];
+            all.insert(all.end(), table.items.begin(), table.items.end());
+          }
+        }
+        for (auto& [table, items] : built) {
+          std::sort(items.begin(), items.end(),
+                    [](const Item& a, const Item& b) {
+                      if (a.hash_key != b.hash_key) {
+                        return a.hash_key < b.hash_key;
+                      }
+                      return a.range_key() < b.range_key();
+                    });
+          auto scanned = store.Scan(agent, table);
+          ASSERT_TRUE(scanned.ok());
+          ASSERT_EQ(scanned.value().size(), items.size()) << table;
+          ASSERT_FALSE(items.empty()) << table;
+          for (size_t i = 0; i < items.size(); ++i) {
+            ASSERT_TRUE(SameItem(scanned.value()[i], items[i])) << i;
+            ASSERT_EQ(scanned.value()[i].record(), items[i].record()) << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

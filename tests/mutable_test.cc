@@ -138,8 +138,9 @@ void CaptureState(cloud::CloudEnv& env, Warehouse& warehouse,
                   Fingerprint* fp) {
   warehouse.index_store().ForEachItem(
       [fp](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" + item.range_key;
-        for (const auto& [name, values] : item.attrs) {
+        std::string line = table + "|" + item.hash_key + "|" +
+                           std::string(item.range_key());
+        for (const auto& [name, values] : item.ToAttributes()) {
           line += "|" + name + "=";
           for (const auto& value : values) line += value + ",";
         }

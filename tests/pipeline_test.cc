@@ -42,8 +42,9 @@ std::vector<xmark::GeneratedDocument> Corpus() {
 
 // Canonical serialization of one stored item.
 std::string ItemLine(const std::string& table, const cloud::Item& item) {
-  std::string line = table + "|" + item.hash_key + "|" + item.range_key;
-  for (const auto& [name, values] : item.attrs) {
+  std::string line = table + "|" + item.hash_key + "|" +
+                     std::string(item.range_key());
+  for (const auto& [name, values] : item.ToAttributes()) {
     line += "|" + name + "=";
     for (const auto& value : values) line += value + ",";
   }

@@ -63,7 +63,7 @@ class ScriptedStore final : public KvStore {
     const size_t stored = std::min(step.stored, items.size());
     for (size_t i = 0; i < items.size(); ++i) {
       if (i < stored) {
-        committed.push_back(items[i].range_key);
+        committed.emplace_back(items[i].range_key());
         meter_->mutable_usage().ddb_write_units += 1;
       } else if (unprocessed != nullptr) {
         unprocessed->push_back(items[i]);
@@ -131,7 +131,7 @@ std::vector<Item> MakeItems(int n) {
 
 std::vector<std::string> RangeKeys(const std::vector<Item>& items) {
   std::vector<std::string> keys;
-  for (const Item& item : items) keys.push_back(item.range_key);
+  for (const Item& item : items) keys.emplace_back(item.range_key());
   return keys;
 }
 
@@ -418,7 +418,7 @@ TEST(RetryingKvStoreTest, DeadlineExitReturnsSurvivors) {
     EXPECT_EQ(status.code(), Status::Code::kUnavailable);
     EXPECT_EQ(status.message(), "page error");
     EXPECT_EQ(left.size(), 6u);
-    EXPECT_EQ(left.front().range_key, "r4");
+    EXPECT_EQ(left.front().range_key(), "r4");
     EXPECT_EQ(h.store.calls, 1);
   }
   // A hint past the budget is not slept either.

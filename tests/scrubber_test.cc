@@ -43,8 +43,9 @@ std::vector<std::string> Dump(Warehouse& warehouse) {
   std::vector<std::string> dump;
   warehouse.index_store().ForEachItem(
       [&dump](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" + item.range_key;
-        for (const auto& [name, values] : item.attrs) {
+        std::string line = table + "|" + item.hash_key + "|" +
+                           std::string(item.range_key());
+        for (const auto& [name, values] : item.ToAttributes()) {
           line += "|" + name + "=";
           for (const auto& value : values) line += value + ",";
         }
@@ -164,8 +165,9 @@ TEST(ScrubberTest, MissingPostingsAreRestored) {
   std::vector<Key> keys;
   d.warehouse->index_store().ForEachItem(
       [&keys, &victim](const std::string& table, const cloud::Item& item) {
-        if (item.attrs.size() == 1 && item.attrs.begin()->first == victim) {
-          keys.push_back({table, item.hash_key, item.range_key});
+        if (item.attrs().size() == 1 &&
+            (*item.attrs().begin()).name == victim) {
+          keys.push_back({table, item.hash_key, std::string(item.range_key())});
         }
       });
   ASSERT_FALSE(keys.empty());
@@ -214,7 +216,7 @@ TEST(ScrubberTest, OrphanedPostingsAreDeleted) {
   d.warehouse->index_store().ForEachItem(
       [&victim_posting_left, &victim](const std::string&,
                                       const cloud::Item& item) {
-        if (item.attrs.count(victim) > 0) victim_posting_left = true;
+        if (item.ToAttributes().count(victim) > 0) victim_posting_left = true;
       });
   EXPECT_FALSE(victim_posting_left);
 
@@ -258,9 +260,9 @@ TEST(ScrubberTest, UpsertedDocumentIsRepairedAtItsLiveGeneration) {
   std::vector<Key> keys;
   d.warehouse->index_store().ForEachItem(
       [&keys, &victim](const std::string& table, const cloud::Item& item) {
-        if (item.attrs.count(victim) > 0 &&
-            item.attrs.count(index::kGenAttr) > 0) {
-          keys.push_back({table, item.hash_key, item.range_key});
+        if (item.ToAttributes().count(victim) > 0 &&
+            item.ToAttributes().count(index::kGenAttr) > 0) {
+          keys.push_back({table, item.hash_key, std::string(item.range_key())});
         }
       });
   ASSERT_FALSE(keys.empty());
@@ -316,7 +318,7 @@ TEST(ScrubberTest, TombstonedUriIsNeverResurrected) {
   d.warehouse->index_store().ForEachItem(
       [&victim_posting_left, &victim](const std::string&,
                                       const cloud::Item& item) {
-        if (item.attrs.count(victim) > 0) victim_posting_left = true;
+        if (item.ToAttributes().count(victim) > 0) victim_posting_left = true;
       });
   EXPECT_FALSE(victim_posting_left);
   auto second = d.warehouse->Scrub(/*repair=*/false);

@@ -37,7 +37,7 @@ TEST_F(SimpleDbTest, PutGetRoundTrip) {
   auto items = db_.BatchGet(agent_, "d", {"k"});
   ASSERT_TRUE(items.ok());
   ASSERT_EQ(items.value().size(), 1u);
-  EXPECT_EQ(items.value()[0].attrs.at("doc")[0], "path");
+  EXPECT_EQ(items.value()[0].ToAttributes().at("doc")[0], "path");
 }
 
 TEST_F(SimpleDbTest, RejectsBinaryValues) {

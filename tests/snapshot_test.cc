@@ -51,7 +51,7 @@ TEST(SnapshotTest, ObjectsAndItemsRoundTrip) {
   auto items = restored.dynamodb().BatchGet(reader, "idx", {"k"});
   ASSERT_TRUE(items.ok());
   ASSERT_EQ(items.value().size(), 1u);
-  EXPECT_EQ(items.value()[0].attrs.at("a.xml"),
+  EXPECT_EQ(items.value()[0].ToAttributes().at("a.xml"),
             (AttributeValues{"v1", binary}));
   EXPECT_EQ(restored.dynamodb().StoredBytes("idx"),
             env.dynamodb().StoredBytes("idx"));

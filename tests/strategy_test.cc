@@ -307,18 +307,19 @@ TEST(StrategyStoreTest, StampedSimpleDbItemsFitTheAttributeBound) {
   const std::vector<cloud::Item>& built = items.value()[0].items;
   const cloud::Item* full = nullptr;
   for (const cloud::Item& item : built) {
-    const uint64_t values = cloud::ItemTable::CountValues(item.attrs);
+    const uint64_t values = item.ValueCount();
     EXPECT_LE(values, 256u);
-    EXPECT_EQ(item.attrs.count(kGenAttr), 1u);
+    EXPECT_EQ(item.ToAttributes().count(kGenAttr), 1u);
     if (values == 256) full = &item;
   }
   ASSERT_NE(full, nullptr) << "no key needed more than 255 values";
   TestAgent agent;
   ASSERT_TRUE(store.CreateTable(agent, "idx-lui").ok());
   ASSERT_TRUE(store.BatchPut(agent, "idx-lui", built).ok());
-  cloud::Item over = *full;
-  over.range_key += "-over";
-  over.attrs.at("wide.xml").push_back("00");
+  cloud::Attributes attrs = full->ToAttributes();
+  attrs.at("wide.xml").push_back("00");
+  const cloud::Item over(full->hash_key,
+                         std::string(full->range_key()) + "-over", attrs);
   EXPECT_TRUE(store.BatchPut(agent, "idx-lui", {&over, 1}).IsInvalidArgument());
 }
 

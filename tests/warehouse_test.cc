@@ -323,6 +323,64 @@ TEST(WarehouseTest, RedeliveredQueryTaskIsDeadLettered) {
   EXPECT_EQ(drained.value(), 1u);
 }
 
+// One <site> of 30,000 <a/> siblings: its `a` key's ID list spans
+// several DynamoDB-sized chunks.  Each chunk shares its item with the
+// key, the UUID, the URI and (for upserts) the stamp, so chunks are cut
+// to leave them room; a chunk cut at the bare 64 KB value limit made an
+// oversized item, and the document was acked as poison after some of
+// its pages were written.
+TEST(WarehouseTest, IdListsLongerThanOneItemIndexOnDynamoDb) {
+  std::string wide = "<site>";
+  for (int i = 0; i < 30000; ++i) wide += "<a/>";
+  wide += "</site>";
+  const std::vector<xmark::GeneratedDocument> corpus = {
+      {"wide.xml", wide}, {"small.xml", "<site><a/><b/></site>"}};
+  WarehouseConfig baseline_config;
+  baseline_config.use_index = false;
+  Harness baseline = MakeWarehouse(baseline_config, {}, corpus);
+  const char* kQuery = "//site//a";
+  auto expected = baseline.warehouse->ExecuteQuery(kQuery);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_FALSE(expected.value().result.rows.empty());
+
+  for (const StrategyKind kind : {StrategyKind::kLUI, StrategyKind::k2LUPI}) {
+    SCOPED_TRACE(index::StrategyKindName(kind));
+    WarehouseConfig config;
+    config.strategy = kind;
+    Harness indexed = MakeWarehouse(config, {}, corpus);
+    auto report = indexed.warehouse->RunIndexers();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().documents, corpus.size());
+    EXPECT_EQ(report.value().poisoned, 0u);
+    EXPECT_EQ(report.value().dead_lettered, 0u);
+    auto rows = indexed.warehouse->ExecuteQuery(kQuery);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows.value().result.rows, expected.value().result.rows);
+  }
+}
+
+// A malformed document fails non-retriably: its task is acked at once
+// and counted as poisoned (not dead-lettered, and nothing extra billed),
+// and every other document still indexes.
+TEST(WarehouseTest, MalformedDocumentIsCountedAsPoisoned) {
+  auto corpus = Corpus();
+  corpus.push_back({"broken.xml", "<painting><name>unclosed</painting>"});
+  WarehouseConfig config;
+  config.strategy = StrategyKind::kLUP;
+  Harness setup = MakeWarehouse(config, {}, corpus);
+  auto report = setup.warehouse->RunIndexers();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().poisoned, 1u);
+  EXPECT_EQ(report.value().dead_lettered, 0u);
+  EXPECT_EQ(report.value().documents, Corpus().size());
+  EXPECT_TRUE(setup.env->sqs().Drained("loader-requests"));
+  EXPECT_TRUE(setup.env->sqs().PeekBodies("dead-letter").empty());
+  auto outcome = setup.warehouse->ExecuteQuery(kQ3);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome.value().result.rows.size(), 1u);
+  EXPECT_EQ(outcome.value().result.rows[0][0], "Delacroix");
+}
+
 TEST(WarehouseTest, MeterAccountsEveryService) {
   WarehouseConfig config;
   config.strategy = StrategyKind::kLUP;
