@@ -14,25 +14,17 @@ double Clamp(double v, double lo, double hi) {
 }
 }  // namespace
 
-Autoscaler::Autoscaler(const AutoscalerConfig& config, DynamoDb* dynamodb,
-                       UsageMeter* meter, common::MetricRegistry* metrics,
-                       common::Tracer* tracer)
+Autoscaler::Autoscaler(const AutoscalerConfig& config, DynamoDb& dynamodb,
+                       UsageMeter& meter, common::MetricRegistry& metrics,
+                       common::Tracer& tracer)
     : config_(config),
       dynamodb_(dynamodb),
       meter_(meter),
       tracer_(tracer),
-      write_units_gauge_(metrics == nullptr
-                             ? nullptr
-                             : metrics->GetGauge("autoscale.write_units")),
-      read_units_gauge_(metrics == nullptr
-                            ? nullptr
-                            : metrics->GetGauge("autoscale.read_units")),
-      scale_ups_(metrics == nullptr
-                     ? nullptr
-                     : metrics->GetCounter("autoscale.scale_ups.count")),
-      scale_downs_(metrics == nullptr
-                       ? nullptr
-                       : metrics->GetCounter("autoscale.scale_downs.count")) {}
+      write_units_gauge_(*metrics.GetGauge("autoscale.write_units")),
+      read_units_gauge_(*metrics.GetGauge("autoscale.read_units")),
+      scale_ups_(*metrics.GetCounter("autoscale.scale_ups.count")),
+      scale_downs_(*metrics.GetCounter("autoscale.scale_downs.count")) {}
 
 void Autoscaler::EnsureStarted(Micros now) {
   if (state_.started != 0) return;
@@ -42,8 +34,8 @@ void Autoscaler::EnsureStarted(Micros now) {
   const Micros interval = config_.evaluation_interval;
   state_.window_start = interval <= 0 ? now : (now / interval) * interval;
   if (state_.write_units <= 0) {
-    state_.write_units = dynamodb_->write_units_per_second();
-    state_.read_units = dynamodb_->read_units_per_second();
+    state_.write_units = dynamodb_.write_units_per_second();
+    state_.read_units = dynamodb_.read_units_per_second();
   }
   if (config_.enabled) {
     // Pull the starting point into the configured bounds.
@@ -53,22 +45,23 @@ void Autoscaler::EnsureStarted(Micros now) {
                               config_.max_read_units);
     ApplyCapacity(state_.window_start);
   }
-  if (write_units_gauge_ != nullptr) {
-    write_units_gauge_->Set(state_.write_units);
-  }
-  if (read_units_gauge_ != nullptr) read_units_gauge_->Set(state_.read_units);
+  PublishCapacity();
 }
 
 void Autoscaler::BillWindow(Micros from, Micros to) {
-  if (to <= from || meter_ == nullptr) return;
+  if (to <= from) return;
   const double hours = MicrosToHours(to - from);
-  meter_->mutable_usage().ddb_write_capacity_hours +=
-      state_.write_units * hours;
-  meter_->mutable_usage().ddb_read_capacity_hours += state_.read_units * hours;
+  meter_.mutable_usage().ddb_write_capacity_hours += state_.write_units * hours;
+  meter_.mutable_usage().ddb_read_capacity_hours += state_.read_units * hours;
 }
 
 void Autoscaler::ApplyCapacity(Micros at) {
-  dynamodb_->SetProvisionedCapacity(state_.write_units, state_.read_units, at);
+  dynamodb_.SetProvisionedCapacity(state_.write_units, state_.read_units, at);
+}
+
+void Autoscaler::PublishCapacity() {
+  write_units_gauge_.Set(state_.write_units);
+  read_units_gauge_.Set(state_.read_units);
 }
 
 void Autoscaler::Tick(Micros now) {
@@ -159,20 +152,15 @@ void Autoscaler::EvaluateWindow(Micros boundary) {
       span.AddAttr("write_units", state_.write_units);
       span.AddAttr("read_units", state_.read_units);
       span.AddAttr("up", up ? 1 : 0);
-      if (meter_ != nullptr) meter_->mutable_usage().scale_events += 1;
+      meter_.mutable_usage().scale_events += 1;
       if (up) {
         state_.last_scale_up = boundary;
-        if (scale_ups_ != nullptr) scale_ups_->Add(1);
+        scale_ups_.Add(1);
       } else {
         state_.last_scale_down = boundary;
-        if (scale_downs_ != nullptr) scale_downs_->Add(1);
+        scale_downs_.Add(1);
       }
-      if (write_units_gauge_ != nullptr) {
-        write_units_gauge_->Set(state_.write_units);
-      }
-      if (read_units_gauge_ != nullptr) {
-        read_units_gauge_->Set(state_.read_units);
-      }
+      PublishCapacity();
     }
   }
 
@@ -187,12 +175,7 @@ void Autoscaler::Restore(const AutoscalerState& state) {
   state_ = state;
   if (active() && state_.started != 0 && state_.write_units > 0) {
     ApplyCapacity(state_.window_start);
-    if (write_units_gauge_ != nullptr) {
-      write_units_gauge_->Set(state_.write_units);
-    }
-    if (read_units_gauge_ != nullptr) {
-      read_units_gauge_->Set(state_.read_units);
-    }
+    PublishCapacity();
   }
 }
 

@@ -86,11 +86,10 @@ struct AutoscalerState {
 /// store's fluid limiters from the window boundary on.
 class Autoscaler {
  public:
-  /// `dynamodb` must outlive the autoscaler; `metrics`/`tracer` may be
-  /// null (no observability surface).
-  Autoscaler(const AutoscalerConfig& config, DynamoDb* dynamodb,
-             UsageMeter* meter, common::MetricRegistry* metrics = nullptr,
-             common::Tracer* tracer = nullptr);
+  /// `dynamodb` must outlive the autoscaler.
+  Autoscaler(const AutoscalerConfig& config, DynamoDb& dynamodb,
+             UsageMeter& meter, common::MetricRegistry& metrics,
+             common::Tracer& tracer);
 
   Autoscaler(const Autoscaler&) = delete;
   Autoscaler& operator=(const Autoscaler&) = delete;
@@ -141,15 +140,17 @@ class Autoscaler {
   void EvaluateWindow(Micros boundary);
   void BillWindow(Micros from, Micros to);
   void ApplyCapacity(Micros at);
+  /// Sets the `autoscale.*_units` gauges to the current capacity.
+  void PublishCapacity();
 
   AutoscalerConfig config_;
-  DynamoDb* dynamodb_;
-  UsageMeter* meter_;
-  common::Tracer* tracer_;
-  common::Gauge* write_units_gauge_ = nullptr;
-  common::Gauge* read_units_gauge_ = nullptr;
-  common::Counter* scale_ups_ = nullptr;
-  common::Counter* scale_downs_ = nullptr;
+  DynamoDb& dynamodb_;
+  UsageMeter& meter_;
+  common::Tracer& tracer_;
+  common::Gauge& write_units_gauge_;
+  common::Gauge& read_units_gauge_;
+  common::Counter& scale_ups_;
+  common::Counter& scale_downs_;
   /// Private clock pinned to window boundaries so scale-event spans
   /// carry the boundary's virtual time.
   SimAgent clock_;

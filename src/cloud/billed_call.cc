@@ -20,13 +20,14 @@ Status BilledCall::FaultGate(std::string_view site, std::string_view resource,
 }
 
 Status BilledCall::ThrottleGate(const RateLimiter& limiter,
-                                Micros max_backlog, const char* what) {
+                                Micros max_backlog, const char* what,
+                                common::Counter& throttled) {
   if (max_backlog <= 0) return Status::OK();
   const Micros backlog = limiter.BacklogAt(agent_.now());
   if (backlog <= max_backlog) return Status::OK();
   const Micros hint = backlog - max_backlog;
-  endpoint_.meter->mutable_usage().throttled_requests += 1;
-  if (endpoint_.throttled != nullptr) endpoint_.throttled->Add(1);
+  endpoint_.meter.mutable_usage().throttled_requests += 1;
+  throttled.Add(1);
   return Fail(Status::ResourceExhausted(
                   StrFormat("%s; retry after %lld us", what,
                             static_cast<long long>(hint)),

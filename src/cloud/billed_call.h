@@ -16,16 +16,14 @@ namespace webdex::cloud {
 /// What a simulated service tells the billing skeleton about itself.
 struct ServiceEndpoint {
   ServiceId service;
-  UsageMeter* meter;
-  FaultInjector* injector;  // may be null
+  UsageMeter& meter;
+  FaultInjector& injector;
   Micros request_latency;
-  /// `service.<svc>.throttled.count`; may be null.
-  common::Counter* throttled = nullptr;
 
   /// The injector when it may inject anything, else null: callers skip
   /// their fault hooks, and building the hooks' site keys, on null.
   FaultInjector* active_injector() const {
-    return injector != nullptr && injector->enabled() ? injector : nullptr;
+    return injector.enabled() ? &injector : nullptr;
   }
 };
 
@@ -72,15 +70,16 @@ class BilledCall {
 
   /// Rejects the attempt before it does any work when `max_backlog` > 0
   /// and `limiter`'s backlog exceeds it: bills one request and a bare
-  /// round trip, counts Usage::throttled_requests, records the error and
+  /// round trip, counts Usage::throttled_requests and `throttled` (the
+  /// service's `service.<svc>.throttled.count`), records the error and
   /// returns kResourceExhausted "<what>; retry after N us", where N is
   /// when the backlog drains back to the bound.
   Status ThrottleGate(const RateLimiter& limiter, Micros max_backlog,
-                      const char* what);
+                      const char* what, common::Counter& throttled);
 
   /// Bills `count` requests.
   void Bill(uint64_t count = 1) {
-    endpoint_.meter->mutable_usage().*requests_ += count;
+    endpoint_.meter.mutable_usage().*requests_ += count;
   }
   /// Charges one round trip.
   void Charge(const RoundTrip& trip = {});

@@ -24,11 +24,11 @@ HealthTracker& CircuitBreaker::TrackerFor(std::string_view resource) {
 
 void CircuitBreaker::TraceTransition(const char* kind,
                                      std::string_view resource, Micros now) {
-  if (tracer_ == nullptr || !tracer_->enabled()) return;
+  if (!tracer_.enabled()) return;
   std::string name = kind;
   name += ":";
   name += resource;
-  tracer_->EndSpan(tracer_->BeginSpan(name, now), now);
+  tracer_.EndSpan(tracer_.BeginSpan(name, now), now);
 }
 
 Status CircuitBreaker::Allow(std::string_view resource, Micros now) {
@@ -43,7 +43,7 @@ Status CircuitBreaker::Allow(std::string_view resource, Micros now) {
     TraceTransition("breaker.half_open", resource, now);
     return Status::OK();
   }
-  meter_->mutable_usage().breaker_short_circuits += 1;
+  meter_.mutable_usage().breaker_short_circuits += 1;
   std::string msg = "circuit breaker open: ";
   msg += resource;
   return Status::Unavailable(msg);
@@ -59,7 +59,7 @@ void CircuitBreaker::RecordSuccess(std::string_view resource) {
     case BreakerState::kHalfOpen:
       if (++tracker.consecutive_successes >= config_.success_threshold) {
         tracker = HealthTracker();  // back to a fresh closed breaker
-        meter_->mutable_usage().breaker_closes += 1;
+        meter_.mutable_usage().breaker_closes += 1;
         TraceTransition("breaker.close", resource, last_now_);
       }
       break;
@@ -79,7 +79,7 @@ void CircuitBreaker::RecordFailure(std::string_view resource, Micros now) {
       if (++tracker.consecutive_failures >= config_.failure_threshold) {
         tracker.state = BreakerState::kOpen;
         tracker.opened_at = now;
-        meter_->mutable_usage().breaker_opens += 1;
+        meter_.mutable_usage().breaker_opens += 1;
         TraceTransition("breaker.open", resource, now);
       }
       break;
@@ -88,7 +88,7 @@ void CircuitBreaker::RecordFailure(std::string_view resource, Micros now) {
       tracker.state = BreakerState::kOpen;
       tracker.opened_at = now;
       tracker.consecutive_successes = 0;
-      meter_->mutable_usage().breaker_opens += 1;
+      meter_.mutable_usage().breaker_opens += 1;
       TraceTransition("breaker.open", resource, now);
       break;
     case BreakerState::kOpen:

@@ -62,9 +62,9 @@ class CircuitBreaker {
   using TrackerState = std::pair<std::string, HealthTracker>;
 
   /// `tracer` records a zero-duration span per transition
-  /// (`breaker.open:<resource>` etc.); it may be null.
-  CircuitBreaker(const CircuitBreakerConfig& config, UsageMeter* meter,
-                 common::Tracer* tracer = nullptr)
+  /// (`breaker.open:<resource>` etc.).
+  CircuitBreaker(const CircuitBreakerConfig& config, UsageMeter& meter,
+                 common::Tracer& tracer)
       : config_(config), meter_(meter), tracer_(tracer) {}
 
   CircuitBreaker(const CircuitBreaker&) = delete;
@@ -108,8 +108,8 @@ class CircuitBreaker {
                        Micros now);
 
   CircuitBreakerConfig config_;
-  UsageMeter* meter_;
-  common::Tracer* tracer_ = nullptr;
+  UsageMeter& meter_;
+  common::Tracer& tracer_;
   /// Virtual time of the last Allow/RecordFailure; RecordSuccess has no
   /// timestamp parameter, so its half-open -> closed transition span is
   /// stamped with this (the success it reports was observed then).

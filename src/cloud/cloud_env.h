@@ -68,15 +68,14 @@ class CloudEnv {
       : config_(config),
         deployment_(config.arch),
         meter_(config.pricing),
-        injector_(config.faults, config.seed, &meter_),
-        breaker_(config.breaker, &meter_, &tracer_),
-        s3_(config.s3, &meter_, &injector_, &metrics_),
-        dynamodb_(EffectiveDynamoConfig(config), &meter_, &injector_,
-                  &metrics_),
-        simpledb_(config.simpledb, &meter_, &injector_, &metrics_),
-        sqs_(config.sqs, &meter_, &injector_, &metrics_),
-        autoscaler_(EffectiveAutoscale(config), &dynamodb_, &meter_,
-                    &metrics_, &tracer_),
+        injector_(config.faults, config.seed, meter_),
+        breaker_(config.breaker, meter_, tracer_),
+        s3_(config.s3, meter_, injector_, metrics_),
+        dynamodb_(EffectiveDynamoConfig(config), meter_, injector_, metrics_),
+        simpledb_(config.simpledb, meter_, injector_, metrics_),
+        sqs_(config.sqs, meter_, injector_, metrics_),
+        autoscaler_(EffectiveAutoscale(config), dynamodb_, meter_, metrics_,
+                    tracer_),
         rng_(config.seed) {
     if (autoscaler_.active()) dynamodb_.set_autoscaler(&autoscaler_);
   }

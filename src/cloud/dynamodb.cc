@@ -6,8 +6,8 @@
 
 namespace webdex::cloud {
 
-DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
-                   FaultInjector* injector, common::MetricRegistry* metrics)
+DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter& meter,
+                   FaultInjector& injector, common::MetricRegistry& metrics)
     : ItemStore("DynamoDB", "table",
                 {.max_item_bytes = 64 * 1024,
                  .max_value_bytes = 64 * 1024,
@@ -18,10 +18,9 @@ DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
                 kItemOverheadBytes, /*value_overhead_bytes=*/0),
       config_(config),
       meter_(meter),
-      endpoint_{ServiceId::kDynamoDb, meter, injector, config.request_latency,
-                metrics == nullptr
-                    ? nullptr
-                    : metrics->GetCounter("service.dynamodb.throttled.count")},
+      endpoint_{ServiceId::kDynamoDb, meter, injector, config.request_latency},
+      throttled_metric_(
+          *metrics.GetCounter("service.dynamodb.throttled.count")),
       batch_put_metrics_(OpMetrics::For(metrics, "service.dynamodb.batch_put")),
       batch_get_metrics_(OpMetrics::For(metrics, "service.dynamodb.batch_get")),
       scan_metrics_(OpMetrics::For(metrics, "service.dynamodb.scan")),
@@ -105,22 +104,22 @@ void DynamoDb::OnDemandTick(Micros now) {
 
 void DynamoDb::MeterWriteUnits(double units) {
   if (config_.on_demand) {
-    meter_->mutable_usage().ddb_ondemand_write_units += units;
-    meter_->mutable_usage().ondemand_requests += 1;
+    meter_.mutable_usage().ddb_ondemand_write_units += units;
+    meter_.mutable_usage().ondemand_requests += 1;
     ondemand_.window_write_units += units;
   } else {
-    meter_->mutable_usage().ddb_write_units += units;
+    meter_.mutable_usage().ddb_write_units += units;
   }
   if (autoscaler_ != nullptr) autoscaler_->ObserveWrite(units);
 }
 
 void DynamoDb::MeterReadUnits(double units) {
   if (config_.on_demand) {
-    meter_->mutable_usage().ddb_ondemand_read_units += units;
-    meter_->mutable_usage().ondemand_requests += 1;
+    meter_.mutable_usage().ddb_ondemand_read_units += units;
+    meter_.mutable_usage().ondemand_requests += 1;
     ondemand_.window_read_units += units;
   } else {
-    meter_->mutable_usage().ddb_read_units += units;
+    meter_.mutable_usage().ddb_read_units += units;
   }
   if (autoscaler_ != nullptr) autoscaler_->ObserveRead(units);
 }
@@ -147,8 +146,9 @@ Status DynamoDb::Admit(BilledCall& call, std::string_view site,
   // judged against the (possibly new) backlog.
   if (autoscaler_ != nullptr) autoscaler_->Tick(call.now());
   OnDemandTick(call.now());
-  Status throttled = call.ThrottleGate(limiter, config_.max_backlog_micros,
-                                       "provisioned throughput exceeded");
+  Status throttled =
+      call.ThrottleGate(limiter, config_.max_backlog_micros,
+                        "provisioned throughput exceeded", throttled_metric_);
   if (!throttled.ok() && autoscaler_ != nullptr) {
     autoscaler_->ObserveThrottle(write);
   }
@@ -220,7 +220,7 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
       t->Put(items[i]);
       batch_units += WriteUnits(items[i].SizeBytes());
     }
-    meter_->mutable_usage().ddb_items_written += commit_end - index;
+    meter_.mutable_usage().ddb_items_written += commit_end - index;
     MeterWriteUnits(batch_units);
     call.Succeed({&write_limiter_, batch_units});
     if (commit_end < batch_end) {

@@ -50,11 +50,8 @@ class Autoscaler;
 /// of raw item size; this is the ovh(D, I) term visible in Figure 8.
 class DynamoDb final : public ItemStore {
  public:
-  /// `injector` may be null (no fault injection); `metrics` may be null
-  /// (no per-op `service.dynamodb.*` metrics).
-  DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
-           FaultInjector* injector = nullptr,
-           common::MetricRegistry* metrics = nullptr);
+  DynamoDb(const DynamoDbConfig& config, UsageMeter& meter,
+           FaultInjector& injector, common::MetricRegistry& metrics);
 
   Status CreateTable(SimAgent& agent, const std::string& table) override;
   Status BatchPut(SimAgent& agent, const std::string& table,
@@ -91,9 +88,9 @@ class DynamoDb final : public ItemStore {
   /// the limiters to the restored ceilings.
   void RestoreOnDemand(const OnDemandState& state);
 
-  /// Attaches the reactive autoscaler (cloud/autoscaler.h); may be null.
-  /// The store feeds it consumption and throttle observations and lets
-  /// it re-provision capacity at evaluation boundaries.
+  /// Attaches the reactive autoscaler (cloud/autoscaler.h) when it is
+  /// active.  The store feeds it consumption and throttle observations
+  /// and lets it re-provision capacity at evaluation boundaries.
   void set_autoscaler(Autoscaler* autoscaler) { autoscaler_ = autoscaler; }
 
   /// Re-provisions both fluid limiters at virtual time `at`, preserving
@@ -146,9 +143,10 @@ class DynamoDb final : public ItemStore {
                const std::string& table, const RateLimiter& limiter,
                bool write);
   DynamoDbConfig config_;
-  UsageMeter* meter_;
+  UsageMeter& meter_;
   ServiceEndpoint endpoint_;
   Autoscaler* autoscaler_ = nullptr;
+  common::Counter& throttled_metric_;
   OpMetrics batch_put_metrics_;
   OpMetrics batch_get_metrics_;
   OpMetrics scan_metrics_;

@@ -57,7 +57,7 @@ const ServiceFaults& FaultPlan::Faults(ServiceId service) const {
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, uint64_t base_seed,
-                             UsageMeter* meter)
+                             UsageMeter& meter)
     : plan_(plan),
       base_seed_(MixSeeds(base_seed, plan.seed)),
       meter_(meter),
@@ -98,7 +98,7 @@ Status FaultInjector::MaybeFail(ServiceId service, std::string_view site,
                        (outage.error_probability > 0 &&
                         StreamFor(site).NextBool(outage.error_probability));
     if (!fails) continue;
-    meter_->mutable_usage().faulted_requests += 1;
+    meter_.mutable_usage().faulted_requests += 1;
     std::string msg = "sustained outage at ";
     msg += site;
     const bool throttled =
@@ -112,7 +112,7 @@ Status FaultInjector::MaybeFail(ServiceId service, std::string_view site,
   if (faults.error_probability <= 0) return Status::OK();
   Rng& rng = StreamFor(site);
   if (!rng.NextBool(faults.error_probability)) return Status::OK();
-  meter_->mutable_usage().faulted_requests += 1;
+  meter_.mutable_usage().faulted_requests += 1;
   std::string msg = "injected fault at ";
   msg += site;
   if (rng.NextBool(faults.throttle_share)) {
@@ -129,7 +129,7 @@ size_t FaultInjector::UnprocessedCount(ServiceId service,
   if (faults.unprocessed_probability <= 0) return 0;
   Rng& rng = StreamFor(site);
   if (!rng.NextBool(faults.unprocessed_probability)) return 0;
-  meter_->mutable_usage().faulted_requests += 1;
+  meter_.mutable_usage().faulted_requests += 1;
   // 1 .. page_size items bounce (a whole-page bounce is AWS's behaviour
   // under sustained throttling).
   return 1 + static_cast<size_t>(
@@ -142,7 +142,7 @@ bool FaultInjector::ShouldDuplicate(ServiceId service, std::string_view site) {
   if (faults.duplicate_probability <= 0) return false;
   Rng& rng = StreamFor(site);
   if (!rng.NextBool(faults.duplicate_probability)) return false;
-  meter_->mutable_usage().faulted_requests += 1;
+  meter_.mutable_usage().faulted_requests += 1;
   return true;
 }
 

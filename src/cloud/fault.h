@@ -149,7 +149,7 @@ class FaultInjector {
   /// One saved per-site stream cursor (cloud/snapshot.cc).
   using StreamState = std::pair<std::string, std::array<uint64_t, 4>>;
 
-  FaultInjector(const FaultPlan& plan, uint64_t base_seed, UsageMeter* meter);
+  FaultInjector(const FaultPlan& plan, uint64_t base_seed, UsageMeter& meter);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -190,7 +190,7 @@ class FaultInjector {
 
   FaultPlan plan_;
   uint64_t base_seed_;
-  UsageMeter* meter_;
+  UsageMeter& meter_;
   bool enabled_;
   std::map<std::string, Rng, std::less<>> streams_;
 };

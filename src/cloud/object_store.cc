@@ -6,9 +6,9 @@
 
 namespace webdex::cloud {
 
-ObjectStore::ObjectStore(const ObjectStoreConfig& config, UsageMeter* meter,
-                         FaultInjector* injector,
-                         common::MetricRegistry* metrics)
+ObjectStore::ObjectStore(const ObjectStoreConfig& config, UsageMeter& meter,
+                         FaultInjector& injector,
+                         common::MetricRegistry& metrics)
     : config_(config),
       meter_(meter),
       endpoint_{ServiceId::kS3, meter, injector, config.request_latency},
@@ -49,7 +49,7 @@ Status ObjectStore::Put(SimAgent& agent, const std::string& bucket,
   BilledCall call(endpoint_, agent, put_metrics_, &Usage::s3_put_requests);
   const RoundTrip upload = Transfer(data.size());
   WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.put:", bucket, upload));
-  meter_->mutable_usage().s3_bytes_in += data.size();
+  meter_.mutable_usage().s3_bytes_in += data.size();
   call.Succeed(upload);
   it->second[key] = std::move(data);
   return Status::OK();
@@ -71,7 +71,7 @@ Result<std::string> ObjectStore::Get(SimAgent& agent,
         Status::NotFound("no such object: " + bucket + "/" + key),
         Transfer(0));
   }
-  meter_->mutable_usage().s3_bytes_out += obj->second.size();
+  meter_.mutable_usage().s3_bytes_out += obj->second.size();
   call.Succeed(Transfer(obj->second.size()));
   return obj->second;
 }
@@ -114,7 +114,7 @@ Result<std::vector<std::string>> ObjectStore::BatchGet(
     }
     stream_micros[next_stream] += micros;
     next_stream = (next_stream + 1) % stream_micros.size();
-    meter_->mutable_usage().s3_bytes_out += obj->second.size();
+    meter_.mutable_usage().s3_bytes_out += obj->second.size();
     out.push_back(obj->second);
   }
   const double makespan =

@@ -38,12 +38,8 @@ struct ObjectStoreConfig {
 /// requests S3 would have billed.
 class ObjectStore {
  public:
-  /// `injector` may be null (no fault injection), e.g. in unit tests that
-  /// construct the store directly; `metrics` may be null (no per-op
-  /// `service.s3.*` metrics — billing through `meter` is unaffected).
-  ObjectStore(const ObjectStoreConfig& config, UsageMeter* meter,
-              FaultInjector* injector = nullptr,
-              common::MetricRegistry* metrics = nullptr);
+  ObjectStore(const ObjectStoreConfig& config, UsageMeter& meter,
+              FaultInjector& injector, common::MetricRegistry& metrics);
 
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
@@ -120,10 +116,9 @@ class ObjectStore {
   RoundTrip Transfer(uint64_t bytes);
 
   ObjectStoreConfig config_;
-  UsageMeter* meter_;
+  UsageMeter& meter_;
   ServiceEndpoint endpoint_;
-  // Per-operation service metrics (docs/OBSERVABILITY.md); no-ops when
-  // the store was built without a registry.
+  // Per-operation service metrics (docs/OBSERVABILITY.md).
   OpMetrics put_metrics_;
   OpMetrics get_metrics_;
   OpMetrics batch_get_metrics_;

@@ -4,9 +4,9 @@
 
 namespace webdex::cloud {
 
-QueueService::QueueService(const QueueServiceConfig& config, UsageMeter* meter,
-                           FaultInjector* injector,
-                           common::MetricRegistry* metrics)
+QueueService::QueueService(const QueueServiceConfig& config, UsageMeter& meter,
+                           FaultInjector& injector,
+                           common::MetricRegistry& metrics)
     : config_(config),
       meter_(meter),
       endpoint_{ServiceId::kSqs, meter, injector, config.request_latency},
@@ -55,7 +55,7 @@ Result<std::optional<ReceivedMessage>> QueueService::Receive(
       msg.visible_at = agent.now() + config_.visibility_timeout;
       msg.receipt = next_receipt_++;
       msg.delivery_count += 1;
-      if (msg.delivery_count > 1) meter_->mutable_usage().sqs_redeliveries += 1;
+      if (msg.delivery_count > 1) meter_.mutable_usage().sqs_redeliveries += 1;
       ReceivedMessage out;
       out.body = msg.body;
       out.receipt = msg.receipt;

@@ -49,11 +49,8 @@ struct QueueServiceConfig {
 /// Table 3).
 class QueueService {
  public:
-  /// `injector` may be null (no fault injection); `metrics` may be null
-  /// (no per-op `service.sqs.*` metrics).
-  QueueService(const QueueServiceConfig& config, UsageMeter* meter,
-               FaultInjector* injector = nullptr,
-               common::MetricRegistry* metrics = nullptr);
+  QueueService(const QueueServiceConfig& config, UsageMeter& meter,
+               FaultInjector& injector, common::MetricRegistry& metrics);
 
   QueueService(const QueueService&) = delete;
   QueueService& operator=(const QueueService&) = delete;
@@ -105,7 +102,7 @@ class QueueService {
   };
 
   QueueServiceConfig config_;
-  UsageMeter* meter_;
+  UsageMeter& meter_;
   ServiceEndpoint endpoint_;
   OpMetrics send_metrics_;
   OpMetrics receive_metrics_;

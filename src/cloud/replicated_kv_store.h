@@ -33,10 +33,8 @@ namespace webdex::cloud {
 class ReplicatedKvStore final : public ForwardingKvStore {
  public:
   /// `deployment` must outlive the store and have replicas > 0.
-  /// `metrics` and `tracer` may be null.
-  ReplicatedKvStore(KvStore* base, Deployment* deployment, UsageMeter* meter,
-                    common::MetricRegistry* metrics = nullptr,
-                    common::Tracer* tracer = nullptr);
+  ReplicatedKvStore(KvStore* base, Deployment& deployment, UsageMeter& meter,
+                    common::MetricRegistry& metrics, common::Tracer& tracer);
 
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
@@ -60,11 +58,11 @@ class ReplicatedKvStore final : public ForwardingKvStore {
                                  const std::string* replica_key,
                                  const Call& call);
 
-  Deployment* deployment_;
-  UsageMeter* meter_;
-  common::Tracer* tracer_ = nullptr;
-  common::Counter* primary_reads_metric_ = nullptr;
-  common::Histogram* lag_metric_ = nullptr;
+  Deployment& deployment_;
+  UsageMeter& meter_;
+  common::Tracer& tracer_;
+  common::Counter& primary_reads_metric_;
+  common::Histogram& lag_metric_;
 };
 
 }  // namespace webdex::cloud

@@ -3,17 +3,14 @@
 namespace webdex::cloud {
 
 Retrier::Retrier(const common::RetryPolicy& policy, uint64_t seed,
-                 UsageMeter* meter, CircuitBreaker* breaker,
-                 common::MetricRegistry* metrics, common::Tracer* tracer)
+                 UsageMeter& meter, CircuitBreaker& breaker,
+                 common::MetricRegistry& metrics, common::Tracer& tracer)
     : policy_(policy),
       seed_(seed),
       meter_(meter),
       breaker_(breaker),
       tracer_(tracer),
-      attempts_metric_(metrics == nullptr ? nullptr
-                                          : metrics->GetCounter(
-                                                "cloud.retry.attempts.count")) {
-}
+      attempts_metric_(*metrics.GetCounter("cloud.retry.attempts.count")) {}
 
 Rng& Retrier::StreamFor(std::string_view key) {
   auto it = streams_.find(key);
@@ -25,10 +22,10 @@ Rng& Retrier::StreamFor(std::string_view key) {
 
 RetryingKvStore::RetryingKvStore(KvStore* base,
                                  const common::RetryPolicy& policy,
-                                 uint64_t seed, UsageMeter* meter,
-                                 CircuitBreaker* breaker,
-                                 common::MetricRegistry* metrics,
-                                 common::Tracer* tracer)
+                                 uint64_t seed, UsageMeter& meter,
+                                 CircuitBreaker& breaker,
+                                 common::MetricRegistry& metrics,
+                                 common::Tracer& tracer)
     : ForwardingKvStore(base),
       retrier_(policy, seed, meter, breaker, metrics, tracer) {}
 

@@ -34,19 +34,19 @@ namespace webdex::cloud {
 ///     retries honestly lengthen makespans and EC2 bills, and each one
 ///     counts in Usage::retried_requests.
 ///
-/// When a `CircuitBreaker` is attached and the call names a resource,
-/// every attempt is gated on it: an open breaker fails the attempt fast
+/// When the call names a resource, every attempt is gated on the
+/// retrier's `CircuitBreaker`: an open breaker fails the attempt fast
 /// with an *unbilled* kUnavailable (no request reaches the service),
 /// while the backoff between attempts still advances virtual time —
 /// which is exactly what lets the breaker's cooldown lapse and half-open
 /// probes go through mid-retry-loop.  Only retriable outcomes count
-/// against a resource's health; a NotFound proves the service is up.
+/// against a resource's health; a NotFound proves the service is up.  A
+/// call that names no resource is never gated.
 class Retrier {
  public:
-  /// `meter`, `breaker`, `metrics` and `tracer` may each be null.
-  Retrier(const common::RetryPolicy& policy, uint64_t seed, UsageMeter* meter,
-          CircuitBreaker* breaker, common::MetricRegistry* metrics,
-          common::Tracer* tracer);
+  Retrier(const common::RetryPolicy& policy, uint64_t seed, UsageMeter& meter,
+          CircuitBreaker& breaker, common::MetricRegistry& metrics,
+          common::Tracer& tracer);
 
   /// Runs `fn` (returning Status or Result<T>) under the policy, one
   /// attempt span per try, jittered from the stream keyed `key`.  Each
@@ -67,8 +67,7 @@ class Retrier {
         [&agent](int64_t micros) {
           agent.Advance(static_cast<Micros>(micros));
         },
-        meter_ == nullptr ? nullptr
-                          : &meter_->mutable_usage().retried_requests);
+        &meter_.mutable_usage().retried_requests);
   }
 
  private:
@@ -81,10 +80,10 @@ class Retrier {
                std::string_view resource, const Fn& fn) -> decltype(fn()) {
     MeteredSpan span(tracer_, meter_, agent, span_name);
     span.AddAttr("attempt", attempt);
-    if (attempts_metric_ != nullptr) attempts_metric_->Add(1);
-    CircuitBreaker* breaker = resource.empty() ? nullptr : breaker_;
-    if (breaker != nullptr) {
-      Status gate = breaker->Allow(resource, agent.now());
+    attempts_metric_.Add(1);
+    const bool gated = !resource.empty();
+    if (gated) {
+      Status gate = breaker_.Allow(resource, agent.now());
       if (!gate.ok()) {
         span.AddAttr("error", 1);
         return gate;
@@ -92,12 +91,12 @@ class Retrier {
     }
     auto outcome = fn();
     const Status& status = common::StatusOf(outcome);
-    if (breaker != nullptr) {
+    if (gated) {
       // Only retriable outcomes count against the resource's health.
       if (status.ok() || !status.IsRetriable()) {
-        breaker->RecordSuccess(resource);
+        breaker_.RecordSuccess(resource);
       } else {
-        breaker->RecordFailure(resource, agent.now());
+        breaker_.RecordFailure(resource, agent.now());
       }
     }
     if (!status.ok()) span.AddAttr("error", 1);
@@ -106,10 +105,10 @@ class Retrier {
 
   common::RetryPolicy policy_;
   uint64_t seed_;
-  UsageMeter* meter_;
-  CircuitBreaker* breaker_;
-  common::Tracer* tracer_;
-  common::Counter* attempts_metric_;
+  UsageMeter& meter_;
+  CircuitBreaker& breaker_;
+  common::Tracer& tracer_;
+  common::Counter& attempts_metric_;
   std::map<std::string, Rng, std::less<>> streams_;
 };
 
@@ -127,13 +126,9 @@ class Retrier {
 /// was.
 class RetryingKvStore final : public ForwardingKvStore {
  public:
-  /// `breaker` may be null (no breaker gating); `metrics` and `tracer`
-  /// may be null too (see Retrier).
   RetryingKvStore(KvStore* base, const common::RetryPolicy& policy,
-                  uint64_t seed, UsageMeter* meter,
-                  CircuitBreaker* breaker = nullptr,
-                  common::MetricRegistry* metrics = nullptr,
-                  common::Tracer* tracer = nullptr);
+                  uint64_t seed, UsageMeter& meter, CircuitBreaker& breaker,
+                  common::MetricRegistry& metrics, common::Tracer& tracer);
 
   /// Routed through the retrier like the data-plane verbs: transient
   /// create faults are retried under the breaker-gated backoff schedule

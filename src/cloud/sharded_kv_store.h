@@ -44,10 +44,8 @@ namespace webdex::cloud {
 class ShardedKvStore final : public ForwardingKvStore {
  public:
   /// `deployment` must outlive the store and have shards > 1.
-  /// `metrics` and `tracer` may be null.
-  ShardedKvStore(KvStore* base, Deployment* deployment, UsageMeter* meter,
-                 common::MetricRegistry* metrics = nullptr,
-                 common::Tracer* tracer = nullptr);
+  ShardedKvStore(KvStore* base, Deployment& deployment, UsageMeter& meter,
+                 common::MetricRegistry& metrics, common::Tracer& tracer);
 
   /// Creates every physical shard of `logical` (first error wins).
   Status CreateTable(SimAgent& agent, const std::string& logical) override;
@@ -87,12 +85,12 @@ class ShardedKvStore final : public ForwardingKvStore {
       const std::string& logical,
       uint64_t (KvStore::*stat)(const std::string&) const) const;
 
-  Deployment* deployment_;
-  UsageMeter* meter_;
-  common::MetricRegistry* metrics_ = nullptr;
-  common::Tracer* tracer_ = nullptr;
-  common::Counter* route_metric_ = nullptr;
-  common::Counter* fanout_metric_ = nullptr;
+  Deployment& deployment_;
+  UsageMeter& meter_;
+  common::MetricRegistry& metrics_;
+  common::Tracer& tracer_;
+  common::Counter& route_metric_;
+  common::Counter& fanout_metric_;
   /// Lowercased base service name, e.g. "dynamodb" — metric prefix part.
   std::string service_;
   std::map<std::string, common::Counter*> op_counters_;

@@ -17,8 +17,8 @@ bool IsTextual(std::string_view value) {
 
 }  // namespace
 
-SimpleDb::SimpleDb(const SimpleDbConfig& config, UsageMeter* meter,
-                   FaultInjector* injector, common::MetricRegistry* metrics)
+SimpleDb::SimpleDb(const SimpleDbConfig& config, UsageMeter& meter,
+                   FaultInjector& injector, common::MetricRegistry& metrics)
     : ItemStore("SimpleDB", "domain",
                 {.max_item_bytes = 256 * 1024,
                  .max_value_bytes = 1024,
@@ -29,10 +29,9 @@ SimpleDb::SimpleDb(const SimpleDbConfig& config, UsageMeter* meter,
                 kPerItemOverheadBytes, kPerAttributeOverheadBytes),
       config_(config),
       meter_(meter),
-      endpoint_{ServiceId::kSimpleDb, meter, injector, config.request_latency,
-                metrics == nullptr
-                    ? nullptr
-                    : metrics->GetCounter("service.simpledb.throttled.count")},
+      endpoint_{ServiceId::kSimpleDb, meter, injector, config.request_latency},
+      throttled_metric_(
+          *metrics.GetCounter("service.simpledb.throttled.count")),
       batch_put_metrics_(OpMetrics::For(metrics, "service.simpledb.batch_put")),
       get_metrics_(OpMetrics::For(metrics, "service.simpledb.get")),
       scan_metrics_(OpMetrics::For(metrics, "service.simpledb.scan")),
@@ -45,7 +44,7 @@ Status SimpleDb::Admit(BilledCall& call, std::string_view site,
                        const std::string& table) {
   WEBDEX_RETURN_IF_ERROR(call.FaultGate(site, table));
   return call.ThrottleGate(request_limiter_, config_.max_backlog_micros,
-                           "request rate exceeded");
+                           "request rate exceeded", throttled_metric_);
 }
 
 Status SimpleDb::CreateTable(SimAgent& agent, const std::string& table) {
@@ -116,11 +115,11 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
     double box_hours = 0;
     for (size_t i = index; i < batch_end; ++i) {
       t->Put(items[i]);
-      box_hours += meter_->pricing().simpledb_box_hours_per_put;
+      box_hours += meter_.pricing().simpledb_box_hours_per_put;
     }
     // SimpleDB bills every item of a batch put as one put request.
     call.Bill(batch_end - index);
-    meter_->mutable_usage().sdb_box_hours += box_hours;
+    meter_.mutable_usage().sdb_box_hours += box_hours;
     call.Charge({&request_limiter_, 1.0});
     call.Record(/*error=*/false);
     index = batch_end;
@@ -144,8 +143,8 @@ Status SimpleDb::SelectKey(SimAgent& agent, const std::string& table,
   }
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   call.Bill(pages);
-  meter_->mutable_usage().sdb_box_hours +=
-      meter_->pricing().simpledb_box_hours_per_get *
+  meter_.mutable_usage().sdb_box_hours +=
+      meter_.pricing().simpledb_box_hours_per_get *
       static_cast<double>(pages);
   for (uint64_t i = 0; i < pages; ++i) call.Charge({&request_limiter_, 1.0});
   call.Record(/*error=*/false);
@@ -173,8 +172,8 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
   for (uint64_t page = 0; page < pages; ++page) {
     BilledCall call(endpoint_, agent, scan_metrics_, &Usage::sdb_get_requests);
     WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.scan:", table));
-    meter_->mutable_usage().sdb_box_hours +=
-        meter_->pricing().simpledb_box_hours_per_get;
+    meter_.mutable_usage().sdb_box_hours +=
+        meter_.pricing().simpledb_box_hours_per_get;
     call.Succeed({&request_limiter_, 1.0});
   }
   return out;
@@ -187,8 +186,8 @@ Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,
   BilledCall call(endpoint_, agent, delete_metrics_, &Usage::sdb_put_requests);
   WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.delete:", table));
   t->Erase(hash_key, range_key);
-  meter_->mutable_usage().sdb_box_hours +=
-      meter_->pricing().simpledb_box_hours_per_put;
+  meter_.mutable_usage().sdb_box_hours +=
+      meter_.pricing().simpledb_box_hours_per_put;
   call.Succeed({&request_limiter_, 1.0});
   return Status::OK();
 }

@@ -40,11 +40,8 @@ struct SimpleDbConfig {
 ///   * "box usage" machine-hour billing per request.
 class SimpleDb final : public ItemStore {
  public:
-  /// `injector` may be null (no fault injection); `metrics` may be null
-  /// (no per-op `service.simpledb.*` metrics).
-  SimpleDb(const SimpleDbConfig& config, UsageMeter* meter,
-           FaultInjector* injector = nullptr,
-           common::MetricRegistry* metrics = nullptr);
+  SimpleDb(const SimpleDbConfig& config, UsageMeter& meter,
+           FaultInjector& injector, common::MetricRegistry& metrics);
 
   Status CreateTable(SimAgent& agent, const std::string& table) override;
   Status BatchPut(SimAgent& agent, const std::string& table,
@@ -79,8 +76,9 @@ class SimpleDb final : public ItemStore {
                    const std::string& hash_key, std::vector<Item>* out);
 
   SimpleDbConfig config_;
-  UsageMeter* meter_;
+  UsageMeter& meter_;
   ServiceEndpoint endpoint_;
+  common::Counter& throttled_metric_;
   OpMetrics batch_put_metrics_;
   OpMetrics get_metrics_;
   OpMetrics scan_metrics_;

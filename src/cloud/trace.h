@@ -11,25 +11,21 @@
 
 namespace webdex::cloud {
 
-/// Attaches a Usage delta to a span: one `usage.<field>` attribute per
-/// non-zero field plus the conventional `usd` attribute holding the
-/// delta's metered bill, which common::Tracer::CostRollup prices
-/// subtrees with.
-void AddUsageAttrs(common::Tracer* tracer, uint64_t span,
-                   const UsageMeter& meter, const Usage& delta);
-
 /// RAII span over virtual time *and* metered usage.  Snapshots the meter
-/// at construction and attributes the delta (plus its dollar bill) when
-/// the span ends.  Because the event loop meters single-threadedly, a
-/// parent span's delta is exactly the sum of its children's deltas plus
-/// whatever it metered itself — the invariant behind the cost-rollup
-/// acceptance check in observability_test.cc.
+/// at construction and attributes the delta when the span ends: one
+/// `usage.<field>` attribute per non-zero field plus the conventional
+/// `usd` attribute holding the delta's metered bill, which
+/// common::Tracer::CostRollup prices subtrees with.  Because the event
+/// loop meters single-threadedly, a parent span's delta is exactly the
+/// sum of its children's deltas plus whatever it metered itself — the
+/// invariant behind the cost-rollup acceptance check in
+/// observability_test.cc.
 ///
 /// With the tracer disabled (the default) construction is one branch and
 /// no snapshot is taken.
 class MeteredSpan {
  public:
-  MeteredSpan(common::Tracer* tracer, UsageMeter* meter,
+  MeteredSpan(common::Tracer& tracer, UsageMeter& meter,
               const SimAgent& agent, std::string_view name);
   ~MeteredSpan() { End(); }
   MeteredSpan(const MeteredSpan&) = delete;
@@ -42,9 +38,9 @@ class MeteredSpan {
   uint64_t id() const { return id_; }
 
  private:
-  common::Tracer* tracer_ = nullptr;
-  UsageMeter* meter_ = nullptr;
-  const SimAgent* agent_ = nullptr;
+  common::Tracer& tracer_;
+  UsageMeter& meter_;
+  const SimAgent& agent_;
   uint64_t id_ = 0;
   Usage before_;
 };
@@ -52,13 +48,13 @@ class MeteredSpan {
 /// Per-operation service metrics: `<prefix>.requests`, `<prefix>.errors`
 /// and `<prefix>.latency_us` (virtual time observed by the calling
 /// agent, rate-limiter waits included).  Services resolve these once at
-/// construction; `For` with a null registry yields a no-op recorder.
+/// construction.
 struct OpMetrics {
-  common::Counter* requests = nullptr;
-  common::Counter* errors = nullptr;
-  common::Histogram* latency = nullptr;
+  common::Counter& requests;
+  common::Counter& errors;
+  common::Histogram& latency;
 
-  static OpMetrics For(common::MetricRegistry* registry,
+  static OpMetrics For(common::MetricRegistry& registry,
                        const std::string& prefix);
 
   /// Records one operation that started at agent time `start`.

@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -131,6 +132,18 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args);
   return out;
+}
+
+Result<uint64_t> ParseDecimal(std::string_view text, std::string_view what) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    return Status::InvalidArgument(
+        StrFormat("malformed %.*s: '%.*s'", static_cast<int>(what.size()),
+                  what.data(), static_cast<int>(text.size()), text.data()));
+  }
+  return value;
 }
 
 std::string JsonEscape(std::string_view s) {

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/result.h"
+
 namespace webdex {
 
 /// Splits `input` on the single-character `sep`.  Empty pieces are kept:
@@ -29,6 +31,11 @@ std::string_view Trim(std::string_view s);
 /// maximal runs of alphanumeric characters (case-insensitive).  This is the
 /// semantics of the paper's `contains(c)` predicate.
 bool ContainsWord(std::string_view haystack, std::string_view word);
+
+/// Parses `text` as an unsigned decimal: one or more ASCII digits and
+/// nothing else (no sign, no spaces).  Empty input, any other byte and a
+/// value past UINT64_MAX are kInvalidArgument, naming `what`.
+Result<uint64_t> ParseDecimal(std::string_view text, std::string_view what);
 
 /// Formats a byte count as e.g. "12.3 MB".
 std::string HumanBytes(uint64_t bytes);

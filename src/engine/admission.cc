@@ -40,24 +40,21 @@ void AdmissionController::TokenBucket::Commit() {
 }
 
 AdmissionController::AdmissionController(const AdmissionConfig& config,
-                                         cloud::UsageMeter* meter,
-                                         common::MetricRegistry* metrics,
-                                         common::Tracer* tracer)
+                                         cloud::UsageMeter& meter,
+                                         common::MetricRegistry& metrics,
+                                         common::Tracer& tracer)
     : config_(config),
       meter_(meter),
-      metrics_(metrics),
       tracer_(tracer),
+      admitted_metric_(*metrics.GetCounter("admission.admitted.count")),
+      deferred_metric_(*metrics.GetCounter("admission.deferred.count")),
+      backpressure_metric_(
+          *metrics.GetCounter("admission.backpressure.count")),
+      limit_gauge_(*metrics.GetGauge("admission.concurrency_limit")),
       global_bucket_(config.global_rate, config.global_burst),
       concurrency_limit_(config.initial_concurrency) {
-  if (metrics_ != nullptr) {
-    admitted_metric_ = metrics_->GetCounter("admission.admitted.count");
-    deferred_metric_ = metrics_->GetCounter("admission.deferred.count");
-    backpressure_metric_ =
-        metrics_->GetCounter("admission.backpressure.count");
-    limit_gauge_ = metrics_->GetGauge("admission.concurrency_limit");
-    if (config_.initial_concurrency > 0) {
-      limit_gauge_->Set(static_cast<double>(concurrency_limit_));
-    }
+  if (config_.initial_concurrency > 0) {
+    limit_gauge_.Set(static_cast<double>(concurrency_limit_));
   }
 }
 
@@ -128,7 +125,7 @@ AdmissionDecision AdmissionController::Admit(cloud::SimAgent& agent,
     const Micros wait = GateWait(now, tenant);
     if (wait == 0) {
       decision.waited = now - arrival;
-      if (admitted_metric_ != nullptr) admitted_metric_->Add(1);
+      admitted_metric_.Add(1);
       return decision;
     }
     if (now + wait > deadline) {
@@ -138,18 +135,16 @@ AdmissionDecision AdmissionController::Admit(cloud::SimAgent& agent,
       decision.admitted = false;
       decision.status =
           Status::Overloaded("admission rejected: over capacity");
-      if (meter_ != nullptr) meter_->mutable_usage().shed_queries += 1;
-      if (tracer_ != nullptr && meter_ != nullptr) {
-        cloud::MeteredSpan span(tracer_, meter_, agent, "admission.shed");
-        span.AddAttr("query_id", static_cast<double>(query_id));
-        span.AddAttr("waited_us", static_cast<double>(agent.now() - arrival));
-      }
+      meter_.mutable_usage().shed_queries += 1;
+      cloud::MeteredSpan span(tracer_, meter_, agent, "admission.shed");
+      span.AddAttr("query_id", static_cast<double>(query_id));
+      span.AddAttr("waited_us", static_cast<double>(agent.now() - arrival));
       return decision;
     }
     // Defer: the gate names the exact virtual time it reopens (a token
     // refill or the earliest in-flight completion), so waiting that long
     // always makes progress.
-    if (deferred_metric_ != nullptr) deferred_metric_->Add(1);
+    deferred_metric_.Add(1);
     agent.Advance(wait);
   }
 }
@@ -169,9 +164,7 @@ void AdmissionController::OnCompleted(Micros start, Micros end,
     concurrency_limit_ = std::min(config_.max_concurrency,
                                   concurrency_limit_ + 1);
   }
-  if (limit_gauge_ != nullptr) {
-    limit_gauge_->Set(static_cast<double>(concurrency_limit_));
-  }
+  limit_gauge_.Set(static_cast<double>(concurrency_limit_));
 }
 
 Micros AdmissionController::IndexerBackoff(Micros now, uint64_t queue_depth,
@@ -183,7 +176,7 @@ Micros AdmissionController::IndexerBackoff(Micros now, uint64_t queue_depth,
   if (!fresh_throttles || queue_depth < config_.backpressure_queue_depth) {
     return 0;
   }
-  if (backpressure_metric_ != nullptr) backpressure_metric_->Add(1);
+  backpressure_metric_.Add(1);
   return config_.backpressure_pause;
 }
 

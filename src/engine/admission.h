@@ -79,10 +79,10 @@ struct AdmissionDecision {
 /// host_threads settings.
 class AdmissionController {
  public:
-  /// `meter` bills Usage::shed_queries; `metrics` / `tracer` may be null.
-  AdmissionController(const AdmissionConfig& config, cloud::UsageMeter* meter,
-                      common::MetricRegistry* metrics = nullptr,
-                      common::Tracer* tracer = nullptr);
+  /// `meter` bills Usage::shed_queries.
+  AdmissionController(const AdmissionConfig& config, cloud::UsageMeter& meter,
+                      common::MetricRegistry& metrics,
+                      common::Tracer& tracer);
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -142,13 +142,12 @@ class AdmissionController {
   TokenBucket& TenantBucket(const std::string& tenant);
 
   AdmissionConfig config_;
-  cloud::UsageMeter* meter_;
-  common::MetricRegistry* metrics_;
-  common::Tracer* tracer_;
-  common::Counter* admitted_metric_ = nullptr;
-  common::Counter* deferred_metric_ = nullptr;
-  common::Counter* backpressure_metric_ = nullptr;
-  common::Gauge* limit_gauge_ = nullptr;
+  cloud::UsageMeter& meter_;
+  common::Tracer& tracer_;
+  common::Counter& admitted_metric_;
+  common::Counter& deferred_metric_;
+  common::Counter& backpressure_metric_;
+  common::Gauge& limit_gauge_;
 
   TokenBucket global_bucket_;
   std::map<std::string, TokenBucket> tenant_buckets_;

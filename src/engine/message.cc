@@ -1,7 +1,5 @@
 #include "engine/message.h"
 
-#include <cstdlib>
-
 #include "common/strings.h"
 
 namespace webdex::engine {
@@ -56,7 +54,9 @@ Result<LoadRequest> ParseMutation(std::string rest, LoadOp op,
   }
   LoadRequest req;
   req.op = op;
-  req.generation = std::strtoull(rest.substr(0, newline).c_str(), nullptr, 10);
+  WEBDEX_ASSIGN_OR_RETURN(
+      req.generation,
+      ParseDecimal(std::string_view(rest).substr(0, newline), "generation"));
   if (req.generation == 0) {
     return Status::InvalidArgument(
         StrFormat("%.*s with generation 0", static_cast<int>(tag.size()),
@@ -118,7 +118,9 @@ Result<QueryRequest> QueryRequest::Parse(const std::string& text) {
         return Status::InvalidArgument("QUERYT without body");
       }
       QueryRequest req;
-      req.id = std::strtoull(body.substr(0, id_end).c_str(), nullptr, 10);
+      WEBDEX_ASSIGN_OR_RETURN(
+          req.id,
+          ParseDecimal(std::string_view(body).substr(0, id_end), "query id"));
       req.tenant = body.substr(id_end + 1, tenant_end - id_end - 1);
       req.query_text = body.substr(tenant_end + 1);
       if (req.tenant.empty()) {
@@ -136,7 +138,9 @@ Result<QueryRequest> QueryRequest::Parse(const std::string& text) {
     return Status::InvalidArgument("QUERY without body");
   }
   QueryRequest req;
-  req.id = std::strtoull(rest.substr(0, newline).c_str(), nullptr, 10);
+  WEBDEX_ASSIGN_OR_RETURN(
+      req.id,
+      ParseDecimal(std::string_view(rest).substr(0, newline), "query id"));
   req.query_text = rest.substr(newline + 1);
   if (req.query_text.empty()) {
     return Status::InvalidArgument("QUERY with empty text");
@@ -160,12 +164,9 @@ Result<QueryResponse> QueryResponse::Parse(const std::string& text) {
   {
     auto rest = ExpectTag(text, "SHED");
     if (rest.ok()) {
-      if (rest.value().empty()) {
-        return Status::InvalidArgument("SHED without query id");
-      }
       QueryResponse resp;
       resp.shed = true;
-      resp.id = std::strtoull(rest.value().c_str(), nullptr, 10);
+      WEBDEX_ASSIGN_OR_RETURN(resp.id, ParseDecimal(rest.value(), "query id"));
       return resp;
     }
   }
@@ -175,8 +176,8 @@ Result<QueryResponse> QueryResponse::Parse(const std::string& text) {
     return Status::InvalidArgument("malformed DONE message");
   }
   QueryResponse resp;
-  resp.id = std::strtoull(lines[0].c_str(), nullptr, 10);
-  resp.row_count = std::strtoull(lines[1].c_str(), nullptr, 10);
+  WEBDEX_ASSIGN_OR_RETURN(resp.id, ParseDecimal(lines[0], "query id"));
+  WEBDEX_ASSIGN_OR_RETURN(resp.row_count, ParseDecimal(lines[1], "row count"));
   resp.result_key = lines[2];
   if (resp.result_key.empty()) {
     return Status::InvalidArgument("DONE without result key");

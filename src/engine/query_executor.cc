@@ -23,7 +23,7 @@ Status QueryExecutor::Lookup(Instance& instance,
   const auto& work = instance.work();
   // Planning is host-side arithmetic over the path summary and breaker
   // health: free, instantaneous, nothing billed.
-  cloud::MeteredSpan plan_span(&w.env_->tracer(), &w.env_->meter(),
+  cloud::MeteredSpan plan_span(w.env_->tracer(), w.env_->meter(),
                                instance, "plan");
   const QueryPlanner planner = w.MakePlanner();
   const PhysicalPlan plan =
@@ -44,7 +44,7 @@ Status QueryExecutor::Lookup(Instance& instance,
     const PlannedPath& chosen = pattern_plan.chosen_path();
     // One span per executed access path, named after the path it ran
     // ("path.lup", "path.lui", "path.scan", ...).
-    cloud::MeteredSpan path_span(&w.env_->tracer(), &w.env_->meter(),
+    cloud::MeteredSpan path_span(w.env_->tracer(), w.env_->meter(),
                                  instance, "path." + chosen.path->name());
     auto result = chosen.path->Execute(instance);
     if (!result.ok()) {
@@ -126,7 +126,7 @@ Status QueryExecutor::Run(Instance& instance, const QueryRequest& request,
   // Transfer the candidate documents into the instance and evaluate
   // (steps 12-13), over one parallel S3 stream per core.
   const Micros eval_start = instance.now();
-  cloud::MeteredSpan fetch_span(&w.env_->tracer(), &w.env_->meter(),
+  cloud::MeteredSpan fetch_span(w.env_->tracer(), w.env_->meter(),
                                 instance, "fetch");
   fetch_span.AddAttr("documents", static_cast<double>(to_fetch.size()));
   std::vector<std::shared_ptr<const xml::Document>> docs;
@@ -159,7 +159,7 @@ Status QueryExecutor::Run(Instance& instance, const QueryRequest& request,
     instance.ChargeParallelWork(parse_work);
   }
   fetch_span.End();
-  cloud::MeteredSpan eval_span(&w.env_->tracer(), &w.env_->meter(),
+  cloud::MeteredSpan eval_span(w.env_->tracer(), w.env_->meter(),
                                instance, "eval");
   std::vector<const xml::Document*> doc_ptrs;
   doc_ptrs.reserve(docs.size());
@@ -180,7 +180,7 @@ Status QueryExecutor::Run(Instance& instance, const QueryRequest& request,
   w.MaybeRenewLease(instance, w.config_.query_queue, receipt, lease_anchor);
 
   // Store the results in the file store (step 14).
-  cloud::MeteredSpan store_span(&w.env_->tracer(), &w.env_->meter(),
+  cloud::MeteredSpan store_span(w.env_->tracer(), w.env_->meter(),
                                 instance, "store");
   std::string result_xml = outcome->result.ToXml();
   instance.ChargeParallelWork(work.result_per_byte *

@@ -20,20 +20,20 @@ using cloud::WorkerStep;
 Warehouse::Warehouse(cloud::CloudEnv* env, const WarehouseConfig& config)
     : env_(env),
       config_(config),
-      admission_(config.admission, &env->meter(), &env->metrics(),
-                 &env->tracer()),
+      admission_(config.admission, env->meter(), env->metrics(),
+                 env->tracer()),
       strategy_(index::IndexingStrategy::Create(config.strategy)),
       cost_model_(env->meter().pricing()),
       retrying_store_(std::make_unique<cloud::RetryingKvStore>(
           config.backend == IndexBackend::kSimpleDb
               ? static_cast<cloud::KvStore*>(&env->simpledb())
               : &env->dynamodb(),
-          config.retry, env->config().seed, &env->meter(),
-          &env->breaker(), &env->metrics(), &env->tracer())),
+          config.retry, env->config().seed, env->meter(), env->breaker(),
+          env->metrics(), env->tracer())),
       cluster_(config.num_instances, config.instance_type,
                &env->config().work),
-      retrier_(config.retry, env->config().seed, &env->meter(),
-               /*breaker=*/nullptr, &env->metrics(), &env->tracer()) {
+      retrier_(config.retry, env->config().seed, env->meter(), env->breaker(),
+               env->metrics(), env->tracer()) {
   // Deployment decorators (docs/ARCHITECTURES.md), constructed only when
   // the architecture asks for them so the default deployment's stack —
   // and with it every byte of its runs — is unchanged.
@@ -41,12 +41,12 @@ Warehouse::Warehouse(cloud::CloudEnv* env, const WarehouseConfig& config)
   cloud::KvStore* top = retrying_store_.get();
   if (deployment.replicated()) {
     replicated_store_ = std::make_unique<cloud::ReplicatedKvStore>(
-        top, &deployment, &env->meter(), &env->metrics(), &env->tracer());
+        top, deployment, env->meter(), env->metrics(), env->tracer());
     top = replicated_store_.get();
   }
   if (deployment.sharded()) {
     sharded_store_ = std::make_unique<cloud::ShardedKvStore>(
-        top, &deployment, &env->meter(), &env->metrics(), &env->tracer());
+        top, deployment, env->meter(), env->metrics(), env->tracer());
     top = sharded_store_.get();
   }
   index_store_ = top;
@@ -277,7 +277,7 @@ WorkerStep Warehouse::RunTask(Instance& instance, const TaskQueue& task,
   const WorkerStep processed{/*processed=*/true};
   // One span per delivered task (redeliveries are separate spans: each
   // one bills its own requests and VM time).
-  cloud::MeteredSpan task_span(&env_->tracer(), &env_->meter(), instance,
+  cloud::MeteredSpan task_span(env_->tracer(), env_->meter(), instance,
                                task.span);
   task_span.AddAttr("delivery", msg.delivery_count);
   if (report != nullptr && msg.delivery_count > 1) report->redeliveries += 1;
@@ -342,7 +342,7 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
   // spent by the pipeline, in which case its prefetched result is charged
   // to this instance's virtual clock exactly as if computed inline.
   const Micros extract_start = instance.now();
-  cloud::MeteredSpan extract_span(&env_->tracer(), &env_->meter(), instance,
+  cloud::MeteredSpan extract_span(env_->tracer(), env_->meter(), instance,
                                   "extract");
   auto request = LoadRequest::Parse(msg.body);
   // A malformed message is deleted rather than redelivered forever;
@@ -406,7 +406,7 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
 
   // Phase 2: upload to the index store ("uploading time").
   const Micros upload_start = instance.now();
-  cloud::MeteredSpan upload_span(&env_->tracer(), &env_->meter(), instance,
+  cloud::MeteredSpan upload_span(env_->tracer(), env_->meter(), instance,
                                  "upload");
   if (outcome == TaskOutcome::kOk && !is_delete) {
     const cloud::Usage before = env_->meter().Snapshot();
@@ -562,7 +562,7 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
 
   // Root span of the run: its usage delta includes the fleet's rented VM
   // time billed below, so the rolled-up cost is the whole run's bill.
-  cloud::MeteredSpan run_span(&env_->tracer(), &env_->meter(), front_end_,
+  cloud::MeteredSpan run_span(env_->tracer(), env_->meter(), front_end_,
                               "index.run");
   cluster_.SyncClocks(front_end_.now());
   report.makespan = cluster_.RunUntilDrained(
@@ -681,7 +681,7 @@ Warehouse::TaskOutcome Warehouse::QueryStep(
                   static_cast<unsigned long long>(request.value().id));
     response.row_count = outcome.result.rows.size();
   }
-  cloud::MeteredSpan respond_span(&env_->tracer(), &env_->meter(), instance,
+  cloud::MeteredSpan respond_span(env_->tracer(), env_->meter(), instance,
                                   "respond");
   const Status sent = RetryCall(instance, "qp.respond", [&] {
     return env_->sqs().Send(instance, config_.response_queue,
@@ -707,12 +707,12 @@ Result<QueryRunReport> Warehouse::ExecuteQueries(
 Result<QueryRunReport> Warehouse::ExecuteQueries(
     const std::vector<TenantQuery>& queries) {
   const cloud::Usage run_start = env_->meter().Snapshot();
-  cloud::MeteredSpan run_span(&env_->tracer(), &env_->meter(), front_end_,
+  cloud::MeteredSpan run_span(env_->tracer(), env_->meter(), front_end_,
                               "query.run");
   run_span.AddAttr("queries", static_cast<double>(queries.size()));
   std::vector<uint64_t> ids;
   {
-    cloud::MeteredSpan submit_span(&env_->tracer(), &env_->meter(),
+    cloud::MeteredSpan submit_span(env_->tracer(), env_->meter(),
                                    front_end_, "submit");
     for (const auto& query : queries) {
       QueryRequest request;
@@ -753,7 +753,7 @@ Result<QueryRunReport> Warehouse::ExecuteQueries(
   // processed again — still one id).
   QueryRunReport report;
   report.makespan = makespan;
-  cloud::MeteredSpan collect_span(&env_->tracer(), &env_->meter(),
+  cloud::MeteredSpan collect_span(env_->tracer(), env_->meter(),
                                   front_end_, "collect");
   std::set<uint64_t> responded;
   while (responded.size() < ids.size()) {
@@ -816,7 +816,7 @@ Result<ScrubReport> Warehouse::Scrub(bool repair) {
     return Status::FailedPrecondition(
         "scrubbing requires an indexed warehouse");
   }
-  cloud::MeteredSpan pass_span(&env_->tracer(), &env_->meter(), front_end_,
+  cloud::MeteredSpan pass_span(env_->tracer(), env_->meter(), front_end_,
                                "scrub.pass");
   pass_span.AddAttr("repair", repair ? 1 : 0);
   env_->metrics().GetCounter("engine.scrub.passes.count")->Add(1);
@@ -828,7 +828,7 @@ Result<CompactReport> Warehouse::Compact(bool full) {
     return Status::FailedPrecondition(
         "compaction requires an indexed warehouse");
   }
-  cloud::MeteredSpan pass_span(&env_->tracer(), &env_->meter(), front_end_,
+  cloud::MeteredSpan pass_span(env_->tracer(), env_->meter(), front_end_,
                                "compact.pass");
   pass_span.AddAttr("full", full ? 1 : 0);
   env_->metrics().GetCounter("index.compact.passes.count")->Add(1);

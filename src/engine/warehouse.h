@@ -385,7 +385,8 @@ class Warehouse {
   void UnregisterDocument(const std::string& uri);
 
   /// Runs `fn` (returning Status or Result<T>) under the configured retry
-  /// policy through the warehouse's Retrier (no breaker): jitter comes
+  /// policy through the warehouse's Retrier, which holds the env's
+  /// breaker but names no resource, so no call is gated: jitter comes
   /// from a deterministic per-`site` stream, and each attempt gets its
   /// own `attempt.<site>` span carrying the usage it metered (retried
   /// attempts show up as siblings, so a span tree prices every billed

@@ -48,18 +48,7 @@ cloud::Item MakeMetaItem(const std::string& uri, uint64_t generation,
 }
 
 Result<uint64_t> ParseGenerationStamp(std::string_view value) {
-  if (value.empty()) {
-    return Status::InvalidArgument("empty generation stamp");
-  }
-  uint64_t stamp = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("malformed generation stamp: " +
-                                     std::string(value));
-    }
-    stamp = stamp * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return stamp;
+  return ParseDecimal(value, "generation stamp");
 }
 
 uint64_t StampOf(const cloud::Item& item) {

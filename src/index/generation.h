@@ -91,7 +91,8 @@ std::string GenerationRangeKey(uint64_t generation);
 cloud::Item MakeMetaItem(const std::string& uri, uint64_t generation,
                          bool tombstoned);
 
-/// Parses the decimal generation stamp of a posting's kGenAttr value.
+/// Parses the decimal generation stamp of a posting's kGenAttr value
+/// (ParseDecimal: empty, non-digit and overflowing stamps are rejected).
 Result<uint64_t> ParseGenerationStamp(std::string_view value);
 
 /// Reads a posting's stamp out of its attributes (0 when unstamped).

@@ -372,8 +372,8 @@ TEST(ArchitectureTest, ShardedBatchPutStoresSubSpans) {
   cloud::CloudConfig config;
   config.arch = Arch(CapacityMode::kProvisioned, 4, 0);
   cloud::CloudEnv env(config);
-  cloud::ShardedKvStore sharded(&env.dynamodb(), &env.deployment(),
-                                &env.meter(), &env.metrics());
+  cloud::ShardedKvStore sharded(&env.dynamodb(), env.deployment(),
+                                env.meter(), env.metrics(), env.tracer());
   cloud::CloudEnv reference_env{cloud::CloudConfig()};
   cloud::KvStore& reference = reference_env.dynamodb();
   Agent agent;
@@ -461,14 +461,15 @@ TEST(ArchitectureTest, CreateTableRetriesTransientFaultsAndBillsThem) {
   cloud::CloudConfig config;
   config.faults.dynamodb.error_probability = 0.6;
   config.faults.dynamodb.throttle_share = 1.0;  // retriable throttles
+  // Breaker off: at this fault rate it would open and fast-fail the
+  // retries; what is under test is the retry + billing path itself.
+  config.breaker.enabled = false;
   cloud::CloudEnv env(config);
   common::RetryPolicy policy;
   policy.max_attempts = 12;  // enough headroom to outlast the fault rate
-  // No breaker: at this fault rate it would open and fast-fail the
-  // retries; what is under test is the retry + billing path itself.
   cloud::RetryingKvStore store(&env.dynamodb(), policy, config.seed,
-                               &env.meter(), /*breaker=*/nullptr,
-                               &env.metrics(), &env.tracer());
+                               env.meter(), env.breaker(), env.metrics(),
+                               env.tracer());
   Agent agent;
   uint64_t faulted = 0;
   // Several independent fault sites: at this rate at least one create is
@@ -489,8 +490,8 @@ TEST(ArchitectureTest, CreateTableRetriesTransientFaultsAndBillsThem) {
 TEST(ArchitectureTest, FaultFreeCreateTableIsFreeAndInstant) {
   cloud::CloudEnv env;
   cloud::RetryingKvStore store(&env.dynamodb(), common::RetryPolicy(),
-                               env.config().seed, &env.meter(),
-                               &env.breaker(), &env.metrics(), &env.tracer());
+                               env.config().seed, env.meter(), env.breaker(),
+                               env.metrics(), env.tracer());
   Agent agent;
   ASSERT_TRUE(store.CreateTable(agent, "t").ok());
   EXPECT_EQ(agent.now(), 0);

@@ -16,10 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "cloud/dynamodb.h"
-#include "cloud/fault.h"
-#include "cloud/object_store.h"
-#include "cloud/simpledb.h"
+#include "cloud/cloud_env.h"
 #include "common/metrics.h"
 
 namespace webdex::cloud {
@@ -29,11 +26,6 @@ class TestAgent : public SimAgent {};
 
 constexpr Micros kLatency = 7'000;
 
-/// A store of the backend under test.  `throttled` gives it one unit (or
-/// request) per second of capacity behind a one-second backlog bound, so
-/// a short burst saturates it.
-using StoreFactory = std::function<std::unique_ptr<KvStore>(
-    UsageMeter*, FaultInjector*, common::MetricRegistry*, bool throttled)>;
 
 struct Backend {
   const char* name;  // metric prefix: service.<name>.<op>
@@ -46,34 +38,29 @@ struct Backend {
   uint64_t Usage::*get_requests;
   uint64_t overhead_per_item;
   uint64_t overhead_per_value;
-  StoreFactory make;
+  /// Configures the backend's store.  `throttled` gives it one unit (or
+  /// request) per second of capacity behind a one-second backlog bound,
+  /// so a short burst saturates it.
+  void (*configure)(CloudConfig& config, bool throttled);
+  /// The backend's store in `env`.
+  KvStore& (*store)(CloudEnv& env);
 };
 
-std::unique_ptr<KvStore> MakeDynamoDb(UsageMeter* meter,
-                                      FaultInjector* injector,
-                                      common::MetricRegistry* metrics,
-                                      bool throttled) {
-  DynamoDbConfig config;
-  config.request_latency = kLatency;
+void ConfigureDynamoDb(CloudConfig& config, bool throttled) {
+  config.dynamodb.request_latency = kLatency;
   if (throttled) {
-    config.write_units_per_second = 1;
-    config.read_units_per_second = 1;
-    config.max_backlog_micros = kMicrosPerSecond;
+    config.dynamodb.write_units_per_second = 1;
+    config.dynamodb.read_units_per_second = 1;
+    config.dynamodb.max_backlog_micros = kMicrosPerSecond;
   }
-  return std::make_unique<DynamoDb>(config, meter, injector, metrics);
 }
 
-std::unique_ptr<KvStore> MakeSimpleDb(UsageMeter* meter,
-                                      FaultInjector* injector,
-                                      common::MetricRegistry* metrics,
-                                      bool throttled) {
-  SimpleDbConfig config;
-  config.request_latency = kLatency;
+void ConfigureSimpleDb(CloudConfig& config, bool throttled) {
+  config.simpledb.request_latency = kLatency;
   if (throttled) {
-    config.requests_per_second = 1;
-    config.max_backlog_micros = kMicrosPerSecond;
+    config.simpledb.requests_per_second = 1;
+    config.simpledb.max_backlog_micros = kMicrosPerSecond;
   }
-  return std::make_unique<SimpleDb>(config, meter, injector, metrics);
 }
 
 const Backend kDynamoDb{"dynamodb",
@@ -91,7 +78,10 @@ const Backend kDynamoDb{"dynamodb",
                         &Usage::ddb_get_requests,
                         DynamoDb::kItemOverheadBytes,
                         0,
-                        MakeDynamoDb};
+                        ConfigureDynamoDb,
+                        [](CloudEnv& env) -> KvStore& {
+                          return env.dynamodb();
+                        }};
 const Backend kSimpleDb{"simpledb",
                         "domain",
                         {.max_item_bytes = 256 * 1024,
@@ -107,7 +97,10 @@ const Backend kSimpleDb{"simpledb",
                         &Usage::sdb_get_requests,
                         SimpleDb::kPerItemOverheadBytes,
                         SimpleDb::kPerAttributeOverheadBytes,
-                        MakeSimpleDb};
+                        ConfigureSimpleDb,
+                        [](CloudEnv& env) -> KvStore& {
+                          return env.simpledb();
+                        }};
 
 void PrintTo(const Backend& backend, std::ostream* os) { *os << backend.name; }
 
@@ -141,8 +134,12 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
   /// Opens a store under `plan` holding table "t" with two items, all
   /// loaded host-side (unbilled, fault-free).
   void Open(const FaultPlan& plan, bool throttled = false) {
-    injector_ = std::make_unique<FaultInjector>(plan, /*base_seed=*/1, &meter_);
-    store_ = GetParam().make(&meter_, injector_.get(), &metrics_, throttled);
+    CloudConfig config;
+    config.seed = 1;
+    config.faults = plan;
+    GetParam().configure(config, throttled);
+    env_ = std::make_unique<CloudEnv>(config);
+    store_ = &GetParam().store(*env_);
     ASSERT_TRUE(store_->RestoreTable("t").ok());
     store_->RestoreItem("t", MakeItem("k", "r1", {"a"}));
     store_->RestoreItem("t", MakeItem("k", "r2", {"b", "c"}));
@@ -152,7 +149,7 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
   /// data-plane ones address `table`.
   std::vector<Call> Calls(SimAgent& agent, const std::string& table = "t") {
     const Backend& b = GetParam();
-    KvStore* s = store_.get();
+    KvStore* s = store_;
     return {
         {b.create_op, b.put_requests,
          [s, &agent] { return s->CreateTable(agent, "u"); }},
@@ -173,8 +170,8 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
   }
 
   uint64_t Errors(const std::string& op) const {
-    return metrics_.CounterValue(std::string("service.") + GetParam().name +
-                                 "." + op + ".errors");
+    return env_->metrics().CounterValue(
+        std::string("service.") + GetParam().name + "." + op + ".errors");
   }
 
   /// StoredBytes, ItemCount and OverheadBytes of "t" agree with the items
@@ -199,10 +196,8 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
                   values * GetParam().overhead_per_value);
   }
 
-  UsageMeter meter_{Pricing()};
-  common::MetricRegistry metrics_;
-  std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<KvStore> store_;
+  std::unique_ptr<CloudEnv> env_;
+  KvStore* store_ = nullptr;
   TestAgent agent_;
 };
 
@@ -217,12 +212,12 @@ TEST_P(BillingContractTest, FaultedAttemptBillsOneRequestAndOneRoundTrip) {
   const uint64_t items = store_->ItemCount("t");
   for (const Call& call : Calls(agent_)) {
     SCOPED_TRACE(call.op);
-    const Usage before = meter_.Snapshot();
+    const Usage before = env_->meter().Snapshot();
     const Micros start = agent_.now();
     const uint64_t errors = Errors(call.op);
     const Status status = call.run();
     EXPECT_TRUE(status.IsRetriable()) << status.ToString();
-    const Usage delta = meter_.usage() - before;
+    const Usage delta = env_->meter().usage() - before;
     EXPECT_EQ(delta.*call.requests, 1u);
     EXPECT_EQ(IndexRequests(delta), 1u);
     EXPECT_EQ(delta.faulted_requests, 1u);
@@ -259,13 +254,13 @@ TEST_P(BillingContractTest, ThrottledAttemptBillsOneRequestAndNoCapacity) {
   calls.erase(calls.begin());  // table creation is never throttled
   for (const Call& call : calls) {
     SCOPED_TRACE(call.op);
-    const Usage before = meter_.Snapshot();
+    const Usage before = env_->meter().Snapshot();
     const Micros start = late.now();
     const uint64_t errors = Errors(call.op);
     const Status status = call.run();
     ASSERT_TRUE(status.IsResourceExhausted()) << status.ToString();
     EXPECT_GT(status.retry_after_micros(), 0);
-    const Usage delta = meter_.usage() - before;
+    const Usage delta = env_->meter().usage() - before;
     EXPECT_EQ(delta.*call.requests, 1u);
     EXPECT_EQ(IndexRequests(delta), 1u);
     EXPECT_EQ(delta.throttled_requests, 1u);
@@ -284,10 +279,10 @@ TEST_P(BillingContractTest, ThrottledAttemptBillsOneRequestAndNoCapacity) {
 TEST_P(BillingContractTest, MissingAndDuplicateTablesBillNothing) {
   Open(FaultPlan());
   const auto unbilled = [this](const std::function<Status()>& run) {
-    const Usage before = meter_.Snapshot();
+    const Usage before = env_->meter().Snapshot();
     const Micros start = agent_.now();
     const Status status = run();
-    const Usage delta = meter_.usage() - before;
+    const Usage delta = env_->meter().usage() - before;
     delta.ForEachField(
         [](const char* field, auto value) { EXPECT_EQ(value, 0) << field; });
     EXPECT_EQ(agent_.now(), start);
@@ -341,9 +336,9 @@ TEST_P(BillingContractTest, ReplaceAndDeleteKeepAccountingInStep) {
   ASSERT_TRUE(store_->DeleteItem(agent_, "t", "k", "r2").ok());
   EXPECT_EQ(store_->ItemCount("t"), 2u);
   ExpectAccountingInStep();
-  const Usage before = meter_.Snapshot();
+  const Usage before = env_->meter().Snapshot();
   ASSERT_TRUE(store_->DeleteItem(agent_, "t", "k", "absent").ok());
-  EXPECT_EQ((meter_.usage() - before).*GetParam().put_requests, 1u);
+  EXPECT_EQ((env_->meter().usage() - before).*GetParam().put_requests, 1u);
   EXPECT_EQ(store_->ItemCount("t"), 2u);
   ExpectAccountingInStep();
   // Deleting everything returns the table to zero.
@@ -363,15 +358,15 @@ INSTANTIATE_TEST_SUITE_P(Backends, BillingContractTest,
 // The object store bills through the same rule, with S3's charge step: a
 // failed Put still sends its body, so it pays the transfer time as well.
 TEST(ObjectStoreBillingTest, FaultedAttemptBillsOneRequestAndOneRoundTrip) {
-  UsageMeter meter{Pricing()};
-  FaultPlan plan;
-  plan.s3.error_probability = 1;
-  FaultInjector injector(plan, /*base_seed=*/1, &meter);
-  common::MetricRegistry metrics;
-  ObjectStoreConfig config;
-  config.request_latency = kLatency;
-  config.bandwidth_bytes_per_sec = 1 << 20;
-  ObjectStore s3(config, &meter, &injector, &metrics);
+  CloudConfig config;
+  config.seed = 1;
+  config.faults.s3.error_probability = 1;
+  config.s3.request_latency = kLatency;
+  config.s3.bandwidth_bytes_per_sec = 1 << 20;
+  CloudEnv env(config);
+  UsageMeter& meter = env.meter();
+  common::MetricRegistry& metrics = env.metrics();
+  ObjectStore& s3 = env.s3();
   ASSERT_TRUE(s3.CreateBucket("b").ok());
   s3.RestoreObject("b", "k", "stored");
   TestAgent agent;

@@ -322,6 +322,19 @@ TEST(StringsTest, ContainsWordIsWholeWordCaseInsensitive) {
   EXPECT_FALSE(ContainsWord("x", ""));
 }
 
+TEST(StringsTest, ParseDecimalIsStrict) {
+  EXPECT_EQ(ParseDecimal("0", "n").value(), 0u);
+  EXPECT_EQ(ParseDecimal("007", "n").value(), 7u);
+  EXPECT_EQ(ParseDecimal("18446744073709551615", "n").value(), UINT64_MAX);
+  for (const char* bad : {"", "x", "12abc", "-1", "+1", " 1", "1 ", "1.0",
+                          "18446744073709551616"}) {
+    const Result<uint64_t> parsed = ParseDecimal(bad, "count");
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << bad;
+  }
+  EXPECT_EQ(ParseDecimal("2x", "row count").status().message(),
+            "malformed row count: '2x'");
+}
+
 TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KB");

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cloud/circuit_breaker.h"
@@ -264,11 +265,14 @@ TEST(BreakerRecoveryTest, BreakerClosesAfterOutageLifts) {
   EXPECT_GE(env.meter().usage().breaker_closes, 1u);
 }
 
-// Direct state-machine checks of the breaker itself.
+// Direct state-machine checks of the breaker itself.  Each transition
+// is also a zero-duration root span at the transition's virtual time.
 TEST(CircuitBreakerTest, OpensAfterConsecutiveFailuresAndCoolsDown) {
-  cloud::CircuitBreakerConfig config;
-  cloud::UsageMeter meter{cloud::Pricing()};
-  cloud::CircuitBreaker breaker(config, &meter);
+  cloud::CloudEnv env;
+  env.tracer().set_enabled(true);
+  cloud::CircuitBreaker& breaker = env.breaker();
+  const cloud::CircuitBreakerConfig& config = breaker.config();
+  const cloud::UsageMeter& meter = env.meter();
 
   const Micros t0 = 1000;
   for (int i = 0; i < config.failure_threshold - 1; ++i) {
@@ -302,12 +306,27 @@ TEST(CircuitBreakerTest, OpensAfterConsecutiveFailuresAndCoolsDown) {
   EXPECT_EQ(breaker.state("t"), BreakerState::kClosed);
   EXPECT_EQ(meter.usage().breaker_closes, 1u);
   EXPECT_TRUE(breaker.Allow("t", t1).ok());
+
+  using Span = std::tuple<std::string, uint64_t, int64_t, int64_t>;
+  std::vector<Span> spans;
+  for (const common::TraceSpan& span : env.tracer().spans()) {
+    spans.emplace_back(span.name, span.parent, span.start_us, span.end_us);
+  }
+  const Micros t_half = t0 + config.cooldown;
+  EXPECT_EQ(spans, (std::vector<Span>{
+                       {"breaker.open:t", 0, t0, t0},
+                       {"breaker.half_open:t", 0, t_half, t_half},
+                       {"breaker.open:t", 0, t_half, t_half},
+                       {"breaker.half_open:t", 0, t1, t1},
+                       {"breaker.close:t", 0, t1, t1},
+                   }));
 }
 
 TEST(CircuitBreakerTest, SuccessResetsTheFailureRun) {
-  cloud::CircuitBreakerConfig config;
-  cloud::UsageMeter meter{cloud::Pricing()};
-  cloud::CircuitBreaker breaker(config, &meter);
+  cloud::CloudEnv env;
+  cloud::CircuitBreaker& breaker = env.breaker();
+  const cloud::CircuitBreakerConfig& config = breaker.config();
+  const cloud::UsageMeter& meter = env.meter();
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < config.failure_threshold - 1; ++i) {
       breaker.RecordFailure("t", 0);
@@ -319,10 +338,11 @@ TEST(CircuitBreakerTest, SuccessResetsTheFailureRun) {
 }
 
 TEST(CircuitBreakerTest, DisabledBreakerNeverTrips) {
-  cloud::CircuitBreakerConfig config;
-  config.enabled = false;
-  cloud::UsageMeter meter{cloud::Pricing()};
-  cloud::CircuitBreaker breaker(config, &meter);
+  cloud::CloudConfig config;
+  config.breaker.enabled = false;
+  cloud::CloudEnv env(config);
+  cloud::CircuitBreaker& breaker = env.breaker();
+  const cloud::UsageMeter& meter = env.meter();
   for (int i = 0; i < 100; ++i) breaker.RecordFailure("t", 0);
   EXPECT_TRUE(breaker.Allow("t", 0).ok());
   EXPECT_EQ(meter.usage().breaker_opens, 0u);

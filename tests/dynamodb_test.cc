@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "cloud/dynamodb.h"
+#include "cloud/cloud_env.h"
 
 namespace webdex::cloud {
 namespace {
@@ -14,20 +14,21 @@ Item MakeItem(std::string hash, std::string range,
 
 class DynamoDbTest : public ::testing::Test {
  protected:
-  DynamoDbTest() : meter_(Pricing()), db_(Config(), &meter_) {
+  DynamoDbTest() : env_(Config()) {
     EXPECT_TRUE(db_.CreateTable(agent_, "t").ok());
   }
 
-  static DynamoDbConfig Config() {
-    DynamoDbConfig config;
-    config.request_latency = 5'000;
-    config.write_units_per_second = 1000;
-    config.read_units_per_second = 2000;
+  static CloudConfig Config() {
+    CloudConfig config;
+    config.dynamodb.request_latency = 5'000;
+    config.dynamodb.write_units_per_second = 1000;
+    config.dynamodb.read_units_per_second = 2000;
     return config;
   }
 
-  UsageMeter meter_;
-  DynamoDb db_;
+  CloudEnv env_;
+  UsageMeter& meter_ = env_.meter();
+  DynamoDb& db_ = env_.dynamodb();
   TestAgent agent_;
 };
 

@@ -246,8 +246,8 @@ TEST(ItemStoreTest, RestoresAndDeletesAcrossTablesMatchReferenceModel) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
-    UsageMeter meter{Pricing()};
-    DynamoDb store(DynamoDbConfig(), &meter);
+    CloudEnv env;
+    DynamoDb& store = env.dynamodb();
     TestAgent agent;
     Model model;
     for (const char* name : {"idx-b", "idx-a"}) {
@@ -429,8 +429,8 @@ TEST(ItemTest, BuiltItemsReadBackTheirAttributes) {
 // SimpleDB bills overhead per value, so its overhead shows the value
 // count too.
 TEST(ItemStoreTest, AccountingIsTheSumOverLiveItems) {
-  UsageMeter meter{Pricing()};
-  SimpleDb store(SimpleDbConfig(), &meter);
+  CloudEnv env;
+  SimpleDb& store = env.simpledb();
   TestAgent agent;
   ASSERT_TRUE(store.CreateTable(agent, "t").ok());
   const auto expect_sums = [&store] {

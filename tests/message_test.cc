@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "engine/message.h"
 
 namespace webdex::engine {
@@ -73,6 +76,21 @@ TEST(LoadRequestTest, RejectsMalformedMutations) {
   EXPECT_TRUE(LoadRequest::Parse("DELETE\n1").status().IsInvalidArgument());
   EXPECT_TRUE(LoadRequest::Parse("DELETE\n0\nx").status().IsInvalidArgument());
   EXPECT_TRUE(LoadRequest::Parse("DELETE").status().IsInvalidArgument());
+  // The generation is a strict decimal: no prefix parse, no sign, no
+  // spaces, no wrap or saturation past UINT64_MAX.
+  for (const char* tag : {"UPSERT", "DELETE"}) {
+    for (const char* generation :
+         {"12abc", "", "-3", "+3", " 3", "3 ", "0x1f",
+          "18446744073709551616", "99999999999999999999999"}) {
+      const std::string text = std::string(tag) + "\n" + generation + "\nu";
+      EXPECT_TRUE(LoadRequest::Parse(text).status().IsInvalidArgument())
+          << text;
+    }
+    auto max =
+        LoadRequest::Parse(std::string(tag) + "\n18446744073709551615\nu");
+    ASSERT_TRUE(max.ok()) << tag;
+    EXPECT_EQ(max.value().generation, UINT64_MAX);
+  }
 }
 
 TEST(QueryRequestTest, RoundTripPreservesMultilineQueries) {
@@ -91,6 +109,20 @@ TEST(QueryRequestTest, RejectsMalformed) {
   EXPECT_TRUE(
       QueryRequest::Parse("QUERY\n12\n").status().IsInvalidArgument());
   EXPECT_TRUE(QueryRequest::Parse("LOAD\nx").status().IsInvalidArgument());
+  for (const char* id : {"xyz", "12abc", "", "-1", "18446744073709551616"}) {
+    const std::string id_line = std::string("\n") + id + "\n";
+    EXPECT_TRUE(QueryRequest::Parse("QUERY" + id_line + "//a")
+                    .status()
+                    .IsInvalidArgument())
+        << id;
+    EXPECT_TRUE(QueryRequest::Parse("QUERYT" + id_line + "t\n//a")
+                    .status()
+                    .IsInvalidArgument())
+        << id;
+  }
+  auto tagged = QueryRequest::Parse("QUERYT\n18446744073709551615\nt\n//a");
+  ASSERT_TRUE(tagged.ok());
+  EXPECT_EQ(tagged.value().id, UINT64_MAX);
 }
 
 TEST(QueryResponseTest, RoundTrip) {
@@ -110,6 +142,17 @@ TEST(QueryResponseTest, RejectsMalformed) {
   EXPECT_TRUE(
       QueryResponse::Parse("DONE\n1\n2\n").status().IsInvalidArgument());
   EXPECT_TRUE(QueryResponse::Parse("nope").status().IsInvalidArgument());
+  for (const char* text :
+       {"DONE\nx\n2\nk", "DONE\n1\n2x\nk", "DONE\n1\n\nk",
+        "DONE\n1\n18446744073709551616\nk", "SHED\nx", "SHED\n1 ",
+        "SHED\n18446744073709551616", "SHED\n", "SHED"}) {
+    EXPECT_TRUE(QueryResponse::Parse(text).status().IsInvalidArgument())
+        << text;
+  }
+  auto shed = QueryResponse::Parse("SHED\n9");
+  ASSERT_TRUE(shed.ok());
+  EXPECT_TRUE(shed.value().shed);
+  EXPECT_EQ(shed.value().id, 9u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "cloud/snapshot.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
+#include "index/generation.h"
 #include "xmark/xmark_generator.h"
 
 namespace webdex::engine {
@@ -390,6 +391,30 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, MutableParallelTest,
                            return std::string(
                                index::StrategyKindName(info.param));
                          });
+
+// Generation stamps are strict decimals: the meta rows and posting
+// stamps read back from the store never wrap or parse a prefix.  A
+// malformed stamp reads as unstamped, and a malformed meta row is
+// skipped rather than folded in at a wrapped generation.
+TEST(GenerationStampTest, MalformedStampsAreRejected) {
+  EXPECT_EQ(index::ParseGenerationStamp("42").value(), 42u);
+  EXPECT_EQ(index::ParseGenerationStamp("18446744073709551615").value(),
+            UINT64_MAX);
+  for (const char* bad :
+       {"", "12abc", "-1", " 7", "18446744073709551616",
+        "99999999999999999999999"}) {
+    EXPECT_TRUE(
+        index::ParseGenerationStamp(bad).status().IsInvalidArgument())
+        << bad;
+    const cloud::Item posting("key", "r", {{"doc.xml", {"1"}},
+                                           {index::kGenAttr, {bad}}});
+    EXPECT_EQ(index::StampOf(posting), 0u) << bad;
+    index::GenerationMap map;
+    index::ApplyMetaItem(
+        cloud::Item("doc.xml", "g", {{index::kGenAttr, {bad}}}), &map);
+    EXPECT_TRUE(map.empty()) << bad;
+  }
+}
 
 }  // namespace
 }  // namespace webdex::engine

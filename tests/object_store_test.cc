@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "cloud/object_store.h"
+#include "cloud/cloud_env.h"
 
 namespace webdex::cloud {
 namespace {
@@ -9,19 +9,20 @@ class TestAgent : public SimAgent {};
 
 class ObjectStoreTest : public ::testing::Test {
  protected:
-  ObjectStoreTest() : meter_(Pricing()), store_(Config(), &meter_) {
+  ObjectStoreTest() : env_(Config()) {
     EXPECT_TRUE(store_.CreateBucket("b").ok());
   }
 
-  static ObjectStoreConfig Config() {
-    ObjectStoreConfig config;
-    config.request_latency = 10'000;                   // 10 ms
-    config.bandwidth_bytes_per_sec = 1'000'000;        // 1 MB/s
+  static CloudConfig Config() {
+    CloudConfig config;
+    config.s3.request_latency = 10'000;             // 10 ms
+    config.s3.bandwidth_bytes_per_sec = 1'000'000;  // 1 MB/s
     return config;
   }
 
-  UsageMeter meter_;
-  ObjectStore store_;
+  CloudEnv env_;
+  UsageMeter& meter_ = env_.meter();
+  ObjectStore& store_ = env_.s3();
   TestAgent agent_;
 };
 

@@ -252,7 +252,7 @@ TEST(MeteredSpanTest, AttributesTheExactMeteredDelta) {
   ASSERT_TRUE(env.s3().CreateBucket("b").ok());
   const cloud::Usage before = env.meter().Snapshot();
   {
-    cloud::MeteredSpan span(&env.tracer(), &env.meter(), agent, "upload");
+    cloud::MeteredSpan span(env.tracer(), env.meter(), agent, "upload");
     ASSERT_TRUE(env.s3().Put(agent, "b", "k", std::string(1024, 'x')).ok());
   }
   const cloud::Usage delta = env.meter().Snapshot() - before;
@@ -467,6 +467,43 @@ TEST(OneCountPerEventTest, AttemptSpansMatchRetryCountsAfterChaosRun) {
         "index.compact.gc_items.count"}) {
     EXPECT_EQ(std::count(names.begin(), names.end(), twin), 0) << twin;
   }
+  // The exact name set: every service, decorator, breaker, autoscaler and
+  // admission controller registers its metrics in the env's one registry,
+  // and nothing else does.  Only DynamoDB and SimpleDB throttle, so only
+  // they register a throttled counter.
+  std::vector<std::string> expected = {
+      "admission.admitted.count",
+      "admission.backpressure.count",
+      "admission.concurrency_limit",
+      "admission.deferred.count",
+      "autoscale.read_units",
+      "autoscale.scale_downs.count",
+      "autoscale.scale_ups.count",
+      "autoscale.write_units",
+      "cloud.retry.attempts.count",
+      "engine.query.count",
+      "engine.query.latency_us",
+      "index.intern.bytes",
+      "index.intern.keys",
+      "index.intern.lookups",
+      "index.intern.path_bytes",
+      "index.intern.paths",
+      "index.intern.probe_len",
+      "planner.estimate_error_ratio",
+      "service.dynamodb.throttled.count",
+      "service.simpledb.throttled.count"};
+  for (const char* op :
+       {"dynamodb.batch_get", "dynamodb.batch_put", "dynamodb.create_table",
+        "dynamodb.delete_item", "dynamodb.scan", "s3.batch_get", "s3.get",
+        "s3.list", "s3.put", "simpledb.batch_put", "simpledb.create_domain",
+        "simpledb.delete_item", "simpledb.get", "simpledb.scan",
+        "sqs.delete", "sqs.receive", "sqs.renew", "sqs.send"}) {
+    for (const char* field : {"errors", "latency_us", "requests"}) {
+      expected.push_back(std::string("service.") + op + "." + field);
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(names, expected);
 
   const std::set<std::string> store_verbs = {
       "attempt.create_table", "attempt.batch_put", "attempt.batch_get",

@@ -253,7 +253,8 @@ TEST(OverloadTest, OrganicThrottleAtTheKneeWithoutFaultPlan) {
 
 TEST(OverloadTest, AdmissionDisabledIsInert) {
   cloud::CloudEnv env;
-  AdmissionController controller(AdmissionConfig(), &env.meter());
+  AdmissionController controller(AdmissionConfig(), env.meter(), env.metrics(),
+                                 env.tracer());
   EXPECT_FALSE(controller.enabled());
   Agent agent;
   const AdmissionDecision decision = controller.Admit(agent, "t", 1);
@@ -270,7 +271,8 @@ TEST(OverloadTest, TokenBucketDefersToTheRefillInstant) {
   config.global_rate = 1;  // 1 query/s
   config.global_burst = 1;
   config.deadline_micros = 5 * cloud::kMicrosPerSecond;
-  AdmissionController controller(config, &env.meter());
+  AdmissionController controller(config, env.meter(), env.metrics(),
+                                 env.tracer());
 
   Agent first;
   const AdmissionDecision a = controller.Admit(first, "", 1);
@@ -292,7 +294,8 @@ TEST(OverloadTest, DeadlineBudgetShedsWithTypedOverload) {
   config.global_rate = 0.001;  // next token ~1000 s away
   config.global_burst = 1;
   config.deadline_micros = 0;  // pure load shedding
-  AdmissionController controller(config, &env.meter());
+  AdmissionController controller(config, env.meter(), env.metrics(),
+                                 env.tracer());
 
   Agent first;
   EXPECT_TRUE(controller.Admit(first, "", 1).admitted);
@@ -303,6 +306,7 @@ TEST(OverloadTest, DeadlineBudgetShedsWithTypedOverload) {
   EXPECT_FALSE(shed.status.IsRetriable());
   EXPECT_EQ(second.now(), 0);  // shedding is instant, no deferral
   EXPECT_EQ(env.meter().usage().shed_queries, 1u);
+  EXPECT_EQ(env.metrics().CounterValue("admission.admitted.count"), 1u);
 }
 
 TEST(OverloadTest, AimdLimiterGrowsAdditivelyShrinksMultiplicatively) {
@@ -313,7 +317,8 @@ TEST(OverloadTest, AimdLimiterGrowsAdditivelyShrinksMultiplicatively) {
   config.min_concurrency = 1;
   config.max_concurrency = 4;
   config.decrease_factor = 0.5;
-  AdmissionController controller(config, &env.meter());
+  AdmissionController controller(config, env.meter(), env.metrics(),
+                                 env.tracer());
   EXPECT_EQ(controller.concurrency_limit(), 3);
 
   controller.OnCompleted(0, 100, /*saw_throttle=*/false);
@@ -340,7 +345,8 @@ TEST(OverloadTest, ConcurrencyGateWaitsForTheEarliestCompletion) {
   config.initial_concurrency = 1;
   config.max_concurrency = 1;  // hold the limit at one
   config.deadline_micros = 2 * cloud::kMicrosPerSecond;
-  AdmissionController controller(config, &env.meter());
+  AdmissionController controller(config, env.meter(), env.metrics(),
+                                 env.tracer());
 
   Agent first;
   EXPECT_TRUE(controller.Admit(first, "", 1).admitted);
@@ -361,7 +367,8 @@ TEST(OverloadTest, IndexerBackpressureNeedsDepthAndFreshThrottles) {
   config.enabled = true;
   config.backpressure_queue_depth = 4;
   config.backpressure_pause = 250'000;
-  AdmissionController controller(config, &env.meter());
+  AdmissionController controller(config, env.meter(), env.metrics(),
+                                 env.tracer());
 
   // Depth without fresh throttles is healthy queueing: no pause.
   EXPECT_EQ(controller.IndexerBackoff(0, /*queue_depth=*/10,

@@ -1,28 +1,31 @@
 #include <gtest/gtest.h>
 
-#include "cloud/fault.h"
-#include "cloud/queue_service.h"
+#include "cloud/cloud_env.h"
 
 namespace webdex::cloud {
 namespace {
 
 class TestAgent : public SimAgent {};
 
-QueueServiceConfig TestConfig() {
-  QueueServiceConfig config;
-  config.request_latency = 1'000;
-  config.visibility_timeout = 60 * kMicrosPerSecond;
-  return config;
-}
-
+/// A queue "q" in an env whose SQS injects `plan`'s faults.
 class QueueServiceTest : public ::testing::Test {
  protected:
-  QueueServiceTest() : meter_(Pricing()), sqs_(TestConfig(), &meter_) {
+  explicit QueueServiceTest(const FaultPlan& plan = FaultPlan())
+      : env_(Config(plan)) {
     EXPECT_TRUE(sqs_.CreateQueue("q").ok());
   }
 
-  UsageMeter meter_;
-  QueueService sqs_;
+  static CloudConfig Config(const FaultPlan& plan) {
+    CloudConfig config;
+    config.sqs.request_latency = 1'000;
+    config.sqs.visibility_timeout = 60 * kMicrosPerSecond;
+    config.faults = plan;
+    return config;
+  }
+
+  CloudEnv env_;
+  UsageMeter& meter_ = env_.meter();
+  QueueService& sqs_ = env_.sqs();
   TestAgent agent_;
 };
 
@@ -162,22 +165,6 @@ TEST_F(QueueServiceTest, NextDeliverableAtTracksRenewedLease) {
   EXPECT_EQ(*visible, agent_.now() + 60 * kMicrosPerSecond);
 }
 
-/// Fixture wiring a FaultInjector into the queue, for the chaos knobs.
-class FaultedQueueTest : public ::testing::Test {
- protected:
-  explicit FaultedQueueTest(FaultPlan plan = FaultPlan())
-      : meter_(Pricing()),
-        injector_(plan, /*base_seed=*/42, &meter_),
-        sqs_(TestConfig(), &meter_, &injector_) {
-    EXPECT_TRUE(sqs_.CreateQueue("q").ok());
-  }
-
-  UsageMeter meter_;
-  FaultInjector injector_;
-  QueueService sqs_;
-  TestAgent agent_;
-};
-
 FaultPlan AllErrorsPlan() {
   FaultPlan plan;
   plan.sqs.error_probability = 1.0;
@@ -185,9 +172,9 @@ FaultPlan AllErrorsPlan() {
   return plan;
 }
 
-class ErroringQueueTest : public FaultedQueueTest {
+class ErroringQueueTest : public QueueServiceTest {
  protected:
-  ErroringQueueTest() : FaultedQueueTest(AllErrorsPlan()) {}
+  ErroringQueueTest() : QueueServiceTest(AllErrorsPlan()) {}
 };
 
 TEST_F(ErroringQueueTest, InjectedErrorsAreRetriableAndBilled) {
@@ -210,9 +197,9 @@ FaultPlan AllDuplicatesPlan() {
   return plan;
 }
 
-class DuplicatingQueueTest : public FaultedQueueTest {
+class DuplicatingQueueTest : public QueueServiceTest {
  protected:
-  DuplicatingQueueTest() : FaultedQueueTest(AllDuplicatesPlan()) {}
+  DuplicatingQueueTest() : QueueServiceTest(AllDuplicatesPlan()) {}
 };
 
 TEST_F(DuplicatingQueueTest, DuplicateDeliveryStalesTheReceipt) {
@@ -236,9 +223,9 @@ FaultPlan AllDelaysPlan() {
   return plan;
 }
 
-class DelayingQueueTest : public FaultedQueueTest {
+class DelayingQueueTest : public QueueServiceTest {
  protected:
-  DelayingQueueTest() : FaultedQueueTest(AllDelaysPlan()) {}
+  DelayingQueueTest() : QueueServiceTest(AllDelaysPlan()) {}
 };
 
 TEST_F(DelayingQueueTest, DelayedMessageBecomesVisibleLater) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cloud/circuit_breaker.h"
+#include "cloud/cloud_env.h"
 #include "cloud/kv_store.h"
 #include "cloud/retrying_kv_store.h"
 #include "cloud/usage.h"
@@ -135,17 +136,22 @@ std::vector<std::string> RangeKeys(const std::vector<Item>& items) {
   return keys;
 }
 
-/// A decorator over a scripted store, with its meter, breaker, metrics
-/// and an enabled tracer.
+/// A decorator over a scripted store, with an env's meter, breaker,
+/// metrics and enabled tracer.
 struct Harness {
   explicit Harness(common::RetryPolicy policy = common::RetryPolicy(),
                    CircuitBreakerConfig breaker_config = CircuitBreakerConfig())
-      : meter(Pricing()),
+      : env(Config(breaker_config)),
         store(&meter),
-        breaker(breaker_config, &meter),
-        retrying(&store, policy, /*seed=*/42, &meter, &breaker, &metrics,
-                 &tracer) {
+        retrying(&store, policy, /*seed=*/42, meter, breaker, metrics,
+                 tracer) {
     tracer.set_enabled(true);
+  }
+
+  static CloudConfig Config(const CircuitBreakerConfig& breaker_config) {
+    CloudConfig config;
+    config.breaker = breaker_config;
+    return config;
   }
 
   /// Attribute `key` (0 when absent) of every span named `name`, in order.
@@ -168,11 +174,12 @@ struct Harness {
     return metrics.CounterValue(name);
   }
 
-  UsageMeter meter;
-  common::MetricRegistry metrics;
-  common::Tracer tracer;
+  CloudEnv env;
+  UsageMeter& meter = env.meter();
+  common::MetricRegistry& metrics = env.metrics();
+  common::Tracer& tracer = env.tracer();
+  CircuitBreaker& breaker = env.breaker();
   ScriptedStore store;
-  CircuitBreaker breaker;
   RetryingKvStore retrying;
   TestAgent agent;
 };

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "cloud/simpledb.h"
+#include "cloud/cloud_env.h"
 
 namespace webdex::cloud {
 namespace {
@@ -14,19 +14,20 @@ Item MakeItem(std::string hash, std::string range,
 
 class SimpleDbTest : public ::testing::Test {
  protected:
-  SimpleDbTest() : meter_(Pricing()), db_(Config(), &meter_) {
+  SimpleDbTest() : env_(Config()) {
     EXPECT_TRUE(db_.CreateTable(agent_, "d").ok());
   }
 
-  static SimpleDbConfig Config() {
-    SimpleDbConfig config;
-    config.request_latency = 30'000;
-    config.requests_per_second = 100;
+  static CloudConfig Config() {
+    CloudConfig config;
+    config.simpledb.request_latency = 30'000;
+    config.simpledb.requests_per_second = 100;
     return config;
   }
 
-  UsageMeter meter_;
-  SimpleDb db_;
+  CloudEnv env_;
+  UsageMeter& meter_ = env_.meter();
+  SimpleDb& db_ = env_.simpledb();
   TestAgent agent_;
 };
 
