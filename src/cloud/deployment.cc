@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace webdex::cloud {
@@ -14,15 +15,6 @@ const char* CapacityModeName(CapacityMode mode) {
       return "ondemand";
   }
   return "unknown";
-}
-
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
 }
 
 std::string ArchitectureSpec::Name() const {

@@ -123,10 +123,6 @@ class Deployment {
   std::map<std::string, Micros> watermarks_;
 };
 
-/// FNV-1a 64-bit hash, the deterministic routing/fingerprint hash shared
-/// by shard routing and the logical dump fingerprints.
-uint64_t Fnv1a64(const std::string& bytes);
-
 }  // namespace webdex::cloud
 
 #endif  // WEBDEX_CLOUD_DEPLOYMENT_H_

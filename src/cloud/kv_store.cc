@@ -1,6 +1,6 @@
 #include "cloud/kv_store.h"
 
-#include "cloud/deployment.h"
+#include "common/rng.h"
 
 namespace webdex::cloud {
 

@@ -70,12 +70,7 @@ Rng Rng::Fork() { return Rng(Next()); }
 Rng Rng::ForKey(uint64_t base_seed, std::string_view key) {
   // FNV-1a over the key bytes, folded with the base seed through
   // SplitMix64 so that nearby seeds / similar keys land far apart.
-  uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  uint64_t s = base_seed ^ h;
+  uint64_t s = base_seed ^ Fnv1a64(key);
   return Rng(SplitMix64(s));
 }
 

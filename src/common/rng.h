@@ -9,6 +9,19 @@
 
 namespace webdex {
 
+/// FNV-1a 64-bit hash: the one deterministic byte hash behind Rng::ForKey,
+/// shard and replica routing, store fingerprints and the index interner.
+/// Endian- and platform-stable, so everything built on it reproduces
+/// everywhere.
+inline uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 /// Deterministic pseudo-random number generator (xoshiro256** seeded via
 /// SplitMix64).
 ///

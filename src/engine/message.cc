@@ -171,8 +171,10 @@ Result<QueryResponse> QueryResponse::Parse(const std::string& text) {
     }
   }
   WEBDEX_ASSIGN_OR_RETURN(std::string rest, ExpectTag(text, "DONE"));
+  // Exactly id, row count and result key: a key with a newline in it
+  // would otherwise read back truncated.
   const auto lines = Split(rest, '\n');
-  if (lines.size() < 3) {
+  if (lines.size() != 3) {
     return Status::InvalidArgument("malformed DONE message");
   }
   QueryResponse resp;

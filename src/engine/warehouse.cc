@@ -706,6 +706,13 @@ Result<QueryRunReport> Warehouse::ExecuteQueries(
 
 Result<QueryRunReport> Warehouse::ExecuteQueries(
     const std::vector<TenantQuery>& queries) {
+  // The tenant is a line of the QUERYT wire format: a newline in it would
+  // move the rest of the tenant into the query text.
+  for (const auto& query : queries) {
+    if (query.tenant.find('\n') != std::string::npos) {
+      return Status::InvalidArgument("tenant contains a newline");
+    }
+  }
   const cloud::Usage run_start = env_->meter().Snapshot();
   cloud::MeteredSpan run_span(env_->tracer(), env_->meter(), front_end_,
                               "query.run");

@@ -1,40 +1,42 @@
 #include "index/intern.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "common/rng.h"
 #include "index/keys.h"
 
 namespace webdex::index {
 
-// FNV-1a, the same simple deterministic hash the codebase's Rng family
-// builds on; good enough dispersion for short index keys and endian- and
-// platform-stable so goldens hold everywhere.
-uint64_t StringInterner::HashBytes(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  // Finalize so that low and high bits are both usable (shard = high
-  // bits, bucket = low bits).
+namespace {
+
+// FNV-1a (common/rng.h), finalized so that low and high bits are both
+// usable (shard = high bits, bucket = low bits).
+uint64_t HashBytes(std::string_view s) {
+  uint64_t h = Fnv1a64(s);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;
   return h;
 }
 
-StringInterner::Header& StringInterner::Shard::HeaderSlot(uint32_t local) {
+}  // namespace
+
+// --- ShardedArenaTable ------------------------------------------------------
+
+template <typename Record>
+Record& ShardedArenaTable<Record>::Shard::Slot(uint32_t local) {
   const uint32_t block = BlockOf(local);
-  Header* base = blocks[block].load(std::memory_order_relaxed);
+  Record* base = blocks[block].load(std::memory_order_relaxed);
   if (base == nullptr) {
-    base = new Header[size_t{kBlockBase} << block];
+    base = new Record[size_t{kBlockBase} << block];
     blocks[block].store(base, std::memory_order_release);
   }
   return base[local - FirstLocalOf(block)];
 }
 
-const char* StringInterner::Shard::CopyToArena(std::string_view s) {
+template <typename Record>
+const char* ShardedArenaTable<Record>::Shard::CopyToArena(
+    std::string_view s) {
   char* data;
   if (s.size() > kArenaChunkBytes) {
     // Oversized string gets a dedicated chunk; the current bump chunk —
@@ -58,22 +60,51 @@ const char* StringInterner::Shard::CopyToArena(std::string_view s) {
   return data;
 }
 
-void StringInterner::Shard::Grow() {
+template <typename Record>
+void ShardedArenaTable<Record>::Shard::Grow() {
   const size_t new_size = buckets.empty() ? 1024 : buckets.size() * 2;
   std::vector<uint32_t> next(new_size, 0);
   const size_t mask = new_size - 1;
   for (uint32_t slot : buckets) {
     if (slot == 0) continue;
-    const Header& h = HeaderAt(slot - 1);
-    size_t i = h.hash & mask;
+    size_t i = At(slot - 1).hash & mask;
     while (next[i] != 0) i = (i + 1) & mask;
     next[i] = slot;
   }
   buckets = std::move(next);
 }
 
-KeyHandle StringInterner::Intern(std::string_view s) {
-  const uint64_t hash = HashBytes(s);
+template <typename Record>
+template <typename Eq>
+size_t ShardedArenaTable<Record>::Shard::Probe(uint64_t hash, const Eq& eq,
+                                               uint32_t* probes) const {
+  const size_t mask = buckets.size() - 1;
+  size_t i = hash & mask;
+  while (buckets[i] != 0) {
+    const Record& r = At(buckets[i] - 1);
+    if (r.hash == hash && eq(r)) break;
+    i = (i + 1) & mask;
+    *probes += 1;
+  }
+  return i;
+}
+
+template <typename Record>
+template <typename Eq>
+uint32_t ShardedArenaTable<Record>::Find(uint64_t hash, const Eq& eq) const {
+  const uint32_t shard_idx = ShardOf(hash);
+  const Shard& shard = shards_[shard_idx];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.buckets.empty()) return kNoHandle;
+  uint32_t probes = 0;
+  const uint32_t slot = shard.buckets[shard.Probe(hash, eq, &probes)];
+  return slot == 0 ? kNoHandle : (slot - 1) * kShards + shard_idx;
+}
+
+template <typename Record>
+template <typename Eq, typename Fill>
+uint32_t ShardedArenaTable<Record>::FindOrInsert(uint64_t hash, const Eq& eq,
+                                                 const Fill& fill) {
   const uint32_t shard_idx = ShardOf(hash);
   Shard& shard = shards_[shard_idx];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -82,65 +113,28 @@ KeyHandle StringInterner::Intern(std::string_view s) {
       (shard.count + 1) * 4 > shard.buckets.size() * 3) {
     shard.Grow();
   }
-  const size_t mask = shard.buckets.size() - 1;
-  size_t i = hash & mask;
   uint32_t probes = 0;
-  while (true) {
-    const uint32_t slot = shard.buckets[i];
-    if (slot == 0) break;
-    const Header& h = shard.HeaderAt(slot - 1);
-    if (h.hash == hash && h.len == s.size() &&
-        std::memcmp(h.data, s.data(), s.size()) == 0) {
-      shard.probe_len[std::min<uint32_t>(probes,
-                                         InternStats::kProbeSlots - 1)] += 1;
-      return (slot - 1) * kShards + shard_idx;
-    }
-    i = (i + 1) & mask;
-    probes += 1;
-  }
+  const size_t i = shard.Probe(hash, eq, &probes);
   shard.probe_len[std::min<uint32_t>(probes, InternStats::kProbeSlots - 1)] +=
       1;
+  if (shard.buckets[i] != 0) {
+    return (shard.buckets[i] - 1) * kShards + shard_idx;
+  }
+
   const uint32_t local = shard.count;
-  Header& h = shard.HeaderSlot(local);
-  h.data = shard.CopyToArena(s);
-  h.hash = hash;
-  h.len = static_cast<uint32_t>(s.size());
+  Record& r = shard.Slot(local);
+  const std::string_view bytes = fill(r);
+  r.data = shard.CopyToArena(bytes);
+  r.hash = hash;
+  r.len = static_cast<uint32_t>(bytes.size());
   shard.count += 1;
-  shard.byte_count += s.size();
+  shard.byte_count += bytes.size();
   shard.buckets[i] = local + 1;
   return local * kShards + shard_idx;
 }
 
-KeyHandle StringInterner::Find(std::string_view s) const {
-  const uint64_t hash = HashBytes(s);
-  const uint32_t shard_idx = ShardOf(hash);
-  const Shard& shard = shards_[shard_idx];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.buckets.empty()) return kNoHandle;
-  const size_t mask = shard.buckets.size() - 1;
-  size_t i = hash & mask;
-  while (true) {
-    const uint32_t slot = shard.buckets[i];
-    if (slot == 0) return kNoHandle;
-    const Header& h = shard.HeaderAt(slot - 1);
-    if (h.hash == hash && h.len == s.size() &&
-        std::memcmp(h.data, s.data(), s.size()) == 0) {
-      return (slot - 1) * kShards + shard_idx;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-uint64_t StringInterner::size() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.count;
-  }
-  return total;
-}
-
-InternStats StringInterner::Stats() const {
+template <typename Record>
+InternStats ShardedArenaTable<Record>::Stats() const {
   InternStats stats;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -154,108 +148,47 @@ InternStats StringInterner::Stats() const {
   return stats;
 }
 
+// --- StringInterner ----------------------------------------------------------
+
+KeyHandle StringInterner::Intern(std::string_view s) {
+  return table_.FindOrInsert(
+      HashBytes(s),
+      [s](const Header& h) { return std::string_view(h.data, h.len) == s; },
+      [s](Header&) { return s; });
+}
+
+KeyHandle StringInterner::Find(std::string_view s) const {
+  return table_.Find(HashBytes(s), [s](const Header& h) {
+    return std::string_view(h.data, h.len) == s;
+  });
+}
+
+uint64_t StringInterner::size() const { return table_.Stats().keys; }
+
+InternStats StringInterner::Stats() const { return table_.Stats(); }
+
 // --- PathDict --------------------------------------------------------------
-
-PathDict::Node& PathDict::Shard::NodeSlot(uint32_t local) {
-  const uint32_t block = BlockOf(local);
-  Node* base = blocks[block].load(std::memory_order_relaxed);
-  if (base == nullptr) {
-    base = new Node[size_t{kBlockBase} << block];
-    blocks[block].store(base, std::memory_order_release);
-  }
-  return base[local - FirstLocalOf(block)];
-}
-
-char* PathDict::Shard::AllocArena(size_t n) {
-  if (n > kArenaChunkBytes) {
-    chunks.push_back(std::make_unique<char[]>(n));
-    char* data = chunks.back().get();
-    if (chunks.size() >= 2) {
-      std::swap(chunks[chunks.size() - 1], chunks[chunks.size() - 2]);
-    } else {
-      chunk_used = kArenaChunkBytes;
-    }
-    return data;  // dedicated chunk; the bump chunk stays usable
-  }
-  if (chunks.empty() || n > kArenaChunkBytes - chunk_used) {
-    chunks.push_back(std::make_unique<char[]>(kArenaChunkBytes));
-    chunk_used = 0;
-  }
-  char* data = chunks.back().get() + chunk_used;
-  chunk_used += n;
-  return data;
-}
-
-void PathDict::Shard::Grow() {
-  const size_t new_size = buckets.empty() ? 1024 : buckets.size() * 2;
-  std::vector<uint32_t> next(new_size, 0);
-  const size_t mask = new_size - 1;
-  for (uint32_t slot : buckets) {
-    if (slot == 0) continue;
-    const Node& n = NodeAt(slot - 1);
-    // Rehash from the packed pair exactly as Extend does.
-    const uint64_t key =
-        (uint64_t{n.parent} << 32) | uint64_t{n.component};
-    const uint64_t h = StringInterner::HashBytes(
-        {reinterpret_cast<const char*>(&key), sizeof(key)});
-    size_t i = h & mask;
-    while (next[i] != 0) i = (i + 1) & mask;
-    next[i] = slot;
-  }
-  buckets = std::move(next);
-}
 
 PathHandle PathDict::Extend(PathHandle parent, KeyHandle component) {
   const uint64_t key = (uint64_t{parent} << 32) | uint64_t{component};
-  const uint64_t hash = StringInterner::HashBytes(
-      {reinterpret_cast<const char*>(&key), sizeof(key)});
-  const uint32_t shard_idx =
-      static_cast<uint32_t>(hash >> 60) & (kShards - 1);
-  Shard& shard = shards_[shard_idx];
-
-  // Assemble the escaped full path outside the lock on first sight; the
-  // common case (already interned) never needs it.  Parent resolution is
-  // lock-free, so no cross-shard lock order exists.
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.buckets.empty() ||
-      (shard.count + 1) * 4 > shard.buckets.size() * 3) {
-    shard.Grow();
-  }
-  const size_t mask = shard.buckets.size() - 1;
-  size_t i = hash & mask;
-  while (true) {
-    const uint32_t slot = shard.buckets[i];
-    if (slot == 0) break;
-    const Node& n = shard.NodeAt(slot - 1);
-    if (n.parent == parent && n.component == component) {
-      return (slot - 1) * kShards + shard_idx;
-    }
-    i = (i + 1) & mask;
-  }
-
-  // Miss: build parent + "/" + escaped(component) into the shard arena.
-  thread_local std::string scratch;
-  scratch.clear();
-  if (parent != kNoHandle) {
-    const std::string_view parent_str = Resolve(parent);
-    scratch.append(parent_str.data(), parent_str.size());
-  }
-  scratch.push_back('/');
-  AppendPathComponent(&scratch, keys_->Resolve(component));
-
-  const uint32_t local = shard.count;
-  Node& n = shard.NodeSlot(local);
-  char* data = shard.AllocArena(scratch.size());
-  std::memcpy(data, scratch.data(), scratch.size());
-  n.str = data;
-  n.parent = parent;
-  n.component = component;
-  n.len = static_cast<uint32_t>(scratch.size());
-  n.depth = parent == kNoHandle ? 1 : Depth(parent) + 1;
-  shard.count += 1;
-  shard.byte_count += scratch.size();
-  shard.buckets[i] = local + 1;
-  return local * kShards + shard_idx;
+  return table_.FindOrInsert(
+      HashBytes({reinterpret_cast<const char*>(&key), sizeof(key)}),
+      [parent, component](const Node& n) {
+        return n.parent == parent && n.component == component;
+      },
+      [this, parent, component](Node& n) {
+        // Miss: assemble parent + "/" + escaped(component) under the
+        // shard lock.  Parent resolution is lock-free, so no cross-shard
+        // lock order exists.
+        n.parent = parent;
+        n.component = component;
+        thread_local std::string scratch;
+        scratch.clear();
+        if (parent != kNoHandle) scratch.append(Resolve(parent));
+        scratch.push_back('/');
+        AppendPathComponent(&scratch, keys_->Resolve(component));
+        return std::string_view(scratch);
+      });
 }
 
 void PathDict::Components(PathHandle handle,
@@ -267,23 +200,9 @@ void PathDict::Components(PathHandle handle,
   std::reverse(out->begin(), out->end());
 }
 
-uint64_t PathDict::size() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.count;
-  }
-  return total;
-}
+uint64_t PathDict::size() const { return table_.Stats().keys; }
 
-uint64_t PathDict::bytes() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.byte_count;
-  }
-  return total;
-}
+uint64_t PathDict::bytes() const { return table_.Stats().bytes; }
 
 // --- InternCore ------------------------------------------------------------
 

@@ -21,12 +21,8 @@ namespace webdex::index {
 /// string to a stable 32-bit handle exactly once, after which the pipeline
 /// compares, hashes, sorts and copies integers instead of heap strings.
 ///
-/// Layout (in the spirit of radb's string_index): each shard keeps an
-/// open-addressed bucket array of handle slots, a directory of
-/// geometrically growing header blocks `{data, hash, len}`, and an
-/// append-only chunked byte arena holding the key bytes.  Nothing is ever
-/// moved or freed, so handles — and the `string_view`s Resolve returns —
-/// stay valid for the interner's lifetime.
+/// StringInterner (keys) and PathDict (label paths) are two front ends
+/// over one ShardedArenaTable.
 
 /// Stable identifier of an interned string.  Never reused, never
 /// invalidated.  kNoHandle doubles as "absent" (Find miss) and as the
@@ -42,17 +38,119 @@ struct InternStats {
   static constexpr int kProbeSlots = 16;
   uint64_t keys = 0;       // distinct interned strings
   uint64_t bytes = 0;      // key bytes held in the arenas
-  uint64_t lookups = 0;    // Intern() calls (hits + misses)
+  uint64_t lookups = 0;    // Intern()/Extend() calls (hits + misses)
   std::array<uint64_t, kProbeSlots> probe_len{};  // probe-length histogram
 };
 
-/// Sharded open-addressed interner.  Intern/Find lock one shard; Resolve
-/// is lock-free (the caller holding a handle implies a happens-before
-/// edge with the insert that produced it — see docs/PERFORMANCE.md).
-class StringInterner {
+/// The one sharded table under StringInterner and PathDict, in the
+/// spirit of radb's string_index over one string_store.  A record is
+/// `{data, hash, len, ...}`: the table owns the bytes behind `data` and
+/// the hash it was filed under; a front end adds its own fields and
+/// decides what "equal" means.
+///
+/// Each of the kShards shards keeps an open-addressed bucket array of
+/// local_index+1 values (0 = empty, grown by doubling at 75% load), a
+/// directory of geometrically growing record blocks, and an append-only
+/// chunked byte arena.  Nothing is ever moved or freed, so handles
+/// (`local_index * kShards + shard`) and the bytes behind them stay valid
+/// for the table's lifetime.  Lookups lock one shard; At is lock-free
+/// (the caller holding a handle implies a happens-before edge with the
+/// insert that produced it — see docs/PERFORMANCE.md).
+template <typename Record>
+class ShardedArenaTable {
  public:
   static constexpr uint32_t kShards = 16;
 
+  ShardedArenaTable() = default;
+  ShardedArenaTable(const ShardedArenaTable&) = delete;
+  ShardedArenaTable& operator=(const ShardedArenaTable&) = delete;
+
+  const Record& At(uint32_t handle) const {
+    return shards_[handle & (kShards - 1)].At(handle / kShards);
+  }
+
+  /// Handle of the record filed under `hash` that `eq` accepts, kNoHandle
+  /// if there is none.
+  template <typename Eq>
+  uint32_t Find(uint64_t hash, const Eq& eq) const;
+
+  /// Same, inserting on a miss: `fill(record)` sets the front end's own
+  /// fields and returns the bytes to copy into the arena.  Counts toward
+  /// Stats' lookups and probe lengths.
+  template <typename Eq, typename Fill>
+  uint32_t FindOrInsert(uint64_t hash, const Eq& eq, const Fill& fill);
+
+  /// Aggregated over shards (locks every shard).
+  InternStats Stats() const;
+
+  // Find, FindOrInsert and Stats are defined, and so instantiated, in
+  // intern.cc only: the two front ends are the table's only users.
+
+ private:
+  /// Record blocks grow geometrically: block b holds kBlockBase << b
+  /// records, so a kBlockSlots-slot directory covers every possible local
+  /// index while appends never move existing records.
+  static constexpr uint32_t kBlockBaseLog2 = 12;
+  static constexpr uint32_t kBlockBase = 1u << kBlockBaseLog2;
+  static constexpr uint32_t kBlockSlots = 20;
+  static constexpr size_t kArenaChunkBytes = 1u << 16;
+
+  struct Shard {
+    mutable std::mutex mu;
+    /// Open-addressed table of local_index+1 (0 = empty); size is a
+    /// power of two.
+    std::vector<uint32_t> buckets;
+    uint32_t count = 0;
+    /// Directory of record blocks; slots are release-published so
+    /// lock-free At may chase them with acquire loads.
+    std::array<std::atomic<Record*>, kBlockSlots> blocks{};
+    std::vector<std::unique_ptr<char[]>> chunks;
+    size_t chunk_used = kArenaChunkBytes;  // forces first allocation
+    // Stats, maintained under mu.
+    uint64_t byte_count = 0;
+    uint64_t lookups = 0;
+    std::array<uint64_t, InternStats::kProbeSlots> probe_len{};
+
+    ~Shard() {
+      // Destruction is externally synchronized (no concurrent readers
+      // can outlive the table that hands out the handles).
+      for (auto& slot : blocks) delete[] slot.load(std::memory_order_relaxed);
+    }
+
+    const Record& At(uint32_t local) const {
+      const uint32_t block = BlockOf(local);
+      return blocks[block].load(std::memory_order_acquire)
+          [local - FirstLocalOf(block)];
+    }
+    Record& Slot(uint32_t local);
+    const char* CopyToArena(std::string_view s);
+    void Grow();
+    /// The bucket holding the record `eq` accepts, or the empty bucket
+    /// where it belongs; `*probes` counts the buckets skipped.
+    template <typename Eq>
+    size_t Probe(uint64_t hash, const Eq& eq, uint32_t* probes) const;
+  };
+
+  static uint32_t BlockOf(uint32_t local) {
+    // Block b starts at local kBlockBase*(2^b - 1).
+    return 31 - static_cast<uint32_t>(
+                    __builtin_clz((local >> kBlockBaseLog2) + 1));
+  }
+  static uint32_t FirstLocalOf(uint32_t block) {
+    return kBlockBase * ((1u << block) - 1);
+  }
+  static uint32_t ShardOf(uint64_t hash) {
+    // Top bits pick the shard so the in-shard bucket index (low bits)
+    // stays decorrelated.
+    return static_cast<uint32_t>(hash >> 60) & (kShards - 1);
+  }
+
+  std::array<Shard, kShards> shards_;
+};
+
+/// Interned strings: the table's records are just `{data, hash, len}`.
+class StringInterner {
+ public:
   StringInterner() = default;
   StringInterner(const StringInterner&) = delete;
   StringInterner& operator=(const StringInterner&) = delete;
@@ -67,23 +165,14 @@ class StringInterner {
   /// The interned bytes behind `handle`; valid for the interner's
   /// lifetime.  `handle` must have come from this interner.
   std::string_view Resolve(KeyHandle handle) const {
-    const Shard& shard = shards_[handle & (kShards - 1)];
-    const Header& h = shard.HeaderAt(handle / kShards);
+    const Header& h = table_.At(handle);
     return {h.data, h.len};
-  }
-
-  /// Precomputed hash of the interned bytes (same function Intern uses).
-  uint64_t ResolveHash(KeyHandle handle) const {
-    const Shard& shard = shards_[handle & (kShards - 1)];
-    return shard.HeaderAt(handle / kShards).hash;
   }
 
   /// Distinct strings interned so far (locks every shard).
   uint64_t size() const;
 
   InternStats Stats() const;
-
-  static uint64_t HashBytes(std::string_view s);
 
  private:
   struct Header {
@@ -92,62 +181,7 @@ class StringInterner {
     uint32_t len;
   };
 
-  /// Header blocks grow geometrically: block b holds kBlockBase << b
-  /// headers, so a 64-slot directory covers every possible local index
-  /// while appends never move existing headers.
-  static constexpr uint32_t kBlockBaseLog2 = 12;
-  static constexpr uint32_t kBlockBase = 1u << kBlockBaseLog2;
-  static constexpr uint32_t kBlockSlots = 20;
-  static constexpr size_t kArenaChunkBytes = 1u << 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    /// Open-addressed table of local_index+1 (0 = empty); size is a
-    /// power of two.
-    std::vector<uint32_t> buckets;
-    uint32_t count = 0;
-    /// Directory of header blocks; slots are release-published so
-    /// lock-free Resolve may chase them with acquire loads.
-    std::array<std::atomic<Header*>, kBlockSlots> blocks{};
-    std::vector<std::unique_ptr<char[]>> chunks;
-    size_t chunk_used = kArenaChunkBytes;  // forces first allocation
-    // Stats, maintained under mu.
-    uint64_t byte_count = 0;
-    uint64_t lookups = 0;
-    std::array<uint64_t, InternStats::kProbeSlots> probe_len{};
-
-    ~Shard() {
-      // Destruction is externally synchronized (no concurrent readers
-      // can outlive the interner that hands out the handles).
-      for (auto& slot : blocks) delete[] slot.load(std::memory_order_relaxed);
-    }
-
-    Header& HeaderSlot(uint32_t local);
-    const Header& HeaderAt(uint32_t local) const {
-      const uint32_t block = BlockOf(local);
-      return blocks[block].load(std::memory_order_acquire)
-          [local - FirstLocalOf(block)];
-    }
-    const char* CopyToArena(std::string_view s);
-    void Grow();
-  };
-
-  static uint32_t BlockOf(uint32_t local) {
-    // Block b starts at local kBlockBase*(2^b - 1).
-    return 31 - static_cast<uint32_t>(
-                    __builtin_clz((local >> kBlockBaseLog2) + 1));
-  }
-  static uint32_t FirstLocalOf(uint32_t block) {
-    return kBlockBase * ((1u << block) - 1);
-  }
-
-  static uint32_t ShardOf(uint64_t hash) {
-    // Top bits pick the shard so the in-shard bucket index (low bits)
-    // stays decorrelated.
-    return static_cast<uint32_t>(hash >> 60) & (kShards - 1);
-  }
-
-  std::array<Shard, kShards> shards_;
+  ShardedArenaTable<Header> table_;
 };
 
 /// Interns full root-to-node label paths as linked (parent, component)
@@ -171,18 +205,15 @@ class PathDict {
 
   /// The cached full path string ("/esite/eregions/eitem/ename").
   std::string_view Resolve(PathHandle handle) const {
-    const Node& n = shards_[handle & (kShards - 1)].NodeAt(handle / kShards);
-    return {n.str, n.len};
+    const Node& n = table_.At(handle);
+    return {n.data, n.len};
   }
 
   PathHandle Parent(PathHandle handle) const {
-    return shards_[handle & (kShards - 1)].NodeAt(handle / kShards).parent;
+    return table_.At(handle).parent;
   }
   KeyHandle LastKey(PathHandle handle) const {
-    return shards_[handle & (kShards - 1)].NodeAt(handle / kShards).component;
-  }
-  uint32_t Depth(PathHandle handle) const {
-    return shards_[handle & (kShards - 1)].NodeAt(handle / kShards).depth;
+    return table_.At(handle).component;
   }
 
   /// Root-to-node component key handles, in path order.
@@ -192,53 +223,16 @@ class PathDict {
   uint64_t bytes() const;
 
  private:
-  static constexpr uint32_t kShards = StringInterner::kShards;
-  static constexpr uint32_t kBlockBaseLog2 = 12;
-  static constexpr uint32_t kBlockBase = 1u << kBlockBaseLog2;
-  static constexpr uint32_t kBlockSlots = 20;
-  static constexpr size_t kArenaChunkBytes = 1u << 16;
-
   struct Node {
-    const char* str;   // cached full escaped path
+    const char* data;  // cached full escaped path
+    uint64_t hash;     // of the packed (parent, component) pair
     PathHandle parent;
     KeyHandle component;
     uint32_t len;
-    uint32_t depth;
   };
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<uint32_t> buckets;  // local_index+1, keyed by (parent, comp)
-    uint32_t count = 0;
-    std::array<std::atomic<Node*>, kBlockSlots> blocks{};
-    std::vector<std::unique_ptr<char[]>> chunks;
-    size_t chunk_used = kArenaChunkBytes;
-    uint64_t byte_count = 0;
-
-    ~Shard() {
-      for (auto& slot : blocks) delete[] slot.load(std::memory_order_relaxed);
-    }
-
-    Node& NodeSlot(uint32_t local);
-    const Node& NodeAt(uint32_t local) const {
-      const uint32_t block = BlockOf(local);
-      return blocks[block].load(std::memory_order_acquire)
-          [local - FirstLocalOf(block)];
-    }
-    char* AllocArena(size_t n);
-    void Grow();
-  };
-
-  static uint32_t BlockOf(uint32_t local) {
-    return 31 - static_cast<uint32_t>(
-                    __builtin_clz((local >> kBlockBaseLog2) + 1));
-  }
-  static uint32_t FirstLocalOf(uint32_t block) {
-    return kBlockBase * ((1u << block) - 1);
-  }
 
   StringInterner* keys_;
-  std::array<Shard, kShards> shards_;
+  ShardedArenaTable<Node> table_;
 };
 
 /// The process-wide interning core the extraction pipeline runs on: one

@@ -56,13 +56,8 @@ std::string PathComponent(std::string_view key) {
   return out;
 }
 
-void SplitPathInto(std::string_view path, std::string* scratch,
-                   std::vector<std::string_view>* out) {
-  out->clear();
-  scratch->clear();
-  // Unescaped bytes land in the scratch buffer; reserving up front keeps
-  // its data pointer stable, so earlier views survive later appends.
-  scratch->reserve(path.size());
+void AppendSplitPath(std::string_view path, std::string* scratch,
+                     std::vector<std::string_view>* out) {
   size_t start = path.empty() || path[0] != '/' ? 0 : 1;
   while (start <= path.size()) {
     size_t end = path.find('/', start);
@@ -92,6 +87,16 @@ void SplitPathInto(std::string_view path, std::string* scratch,
     if (end == path.size()) break;
     start = end + 1;
   }
+}
+
+void SplitPathInto(std::string_view path, std::string* scratch,
+                   std::vector<std::string_view>* out) {
+  out->clear();
+  scratch->clear();
+  // Unescaped bytes land in the scratch buffer; reserving up front keeps
+  // its data pointer stable, so earlier views survive later appends.
+  scratch->reserve(path.size());
+  AppendSplitPath(path, scratch, out);
 }
 
 std::vector<std::string> SplitPath(std::string_view path) {

@@ -50,6 +50,14 @@ std::vector<std::string> SplitPath(std::string_view path);
 void SplitPathInto(std::string_view path, std::string* scratch,
                    std::vector<std::string_view>* out);
 
+/// Appending form of SplitPathInto for callers keeping many split paths
+/// in one flat buffer: clears neither `*scratch` nor `*out`.  `*scratch`
+/// must already have capacity for every byte it will ever hold
+/// (unescaping only shrinks, so the paths' total size suffices), or
+/// earlier views would dangle.
+void AppendSplitPath(std::string_view path, std::string* scratch,
+                     std::vector<std::string_view>* out);
+
 }  // namespace webdex::index
 
 #endif  // WEBDEX_INDEX_KEYS_H_

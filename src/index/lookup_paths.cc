@@ -43,6 +43,28 @@ std::vector<std::string> SortedUris(const std::set<std::string>& uris) {
   return {uris.begin(), uris.end()};
 }
 
+namespace {
+
+/// Folds one key's (or one query path's) URI set into the running
+/// intersection `*result`, taking the first set (`*first`) as it is.
+/// Returns false once the intersection is empty.
+bool NarrowUris(std::set<std::string> uris, bool* first,
+                std::set<std::string>* result, LookupStats* stats) {
+  stats->uri_merge_ops += uris.size();
+  if (*first) {
+    *result = std::move(uris);
+    *first = false;
+  } else {
+    std::set<std::string> next;
+    std::set_intersection(result->begin(), result->end(), uris.begin(),
+                          uris.end(), std::inserter(next, next.begin()));
+    *result = std::move(next);
+  }
+  return !result->empty();
+}
+
+}  // namespace
+
 std::set<std::string> IntersectUris(const FetchedEntries& entries,
                                     const std::vector<std::string>& keys,
                                     LookupStats* stats) {
@@ -56,17 +78,7 @@ std::set<std::string> IntersectUris(const FetchedEntries& entries,
       (void)values;
       uris.insert(uri);
     }
-    stats->uri_merge_ops += uris.size();
-    if (first) {
-      result = std::move(uris);
-      first = false;
-    } else {
-      std::set<std::string> next;
-      std::set_intersection(result.begin(), result.end(), uris.begin(),
-                            uris.end(), std::inserter(next, next.begin()));
-      result = std::move(next);
-    }
-    if (result.empty()) return {};
+    if (!NarrowUris(std::move(uris), &first, &result, stats)) return {};
   }
   return result;
 }
@@ -97,42 +109,6 @@ std::vector<std::string> PathLookupKeys(const KeyTwig& twig) {
 }
 
 namespace {
-
-/// Splits `path` appending into a shared component buffer; `storage` must
-/// have been reserved for every path it will ever hold (unescaping only
-/// shrinks), so earlier views never dangle.
-void SplitPathAppend(std::string_view path, std::string* storage,
-                     std::vector<std::string_view>* out) {
-  size_t start = path.empty() || path[0] != '/' ? 0 : 1;
-  while (start <= path.size()) {
-    size_t end = path.find('/', start);
-    if (end == std::string_view::npos) end = path.size();
-    std::string_view raw = path.substr(start, end - start);
-    if (raw.find('%') == std::string_view::npos) {
-      out->push_back(raw);
-    } else {
-      const size_t storage_start = storage->size();
-      for (size_t i = 0; i < raw.size(); ++i) {
-        if (raw[i] == '%' && i + 2 < raw.size()) {
-          if (raw.substr(i, 3) == "%2F") {
-            storage->push_back('/');
-            i += 2;
-            continue;
-          }
-          if (raw.substr(i, 3) == "%25") {
-            storage->push_back('%');
-            i += 2;
-            continue;
-          }
-        }
-        storage->push_back(raw[i]);
-      }
-      out->push_back(std::string_view(*storage).substr(storage_start));
-    }
-    if (end == path.size()) break;
-    start = end + 1;
-  }
-}
 
 /// One stored attribute value, decoded and split at most once even when
 /// several query paths share the same lookup key.  Decoding stays lazy —
@@ -166,7 +142,7 @@ struct SplitValue {
     component_storage.reserve(total_bytes);
     auto add = [this](std::string_view path) {
       const uint32_t begin = static_cast<uint32_t>(components.size());
-      SplitPathAppend(path, &component_storage, &components);
+      AppendSplitPath(path, &component_storage, &components);
       paths.emplace_back(begin,
                          static_cast<uint32_t>(components.size()) - begin);
     };
@@ -231,17 +207,9 @@ Result<std::set<std::string>> LookupByPaths(cloud::SimAgent& agent,
       }
       if (matched) uris.insert(uri);
     }
-    stats->uri_merge_ops += uris.size();
-    if (first) {
-      result = std::move(uris);
-      first = false;
-    } else {
-      std::set<std::string> next;
-      std::set_intersection(result.begin(), result.end(), uris.begin(),
-                            uris.end(), std::inserter(next, next.begin()));
-      result = std::move(next);
+    if (!NarrowUris(std::move(uris), &first, &result, stats)) {
+      return std::set<std::string>{};
     }
-    if (result.empty()) return std::set<std::string>{};
   }
   return result;
 }

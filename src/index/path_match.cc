@@ -36,102 +36,70 @@ namespace {
 // Recursive match of query steps [qi..) against data components [dj..),
 // where query step qi must map to some data component >= dj subject to
 // its axis, and the final query step must map to the final component.
-// Templated over the component type: strings, views, interned handles.
-template <typename Component>
-bool MatchFrom(const QueryPath& query, size_t qi, const Component* data,
-               size_t size, size_t dj) {
-  if (qi == query.steps.size()) {
+// Templated over the step and component types: string keys against
+// views, interned handles against handles.
+template <typename Step, typename Component>
+bool MatchFrom(const std::vector<Step>& steps, size_t qi,
+               const Component* data, size_t size, size_t dj) {
+  if (qi == steps.size()) {
     // All query steps consumed; require the last one to have matched the
     // last data component (checked by the caller's alignment below).
     return dj == size;
   }
-  const QueryPathStep& step = query.steps[qi];
+  const Step& step = steps[qi];
   if (step.axis == TwigAxis::kChild) {
     if (dj >= size || data[dj] != step.key) return false;
-    return MatchFrom(query, qi + 1, data, size, dj + 1);
+    return MatchFrom(steps, qi + 1, data, size, dj + 1);
   }
   // Descendant axis: the step may match any component at position >= dj.
   for (size_t k = dj; k < size; ++k) {
-    if (data[k] == step.key && MatchFrom(query, qi + 1, data, size, k + 1)) {
+    if (data[k] == step.key && MatchFrom(steps, qi + 1, data, size, k + 1)) {
       return true;
     }
   }
   return false;
 }
 
-template <typename Component>
-bool PathMatchesImpl(const QueryPath& query, const Component* data,
-                     size_t size) {
-  if (query.steps.empty()) return false;
-  if (size == 0) return false;
+template <typename Step, typename Component>
+bool MatchSteps(const std::vector<Step>& steps, const Component* data,
+                size_t size) {
+  if (steps.empty() || size == 0) return false;
   // Data paths always end with the looked-up key: quick reject otherwise.
-  if (data[size - 1] != query.LookupKey()) return false;
-  return MatchFrom(query, 0, data, size, 0);
-}
-
-bool HandleMatchFrom(const HandleQueryPath& query, size_t qi,
-                     const std::vector<KeyHandle>& data, size_t dj) {
-  if (qi == query.keys.size()) return dj == data.size();
-  if (query.axes[qi] == TwigAxis::kChild) {
-    if (dj >= data.size() || data[dj] != query.keys[qi]) return false;
-    return HandleMatchFrom(query, qi + 1, data, dj + 1);
-  }
-  for (size_t k = dj; k < data.size(); ++k) {
-    if (data[k] == query.keys[qi] &&
-        HandleMatchFrom(query, qi + 1, data, k + 1)) {
-      return true;
-    }
-  }
-  return false;
+  if (data[size - 1] != steps.back().key) return false;
+  return MatchFrom(steps, 0, data, size, 0);
 }
 
 }  // namespace
 
 bool PathMatches(const QueryPath& query,
-                 const std::vector<std::string>& data_components) {
-  return PathMatchesImpl(query, data_components.data(),
-                         data_components.size());
-}
-
-bool PathMatches(const QueryPath& query,
-                 const std::vector<std::string_view>& data_components) {
-  return PathMatchesImpl(query, data_components.data(),
-                         data_components.size());
-}
-
-bool PathMatches(const QueryPath& query,
                  const std::string_view* data_components, size_t count) {
-  return PathMatchesImpl(query, data_components, count);
+  return MatchSteps(query.steps, data_components, count);
 }
 
 bool PathMatches(const QueryPath& query, std::string_view data_path) {
   thread_local std::string scratch;
   thread_local std::vector<std::string_view> components;
   SplitPathInto(data_path, &scratch, &components);
-  return PathMatchesImpl(query, components.data(), components.size());
+  return MatchSteps(query.steps, components.data(), components.size());
 }
 
 HandleQueryPath ResolveQueryPath(const QueryPath& query,
                                  const StringInterner& interner) {
   HandleQueryPath resolved;
   resolved.viable = !query.steps.empty();
-  resolved.axes.reserve(query.steps.size());
-  resolved.keys.reserve(query.steps.size());
+  resolved.steps.reserve(query.steps.size());
   for (const QueryPathStep& step : query.steps) {
     const KeyHandle handle = interner.Find(step.key);
     if (handle == kNoHandle) resolved.viable = false;
-    resolved.axes.push_back(step.axis);
-    resolved.keys.push_back(handle);
+    resolved.steps.push_back({step.axis, handle});
   }
   return resolved;
 }
 
 bool PathMatches(const HandleQueryPath& query,
                  const std::vector<KeyHandle>& data_components) {
-  if (!query.viable || query.keys.empty()) return false;
-  if (data_components.empty()) return false;
-  if (data_components.back() != query.keys.back()) return false;
-  return HandleMatchFrom(query, 0, data_components, 0);
+  return query.viable && MatchSteps(query.steps, data_components.data(),
+                                    data_components.size());
 }
 
 }  // namespace webdex::index

@@ -39,19 +39,10 @@ std::vector<QueryPath> BuildQueryPaths(const KeyTwig& twig);
 /// (data paths for key k always end with k).
 bool PathMatches(const QueryPath& query, std::string_view data_path);
 
-/// Same, over pre-split unescaped components (avoids re-splitting when a
-/// caller checks one data path against many query paths).
-bool PathMatches(const QueryPath& query,
-                 const std::vector<std::string>& data_components);
-
-/// Same, over views (what index::SplitPathInto produces — the look-up
-/// hot path splits each stored value once and tests it against every
-/// query path).
-bool PathMatches(const QueryPath& query,
-                 const std::vector<std::string_view>& data_components);
-
-/// Slice form for callers keeping many pre-split paths in one flat
-/// component buffer (index::LookupByPaths' per-value cache).
+/// Same, over pre-split unescaped components (what index::SplitPathInto
+/// produces): the look-up hot path keeps many pre-split paths in one flat
+/// component buffer (index::LookupByPaths' per-value cache) and tests
+/// each against every query path.
 bool PathMatches(const QueryPath& query,
                  const std::string_view* data_components, size_t count);
 
@@ -60,8 +51,11 @@ bool PathMatches(const QueryPath& query,
 /// interner has never seen makes the whole path non-viable: no stored
 /// data path can contain it.
 struct HandleQueryPath {
-  std::vector<TwigAxis> axes;
-  std::vector<KeyHandle> keys;
+  struct Step {
+    TwigAxis axis;
+    KeyHandle key;
+  };
+  std::vector<Step> steps;
   bool viable = false;
 };
 

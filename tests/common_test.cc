@@ -536,5 +536,12 @@ TEST(RngTest, WeightedRespectsZeroWeights) {
   }
 }
 
+// The published FNV-1a 64-bit test vectors: the empty string hashes to
+// the offset basis, "a" to one xor-multiply step past it.
+TEST(Fnv1a64Test, MatchesPublishedVectors) {
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+}
+
 }  // namespace
 }  // namespace webdex

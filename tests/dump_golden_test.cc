@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "cloud/deployment.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
 #include "xmark/xmark_generator.h"
@@ -180,7 +180,7 @@ TEST(DumpGoldenTest, SerializedIndexMatchesGoldenPerStrategy) {
     ASSERT_FALSE(dump.empty()) << c.name;
     const std::string digest =
         StrFormat("%016llx-%zu",
-                  static_cast<unsigned long long>(cloud::Fnv1a64(dump)),
+                  static_cast<unsigned long long>(Fnv1a64(dump)),
                   dump.size());
     regenerated << c.name << " " << digest << "\n";
     auto it = golden.find(c.name);

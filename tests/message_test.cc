@@ -149,6 +149,16 @@ TEST(QueryResponseTest, RejectsMalformed) {
     EXPECT_TRUE(QueryResponse::Parse(text).status().IsInvalidArgument())
         << text;
   }
+  // A DONE body is exactly id, row count and result key: a key with a
+  // newline in it must not read back truncated.
+  QueryResponse multiline;
+  multiline.id = 3;
+  multiline.result_key = "k\nextra";
+  EXPECT_TRUE(QueryResponse::Parse(multiline.Serialize())
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      QueryResponse::Parse("DONE\n1\n2\nk\n").status().IsInvalidArgument());
   auto shed = QueryResponse::Parse("SHED\n9");
   ASSERT_TRUE(shed.ok());
   EXPECT_TRUE(shed.value().shed);

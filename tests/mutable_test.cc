@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "cloud/cloud_env.h"
-#include "cloud/deployment.h"
 #include "cloud/snapshot.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
 #include "index/generation.h"
@@ -154,7 +154,7 @@ void CaptureState(cloud::CloudEnv& env, Warehouse& warehouse,
     if (b != bucket) return;
     fp->data_dump.push_back(StrFormat(
         "%s|%zu|%016llx", key.c_str(), data.size(),
-        static_cast<unsigned long long>(cloud::Fnv1a64(data))));
+        static_cast<unsigned long long>(Fnv1a64(data))));
   });
 }
 

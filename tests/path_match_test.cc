@@ -54,8 +54,7 @@ TEST(PathMatchTest, RepeatedLabels) {
 
 TEST(PathMatchTest, EmptyInputs) {
   EXPECT_FALSE(PathMatches(MakePath({}), "/ea"));
-  EXPECT_FALSE(
-      PathMatches(MakePath({{kDesc, "ea"}}), std::vector<std::string>{}));
+  EXPECT_FALSE(PathMatches(MakePath({{kDesc, "ea"}}), nullptr, 0));
 }
 
 TEST(PathMatchTest, PaperQ1Paths) {

@@ -186,6 +186,20 @@ TEST(WarehouseTest, ResubmittingToANoIndexWarehouseReplacesTheDocument) {
   }
 }
 
+// The tenant is one line of the QUERYT wire format: tenant "a\nb" with
+// query "//x" would read back as tenant "a" and query "b\n//x".  The
+// whole batch is refused before any request is sent.
+TEST(WarehouseTest, TenantWithNewlineIsRejectedBeforeAnyRequest) {
+  Harness setup = MakeWarehouse(WarehouseConfig{});
+  ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
+  const uint64_t sqs_before = setup.env->meter().Snapshot().sqs_requests;
+  auto report = setup.warehouse->ExecuteQueries(
+      std::vector<TenantQuery>{{"ok", kQ1}, {"a\nb", "//x"}});
+  EXPECT_TRUE(report.status().IsInvalidArgument())
+      << report.status().ToString();
+  EXPECT_EQ(setup.env->meter().Snapshot().sqs_requests, sqs_before);
+}
+
 TEST(WarehouseTest, RunIndexersWithoutIndexFails) {
   WarehouseConfig config;
   config.use_index = false;
