@@ -29,6 +29,10 @@ struct ExtractScratch {
   uint32_t distinct = 0;
   std::vector<uint32_t> id_cursor;
   std::vector<uint32_t> path_cursor;
+  /// Per document label, its element or attribute-name key once met.
+  std::vector<KeyHandle> label_keys;
+  /// Per node index, the element's path (read only for elements).
+  std::vector<PathHandle> element_paths;
 
   void Reset() {
     occurrences.clear();
@@ -72,60 +76,64 @@ ExtractScratch& ScratchForThread() {
   return scratch;
 }
 
-struct WalkContext {
-  StringInterner* keys;
-  PathDict* paths;
-  const ExtractOptions* options;
-  std::vector<Occurrence>* occurrences;
-
-  void Add(KeyHandle key, const xml::NodeId& id, PathHandle path) {
-    occurrences->push_back(Occurrence{key, path, id, 0});
-  }
-};
-
-void Walk(const xml::Node& node, PathHandle parent_path, WalkContext& ctx) {
-  switch (node.kind()) {
-    case xml::NodeKind::kElement: {
-      const KeyHandle key = InternElementKey(*ctx.keys, node.label());
-      const PathHandle path = ctx.paths->Extend(parent_path, key);
-      ctx.Add(key, node.id(), path);
-      for (const auto& child : node.children()) {
-        Walk(*child, path, ctx);
+/// Walks the document's nodes in pre order, recording every key
+/// occurrence.  Each element and attribute-name key is interned once per
+/// document label, at the label's first node, so the interner sees the
+/// same first-interning order as a node-by-node walk.
+void Walk(const xml::Document& doc, StringInterner& keys, PathDict& paths,
+          const ExtractOptions& options, ExtractScratch& scratch) {
+  std::vector<Occurrence>& occurrences = scratch.occurrences;
+  auto add = [&occurrences](KeyHandle key, const xml::NodeId& id,
+                            PathHandle path) {
+    occurrences.push_back(Occurrence{key, path, id, 0});
+  };
+  scratch.label_keys.assign(doc.label_count(), kNoHandle);
+  scratch.element_paths.resize(doc.nodes().size());
+  for (const xml::Node& node : doc.nodes()) {
+    const PathHandle parent_path = node.parent() == xml::kNoParent
+                                       ? kNoHandle
+                                       : scratch.element_paths[node.parent()];
+    switch (node.kind()) {
+      case xml::NodeKind::kElement: {
+        KeyHandle& key = scratch.label_keys[node.label_id()];
+        if (key == kNoHandle) key = InternElementKey(keys, doc.label(node));
+        const PathHandle path = paths.Extend(parent_path, key);
+        scratch.element_paths[node.index()] = path;
+        add(key, node.id(), path);
+        break;
       }
-      break;
-    }
-    case xml::NodeKind::kAttribute: {
-      // Two keys per attribute: a‖name and a‖name value (Section 5).
-      const KeyHandle name_key =
-          InternAttributeNameKey(*ctx.keys, node.label());
-      const PathHandle name_path = ctx.paths->Extend(parent_path, name_key);
-      ctx.Add(name_key, node.id(), name_path);
-      const KeyHandle value_key =
-          InternAttributeValueKey(*ctx.keys, node.label(), node.value());
-      ctx.Add(value_key, node.id(),
-              ctx.paths->Extend(parent_path, value_key));
-      if (ctx.options->include_words) {
-        // Attribute-value words share the attribute's structural ID (an
-        // attribute is a leaf, so its value has no separate position);
-        // the key twig connects them with a self edge.
-        xml::ForEachWord(node.value(), [&](std::string_view word) {
-          const KeyHandle word_key = InternWordKey(*ctx.keys, word);
-          ctx.Add(word_key, node.id(),
-                  ctx.paths->Extend(name_path, word_key));
+      case xml::NodeKind::kAttribute: {
+        // Two keys per attribute: a‖name and a‖name value (Section 5).
+        KeyHandle& name_key = scratch.label_keys[node.label_id()];
+        if (name_key == kNoHandle) {
+          name_key = InternAttributeNameKey(keys, doc.label(node));
+        }
+        const PathHandle name_path = paths.Extend(parent_path, name_key);
+        add(name_key, node.id(), name_path);
+        const KeyHandle value_key =
+            InternAttributeValueKey(keys, doc.label(node), doc.value(node));
+        add(value_key, node.id(), paths.Extend(parent_path, value_key));
+        if (options.include_words) {
+          // Attribute-value words share the attribute's structural ID (an
+          // attribute is a leaf, so its value has no separate position);
+          // the key twig connects them with a self edge.
+          xml::ForEachWord(doc.value(node), [&](std::string_view word) {
+            const KeyHandle word_key = InternWordKey(keys, word);
+            add(word_key, node.id(), paths.Extend(name_path, word_key));
+          });
+        }
+        break;
+      }
+      case xml::NodeKind::kText: {
+        if (!options.include_words) break;
+        xml::ForEachWord(doc.value(node), [&](std::string_view word) {
+          const KeyHandle word_key = InternWordKey(keys, word);
+          // Word occurrences carry the text node's ID: a child of the
+          // enclosing element in (pre, post, depth) space.
+          add(word_key, node.id(), paths.Extend(parent_path, word_key));
         });
+        break;
       }
-      break;
-    }
-    case xml::NodeKind::kText: {
-      if (!ctx.options->include_words) break;
-      xml::ForEachWord(node.value(), [&](std::string_view word) {
-        const KeyHandle word_key = InternWordKey(*ctx.keys, word);
-        // Word occurrences carry the text node's ID: a child of the
-        // enclosing element in (pre, post, depth) space.
-        ctx.Add(word_key, node.id(),
-                ctx.paths->Extend(parent_path, word_key));
-      });
-      break;
     }
   }
 }
@@ -158,9 +166,7 @@ DocIndex ExtractDocIndexInto(const xml::Document& doc,
   ExtractScratch& scratch = ScratchForThread();
   scratch.Reset();
 
-  WalkContext ctx{&core->keys(), &core->paths(), &options,
-                  &scratch.occurrences};
-  Walk(doc.root(), kNoHandle, ctx);
+  Walk(doc, core->keys(), core->paths(), options, scratch);
 
   // Group occurrences by key: assign each a dense entry index, count, and
   // scatter IDs / paths into the two slabs.

@@ -1,7 +1,5 @@
 #include "index/path_match.h"
 
-#include "index/keys.h"
-
 namespace webdex::index {
 
 std::string QueryPath::ToString() const {
@@ -74,13 +72,6 @@ bool MatchSteps(const std::vector<Step>& steps, const Component* data,
 bool PathMatches(const QueryPath& query,
                  const std::string_view* data_components, size_t count) {
   return MatchSteps(query.steps, data_components, count);
-}
-
-bool PathMatches(const QueryPath& query, std::string_view data_path) {
-  thread_local std::string scratch;
-  thread_local std::vector<std::string_view> components;
-  SplitPathInto(data_path, &scratch, &components);
-  return MatchSteps(query.steps, components.data(), components.size());
 }
 
 HandleQueryPath ResolveQueryPath(const QueryPath& query,

@@ -32,17 +32,15 @@ struct QueryPath {
 /// paths.
 std::vector<QueryPath> BuildQueryPaths(const KeyTwig& twig);
 
-/// True if the stored data path (e.g. "/esite/eitem/ename") matches the
+/// True if a stored data path, given as its unescaped components (what
+/// index::SplitPathInto makes of e.g. "/esite/eitem/ename"), matches the
 /// query path.  Semantics: the first step anchors at the document root
 /// when its axis is kChild, anywhere otherwise; child steps must be
 /// consecutive; the last query step must be the *last* data component
-/// (data paths for key k always end with k).
-bool PathMatches(const QueryPath& query, std::string_view data_path);
-
-/// Same, over pre-split unescaped components (what index::SplitPathInto
-/// produces): the look-up hot path keeps many pre-split paths in one flat
-/// component buffer (index::LookupByPaths' per-value cache) and tests
-/// each against every query path.
+/// (data paths for key k always end with k).  The look-up hot path keeps
+/// many pre-split paths in one flat component buffer
+/// (index::LookupByPaths' per-value cache) and tests each against every
+/// query path.
 bool PathMatches(const QueryPath& query,
                  const std::string_view* data_components, size_t count);
 

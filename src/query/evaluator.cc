@@ -50,6 +50,7 @@ class PatternMatcher {
   /// Points the matcher at `doc` and joins the pattern over it.  True
   /// when at least one embedding exists.
   bool Reset(const xml::Document& doc) {
+    doc_ = &doc;
     for (Slot& slot : slots_) slot.cached = nullptr;
     for (const PatternNode* node : pattern_.nodes()) {
       auto& stream = streams_[static_cast<size_t>(node->index)];
@@ -66,7 +67,7 @@ class PatternMatcher {
       const Predicate& predicate = pattern_.nodes()[i]->predicate;
       if (predicate.kind == PredicateKind::kNone) return true;
       predicate_value_.clear();
-      node->AppendStringValue(&predicate_value_);
+      doc.AppendStringValue(*node, &predicate_value_);
       return predicate.Matches(predicate_value_);
     };
     return xml::SatisfyTwig<const xml::Node*>(edges_, streams_, keep, &sat_,
@@ -109,10 +110,10 @@ class PatternMatcher {
     if (slot.cached != node) {
       slot.cached = node;
       if (slot.cont) {
-        slot.value = xml::Serialize(*node);
+        slot.value = xml::Serialize(*doc_, *node);
       } else {
         slot.value.clear();
-        node->AppendStringValue(&slot.value);
+        doc_->AppendStringValue(*node, &slot.value);
       }
     }
     return slot.value;
@@ -140,6 +141,8 @@ class PatternMatcher {
   }
 
   const TreePattern& pattern_;
+  /// The document the last Reset joined over.
+  const xml::Document* doc_ = nullptr;
   /// The pattern as a twig: per pattern node, its parent and edge axis.
   std::vector<xml::TwigEdge> edges_;
   /// Per pattern node, the current document's stream of its label.
@@ -219,7 +222,7 @@ std::string QueryResult::ToXml() const {
       if (c < xml_columns.size() && xml_columns[c]) {
         out += row[c];
       } else {
-        out += xml::EscapeText(row[c]);
+        xml::AppendEscaped(row[c], &out);
       }
       out += "</col>";
     }

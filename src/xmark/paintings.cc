@@ -9,8 +9,7 @@
 namespace webdex::xmark {
 namespace {
 
-using xml::Node;
-using xml::NodeKind;
+using NodeRef = xml::DocumentBuilder::NodeRef;
 
 struct Painter {
   const char* first;
@@ -61,18 +60,20 @@ std::string BuildPainting(int index, Rng& rng, std::map<int, int>* per_year,
   const int ordinal = ++(*per_year)[year];
   const std::string id = StrFormat("%d-%d", year, ordinal);
   *id_out = id;
-  auto painting = std::make_unique<Node>(NodeKind::kElement, "painting");
+  xml::DocumentBuilder tree("painting");
+  const NodeRef painting = tree.root();
   painting->AddAttribute("id", id);
   painting->AddElement("name")->AddText(name);
-  Node* painter_el = painting->AddElement("painter");
-  Node* pname = painter_el->AddElement("name");
+  NodeRef painter_el = painting->AddElement("painter");
+  NodeRef pname = painter_el->AddElement("name");
   pname->AddElement("first")->AddText(painter.first);
   pname->AddElement("last")->AddText(painter.last);
   painting->AddElement("year")->AddText(StrFormat("%d", year));
   painting->AddElement("description")
       ->AddText(StrFormat("A %s oil on canvas painted in %d",
                           index % 2 == 0 ? "celebrated" : "striking", year));
-  return xml::Serialize(*painting);
+  const xml::Document doc = tree.Finish({}, 0);
+  return xml::Serialize(doc, doc.root());
 }
 
 }  // namespace
@@ -109,7 +110,8 @@ std::vector<GeneratedDocument> GeneratePaintings(
     docs.push_back(std::move(doc));
   }
   for (int m = 0; m < config.num_museums; ++m) {
-    auto museum = std::make_unique<Node>(NodeKind::kElement, "museum");
+    xml::DocumentBuilder tree("museum");
+    const NodeRef museum = tree.root();
     museum->AddElement("name")->AddText(
         StrFormat("%s Museum",
                   kMuseums[static_cast<size_t>(m) % std::size(kMuseums)]));
@@ -121,7 +123,8 @@ std::vector<GeneratedDocument> GeneratePaintings(
     }
     GeneratedDocument doc;
     doc.uri = StrFormat("museum-%02d.xml", m);
-    doc.text = xml::Serialize(*museum);
+    const xml::Document dom = tree.Finish(doc.uri, 0);
+    doc.text = xml::Serialize(dom, dom.root());
     docs.push_back(std::move(doc));
   }
   return docs;

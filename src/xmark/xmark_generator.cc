@@ -8,8 +8,7 @@
 namespace webdex::xmark {
 namespace {
 
-using xml::Node;
-using xml::NodeKind;
+using NodeRef = xml::DocumentBuilder::NodeRef;
 
 const char* kRegions[] = {"africa",   "asia",     "australia",
                           "europe",   "namerica", "samerica"};
@@ -113,8 +112,9 @@ class DocBuilder {
                std::max(1, config.entities_per_document / 6));
   }
 
-  std::unique_ptr<Node> Build() {
-    auto site = std::make_unique<Node>(NodeKind::kElement, "site");
+  xml::DocumentBuilder Build() {
+    xml::DocumentBuilder builder("site");
+    const NodeRef site = builder.root();
     const int entities = std::max(2, config_.entities_per_document);
     if (config_.split_sections) {
       // Fragment document: one section only, like XMark's split output.
@@ -124,29 +124,29 @@ class DocBuilder {
           rng_.NextWeighted({0.35, 0.25, 0.20, 0.15, 0.05});
       switch (kind) {
         case 0:
-          BuildRegions(site.get(), entities);
+          BuildRegions(site, entities);
           break;
         case 1:
-          BuildPeople(site.get(), entities);
+          BuildPeople(site, entities);
           break;
         case 2:
-          BuildOpenAuctions(site.get(), entities);
+          BuildOpenAuctions(site, entities);
           break;
         case 3:
-          BuildClosedAuctions(site.get(), entities);
+          BuildClosedAuctions(site, entities);
           break;
         default:
-          BuildCategories(site.get(), std::max(2, entities / 2));
+          BuildCategories(site, std::max(2, entities / 2));
           break;
       }
-      return site;
+      return builder;
     }
-    BuildRegions(site.get(), std::max(1, entities / 3));
-    BuildPeople(site.get(), std::max(1, entities / 3));
-    BuildOpenAuctions(site.get(), std::max(1, entities / 6));
-    BuildClosedAuctions(site.get(), std::max(1, entities / 6));
-    BuildCategories(site.get(), 2);
-    return site;
+    BuildRegions(site, std::max(1, entities / 3));
+    BuildPeople(site, std::max(1, entities / 3));
+    BuildOpenAuctions(site, std::max(1, entities / 6));
+    BuildClosedAuctions(site, std::max(1, entities / 6));
+    BuildCategories(site, 2);
+    return builder;
   }
 
  private:
@@ -169,17 +169,17 @@ class DocBuilder {
     return static_cast<long long>(index_) * per_doc_share + i;
   }
 
-  void BuildRegions(Node* site, int item_count) {
-    Node* regions = site->AddElement("regions");
-    Node* region = regions->AddElement(Pick(rng_, kRegions));
+  void BuildRegions(NodeRef site, int item_count) {
+    NodeRef regions = site->AddElement("regions");
+    NodeRef region = regions->AddElement(Pick(rng_, kRegions));
     const long long share =
         std::max(1, config_.entities_per_document / 3);
     for (int i = 0; i < item_count; ++i) {
-      Node* item = region->AddElement("item");
+      NodeRef item = region->AddElement("item");
       item->AddAttribute("id",
                          GlobalItemId(LocalOrdinal(i, share) % total_items_));
       if (!Drop()) {
-        Node* location = item->AddElement("location");
+        NodeRef location = item->AddElement("location");
         location->AddText(Pick(rng_, kCities));
       }
       if (!Drop()) {
@@ -188,8 +188,8 @@ class DocBuilder {
       }
       // Path mutation: `name` nested under `description` instead of being
       // a direct child of `item` (labels preserved, path changed).
-      Node* name_parent = item;
-      Node* description = item->AddElement("description");
+      NodeRef name_parent = item;
+      NodeRef description = item->AddElement("description");
       if (mutate_paths_) name_parent = description;
       name_parent->AddElement("name")->AddText(Sentence(rng_, 2, 4));
       description->AddText(Sentence(rng_, 8, 30));
@@ -207,14 +207,14 @@ class DocBuilder {
                                      (long long)rng_.NextInRange(0, 99)));
       }
       if (!Drop()) {
-        Node* mail_parent = item;
+        NodeRef mail_parent = item;
         if (!mutate_paths_) {
           mail_parent = item->AddElement("mailbox");
         }
         // Path mutation: mails attach directly under item.
         const int mails = static_cast<int>(rng_.NextInRange(0, 3));
         for (int m = 0; m < mails; ++m) {
-          Node* mail = mail_parent->AddElement("mail");
+          NodeRef mail = mail_parent->AddElement("mail");
           mail->AddElement("from")->AddText(
               StrFormat("%s %s", Pick(rng_, kFirstNames),
                         Pick(rng_, kLastNames)));
@@ -228,15 +228,15 @@ class DocBuilder {
     }
   }
 
-  void BuildPeople(Node* site, int person_count) {
-    Node* people = site->AddElement("people");
+  void BuildPeople(NodeRef site, int person_count) {
+    NodeRef people = site->AddElement("people");
     const long long share =
         std::max(1, config_.entities_per_document / 3);
     for (int i = 0; i < person_count; ++i) {
-      Node* person = people->AddElement("person");
+      NodeRef person = people->AddElement("person");
       person->AddAttribute(
           "id", GlobalPersonId(LocalOrdinal(i, share) % total_people_));
-      Node* name = person->AddElement("name");
+      NodeRef name = person->AddElement("name");
       name->AddText(StrFormat("%s %s", Pick(rng_, kFirstNames),
                               Pick(rng_, kLastNames)));
       person->AddElement("emailaddress")
@@ -249,13 +249,13 @@ class DocBuilder {
                       (long long)rng_.NextInRange(1000000, 9999999)));
       }
       if (!Drop()) {
-        Node* address = person->AddElement("address");
+        NodeRef address = person->AddElement("address");
         address->AddElement("street")
             ->AddText(StrFormat("%lld %s St",
                                 (long long)rng_.NextInRange(1, 99),
                                 PickWord(rng_)));
         // Path mutation: city directly under person, not under address.
-        Node* city_parent = mutate_paths_ ? person : address;
+        NodeRef city_parent = mutate_paths_ ? person : address;
         city_parent->AddElement("city")->AddText(Pick(rng_, kCities));
         address->AddElement("country")->AddText(Pick(rng_, kCountries));
         address->AddElement("zipcode")
@@ -275,7 +275,7 @@ class DocBuilder {
                                 (long long)rng_.NextInRange(1000, 9999),
                                 (long long)rng_.NextInRange(1000, 9999)));
       }
-      Node* profile = person->AddElement("profile");
+      NodeRef profile = person->AddElement("profile");
       profile->AddAttribute(
           "income",
           StrFormat("%.2f", 20000 + rng_.NextDouble() * 80000));
@@ -299,7 +299,7 @@ class DocBuilder {
       }
       const int watches = static_cast<int>(rng_.NextInRange(0, 2));
       if (watches > 0) {
-        Node* watchlist = person->AddElement("watches");
+        NodeRef watchlist = person->AddElement("watches");
         for (int w = 0; w < watches; ++w) {
           watchlist->AddElement("watch")->AddAttribute(
               "open_auction",
@@ -311,22 +311,23 @@ class DocBuilder {
     }
   }
 
-  void AddAnnotation(Node* parent) {
-    Node* annotation = parent->AddElement("annotation");
+  NodeRef AddAnnotation(NodeRef parent) {
+    NodeRef annotation = parent->AddElement("annotation");
     annotation->AddElement("author")->AddAttribute(
         "person", GlobalPersonId((long long)rng_.NextBelow(
                       static_cast<uint64_t>(total_people_))));
     annotation->AddElement("description")->AddText(Sentence(rng_, 5, 20));
     annotation->AddElement("happiness")
         ->AddText(StrFormat("%lld", (long long)rng_.NextInRange(1, 10)));
+    return annotation;
   }
 
-  void BuildOpenAuctions(Node* site, int count) {
-    Node* auctions = site->AddElement("open_auctions");
+  void BuildOpenAuctions(NodeRef site, int count) {
+    NodeRef auctions = site->AddElement("open_auctions");
     const long long share =
         std::max(1, config_.entities_per_document / 6);
     for (int i = 0; i < count; ++i) {
-      Node* auction = auctions->AddElement("open_auction");
+      NodeRef auction = auctions->AddElement("open_auction");
       auction->AddAttribute(
           "id", GlobalAuctionId(LocalOrdinal(i, share) % total_auctions_));
       auction->AddElement("initial")->AddText(
@@ -337,7 +338,7 @@ class DocBuilder {
       }
       const int bidders = static_cast<int>(rng_.NextInRange(0, 4));
       for (int b = 0; b < bidders; ++b) {
-        Node* bidder = auction->AddElement("bidder");
+        NodeRef bidder = auction->AddElement("bidder");
         bidder->AddElement("date")->AddText(DateString(rng_));
         bidder->AddElement("time")->AddText(
             StrFormat("%02lld:%02lld:%02lld",
@@ -357,14 +358,12 @@ class DocBuilder {
       }
       if (!Drop()) auction->AddElement("privacy")->AddText("Yes");
       // Path mutation: itemref under annotation instead of the auction.
-      Node* itemref_parent = auction;
+      NodeRef itemref_parent = auction;
       auction->AddElement("seller")->AddAttribute(
           "person", GlobalPersonId((long long)rng_.NextBelow(
                         static_cast<uint64_t>(total_people_))));
-      AddAnnotation(auction);
-      if (mutate_paths_) {
-        itemref_parent = auction->children().back().get();  // annotation
-      }
+      const NodeRef annotation = AddAnnotation(auction);
+      if (mutate_paths_) itemref_parent = annotation;
       itemref_parent->AddElement("itemref")->AddAttribute(
           "item", GlobalItemId((long long)rng_.NextBelow(
                       static_cast<uint64_t>(total_items_))));
@@ -373,17 +372,17 @@ class DocBuilder {
       auction->AddElement("type")->AddText(
           rng_.NextBool(0.5) ? "Regular" : "Featured");
       if (!Drop()) {
-        Node* interval = auction->AddElement("interval");
+        NodeRef interval = auction->AddElement("interval");
         interval->AddElement("start")->AddText(DateString(rng_));
         interval->AddElement("end")->AddText(DateString(rng_));
       }
     }
   }
 
-  void BuildClosedAuctions(Node* site, int count) {
-    Node* auctions = site->AddElement("closed_auctions");
+  void BuildClosedAuctions(NodeRef site, int count) {
+    NodeRef auctions = site->AddElement("closed_auctions");
     for (int i = 0; i < count; ++i) {
-      Node* auction = auctions->AddElement("closed_auction");
+      NodeRef auction = auctions->AddElement("closed_auction");
       auction->AddElement("seller")->AddAttribute(
           "person", GlobalPersonId((long long)rng_.NextBelow(
                         static_cast<uint64_t>(total_people_))));
@@ -404,10 +403,10 @@ class DocBuilder {
     }
   }
 
-  void BuildCategories(Node* site, int count) {
-    Node* categories = site->AddElement("categories");
+  void BuildCategories(NodeRef site, int count) {
+    NodeRef categories = site->AddElement("categories");
     for (int i = 0; i < count; ++i) {
-      Node* category = categories->AddElement("category");
+      NodeRef category = categories->AddElement("category");
       category->AddAttribute(
           "id", StrFormat("category%lld", (long long)rng_.NextInRange(0, 99)));
       category->AddElement("name")->AddText(Sentence(rng_, 1, 2));
@@ -443,22 +442,21 @@ xml::Document XmarkGenerator::GenerateDom(int index) const {
   Rng rng(config_.seed ^
           (static_cast<uint64_t>(index) * 0x9E3779B97F4A7C15ULL + 1));
   DocBuilder builder(config_, index, std::move(rng));
-  std::unique_ptr<Node> root = builder.Build();
+  const xml::DocumentBuilder tree = builder.Build();
   std::string uri = StrFormat("xmark-%06d.xml", index);
-  // Compute serialized size for the document's size metric.
-  const std::string text = xml::Serialize(*root);
-  return xml::Document(std::move(uri), std::move(root), text.size());
+  // The document's size metric is its serialized size.
+  const xml::Document unsized = tree.Finish(uri, 0);
+  const size_t size = xml::Serialize(unsized, unsized.root()).size();
+  return tree.Finish(std::move(uri), size);
 }
 
 GeneratedDocument XmarkGenerator::Generate(int index) const {
   Rng rng(config_.seed ^
           (static_cast<uint64_t>(index) * 0x9E3779B97F4A7C15ULL + 1));
   DocBuilder builder(config_, index, std::move(rng));
-  std::unique_ptr<Node> root = builder.Build();
   GeneratedDocument out;
   out.uri = StrFormat("xmark-%06d.xml", index);
-  out.text = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-  out.text += xml::Serialize(*root);
+  out.text = xml::Serialize(builder.Build().Finish(out.uri, 0));
   return out;
 }
 

@@ -2,8 +2,6 @@
 #define WEBDEX_XML_DOM_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -37,93 +35,142 @@ struct NodeId {
   std::string ToString() const;  // "(pre, post, depth)"
 };
 
-enum class NodeKind {
+enum class NodeKind : uint8_t {
   kElement,
   kAttribute,  // label = attribute name, value = attribute value
   kText,       // value = character data
 };
 
-/// A node of the in-memory document tree.  Owned by its parent; the root
-/// is owned by the Document.
+/// The parent index of a document's root.
+inline constexpr uint32_t kNoParent = UINT32_MAX;
+
+/// One node of a Document: a fixed-width record in the document's node
+/// array, which holds every node in pre order (elements, attributes and
+/// text nodes, so word occurrences have positions).  The node at index i
+/// has pre = i + 1, and its subtree is the index range [i, end()).  Its
+/// label and value live in the document's text buffer and are read
+/// through the Document.
 class Node {
  public:
-  Node(NodeKind kind, std::string label) : kind_(kind), label_(std::move(label)) {}
-
-  Node(const Node&) = delete;
-  Node& operator=(const Node&) = delete;
-
-  NodeKind kind() const { return kind_; }
-  bool is_element() const { return kind_ == NodeKind::kElement; }
-  bool is_attribute() const { return kind_ == NodeKind::kAttribute; }
-  bool is_text() const { return kind_ == NodeKind::kText; }
-
-  /// Element tag name or attribute name; empty for text nodes.
-  const std::string& label() const { return label_; }
-
-  /// Attribute value or text content; empty for elements.
-  const std::string& value() const { return value_; }
-  void set_value(std::string v) { value_ = std::move(v); }
+  NodeKind kind() const { return static_cast<NodeKind>(kind_label_ >> 30); }
+  bool is_element() const { return kind() == NodeKind::kElement; }
+  bool is_attribute() const { return kind() == NodeKind::kAttribute; }
+  bool is_text() const { return kind() == NodeKind::kText; }
 
   const NodeId& id() const { return id_; }
-  void set_id(NodeId id) { id_ = id; }
-
-  Node* parent() const { return parent_; }
-
-  const std::vector<std::unique_ptr<Node>>& children() const {
-    return children_;
-  }
-
-  /// Appends a child and returns a borrowed pointer to it.
-  Node* AddChild(std::unique_ptr<Node> child);
-
-  /// Convenience builders (used heavily by generators and tests).
-  Node* AddElement(std::string label);
-  Node* AddAttribute(std::string name, std::string value);
-  Node* AddText(std::string text);
-
-  /// The *string value* of this node per the paper's `val` annotation:
-  /// the concatenation of all text descendants (or the attribute value).
-  std::string StringValue() const;
-
-  /// Appends the string value into `out` (for callers reusing a buffer
-  /// across many nodes, e.g. per-predicate evaluation).
-  void AppendStringValue(std::string* out) const { AppendTextTo(out); }
-
-  /// Number of nodes in this subtree (self included).
-  size_t SubtreeSize() const;
+  /// Position in the document's node array: pre - 1.
+  uint32_t index() const { return id_.pre - 1; }
+  /// Index of the parent element; kNoParent on the root.
+  uint32_t parent() const { return parent_; }
+  /// One past the index of the subtree's last node.
+  uint32_t end() const { return end_; }
+  /// The document's id for this node's (kind, label), below
+  /// Document::label_count(); meaningless on text nodes.
+  uint32_t label_id() const { return kind_label_ & kLabelMask; }
 
  private:
-  void AppendTextTo(std::string* out) const;
+  friend class Document;
+  friend class DocumentWriter;
+  static constexpr uint32_t kLabelMask = (1u << 30) - 1;
 
-  NodeKind kind_;
-  std::string label_;
-  std::string value_;
   NodeId id_;
-  Node* parent_ = nullptr;
-  std::vector<std::unique_ptr<Node>> children_;
+  uint32_t parent_ = kNoParent;
+  uint32_t end_ = 0;
+  uint32_t kind_label_ = 0;  // kind in the top two bits, label id below
+  uint32_t value_begin_ = 0;
+  uint32_t value_size_ = 0;
 };
 
-/// A parsed XML document: URI (its S3 object name), root element, and the
+/// A parsed XML document: URI (its S3 object name), nodes, and the
 /// serialized size used by the cost model's data metrics (Section 7.1).
-/// A Document is complete when constructed: the tree carries its
-/// (pre, post, depth) identifiers and the label streams are built.  The
-/// tree is not mutated afterwards.
+///
+/// Layout: one exactly-sized array of nodes in pre order, one text
+/// buffer holding every attribute value and text node's character data
+/// followed by each distinct label once, and the label streams.  Nodes
+/// never move once the document is built, and moving a Document keeps
+/// its buffers, so `const Node*` and the views this class returns stay
+/// valid for the document's lifetime.
 class Document {
  public:
-  /// Takes a finished tree.  Assigns (pre, post, depth) identifiers over
-  /// the whole tree in document order (elements, attributes and text
-  /// nodes, so word occurrences have positions) and builds the label
-  /// streams in the same walk.
-  Document(std::string uri, std::unique_ptr<Node> root, size_t size_bytes);
-
   Document(const Document&) = delete;
   Document& operator=(const Document&) = delete;
   Document(Document&&) = default;
   Document& operator=(Document&&) = default;
 
   const std::string& uri() const { return uri_; }
-  const Node& root() const { return *root_; }
   size_t size_bytes() const { return size_bytes_; }
+  /// Bytes the document holds on the heap: its node array, text buffer,
+  /// label streams, label table and URI.
+  size_t heap_bytes() const;
+
+  /// Every node, in pre order (document order).
+  std::span<const Node> nodes() const { return nodes_; }
+  const Node& root() const { return nodes_.front(); }
+  /// The parent element, or nullptr on the root.
+  const Node* parent(const Node& node) const {
+    return node.parent() == kNoParent ? nullptr : &nodes_[node.parent()];
+  }
+  /// The subtree rooted at `node` in pre order, `node` first.
+  std::span<const Node> subtree(const Node& node) const {
+    return std::span<const Node>(nodes_).subspan(node.index(),
+                                                 node.end() - node.index());
+  }
+
+  /// The children of a node in document order: each child's subtree ends
+  /// where the next child starts.
+  class ChildRange {
+   public:
+    class Iterator {
+     public:
+      const Node& operator*() const { return *node_; }
+      const Node* operator->() const { return node_; }
+      Iterator& operator++() {
+        node_ = base_ + node_->end();
+        return *this;
+      }
+      bool operator==(const Iterator&) const = default;
+
+     private:
+      friend class ChildRange;
+      Iterator(const Node* base, const Node* node) : base_(base), node_(node) {}
+      const Node* base_;
+      const Node* node_;
+    };
+    Iterator begin() const { return {base_, base_ + parent_->index() + 1}; }
+    Iterator end() const { return {base_, base_ + parent_->end()}; }
+
+   private:
+    friend class Document;
+    ChildRange(const Node* base, const Node* parent)
+        : base_(base), parent_(parent) {}
+    const Node* base_;
+    const Node* parent_;
+  };
+  ChildRange children(const Node& node) const {
+    return {nodes_.data(), &node};
+  }
+
+  /// Element tag name or attribute name; empty for text nodes.
+  std::string_view label(const Node& node) const {
+    if (node.is_text()) return {};
+    const Label& label = labels_[node.label_id()];
+    return {text_.data() + label.name_begin, label.name_size};
+  }
+  /// Attribute value or text content; empty for elements.
+  std::string_view value(const Node& node) const {
+    return {text_.data() + node.value_begin_, node.value_size_};
+  }
+
+  /// The *string value* of a node per the paper's `val` annotation: the
+  /// concatenation of its text descendants (or the attribute value).
+  std::string StringValue(const Node& node) const;
+  /// Appends the string value into `out` (for callers reusing a buffer
+  /// across many nodes, e.g. per-predicate evaluation).
+  void AppendStringValue(const Node& node, std::string* out) const;
+
+  /// Number of distinct (kind, label) pairs of element and attribute
+  /// nodes: the bound on Node::label_id().
+  size_t label_count() const { return labels_.size(); }
 
   /// The label stream of (kind, label): every element (or attribute)
   /// node with that name, in document order.  Empty for text nodes and
@@ -132,26 +179,135 @@ class Document {
                                         std::string_view label) const;
 
  private:
-  /// One stream: the slice [begin, end) of `labelled_`.
-  struct LabelRange {
+  friend class DocumentWriter;
+  Document() = default;
+
+  /// One (kind, label): its name in `text_` and its stream, the slice
+  /// [stream_begin, stream_end) of `labelled_`.  Label ids index the
+  /// table, which is sorted by (kind, name) for binary search.
+  struct Label {
     NodeKind kind;
-    std::string_view label;  // a node's label; nodes never move
-    uint32_t begin;
-    uint32_t end;
+    uint32_t name_begin;
+    uint32_t name_size;
+    uint32_t stream_begin;
+    uint32_t stream_end;
   };
 
   std::string uri_;
-  std::unique_ptr<Node> root_;
-  size_t size_bytes_;
-  /// Element and attribute nodes grouped by (kind, label), each group in
-  /// document order; exactly sized.
+  size_t size_bytes_ = 0;
+  std::vector<Node> nodes_;
+  std::vector<char> text_;
+  /// Element and attribute nodes grouped by label id, each group in
+  /// document order.
   std::vector<const Node*> labelled_;
-  /// One entry per group, sorted by (kind, label) for binary search.
-  std::vector<LabelRange> labels_;
+  std::vector<Label> labels_;
 };
 
-/// Runs `fn(node)` over the subtree rooted at `node` in document order.
-void ForEachNode(const Node& node, const std::function<void(const Node&)>& fn);
+/// Lays a document out node by node in pre order, the way the parser
+/// reads it: elements are opened and closed, leaves are added to the
+/// innermost open element.  Values are written straight into text();
+/// names are passed as views that must stay valid until Finish.  A
+/// writer keeps its buffers' capacity across documents, so Scratch()
+/// writers make a steady-state parse allocate only the finished
+/// document's own arrays.
+class DocumentWriter {
+ public:
+  /// This thread's reusable writer.  Reset it before use.
+  static DocumentWriter& Scratch();
+
+  /// Forgets the document being written; keeps capacity.
+  void Reset();
+
+  /// Opens an element: the next node, a child of the innermost open
+  /// element (or the root).
+  void OpenElement(std::string_view name);
+  /// Closes the innermost open element.
+  void CloseElement();
+
+  /// The buffer leaf values are appended to.
+  std::string* text() { return &text_; }
+  /// Adds an attribute or a text node to the innermost open element; its
+  /// value is what text() gained since it was `value_begin` bytes long.
+  void AddAttribute(std::string_view name, size_t value_begin);
+  void AddText(size_t value_begin);
+
+  /// The finished document: one root element, every element closed.
+  Document Finish(std::string uri, size_t size_bytes);
+
+ private:
+  /// A (kind, name) met so far and its node count.
+  struct PendingLabel {
+    NodeKind kind;
+    std::string_view name;
+    uint32_t count;
+  };
+
+  Node& Append(NodeKind kind, std::string_view name);
+  uint32_t LabelOf(NodeKind kind, std::string_view name);
+
+  std::vector<Node> nodes_;
+  std::string text_;
+  uint32_t open_ = kNoParent;
+  uint32_t post_ = 0;
+  std::vector<PendingLabel> labels_;
+  /// Open-addressed (kind, name) -> label index + 1; 0 is empty.
+  std::vector<uint32_t> slots_;
+  /// Finish's reusable per-label buffers.
+  std::vector<uint32_t> order_;
+  std::vector<uint32_t> rank_;
+};
+
+/// Builds a document from code (the XMark generator, tests).  Unlike the
+/// parser, it takes appends to any node already added, in any order;
+/// Finish lays the tree out in pre order, each node's children in the
+/// order they were added.
+class DocumentBuilder {
+ public:
+  /// A node of the tree being built.  Pointer-like, so that building
+  /// reads as tree code: `site->AddElement("people")->AddText("x")`.
+  class NodeRef {
+   public:
+    NodeRef AddElement(std::string_view label) const;
+    NodeRef AddAttribute(std::string_view name, std::string_view value) const;
+    NodeRef AddText(std::string_view text) const;
+    const NodeRef* operator->() const { return this; }
+
+   private:
+    friend class DocumentBuilder;
+    NodeRef(DocumentBuilder* builder, uint32_t index)
+        : builder_(builder), index_(index) {}
+    DocumentBuilder* builder_;
+    uint32_t index_;
+  };
+
+  explicit DocumentBuilder(std::string_view root_label);
+
+  NodeRef root() { return {this, 0}; }
+
+  /// The document built so far; the builder stays usable.
+  Document Finish(std::string uri, size_t size_bytes) const;
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+  /// A node with its label and value in `text_`, linked to its children.
+  struct Staged {
+    NodeKind kind;
+    uint32_t label_begin;
+    uint32_t label_size;
+    uint32_t value_begin;
+    uint32_t value_size;
+    uint32_t first_child = kNone;
+    uint32_t last_child = kNone;
+    uint32_t next_sibling = kNone;
+  };
+
+  NodeRef Add(uint32_t parent, NodeKind kind, std::string_view label,
+              std::string_view value);
+  void Write(uint32_t index, DocumentWriter* writer) const;
+
+  std::vector<Staged> nodes_;
+  std::string text_;
+};
 
 }  // namespace webdex::xml
 

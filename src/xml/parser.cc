@@ -1,6 +1,7 @@
 #include "xml/parser.h"
 
 #include <cctype>
+#include <cstdint>
 
 #include "common/strings.h"
 
@@ -9,17 +10,18 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view text, const ParserOptions& options)
-      : text_(text), options_(options) {}
+  Parser(std::string_view text, const ParserOptions& options,
+         DocumentWriter* writer)
+      : text_(text), options_(options), writer_(writer) {}
 
-  Result<std::unique_ptr<Node>> Parse() {
+  Status Parse() {
     SkipProlog();
-    WEBDEX_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, ParseElement());
+    WEBDEX_RETURN_IF_ERROR(ParseElement());
     SkipMisc();
     if (pos_ != text_.size()) {
       return Error("trailing content after document element");
     }
-    return root;
+    return Status::OK();
   }
 
  private:
@@ -65,12 +67,12 @@ class Parser {
            c == ':' || c == '-' || c == '.';
   }
 
-  Result<std::string> ParseName() {
+  Result<std::string_view> ParseName() {
     if (AtEnd() || !IsNameStart(Peek())) return Error("expected name");
     const size_t start = pos_;
     ++pos_;
     while (!AtEnd() && IsNameChar(Peek())) ++pos_;
-    return std::string(text_.substr(start, pos_ - start));
+    return text_.substr(start, pos_ - start);
   }
 
   // The code point of a character reference body ("65" or "x41"), or -1
@@ -196,7 +198,9 @@ class Parser {
     }
   }
 
-  Result<std::unique_ptr<Node>> ParseElement() {
+  // Parses one element into the writer: its node, then its attributes
+  // and content in document order.
+  Status ParseElement() {
     if (doctype_subset_) {
       return Error("DOCTYPE internal subsets are not supported");
     }
@@ -205,16 +209,20 @@ class Parser {
     }
     const DepthGuard guard(&depth_);
     if (!Consume('<')) return Error("expected '<'");
-    WEBDEX_ASSIGN_OR_RETURN(std::string name, ParseName());
-    auto element = std::make_unique<Node>(NodeKind::kElement, name);
+    WEBDEX_ASSIGN_OR_RETURN(const std::string_view name, ParseName());
+    writer_->OpenElement(name);
+    std::string* const text = writer_->text();
 
     // Attributes.
     for (;;) {
       SkipSpace();
       if (AtEnd()) return Error("unterminated start tag");
       if (Consume('>')) break;
-      if (ConsumeLiteral("/>")) return element;  // empty element
-      WEBDEX_ASSIGN_OR_RETURN(std::string attr_name, ParseName());
+      if (ConsumeLiteral("/>")) {  // empty element
+        writer_->CloseElement();
+        return Status::OK();
+      }
+      WEBDEX_ASSIGN_OR_RETURN(const std::string_view attr_name, ParseName());
       SkipSpace();
       if (!Consume('=')) return Error("expected '=' in attribute");
       SkipSpace();
@@ -229,36 +237,43 @@ class Parser {
       const size_t start = pos_;
       while (!AtEnd() && Peek() != quote) ++pos_;
       if (AtEnd()) return Error("unterminated attribute value");
-      std::string value;
+      const size_t value_begin = text->size();
       WEBDEX_RETURN_IF_ERROR(
-          AppendDecoded(text_.substr(start, pos_ - start), &value));
+          AppendDecoded(text_.substr(start, pos_ - start), text));
       ++pos_;  // closing quote
-      element->AddAttribute(std::move(attr_name), std::move(value));
+      writer_->AddAttribute(attr_name, value_begin);
     }
 
-    // Content.
-    std::string pending_text;
+    // Content.  Character data accumulates in the writer's text buffer
+    // from `pending` on, across comments, PIs and CDATA sections, until
+    // an element starts or ends; whitespace-only runs are then dropped.
+    size_t pending = text->size();
     auto flush_text = [&]() {
-      if (pending_text.empty()) return;
+      if (text->size() == pending) return;
       if (!options_.skip_whitespace_text ||
-          !Trim(pending_text).empty()) {
-        element->AddText(std::move(pending_text));
+          !Trim(std::string_view(*text).substr(pending)).empty()) {
+        writer_->AddText(pending);
+      } else {
+        text->resize(pending);
       }
-      pending_text.clear();
+      pending = text->size();
     };
 
     for (;;) {
-      if (AtEnd()) return Error("unterminated element: " + name);
+      if (AtEnd()) return Error("unterminated element: " + std::string(name));
       if (Peek() == '<') {
         if (ConsumeLiteral("</")) {
           flush_text();
-          WEBDEX_ASSIGN_OR_RETURN(std::string close_name, ParseName());
+          WEBDEX_ASSIGN_OR_RETURN(const std::string_view close_name,
+                                  ParseName());
           if (close_name != name) {
-            return Error("mismatched end tag: expected </" + name + ">");
+            return Error("mismatched end tag: expected </" +
+                         std::string(name) + ">");
           }
           SkipSpace();
           if (!Consume('>')) return Error("malformed end tag");
-          return element;
+          writer_->CloseElement();
+          return Status::OK();
         }
         if (ConsumeLiteral("<!--")) {
           const size_t end = text_.find("-->", pos_);
@@ -271,7 +286,7 @@ class Parser {
         if (ConsumeLiteral("<![CDATA[")) {
           const size_t end = text_.find("]]>", pos_);
           if (end == std::string_view::npos) return Error("unterminated CDATA");
-          pending_text.append(text_.substr(pos_, end - pos_));
+          text->append(text_.substr(pos_, end - pos_));
           pos_ = end + 3;
           continue;
         }
@@ -282,14 +297,14 @@ class Parser {
           continue;
         }
         flush_text();
-        WEBDEX_ASSIGN_OR_RETURN(std::unique_ptr<Node> child, ParseElement());
-        element->AddChild(std::move(child));
+        WEBDEX_RETURN_IF_ERROR(ParseElement());
+        pending = text->size();
         continue;
       }
       const size_t start = pos_;
       while (!AtEnd() && Peek() != '<') ++pos_;
       WEBDEX_RETURN_IF_ERROR(
-          AppendDecoded(text_.substr(start, pos_ - start), &pending_text));
+          AppendDecoded(text_.substr(start, pos_ - start), text));
     }
   }
 
@@ -305,6 +320,7 @@ class Parser {
 
   std::string_view text_;
   ParserOptions options_;
+  DocumentWriter* writer_;
   size_t pos_ = 0;
   int depth_ = 0;
   bool doctype_subset_ = false;
@@ -314,10 +330,16 @@ class Parser {
 
 Result<Document> ParseDocument(std::string uri, std::string_view text,
                                const ParserOptions& options) {
-  Parser parser(text, options);
-  auto root = parser.Parse();
-  if (!root.ok()) return root.status();
-  return Document(std::move(uri), std::move(root).value(), text.size());
+  // Node indices and text offsets are 32-bit; a document's decoded text
+  // and node count never exceed its size.
+  if (text.size() > UINT32_MAX) {
+    return Status::InvalidArgument("XML document larger than 4 GiB");
+  }
+  DocumentWriter& writer = DocumentWriter::Scratch();
+  writer.Reset();
+  Parser parser(text, options, &writer);
+  WEBDEX_RETURN_IF_ERROR(parser.Parse());
+  return writer.Finish(std::move(uri), text.size());
 }
 
 }  // namespace webdex::xml

@@ -13,9 +13,9 @@ struct ParserOptions {
   /// Drop text nodes that are pure whitespace (indentation); the paper's
   /// corpus semantics never depend on them.
   bool skip_whitespace_text = true;
-  /// Maximum element nesting depth.  The parser (and most downstream
-  /// tree walks) recurse per level, so unbounded depth is a stack-bomb
-  /// vector; deeper documents are rejected with Corruption.
+  /// Maximum element nesting depth.  The parser and the serializer
+  /// recurse per level, so unbounded depth is a stack-bomb vector;
+  /// deeper documents are rejected with Corruption.
   int max_depth = 512;
 };
 
@@ -29,7 +29,9 @@ struct ParserOptions {
 /// DOCTYPE with internal subsets defining entities.
 ///
 /// On success the returned document has structural (pre, post, depth)
-/// identifiers already assigned.
+/// identifiers already assigned.  The parser appends nodes and values
+/// straight into this thread's DocumentWriter, so a steady-state parse
+/// allocates only the finished document's arrays.
 Result<Document> ParseDocument(std::string uri, std::string_view text,
                                const ParserOptions& options = {});
 

@@ -3,36 +3,28 @@
 namespace webdex::xml {
 namespace {
 
-void SerializeNode(const Node& node, const SerializerOptions& options,
-                   int depth, std::string* out) {
-  if (node.is_text()) {
-    out->append(EscapeText(node.value()));
-    return;
-  }
-  if (node.is_attribute()) {
-    // Attributes are emitted by their parent element; a bare attribute
-    // serializes as name="value" (used when an attribute itself is the
-    // query result).
-    out->append(node.label());
-    out->append("=\"");
-    out->append(EscapeText(node.value()));
-    out->push_back('"');
-    return;
-  }
-  const std::string pad =
-      options.indent ? std::string(static_cast<size_t>(depth) * 2, ' ') : "";
+// name="value", as in a start tag.
+void AppendAttribute(const Document& doc, const Node& attribute,
+                     std::string* out) {
+  out->append(doc.label(attribute));
+  out->append("=\"");
+  AppendEscaped(doc.value(attribute), out);
+  out->push_back('"');
+}
+
+void SerializeElement(const Document& doc, const Node& element,
+                      const SerializerOptions& options, int depth,
+                      std::string* out) {
+  const size_t pad = options.indent ? static_cast<size_t>(depth) * 2 : 0;
   if (options.indent && depth > 0) out->push_back('\n');
-  out->append(pad);
+  out->append(pad, ' ');
   out->push_back('<');
-  out->append(node.label());
+  out->append(doc.label(element));
   bool has_content = false;
-  for (const auto& child : node.children()) {
-    if (child->is_attribute()) {
+  for (const Node& child : doc.children(element)) {
+    if (child.is_attribute()) {
       out->push_back(' ');
-      out->append(child->label());
-      out->append("=\"");
-      out->append(EscapeText(child->value()));
-      out->push_back('"');
+      AppendAttribute(doc, child, out);
     } else {
       has_content = true;
     }
@@ -43,63 +35,81 @@ void SerializeNode(const Node& node, const SerializerOptions& options,
   }
   out->push_back('>');
   bool wrote_child_element = false;
-  for (const auto& child : node.children()) {
-    if (child->is_attribute()) continue;
-    if (child->is_text()) {
-      out->append(EscapeText(child->value()));
-    } else {
-      SerializeNode(*child, options, depth + 1, out);
+  for (const Node& child : doc.children(element)) {
+    if (child.is_text()) {
+      AppendEscaped(doc.value(child), out);
+    } else if (child.is_element()) {
+      SerializeElement(doc, child, options, depth + 1, out);
       wrote_child_element = true;
     }
   }
   if (options.indent && wrote_child_element) {
     out->push_back('\n');
-    out->append(pad);
+    out->append(pad, ' ');
   }
   out->append("</");
-  out->append(node.label());
+  out->append(doc.label(element));
   out->push_back('>');
+}
+
+void SerializeNode(const Document& doc, const Node& node,
+                   const SerializerOptions& options, std::string* out) {
+  if (node.is_text()) {
+    AppendEscaped(doc.value(node), out);
+  } else if (node.is_attribute()) {
+    // Attributes are emitted by their parent element; a bare attribute
+    // serializes as name="value" (used when an attribute itself is the
+    // query result).
+    AppendAttribute(doc, node, out);
+  } else {
+    SerializeElement(doc, node, options, 0, out);
+  }
 }
 
 }  // namespace
 
-std::string EscapeText(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
+void AppendEscaped(std::string_view text, std::string* out) {
+  // Copies each run between special characters in one append.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    std::string_view entity;
+    switch (text[i]) {
       case '&':
-        out.append("&amp;");
+        entity = "&amp;";
         break;
       case '<':
-        out.append("&lt;");
+        entity = "&lt;";
         break;
       case '>':
-        out.append("&gt;");
+        entity = "&gt;";
         break;
       case '"':
-        out.append("&quot;");
+        entity = "&quot;";
         break;
       case '\'':
-        out.append("&apos;");
+        entity = "&apos;";
         break;
       default:
-        out.push_back(c);
+        continue;
     }
+    out->append(text.substr(run, i - run));
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(text.substr(run));
 }
 
-std::string Serialize(const Node& node, const SerializerOptions& options) {
+std::string Serialize(const Document& doc, const Node& node,
+                      const SerializerOptions& options) {
   std::string out;
-  SerializeNode(node, options, 0, &out);
+  SerializeNode(doc, node, options, &out);
   return out;
 }
 
 std::string Serialize(const Document& doc, const SerializerOptions& options) {
   std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
   if (options.indent) out.push_back('\n');
-  SerializeNode(doc.root(), options, 0, &out);
+  SerializeNode(doc, doc.root(), options, &out);
   return out;
 }
 

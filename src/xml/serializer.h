@@ -2,6 +2,7 @@
 #define WEBDEX_XML_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/dom.h"
 
@@ -12,18 +13,20 @@ struct SerializerOptions {
   bool indent = false;
 };
 
-/// Serializes the subtree rooted at `node` back to XML text.  Entities
-/// are re-escaped, so Parse(Serialize(t)) == t (modulo whitespace).
-/// This implements the paper's `cont` result granularity: "the full XML
-/// subtree rooted at this node".
-std::string Serialize(const Node& node, const SerializerOptions& options = {});
+/// Serializes the subtree rooted at `node` of `doc` back to XML text.
+/// Entities are re-escaped, so Parse(Serialize(t)) == t (modulo
+/// whitespace).  This implements the paper's `cont` result granularity:
+/// "the full XML subtree rooted at this node".
+std::string Serialize(const Document& doc, const Node& node,
+                      const SerializerOptions& options = {});
 
 /// Serializes a whole document (adds the XML declaration).
 std::string Serialize(const Document& doc,
                       const SerializerOptions& options = {});
 
-/// Escapes &, <, >, ", ' for use in text or attribute content.
-std::string EscapeText(const std::string& text);
+/// Appends `text` to `*out` with &, <, >, ", ' escaped, for use in text
+/// or attribute content.
+void AppendEscaped(std::string_view text, std::string* out);
 
 }  // namespace webdex::xml
 

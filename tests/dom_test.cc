@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "xml/parser.h"
 #include "xml/tokenizer.h"
@@ -35,43 +36,45 @@ TEST(NodeIdTest, OrderingByPre) {
 TEST(DomTest, StringValueConcatenatesTextDescendants) {
   auto doc = ParseDocument("t", "<a>x<b>y<c>z</c></b>w</a>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "xyzw");
+  EXPECT_EQ(doc.value().StringValue(doc.value().root()), "xyzw");
 }
 
 TEST(DomTest, StringValueExcludesAttributes) {
   auto doc = ParseDocument("t", "<a id=\"skip\">x</a>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "x");
+  EXPECT_EQ(doc.value().StringValue(doc.value().root()), "x");
 }
 
 TEST(DomTest, SubtreeSizeCountsAllNodes) {
   auto doc = ParseDocument("t", "<a id=\"1\"><b>x</b></a>");
   ASSERT_TRUE(doc.ok());
   // a + @id + b + text = 4.
-  EXPECT_EQ(doc.value().root().SubtreeSize(), 4u);
+  EXPECT_EQ(doc.value().subtree(doc.value().root()).size(), 4u);
 }
 
 TEST(DomTest, ForEachNodeVisitsInDocumentOrder) {
   auto doc = ParseDocument("t", "<a><b/><c><d/></c></a>");
   ASSERT_TRUE(doc.ok());
   std::vector<std::string> labels;
-  ForEachNode(doc.value().root(), [&](const Node& node) {
-    labels.push_back(node.label());
-  });
+  for (const Node& node : doc.value().nodes()) {
+    labels.emplace_back(doc.value().label(node));
+  }
   EXPECT_EQ(labels, (std::vector<std::string>{"a", "b", "c", "d"}));
 }
 
 // Structural-ID invariant checks: for every pair of nodes in a document,
 // the (pre, post, depth) predicates must agree with the actual tree.
-void CollectWithAncestry(const Node& node, std::vector<const Node*>* flat) {
+void CollectWithAncestry(const Document& doc, const Node& node,
+                         std::vector<const Node*>* flat) {
   flat->push_back(&node);
-  for (const auto& child : node.children()) {
-    CollectWithAncestry(*child, flat);
+  for (const Node& child : doc.children(node)) {
+    CollectWithAncestry(doc, child, flat);
   }
 }
 
-bool ReallyAncestor(const Node* maybe_ancestor, const Node* node) {
-  for (const Node* p = node->parent(); p != nullptr; p = p->parent()) {
+bool ReallyAncestor(const Document& doc, const Node* maybe_ancestor,
+                    const Node* node) {
+  for (const Node* p = doc.parent(*node); p != nullptr; p = doc.parent(*p)) {
     if (p == maybe_ancestor) return true;
   }
   return false;
@@ -87,7 +90,7 @@ TEST_P(IdInvariants, PrePostDepthAgreeWithTree) {
   Document doc = generator.GenerateDom(GetParam());
 
   std::vector<const Node*> nodes;
-  CollectWithAncestry(doc.root(), &nodes);
+  CollectWithAncestry(doc, doc.root(), &nodes);
   ASSERT_GT(nodes.size(), 10u);
 
   // Pre values are unique and in document order.
@@ -100,20 +103,21 @@ TEST_P(IdInvariants, PrePostDepthAgreeWithTree) {
     for (size_t j = 0; j < nodes.size(); j += step) {
       if (i == j) continue;
       const bool claimed = nodes[i]->id().IsAncestorOf(nodes[j]->id());
-      const bool actual = ReallyAncestor(nodes[i], nodes[j]);
+      const bool actual = ReallyAncestor(doc, nodes[i], nodes[j]);
       EXPECT_EQ(claimed, actual)
-          << nodes[i]->label() << nodes[i]->id().ToString() << " vs "
-          << nodes[j]->label() << nodes[j]->id().ToString();
+          << doc.label(*nodes[i]) << nodes[i]->id().ToString() << " vs "
+          << doc.label(*nodes[j]) << nodes[j]->id().ToString();
       if (claimed) {
         EXPECT_EQ(nodes[i]->id().IsParentOf(nodes[j]->id()),
-                  nodes[j]->parent() == nodes[i]);
+                  doc.parent(*nodes[j]) == nodes[i]);
       }
     }
   }
   // Depth equals real tree depth.
   for (const Node* node : nodes) {
     uint32_t depth = 1;
-    for (const Node* p = node->parent(); p != nullptr; p = p->parent()) {
+    for (const Node* p = doc.parent(*node); p != nullptr;
+         p = doc.parent(*p)) {
       ++depth;
     }
     EXPECT_EQ(node->id().depth, depth);
@@ -124,9 +128,10 @@ INSTANTIATE_TEST_SUITE_P(Docs, IdInvariants, ::testing::Range(0, 10));
 
 // --- Label streams -----------------------------------------------------------
 
-std::vector<std::string> Labels(std::span<const Node* const> stream) {
+std::vector<std::string> Labels(const Document& doc,
+                                std::span<const Node* const> stream) {
   std::vector<std::string> out;
-  for (const Node* node : stream) out.push_back(node->label());
+  for (const Node* node : stream) out.emplace_back(doc.label(*node));
   return out;
 }
 
@@ -138,13 +143,14 @@ TEST(LabelStreamTest, KeepsDocumentOrderWithinALabel) {
   ASSERT_EQ(stream.size(), 3u);
   for (size_t i = 0; i < stream.size(); ++i) {
     EXPECT_TRUE(stream[i]->is_element());
-    ASSERT_FALSE(stream[i]->children().empty());
-    EXPECT_EQ(stream[i]->children()[0]->value(), std::to_string(i + 1));
+    const auto children = doc.value().children(*stream[i]);
+    ASSERT_NE(children.begin(), children.end());
+    EXPECT_EQ(doc.value().value(*children.begin()), std::to_string(i + 1));
     if (i > 0) {
       EXPECT_LT(stream[i - 1]->id().pre, stream[i]->id().pre);
     }
   }
-  EXPECT_EQ(Labels(doc.value().Labelled(NodeKind::kElement, "a")),
+  EXPECT_EQ(Labels(doc.value(), doc.value().Labelled(NodeKind::kElement, "a")),
             (std::vector<std::string>{"a"}));
   EXPECT_EQ(doc.value().Labelled(NodeKind::kAttribute, "id").size(), 3u);
 }
@@ -162,8 +168,8 @@ TEST(LabelStreamTest, ElementAndAttributeOfOneNameStayApart) {
   ASSERT_EQ(attributes.size(), 2u);
   for (const Node* node : elements) EXPECT_TRUE(node->is_element());
   for (const Node* node : attributes) EXPECT_TRUE(node->is_attribute());
-  EXPECT_EQ(attributes[0]->value(), "p1");
-  EXPECT_EQ(attributes[1]->value(), "p2");
+  EXPECT_EQ(doc.value().value(*attributes[0]), "p1");
+  EXPECT_EQ(doc.value().value(*attributes[1]), "p2");
 }
 
 TEST(LabelStreamTest, UnknownLabelGivesAnEmptyStream) {
@@ -176,19 +182,114 @@ TEST(LabelStreamTest, UnknownLabelGivesAnEmptyStream) {
 }
 
 TEST(LabelStreamTest, DocumentIsCompleteWhenConstructed) {
-  // A tree handed to the constructor directly gets identifiers and
-  // streams, and both survive moving the document.
-  auto root = std::make_unique<Node>(NodeKind::kElement, "a");
-  root->AddElement("b")->AddText("x");
-  root->AddAttribute("id", "7");
-  Document built("t", std::move(root), 0);
+  // A built tree gets identifiers and streams, and both survive moving
+  // the document.
+  DocumentBuilder tree("a");
+  tree.root()->AddElement("b")->AddText("x");
+  tree.root()->AddAttribute("id", "7");
+  Document built = tree.Finish("t", 0);
   const Document doc = std::move(built);
   EXPECT_EQ(doc.root().id(), (NodeId{1, 4, 1}));
   const auto stream = doc.Labelled(NodeKind::kElement, "b");
   ASSERT_EQ(stream.size(), 1u);
   EXPECT_EQ(stream[0]->id(), (NodeId{2, 2, 2}));
-  EXPECT_EQ(stream[0]->parent(), &doc.root());
+  EXPECT_EQ(doc.parent(*stream[0]), &doc.root());
   EXPECT_EQ(doc.Labelled(NodeKind::kAttribute, "id").size(), 1u);
+}
+
+TEST(DocumentBuilderTest, AppendsToAnyNodeInChildOrder) {
+  // `d` goes under `b` after `c` exists, and an attribute goes on the
+  // root last: Finish still lays the tree out in pre order, each node's
+  // children in the order they were added.
+  DocumentBuilder tree("a");
+  const DocumentBuilder::NodeRef b = tree.root()->AddElement("b");
+  tree.root()->AddElement("c")->AddText("x");
+  b->AddElement("d");
+  tree.root()->AddAttribute("id", "7");
+  const Document doc = tree.Finish("t", 0);
+  std::vector<std::string> labels;
+  for (const Node& node : doc.nodes()) {
+    labels.emplace_back(node.is_text() ? doc.value(node) : doc.label(node));
+  }
+  EXPECT_EQ(labels,
+            (std::vector<std::string>{"a", "b", "d", "c", "x", "id"}));
+  EXPECT_EQ(doc.nodes()[2].id(), (NodeId{3, 1, 3}));
+  EXPECT_EQ(doc.parent(doc.nodes()[2]), &doc.nodes()[1]);
+  EXPECT_EQ(doc.root().end(), 6u);
+  EXPECT_EQ(doc.StringValue(doc.root()), "x");
+}
+
+// --- Fingerprint ------------------------------------------------------------
+
+// One Fnv1a64 over every node's (kind, label, value, pre, post, depth), in
+// pre order.  The constants below pin the DOM that parsing and generation
+// produce for the benchmark corpora.
+uint64_t Fingerprint(const Document& doc) {
+  std::string record;
+  for (const Node& node : doc.nodes()) {
+    record += StrFormat("%d|%s|%s|%u|%u|%u\n", static_cast<int>(node.kind()),
+                        std::string(doc.label(node)).c_str(),
+                        std::string(doc.value(node)).c_str(), node.id().pre,
+                        node.id().post, node.id().depth);
+  }
+  return Fnv1a64(record);
+}
+
+uint64_t CorpusFingerprint(const xmark::GeneratorConfig& config, int docs,
+                           bool parse) {
+  const xmark::XmarkGenerator generator(config);
+  std::string fingerprints;
+  for (int i = 0; i < docs; ++i) {
+    uint64_t fingerprint = 0;
+    if (parse) {
+      const xmark::GeneratedDocument text = generator.Generate(i);
+      auto doc = ParseDocument(text.uri, text.text);
+      EXPECT_TRUE(doc.ok()) << text.uri;
+      if (!doc.ok()) return 0;
+      fingerprint = Fingerprint(doc.value());
+    } else {
+      fingerprint = Fingerprint(generator.GenerateDom(i));
+    }
+    fingerprints +=
+        StrFormat("%016llx", static_cast<unsigned long long>(fingerprint));
+  }
+  return Fnv1a64(fingerprints);
+}
+
+xmark::GeneratorConfig FullSites() {
+  xmark::GeneratorConfig config;
+  config.num_documents = 60;
+  config.entities_per_document = 600;
+  return config;
+}
+
+xmark::GeneratorConfig Fragments() {
+  xmark::GeneratorConfig config;
+  config.split_sections = true;
+  config.num_documents = 240;
+  config.entities_per_document = 40;
+  return config;
+}
+
+// Parsing a generated text and generating the DOM directly give the same
+// nodes: the generator writes no whitespace-only text.
+constexpr uint64_t kFullSites = 0x79f3f302fb418694ull;
+constexpr uint64_t kFragments = 0xa0c0b138b27e8383ull;
+
+TEST(DomFingerprintTest, ParsedFullSites) {
+  EXPECT_EQ(CorpusFingerprint(FullSites(), 5, /*parse=*/true), kFullSites);
+}
+
+TEST(DomFingerprintTest, ParsedFragments) {
+  EXPECT_EQ(CorpusFingerprint(Fragments(), 20, /*parse=*/true), kFragments);
+}
+
+TEST(DomFingerprintTest, GeneratedFullSites) {
+  EXPECT_EQ(CorpusFingerprint(FullSites(), 5, /*parse=*/false), kFullSites);
+}
+
+TEST(DomFingerprintTest, GeneratedFragments) {
+  EXPECT_EQ(CorpusFingerprint(Fragments(), 20, /*parse=*/false), kFragments);
 }
 
 // --- Tokenizer ---------------------------------------------------------------

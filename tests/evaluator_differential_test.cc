@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -136,19 +137,20 @@ Corpus RecursiveCorpus(uint64_t seed, int num_documents) {
 /// miss.  Join queries tag nodes that share a string value.
 class QueryGenerator {
  public:
-  QueryGenerator(const Corpus& corpus, uint64_t seed) : rng_(seed) {
+  QueryGenerator(const Corpus& corpus, uint64_t seed)
+      : rng_(seed), docs_(corpus.ptrs) {
     std::map<std::string, std::vector<const xml::Node*>> by_value;
     for (const xml::Document* doc : corpus.ptrs) {
-      xml::ForEachNode(doc->root(), [&](const xml::Node& node) {
-        if (node.is_text()) return;
+      for (const xml::Node& node : doc->nodes()) {
+        if (node.is_text()) continue;
         nodes_.push_back(&node);
-        labels_[node.is_attribute() ? 1 : 0].insert(node.label());
-        const std::string value = node.StringValue();
-        if (node.parent() != nullptr && !value.empty() &&
+        labels_[node.is_attribute() ? 1 : 0].emplace(doc->label(node));
+        const std::string value = doc->StringValue(node);
+        if (doc->parent(node) != nullptr && !value.empty() &&
             value.size() < 40 && value.find('\'') == std::string::npos) {
           by_value[value].push_back(&node);
         }
-      });
+      }
     }
     for (auto& [value, nodes] : by_value) {
       if (nodes.size() >= 2 && nodes.size() <= 40) {
@@ -189,10 +191,11 @@ class QueryGenerator {
     std::vector<std::string> texts;
     for (int p = 0; p < patterns; ++p) {
       const xml::Node* target = nodes[rng_.NextBelow(nodes.size())];
-      const xml::Node* root = target->parent();
+      const xml::Document& doc = DocOf(*target);
+      const xml::Node* root = doc.parent(*target);
       const int up = static_cast<int>(rng_.NextBelow(2));
-      for (int i = 0; i < up && root->parent() != nullptr; ++i) {
-        root = root->parent();
+      for (int i = 0; i < up && doc.parent(*root) != nullptr; ++i) {
+        root = doc.parent(*root);
       }
       std::vector<std::pair<const xml::Node*, std::string>> tagged;
       for (const std::string& tag : tags[static_cast<size_t>(p)]) {
@@ -204,12 +207,27 @@ class QueryGenerator {
   }
 
  private:
+  /// The corpus document whose node array holds `node`.
+  const xml::Document& DocOf(const xml::Node& node) const {
+    for (const xml::Document* doc : docs_) {
+      const auto nodes = doc->nodes();
+      if (!std::less<const xml::Node*>()(&node, nodes.data()) &&
+          std::less<const xml::Node*>()(&node, nodes.data() + nodes.size())) {
+        return *doc;
+      }
+    }
+    ADD_FAILURE() << "node outside the corpus";
+    return *docs_.front();
+  }
+
   const xml::Node* PickRoot() {
     for (;;) {
       const xml::Node* node = nodes_[rng_.NextBelow(nodes_.size())];
       // Roots over huge subtrees make cross products the reference
       // matcher cannot enumerate in test time.
-      if (node->SubtreeSize() > 300 && !rng_.NextBool(0.05)) continue;
+      if (node->end() - node->index() > 300 && !rng_.NextBool(0.05)) {
+        continue;
+      }
       if (node->is_attribute() && !rng_.NextBool(0.2)) continue;
       return node;
     }
@@ -223,7 +241,7 @@ class QueryGenerator {
                            rng_.NextBelow(labels.size())));
       return *it;
     }
-    return node.label();
+    return std::string(DocOf(node).label(node));
   }
 
   /// A descendant of `node` one to three element steps below it, or null
@@ -233,8 +251,8 @@ class QueryGenerator {
     const int steps = static_cast<int>(rng_.NextInRange(1, 3));
     for (int i = 0; i < steps; ++i) {
       std::vector<const xml::Node*> children;
-      for (const auto& child : at->children()) {
-        if (!child->is_text()) children.push_back(child.get());
+      for (const xml::Node& child : DocOf(*at).children(*at)) {
+        if (!child.is_text()) children.push_back(&child);
       }
       if (children.empty()) break;
       at = children[rng_.NextBelow(children.size())];
@@ -243,7 +261,7 @@ class QueryGenerator {
   }
 
   std::string Predicate(const xml::Node& node) {
-    const std::string value = node.StringValue();
+    const std::string value = DocOf(node).StringValue(node);
     if (value.empty()) return "";
     switch (rng_.NextBelow(3)) {
       case 0:
@@ -282,7 +300,8 @@ class QueryGenerator {
   std::string Path(const xml::Node& ancestor, const xml::Node& node,
                    int depth, const std::string& tag) {
     std::vector<const xml::Node*> chain;
-    for (const xml::Node* at = &node; at != &ancestor; at = at->parent()) {
+    const xml::Document& doc = DocOf(node);
+    for (const xml::Node* at = &node; at != &ancestor; at = doc.parent(*at)) {
       chain.push_back(at);
     }
     std::reverse(chain.begin(), chain.end());
@@ -347,30 +366,33 @@ class QueryGenerator {
   };
 
   Rng rng_;
+  std::vector<const xml::Document*> docs_;
   std::vector<const xml::Node*> nodes_;
   std::set<std::string> labels_[2];
   std::vector<std::vector<const xml::Node*>> shared_values_;
 };
 
-double CountBelow(const PatternNode& pnode, const xml::Node& node);
+double CountBelow(const xml::Document& doc, const PatternNode& pnode,
+                  const xml::Node& node);
 
 /// Embeddings of the pattern subtree at `pnode` with `pnode` bound to
 /// `node`, counted without enumerating them: the suite skips queries
 /// whose matches the reference matcher could not enumerate in test time.
-double CountAt(const PatternNode& pnode, const xml::Node& node) {
+double CountAt(const xml::Document& doc, const PatternNode& pnode,
+               const xml::Node& node) {
   const xml::NodeKind kind = pnode.is_attribute ? xml::NodeKind::kAttribute
                                                 : xml::NodeKind::kElement;
-  if (node.kind() != kind || node.label() != pnode.label) return 0;
+  if (node.kind() != kind || doc.label(node) != pnode.label) return 0;
   if (pnode.predicate.kind != PredicateKind::kNone &&
-      !pnode.predicate.Matches(node.StringValue())) {
+      !pnode.predicate.Matches(doc.StringValue(node))) {
     return 0;
   }
   double product = 1;
   for (const auto& pchild : pnode.children) {
     double sum = 0;
-    for (const auto& child : node.children()) {
-      sum += pchild->axis == Axis::kChild ? CountAt(*pchild, *child)
-                                          : CountBelow(*pchild, *child);
+    for (const xml::Node& child : doc.children(node)) {
+      sum += pchild->axis == Axis::kChild ? CountAt(doc, *pchild, child)
+                                          : CountBelow(doc, *pchild, child);
     }
     product *= sum;
     if (product == 0) break;
@@ -379,9 +401,12 @@ double CountAt(const PatternNode& pnode, const xml::Node& node) {
 }
 
 /// Embeddings with `pnode` bound to `node` or any of its descendants.
-double CountBelow(const PatternNode& pnode, const xml::Node& node) {
-  double sum = CountAt(pnode, node);
-  for (const auto& child : node.children()) sum += CountBelow(pnode, *child);
+double CountBelow(const xml::Document& doc, const PatternNode& pnode,
+                  const xml::Node& node) {
+  double sum = CountAt(doc, pnode, node);
+  for (const xml::Node& child : doc.children(node)) {
+    sum += CountBelow(doc, pnode, child);
+  }
   return sum;
 }
 
@@ -390,8 +415,8 @@ double CountEmbeddings(const TreePattern& pattern,
   double total = 0;
   for (const xml::Document* doc : docs) {
     total += pattern.root().axis == Axis::kChild
-                 ? CountAt(pattern.root(), doc->root())
-                 : CountBelow(pattern.root(), doc->root());
+                 ? CountAt(*doc, pattern.root(), doc->root())
+                 : CountBelow(*doc, pattern.root(), doc->root());
   }
   return total;
 }

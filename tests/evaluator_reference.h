@@ -74,19 +74,19 @@ class PatternMatcher {
   }
 
  private:
-  static bool NodeMatches(const PatternNode& pnode, const xml::Node& dnode) {
+  bool NodeMatches(const PatternNode& pnode, const xml::Node& dnode) const {
     if (pnode.is_attribute) {
       if (!dnode.is_attribute()) return false;
     } else {
       if (!dnode.is_element()) return false;
     }
-    if (pnode.label != dnode.label()) return false;
+    if (pnode.label != doc_.label(dnode)) return false;
     if (pnode.predicate.kind != PredicateKind::kNone) {
       // Reuse one buffer across the scan's many predicate evaluations —
       // StringValue() would allocate a fresh string per visited node.
       thread_local std::string value;
       value.clear();
-      dnode.AppendStringValue(&value);
+      doc_.AppendStringValue(dnode, &value);
       if (!pnode.predicate.Matches(value)) return false;
     }
     return true;
@@ -98,8 +98,8 @@ class PatternMatcher {
                      std::vector<Partial>* out, bool first_only) {
     MatchAt(pnode, dnode, out, first_only);
     if (first_only && !out->empty()) return;
-    for (const auto& child : dnode.children()) {
-      MatchAnywhere(pnode, *child, out, first_only);
+    for (const xml::Node& child : doc_.children(dnode)) {
+      MatchAnywhere(pnode, child, out, first_only);
       if (first_only && !out->empty()) return;
     }
   }
@@ -115,13 +115,13 @@ class PatternMatcher {
     for (const auto& pchild : pnode.children) {
       std::vector<Partial> candidates;
       if (pchild->axis == Axis::kChild) {
-        for (const auto& dchild : dnode.children()) {
-          MatchAt(*pchild, *dchild, &candidates, first_only);
+        for (const xml::Node& dchild : doc_.children(dnode)) {
+          MatchAt(*pchild, dchild, &candidates, first_only);
           if (first_only && !candidates.empty()) break;
         }
       } else {
-        for (const auto& dchild : dnode.children()) {
-          MatchAnywhere(*pchild, *dchild, &candidates, first_only);
+        for (const xml::Node& dchild : doc_.children(dnode)) {
+          MatchAnywhere(*pchild, dchild, &candidates, first_only);
           if (first_only && !candidates.empty()) break;
         }
       }
@@ -136,14 +136,14 @@ class PatternMatcher {
     const int oslot = output_slot_[static_cast<size_t>(pnode.index)];
     if (oslot >= 0) {
       if (pnode.want_cont) {
-        self.outputs[static_cast<size_t>(oslot)] = xml::Serialize(dnode);
+        self.outputs[static_cast<size_t>(oslot)] = xml::Serialize(doc_, dnode);
       } else {
-        self.outputs[static_cast<size_t>(oslot)] = dnode.StringValue();
+        self.outputs[static_cast<size_t>(oslot)] = doc_.StringValue(dnode);
       }
     }
     const int jslot = join_slot_[static_cast<size_t>(pnode.index)];
     if (jslot >= 0) {
-      self.joins[static_cast<size_t>(jslot)] = dnode.StringValue();
+      self.joins[static_cast<size_t>(jslot)] = doc_.StringValue(dnode);
     }
 
     // Cartesian product over children, merged into `self`.

@@ -175,7 +175,7 @@ TEST_F(EvaluatorTest, ResultXmlEscapesValColumnsByKind) {
   EXPECT_EQ(xml, "<results><row><col>&lt;x&gt; y</col></row></results>");
   const auto reparsed = xml::ParseDocument("r", xml);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(reparsed.value().root().StringValue(), "<x> y");
+  EXPECT_EQ(reparsed.value().StringValue(reparsed.value().root()), "<x> y");
 }
 
 TEST_F(EvaluatorTest, ResultXmlKeepsElementContRawAndEscapesAttributeCont) {

@@ -181,10 +181,10 @@ TEST_P(ParserFuzz, RandomBytesNeverCrashTheXmlParser) {
     auto doc = xml::ParseDocument("fuzz", input);
     if (doc.ok()) {
       // Whatever parsed must serialize and re-parse to the same form.
-      const std::string once = xml::Serialize(doc.value().root());
+      const std::string once = xml::Serialize(doc.value(), doc.value().root());
       auto again = xml::ParseDocument("fuzz2", once);
       ASSERT_TRUE(again.ok()) << once;
-      EXPECT_EQ(xml::Serialize(again.value().root()), once);
+      EXPECT_EQ(xml::Serialize(again.value(), again.value().root()), once);
     }
   }
 }

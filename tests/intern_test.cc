@@ -65,7 +65,9 @@ TEST(InternTest, CollisionHeavyFillKeepsEveryKey) {
         StrFormat("ekey%07u", static_cast<unsigned>(i) * 2654435761u % 9999999u);
     const KeyHandle h = interner.Intern(key);
     auto [it, inserted] = expected.emplace(key, h);
-    if (!inserted) EXPECT_EQ(it->second, h) << key;
+    if (!inserted) {
+      EXPECT_EQ(it->second, h) << key;
+    }
   }
   EXPECT_EQ(interner.size(), expected.size());
   for (const auto& [key, handle] : expected) {

@@ -167,8 +167,9 @@ TEST(PaintingsTest, Figure3DocumentsMatchPaper) {
   EXPECT_EQ(docs[0].uri, "delacroix.xml");
   auto parsed = xml::ParseDocument(docs[0].uri, docs[0].text);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().root().label(), "painting");
-  EXPECT_EQ(parsed.value().root().children()[0]->value(), "1854-1");
+  const xml::Document& doc = parsed.value();
+  EXPECT_EQ(doc.label(doc.root()), "painting");
+  EXPECT_EQ(doc.value(*doc.children(doc.root()).begin()), "1854-1");
   EXPECT_NE(docs[1].text.find("Olympia"), std::string::npos);
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xmark/xmark_generator.h"
@@ -11,11 +14,28 @@ Result<Document> Parse(std::string_view text) {
   return ParseDocument("test.xml", text);
 }
 
+std::vector<const Node*> RootChildren(const Document& doc) {
+  std::vector<const Node*> children;
+  for (const Node& child : doc.children(doc.root())) {
+    children.push_back(&child);
+  }
+  return children;
+}
+
+std::string RootValue(const Document& doc) {
+  return doc.StringValue(doc.root());
+}
+
+std::string SerializeRoot(const Document& doc,
+                          const SerializerOptions& options = {}) {
+  return Serialize(doc, doc.root(), options);
+}
+
 TEST(XmlParserTest, MinimalDocument) {
   auto doc = Parse("<a/>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().label(), "a");
-  EXPECT_TRUE(doc.value().root().children().empty());
+  EXPECT_EQ(doc.value().label(doc.value().root()), "a");
+  EXPECT_TRUE(RootChildren(doc.value()).empty());
   EXPECT_EQ(doc.value().uri(), "test.xml");
   EXPECT_EQ(doc.value().size_bytes(), 4u);
 }
@@ -23,22 +43,22 @@ TEST(XmlParserTest, MinimalDocument) {
 TEST(XmlParserTest, NestedElementsAndText) {
   auto doc = Parse("<a><b>hello</b><c>world</c></a>");
   ASSERT_TRUE(doc.ok());
-  const Node& root = doc.value().root();
-  ASSERT_EQ(root.children().size(), 2u);
-  EXPECT_EQ(root.children()[0]->label(), "b");
-  EXPECT_EQ(root.children()[0]->StringValue(), "hello");
-  EXPECT_EQ(root.StringValue(), "helloworld");
+  const std::vector<const Node*> children = RootChildren(doc.value());
+  ASSERT_EQ(children.size(), 2u);
+  EXPECT_EQ(doc.value().label(*children[0]), "b");
+  EXPECT_EQ(doc.value().StringValue(*children[0]), "hello");
+  EXPECT_EQ(RootValue(doc.value()), "helloworld");
 }
 
 TEST(XmlParserTest, AttributesBecomeAttributeNodes) {
   auto doc = Parse("<painting id=\"1854-1\" style='oil'/>");
   ASSERT_TRUE(doc.ok());
-  const Node& root = doc.value().root();
-  ASSERT_EQ(root.children().size(), 2u);
-  EXPECT_TRUE(root.children()[0]->is_attribute());
-  EXPECT_EQ(root.children()[0]->label(), "id");
-  EXPECT_EQ(root.children()[0]->value(), "1854-1");
-  EXPECT_EQ(root.children()[1]->value(), "oil");
+  const std::vector<const Node*> children = RootChildren(doc.value());
+  ASSERT_EQ(children.size(), 2u);
+  EXPECT_TRUE(children[0]->is_attribute());
+  EXPECT_EQ(doc.value().label(*children[0]), "id");
+  EXPECT_EQ(doc.value().value(*children[0]), "1854-1");
+  EXPECT_EQ(doc.value().value(*children[1]), "oil");
 }
 
 TEST(XmlParserTest, XmlDeclarationAndComments) {
@@ -46,26 +66,26 @@ TEST(XmlParserTest, XmlDeclarationAndComments) {
       "<?xml version=\"1.0\"?><!-- top --><a><!-- inner -->x</a><!-- end "
       "-->");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "x");
+  EXPECT_EQ(RootValue(doc.value()), "x");
 }
 
 TEST(XmlParserTest, CdataPreservedVerbatim) {
   auto doc = Parse("<a><![CDATA[5 < 6 & more]]></a>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "5 < 6 & more");
+  EXPECT_EQ(RootValue(doc.value()), "5 < 6 & more");
 }
 
 TEST(XmlParserTest, PredefinedEntities) {
   auto doc = Parse("<a attr=\"&quot;q&quot;\">&lt;&amp;&gt;&apos;</a>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "<&>'");
-  EXPECT_EQ(doc.value().root().children()[0]->value(), "\"q\"");
+  EXPECT_EQ(RootValue(doc.value()), "<&>'");
+  EXPECT_EQ(doc.value().value(*RootChildren(doc.value())[0]), "\"q\"");
 }
 
 TEST(XmlParserTest, NumericCharacterReferences) {
   auto doc = Parse("<a>&#65;&#x42;&#233;</a>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "AB\xC3\xA9");
+  EXPECT_EQ(RootValue(doc.value()), "AB\xC3\xA9");
 }
 
 TEST(XmlParserTest, CharacterReferencesMustNameAnXmlChar) {
@@ -85,13 +105,13 @@ TEST(XmlParserTest, CharacterReferencesMustNameAnXmlChar) {
   // The edges of the Char ranges still decode.
   const auto doc = Parse("<a>&#9;&#x41;&#x10FFFF;</a>");
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_EQ(doc.value().root().StringValue(), "\tA\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(RootValue(doc.value()), "\tA\xF4\x8F\xBF\xBF");
 }
 
 TEST(XmlParserTest, WhitespaceTextSkippedByDefault) {
   auto doc = Parse("<a>\n  <b>x</b>\n</a>");
   ASSERT_TRUE(doc.ok());
-  ASSERT_EQ(doc.value().root().children().size(), 1u);
+  ASSERT_EQ(RootChildren(doc.value()).size(), 1u);
 }
 
 TEST(XmlParserTest, WhitespaceTextKeptOnRequest) {
@@ -99,13 +119,13 @@ TEST(XmlParserTest, WhitespaceTextKeptOnRequest) {
   options.skip_whitespace_text = false;
   auto doc = ParseDocument("t.xml", "<a> <b>x</b> </a>", options);
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().children().size(), 3u);
+  EXPECT_EQ(RootChildren(doc.value()).size(), 3u);
 }
 
 TEST(XmlParserTest, ProcessingInstructionsSkipped) {
   auto doc = Parse("<a><?php echo ?>x</a>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "x");
+  EXPECT_EQ(RootValue(doc.value()), "x");
 }
 
 TEST(XmlParserTest, MismatchedTagFails) {
@@ -133,7 +153,7 @@ TEST(XmlParserTest, DoctypeInternalSubsetRejected) {
 TEST(XmlParserTest, SimpleDoctypeSkipped) {
   auto doc = Parse("<!DOCTYPE html><a>x</a>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc.value().root().StringValue(), "x");
+  EXPECT_EQ(RootValue(doc.value()), "x");
 }
 
 TEST(XmlParserTest, ErrorMessagesCarryLineNumbers) {
@@ -150,17 +170,17 @@ TEST(XmlParserTest, SerializeParseRoundTrip) {
       "</painter></painting>";
   auto doc = Parse(original);
   ASSERT_TRUE(doc.ok());
-  const std::string serialized = Serialize(doc.value().root());
+  const std::string serialized = SerializeRoot(doc.value());
   EXPECT_EQ(serialized, original);
   auto reparsed = Parse(serialized);
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(Serialize(reparsed.value().root()), original);
+  EXPECT_EQ(SerializeRoot(reparsed.value()), original);
 }
 
 TEST(XmlParserTest, SerializerEscapesSpecials) {
   auto doc = Parse("<a x=\"&lt;&quot;\">a &amp; b</a>");
   ASSERT_TRUE(doc.ok());
-  const std::string out = Serialize(doc.value().root());
+  const std::string out = SerializeRoot(doc.value());
   EXPECT_EQ(out, "<a x=\"&lt;&quot;\">a &amp; b</a>");
 }
 
@@ -169,7 +189,7 @@ TEST(XmlParserTest, IndentedSerialization) {
   ASSERT_TRUE(doc.ok());
   SerializerOptions options;
   options.indent = true;
-  const std::string out = Serialize(doc.value().root(), options);
+  const std::string out = SerializeRoot(doc.value(), options);
   EXPECT_NE(out.find("\n  <b>"), std::string::npos);
 }
 
@@ -208,11 +228,11 @@ TEST_P(XmarkRoundTrip, GeneratedDocumentParses) {
   const auto generated = generator.Generate(GetParam());
   auto doc = ParseDocument(generated.uri, generated.text);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_EQ(doc.value().root().label(), "site");
-  const std::string once = Serialize(doc.value().root());
+  EXPECT_EQ(doc.value().label(doc.value().root()), "site");
+  const std::string once = SerializeRoot(doc.value());
   auto reparsed = ParseDocument(generated.uri, once);
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(Serialize(reparsed.value().root()), once);
+  EXPECT_EQ(SerializeRoot(reparsed.value()), once);
 }
 
 INSTANTIATE_TEST_SUITE_P(FirstDocs, XmarkRoundTrip,
