@@ -2,83 +2,234 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <numeric>
 
 namespace webdex::cloud {
 
-ItemTable::Slots::iterator ItemTable::Seek(
-    Slots& slots, std::string_view range_key) {
-  return std::lower_bound(slots.begin(), slots.end(), range_key,
-                          [](const Slot& slot, std::string_view range) {
-                            return slot.range_key() < range;
+namespace {
+
+uint64_t Prefix(std::string_view s) {
+  uint64_t prefix = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    const unsigned byte =
+        i < s.size() ? static_cast<unsigned char>(s[i]) : 0u;
+    prefix = prefix << 8 | byte;
+  }
+  return prefix;
+}
+
+/// Orders two strings whose prefixes are equal: when both fit in their
+/// prefix, the shorter is a prefix of the longer.
+int CompareRest(std::string_view a, std::string_view b) {
+  if (a.size() <= 8 && b.size() <= 8) {
+    return a.size() == b.size() ? 0 : a.size() < b.size() ? -1 : 1;
+  }
+  return a.compare(b);
+}
+
+}  // namespace
+
+ItemTable::Key ItemTable::KeyOf(std::string_view hash,
+                                std::string_view range) {
+  return {Prefix(hash), Prefix(range), hash, range};
+}
+
+bool ItemTable::Less(const Entry& a, const Entry& b) {
+  return Compare(a.key(), b.key()) < 0;
+}
+
+int ItemTable::Compare(const Key& a, const Key& b) {
+  if (a.hash_prefix != b.hash_prefix) {
+    return a.hash_prefix < b.hash_prefix ? -1 : 1;
+  }
+  if (const int c = CompareRest(a.hash, b.hash)) return c;
+  if (a.range_prefix != b.range_prefix) {
+    return a.range_prefix < b.range_prefix ? -1 : 1;
+  }
+  return CompareRest(a.range, b.range);
+}
+
+std::vector<ItemTable::Entry>::iterator ItemTable::LowerBound(
+    const Key& key) const {
+  Seal();
+  return std::lower_bound(entries_.begin(), entries_.end(), key,
+                          [](const Entry& e, const Key& k) {
+                            return Compare(e.key(), k) < 0;
                           });
 }
 
-uint64_t ItemTable::Forget(std::string_view hash_key, const Slot& slot) {
-  const uint64_t bytes = hash_key.size() + slot.payload_bytes;
-  stored_bytes_ -= bytes;
-  item_count_ -= 1;
-  value_count_ -= slot.value_count;
-  return bytes;
+void ItemTable::Count(const Entry& e) const {
+  stored_bytes_ += e.size_bytes();
+  item_count_ += 1;
+  value_count_ += e.value_count;
 }
 
-Item ItemTable::Copy(const std::string& hash_key, const Slot& slot) {
+void ItemTable::Forget(Entry& e) const {
+  if (e.dead) return;
+  stored_bytes_ -= e.size_bytes();
+  item_count_ -= 1;
+  value_count_ -= e.value_count;
+  dead_bytes_ += e.arena_size();
+  e.dead = true;
+}
+
+char* ItemTable::Allocate(size_t size) {
+  if (size > chunk_left_) {
+    chunk_left_ = std::max(kChunkBytes, size);
+    chunks_.push_back(
+        {std::make_unique_for_overwrite<char[]>(chunk_left_), chunk_left_});
+    next_ = chunks_.back().bytes.get();
+    arena_bytes_ += chunk_left_;
+  }
+  char* data = next_;
+  next_ += size;
+  chunk_left_ -= size;
+  arena_used_ += size;
+  return data;
+}
+
+Item ItemTable::Copy(const Entry& e) {
   Item item;
-  item.hash_key = hash_key;
-  item.record_.assign(slot.record.get(), slot.size);
-  item.range_size_ = slot.range_size;
-  item.value_count_ = slot.value_count;
-  item.payload_bytes_ = slot.payload_bytes;
+  item.hash_key.assign(e.data, e.hash_size);
+  item.record_.assign(e.data + e.hash_size, e.record_size);
+  item.range_size_ = e.range_size;
+  item.value_count_ = e.value_count;
+  item.payload_bytes_ = e.payload_bytes;
   return item;
 }
 
 void ItemTable::Put(const Item& item) {
+  MaybeRepack();
   const std::string& record = item.record();
-  Slot slot{std::make_unique_for_overwrite<char[]>(record.size()),
-            static_cast<uint32_t>(record.size()), item.range_size_,
-            item.value_count_, static_cast<uint32_t>(item.payload_bytes_)};
-  std::memcpy(slot.record.get(), record.data(), record.size());
-  Slots& slots = index_.try_emplace(item.hash_key).first->second;
-  auto pos = Seek(slots, item.range_key());
-  if (pos != slots.end() && pos->range_key() == item.range_key()) {
-    Forget(item.hash_key, *pos);
-    *pos = std::move(slot);
-  } else {
-    slots.insert(pos, std::move(slot));
+  char* data = Allocate(item.hash_key.size() + record.size());
+  std::memcpy(data, item.hash_key.data(), item.hash_key.size());
+  std::memcpy(data + item.hash_key.size(), record.data(), record.size());
+  const Key key = KeyOf(item.hash_key, item.range_key());
+  entries_.push_back({key.hash_prefix, key.range_prefix, data,
+                      static_cast<uint32_t>(item.hash_key.size()),
+                      static_cast<uint32_t>(record.size()), item.range_size_,
+                      item.value_count_,
+                      static_cast<uint32_t>(item.payload_bytes_)});
+}
+
+void ItemTable::SortTail() const {
+  // Puts arrive in batches that are mostly sorted already: merge the
+  // tail's ascending runs pairwise, in place and stably, so equal keys
+  // stay in put order.
+  const auto tail = entries_.begin() + run_size_;
+  std::vector<size_t> bounds = {0};
+  for (auto it = tail + 1; it < entries_.end(); ++it) {
+    if (Less(*it, it[-1])) bounds.push_back(it - tail);
   }
-  stored_bytes_ += item.SizeBytes();
-  item_count_ += 1;
-  value_count_ += item.ValueCount();
+  bounds.push_back(entries_.end() - tail);
+  while (bounds.size() > 2) {
+    size_t runs = 1;
+    for (size_t i = 2; i < bounds.size(); i += 2) {
+      std::inplace_merge(tail + bounds[i - 2], tail + bounds[i - 1],
+                         tail + bounds[i], Less);
+      bounds[runs++] = bounds[i];
+    }
+    if (bounds.size() % 2 == 0) bounds[runs++] = bounds.back();
+    bounds.resize(runs);
+  }
+}
+
+const ItemTable& ItemTable::Seal() const {
+  if (run_size_ == entries_.size()) return *this;
+  SortTail();
+  // The last put of each key wins.  It replaces an equal run entry in
+  // place; the other winners are kept to be merged into the run.
+  const auto run_end = entries_.begin() + run_size_;
+  auto kept = run_end;
+  auto hit = entries_.begin();
+  for (auto it = run_end; it != entries_.end(); ++it) {
+    if (it + 1 != entries_.end() && Compare(it->key(), it[1].key()) == 0) {
+      dead_bytes_ += it->arena_size();
+      continue;
+    }
+    Count(*it);
+    hit = std::lower_bound(hit, run_end, *it, Less);
+    if (hit != run_end && Compare(hit->key(), it->key()) == 0) {
+      Forget(*hit);
+      *hit = *it;
+    } else {
+      *kept++ = *it;
+    }
+  }
+  entries_.erase(kept, entries_.end());
+  std::inplace_merge(entries_.begin(), run_end, entries_.end(), Less);
+  run_size_ = entries_.size();
+  return *this;
+}
+
+void ItemTable::MaybeRepack() {
+  if (dead_bytes_ <= kChunkBytes || 4 * dead_bytes_ <= arena_used_) return;
+  Seal();
+  std::erase_if(entries_, [](const Entry& e) { return e.dead; });
+  run_size_ = entries_.size();
+  // Copy the records chunk by chunk, freeing each old chunk once it is
+  // drained, so the two copies overlap by at most one chunk.
+  std::vector<Chunk> old = std::move(chunks_);
+  chunks_.clear();
+  chunk_left_ = arena_bytes_ = arena_used_ = dead_bytes_ = 0;
+  const std::less<const char*> below;
+  std::sort(old.begin(), old.end(), [&](const Chunk& a, const Chunk& b) {
+    return below(a.bytes.get(), b.bytes.get());
+  });
+  // Bucket the entries by the chunk their record lies in.
+  std::vector<uint32_t> chunk_of(entries_.size());
+  std::vector<uint32_t> bucket_end(old.size() + 1);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const auto holder = std::upper_bound(
+        old.begin(), old.end(), entries_[i].data,
+        [&](const char* p, const Chunk& c) {
+          return below(p, c.bytes.get());
+        });
+    chunk_of[i] = static_cast<uint32_t>(holder - old.begin() - 1);
+    ++bucket_end[chunk_of[i] + 1];
+  }
+  std::partial_sum(bucket_end.begin(), bucket_end.end(), bucket_end.begin());
+  std::vector<uint32_t> order(entries_.size());
+  for (uint32_t i = 0; i < entries_.size(); ++i) {
+    order[bucket_end[chunk_of[i]]++] = i;
+  }
+  size_t next = 0;
+  for (size_t c = 0; c < old.size(); ++c) {
+    for (; next < bucket_end[c]; ++next) {
+      Entry& e = entries_[order[next]];
+      char* data = Allocate(e.arena_size());
+      std::memcpy(data, e.data, e.arena_size());
+      e.data = data;
+    }
+    old[c].bytes.reset();
+  }
 }
 
 std::optional<uint64_t> ItemTable::Erase(std::string_view hash_key,
                                          std::string_view range_key) {
-  auto hit = index_.find(hash_key);
-  if (hit == index_.end()) return std::nullopt;
-  Slots& slots = hit->second;
-  auto pos = Seek(slots, range_key);
-  if (pos == slots.end() || pos->range_key() != range_key) {
+  const Key key = KeyOf(hash_key, range_key);
+  const auto it = LowerBound(key);
+  if (it == entries_.end() || it->dead || Compare(it->key(), key) != 0) {
     return std::nullopt;
   }
-  const uint64_t bytes = Forget(hash_key, *pos);
-  slots.erase(pos);
-  if (slots.empty()) index_.erase(hit);
+  const uint64_t bytes = it->size_bytes();
+  Forget(*it);
+  MaybeRepack();
   return bytes;
 }
 
 void ItemTable::AppendItems(std::string_view hash_key,
                             std::vector<Item>* out) const {
-  auto hit = index_.find(hash_key);
-  if (hit == index_.end()) return;
-  for (const Slot& slot : hit->second) {
-    out->push_back(Copy(hit->first, slot));
+  for (auto it = LowerBound(KeyOf(hash_key, {}));
+       it != entries_.end() && it->key().hash == hash_key; ++it) {
+    if (!it->dead) out->push_back(Copy(*it));
   }
 }
 
 void ItemTable::AppendAll(std::vector<Item>* out) const {
-  out->reserve(out->size() + item_count_);
-  for (const auto& [hash_key, slots] : index_) {
-    for (const Slot& slot : slots) out->push_back(Copy(hash_key, slot));
-  }
+  out->reserve(out->size() + item_count());
+  ForEachLive([out](Item&& item) { out->push_back(std::move(item)); });
 }
 
 ItemStore::ItemStore(const char* name, const char* noun,
@@ -90,25 +241,31 @@ ItemStore::ItemStore(const char* name, const char* noun,
       item_overhead_bytes_(item_overhead_bytes),
       value_overhead_bytes_(value_overhead_bytes) {}
 
+size_t ItemStore::Index(const std::string& table) const {
+  return std::partition_point(
+             tables_.begin(), tables_.end(),
+             [&table](const auto& t) { return t.first < table; }) -
+         tables_.begin();
+}
+
 Status ItemStore::Create(const std::string& table) {
-  if (!tables_.try_emplace(table).second) {
+  if (HasTable(table)) {
     return Status::AlreadyExists(std::string(noun_) + " exists: " + table);
   }
+  tables_.emplace(tables_.begin() + Index(table), table, ItemTable());
   return Status::OK();
 }
 
 Result<ItemTable*> ItemStore::Open(const std::string& table) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
+  if (!HasTable(table)) {
     return Status::NotFound("no such " + std::string(noun_) + ": " + table);
   }
-  return &it->second;
+  return &tables_[Index(table)].second;
 }
 
 const ItemTable& ItemStore::Lookup(const std::string& table) const {
   static const ItemTable kEmpty;
-  auto it = tables_.find(table);
-  return it == tables_.end() ? kEmpty : it->second;
+  return HasTable(table) ? tables_[Index(table)].second : kEmpty;
 }
 
 uint64_t ItemStore::OverheadBytes(const std::string& table) const {
@@ -120,26 +277,20 @@ uint64_t ItemStore::OverheadBytes(const std::string& table) const {
 std::vector<std::string> ItemStore::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) {
-    (void)table;
-    names.push_back(name);
-  }
+  for (const auto& [name, table] : tables_) names.push_back(name);
   return names;
 }
 
 void ItemStore::ForEachItem(
     const std::function<void(const std::string&, const Item&)>& fn) const {
   for (const auto& [name, table] : tables_) {
-    for (const auto& [hash_key, slots] : table.index_) {
-      for (const ItemTable::Slot& slot : slots) {
-        fn(name, ItemTable::Copy(hash_key, slot));
-      }
-    }
+    table.ForEachLive([&](const Item& item) { fn(name, item); });
   }
 }
 
 void ItemStore::RestoreItem(const std::string& table, const Item& item) {
-  tables_[table].Put(item);
+  if (!HasTable(table)) (void)Create(table);
+  tables_[Index(table)].second.Put(item);
 }
 
 }  // namespace webdex::cloud

@@ -17,6 +17,9 @@ uint64_t KvStore::TotalOverheadBytes() const {
 }
 
 uint64_t FingerprintStore(const KvStore& store) {
+  // Hashes each item's dump in turn rather than one dump of the store,
+  // which would hold a copy of every item at once.
+  uint64_t hash = Fnv1a64({});
   std::string dump;
   const auto append = [&dump](std::string_view field) {
     dump += std::to_string(field.size());
@@ -24,6 +27,7 @@ uint64_t FingerprintStore(const KvStore& store) {
     dump += field;
   };
   store.ForEachItem([&](const std::string& table, const Item& item) {
+    dump.clear();
     append(table);
     append(item.hash_key);
     append(item.range_key());
@@ -35,8 +39,9 @@ uint64_t FingerprintStore(const KvStore& store) {
       dump += ';';
       for (const auto& value : values) append(value);
     }
+    hash = Fnv1a64(dump, hash);
   });
-  return Fnv1a64(dump);
+  return hash;
 }
 
 }  // namespace webdex::cloud

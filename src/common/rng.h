@@ -13,8 +13,10 @@ namespace webdex {
 /// shard and replica routing, store fingerprints and the index interner.
 /// Endian- and platform-stable, so everything built on it reproduces
 /// everywhere.
-inline uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
+/// `hash` continues a running hash: hashing pieces in turn equals hashing
+/// their concatenation.
+inline uint64_t Fnv1a64(std::string_view bytes,
+                        uint64_t hash = 0xcbf29ce484222325ull) {
   for (unsigned char c : bytes) {
     hash ^= c;
     hash *= 0x100000001b3ull;

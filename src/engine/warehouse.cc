@@ -707,11 +707,14 @@ Result<QueryRunReport> Warehouse::ExecuteQueries(
 Result<QueryRunReport> Warehouse::ExecuteQueries(
     const std::vector<TenantQuery>& queries) {
   // The tenant is a line of the QUERYT wire format: a newline in it would
-  // move the rest of the tenant into the query text.
+  // move the rest of the tenant into the query text.  A query that does
+  // not parse would be dead-lettered by its task.  Both are rejected
+  // before anything is sent.
   for (const auto& query : queries) {
     if (query.tenant.find('\n') != std::string::npos) {
       return Status::InvalidArgument("tenant contains a newline");
     }
+    WEBDEX_RETURN_IF_ERROR(query::ParseQuery(query.text).status());
   }
   const cloud::Usage run_start = env_->meter().Snapshot();
   cloud::MeteredSpan run_span(env_->tracer(), env_->meter(), front_end_,

@@ -209,7 +209,7 @@ TEST_P(ParserFuzz, MutatedXmarkDocumentsParseOrFailCleanly) {
           mutated.erase(pos, rng.NextBelow(8) + 1);
           break;
         default:
-          mutated.insert(pos, "<");
+          mutated.insert(pos, 1, '<');
           break;
       }
     }

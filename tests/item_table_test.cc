@@ -5,7 +5,11 @@
 // replace / Erase sequences run against a plain nested-map reference
 // model, which must agree on every item, in order, on the accounting,
 // and on every Erase result — across replace and erase churn, empty
-// attribute sets and values, binary values and 64 KB items.  The named
+// attribute sets and values, binary values and 64 KB items, and with a
+// read after every op.  Focused cases pin the append log's sealing: a
+// put after a read, two puts of a key in one tail, an erase with a tail
+// pending, erased items in every read, repacks under erase-heavy churn,
+// and the heap footprint on benchmark-shaped items.  The named
 // tables above it are exercised through a real DynamoDb: multi-table
 // restores, deletes, iteration order and the storage accounting the
 // store bills from.  Last, the items every strategy extracts round-trip
@@ -191,7 +195,9 @@ std::optional<Item> PickExisting(const TableModel& model, Rng& rng) {
 const std::vector<std::string> kHashKeys = {"", "k", "key-1",
                                             "a-much-longer-hash-key"};
 
-void RunRandomOps(uint64_t seed, int ops) {
+/// Seeded random puts, replacements and erases against the model,
+/// compared with it every `check_every` ops and at the end.
+void RunRandomOps(uint64_t seed, int ops, int check_every = 97) {
   Rng rng(seed);
   ItemTable table;
   TableModel model;
@@ -225,7 +231,7 @@ void RunRandomOps(uint64_t seed, int ops) {
       EXPECT_EQ(table.Erase(key.hash_key, key.range_key()), want)
           << "op " << op;
     }
-    if (op % 97 == 0) {
+    if (op % check_every == 0) {
       ASSERT_NO_FATAL_FAILURE(ExpectMatches(table, model));
     }
   }
@@ -237,6 +243,135 @@ TEST(ItemTableTest, RandomOpsMatchReferenceModel) {
     SCOPED_TRACE(seed);
     RunRandomOps(seed, 1500);
   }
+}
+
+// Reading after every op seals a tail of one put each time: the sorted
+// run then takes every put and erase one at a time.
+TEST(ItemTableTest, RandomOpsReadAfterEveryOpMatchReferenceModel) {
+  for (uint64_t seed = 7; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    RunRandomOps(seed, 1500, /*check_every=*/1);
+  }
+}
+
+// A put after a read lands in a fresh tail, which the next read merges
+// into the sorted run, replacing the equal key there.
+TEST(ItemTableTest, PutAfterReadIsMergedIntoTheRun) {
+  ItemTable t;
+  TableModel model;
+  const auto put = [&](const Item& item) {
+    t.Put(item);
+    model[item.hash_key][std::string(item.range_key())] = item.ToAttributes();
+  };
+  put(Item{"k", "b", {{"d", {"first"}}}});
+  put(Item{"m", "a", {}});
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+  put(Item{"k", "a", {{"d", {"before-b"}}}});
+  put(Item{"k", "b", {{"d", {"second", "value"}}}});
+  put(Item{"a", "z", {}});
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+  EXPECT_EQ(t.item_count(), 4u);
+}
+
+// Two puts of one key in one unsealed tail: the last wins, with its
+// size and value count.
+TEST(ItemTableTest, LastPutOfAKeyInOneTailWins) {
+  ItemTable t;
+  const Item first{"k", "r", {{"d", {"a-long-first-value", "x"}}}};
+  const Item last{"k", "r", {{"e", {"v"}}}};
+  t.Put(Item{"k", "q", {}});
+  t.Put(first);
+  t.Put(last);
+  std::vector<Item> got;
+  t.AppendItems("k", &got);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(SameItem(got[1], last));
+  EXPECT_EQ(t.item_count(), 2u);
+  EXPECT_EQ(t.stored_bytes(), Item("k", "q").SizeBytes() + last.SizeBytes());
+  EXPECT_EQ(t.value_count(), last.ValueCount());
+}
+
+// Erase seals first, so with a replacement still pending it erases (and
+// returns the size of) the latest put of the key.
+TEST(ItemTableTest, EraseWithAPendingTailReturnsTheLatestSize) {
+  const Item old_item{"k", "r", {{"d", {"old"}}}};
+  const Item new_item{"k", "r", {{"d", {"a-much-longer-new-value"}}}};
+  for (const bool sealed_first : {false, true}) {
+    SCOPED_TRACE(sealed_first);
+    ItemTable t;
+    t.Put(old_item);
+    if (sealed_first) EXPECT_EQ(t.item_count(), 1u);
+    t.Put(new_item);
+    EXPECT_EQ(t.Erase("k", "r"), new_item.SizeBytes());
+    EXPECT_EQ(t.Erase("k", "r"), std::nullopt);
+    EXPECT_EQ(t.item_count(), 0u);
+    EXPECT_EQ(t.stored_bytes(), 0u);
+    EXPECT_EQ(t.value_count(), 0u);
+  }
+}
+
+// Erased items are gone from every read: AppendItems, AppendAll and the
+// store's ForEachItem; a re-put of an erased key brings it back.
+TEST(ItemTableTest, ErasedItemsAreInvisibleToEveryRead) {
+  CloudEnv env;
+  DynamoDb& store = env.dynamodb();
+  TestAgent agent;
+  ASSERT_TRUE(store.CreateTable(agent, "t").ok());
+  ItemTable t;
+  TableModel model;
+  for (int i = 0; i < 30; ++i) {
+    const Item item{"k" + std::to_string(i % 3), "r" + std::to_string(i),
+                    {{"d", {std::to_string(i)}}}};
+    t.Put(item);
+    store.RestoreItem("t", item);
+    model[item.hash_key][std::string(item.range_key())] = item.ToAttributes();
+  }
+  for (int i = 0; i < 30; i += 2) {
+    const std::string hash_key = "k" + std::to_string(i % 3);
+    const std::string range_key = "r" + std::to_string(i);
+    EXPECT_TRUE(t.Erase(hash_key, range_key).has_value());
+    ASSERT_TRUE(store.DeleteItem(agent, "t", hash_key, range_key).ok());
+    model[hash_key].erase(range_key);
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+  Model stored;
+  stored["t"] = model;
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, stored));
+  const Item back{"k0", "r0", {{"d", {"back"}}}};
+  t.Put(back);
+  model["k0"]["r0"] = back.ToAttributes();
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+}
+
+// Erasing most of a table, with puts in between, repacks the arena: the
+// contents stay the model's and the heap shrinks with the live bytes.
+TEST(ItemTableTest, EraseHeavyChurnRepacksAndKeepsContents) {
+  Rng rng(13);
+  ItemTable t;
+  TableModel model;
+  const auto put = [&](int i) {
+    const Item item{"k" + std::to_string(i % 17), "r" + std::to_string(i),
+                    {{"d", {RandomBytes(rng, 1000)}}}};
+    t.Put(item);
+    model[item.hash_key][std::string(item.range_key())] = item.ToAttributes();
+  };
+  for (int i = 0; i < 2000; ++i) put(i);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+  const size_t full_heap = t.heap_bytes();
+  int next = 2000;
+  for (int round = 0; round < 9; ++round) {
+    // Erase every item but one in ten, then put a few new ones.
+    for (const Item& item : Contents(model)) {
+      if (rng.NextBelow(10) == 0) continue;
+      EXPECT_EQ(t.Erase(item.hash_key, item.range_key()), item.SizeBytes());
+      auto& ranges = model[item.hash_key];
+      ranges.erase(std::string(item.range_key()));
+      if (ranges.empty()) model.erase(item.hash_key);
+    }
+    for (int i = 0; i < 20; ++i) put(next++);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+  }
+  EXPECT_LT(t.heap_bytes(), full_heap / 4);
 }
 
 // Snapshot restores into created and not-yet-created tables, replaced by
@@ -372,6 +507,46 @@ TEST(ItemTableTest, LargeItemRoundTrips) {
   EXPECT_EQ(t.Erase("k", "b"), big.SizeBytes());
   model["k"].erase("b");
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(t, model));
+}
+
+// The table's heap is its arena, which holds every item's hash key and
+// record, plus its entry vector, whose capacity may run up to twice its
+// entries.  On full-site XMark documents under 2LUPI (the build
+// benchmark's shape) that stays within twice the stored bytes plus the
+// hash-key bytes, sealed or not (1.3-1.4x when written).
+TEST(ItemTableTest, HeapBytesStayNearTheStoredBytes) {
+  xmark::GeneratorConfig config;
+  config.num_documents = 3;
+  config.entities_per_document = 600;
+  CloudEnv env;
+  const auto strategy =
+      index::IndexingStrategy::Create(index::StrategyKind::k2LUPI);
+  std::map<std::string, ItemTable> tables;
+  std::map<std::string, uint64_t> hash_bytes;
+  for (const auto& doc : xmark::XmarkGenerator(config).GenerateAll()) {
+    auto parsed = xml::ParseDocument(doc.uri, doc.text);
+    ASSERT_TRUE(parsed.ok());
+    index::ExtractStats stats;
+    auto items = strategy->ExtractItems(parsed.value(), index::ExtractOptions{},
+                                        env.dynamodb(), env.rng(), &stats);
+    ASSERT_TRUE(items.ok());
+    for (const auto& table : items.value()) {
+      for (const Item& item : table.items) {
+        tables[table.table].Put(item);
+        hash_bytes[table.table] += item.hash_key.size();
+      }
+    }
+  }
+  ASSERT_FALSE(tables.empty());
+  for (auto& [name, t] : tables) {
+    SCOPED_TRACE(name);
+    const double unsealed = static_cast<double>(t.heap_bytes());
+    t.Seal();
+    const double bound =
+        2.0 * static_cast<double>(t.stored_bytes() + hash_bytes[name]);
+    EXPECT_LE(unsealed, bound);
+    EXPECT_LE(static_cast<double>(t.heap_bytes()), bound);
+  }
 }
 
 // Seeded random attribute maps build items that read back the same

@@ -200,6 +200,18 @@ TEST(WarehouseTest, TenantWithNewlineIsRejectedBeforeAnyRequest) {
   EXPECT_EQ(setup.env->meter().Snapshot().sqs_requests, sqs_before);
 }
 
+TEST(WarehouseTest, MalformedQueryIsRejectedBeforeAnyRequest) {
+  Harness setup = MakeWarehouse(WarehouseConfig{});
+  ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
+  const cloud::Usage before = setup.env->meter().Snapshot();
+  auto report = setup.warehouse->ExecuteQueries(
+      std::vector<std::string>{kQ1, "//name[[["});
+  EXPECT_TRUE(report.status().IsInvalidArgument())
+      << report.status().ToString();
+  const cloud::Usage delta = setup.env->meter().Snapshot() - before;
+  EXPECT_EQ(delta.sqs_requests, 0u);
+}
+
 TEST(WarehouseTest, RunIndexersWithoutIndexFails) {
   WarehouseConfig config;
   config.use_index = false;
