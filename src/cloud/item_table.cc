@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <numeric>
 
 namespace webdex::cloud {
 
@@ -77,9 +76,8 @@ void ItemTable::Forget(Entry& e) const {
 char* ItemTable::Allocate(size_t size) {
   if (size > chunk_left_) {
     chunk_left_ = std::max(kChunkBytes, size);
-    chunks_.push_back(
-        {std::make_unique_for_overwrite<char[]>(chunk_left_), chunk_left_});
-    next_ = chunks_.back().bytes.get();
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(chunk_left_));
+    next_ = chunks_.back().get();
     arena_bytes_ += chunk_left_;
   }
   char* data = next_;
@@ -113,31 +111,10 @@ void ItemTable::Put(const Item& item) {
                       static_cast<uint32_t>(item.payload_bytes_)});
 }
 
-void ItemTable::SortTail() const {
-  // Puts arrive in batches that are mostly sorted already: merge the
-  // tail's ascending runs pairwise, in place and stably, so equal keys
-  // stay in put order.
-  const auto tail = entries_.begin() + run_size_;
-  std::vector<size_t> bounds = {0};
-  for (auto it = tail + 1; it < entries_.end(); ++it) {
-    if (Less(*it, it[-1])) bounds.push_back(it - tail);
-  }
-  bounds.push_back(entries_.end() - tail);
-  while (bounds.size() > 2) {
-    size_t runs = 1;
-    for (size_t i = 2; i < bounds.size(); i += 2) {
-      std::inplace_merge(tail + bounds[i - 2], tail + bounds[i - 1],
-                         tail + bounds[i], Less);
-      bounds[runs++] = bounds[i];
-    }
-    if (bounds.size() % 2 == 0) bounds[runs++] = bounds.back();
-    bounds.resize(runs);
-  }
-}
-
 const ItemTable& ItemTable::Seal() const {
   if (run_size_ == entries_.size()) return *this;
-  SortTail();
+  // Stable, so equal keys stay in put order.
+  std::stable_sort(entries_.begin() + run_size_, entries_.end(), Less);
   // The last put of each key wins.  It replaces an equal run entry in
   // place; the other winners are kept to be merged into the run.
   const auto run_end = entries_.begin() + run_size_;
@@ -168,41 +145,29 @@ void ItemTable::MaybeRepack() {
   Seal();
   std::erase_if(entries_, [](const Entry& e) { return e.dead; });
   run_size_ = entries_.size();
-  // Copy the records chunk by chunk, freeing each old chunk once it is
-  // drained, so the two copies overlap by at most one chunk.
-  std::vector<Chunk> old = std::move(chunks_);
+  // Copies the records in address order and frees each old chunk once
+  // it is drained, so the old and new copies overlap by at most a chunk.
+  const std::less<const char*> below;
+  std::vector<Entry*> order;
+  order.reserve(entries_.size());
+  for (Entry& e : entries_) order.push_back(&e);
+  std::sort(order.begin(), order.end(), [&](const Entry* a, const Entry* b) {
+    return below(a->data, b->data);
+  });
+  auto old = std::move(chunks_);
+  std::sort(old.begin(), old.end(), [&](const auto& a, const auto& b) {
+    return below(a.get(), b.get());
+  });
   chunks_.clear();
   chunk_left_ = arena_bytes_ = arena_used_ = dead_bytes_ = 0;
-  const std::less<const char*> below;
-  std::sort(old.begin(), old.end(), [&](const Chunk& a, const Chunk& b) {
-    return below(a.bytes.get(), b.bytes.get());
-  });
-  // Bucket the entries by the chunk their record lies in.
-  std::vector<uint32_t> chunk_of(entries_.size());
-  std::vector<uint32_t> bucket_end(old.size() + 1);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const auto holder = std::upper_bound(
-        old.begin(), old.end(), entries_[i].data,
-        [&](const char* p, const Chunk& c) {
-          return below(p, c.bytes.get());
-        });
-    chunk_of[i] = static_cast<uint32_t>(holder - old.begin() - 1);
-    ++bucket_end[chunk_of[i] + 1];
-  }
-  std::partial_sum(bucket_end.begin(), bucket_end.end(), bucket_end.begin());
-  std::vector<uint32_t> order(entries_.size());
-  for (uint32_t i = 0; i < entries_.size(); ++i) {
-    order[bucket_end[chunk_of[i]]++] = i;
-  }
-  size_t next = 0;
-  for (size_t c = 0; c < old.size(); ++c) {
-    for (; next < bucket_end[c]; ++next) {
-      Entry& e = entries_[order[next]];
-      char* data = Allocate(e.arena_size());
-      std::memcpy(data, e.data, e.arena_size());
-      e.data = data;
+  auto chunk = old.begin();
+  for (Entry* e : order) {
+    while (chunk + 1 != old.end() && !below(e->data, chunk[1].get())) {
+      (chunk++)->reset();
     }
-    old[c].bytes.reset();
+    char* data = Allocate(e->arena_size());
+    std::memcpy(data, e->data, e->arena_size());
+    e->data = data;
   }
 }
 
@@ -241,31 +206,25 @@ ItemStore::ItemStore(const char* name, const char* noun,
       item_overhead_bytes_(item_overhead_bytes),
       value_overhead_bytes_(value_overhead_bytes) {}
 
-size_t ItemStore::Index(const std::string& table) const {
-  return std::partition_point(
-             tables_.begin(), tables_.end(),
-             [&table](const auto& t) { return t.first < table; }) -
-         tables_.begin();
-}
-
 Status ItemStore::Create(const std::string& table) {
-  if (HasTable(table)) {
+  if (!tables_.try_emplace(table).second) {
     return Status::AlreadyExists(std::string(noun_) + " exists: " + table);
   }
-  tables_.emplace(tables_.begin() + Index(table), table, ItemTable());
   return Status::OK();
 }
 
 Result<ItemTable*> ItemStore::Open(const std::string& table) {
-  if (!HasTable(table)) {
+  auto it = tables_.find(table);
+  if (it == tables_.end()) {
     return Status::NotFound("no such " + std::string(noun_) + ": " + table);
   }
-  return &tables_[Index(table)].second;
+  return &it->second;
 }
 
 const ItemTable& ItemStore::Lookup(const std::string& table) const {
   static const ItemTable kEmpty;
-  return HasTable(table) ? tables_[Index(table)].second : kEmpty;
+  auto it = tables_.find(table);
+  return it == tables_.end() ? kEmpty : it->second;
 }
 
 uint64_t ItemStore::OverheadBytes(const std::string& table) const {
@@ -289,8 +248,7 @@ void ItemStore::ForEachItem(
 }
 
 void ItemStore::RestoreItem(const std::string& table, const Item& item) {
-  if (!HasTable(table)) (void)Create(table);
-  tables_[Index(table)].second.Put(item);
+  tables_[table].Put(item);
 }
 
 }  // namespace webdex::cloud

@@ -300,7 +300,9 @@ TEST(ItemTableTest, EraseWithAPendingTailReturnsTheLatestSize) {
     SCOPED_TRACE(sealed_first);
     ItemTable t;
     t.Put(old_item);
-    if (sealed_first) EXPECT_EQ(t.item_count(), 1u);
+    if (sealed_first) {
+      EXPECT_EQ(t.item_count(), 1u);
+    }
     t.Put(new_item);
     EXPECT_EQ(t.Erase("k", "r"), new_item.SizeBytes());
     EXPECT_EQ(t.Erase("k", "r"), std::nullopt);
