@@ -16,6 +16,7 @@
 
 #include <sys/resource.h>
 
+#include "bench/alloc_counter.h"
 #include "cloud/cloud_env.h"
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -27,69 +28,6 @@
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
 
-// --- Allocation counting -------------------------------------------------
-//
-// Each bench binary is a single translation unit including this header,
-// so defining the replacement global operator new/delete here gives every
-// bench an `allocs` column for free: heap allocations are the cost the
-// arena-interned index core removes, and the counter makes regressions
-// (a reintroduced per-key std::string, say) show up in BENCH_*.json
-// trajectories.  Sanitizer builds intercept operator new themselves, so
-// the counter is compiled out there and AllocCount() reports 0.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define WEBDEX_BENCH_COUNT_ALLOCS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define WEBDEX_BENCH_COUNT_ALLOCS 0
-#else
-#define WEBDEX_BENCH_COUNT_ALLOCS 1
-#endif
-#else
-#define WEBDEX_BENCH_COUNT_ALLOCS 1
-#endif
-
-namespace webdex::bench {
-
-inline std::atomic<uint64_t>& AllocCounter() {
-  static std::atomic<uint64_t> count{0};
-  return count;
-}
-
-/// Heap allocations since process start (0 under ASan/TSan, where the
-/// replacement operators are compiled out).
-inline uint64_t AllocCount() {
-  return AllocCounter().load(std::memory_order_relaxed);
-}
-
-}  // namespace webdex::bench
-
-#if WEBDEX_BENCH_COUNT_ALLOCS
-void* operator new(std::size_t size) {
-  webdex::bench::AllocCounter().fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  webdex::bench::AllocCounter().fetch_add(1, std::memory_order_relaxed);
-  // posix_memalign, not aligned_alloc: the latter demands size be a
-  // multiple of the alignment, which operator new does not guarantee.
-  void* p = nullptr;
-  if (posix_memalign(&p, std::max(static_cast<std::size_t>(align),
-                                  sizeof(void*)),
-                     size ? size : 1) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif  // WEBDEX_BENCH_COUNT_ALLOCS
 
 namespace webdex::bench {
 

@@ -232,11 +232,11 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
   return Status::OK();
 }
 
-Result<std::vector<Item>> DynamoDb::BatchGet(
+Result<std::vector<ItemView>> DynamoDb::BatchGetViews(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
   WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
-  std::vector<Item> out;
+  std::vector<ItemView> out;
   const int batch_limit = Limits().batch_get;
   size_t index = 0;
   while (index < hash_keys.size()) {

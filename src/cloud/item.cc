@@ -77,7 +77,16 @@ Item::Item(std::string hash_key, std::string_view range_key,
   *this = std::move(builder).Build();
 }
 
-Item::AttributeList Item::attrs() const {
+Item::Item(const ItemView& view)
+    : hash_key(view.hash_key),
+      record_(view.record_),
+      range_size_(view.range_size_),
+      value_count_(view.value_count_),
+      payload_bytes_(view.payload_bytes_) {}
+
+Item::AttributeList Item::attrs() const { return ItemView(*this).attrs(); }
+
+Item::AttributeList ItemView::attrs() const {
   const char* p = record_.data() + range_size_;
   const uint64_t count = ReadVarint(&p);
   return {p, count};

@@ -19,6 +19,8 @@ namespace webdex::cloud {
 using AttributeValues = std::vector<std::string>;
 using Attributes = std::map<std::string, AttributeValues>;
 
+class ItemView;
+
 /// One stored item.  The primary key is composite: a hash key (the index
 /// key computed by key(n), Section 5) and a range key (a client-generated
 /// UUID, Section 6, so that concurrent loaders never overwrite each
@@ -116,7 +118,7 @@ class Item {
     std::optional<Values> Find(std::string_view name) const;
 
    private:
-    friend class Item;
+    friend class ItemView;
     AttributeList(const char* first, uint64_t count)
         : first_(first), count_(count) {}
     const char* first_;
@@ -128,6 +130,8 @@ class Item {
   /// Encodes `attrs` under the given keys (tests and meta rows).
   Item(std::string hash_key, std::string_view range_key,
        const Attributes& attrs = {});
+  /// A copy of the viewed item, which outlives the bytes `view` borrows.
+  explicit Item(const ItemView& view);
 
   std::string hash_key;
 
@@ -152,12 +156,54 @@ class Item {
  private:
   friend class ItemBuilder;
   friend class ItemTable;
+  friend class ItemView;
 
   /// A record with no range key and no attributes.
   std::string record_ = std::string(1, '\0');
   uint32_t range_size_ = 0;
   uint32_t value_count_ = 0;
   /// Range key plus attribute name and value bytes.
+  uint64_t payload_bytes_ = 0;
+};
+
+/// A borrowed item: a view of its hash key and one of its record, with
+/// Item's read accessors.  The stores hand reads out as views into their
+/// tables (KvStore::BatchGetViews); a view is valid while the bytes it
+/// borrows are, and copying it copies two string views.
+class ItemView {
+ public:
+  /// Views `item`, which must outlive the view.
+  ItemView(const Item& item)  // NOLINT(runtime/explicit): Items read as views
+      : hash_key(item.hash_key),
+        record_(item.record_),
+        range_size_(item.range_size_),
+        value_count_(item.value_count_),
+        payload_bytes_(item.payload_bytes_) {}
+
+  std::string_view hash_key;
+
+  std::string_view range_key() const { return record_.substr(0, range_size_); }
+  Item::AttributeList attrs() const;
+  /// The encoded record: the range key, then the attributes.
+  std::string_view record() const { return record_; }
+  uint64_t SizeBytes() const { return hash_key.size() + payload_bytes_; }
+  uint64_t ValueCount() const { return value_count_; }
+
+ private:
+  friend class Item;
+  friend class ItemTable;
+
+  ItemView(std::string_view hash_key, std::string_view record,
+           uint32_t range_size, uint32_t value_count, uint64_t payload_bytes)
+      : hash_key(hash_key),
+        record_(record),
+        range_size_(range_size),
+        value_count_(value_count),
+        payload_bytes_(payload_bytes) {}
+
+  std::string_view record_;
+  uint32_t range_size_ = 0;
+  uint32_t value_count_ = 0;
   uint64_t payload_bytes_ = 0;
 };
 

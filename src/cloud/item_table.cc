@@ -87,14 +87,12 @@ char* ItemTable::Allocate(size_t size) {
   return data;
 }
 
-Item ItemTable::Copy(const Entry& e) {
-  Item item;
-  item.hash_key.assign(e.data, e.hash_size);
-  item.record_.assign(e.data + e.hash_size, e.record_size);
-  item.range_size_ = e.range_size;
-  item.value_count_ = e.value_count;
-  item.payload_bytes_ = e.payload_bytes;
-  return item;
+ItemView ItemTable::View(const Entry& e) {
+  return {{e.data, e.hash_size},
+          {e.data + e.hash_size, e.record_size},
+          e.range_size,
+          e.value_count,
+          e.payload_bytes};
 }
 
 void ItemTable::Put(const Item& item) {
@@ -185,10 +183,10 @@ std::optional<uint64_t> ItemTable::Erase(std::string_view hash_key,
 }
 
 void ItemTable::AppendItems(std::string_view hash_key,
-                            std::vector<Item>* out) const {
+                            std::vector<ItemView>* out) const {
   for (auto it = LowerBound(KeyOf(hash_key, {}));
        it != entries_.end() && it->key().hash == hash_key; ++it) {
-    if (!it->dead) out->push_back(Copy(*it));
+    if (!it->dead) out->push_back(View(*it));
   }
 }
 

@@ -28,8 +28,10 @@ namespace webdex::cloud {
 /// of each key (Section 6's complete replacement), merges it into the run
 /// and updates the accounting.  Erase marks its entry dead, and so does a
 /// replacement; the arena and run are repacked once dead bytes pass a
-/// quarter of the arena.  Reads hand out copies of the records; neither
-/// puts nor reads walk the attributes.
+/// quarter of the arena.  AppendItems hands out views into the arena,
+/// valid until the next Put or Erase (either may repack); sealing moves
+/// entries, never arena bytes.  AppendAll copies.  Neither puts nor
+/// reads walk the attributes.
 ///
 /// Seal mutates the table from const reads, so a table is read and
 /// written by one thread at a time (the stores' event-loop thread).
@@ -44,8 +46,10 @@ class ItemTable {
   std::optional<uint64_t> Erase(std::string_view hash_key,
                                 std::string_view range_key);
 
-  /// Appends the items of `hash_key` to `*out` in range-key order.
-  void AppendItems(std::string_view hash_key, std::vector<Item>* out) const;
+  /// Appends views of the items of `hash_key` to `*out` in range-key
+  /// order, valid until the next Put or Erase on this table.
+  void AppendItems(std::string_view hash_key,
+                   std::vector<ItemView>* out) const;
   /// Appends every item to `*out` in (hash, range) key order.
   void AppendAll(std::vector<Item>* out) const;
 
@@ -116,11 +120,11 @@ class ItemTable {
   /// Repacking only once dead bytes pass live bytes raised `mutate`'s
   /// peak RSS from 177 to 196 MB.
   void MaybeRepack();
-  static Item Copy(const Entry& e);
+  static ItemView View(const Entry& e);
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
     for (const Entry& e : Seal().entries_) {
-      if (!e.dead) fn(Copy(e));
+      if (!e.dead) fn(Item(View(e)));
     }
   }
 

@@ -4,6 +4,14 @@
 
 namespace webdex::cloud {
 
+Result<std::vector<Item>> KvStore::BatchGet(
+    SimAgent& agent, const std::string& table,
+    const std::vector<std::string>& hash_keys) {
+  WEBDEX_ASSIGN_OR_RETURN(std::vector<ItemView> views,
+                          BatchGetViews(agent, table, hash_keys));
+  return std::vector<Item>(views.begin(), views.end());
+}
+
 uint64_t KvStore::TotalStoredBytes() const {
   uint64_t total = 0;
   for (const auto& t : TableNames()) total += StoredBytes(t);

@@ -74,9 +74,21 @@ class KvStore {
   /// operation of Section 6, batched): up to Limits().batch_get keys per
   /// API request, results concatenated in key order, nothing for a key
   /// with no items.
-  virtual Result<std::vector<Item>> BatchGet(
+  ///
+  /// View lifetime: each view borrows its hash key and record from the
+  /// table that holds the item.  It stays valid until the next write to
+  /// that table — a BatchPut, DeleteItem or RestoreItem reaching it, any
+  /// of which may repack the table — or until the store is destroyed.
+  /// Reads (BatchGetViews, Scan, accounting) never invalidate a view, so
+  /// a look-up may hold the views of several BatchGets at once.  Copy an
+  /// item (Item(view)) to keep it past a write.
+  virtual Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) = 0;
+  /// BatchGetViews, with the items copied out so they outlive writes.
+  Result<std::vector<Item>> BatchGet(SimAgent& agent,
+                                     const std::string& table,
+                                     const std::vector<std::string>& hash_keys);
 
   /// Reads every item of `table` in deterministic (hash, range) key
   /// order — the *billed* full-table walk (DynamoDB's Scan, SimpleDB's
@@ -152,10 +164,10 @@ class ForwardingKvStore : public KvStore {
                   std::vector<Item>* unprocessed = nullptr) override {
     return base_->BatchPut(agent, table, items, unprocessed);
   }
-  Result<std::vector<Item>> BatchGet(
+  Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override {
-    return base_->BatchGet(agent, table, hash_keys);
+    return base_->BatchGetViews(agent, table, hash_keys);
   }
   Result<std::vector<Item>> Scan(SimAgent& agent,
                                  const std::string& table) override {

@@ -76,7 +76,7 @@ Result<std::string> ObjectStore::Get(SimAgent& agent,
   return obj->second;
 }
 
-Result<std::vector<std::string>> ObjectStore::BatchGet(
+Result<std::vector<std::string_view>> ObjectStore::BatchGet(
     SimAgent& agent, const std::string& bucket,
     const std::vector<std::string>& keys, int parallel_streams) {
   if (parallel_streams < 1) {
@@ -91,7 +91,7 @@ Result<std::vector<std::string>> ObjectStore::BatchGet(
   BilledCall call(endpoint_, agent, batch_get_metrics_,
                   &Usage::s3_get_requests);
   WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.batchget:", bucket, Transfer(0)));
-  std::vector<std::string> out;
+  std::vector<std::string_view> out;
   out.reserve(keys.size());
   // Model: `parallel_streams` concurrent connections; each request incurs
   // the fixed latency plus its transfer time, and requests are spread

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/billed_call.h"
@@ -61,7 +62,9 @@ class ObjectStore {
   /// processor uses to pull matched documents into EC2).  Latency charged
   /// to the agent is the makespan of the parallel transfer; each object
   /// is billed as one get request.  Fails on the first missing key.
-  Result<std::vector<std::string>> BatchGet(
+  /// The payloads are borrowed: each view stays valid until the next
+  /// write to `bucket` (Put, Delete or RestoreObject).
+  Result<std::vector<std::string_view>> BatchGet(
       SimAgent& agent, const std::string& bucket,
       const std::vector<std::string>& keys, int parallel_streams);
 

@@ -26,7 +26,7 @@ Status ReplicatedKvStore::BatchPut(SimAgent& agent, const std::string& table,
 }
 
 template <typename Call>
-Result<std::vector<Item>> ReplicatedKvStore::Read(
+std::invoke_result_t<const Call&> ReplicatedKvStore::Read(
     SimAgent& agent, const std::string& table,
     const std::string* replica_key, const Call& call) {
   if (replica_key == nullptr ||
@@ -56,12 +56,12 @@ Result<std::vector<Item>> ReplicatedKvStore::Read(
   return result;
 }
 
-Result<std::vector<Item>> ReplicatedKvStore::BatchGet(
+Result<std::vector<ItemView>> ReplicatedKvStore::BatchGetViews(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
   // An empty batch has no key to pick a replica by: the primary serves it.
   return Read(agent, table, hash_keys.empty() ? nullptr : &hash_keys.front(),
-              [&] { return base_->BatchGet(agent, table, hash_keys); });
+              [&] { return base_->BatchGetViews(agent, table, hash_keys); });
 }
 
 Result<std::vector<Item>> ReplicatedKvStore::Scan(SimAgent& agent,

@@ -3,6 +3,7 @@
 
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cloud/deployment.h"
@@ -39,7 +40,7 @@ class ReplicatedKvStore final : public ForwardingKvStore {
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> BatchGet(
+  Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
   Result<std::vector<Item>> Scan(SimAgent& agent,
@@ -54,9 +55,10 @@ class ReplicatedKvStore final : public ForwardingKvStore {
   /// read units — when the table's watermark has aged past the lag, else
   /// by the primary.  A null `replica_key` always reads the primary.
   template <typename Call>
-  Result<std::vector<Item>> Read(SimAgent& agent, const std::string& table,
-                                 const std::string* replica_key,
-                                 const Call& call);
+  std::invoke_result_t<const Call&> Read(SimAgent& agent,
+                                         const std::string& table,
+                                         const std::string* replica_key,
+                                         const Call& call);
 
   Deployment& deployment_;
   UsageMeter& meter_;

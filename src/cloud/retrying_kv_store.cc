@@ -73,12 +73,12 @@ Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
   return status;
 }
 
-Result<std::vector<Item>> RetryingKvStore::BatchGet(
+Result<std::vector<ItemView>> RetryingKvStore::BatchGetViews(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
   return retrier_.Call(
       agent, "retry:batchget:" + table, "attempt.batch_get", table,
-      [&] { return base_->BatchGet(agent, table, hash_keys); });
+      [&] { return base_->BatchGetViews(agent, table, hash_keys); });
 }
 
 Result<std::vector<Item>> RetryingKvStore::Scan(SimAgent& agent,

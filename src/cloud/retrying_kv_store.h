@@ -142,7 +142,7 @@ class RetryingKvStore final : public ForwardingKvStore {
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> BatchGet(
+  Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
   Result<std::vector<Item>> Scan(SimAgent& agent,

@@ -98,7 +98,7 @@ Status ShardedKvStore::BatchPut(SimAgent& agent, const std::string& logical,
   return Status::OK();
 }
 
-Result<std::vector<Item>> ShardedKvStore::BatchGet(
+Result<std::vector<ItemView>> ShardedKvStore::BatchGetViews(
     SimAgent& agent, const std::string& logical,
     const std::vector<std::string>& hash_keys) {
   const int shards = deployment_.spec().shards;
@@ -108,15 +108,16 @@ Result<std::vector<Item>> ShardedKvStore::BatchGet(
     per_shard[static_cast<size_t>(deployment_.ShardFor(key))].push_back(key);
   }
   route_metric_.Add(hash_keys.size());
-  std::vector<std::vector<Item>> shard_results(static_cast<size_t>(shards));
+  std::vector<std::vector<ItemView>> shard_results(
+      static_cast<size_t>(shards));
   int touched = 0;
   for (int shard = 0; shard < shards; ++shard) {
     auto& keys = per_shard[static_cast<size_t>(shard)];
     if (keys.empty()) continue;
     ++touched;
     CountOp("batch_get", shard);
-    auto result =
-        base_->BatchGet(agent, deployment_.PhysicalName(logical, shard), keys);
+    auto result = base_->BatchGetViews(
+        agent, deployment_.PhysicalName(logical, shard), keys);
     if (!result.status().ok()) return result.status();
     shard_results[static_cast<size_t>(shard)] = std::move(result).value();
   }
@@ -126,15 +127,14 @@ Result<std::vector<Item>> ShardedKvStore::BatchGet(
   // consecutive run of items matching the next requested key.  (Assumes
   // a key is not requested twice, which holds for the planner's deduped
   // lookup sets; duplicates would merely merge their runs.)
-  std::vector<Item> out;
+  std::vector<ItemView> out;
   std::vector<size_t> cursor(static_cast<size_t>(shards), 0);
   for (const std::string& key : hash_keys) {
     const auto shard = static_cast<size_t>(deployment_.ShardFor(key));
-    auto& items = shard_results[shard];
+    const auto& items = shard_results[shard];
     size_t& pos = cursor[shard];
     while (pos < items.size() && items[pos].hash_key == key) {
-      out.push_back(std::move(items[pos]));
-      ++pos;
+      out.push_back(items[pos++]);
     }
   }
   return out;

@@ -28,7 +28,7 @@ namespace webdex::cloud {
 /// Table 4-style makespan win compare-arch measures.
 ///
 /// Contract preservation is what keeps architectures equivalent:
-///   * BatchGet reassembles per-shard results into the documented
+///   * BatchGetViews reassembles per-shard results into the documented
 ///     "concatenated in key order" order of the unsharded store;
 ///   * Scan merges shard pages and re-sorts by (hash, range) key;
 ///   * ForEachItem folds physical tables back to logical names and sorts,
@@ -53,7 +53,7 @@ class ShardedKvStore final : public ForwardingKvStore {
   Status BatchPut(SimAgent& agent, const std::string& logical,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> BatchGet(
+  Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& logical,
       const std::vector<std::string>& hash_keys) override;
   Result<std::vector<Item>> Scan(SimAgent& agent,

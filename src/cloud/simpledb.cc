@@ -129,7 +129,7 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
 
 Status SimpleDb::SelectKey(SimAgent& agent, const std::string& table,
                            const std::string& hash_key,
-                           std::vector<Item>* out) {
+                           std::vector<ItemView>* out) {
   WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
   BilledCall call(endpoint_, agent, get_metrics_, &Usage::sdb_get_requests);
   WEBDEX_RETURN_IF_ERROR(Admit(call, "sdb.get:", table));
@@ -151,10 +151,10 @@ Status SimpleDb::SelectKey(SimAgent& agent, const std::string& table,
   return Status::OK();
 }
 
-Result<std::vector<Item>> SimpleDb::BatchGet(
+Result<std::vector<ItemView>> SimpleDb::BatchGetViews(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
-  std::vector<Item> out;
+  std::vector<ItemView> out;
   for (const auto& key : hash_keys) {
     WEBDEX_RETURN_IF_ERROR(SelectKey(agent, table, key, &out));
   }

@@ -47,7 +47,7 @@ class SimpleDb final : public ItemStore {
   Status BatchPut(SimAgent& agent, const std::string& table,
                   std::span<const Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
-  Result<std::vector<Item>> BatchGet(
+  Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
   Result<std::vector<Item>> Scan(SimAgent& agent,
@@ -73,7 +73,7 @@ class SimpleDb final : public ItemStore {
   /// `*out`, billed one request per 2500-attribute page at fault site
   /// `sdb.get:` + `table`.
   Status SelectKey(SimAgent& agent, const std::string& table,
-                   const std::string& hash_key, std::vector<Item>* out);
+                   const std::string& hash_key, std::vector<ItemView>* out);
 
   SimpleDbConfig config_;
   UsageMeter& meter_;

@@ -165,10 +165,9 @@ cost::PathEstimate LookupAccessPath::EstimateCost(
 Result<PathResult> LookupAccessPath::Execute(cloud::SimAgent& agent) const {
   PathResult result;
   WEBDEX_ASSIGN_OR_RETURN(
-      std::set<std::string> uris,
+      result.uris,
       index::LookupByKind(kind_, agent, *store_, tables_, twig_, options_,
                           &result.stats, stats_.generations.get()));
-  result.uris = index::SortedUris(uris);
   return result;
 }
 

@@ -1,7 +1,8 @@
 #include "engine/query_executor.h"
 
+#include <algorithm>
 #include <cassert>
-#include <set>
+#include <iterator>
 #include <utility>
 
 #include "common/strings.h"
@@ -36,7 +37,7 @@ Status QueryExecutor::Lookup(Instance& instance,
   plan_span.End();
 
   const cloud::Usage before = w.env_->meter().Snapshot();
-  std::set<std::string> fetch_set;
+  std::vector<std::string> fetch;  // every pattern's URIs, merged below
   index::LookupStats stats;
   const Micros get_start = instance.now();
   bool scanned = false;
@@ -61,9 +62,15 @@ Status QueryExecutor::Lookup(Instance& instance,
       scanned = true;
       break;
     }
+    std::vector<std::string>& uris = result.value().uris;
     stats += result.value().stats;
-    outcome->docs_from_index += result.value().uris.size();
-    fetch_set.insert(result.value().uris.begin(), result.value().uris.end());
+    outcome->docs_from_index += uris.size();
+    // Each pattern's URIs are sorted: merge them into the running union.
+    const auto middle = static_cast<std::ptrdiff_t>(fetch.size());
+    fetch.insert(fetch.end(), std::make_move_iterator(uris.begin()),
+                 std::make_move_iterator(uris.end()));
+    std::inplace_merge(fetch.begin(), fetch.begin() + middle, fetch.end());
+    fetch.erase(std::unique(fetch.begin(), fetch.end()), fetch.end());
   }
   outcome->timings.index_get = instance.now() - get_start;
 
@@ -92,7 +99,7 @@ Status QueryExecutor::Lookup(Instance& instance,
     w.env_->meter().mutable_usage().degraded_queries += 1;
     *to_fetch = w.document_uris_;
   } else {
-    to_fetch->assign(fetch_set.begin(), fetch_set.end());
+    *to_fetch = std::move(fetch);
   }
   return Status::OK();
 }
@@ -132,7 +139,7 @@ Status QueryExecutor::Run(Instance& instance, const QueryRequest& request,
   std::vector<std::shared_ptr<const xml::Document>> docs;
   if (!to_fetch.empty()) {
     WEBDEX_ASSIGN_OR_RETURN(
-        std::vector<std::string> texts,
+        std::vector<std::string_view> texts,
         w.RetryCall(instance, "qp.fetch", [&] {
           return w.env_->s3().BatchGet(instance, w.config_.data_bucket,
                                        to_fetch,

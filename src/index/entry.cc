@@ -267,6 +267,12 @@ std::string EncodeIds(const std::vector<xml::NodeId>& ids) {
 
 Result<std::vector<xml::NodeId>> DecodeIds(std::string_view blob) {
   std::vector<xml::NodeId> ids;
+  WEBDEX_RETURN_IF_ERROR(AppendDecodedIds(blob, &ids));
+  return ids;
+}
+
+Status AppendDecodedIds(std::string_view blob,
+                        std::vector<xml::NodeId>* out) {
   size_t offset = 0;
   while (offset < blob.size()) {
     xml::NodeId id;
@@ -279,9 +285,9 @@ Result<std::vector<xml::NodeId>> DecodeIds(std::string_view blob) {
     id.pre = static_cast<uint32_t>(pre);
     id.post = static_cast<uint32_t>(post);
     id.depth = static_cast<uint32_t>(depth);
-    ids.push_back(id);
+    out->push_back(id);
   }
-  return ids;
+  return Status::OK();
 }
 
 void AppendFrontCodedPath(std::string* blob, std::string_view previous,
@@ -305,25 +311,40 @@ std::string EncodePaths(const std::vector<std::string>& paths) {
 }
 
 Result<std::vector<std::string>> DecodePaths(std::string_view blob) {
+  std::string bytes;
+  std::vector<size_t> ends;
+  WEBDEX_RETURN_IF_ERROR(AppendDecodedPaths(blob, &bytes, &ends));
   std::vector<std::string> paths;
+  paths.reserve(ends.size());
+  size_t begin = 0;
+  for (const size_t end : ends) {
+    paths.emplace_back(bytes, begin, end - begin);
+    begin = end;
+  }
+  return paths;
+}
+
+Status AppendDecodedPaths(std::string_view blob, std::string* paths,
+                          std::vector<size_t>* ends) {
   size_t offset = 0;
-  std::string previous;
+  size_t previous = paths->size();  // where the predecessor path starts
   while (offset < blob.size()) {
     WEBDEX_ASSIGN_OR_RETURN(uint64_t shared, GetVarint64(blob, &offset));
     WEBDEX_ASSIGN_OR_RETURN(uint64_t suffix, GetVarint64(blob, &offset));
-    if (shared > previous.size()) {
+    if (shared > paths->size() - previous) {
       return Status::Corruption("front-coded prefix exceeds predecessor");
     }
     if (suffix > blob.size() - offset) {
       return Status::Corruption("truncated front-coded path");
     }
-    std::string path = previous.substr(0, shared);
-    path.append(blob.substr(offset, suffix));
+    const size_t start = paths->size();
+    paths->append(*paths, previous, shared);
+    paths->append(blob.substr(offset, suffix));
     offset += suffix;
-    previous = path;
-    paths.push_back(std::move(path));
+    previous = start;
+    ends->push_back(paths->size());
   }
-  return paths;
+  return Status::OK();
 }
 
 std::string HexArmour(std::string_view binary) {
@@ -342,6 +363,12 @@ void AppendHexArmour(std::string* out, std::string_view binary) {
 }
 
 Result<std::string> HexDearmour(std::string_view text) {
+  std::string out;
+  WEBDEX_RETURN_IF_ERROR(AppendHexDearmour(text, &out));
+  return out;
+}
+
+Status AppendHexDearmour(std::string_view text, std::string* out) {
   if (text.size() % 2 != 0) {
     return Status::Corruption("odd-length hex blob");
   }
@@ -351,15 +378,14 @@ Result<std::string> HexDearmour(std::string_view text) {
     if (c >= 'A' && c <= 'F') return c - 'A' + 10;
     return -1;
   };
-  std::string out;
-  out.reserve(text.size() / 2);
+  out->reserve(out->size() + text.size() / 2);
   for (size_t i = 0; i < text.size(); i += 2) {
     const int hi = nibble(text[i]);
     const int lo = nibble(text[i + 1]);
     if (hi < 0 || lo < 0) return Status::Corruption("bad hex digit");
-    out.push_back(static_cast<char>((hi << 4) | lo));
+    out->push_back(static_cast<char>((hi << 4) | lo));
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace webdex::index

@@ -137,6 +137,9 @@ void AppendEncodedId(std::string* blob, const xml::NodeId& id);
 
 /// Decodes a blob; fails with Corruption on malformed input.
 Result<std::vector<xml::NodeId>> DecodeIds(std::string_view blob);
+/// Appends the IDs of `blob` to `*out` — the look-up's form, decoding
+/// many blobs into one buffer.  On Corruption, `*out` may hold a prefix.
+Status AppendDecodedIds(std::string_view blob, std::vector<xml::NodeId>* out);
 
 /// Hex armouring for stores that only accept text values (SimpleDB):
 /// doubles the size, which is precisely the storage/cost penalty the
@@ -145,6 +148,9 @@ std::string HexArmour(std::string_view binary);
 /// Appends HexArmour(binary) to `*out`.
 void AppendHexArmour(std::string* out, std::string_view binary);
 Result<std::string> HexDearmour(std::string_view text);
+/// Appends HexDearmour(text) to `*out`; on Corruption, `*out` may hold a
+/// prefix.
+Status AppendHexDearmour(std::string_view text, std::string* out);
 
 // --- Path-set codec (Section 8.5 extension) --------------------------------
 //
@@ -164,6 +170,11 @@ void AppendFrontCodedPath(std::string* blob, std::string_view previous,
 
 /// Decodes a front-coded blob back into the sorted path list.
 Result<std::vector<std::string>> DecodePaths(std::string_view blob);
+/// Appends the decoded paths of `blob` to `*paths` back to back, and the
+/// end offset of each in `*paths` to `*ends`.  On Corruption, both may
+/// hold a prefix.
+Status AppendDecodedPaths(std::string_view blob, std::string* paths,
+                          std::vector<size_t>* ends);
 
 }  // namespace webdex::index
 

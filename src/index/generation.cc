@@ -51,7 +51,7 @@ Result<uint64_t> ParseGenerationStamp(std::string_view value) {
   return ParseDecimal(value, "generation stamp");
 }
 
-uint64_t StampOf(const cloud::Item& item) {
+uint64_t StampOf(const cloud::ItemView& item) {
   const auto values = item.attrs().Find(kGenAttr);
   if (!values.has_value() || values->empty()) return 0;
   auto stamp = ParseGenerationStamp(values->front());

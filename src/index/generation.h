@@ -96,7 +96,7 @@ cloud::Item MakeMetaItem(const std::string& uri, uint64_t generation,
 Result<uint64_t> ParseGenerationStamp(std::string_view value);
 
 /// Reads a posting's stamp out of its attributes (0 when unstamped).
-uint64_t StampOf(const cloud::Item& item);
+uint64_t StampOf(const cloud::ItemView& item);
 
 /// Folds one scanned meta item into `map` (max-wins).  Items that are
 /// not meta-shaped are ignored.

@@ -39,8 +39,8 @@ std::vector<QueryPath> BuildQueryPaths(const KeyTwig& twig);
 /// consecutive; the last query step must be the *last* data component
 /// (data paths for key k always end with k).  The look-up hot path keeps
 /// many pre-split paths in one flat component buffer
-/// (index::LookupByPaths' per-value cache) and tests each against every
-/// query path.
+/// (the LUP look-up's per-value cache, index/lookup_paths.cc) and tests
+/// each against every query path.
 bool PathMatches(const QueryPath& query,
                  const std::string_view* data_components, size_t count);
 

@@ -1,7 +1,5 @@
 #include "index/strategy.h"
 
-#include <set>
-
 #include "common/strings.h"
 #include "index/generation.h"
 #include "index/key_twig.h"
@@ -346,10 +344,8 @@ Result<std::vector<std::string>> IndexingStrategy::LookupPattern(
     const query::TreePattern& pattern, const ExtractOptions& options,
     LookupStats* stats, const GenerationMap* view) const {
   const KeyTwig twig = BuildKeyTwig(pattern, options.include_words);
-  WEBDEX_ASSIGN_OR_RETURN(std::set<std::string> uris,
-                          LookupByKind(kind_, agent, store, TableNames(),
-                                       twig, options, stats, view));
-  return SortedUris(uris);
+  return LookupByKind(kind_, agent, store, TableNames(), twig, options,
+                      stats, view);
 }
 
 std::unique_ptr<IndexingStrategy> IndexingStrategy::Create(

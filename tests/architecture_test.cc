@@ -19,6 +19,7 @@
 #include "cloud/retrying_kv_store.h"
 #include "cloud/sharded_kv_store.h"
 #include "cloud/snapshot.h"
+#include "common/strings.h"
 #include "engine/warehouse.h"
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
@@ -180,10 +181,10 @@ TEST(DeploymentTest, ShardNamingRoundTrips) {
   // Routing is deterministic and covers every shard on a modest key set.
   std::vector<bool> hit(4, false);
   for (int i = 0; i < 64; ++i) {
-    const int shard = deployment.ShardFor("key-" + std::to_string(i));
+    const int shard = deployment.ShardFor(StrFormat("key-%d", i));
     ASSERT_GE(shard, 0);
     ASSERT_LT(shard, 4);
-    EXPECT_EQ(shard, deployment.ShardFor("key-" + std::to_string(i)));
+    EXPECT_EQ(shard, deployment.ShardFor(StrFormat("key-%d", i)));
     hit[static_cast<size_t>(shard)] = true;
   }
   for (int shard = 0; shard < 4; ++shard) EXPECT_TRUE(hit[shard]);
@@ -384,8 +385,8 @@ TEST(ArchitectureTest, ShardedBatchPutStoresSubSpans) {
   std::vector<cloud::Item> items;
   std::vector<cloud::Item> elsewhere;
   for (int i = 0; items.size() < 6 || elsewhere.empty(); ++i) {
-    const std::string key = "k" + std::to_string(i);
-    cloud::Item item{key, "r" + std::to_string(i), {{"d", {"v"}}}};
+    const std::string key = StrFormat("k%d", i);
+    cloud::Item item{key, StrFormat("r%d", i), {{"d", {"v"}}}};
     (env.deployment().ShardFor(key) == shard ? items : elsewhere)
         .push_back(std::move(item));
   }

@@ -18,6 +18,7 @@
 
 #include "cloud/cloud_env.h"
 #include "common/metrics.h"
+#include "common/strings.h"
 
 namespace webdex::cloud {
 namespace {
@@ -240,7 +241,7 @@ TEST_P(BillingContractTest, ThrottledAttemptBillsOneRequestAndNoCapacity) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(store_
                     ->BatchPut(writer, "t",
-                               std::vector<Item>{MakeItem("w", "r" + std::to_string(i),
+                               std::vector<Item>{MakeItem("w", StrFormat("r%d", i),
                                          {value})})
                     .ok());
     ASSERT_TRUE(store_->BatchGet(reader, "t", {"w"}).ok());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_env.h"
+#include "common/strings.h"
 
 namespace webdex::cloud {
 namespace {
@@ -123,7 +124,7 @@ TEST_F(DynamoDbTest, BatchPutSplitsIntoApiBatchesOf25) {
   std::vector<Item> items;
   for (int i = 0; i < 60; ++i) {
     items.push_back(
-        MakeItem("k" + std::to_string(i), "r", {{"u", {"v"}}}));
+        MakeItem(StrFormat("k%d", i), "r", {{"u", {"v"}}}));
   }
   ASSERT_TRUE(db_.BatchPut(agent_, "t", items).ok());
   EXPECT_EQ(meter_.usage().ddb_put_requests, 3u);  // 25 + 25 + 10
@@ -135,7 +136,7 @@ TEST_F(DynamoDbTest, ProvisionedWriteCapacityThrottles) {
   // 1/16 unit each) => 500 units => the clock must advance >= 0.5 s.
   std::vector<Item> items;
   for (int i = 0; i < 8000; ++i) {
-    items.push_back(MakeItem("k" + std::to_string(i), "r", {{"u", {"v"}}}));
+    items.push_back(MakeItem(StrFormat("k%d", i), "r", {{"u", {"v"}}}));
   }
   ASSERT_TRUE(db_.BatchPut(agent_, "t", items).ok());
   EXPECT_GE(agent_.now(), kMicrosPerSecond / 2);
@@ -155,7 +156,7 @@ TEST_F(DynamoDbTest, ReadUnitsProportionalToBytes) {
 TEST_F(DynamoDbTest, BatchGetMergesAndBatches) {
   std::vector<std::string> keys;
   for (int i = 0; i < 150; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = StrFormat("k%d", i);
     keys.push_back(key);
     ASSERT_TRUE(
         db_.BatchPut(agent_, "t", std::vector<Item>{MakeItem(key, "r", {{"u", {"v"}}})}).ok());

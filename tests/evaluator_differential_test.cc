@@ -332,7 +332,8 @@ class QueryGenerator {
   std::string NodeText(
       const xml::Node& node, int depth,
       const std::vector<std::pair<const xml::Node*, std::string>>& tagged) {
-    std::string out = (node.is_attribute() ? "@" : "") + Label(node);
+    std::string out = node.is_attribute() ? "@" : "";
+    out += Label(node);
     if (rng_.NextBool(0.3)) {
       out += ":val";
     } else if (rng_.NextBool(0.12)) {
@@ -351,7 +352,11 @@ class QueryGenerator {
       }
     }
     std::shuffle(branches.begin(), branches.end(), UniformBits(&rng_));
-    if (!branches.empty()) out += "[" + Join(branches, ", ") + "]";
+    if (!branches.empty()) {
+      out += '[';
+      out += Join(branches, ", ");
+      out += ']';
+    }
     return out;
   }
 

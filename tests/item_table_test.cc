@@ -7,13 +7,14 @@
 // and on every Erase result — across replace and erase churn, empty
 // attribute sets and values, binary values and 64 KB items, and with a
 // read after every op.  Focused cases pin the append log's sealing: a
-// put after a read, two puts of a key in one tail, an erase with a tail
-// pending, erased items in every read, repacks under erase-heavy churn,
-// and the heap footprint on benchmark-shaped items.  The named
-// tables above it are exercised through a real DynamoDb: multi-table
-// restores, deletes, iteration order and the storage accounting the
-// store bills from.  Last, the items every strategy extracts round-trip
-// through both stores byte for byte.
+// put after a read, two puts of a key in one tail, views that outlive
+// later puts and re-seals, an erase with a tail pending, erased items in
+// every read, repacks under erase-heavy churn, and the heap footprint on
+// benchmark-shaped items.  The named tables above it are exercised
+// through a real DynamoDb: multi-table restores, deletes, iteration
+// order and the storage accounting the store bills from.  Last, the
+// items every strategy extracts round-trip through both stores byte for
+// byte.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,7 @@
 #include "cloud/kv_store.h"
 #include "cloud/simpledb.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "index/strategy.h"
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
@@ -108,13 +110,13 @@ void ExpectMatches(const ItemTable& t, const TableModel& model) {
   }
   const std::vector<Item> all = Contents(model);
   for (const auto& [hash_key, ranges] : model) {
-    std::vector<Item> appended;
+    std::vector<ItemView> appended;
     t.AppendItems(hash_key, &appended);
     ASSERT_EQ(appended.size(), ranges.size()) << hash_key;
     auto range = ranges.begin();
     for (size_t i = 0; i < appended.size(); ++i, ++range) {
-      ASSERT_TRUE(
-          SameItem(appended[i], Item{hash_key, range->first, range->second}));
+      ASSERT_TRUE(SameItem(Item(appended[i]),
+                           Item{hash_key, range->first, range->second}));
     }
   }
   EXPECT_EQ(t.stored_bytes(), bytes);
@@ -282,13 +284,43 @@ TEST(ItemTableTest, LastPutOfAKeyInOneTailWins) {
   t.Put(Item{"k", "q", {}});
   t.Put(first);
   t.Put(last);
-  std::vector<Item> got;
+  std::vector<ItemView> got;
   t.AppendItems("k", &got);
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_TRUE(SameItem(got[1], last));
+  EXPECT_TRUE(SameItem(Item(got[1]), last));
   EXPECT_EQ(t.item_count(), 2u);
   EXPECT_EQ(t.stored_bytes(), Item("k", "q").SizeBytes() + last.SizeBytes());
   EXPECT_EQ(t.value_count(), last.ValueCount());
+}
+
+// A view handed out by a read borrows the arena: later puts append
+// without moving earlier bytes (past the end of a 1 MB chunk, into new
+// chunks), and a re-seal moves entries, never records.  So the view
+// keeps its bytes — even across a replacement of its own item, until a
+// repack.  Under ASan a freed or moved record fails here.
+TEST(ItemTableTest, ViewsKeepTheirBytesAcrossPutsAndReseals) {
+  ItemTable t;
+  t.Put(Item{"k", "a", {{"d", {"first", "view"}}}});
+  t.Put(Item{"k", "b", {{"e", {std::string(300, 'x')}}}});
+  std::vector<ItemView> views;
+  t.AppendItems("k", &views);
+  ASSERT_EQ(views.size(), 2u);
+  std::vector<Item> copies(views.begin(), views.end());
+  Rng rng(7);
+  for (int i = 0; i < 4000; ++i) {
+    // Keys sorting before and after "k", so every seal merges around it.
+    t.Put(Item{StrFormat("%s%d", i % 2 == 0 ? "a" : "z", i), "r",
+               {{"d", {RandomBytes(rng, 600)}}}});
+    if (i % 500 == 0) {
+      EXPECT_EQ(t.item_count(), 3u + i);  // a re-seal
+    }
+  }
+  t.Put(Item{"k", "a", {{"d", {"replaced"}}}});
+  EXPECT_EQ(t.item_count(), 4002u);
+  EXPECT_GT(t.heap_bytes(), size_t{2} << 20);  // the arena grew new chunks
+  for (size_t i = 0; i < views.size(); ++i) {
+    EXPECT_TRUE(SameItem(Item(views[i]), copies[i])) << i;
+  }
 }
 
 // Erase seals first, so with a replacement still pending it erases (and
@@ -322,15 +354,15 @@ TEST(ItemTableTest, ErasedItemsAreInvisibleToEveryRead) {
   ItemTable t;
   TableModel model;
   for (int i = 0; i < 30; ++i) {
-    const Item item{"k" + std::to_string(i % 3), "r" + std::to_string(i),
+    const Item item{StrFormat("k%d", i % 3), StrFormat("r%d", i),
                     {{"d", {std::to_string(i)}}}};
     t.Put(item);
     store.RestoreItem("t", item);
     model[item.hash_key][std::string(item.range_key())] = item.ToAttributes();
   }
   for (int i = 0; i < 30; i += 2) {
-    const std::string hash_key = "k" + std::to_string(i % 3);
-    const std::string range_key = "r" + std::to_string(i);
+    const std::string hash_key = StrFormat("k%d", i % 3);
+    const std::string range_key = StrFormat("r%d", i);
     EXPECT_TRUE(t.Erase(hash_key, range_key).has_value());
     ASSERT_TRUE(store.DeleteItem(agent, "t", hash_key, range_key).ok());
     model[hash_key].erase(range_key);
@@ -352,7 +384,7 @@ TEST(ItemTableTest, EraseHeavyChurnRepacksAndKeepsContents) {
   ItemTable t;
   TableModel model;
   const auto put = [&](int i) {
-    const Item item{"k" + std::to_string(i % 17), "r" + std::to_string(i),
+    const Item item{StrFormat("k%d", i % 17), StrFormat("r%d", i),
                     {{"d", {RandomBytes(rng, 1000)}}}};
     t.Put(item);
     model[item.hash_key][std::string(item.range_key())] = item.ToAttributes();
@@ -433,8 +465,8 @@ TEST(ItemTableTest, ReplaceAndEraseChurnKeepsContents) {
   ItemTable t;
   TableModel model;
   for (int i = 0; i < 200; ++i) {
-    const std::string hash_key = "k" + std::to_string(i % 13);
-    const std::string range_key = "r" + std::to_string(i);
+    const std::string hash_key = StrFormat("k%d", i % 13);
+    const std::string range_key = StrFormat("r%d", i);
     const Attributes attrs = RandomAttrs(rng);
     model[hash_key][range_key] = attrs;
     t.Put(Item{hash_key, range_key, attrs});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_env.h"
+#include "common/strings.h"
 
 namespace webdex::cloud {
 namespace {
@@ -75,7 +76,7 @@ TEST_F(ObjectStoreTest, MeterCountsRequestsAndBytes) {
 TEST_F(ObjectStoreTest, BatchGetParallelStreamsReduceMakespan) {
   std::string blob(1'000'000, 'x');  // 1 s transfer each
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(store_.Put(agent_, "b", "k" + std::to_string(i), blob).ok());
+    ASSERT_TRUE(store_.Put(agent_, "b", StrFormat("k%d", i), blob).ok());
   }
   TestAgent serial, parallel;
   auto r1 = store_.BatchGet(serial, "b", {"k0", "k1", "k2", "k3"}, 1);
@@ -86,6 +87,21 @@ TEST_F(ObjectStoreTest, BatchGetParallelStreamsReduceMakespan) {
   EXPECT_EQ(r4.value().size(), 4u);
   // 4 transfers over 4 streams finish ~4x faster than over 1.
   EXPECT_NEAR(static_cast<double>(serial.now()) / parallel.now(), 4.0, 0.1);
+}
+
+// BatchGet hands out views of the stored payloads, not copies; billing
+// still counts every byte.
+TEST_F(ObjectStoreTest, BatchGetBorrowsStoredPayloads) {
+  ASSERT_TRUE(store_.Put(agent_, "b", "k0", "first payload").ok());
+  ASSERT_TRUE(store_.Put(agent_, "b", "k1", std::string(100, 'y')).ok());
+  auto got = store_.BatchGet(agent_, "b", {"k1", "k0", "k1"}, 2);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value().size(), 3u);
+  EXPECT_EQ(got.value()[0], std::string(100, 'y'));
+  EXPECT_EQ(got.value()[1], "first payload");
+  EXPECT_EQ(got.value()[0].data(), store_.PeekObject("b", "k1")->data());
+  EXPECT_EQ(got.value()[2].data(), got.value()[0].data());
+  EXPECT_EQ(meter_.usage().s3_bytes_out, 213u);
 }
 
 TEST_F(ObjectStoreTest, BatchGetMissingKeyFails) {

@@ -21,6 +21,7 @@
 #include "cloud/usage.h"
 #include "common/metrics.h"
 #include "common/retry.h"
+#include "common/strings.h"
 #include "common/tracer.h"
 
 namespace webdex::cloud {
@@ -72,9 +73,13 @@ class ScriptedStore final : public KvStore {
     }
     return step.status;
   }
-  Result<std::vector<Item>> BatchGet(SimAgent& agent, const std::string&,
-                                     const std::vector<std::string>&) override {
-    return Items(Reach(agent, &Usage::ddb_get_requests).status);
+  Result<std::vector<ItemView>> BatchGetViews(
+      SimAgent& agent, const std::string&,
+      const std::vector<std::string>&) override {
+    const Status status = Reach(agent, &Usage::ddb_get_requests).status;
+    if (!status.ok()) return status;
+    static const Item kItem{"k", "r", {}};
+    return std::vector<ItemView>{kItem};
   }
   Result<std::vector<Item>> Scan(SimAgent& agent,
                                 const std::string&) override {
@@ -125,7 +130,7 @@ class ScriptedStore final : public KvStore {
 std::vector<Item> MakeItems(int n) {
   std::vector<Item> items;
   for (int i = 0; i < n; ++i) {
-    items.push_back(Item{"key", "r" + std::to_string(i), {{"doc", {"v"}}}});
+    items.push_back(Item{"key", StrFormat("r%d", i), {{"doc", {"v"}}}});
   }
   return items;
 }

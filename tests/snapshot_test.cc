@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cloud/snapshot.h"
+#include "common/strings.h"
 #include "engine/warehouse.h"
 #include "xmark/paintings.h"
 
@@ -149,7 +150,7 @@ TEST(SnapshotTest, ChaosStateRoundTripsByteIdentically) {
   for (int i = 0; i < 20; ++i) {
     // Faulted puts advance the injector streams; the injected errors
     // themselves are irrelevant here.
-    (void)env.s3().Put(agent, "b", "k" + std::to_string(i), "v");
+    (void)env.s3().Put(agent, "b", StrFormat("k%d", i), "v");
   }
   ASSERT_FALSE(env.fault_injector().SaveStreams().empty());
   for (int i = 0; i < env.config().breaker.failure_threshold; ++i) {
