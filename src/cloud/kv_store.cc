@@ -12,18 +12,6 @@ Result<std::vector<Item>> KvStore::BatchGet(
   return std::vector<Item>(views.begin(), views.end());
 }
 
-uint64_t KvStore::TotalStoredBytes() const {
-  uint64_t total = 0;
-  for (const auto& t : TableNames()) total += StoredBytes(t);
-  return total;
-}
-
-uint64_t KvStore::TotalOverheadBytes() const {
-  uint64_t total = 0;
-  for (const auto& t : TableNames()) total += OverheadBytes(t);
-  return total;
-}
-
 uint64_t FingerprintStore(const KvStore& store) {
   // Hashes each item's dump in turn rather than one dump of the store,
   // which would hold a copy of every item at once.

@@ -123,10 +123,6 @@ class KvStore {
   /// Store-internal overhead for `table` — ovh(D, I) in Section 7.1.
   virtual uint64_t OverheadBytes(const std::string& table) const = 0;
   virtual uint64_t ItemCount(const std::string& table) const = 0;
-
-  /// Sums over all tables.
-  uint64_t TotalStoredBytes() const;
-  uint64_t TotalOverheadBytes() const;
   virtual std::vector<std::string> TableNames() const = 0;
 
   // --- Host-side tooling (snapshots; not billed, no virtual latency) ----

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "index/key_twig.h"
 #include "index/lookup_paths.h"
 
 namespace webdex::engine {
@@ -25,20 +24,23 @@ cost::FetchShape MakeFetchShape(const PlannerStats& stats, double docs) {
   return fetch;
 }
 
-LookupAccessPath::LookupAccessPath(std::string name, index::StrategyKind kind,
+LookupAccessPath::LookupAccessPath(const char* name, index::StrategyKind kind,
                                    cloud::KvStore* store,
                                    std::vector<std::string> tables,
-                                   const query::TreePattern* pattern,
+                                   const query::TreePattern& pattern,
                                    const index::ExtractOptions& options,
                                    const PlannerStats& stats)
-    : name_(std::move(name)),
+    : name_(name),
       kind_(kind),
       store_(store),
       tables_(std::move(tables)),
-      pattern_(pattern),
       options_(options),
       stats_(stats),
-      twig_(index::BuildKeyTwig(*pattern, options.include_words)) {}
+      twig_(index::BuildKeyTwig(pattern, options.include_words)) {
+  if (stats_.summary != nullptr && stats_.summary->documents() > 0) {
+    profile_ = stats_.summary->Profile(twig_);
+  }
+}
 
 cost::LookupShape LookupAccessPath::ShapeFor(
     const std::string& table, const std::vector<std::string>& keys) const {
@@ -101,8 +103,7 @@ cost::LookupShape LookupAccessPath::ShapeFor(
 
 namespace {
 
-double LuiDocs(const index::PathSummary& summary,
-               const query::TreePattern& pattern) {
+double LuiDocs(const index::PatternProfile& profile) {
   // Document-level path statistics cannot see the instance-level
   // correlation the twig join exploits, so any independence-flavoured
   // estimate predicts pruning that often is not there.  Trust the twig
@@ -110,36 +111,34 @@ double LuiDocs(const index::PathSummary& summary,
   // detector flags the pattern (common linear paths, rare co-occurrence);
   // otherwise assume path matching already captures the document-level
   // selectivity, and let the cheaper look-up win the tie.
-  const double lu = static_cast<double>(summary.EstimateLuDocs(pattern));
-  if (summary.AdviseLookup(pattern).lookup == index::StrategyKind::kLUI) {
-    const double combined = std::ceil(summary.EstimateTwigJoinDocs(pattern));
+  const double lu = static_cast<double>(profile.LuDocs());
+  if (profile.AdvisedLookup() == index::StrategyKind::kLUI) {
+    const double combined = std::ceil(profile.TwigJoinDocs());
     return std::min(lu, std::max(combined, 0.0));
   }
-  const double lup = static_cast<double>(summary.EstimateLupDocs(pattern));
-  return std::min(lu, lup);
+  return std::min(lu, static_cast<double>(profile.LupDocs()));
 }
 
 }  // namespace
 
 double LookupAccessPath::CandidateDocs() const {
-  const index::PathSummary* summary = stats_.summary;
   const double all = static_cast<double>(stats_.documents);
-  if (summary == nullptr || summary->documents() == 0) return all;
+  if (profile_.documents == 0) return all;  // no statistics
   double docs = all;
   switch (kind_) {
     case index::StrategyKind::kLU:
-      docs = static_cast<double>(summary->EstimateLuDocs(*pattern_));
+      docs = static_cast<double>(profile_.LuDocs());
       break;
     case index::StrategyKind::kLUP:
-      docs = static_cast<double>(summary->EstimateLupDocs(*pattern_));
+      docs = static_cast<double>(profile_.LupDocs());
       break;
     case index::StrategyKind::kLUI:
-      docs = LuiDocs(*summary, *pattern_);
+      docs = LuiDocs(profile_);
       break;
     case index::StrategyKind::k2LUPI:
       // The semijoin keeps the documents both phases accept.
-      docs = std::min(static_cast<double>(summary->EstimateLupDocs(*pattern_)),
-                      LuiDocs(*summary, *pattern_));
+      docs = std::min(static_cast<double>(profile_.LupDocs()),
+                      LuiDocs(profile_));
       break;
   }
   return std::min(docs, all);
@@ -162,30 +161,10 @@ cost::PathEstimate LookupAccessPath::EstimateCost(
       model, first, ShapeFor(tables_[1], twig_.DistinctKeys()), fetch);
 }
 
-Result<PathResult> LookupAccessPath::Execute(cloud::SimAgent& agent) const {
-  PathResult result;
-  WEBDEX_ASSIGN_OR_RETURN(
-      result.uris,
-      index::LookupByKind(kind_, agent, *store_, tables_, twig_, options_,
-                          &result.stats, stats_.generations.get()));
-  return result;
-}
-
-ScanAccessPath::ScanAccessPath(const std::vector<std::string>* document_uris,
-                               const PlannerStats& stats)
-    : document_uris_(document_uris), stats_(stats) {}
-
-cost::PathEstimate ScanAccessPath::EstimateCost(
-    const cost::CostModel& model) const {
-  return cost::EstimateScanPath(
-      model, MakeFetchShape(stats_, static_cast<double>(stats_.documents)));
-}
-
-Result<PathResult> ScanAccessPath::Execute(cloud::SimAgent&) const {
-  PathResult result;
-  result.uris = *document_uris_;
-  result.scanned = true;
-  return result;
+Result<std::vector<std::string>> LookupAccessPath::Execute(
+    cloud::SimAgent& agent, index::LookupStats* stats) const {
+  return index::LookupByKind(kind_, agent, *store_, tables_, twig_, options_,
+                             stats, stats_.generations.get());
 }
 
 }  // namespace webdex::engine

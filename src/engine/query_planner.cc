@@ -52,8 +52,7 @@ std::string PhysicalPlan::ChosenDescription() const {
   std::string description;
   for (const auto& pattern : patterns) {
     if (!description.empty()) description += "+";
-    description +=
-        pattern.chosen >= 0 ? pattern.chosen_path().path->name() : "?";
+    description += pattern.chosen >= 0 ? pattern.chosen_path().name() : "?";
   }
   return description;
 }
@@ -68,7 +67,7 @@ std::string PhysicalPlan::ToString() const {
   out << "\n";
   for (const auto& pattern : patterns) {
     out << "  pattern " << pattern.pattern + 1 << ": chose "
-        << (pattern.chosen >= 0 ? pattern.chosen_path().path->name() : "?")
+        << (pattern.chosen >= 0 ? pattern.chosen_path().name() : "?")
         << "\n";
     for (size_t i = 0; i < pattern.paths.size(); ++i) {
       const PlannedPath& candidate = pattern.paths[i];
@@ -77,7 +76,7 @@ std::string PhysicalPlan::ToString() const {
       std::snprintf(line, sizeof(line),
                     "    %-10s est %s  keys %.0f  index-req %.0f  docs %.0f"
                     "  requests %.0f",
-                    candidate.path->name().c_str(), Usd(est.usd).c_str(),
+                    candidate.name(), Usd(est.usd).c_str(),
                     est.index_keys, est.index_requests, est.docs,
                     est.requests());
       out << line;
@@ -100,11 +99,9 @@ std::vector<PlannedPath> QueryPlanner::CandidatesFor(
   if (!context_.use_index) return candidates;
   auto add = [&](const char* name, index::StrategyKind kind,
                  std::vector<std::string> tables) {
-    PlannedPath planned;
-    planned.path = std::make_unique<LookupAccessPath>(
-        name, kind, context_.store, std::move(tables), &pattern,
-        context_.options, context_.stats);
-    candidates.push_back(std::move(planned));
+    candidates.emplace_back().lookup.emplace(name, kind, context_.store,
+                                             std::move(tables), pattern,
+                                             context_.options, context_.stats);
   };
   const index::StrategyKind strategy = context_.strategy;
   if (strategy != index::StrategyKind::k2LUPI ||
@@ -137,6 +134,9 @@ PhysicalPlan QueryPlanner::Plan(const query::LogicalPlan& logical,
   PhysicalPlan plan;
   plan.strategy = index::StrategyKindName(context_.strategy);
   plan.force = context_.force;
+  const cost::PathEstimate scan_estimate = cost::EstimateScanPath(
+      model, MakeFetchShape(context_.stats,
+                            static_cast<double>(context_.stats.documents)));
   const auto& patterns = logical.query().patterns();
   for (size_t p = 0; p < patterns.size(); ++p) {
     PatternPlan pattern_plan;
@@ -151,7 +151,7 @@ PhysicalPlan QueryPlanner::Plan(const query::LogicalPlan& logical,
     // shard sinks the whole fan-out.
     for (PlannedPath& candidate : pattern_plan.paths) {
       if (!candidate.viable || context_.breaker == nullptr) continue;
-      for (const std::string& logical : candidate.path->tables()) {
+      for (const std::string& logical : candidate.lookup->tables()) {
         const std::vector<std::string> physical =
             context_.stats.deployment != nullptr
                 ? context_.stats.deployment->PhysicalTables(logical)
@@ -168,16 +168,14 @@ PhysicalPlan QueryPlanner::Plan(const query::LogicalPlan& logical,
     }
 
     // The scan path is always present and always viable — the degraded
-    // fallback of docs/FAULTS.md, now just the path of last resort.
-    {
-      PlannedPath scan;
-      scan.path = std::make_unique<ScanAccessPath>(context_.document_uris,
-                                                   context_.stats);
-      pattern_plan.paths.push_back(std::move(scan));
-    }
+    // fallback of docs/FAULTS.md, now just the path of last resort.  It
+    // fetches every document and reads no index.
+    pattern_plan.paths.emplace_back();
 
     for (PlannedPath& candidate : pattern_plan.paths) {
-      candidate.estimate = candidate.path->EstimateCost(model);
+      candidate.estimate = candidate.lookup
+                               ? candidate.lookup->EstimateCost(model)
+                               : scan_estimate;
     }
 
     // Cheapest viable look-up wins; the scan is chosen only when no

@@ -1,7 +1,7 @@
 #ifndef WEBDEX_ENGINE_QUERY_PLANNER_H_
 #define WEBDEX_ENGINE_QUERY_PLANNER_H_
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,13 +27,18 @@ const char* PlannerForceName(PlannerForce force);
 /// planner's verdict.  Kept (not discarded) after planning so EXPLAIN can
 /// show the rejected alternatives next to the winner.
 struct PlannedPath {
-  std::unique_ptr<AccessPath> path;
+  /// The index look-up; empty for the full warehouse scan (the degraded
+  /// fallback of docs/FAULTS.md), every plan's last candidate.  The scan
+  /// reads no index table and is always viable.
+  std::optional<LookupAccessPath> lookup;
   cost::PathEstimate estimate;
   /// False when the circuit breaker reports the path's table browned out
   /// (or a forced baseline disables it); a non-viable path is never
   /// executed and never billed.
   bool viable = true;
   std::string note;  // why rejected / blocked, for EXPLAIN
+
+  const char* name() const { return lookup ? lookup->name() : "scan"; }
 };
 
 /// The planner's decision for one tree pattern: all candidates (index
@@ -78,8 +83,6 @@ class QueryPlanner {
     const cloud::CircuitBreaker* breaker = nullptr;
     index::StrategyKind strategy = index::StrategyKind::kLUP;
     index::ExtractOptions options;
-    /// All document URIs, for the scan path (owned by the warehouse).
-    const std::vector<std::string>* document_uris = nullptr;
     PlannerStats stats;
     PlannerForce force = PlannerForce::kAuto;
     /// When false the deployment has no index: every pattern plans as a

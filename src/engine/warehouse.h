@@ -341,16 +341,7 @@ class Warehouse {
   uint64_t IndexOverheadBytes() const;
 
  private:
-  /// The execution layer operates on the warehouse's private state
-  /// (stores, caches, retry streams).
-  friend class QueryExecutor;
-
   class FrontEndAgent : public cloud::SimAgent {};
-
-  struct PendingResponse {
-    uint64_t id = 0;
-    std::string result_key;
-  };
 
   /// Host threads the extraction pipeline should use (resolves the
   /// host_threads == 0 default to the hardware concurrency).
@@ -446,6 +437,25 @@ class Warehouse {
                         const cloud::ReceivedMessage& msg,
                         cloud::MeteredSpan& task_span,
                         std::map<uint64_t, QueryOutcome>* outcomes);
+  /// One admitted query, end to end (docs/PLANNER.md): parse to a
+  /// LogicalPlan, plan, run the chosen look-ups, fetch and evaluate the
+  /// candidate documents, store the result.  Every indexed query takes
+  /// this one route; with the planner off the plan simply has one
+  /// candidate per pattern, the strategy's canonical path.
+  /// `receipt`/`lease_anchor` let long phases renew the message lease.
+  Status RunQuery(cloud::Instance& instance, const QueryRequest& request,
+                  uint64_t receipt, cloud::Micros* lease_anchor,
+                  QueryOutcome* outcome);
+  /// RunQuery's index look-up: the planner's access-path choice per
+  /// pattern, with the scan as both the breaker-blocked and the runtime
+  /// fallback.  Fills `to_fetch` with the sorted union of the patterns'
+  /// candidate URIs (every document after a fallback).
+  /// IndexingStrategy::LookupPattern is a reference for tests and
+  /// benchmarks only; this route does not call it.
+  Status LookupCandidates(cloud::Instance& instance,
+                          const query::LogicalPlan& logical,
+                          std::vector<std::string>* to_fetch,
+                          QueryOutcome* outcome);
   /// Appends `request`'s generation row to the meta table: a tombstone
   /// for a delete, the new live generation for an upsert.
   TaskOutcome PutMetaRow(cloud::Instance& instance,

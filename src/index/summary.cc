@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/strings.h"
-#include "index/key_twig.h"
 #include "index/keys.h"
 
 namespace webdex::index {
@@ -40,6 +38,12 @@ uint64_t PathSummary::DocsWithKey(const std::string& key) const {
 }
 
 uint64_t PathSummary::DocsMatchingPath(const QueryPath& path) const {
+  std::vector<KeyHandle> components;
+  return DocsMatchingPath(path, &components);
+}
+
+uint64_t PathSummary::DocsMatchingPath(
+    const QueryPath& path, std::vector<KeyHandle>* components) const {
   const KeyHandle last = core_->keys().Find(path.LookupKey());
   if (last == kNoHandle || last >= paths_by_last_key_.size()) return 0;
   const HandleQueryPath resolved = ResolveQueryPath(path, core_->keys());
@@ -48,59 +52,67 @@ uint64_t PathSummary::DocsMatchingPath(const QueryPath& path) const {
   // carry several; summing their document counts is an upper bound,
   // capped at the corpus size.
   uint64_t total = 0;
-  std::vector<KeyHandle> components;
   for (const PathHandle data_path : paths_by_last_key_[last]) {
-    core_->paths().Components(data_path, &components);
-    if (PathMatches(resolved, components)) {
+    core_->paths().Components(data_path, components);
+    if (PathMatches(resolved, *components)) {
       total += docs_per_path_[data_path];
     }
   }
   return std::min(total, documents_);
 }
 
-uint64_t PathSummary::EstimateLuDocs(
-    const query::TreePattern& pattern) const {
-  const KeyTwig twig = BuildKeyTwig(pattern);
-  uint64_t estimate = documents_;
-  for (const auto& key : twig.DistinctKeys()) {
-    estimate = std::min(estimate, DocsWithKey(key));
+PatternProfile PathSummary::Profile(const KeyTwig& twig) const {
+  PatternProfile profile;
+  profile.documents = documents_;
+  const std::vector<std::string> keys = twig.DistinctKeys();
+  profile.key_docs.reserve(keys.size());
+  for (const auto& key : keys) profile.key_docs.push_back(DocsWithKey(key));
+  const std::vector<QueryPath> paths = BuildQueryPaths(twig);
+  profile.path_docs.reserve(paths.size());
+  std::vector<KeyHandle> components;
+  for (const auto& path : paths) {
+    profile.path_docs.push_back(DocsMatchingPath(path, &components));
   }
+  return profile;
+}
+
+uint64_t PatternProfile::LuDocs() const {
+  uint64_t estimate = documents;
+  for (uint64_t docs : key_docs) estimate = std::min(estimate, docs);
   return estimate;
 }
 
-uint64_t PathSummary::EstimateLupDocs(
-    const query::TreePattern& pattern) const {
-  const KeyTwig twig = BuildKeyTwig(pattern);
-  uint64_t estimate = documents_;
-  for (const auto& path : BuildQueryPaths(twig)) {
-    estimate = std::min(estimate, DocsMatchingPath(path));
-  }
+uint64_t PatternProfile::LupDocs() const {
+  uint64_t estimate = documents;
+  for (uint64_t docs : path_docs) estimate = std::min(estimate, docs);
   return estimate;
 }
 
-double PathSummary::EstimateIndependentCombination(
-    const query::TreePattern& pattern) const {
-  if (documents_ == 0) return 0;
-  const KeyTwig twig = BuildKeyTwig(pattern);
-  double expected = static_cast<double>(documents_);
-  for (const auto& path : BuildQueryPaths(twig)) {
-    expected *= static_cast<double>(DocsMatchingPath(path)) /
-                static_cast<double>(documents_);
+double PatternProfile::LupFraction() const {
+  return documents == 0 ? 0
+                        : static_cast<double>(LupDocs()) /
+                              static_cast<double>(documents);
+}
+
+double PatternProfile::IndependentDocs() const {
+  if (documents == 0) return 0;
+  double expected = static_cast<double>(documents);
+  for (uint64_t docs : path_docs) {
+    expected *= static_cast<double>(docs) / static_cast<double>(documents);
   }
   return expected;
 }
 
-double PathSummary::EstimateTwigJoinDocs(
-    const query::TreePattern& pattern) const {
-  if (documents_ == 0) return 0;
-  const KeyTwig twig = BuildKeyTwig(pattern);
+double PatternProfile::TwigJoinDocs() const {
+  if (documents == 0) return 0;
   std::vector<double> fractions;
-  for (const auto& path : BuildQueryPaths(twig)) {
-    fractions.push_back(static_cast<double>(DocsMatchingPath(path)) /
-                        static_cast<double>(documents_));
+  fractions.reserve(path_docs.size());
+  for (uint64_t docs : path_docs) {
+    fractions.push_back(static_cast<double>(docs) /
+                        static_cast<double>(documents));
   }
   std::sort(fractions.begin(), fractions.end());
-  double expected = static_cast<double>(documents_);
+  double expected = static_cast<double>(documents);
   double exponent = 1.0;
   for (double fraction : fractions) {
     expected *= std::pow(fraction, exponent);
@@ -109,40 +121,17 @@ double PathSummary::EstimateTwigJoinDocs(
   return expected;
 }
 
-PathSummary::Advice PathSummary::AdviseLookup(
-    const query::TreePattern& pattern) const {
-  Advice advice;
-  const KeyTwig twig = BuildKeyTwig(pattern);
-  const auto query_paths = BuildQueryPaths(twig);
-  if (query_paths.size() < 2) {
-    advice.lookup = StrategyKind::kLUP;
-    advice.reason = "single-branch pattern: LUP path matching is exact";
-    return advice;
-  }
-  const uint64_t lup = EstimateLupDocs(pattern);
-  const double combined = EstimateIndependentCombination(pattern);
-  const double lup_fraction =
-      documents_ == 0 ? 0
-                      : static_cast<double>(lup) /
-                            static_cast<double>(documents_);
+StrategyKind PatternProfile::AdvisedLookup() const {
+  // A single linear path: LUP path matching is exact.
+  if (path_docs.size() < 2) return StrategyKind::kLUP;
   // Section 8.5: LUI wins when every linear branch is common (the LUP
   // pre-filter keeps many documents) yet the branches rarely co-occur
   // (only the structural join prunes them).
-  if (lup_fraction > 0.15 && combined < 0.75 * static_cast<double>(lup)) {
-    advice.lookup = StrategyKind::kLUI;
-    advice.reason = StrFormat(
-        "multi-branch pattern: linear paths each match ~%.0f%% of "
-        "documents but are expected to co-occur in only ~%.1f%%; the "
-        "holistic twig join prunes what path matching cannot",
-        lup_fraction * 100.0,
-        documents_ == 0 ? 0 : combined * 100.0 / documents_);
-    return advice;
+  if (LupFraction() > 0.15 &&
+      IndependentDocs() < 0.75 * static_cast<double>(LupDocs())) {
+    return StrategyKind::kLUI;
   }
-  advice.lookup = StrategyKind::kLUP;
-  advice.reason = StrFormat(
-      "path matching already narrows to ~%.1f%% of documents",
-      lup_fraction * 100.0);
-  return advice;
+  return StrategyKind::kLUP;
 }
 
 }  // namespace webdex::index

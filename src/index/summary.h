@@ -7,11 +7,64 @@
 
 #include "index/entry.h"
 #include "index/intern.h"
+#include "index/key_twig.h"
 #include "index/path_match.h"
 #include "index/strategy.h"
-#include "query/tree_pattern.h"
 
 namespace webdex::index {
+
+/// One tree pattern's document counts against a PathSummary, taken once
+/// from the key twig a look-up runs (so an index built without w‖ keys
+/// is priced without its predicate words).  Every document estimate of
+/// that look-up, and the Section 8.5 advice, is arithmetic over these
+/// counts.
+struct PatternProfile {
+  /// |D|: the corpus size the counts are out of.
+  uint64_t documents = 0;
+  /// Documents containing each distinct twig key (KeyTwig::DistinctKeys
+  /// order).
+  std::vector<uint64_t> key_docs;
+  /// Documents matching each query path (BuildQueryPaths order): the
+  /// upper-bound selectivity of each linear branch.
+  std::vector<uint64_t> path_docs;
+
+  /// Documents an LU look-up would retrieve (upper bound: the rarest
+  /// key's document count).
+  uint64_t LuDocs() const;
+
+  /// Documents an LUP look-up would retrieve (upper bound: the rarest
+  /// query path's document count).
+  uint64_t LupDocs() const;
+
+  /// LupDocs() / |D| (0 on an empty corpus).
+  double LupFraction() const;
+
+  /// Expected documents under branch independence: |D| x prod_i (docs
+  /// matching branch i / |D|).  When this is far below the LUP estimate,
+  /// the branches co-occur rarely and only a structural join can prune.
+  double IndependentDocs() const;
+
+  /// Damped-independence estimate of the documents surviving the
+  /// holistic twig join (the LUI/2LUPI candidate set).  The naive
+  /// independence product multiplies per-branch fractions that are in
+  /// practice strongly correlated (the documents carrying a pattern's
+  /// rarest branch usually carry the others too), which under-estimates
+  /// by orders of magnitude and makes an ID-side look-up appear free.
+  /// Exponential backoff — full weight on the most selective branch,
+  /// square root on the next, fourth root on the third, ... — is the
+  /// standard damping for conjuncts of unknown correlation; the query
+  /// planner uses this estimate, while AdvisedLookup keeps the raw
+  /// product as the paper's Section 8.5 detector.
+  double TwigJoinDocs() const;
+
+  /// The paper's Section 8.5 criterion, made executable: kLUI when the
+  /// pattern is multi-branched, its individual linear paths are common,
+  /// and their expected co-occurrence is far rarer — i.e. "most of the
+  /// documents only match linear paths of the query".  kLUP otherwise
+  /// (the paper's measured default winner; 2LUPI behaves like LUI with
+  /// extra pre-filtering).
+  StrategyKind AdvisedLookup() const;
+};
 
 /// DataGuide-style corpus summary: every distinct root-to-node label
 /// path and every index key, with the number of documents containing
@@ -47,48 +100,15 @@ class PathSummary {
   /// upper-bound estimate of one linear branch's selectivity.
   uint64_t DocsMatchingPath(const QueryPath& path) const;
 
-  /// Estimated documents an LU look-up would retrieve for the pattern
-  /// (upper bound: the rarest key's document count).
-  uint64_t EstimateLuDocs(const query::TreePattern& pattern) const;
-
-  /// Estimated documents an LUP look-up would retrieve (upper bound:
-  /// the rarest query path's document count).
-  uint64_t EstimateLupDocs(const query::TreePattern& pattern) const;
-
-  /// Expected documents under branch independence: |D| x prod_i (docs
-  /// matching branch i / |D|).  When this is far below the LUP estimate,
-  /// the branches co-occur rarely and only a structural join can prune.
-  double EstimateIndependentCombination(
-      const query::TreePattern& pattern) const;
-
-  /// Damped-independence estimate of the documents surviving the
-  /// holistic twig join (the LUI/2LUPI candidate set).  The naive
-  /// independence product multiplies per-branch fractions that are in
-  /// practice strongly correlated (the documents carrying a pattern's
-  /// rarest branch usually carry the others too), which under-estimates
-  /// by orders of magnitude and makes an ID-side look-up appear free.
-  /// Exponential backoff — full weight on the most selective branch,
-  /// square root on the next, fourth root on the third, ... — is the
-  /// standard damping for conjuncts of unknown correlation; the query
-  /// planner uses this estimate, while AdviseLookup keeps the raw
-  /// product as the paper's Section 8.5 detector.
-  double EstimateTwigJoinDocs(const query::TreePattern& pattern) const;
-
-  struct Advice {
-    /// kLUP or kLUI — which look-up the statistics favour for this
-    /// pattern (2LUPI behaves like LUI with extra pre-filtering).
-    StrategyKind lookup = StrategyKind::kLUP;
-    std::string reason;
-  };
-
-  /// The paper's Section 8.5 criterion, made executable: favour LUI when
-  /// the pattern is multi-branched, its individual linear paths are
-  /// common, and their expected co-occurrence is far rarer — i.e. "most
-  /// of the documents only match linear paths of the query".  Favour LUP
-  /// otherwise (the paper's measured default winner).
-  Advice AdviseLookup(const query::TreePattern& pattern) const;
+  /// The document counts of `twig`'s keys and query paths.
+  PatternProfile Profile(const KeyTwig& twig) const;
 
  private:
+  /// DocsMatchingPath over a caller-owned component buffer, reused
+  /// across a profile's query paths.
+  uint64_t DocsMatchingPath(const QueryPath& path,
+                            std::vector<KeyHandle>* components) const;
+
   uint64_t CountAt(const std::vector<uint64_t>& counts, uint32_t handle) const {
     return handle < counts.size() ? counts[handle] : 0;
   }

@@ -174,7 +174,6 @@ TEST_F(DynamoDbTest, StorageOverheadPerItem) {
                             MakeItem("k", "r2", {{"u", {"v"}}})})
                   .ok());
   EXPECT_EQ(db_.OverheadBytes("t"), 2 * DynamoDb::kItemOverheadBytes);
-  EXPECT_EQ(db_.TotalOverheadBytes(), 2 * DynamoDb::kItemOverheadBytes);
 }
 
 TEST_F(DynamoDbTest, TableNames) {

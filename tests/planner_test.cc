@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cloud/cloud_env.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "engine/warehouse.h"
 #include "index/strategy.h"
 #include "query/parser.h"
@@ -50,13 +55,15 @@ struct Deployed {
 
 Deployed Deploy(const xmark::GeneratorConfig& corpus, StrategyKind kind,
                 PlannerForce force = PlannerForce::kAuto,
-                const cloud::CloudConfig& cloud_config = cloud::CloudConfig()) {
+                const cloud::CloudConfig& cloud_config = cloud::CloudConfig(),
+                const index::ExtractOptions& extract = {}) {
   Deployed d;
   d.kind = kind;
   d.env = std::make_unique<cloud::CloudEnv>(cloud_config);
   WarehouseConfig config;
   config.strategy = kind;
   config.planner_force = force;
+  config.extract = extract;
   d.warehouse = std::make_unique<Warehouse>(d.env.get(), config);
   EXPECT_TRUE(d.warehouse->Setup().ok());
   xmark::XmarkGenerator generator(corpus);
@@ -329,12 +336,80 @@ TEST(PlannerEstimateTest, EstimateWithinFixedFactorOfBilledCost) {
   }
 }
 
+// An index built without w‖ keys (ExtractOptions::include_words off)
+// looks a word predicate up without its words, so the estimate must come
+// from that same twig: pricing the predicate's words, which the index
+// never stored, would estimate zero candidates for a query that fetches
+// several.
+TEST(PlannerEstimateTest, NoWordsIndexEstimatesTheTwigItLooksUp) {
+  index::ExtractOptions no_words;
+  no_words.include_words = false;
+  Deployed d = Deploy(Corpus(60, 8), StrategyKind::kLUP, PlannerForce::kAuto,
+                      cloud::CloudConfig(), no_words);
+  const char* query =
+      "//closed_auction[/annotation:cont, /annotation/description~'amber']";
+  auto explain = d.warehouse->ExplainQuery(query);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  const std::string& text = explain.value();
+  const size_t line = text.find("    LUP ");
+  ASSERT_NE(line, std::string::npos) << text;
+  const size_t docs_at = text.find("docs ", line);
+  ASSERT_NE(docs_at, std::string::npos) << text;
+  const double estimated_docs = std::atof(text.c_str() + docs_at + 5);
+
+  auto outcome = d.warehouse->ExecuteQuery(query);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_GT(outcome.value().docs_fetched, 0u);
+  EXPECT_GT(estimated_docs, 0.0) << text;
+  EXPECT_GE(estimated_docs,
+            static_cast<double>(outcome.value().docs_fetched))
+      << text;
+}
+
 // --- EXPLAIN golden output --------------------------------------------------
+
+// q1-q10 of the benchmark's query mix (perfbench/src/inputs.cc).
+const std::vector<std::string>& BenchmarkQueries() {
+  static const std::vector<std::string>* queries = new std::vector<
+      std::string>{
+      "//regions//item[/@id='item42', //name:val]",
+      "//closed_auction[/annotation:cont, /annotation/description~'amber']",
+      "//item[/name:val, /mailbox/mail/from:val, /description~'lantern']",
+      "//open_auctions/open_auction[/initial:val, /reserve, /privacy, "
+      "/annotation/description~'obelisk']",
+      "//person[/name:val, /address[/city='Paris'], /creditcard]",
+      "//open_auction[/annotation/description~'gossamer', /seller]",
+      "//item[/description/name:val]",
+      "//open_auction[/seller/@person#s, /initial:val, "
+      "/annotation/description~'marble']; "
+      "//people/person[/@id#p, /name:val] where #s=#p",
+      "//closed_auction[/itemref/@item#i, /price:val, "
+      "/annotation/description~'laurel']; "
+      "//regions//item[/@id#j, //name:val] where #i=#j",
+      "//person[/watches/watch/@open_auction#w, /name:val, "
+      "/address/country='France']; "
+      "//open_auction[/@id#a, /current:val] where #w=#a",
+  };
+  return *queries;
+}
+
+std::string ExplainGoldenPath() {
+  // __FILE__ is the absolute source path under CMake, so the golden file
+  // lives next to this test regardless of the build directory.
+  std::string path = __FILE__;
+  path = path.substr(0, path.find_last_of('/'));
+  return path + "/golden/explain_q1_q10.txt";
+}
 
 // The exact rendering `webdex_cli explain` prints: logical plan, every
 // candidate with its estimate, the chosen path, rejected alternatives,
 // and the estimated totals.  Everything upstream is deterministic
-// (virtual time, seeded corpus), so the text is pinned verbatim.
+// (virtual time, seeded corpus), so the text is pinned verbatim: one
+// branching twig inline; q1-q10 with the planner on (the per-pattern
+// side choice) and off (the semijoin) in tests/golden/explain_q1_q10.txt,
+// regenerated with WEBDEX_UPDATE_GOLDEN=1 only when a plan is meant to
+// change; and, last, a plan whose look-ups an open breaker blocks, with
+// the executed path and its estimate.
 TEST(ExplainTest, GoldenOutput) {
   Deployed d = Deploy(Corpus(12, 8), StrategyKind::k2LUPI);
   auto explain = d.warehouse->ExplainQuery(kBranchingTwig);
@@ -353,6 +428,62 @@ TEST(ExplainTest, GoldenOutput) {
             "    scan       est $0.00002814  keys 0  index-req 0  docs 12"
             "  requests 13  (fallback only)\n"
             "  estimated total: $0.00001388, 4 requests\n");
+
+  auto off = Facade(d, PlannerForce::kOff);
+  std::string rendered;
+  for (Warehouse* warehouse : {d.warehouse.get(), off.get()}) {
+    for (size_t q = 0; q < BenchmarkQueries().size(); ++q) {
+      auto plan = warehouse->ExplainQuery(BenchmarkQueries()[q]);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      rendered += StrFormat("== q%zu\n", q + 1) + plan.value();
+    }
+  }
+  if (std::getenv("WEBDEX_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(ExplainGoldenPath(), std::ios::trunc);
+    ASSERT_TRUE(out.good()) << ExplainGoldenPath();
+    out << rendered;
+    FAIL() << "golden regenerated at " << ExplainGoldenPath()
+           << " — rerun without WEBDEX_UPDATE_GOLDEN";
+  }
+  std::ifstream in(ExplainGoldenPath());
+  ASSERT_TRUE(in.good()) << ExplainGoldenPath();
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(rendered, golden.str());
+
+  // An open breaker on both 2LUPI tables leaves the scan as the only
+  // viable path.
+  cloud::CircuitBreaker& breaker = d.env->breaker();
+  const Micros now = d.warehouse->front_end().now();
+  for (const std::string& table :
+       index::StrategyTableNames(StrategyKind::k2LUPI)) {
+    for (int i = 0; i < breaker.config().failure_threshold; ++i) {
+      breaker.RecordFailure(table, now);
+    }
+  }
+  explain = d.warehouse->ExplainQuery(kBranchingTwig);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain.value(),
+            "logical: 1 pattern, 0 value joins\n"
+            "  pattern 1: //item[/name:val, /mailbox[/mail[/from:val]], "
+            "/description~'lantern']\n"
+            "    nodes=6 branches=3 outputs=2 predicates=1\n"
+            "physical: strategy 2LUPI, planner auto, 1 fallback(s) to scan\n"
+            "  pattern 1: chose scan\n"
+            "    2LUPI/lup  est $0.00001388  keys 3  index-req 1  docs 2"
+            "  requests 4  (breaker open on idx-2lupi-paths)\n"
+            "    2LUPI/lui  est $0.00001391  keys 7  index-req 1  docs 2"
+            "  requests 4  (breaker open on idx-2lupi-ids)\n"
+            "    scan       est $0.00002814  keys 0  index-req 0  docs 12"
+            "  requests 13  [chosen]\n"
+            "  estimated total: $0.00002814, 13 requests\n");
+  auto outcome = d.warehouse->ExecuteQuery(kBranchingTwig);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome.value().chosen_path, "scan");
+  EXPECT_EQ(outcome.value().planner_fallbacks, 1);
+  EXPECT_TRUE(outcome.value().degraded);
+  // The scan's estimate, bit for bit ($0.00002814 above).
+  EXPECT_EQ(outcome.value().estimated_cost_usd, 0x1.d80f70ed4540cp-16);
 }
 
 }  // namespace

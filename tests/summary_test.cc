@@ -14,6 +14,10 @@ query::Query Parse(std::string_view text) {
   return std::move(q).value();
 }
 
+PatternProfile ProfileOf(const PathSummary& summary, std::string_view text) {
+  return summary.Profile(BuildKeyTwig(Parse(text).patterns()[0]));
+}
+
 void Add(PathSummary* summary, const std::string& xml) {
   static int counter = 0;
   auto doc = xml::ParseDocument("doc" + std::to_string(counter++), xml);
@@ -50,21 +54,18 @@ TEST(PathSummaryTest, LuAndLupEstimatesAreUpperBoundsOfEachOther) {
   PathSummary summary;
   Add(&summary, "<a><b>x</b></a>");
   Add(&summary, "<r><b>y</b></r>");
-  const auto query = Parse("//a/b");
+  const PatternProfile profile = ProfileOf(summary, "//a/b");
   // LU only knows 'ea' and 'eb' occur: both docs have 'eb', one has 'ea'.
-  EXPECT_EQ(summary.EstimateLuDocs(query.patterns()[0]), 1u);
-  EXPECT_EQ(summary.EstimateLupDocs(query.patterns()[0]), 1u);
-  const auto loose = Parse("//b");
-  EXPECT_EQ(summary.EstimateLuDocs(loose.patterns()[0]), 2u);
+  EXPECT_EQ(profile.key_docs, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(profile.LuDocs(), 1u);
+  EXPECT_EQ(profile.LupDocs(), 1u);
+  EXPECT_EQ(ProfileOf(summary, "//b").LuDocs(), 2u);
 }
 
 TEST(PathSummaryTest, AdvisesLupForLinearPatterns) {
   PathSummary summary;
   Add(&summary, "<a><b>x</b></a>");
-  const auto query = Parse("//a/b");
-  const auto advice = summary.AdviseLookup(query.patterns()[0]);
-  EXPECT_EQ(advice.lookup, StrategyKind::kLUP);
-  EXPECT_FALSE(advice.reason.empty());
+  EXPECT_EQ(ProfileOf(summary, "//a/b").AdvisedLookup(), StrategyKind::kLUP);
 }
 
 TEST(PathSummaryTest, AdvisesLuiWhenBranchesNeverCoOccur) {
@@ -73,10 +74,11 @@ TEST(PathSummaryTest, AdvisesLuiWhenBranchesNeverCoOccur) {
   PathSummary summary;
   for (int i = 0; i < 10; ++i) Add(&summary, "<a><b>x</b></a>");
   for (int i = 0; i < 10; ++i) Add(&summary, "<a><c>x</c></a>");
-  const auto query = Parse("//a[/b, /c]");
-  const auto advice = summary.AdviseLookup(query.patterns()[0]);
-  EXPECT_EQ(advice.lookup, StrategyKind::kLUI) << advice.reason;
-  EXPECT_NE(advice.reason.find("twig join"), std::string::npos);
+  const PatternProfile profile = ProfileOf(summary, "//a[/b, /c]");
+  EXPECT_EQ(profile.path_docs, (std::vector<uint64_t>{10, 10}));
+  EXPECT_DOUBLE_EQ(profile.LupFraction(), 0.5);
+  EXPECT_DOUBLE_EQ(profile.IndependentDocs(), 5.0);
+  EXPECT_EQ(profile.AdvisedLookup(), StrategyKind::kLUI);
 }
 
 TEST(PathSummaryTest, AdvisesLupWhenBranchesCoOccur) {
@@ -84,9 +86,8 @@ TEST(PathSummaryTest, AdvisesLupWhenBranchesCoOccur) {
   // the twig join, so the cheaper LUP look-up wins.
   PathSummary summary;
   for (int i = 0; i < 20; ++i) Add(&summary, "<a><b>x</b><c>y</c></a>");
-  const auto query = Parse("//a[/b, /c]");
-  const auto advice = summary.AdviseLookup(query.patterns()[0]);
-  EXPECT_EQ(advice.lookup, StrategyKind::kLUP) << advice.reason;
+  EXPECT_EQ(ProfileOf(summary, "//a[/b, /c]").AdvisedLookup(),
+            StrategyKind::kLUP);
 }
 
 TEST(PathSummaryTest, SelectivePatternsAdviseLup) {
@@ -94,9 +95,8 @@ TEST(PathSummaryTest, SelectivePatternsAdviseLup) {
   PathSummary summary;
   Add(&summary, "<a><b>x</b><c>y</c></a>");
   for (int i = 0; i < 40; ++i) Add(&summary, "<a><d>z</d></a>");
-  const auto query = Parse("//a[/b, /c]");
-  const auto advice = summary.AdviseLookup(query.patterns()[0]);
-  EXPECT_EQ(advice.lookup, StrategyKind::kLUP) << advice.reason;
+  EXPECT_EQ(ProfileOf(summary, "//a[/b, /c]").AdvisedLookup(),
+            StrategyKind::kLUP);
 }
 
 TEST(PathSummaryTest, WorksOverXmarkCorpus) {
@@ -113,9 +113,10 @@ TEST(PathSummaryTest, WorksOverXmarkCorpus) {
   // Sanity: estimates never exceed the corpus.
   for (const char* text :
        {"//item[/name, /payment]", "//person//city", "//open_auction"}) {
-    const auto query = Parse(text);
-    EXPECT_LE(summary.EstimateLuDocs(query.patterns()[0]), 30u);
-    EXPECT_LE(summary.EstimateLupDocs(query.patterns()[0]), 30u) << text;
+    const PatternProfile profile = ProfileOf(summary, text);
+    EXPECT_LE(profile.LuDocs(), 30u) << text;
+    EXPECT_LE(profile.LupDocs(), 30u) << text;
+    EXPECT_LE(profile.TwigJoinDocs(), 30.0) << text;
   }
 }
 

@@ -1052,10 +1052,27 @@ class Cli {
       return;
     }
     for (const auto& pattern : query.value().patterns()) {
-      const auto advice = summary_.AdviseLookup(pattern);
+      const index::PatternProfile profile =
+          summary_.Profile(index::BuildKeyTwig(pattern));
+      const index::StrategyKind lookup = profile.AdvisedLookup();
+      std::string reason;
+      if (profile.path_docs.size() < 2) {
+        reason = "single-branch pattern: LUP path matching is exact";
+      } else if (lookup == index::StrategyKind::kLUI) {
+        reason = StrFormat(
+            "multi-branch pattern: linear paths each match ~%.0f%% of "
+            "documents but are expected to co-occur in only ~%.1f%%; the "
+            "holistic twig join prunes what path matching cannot",
+            profile.LupFraction() * 100.0,
+            profile.IndependentDocs() * 100.0 /
+                static_cast<double>(profile.documents));
+      } else {
+        reason = StrFormat("path matching already narrows to ~%.1f%% of "
+                           "documents",
+                           profile.LupFraction() * 100.0);
+      }
       std::printf("%s -> %s (%s)\n", pattern.ToString().c_str(),
-                  index::StrategyKindName(advice.lookup),
-                  advice.reason.c_str());
+                  index::StrategyKindName(lookup), reason.c_str());
     }
   }
 
