@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "index/lookup_paths.h"
-
 namespace webdex::engine {
 
 cost::FetchShape MakeFetchShape(const PlannerStats& stats, double docs) {
@@ -24,32 +22,24 @@ cost::FetchShape MakeFetchShape(const PlannerStats& stats, double docs) {
   return fetch;
 }
 
-LookupAccessPath::LookupAccessPath(const char* name, index::StrategyKind kind,
-                                   cloud::KvStore* store,
-                                   std::vector<std::string> tables,
-                                   const query::TreePattern& pattern,
-                                   const index::ExtractOptions& options,
-                                   const PlannerStats& stats)
-    : name_(name),
-      kind_(kind),
-      store_(store),
-      tables_(std::move(tables)),
-      options_(options),
-      stats_(stats),
-      twig_(index::BuildKeyTwig(pattern, options.include_words)) {
-  if (stats_.summary != nullptr && stats_.summary->documents() > 0) {
-    profile_ = stats_.summary->Profile(twig_);
-  }
-}
+namespace {
 
-cost::LookupShape LookupAccessPath::ShapeFor(
-    const std::string& table, const std::vector<std::string>& keys) const {
+/// The BatchGet of `keys` against `table`, sized from the pattern's
+/// profile and the store's host-side accounting and adjusted for the
+/// deployment.  `ords` maps `keys` to the twig's key ordinals, the
+/// profile's key_docs order; null when `keys` are the twig's keys.
+cost::LookupShape ShapeFor(const cloud::KvStore& store,
+                           const PlannerStats& stats,
+                           const index::PatternProfile& profile,
+                           const std::string& table,
+                           const std::vector<std::string>& keys,
+                           const std::vector<uint32_t>* ords) {
   cost::LookupShape lookup;
   lookup.keys = keys.size();
-  lookup.batch_get_limit = store_->Limits().batch_get;
-  lookup.min_read_bytes = stats_.min_read_bytes;
-  lookup.billing = stats_.billing;
-  if (const cloud::Deployment* deploy = stats_.deployment) {
+  lookup.batch_get_limit = store.Limits().batch_get;
+  lookup.min_read_bytes = stats.min_read_bytes;
+  lookup.billing = stats.billing;
+  if (const cloud::Deployment* deploy = stats.deployment) {
     if (deploy->sharded()) {
       // Batching happens per physical table: price the exact fan-out the
       // sharded store will issue rather than one logical-table ceiling.
@@ -59,7 +49,7 @@ cost::LookupShape LookupAccessPath::ShapeFor(
         ++per_shard[static_cast<size_t>(deploy->ShardFor(key))];
       }
       const double limit =
-          static_cast<double>(std::max(store_->Limits().batch_get, 1));
+          static_cast<double>(std::max(store.Limits().batch_get, 1));
       double requests = 0;
       for (uint64_t count : per_shard) {
         if (count > 0) requests += std::ceil(static_cast<double>(count) / limit);
@@ -74,20 +64,20 @@ cost::LookupShape LookupAccessPath::ShapeFor(
   }
   // Average stored item size from the store's host-side accounting (free:
   // no simulated request is issued for it).
-  const uint64_t item_count = store_->ItemCount(table);
+  const uint64_t item_count = store.ItemCount(table);
   lookup.avg_item_bytes =
       item_count == 0 ? 0
-                      : static_cast<double>(store_->StoredBytes(table)) /
+                      : static_cast<double>(store.StoredBytes(table)) /
                             static_cast<double>(item_count);
 
-  const index::PathSummary* summary = stats_.summary;
-  if (summary != nullptr && summary->documents() > 0) {
+  if (profile.documents > 0) {
     // Items per key: roughly one per document containing the key (long ID
     // lists are chunked across items, but the chunk factor is the same for
     // every candidate path against the same corpus).
     double items = 0;
-    for (const auto& key : keys) {
-      items += static_cast<double>(summary->DocsWithKey(key));
+    for (size_t k = 0; k < keys.size(); ++k) {
+      items += static_cast<double>(
+          profile.key_docs[ords == nullptr ? k : (*ords)[k]]);
     }
     lookup.est_items = items;
   } else {
@@ -96,12 +86,10 @@ cost::LookupShape LookupAccessPath::ShapeFor(
     // and differ only in index-read cost, which favours the thinner
     // LUP-side table — the paper's measured static default.
     lookup.est_items =
-        static_cast<double>(keys.size()) * static_cast<double>(stats_.documents);
+        static_cast<double>(keys.size()) * static_cast<double>(stats.documents);
   }
   return lookup;
 }
-
-namespace {
 
 double LuiDocs(const index::PatternProfile& profile) {
   // Document-level path statistics cannot see the instance-level
@@ -119,52 +107,57 @@ double LuiDocs(const index::PatternProfile& profile) {
   return std::min(lu, static_cast<double>(profile.LupDocs()));
 }
 
-}  // namespace
-
-double LookupAccessPath::CandidateDocs() const {
-  const double all = static_cast<double>(stats_.documents);
-  if (profile_.documents == 0) return all;  // no statistics
+/// Candidate documents a `kind` look-up is expected to keep, capped at
+/// |D| (|D| itself without statistics).
+double CandidateDocs(index::StrategyKind kind,
+                     const index::PatternProfile& profile,
+                     uint64_t documents) {
+  const double all = static_cast<double>(documents);
+  if (profile.documents == 0) return all;  // no statistics
   double docs = all;
-  switch (kind_) {
+  switch (kind) {
     case index::StrategyKind::kLU:
-      docs = static_cast<double>(profile_.LuDocs());
+      docs = static_cast<double>(profile.LuDocs());
       break;
     case index::StrategyKind::kLUP:
-      docs = static_cast<double>(profile_.LupDocs());
+      docs = static_cast<double>(profile.LupDocs());
       break;
     case index::StrategyKind::kLUI:
-      docs = LuiDocs(profile_);
+      docs = LuiDocs(profile);
       break;
     case index::StrategyKind::k2LUPI:
       // The semijoin keeps the documents both phases accept.
-      docs = std::min(static_cast<double>(profile_.LupDocs()),
-                      LuiDocs(profile_));
+      docs = std::min(static_cast<double>(profile.LupDocs()),
+                      LuiDocs(profile));
       break;
   }
   return std::min(docs, all);
 }
 
+}  // namespace
+
 cost::PathEstimate LookupAccessPath::EstimateCost(
-    const cost::CostModel& model) const {
-  const cost::FetchShape fetch = MakeFetchShape(stats_, CandidateDocs());
+    const cost::CostModel& model, const cloud::KvStore& store,
+    const PlannerStats& stats, const index::KeyTwig& twig,
+    const index::PatternProfile& profile) const {
+  const cost::FetchShape fetch =
+      MakeFetchShape(stats, CandidateDocs(kind_, profile, stats.documents));
   // LUP-style look-ups (and the semijoin's first phase) fetch one key per
   // query path; the others fetch the twig's distinct keys.
   const bool by_paths = kind_ == index::StrategyKind::kLUP ||
                         kind_ == index::StrategyKind::k2LUPI;
   const cost::LookupShape first =
-      ShapeFor(tables_[0], by_paths ? index::PathLookupKeys(twig_)
-                                    : twig_.DistinctKeys());
+      by_paths ? ShapeFor(store, stats, profile, tables_[0],
+                          twig.lookup_keys, &twig.lookup_key_ords)
+               : ShapeFor(store, stats, profile, tables_[0], twig.keys,
+                          nullptr);
   if (kind_ != index::StrategyKind::k2LUPI) {
     return cost::EstimateLookupPath(model, first, fetch);
   }
   return cost::EstimateSemijoinPath(
-      model, first, ShapeFor(tables_[1], twig_.DistinctKeys()), fetch);
-}
-
-Result<std::vector<std::string>> LookupAccessPath::Execute(
-    cloud::SimAgent& agent, index::LookupStats* stats) const {
-  return index::LookupByKind(kind_, agent, *store_, tables_, twig_, options_,
-                             stats, stats_.generations.get());
+      model, first,
+      ShapeFor(store, stats, profile, tables_[1], twig.keys, nullptr),
+      fetch);
 }
 
 }  // namespace webdex::engine

@@ -3,17 +3,16 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/deployment.h"
 #include "cloud/instance.h"
 #include "cloud/kv_store.h"
-#include "common/result.h"
 #include "cost/path_cost.h"
 #include "index/key_twig.h"
 #include "index/strategy.h"
 #include "index/summary.h"
-#include "query/tree_pattern.h"
 
 namespace webdex::engine {
 
@@ -55,54 +54,39 @@ struct PlannerStats {
 ///     only with the planner off (PlannerForce::kOff).
 /// Built per query by the QueryPlanner, priced with EstimateCost, and
 /// executed at most once per pattern — so an un-chosen path is never
-/// billed.
+/// billed.  It holds only what tells the candidates apart: the pattern's
+/// key twig and profile are the plan's, shared by all of them.
 class LookupAccessPath {
  public:
   LookupAccessPath(const char* name, index::StrategyKind kind,
-                   cloud::KvStore* store, std::vector<std::string> tables,
-                   const query::TreePattern& pattern,
-                   const index::ExtractOptions& options,
-                   const PlannerStats& stats);
+                   std::vector<std::string> tables)
+      : name_(name), kind_(kind), tables_(std::move(tables)) {}
 
   /// Stable short name used in EXPLAIN output, QueryOutcome::chosen_path
   /// and bench columns: "LU", "LUP", "LUI", "2LUPI/lup", "2LUPI/lui",
   /// "2LUPI" (the semijoin).
   const char* name() const { return name_; }
 
+  index::StrategyKind kind() const { return kind_; }
+
   /// Index tables this path reads — the circuit-breaker resources whose
   /// health gates the path's viability.
   const std::vector<std::string>& tables() const { return tables_; }
 
-  /// Prices the path from planner statistics and host-side store
-  /// accounting only: no simulated requests, no virtual time, no billing.
-  cost::PathEstimate EstimateCost(const cost::CostModel& model) const;
-
-  /// Runs the look-up and returns the pattern's candidate document URIs,
-  /// sorted: index round-trips advance `agent`'s clock and are billed;
-  /// CPU work is added to `stats` for the caller to charge.  A retriable
-  /// failure means the backing table is browned out — the caller falls
-  /// back to the scan.
-  Result<std::vector<std::string>> Execute(cloud::SimAgent& agent,
-                                           index::LookupStats* stats) const;
+  /// Prices the path for the pattern of `twig`, whose document counts are
+  /// `profile` (empty without statistics), from planner statistics and
+  /// `store`'s host-side accounting only: no simulated requests, no
+  /// virtual time, no billing.
+  cost::PathEstimate EstimateCost(const cost::CostModel& model,
+                                  const cloud::KvStore& store,
+                                  const PlannerStats& stats,
+                                  const index::KeyTwig& twig,
+                                  const index::PatternProfile& profile) const;
 
  private:
-  /// The BatchGet of `keys` against `table`, sized from the summary and
-  /// the store's host-side accounting and adjusted for the deployment.
-  cost::LookupShape ShapeFor(const std::string& table,
-                             const std::vector<std::string>& keys) const;
-  /// Candidate documents the look-up is expected to keep, capped at |D|
-  /// (|D| itself without statistics).
-  double CandidateDocs() const;
-
   const char* name_;
   index::StrategyKind kind_;
-  cloud::KvStore* store_;
   std::vector<std::string> tables_;
-  index::ExtractOptions options_;
-  PlannerStats stats_;
-  index::KeyTwig twig_;
-  /// The twig's document counts; empty without statistics.
-  index::PatternProfile profile_;
 };
 
 /// The fetch + evaluate tail shape shared by every path of this

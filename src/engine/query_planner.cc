@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "index/lookup_paths.h"
+
 namespace webdex::engine {
 
 namespace {
@@ -93,15 +95,12 @@ std::string PhysicalPlan::ToString() const {
   return out.str();
 }
 
-std::vector<PlannedPath> QueryPlanner::CandidatesFor(
-    const query::TreePattern& pattern) const {
+std::vector<PlannedPath> QueryPlanner::Candidates() const {
   std::vector<PlannedPath> candidates;
   if (!context_.use_index) return candidates;
   auto add = [&](const char* name, index::StrategyKind kind,
                  std::vector<std::string> tables) {
-    candidates.emplace_back().lookup.emplace(name, kind, context_.store,
-                                             std::move(tables), pattern,
-                                             context_.options, context_.stats);
+    candidates.emplace_back().lookup.emplace(name, kind, std::move(tables));
   };
   const index::StrategyKind strategy = context_.strategy;
   if (strategy != index::StrategyKind::k2LUPI ||
@@ -141,7 +140,15 @@ PhysicalPlan QueryPlanner::Plan(const query::LogicalPlan& logical,
   for (size_t p = 0; p < patterns.size(); ++p) {
     PatternPlan pattern_plan;
     pattern_plan.pattern = static_cast<int>(p);
-    pattern_plan.paths = CandidatesFor(patterns[p]);
+    if (context_.use_index) {
+      pattern_plan.twig = index::BuildKeyTwig(
+          patterns[p], context_.options.include_words);
+      const index::PathSummary* summary = context_.stats.summary;
+      if (summary != nullptr && summary->documents() > 0) {
+        pattern_plan.profile = summary->Profile(pattern_plan.twig);
+      }
+    }
+    pattern_plan.paths = Candidates();
     const bool had_lookup_candidates = !pattern_plan.paths.empty();
 
     // Breaker health gates viability: a look-up against a browned-out
@@ -173,9 +180,12 @@ PhysicalPlan QueryPlanner::Plan(const query::LogicalPlan& logical,
     pattern_plan.paths.emplace_back();
 
     for (PlannedPath& candidate : pattern_plan.paths) {
-      candidate.estimate = candidate.lookup
-                               ? candidate.lookup->EstimateCost(model)
-                               : scan_estimate;
+      candidate.estimate =
+          candidate.lookup
+              ? candidate.lookup->EstimateCost(
+                    model, *context_.store, context_.stats,
+                    pattern_plan.twig, pattern_plan.profile)
+              : scan_estimate;
     }
 
     // Cheapest viable look-up wins; the scan is chosen only when no
@@ -206,6 +216,16 @@ PhysicalPlan QueryPlanner::Plan(const query::LogicalPlan& logical,
     plan.patterns.push_back(std::move(pattern_plan));
   }
   return plan;
+}
+
+Result<std::vector<std::string>> QueryPlanner::Execute(
+    const PatternPlan& pattern_plan, cloud::SimAgent& agent,
+    index::LookupStats* stats) const {
+  const LookupAccessPath& path = *pattern_plan.chosen_path().lookup;
+  return index::LookupByKind(path.kind(), agent, *context_.store,
+                             path.tables(), pattern_plan.twig,
+                             context_.options, stats,
+                             context_.stats.generations.get());
 }
 
 }  // namespace webdex::engine

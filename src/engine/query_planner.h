@@ -7,6 +7,7 @@
 
 #include "cloud/circuit_breaker.h"
 #include "cloud/sim.h"
+#include "common/result.h"
 #include "engine/access_path.h"
 #include "index/strategy.h"
 #include "query/logical_plan.h"
@@ -45,6 +46,11 @@ struct PlannedPath {
 /// look-ups first, the scan fallback last) and the index of the winner.
 struct PatternPlan {
   int pattern = 0;
+  /// The pattern's key twig and its document counts, built once and
+  /// shared by every look-up candidate (empty when the deployment has no
+  /// index; the profile is also empty without statistics).
+  index::KeyTwig twig;
+  index::PatternProfile profile;
   std::vector<PlannedPath> paths;
   int chosen = -1;
 
@@ -98,9 +104,21 @@ class QueryPlanner {
   PhysicalPlan Plan(const query::LogicalPlan& logical,
                     const cost::CostModel& model, cloud::Micros now) const;
 
+  /// Runs the chosen look-up of `pattern_plan`, one of this planner's
+  /// plans, and returns the pattern's candidate document URIs, sorted:
+  /// index round-trips advance `agent`'s clock and are billed; CPU work
+  /// is added to `stats` for the caller to charge.  The look-up reads
+  /// each document at the generation pinned when the planner was built.
+  /// A retriable failure means the backing table is browned out — the
+  /// caller falls back to the scan.  The chosen path must be a look-up.
+  Result<std::vector<std::string>> Execute(const PatternPlan& pattern_plan,
+                                           cloud::SimAgent& agent,
+                                           index::LookupStats* stats) const;
+
  private:
-  std::vector<PlannedPath> CandidatesFor(const query::TreePattern& pattern)
-      const;
+  /// The look-up candidates of the deployed strategy; empty without an
+  /// index.
+  std::vector<PlannedPath> Candidates() const;
 
   Context context_;
 };

@@ -673,7 +673,7 @@ Status Warehouse::LookupCandidates(Instance& instance,
       break;
     }
     index::LookupStats path_stats;
-    auto result = chosen.lookup->Execute(instance, &path_stats);
+    auto result = planner.Execute(pattern_plan, instance, &path_stats);
     if (!result.ok()) {
       path_span.AddAttr("error", 1);
       if (!result.status().IsRetriable()) return result.status();

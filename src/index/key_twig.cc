@@ -1,6 +1,7 @@
 #include "index/key_twig.h"
 
-#include <functional>
+#include <algorithm>
+#include <utility>
 
 #include "index/keys.h"
 #include "xml/tokenizer.h"
@@ -16,122 +17,106 @@ TwigAxis Translate(Axis axis) {
   return axis == Axis::kChild ? TwigAxis::kChild : TwigAxis::kDescendant;
 }
 
-std::unique_ptr<TwigNode> BuildNode(const PatternNode& pnode,
-                                    TwigAxis axis, bool words) {
-  auto tnode = std::make_unique<TwigNode>();
-  tnode->axis = axis;
-  tnode->pattern_node = pnode.index;
+/// Appends the next pre-order node, under `parent` with `key`; returns
+/// its index.
+int AddNode(int parent, TwigAxis axis, std::string key, KeyTwig* twig) {
+  const auto ord = static_cast<uint32_t>(
+      std::find(twig->keys.begin(), twig->keys.end(), key) -
+      twig->keys.begin());
+  if (ord == twig->keys.size()) twig->keys.push_back(std::move(key));
+  twig->edges.push_back({parent, axis});
+  twig->node_keys.push_back(ord);
+  return static_cast<int>(twig->edges.size()) - 1;
+}
 
+void AddPatternNode(const PatternNode& pnode, int parent, bool words,
+                    KeyTwig* twig) {
+  const TwigAxis axis = Translate(pnode.axis);
   const auto& pred = pnode.predicate;
+  int self = -1;
   if (pnode.is_attribute) {
     if (pred.kind == PredicateKind::kEquals) {
       // The valued attribute key answers @name = c exactly.
-      tnode->key = AttributeValueKey(pnode.label, pred.constant);
+      self = AddNode(parent, axis,
+                     AttributeValueKey(pnode.label, pred.constant), twig);
     } else {
-      tnode->key = AttributeNameKey(pnode.label);
+      self = AddNode(parent, axis, AttributeNameKey(pnode.label), twig);
       if (words && pred.kind == PredicateKind::kContains) {
         const std::string word = xml::NormalizeWord(pred.constant);
         if (!word.empty()) {
-          auto wnode = std::make_unique<TwigNode>();
-          wnode->axis = TwigAxis::kSelf;  // words share the attribute's ID
-          wnode->key = WordKey(word);
-          tnode->children.push_back(std::move(wnode));
+          // Words share the attribute's ID.
+          AddNode(self, TwigAxis::kSelf, WordKey(word), twig);
         }
       }
     }
   } else {
-    tnode->key = ElementKey(pnode.label);
+    self = AddNode(parent, axis, ElementKey(pnode.label), twig);
     if (words && pred.kind == PredicateKind::kEquals) {
       // Every word of the constant must occur under the element.  The
       // text carrying a direct value is a child in ID space, but deeper
       // mixed content is possible, so use descendant edges: never a
       // false negative, and the local evaluator removes any leftovers.
       for (const auto& word : xml::TokenizeWords(pred.constant)) {
-        auto wnode = std::make_unique<TwigNode>();
-        wnode->axis = TwigAxis::kDescendant;
-        wnode->key = WordKey(word);
-        tnode->children.push_back(std::move(wnode));
+        AddNode(self, TwigAxis::kDescendant, WordKey(word), twig);
       }
     } else if (words && pred.kind == PredicateKind::kContains) {
       const std::string word = xml::NormalizeWord(pred.constant);
       if (!word.empty()) {
-        auto wnode = std::make_unique<TwigNode>();
-        wnode->axis = TwigAxis::kDescendant;
-        wnode->key = WordKey(word);
-        tnode->children.push_back(std::move(wnode));
+        AddNode(self, TwigAxis::kDescendant, WordKey(word), twig);
       }
     }
     // kRange: intentionally nothing (Section 5.5).
   }
-
   for (const auto& child : pnode.children) {
-    tnode->children.push_back(
-        BuildNode(*child, Translate(child->axis), words));
+    AddPatternNode(*child, self, words, twig);
   }
-  return tnode;
 }
 
 }  // namespace
 
+std::string QueryPath::ToString() const {
+  std::string out;
+  for (const auto& step : steps) {
+    out.append(step.axis == TwigAxis::kChild ? "/" : "//");
+    out.append(step.key);
+  }
+  return out;
+}
+
 KeyTwig BuildKeyTwig(const query::TreePattern& pattern,
                      bool include_predicate_words) {
   KeyTwig twig;
-  twig.root = BuildNode(pattern.root(), Translate(pattern.root().axis),
-                        include_predicate_words);
-  return twig;
-}
+  AddPatternNode(pattern.root(), -1, include_predicate_words, &twig);
 
-std::vector<const TwigNode*> KeyTwig::Nodes() const {
-  std::vector<const TwigNode*> nodes;
-  std::function<void(const TwigNode&)> walk = [&](const TwigNode& node) {
-    nodes.push_back(&node);
-    for (const auto& child : node.children) walk(*child);
-  };
-  if (root) walk(*root);
-  return nodes;
-}
-
-std::vector<xml::TwigEdge> KeyTwig::Edges() const {
-  std::vector<xml::TwigEdge> edges;
-  std::function<void(const TwigNode&, int)> walk = [&](const TwigNode& node,
-                                                       int parent) {
-    const int self = static_cast<int>(edges.size());
-    edges.push_back({parent, node.axis});
-    for (const auto& child : node.children) walk(*child, self);
-  };
-  if (root) walk(*root, -1);
-  return edges;
-}
-
-std::vector<std::string> KeyTwig::DistinctKeys() const {
-  std::vector<std::string> keys;
-  for (const TwigNode* node : Nodes()) {
-    bool seen = false;
-    for (const auto& key : keys) {
-      if (key == node->key) {
-        seen = true;
-        break;
-      }
+  // A node is a leaf unless the next node in pre-order is its first
+  // child.  Each leaf's query path runs up its parent chain.
+  const auto nodes = static_cast<int>(twig.edges.size());
+  for (int leaf = 0; leaf < nodes; ++leaf) {
+    if (leaf + 1 < nodes && twig.edges[leaf + 1].parent == leaf) continue;
+    size_t depth = 0;
+    for (int n = leaf; n >= 0; n = twig.edges[n].parent) ++depth;
+    std::vector<QueryPathStep>& steps = twig.query_paths.emplace_back().steps;
+    steps.resize(depth);
+    for (int n = leaf; n >= 0; n = twig.edges[n].parent) {
+      // Attribute-value words share their attribute's position; in the
+      // stored data path they appear as one extra child component.
+      QueryPathStep& step = steps[--depth];
+      step.axis = twig.edges[n].axis == TwigAxis::kSelf ? TwigAxis::kChild
+                                                        : twig.edges[n].axis;
+      step.key = twig.keys[twig.node_keys[n]];
     }
-    if (!seen) keys.push_back(node->key);
+    const uint32_t key = twig.node_keys[leaf];
+    const auto lookup = static_cast<uint32_t>(
+        std::find(twig.lookup_key_ords.begin(), twig.lookup_key_ords.end(),
+                  key) -
+        twig.lookup_key_ords.begin());
+    if (lookup == twig.lookup_key_ords.size()) {
+      twig.lookup_key_ords.push_back(key);
+      twig.lookup_keys.push_back(twig.keys[key]);
+    }
+    twig.path_lookup.push_back(lookup);
   }
-  return keys;
-}
-
-std::vector<std::vector<const TwigNode*>> KeyTwig::RootToLeafPaths() const {
-  std::vector<std::vector<const TwigNode*>> paths;
-  std::vector<const TwigNode*> current;
-  std::function<void(const TwigNode&)> walk = [&](const TwigNode& node) {
-    current.push_back(&node);
-    if (node.children.empty()) {
-      paths.push_back(current);
-    } else {
-      for (const auto& child : node.children) walk(*child);
-    }
-    current.pop_back();
-  };
-  if (root) walk(*root);
-  return paths;
+  return twig;
 }
 
 }  // namespace webdex::index

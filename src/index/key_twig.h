@@ -1,7 +1,7 @@
 #ifndef WEBDEX_INDEX_KEY_TWIG_H_
 #define WEBDEX_INDEX_KEY_TWIG_H_
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,41 +12,57 @@ namespace webdex::index {
 
 using TwigAxis = xml::TwigAxis;
 
-/// A node of the *key twig*: the tree pattern translated to index keys.
-///
-/// The translation implements the look-up front half shared by all
-/// strategies (Section 5):
+/// One component of a query path: the axis leading into it plus the key.
+struct QueryPathStep {
+  TwigAxis axis = TwigAxis::kDescendant;
+  std::string key;
+};
+
+/// A root-to-leaf query path `(/|//)a1(/|//)a2 ... aj` (Section 5.2).
+struct QueryPath {
+  std::vector<QueryPathStep> steps;
+
+  /// Key to look up in the LUP index: key(aj), the last step.
+  const std::string& LookupKey() const { return steps.back().key; }
+
+  std::string ToString() const;
+};
+
+/// The *key twig*: a tree pattern translated to index keys once, with
+/// everything the look-ups and their cost estimates read derived in the
+/// same pass (Section 5).  The translation:
 ///   * element pattern node            -> e‖label key
 ///   * attribute node, no = predicate  -> a‖name key
 ///   * attribute node with = c         -> a‖name c valued key (exact)
-///   * element with = c                -> extra child word-key nodes, one
-///                                        per word of c (child axis: the
-///                                        value's text is a child)
+///   * element with = c                -> extra descendant word-key nodes,
+///                                        one per word of c
 ///   * any node with contains(c)       -> extra descendant word-key node
 ///     (attribute contains -> self-axis word node, see TwigAxis::kSelf)
 ///   * range predicates contribute nothing (Section 5.5: look up without
 ///     the range, evaluate the full query afterwards)
-struct TwigNode {
-  TwigAxis axis = TwigAxis::kDescendant;  // edge from parent
-  std::string key;
-  std::vector<std::unique_ptr<TwigNode>> children;
-  /// Index of the originating pattern node, or -1 for synthesized
-  /// predicate word nodes.
-  int pattern_node = -1;
-};
-
+///
+/// Nodes are numbered in pre-order; a node's word nodes come before the
+/// pattern's children.  LU and LUI fetch `keys`, LUP fetches
+/// `lookup_keys` and matches `query_paths`, and the LUI twig join walks
+/// `edges`.
 struct KeyTwig {
-  std::unique_ptr<TwigNode> root;
-
-  /// All nodes, pre-order.
-  std::vector<const TwigNode*> Nodes() const;
-  /// The edge into each node, parallel to Nodes(): the twig as
-  /// xml::SatisfyTwig reads it.
-  std::vector<xml::TwigEdge> Edges() const;
-  /// Distinct keys of all nodes.
-  std::vector<std::string> DistinctKeys() const;
-  /// Root-to-leaf paths (sequences of nodes), for the LUP look-up.
-  std::vector<std::vector<const TwigNode*>> RootToLeafPaths() const;
+  /// The edge into each node: the twig as xml::SatisfyTwig reads it.
+  std::vector<xml::TwigEdge> edges;
+  /// Each node's key, as an index into `keys` (parallel to `edges`).
+  std::vector<uint32_t> node_keys;
+  /// The distinct keys, in order of first appearance.
+  std::vector<std::string> keys;
+  /// One query path per leaf, leaves in pre-order.  Self-axis steps
+  /// (attribute-value words) are emitted as child steps, matching how
+  /// extraction records their data paths.
+  std::vector<QueryPath> query_paths;
+  /// The distinct LookupKey()s of `query_paths`, in order of first
+  /// appearance: the keys a LUP look-up fetches.
+  std::vector<std::string> lookup_keys;
+  /// Each lookup key, as an index into `keys`.
+  std::vector<uint32_t> lookup_key_ords;
+  /// Each query path's lookup key, as an index into `lookup_keys`.
+  std::vector<uint32_t> path_lookup;
 };
 
 /// Translates one tree pattern into its key twig.  When

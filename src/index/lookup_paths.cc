@@ -24,18 +24,6 @@ uint32_t KeyOrdinal(const std::vector<std::string>& keys,
                                keys.begin());
 }
 
-std::vector<std::string> LookupKeysOf(
-    const std::vector<QueryPath>& query_paths) {
-  std::vector<std::string> lookup_keys;
-  for (const auto& path : query_paths) {
-    if (std::find(lookup_keys.begin(), lookup_keys.end(),
-                  path.LookupKey()) == lookup_keys.end()) {
-      lookup_keys.push_back(path.LookupKey());
-    }
-  }
-  return lookup_keys;
-}
-
 /// Keeps the members of `*ids` that `other` also holds (both ascending):
 /// one linear merge, written back into `*ids`.
 void IntersectInPlace(std::vector<DocId>* ids,
@@ -209,8 +197,8 @@ class Lookup {
   /// the size of every folded set.  Returns false once `*out` is empty.
   bool Narrow(const std::vector<DocId>& set, bool* first,
               std::vector<DocId>* out);
-  /// Intersects the document sets of `keys_`, the fetched keys (the LU
-  /// merge).  Empty as soon as one key has no postings.
+  /// Intersects the document sets of the twig's keys, the fetched keys
+  /// (the LU merge).  Empty as soon as one key has no postings.
   void IntersectKeys(std::vector<DocId>* out);
   /// Splits one stored value's data paths into paths_ and components_.
   Status Split(std::string_view value, bool compressed, SplitValue* split);
@@ -226,7 +214,6 @@ class Lookup {
   const bool binary_;
 
   DocTable docs_;
-  std::vector<std::string> keys_;
   FetchedEntries entries_;
   std::vector<DocId> set_;  // one key's or one query path's documents
   std::string dearmoured_;  // one hex-armoured value, dearmoured
@@ -262,7 +249,7 @@ bool Lookup::Narrow(const std::vector<DocId>& set, bool* first,
 void Lookup::IntersectKeys(std::vector<DocId>* out) {
   out->clear();
   bool first = true;
-  for (uint32_t k = 0; k < keys_.size(); ++k) {
+  for (uint32_t k = 0; k < twig_.keys.size(); ++k) {
     set_.clear();
     for (const Posting& posting : KeyPostings(k)) {
       if (set_.empty() || set_.back() != posting.doc) {
@@ -277,8 +264,7 @@ void Lookup::IntersectKeys(std::vector<DocId>* out) {
 }
 
 Status Lookup::ByKeys(const std::string& table, std::vector<DocId>* out) {
-  keys_ = twig_.DistinctKeys();
-  WEBDEX_RETURN_IF_ERROR(Fetch(table, keys_));
+  WEBDEX_RETURN_IF_ERROR(Fetch(table, twig_.keys));
   IntersectKeys(out);
   return Status::OK();
 }
@@ -323,9 +309,7 @@ Status Lookup::Split(std::string_view value, bool compressed,
 Status Lookup::ByPaths(const std::string& table,
                        const ExtractOptions& options,
                        std::vector<DocId>* out) {
-  const std::vector<QueryPath> query_paths = BuildQueryPaths(twig_);
-  keys_ = LookupKeysOf(query_paths);
-  WEBDEX_RETURN_IF_ERROR(Fetch(table, keys_));
+  WEBDEX_RETURN_IF_ERROR(Fetch(table, twig_.lookup_keys));
   // Value v of posting p is split value first_value[p] + v.
   std::vector<uint32_t> first_value(entries_.postings.size());
   uint32_t values = 0;
@@ -337,9 +321,10 @@ Status Lookup::ByPaths(const std::string& table,
 
   out->clear();
   bool first = true;
-  for (const QueryPath& query_path : query_paths) {
-    const uint32_t key = KeyOrdinal(keys_, query_path.LookupKey());
-    const std::span<const Posting> postings = KeyPostings(key);
+  for (size_t q = 0; q < twig_.query_paths.size(); ++q) {
+    const QueryPath& query_path = twig_.query_paths[q];
+    const std::span<const Posting> postings =
+        KeyPostings(twig_.path_lookup[q]);
     if (postings.empty()) {
       out->clear();
       return Status::OK();
@@ -423,8 +408,7 @@ Status Lookup::DecodeIds(uint32_t key, const std::vector<DocId>& candidates) {
 Status Lookup::ByIds(const std::string& table,
                      const std::vector<DocId>* restrict_to,
                      std::vector<DocId>* out) {
-  keys_ = twig_.DistinctKeys();
-  WEBDEX_RETURN_IF_ERROR(Fetch(table, keys_));
+  WEBDEX_RETURN_IF_ERROR(Fetch(table, twig_.keys));
 
   // Candidates: documents present for every key (any absent key ->
   // the document cannot embed the twig), further reduced by
@@ -439,35 +423,31 @@ Status Lookup::ByIds(const std::string& table,
 
   // Decode every candidate's ID list per key into the one ids_ buffer.
   ids_.clear();
-  ranges_.assign(keys_.size() * candidates_.size(), {0, 0});
-  for (uint32_t k = 0; k < keys_.size(); ++k) {
+  ranges_.assign(twig_.keys.size() * candidates_.size(), {0, 0});
+  for (uint32_t k = 0; k < twig_.keys.size(); ++k) {
     WEBDEX_RETURN_IF_ERROR(DecodeIds(k, candidates_));
   }
 
   // Holistic twig join per candidate document.  The inputs borrow their
   // spans from ids_, and one input and one satisfying-set buffer serve
   // every candidate.
-  const std::vector<const TwigNode*> twig_nodes = twig_.Nodes();
-  const std::vector<xml::TwigEdge> edges = twig_.Edges();
-  std::vector<uint32_t> node_keys(twig_nodes.size());
-  for (size_t n = 0; n < twig_nodes.size(); ++n) {
-    node_keys[n] = KeyOrdinal(keys_, twig_nodes[n]->key);
-  }
-  std::vector<std::span<const xml::NodeId>> inputs(twig_nodes.size());
+  const size_t nodes = twig_.edges.size();
+  std::vector<std::span<const xml::NodeId>> inputs(nodes);
   std::vector<std::vector<xml::NodeId>> sat;
   for (size_t c = 0; c < candidates_.size(); ++c) {
     bool complete = true;
-    for (size_t n = 0; n < twig_nodes.size() && complete; ++n) {
+    for (size_t n = 0; n < nodes && complete; ++n) {
       const auto [begin, end] =
-          ranges_[node_keys[n] * candidates_.size() + c];
+          ranges_[twig_.node_keys[n] * candidates_.size() + c];
       inputs[n] = std::span<const xml::NodeId>(ids_).subspan(begin,
                                                              end - begin);
       complete = begin != end;
     }
     if (complete &&
         xml::SatisfyTwig<xml::NodeId>(
-            edges, inputs, [](size_t, const xml::NodeId&) { return true; },
-            &sat, &stats_->twig_id_ops)) {
+            twig_.edges, inputs,
+            [](size_t, const xml::NodeId&) { return true; }, &sat,
+            &stats_->twig_id_ops)) {
       out->push_back(candidates_[c]);
     }
   }
@@ -490,10 +470,6 @@ Status Lookup::Semijoin(const std::string& paths_table,
 }
 
 }  // namespace
-
-std::vector<std::string> PathLookupKeys(const KeyTwig& twig) {
-  return LookupKeysOf(BuildQueryPaths(twig));
-}
 
 Result<std::vector<std::string>> LookupByKind(
     StrategyKind kind, cloud::SimAgent& agent, KvStore& store,

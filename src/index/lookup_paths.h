@@ -107,11 +107,6 @@ Result<std::vector<std::string>> LookupByKind(
     const ExtractOptions& options, LookupStats* stats,
     const GenerationMap* view = nullptr);
 
-/// The distinct index keys a LUP look-up fetches (the LookupKey of every
-/// query path, deduplicated in first-appearance order).  Exposed so cost
-/// estimation can size the BatchGet without running it.
-std::vector<std::string> PathLookupKeys(const KeyTwig& twig);
-
 }  // namespace webdex::index
 
 #endif  // WEBDEX_INDEX_LOOKUP_PATHS_H_

@@ -2,33 +2,6 @@
 
 namespace webdex::index {
 
-std::string QueryPath::ToString() const {
-  std::string out;
-  for (const auto& step : steps) {
-    out.append(step.axis == TwigAxis::kChild ? "/" : "//");
-    out.append(step.key);
-  }
-  return out;
-}
-
-std::vector<QueryPath> BuildQueryPaths(const KeyTwig& twig) {
-  std::vector<QueryPath> paths;
-  for (const auto& twig_path : twig.RootToLeafPaths()) {
-    QueryPath path;
-    for (const TwigNode* node : twig_path) {
-      QueryPathStep step;
-      // Attribute-value words share their attribute's position; in the
-      // stored data path they appear as one extra child component.
-      step.axis =
-          node->axis == TwigAxis::kSelf ? TwigAxis::kChild : node->axis;
-      step.key = node->key;
-      path.steps.push_back(std::move(step));
-    }
-    paths.push_back(std::move(path));
-  }
-  return paths;
-}
-
 namespace {
 
 // Recursive match of query steps [qi..) against data components [dj..),

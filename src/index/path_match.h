@@ -1,7 +1,6 @@
 #ifndef WEBDEX_INDEX_PATH_MATCH_H_
 #define WEBDEX_INDEX_PATH_MATCH_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -9,28 +8,6 @@
 #include "index/key_twig.h"
 
 namespace webdex::index {
-
-/// One component of a query path: the axis leading into it plus the key.
-struct QueryPathStep {
-  TwigAxis axis = TwigAxis::kDescendant;
-  std::string key;
-};
-
-/// A root-to-leaf query path `(/|//)a1(/|//)a2 ... aj` (Section 5.2).
-struct QueryPath {
-  std::vector<QueryPathStep> steps;
-
-  /// Key to look up in the LUP index: key(aj), the last step.
-  const std::string& LookupKey() const { return steps.back().key; }
-
-  std::string ToString() const;
-};
-
-/// Builds the query paths of a pattern, via its key twig: one query path
-/// per root-to-leaf twig path.  Self-axis steps (attribute-value words)
-/// are emitted as child steps, matching how extraction records their data
-/// paths.
-std::vector<QueryPath> BuildQueryPaths(const KeyTwig& twig);
 
 /// True if a stored data path, given as its unescaped components (what
 /// index::SplitPathInto makes of e.g. "/esite/eitem/ename"), matches the

@@ -64,13 +64,13 @@ uint64_t PathSummary::DocsMatchingPath(
 PatternProfile PathSummary::Profile(const KeyTwig& twig) const {
   PatternProfile profile;
   profile.documents = documents_;
-  const std::vector<std::string> keys = twig.DistinctKeys();
-  profile.key_docs.reserve(keys.size());
-  for (const auto& key : keys) profile.key_docs.push_back(DocsWithKey(key));
-  const std::vector<QueryPath> paths = BuildQueryPaths(twig);
-  profile.path_docs.reserve(paths.size());
+  profile.key_docs.reserve(twig.keys.size());
+  for (const auto& key : twig.keys) {
+    profile.key_docs.push_back(DocsWithKey(key));
+  }
+  profile.path_docs.reserve(twig.query_paths.size());
   std::vector<KeyHandle> components;
-  for (const auto& path : paths) {
+  for (const auto& path : twig.query_paths) {
     profile.path_docs.push_back(DocsMatchingPath(path, &components));
   }
   return profile;

@@ -14,18 +14,17 @@
 namespace webdex::index {
 
 /// One tree pattern's document counts against a PathSummary, taken once
-/// from the key twig a look-up runs (so an index built without w‖ keys
-/// is priced without its predicate words).  Every document estimate of
-/// that look-up, and the Section 8.5 advice, is arithmetic over these
-/// counts.
+/// from the pattern's key twig (so an index built without w‖ keys is
+/// priced without its predicate words).  Every document estimate of the
+/// pattern's look-ups, and the Section 8.5 advice, is arithmetic over
+/// these counts.
 struct PatternProfile {
   /// |D|: the corpus size the counts are out of.
   uint64_t documents = 0;
-  /// Documents containing each distinct twig key (KeyTwig::DistinctKeys
-  /// order).
+  /// Documents containing each distinct twig key (KeyTwig::keys order).
   std::vector<uint64_t> key_docs;
-  /// Documents matching each query path (BuildQueryPaths order): the
-  /// upper-bound selectivity of each linear branch.
+  /// Documents matching each query path (KeyTwig::query_paths order):
+  /// the upper-bound selectivity of each linear branch.
   std::vector<uint64_t> path_docs;
 
   /// Documents an LU look-up would retrieve (upper bound: the rarest

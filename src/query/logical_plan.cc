@@ -11,9 +11,10 @@ LogicalPlan::LogicalPlan(Query query) : query_(std::move(query)) {
     PatternFacts facts;
     facts.pattern = static_cast<int>(i);
     facts.nodes = pattern.size();
-    facts.branches = static_cast<int>(pattern.RootToLeafPaths().size());
     facts.outputs = static_cast<int>(pattern.output_nodes().size());
     for (const PatternNode* node : pattern.nodes()) {
+      // One root-to-leaf branch per leaf.
+      if (node->children.empty()) facts.branches += 1;
       if (node->predicate.kind != PredicateKind::kNone) {
         facts.predicates += 1;
         if (node->predicate.kind == PredicateKind::kRange) {

@@ -1,7 +1,6 @@
 #include "query/tree_pattern.h"
 
 #include <cstdlib>
-#include <functional>
 
 #include "common/strings.h"
 
@@ -91,25 +90,6 @@ TreePattern::TreePattern(std::unique_ptr<PatternNode> root)
   for (const PatternNode* node : nodes_) {
     if (node->HasOutput()) output_nodes_.push_back(node);
   }
-}
-
-std::vector<std::vector<const PatternNode*>> TreePattern::RootToLeafPaths()
-    const {
-  std::vector<std::vector<const PatternNode*>> paths;
-  std::vector<const PatternNode*> current;
-  // Depth-first walk collecting the path at each leaf.
-  std::function<void(const PatternNode&)> walk =
-      [&](const PatternNode& node) {
-        current.push_back(&node);
-        if (node.children.empty()) {
-          paths.push_back(current);
-        } else {
-          for (const auto& child : node.children) walk(*child);
-        }
-        current.pop_back();
-      };
-  walk(*root_);
-  return paths;
 }
 
 std::string TreePattern::ToString() const {

@@ -80,11 +80,6 @@ class TreePattern {
     return output_nodes_;
   }
 
-  /// Every root-to-leaf label path of the pattern, as (axis, node)
-  /// sequences — what the LUP look-up matches against stored data paths
-  /// (Section 5.2).
-  std::vector<std::vector<const PatternNode*>> RootToLeafPaths() const;
-
   /// Compact, parseable rendering (the parser's syntax).
   std::string ToString() const;
 

@@ -108,7 +108,7 @@ inline std::set<std::string> IntersectUris(
 inline Result<std::set<std::string>> LookupByKeys(
     cloud::SimAgent& agent, KvStore& store, const std::string& table,
     const KeyTwig& twig, LookupStats* stats, const GenerationMap* view) {
-  const std::vector<std::string> keys = twig.DistinctKeys();
+  const std::vector<std::string>& keys = twig.keys;
   WEBDEX_ASSIGN_OR_RETURN(
       FetchedEntries entries,
       FetchEntries(agent, store, table, keys, stats, view));
@@ -164,8 +164,8 @@ inline Result<std::set<std::string>> LookupByPaths(
     cloud::SimAgent& agent, KvStore& store, const std::string& table,
     const KeyTwig& twig, const ExtractOptions& options, LookupStats* stats,
     const GenerationMap* view) {
-  const std::vector<QueryPath> query_paths = BuildQueryPaths(twig);
-  const std::vector<std::string> lookup_keys = PathLookupKeys(twig);
+  const std::vector<QueryPath>& query_paths = twig.query_paths;
+  const std::vector<std::string>& lookup_keys = twig.lookup_keys;
   WEBDEX_ASSIGN_OR_RETURN(
       FetchedEntries entries,
       FetchEntries(agent, store, table, lookup_keys, stats, view));
@@ -218,7 +218,7 @@ inline Result<std::set<std::string>> LookupByIds(
     cloud::SimAgent& agent, KvStore& store, const std::string& table,
     const KeyTwig& twig, const std::set<std::string>* restrict_to,
     LookupStats* stats, const GenerationMap* view) {
-  const std::vector<std::string> keys = twig.DistinctKeys();
+  const std::vector<std::string>& keys = twig.keys;
   WEBDEX_ASSIGN_OR_RETURN(
       FetchedEntries entries,
       FetchEntries(agent, store, table, keys, stats, view));
@@ -271,15 +271,15 @@ inline Result<std::set<std::string>> LookupByIds(
   // Holistic twig join per candidate document.  Inputs borrow the decoded
   // vectors, and one input and one satisfying-set buffer serve every
   // candidate: no per-candidate ID copies.
-  const std::vector<const TwigNode*> twig_nodes = twig.Nodes();
-  const std::vector<xml::TwigEdge> edges = twig.Edges();
-  std::vector<std::span<const xml::NodeId>> inputs(twig_nodes.size());
+  const std::vector<xml::TwigEdge>& edges = twig.edges;
+  std::vector<std::span<const xml::NodeId>> inputs(edges.size());
   std::vector<std::vector<xml::NodeId>> sat;
   std::set<std::string> result;
   for (const std::string& uri : candidates) {
     bool complete = true;
-    for (size_t n = 0; n < twig_nodes.size(); ++n) {
-      auto key_it = ids_by_key_uri.find(std::string_view(twig_nodes[n]->key));
+    for (size_t n = 0; n < edges.size(); ++n) {
+      auto key_it = ids_by_key_uri.find(
+          std::string_view(twig.keys[twig.node_keys[n]]));
       if (key_it == ids_by_key_uri.end()) {
         complete = false;
         break;

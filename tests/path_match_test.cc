@@ -88,7 +88,7 @@ TEST(PathMatchTest, BuildQueryPathsFromPattern) {
       "//painting[/name~'Lion', //painter/name/last]");
   ASSERT_TRUE(query.ok());
   const KeyTwig twig = BuildKeyTwig(query.value().patterns()[0]);
-  const auto paths = BuildQueryPaths(twig);
+  const auto& paths = twig.query_paths;
   ASSERT_EQ(paths.size(), 2u);
   // First branch extends through the containment word.
   EXPECT_EQ(paths[0].ToString(), "//epainting/ename//wlion");
@@ -101,7 +101,7 @@ TEST(PathMatchTest, AttributeEqualityUsesValuedKeyInPath) {
   auto query = query::ParseQuery("//painting/@id='1863-1'");
   ASSERT_TRUE(query.ok());
   const KeyTwig twig = BuildKeyTwig(query.value().patterns()[0]);
-  const auto paths = BuildQueryPaths(twig);
+  const auto& paths = twig.query_paths;
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].LookupKey(), "aid 1863-1");
   EXPECT_TRUE(MatchesPath(paths[0], "/epainting/aid 1863-1"));
@@ -111,7 +111,7 @@ TEST(PathMatchTest, SelfAxisWordRendersAsChildStep) {
   auto query = query::ParseQuery("//item/@id~'47'");
   ASSERT_TRUE(query.ok());
   const KeyTwig twig = BuildKeyTwig(query.value().patterns()[0]);
-  const auto paths = BuildQueryPaths(twig);
+  const auto& paths = twig.query_paths;
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].steps.back().key, "w47");
   EXPECT_EQ(paths[0].steps.back().axis, TwigAxis::kChild);

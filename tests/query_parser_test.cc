@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "query/logical_plan.h"
 #include "query/parser.h"
 
 namespace webdex::query {
@@ -181,12 +182,17 @@ TEST(QueryParserTest, PredicateMatchesSemantics) {
 }
 
 TEST(QueryParserTest, RootToLeafPaths) {
-  Query q = MustParse("//painting[/name, //painter/name/last]");
-  const auto paths = q.patterns()[0].RootToLeafPaths();
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_EQ(paths[0].back()->label, "name");
-  EXPECT_EQ(paths[1].size(), 4u);
-  EXPECT_EQ(paths[1].back()->label, "last");
+  // One root-to-leaf branch per leaf of the pattern.
+  const LogicalPlan plan =
+      LogicalPlan::Build(MustParse("//painting[/name, //painter/name/last]"));
+  ASSERT_EQ(plan.patterns().size(), 1u);
+  EXPECT_EQ(plan.patterns()[0].nodes, 5);
+  EXPECT_EQ(plan.patterns()[0].branches, 2);
+  EXPECT_EQ(LogicalPlan::Build(MustParse("//a[/b[/c, /d], /e/f]"))
+                .patterns()[0]
+                .branches,
+            3);
+  EXPECT_EQ(LogicalPlan::Build(MustParse("//a")).patterns()[0].branches, 1);
 }
 
 }  // namespace

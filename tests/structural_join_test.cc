@@ -180,8 +180,7 @@ TEST_P(TwigEquivalence, AgreesWithEvaluatorOnXmarkDocs) {
   const query::TreePattern& pattern = parsed.value().patterns()[0];
   ASSERT_NE(pattern.root().axis, query::Axis::kChild);  // no anchoring
   const index::KeyTwig twig = index::BuildKeyTwig(pattern);
-  const auto twig_nodes = twig.Nodes();
-  const std::vector<TwigEdge> edges = twig.Edges();
+  const std::vector<TwigEdge>& edges = twig.edges;
   auto keep_all = [](size_t, const auto&) { return true; };
 
   xmark::GeneratorConfig config;
@@ -200,8 +199,8 @@ TEST_P(TwigEquivalence, AgreesWithEvaluatorOnXmarkDocs) {
     // ID lists, as the LUI look-up decodes them.
     const index::DocIndex doc_index = index::ExtractDocIndex(doc);
     std::vector<std::vector<NodeId>> id_lists;
-    for (const index::TwigNode* node : twig_nodes) {
-      const index::DocIndex::Entry* entry = doc_index.Find(node->key);
+    for (const uint32_t key : twig.node_keys) {
+      const index::DocIndex::Entry* entry = doc_index.Find(twig.keys[key]);
       id_lists.push_back(entry == nullptr ? std::vector<NodeId>{}
                                           : doc_index.IdVector(*entry));
     }
