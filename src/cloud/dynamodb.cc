@@ -262,32 +262,32 @@ Result<std::vector<ItemView>> DynamoDb::BatchGetViews(
   return out;
 }
 
-Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
-                                        const std::string& table) {
+Status DynamoDb::Scan(SimAgent& agent, const std::string& table,
+                      const ScanVisitor& visit) {
   WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
-  std::vector<Item> out;
-  t->AppendAll(&out);
   // Page through at the 1 MB scan limit; every page is a billed request
   // that consumes read capacity for the bytes it returns.
   constexpr uint64_t kScanPageBytes = 1024 * 1024;
-  size_t index = 0;
-  do {
+  std::vector<double> page_units(1, 0.0);
+  uint64_t page_bytes = 0;
+  t->ForEachLive([&](const ItemView& item) {
+    if (page_bytes >= kScanPageBytes) {
+      page_units.push_back(0);
+      page_bytes = 0;
+    }
+    page_bytes += item.SizeBytes();
+    page_units.back() += ReadUnits(item.SizeBytes());
+  });
+  for (double units : page_units) {
     BilledCall call(endpoint_, agent, scan_metrics_, &Usage::ddb_get_requests);
     WEBDEX_RETURN_IF_ERROR(
         Admit(call, "ddb.scan:", table, read_limiter_, /*write=*/false));
-    uint64_t page_bytes = 0;
-    double units = 0;
-    while (index < out.size() && page_bytes < kScanPageBytes) {
-      const uint64_t bytes = out[index].SizeBytes();
-      page_bytes += bytes;
-      units += ReadUnits(bytes);
-      ++index;
-    }
     if (units == 0) units = ReadUnits(0);  // an empty table still seeks
     MeterReadUnits(units);
     call.Succeed({&read_limiter_, units});
-  } while (index < out.size());
-  return out;
+  }
+  t->ForEachLive(visit);
+  return Status::OK();
 }
 
 Status DynamoDb::DeleteItem(SimAgent& agent, const std::string& table,

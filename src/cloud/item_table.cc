@@ -109,14 +109,31 @@ void ItemTable::Put(const Item& item) {
                       static_cast<uint32_t>(item.payload_bytes_)});
 }
 
+std::vector<ItemTable::Entry>::iterator ItemTable::Gallop(
+    std::vector<Entry>::iterator first, std::vector<Entry>::iterator last,
+    const Entry& e) {
+  // Everything before `first` is below `e`.  Doubles the step until an
+  // entry is not, then bisects that step.
+  std::ptrdiff_t step = 1;
+  while (step <= last - first && Less(first[step - 1], e)) {
+    first += step;
+    step *= 2;
+  }
+  return std::lower_bound(first, first + std::min(step, last - first), e,
+                          Less);
+}
+
 const ItemTable& ItemTable::Seal() const {
   if (run_size_ == entries_.size()) return *this;
   // Stable, so equal keys stay in put order.
   std::stable_sort(entries_.begin() + run_size_, entries_.end(), Less);
   // The last put of each key wins.  It replaces an equal run entry in
-  // place; the other winners are kept to be merged into the run.
+  // place; the other winners are kept after the run, each with the run
+  // position it goes before.  The tail is sorted, so each search starts
+  // at the last hit.
   const auto run_end = entries_.begin() + run_size_;
   auto kept = run_end;
+  std::vector<size_t> at;
   auto hit = entries_.begin();
   for (auto it = run_end; it != entries_.end(); ++it) {
     if (it + 1 != entries_.end() && Compare(it->key(), it[1].key()) == 0) {
@@ -124,16 +141,31 @@ const ItemTable& ItemTable::Seal() const {
       continue;
     }
     Count(*it);
-    hit = std::lower_bound(hit, run_end, *it, Less);
+    hit = Gallop(hit, run_end, *it);
     if (hit != run_end && Compare(hit->key(), it->key()) == 0) {
       Forget(*hit);
       *hit = *it;
     } else {
       *kept++ = *it;
+      // A first seal (empty run) leaves the sorted tail where it is.
+      if (run_size_ > 0) {
+        at.push_back(static_cast<size_t>(hit - entries_.begin()));
+      }
     }
   }
   entries_.erase(kept, entries_.end());
-  std::inplace_merge(entries_.begin(), run_end, entries_.end(), Less);
+  // Merges from the back: each run block moves up once, past the
+  // winners that go before its end, and the winner at its front lands
+  // in the gap.
+  const std::vector<Entry> winners(entries_.begin() + run_size_,
+                                   entries_.begin() + run_size_ + at.size());
+  size_t end = run_size_;
+  for (size_t k = at.size(); k-- > 0;) {
+    std::move_backward(entries_.begin() + at[k], entries_.begin() + end,
+                       entries_.begin() + end + k + 1);
+    entries_[at[k] + k] = winners[k];
+    end = at[k];
+  }
   run_size_ = entries_.size();
   return *this;
 }
@@ -190,11 +222,6 @@ void ItemTable::AppendItems(std::string_view hash_key,
   }
 }
 
-void ItemTable::AppendAll(std::vector<Item>* out) const {
-  out->reserve(out->size() + item_count());
-  ForEachLive([out](Item&& item) { out->push_back(std::move(item)); });
-}
-
 ItemStore::ItemStore(const char* name, const char* noun,
                      const StoreLimits& limits, uint64_t item_overhead_bytes,
                      uint64_t value_overhead_bytes)
@@ -241,7 +268,7 @@ std::vector<std::string> ItemStore::TableNames() const {
 void ItemStore::ForEachItem(
     const std::function<void(const std::string&, const Item&)>& fn) const {
   for (const auto& [name, table] : tables_) {
-    table.ForEachLive([&](const Item& item) { fn(name, item); });
+    table.ForEachLive([&](const ItemView& item) { fn(name, Item(item)); });
   }
 }
 

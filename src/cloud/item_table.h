@@ -28,9 +28,9 @@ namespace webdex::cloud {
 /// of each key (Section 6's complete replacement), merges it into the run
 /// and updates the accounting.  Erase marks its entry dead, and so does a
 /// replacement; the arena and run are repacked once dead bytes pass a
-/// quarter of the arena.  AppendItems hands out views into the arena,
-/// valid until the next Put or Erase (either may repack); sealing moves
-/// entries, never arena bytes.  AppendAll copies.  Neither puts nor
+/// quarter of the arena.  AppendItems and ForEachLive hand out views
+/// into the arena, valid until the next Put or Erase (either may
+/// repack); sealing moves entries, never arena bytes.  Neither puts nor
 /// reads walk the attributes.
 ///
 /// Seal mutates the table from const reads, so a table is read and
@@ -50,8 +50,14 @@ class ItemTable {
   /// order, valid until the next Put or Erase on this table.
   void AppendItems(std::string_view hash_key,
                    std::vector<ItemView>* out) const;
-  /// Appends every item to `*out` in (hash, range) key order.
-  void AppendAll(std::vector<Item>* out) const;
+  /// Calls `fn` with a view of every item in (hash, range) key order,
+  /// valid until the next Put or Erase; `fn` must not write to the table.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const {
+    for (const Entry& e : Seal().entries_) {
+      if (!e.dead) fn(View(e));
+    }
+  }
 
   /// Σ SizeBytes over the items.
   uint64_t stored_bytes() const { return Seal().stored_bytes_; }
@@ -108,6 +114,11 @@ class ItemTable {
   static bool Less(const Entry& a, const Entry& b);
   /// The first run entry not below `key`, after sealing.
   std::vector<Entry>::iterator LowerBound(const Key& key) const;
+  /// The first entry of the sorted [first, last) not below `e`, searched
+  /// outward from `first`: cheap when it is near.
+  static std::vector<Entry>::iterator Gallop(
+      std::vector<Entry>::iterator first, std::vector<Entry>::iterator last,
+      const Entry& e);
   /// Adds `e` to the accounting.
   void Count(const Entry& e) const;
   /// Takes `e` out of the accounting and marks it dead (if it is live).
@@ -121,14 +132,6 @@ class ItemTable {
   /// peak RSS from 177 to 196 MB.
   void MaybeRepack();
   static ItemView View(const Entry& e);
-  template <typename Fn>
-  void ForEachLive(Fn&& fn) const {
-    for (const Entry& e : Seal().entries_) {
-      if (!e.dead) fn(Item(View(e)));
-    }
-  }
-
-  friend class ItemStore;
 
   std::vector<std::unique_ptr<char[]>> chunks_;
   char* next_ = nullptr;  // the free bytes of the last chunk

@@ -40,6 +40,9 @@ struct StoreLimits {
 /// without touching index code.
 class KvStore {
  public:
+  /// What Scan calls with each item.
+  using ScanVisitor = std::function<void(const ItemView&)>;
+
   virtual ~KvStore() = default;
 
   /// Creates `table`.  A billed control-plane call: fault-injectable and
@@ -90,13 +93,18 @@ class KvStore {
                                      const std::string& table,
                                      const std::vector<std::string>& hash_keys);
 
-  /// Reads every item of `table` in deterministic (hash, range) key
-  /// order — the *billed* full-table walk (DynamoDB's Scan, SimpleDB's
-  /// paginated select) that index maintenance uses, as opposed to the free
-  /// host-side ForEachItem below.  Paginated internally; each page costs
-  /// a request, its latency, and data-proportional read capacity.
-  virtual Result<std::vector<Item>> Scan(SimAgent& agent,
-                                        const std::string& table) = 0;
+  /// Calls `visit` with every item of `table` in deterministic (hash,
+  /// range) key order — the *billed* full-table walk (DynamoDB's Scan,
+  /// SimpleDB's paginated select) that index maintenance uses, as opposed
+  /// to the free host-side ForEachItem below.  Paginated internally; each
+  /// page costs a request, its latency, and data-proportional read
+  /// capacity.  Nothing is copied: the visitor runs only once every page
+  /// has been billed, so a scan that fails visits nothing and a retried
+  /// one visits each item once.  Each view is valid for the visit (the
+  /// BatchGetViews lifetime rule); the visitor must not write to the
+  /// store.  Copy an item (Item(view)) to keep it.
+  virtual Status Scan(SimAgent& agent, const std::string& table,
+                      const ScanVisitor& visit) = 0;
 
   /// Deletes the item with the given composite key.  Deleting an absent
   /// item succeeds (as in DynamoDB) but still bills the request.
@@ -165,9 +173,9 @@ class ForwardingKvStore : public KvStore {
       const std::vector<std::string>& hash_keys) override {
     return base_->BatchGetViews(agent, table, hash_keys);
   }
-  Result<std::vector<Item>> Scan(SimAgent& agent,
-                                 const std::string& table) override {
-    return base_->Scan(agent, table);
+  Status Scan(SimAgent& agent, const std::string& table,
+              const ScanVisitor& visit) override {
+    return base_->Scan(agent, table, visit);
   }
   Status DeleteItem(SimAgent& agent, const std::string& table,
                     const std::string& hash_key,

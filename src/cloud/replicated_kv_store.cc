@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/retry.h"
+
 namespace webdex::cloud {
 
 ReplicatedKvStore::ReplicatedKvStore(KvStore* base, Deployment& deployment,
@@ -38,7 +40,7 @@ std::invoke_result_t<const Call&> ReplicatedKvStore::Read(
   span.AddAttr("replica", deployment_.ReplicaFor(table, *replica_key));
   const Usage before = meter_.Snapshot();
   auto result = call();
-  if (!result.status().ok()) return result;
+  if (!common::StatusOf(result).ok()) return result;
   const Micros mark = deployment_.Watermark(table);
   const Micros lag = mark == 0 ? 0 : agent.now() - mark;
   span.AddAttr("lag_us", static_cast<double>(lag));
@@ -64,11 +66,11 @@ Result<std::vector<ItemView>> ReplicatedKvStore::BatchGetViews(
               [&] { return base_->BatchGetViews(agent, table, hash_keys); });
 }
 
-Result<std::vector<Item>> ReplicatedKvStore::Scan(SimAgent& agent,
-                                                  const std::string& table) {
+Status ReplicatedKvStore::Scan(SimAgent& agent, const std::string& table,
+                               const ScanVisitor& visit) {
   const std::string whole_table;
   return Read(agent, table, &whole_table,
-              [&] { return base_->Scan(agent, table); });
+              [&] { return base_->Scan(agent, table, visit); });
 }
 
 Status ReplicatedKvStore::DeleteItem(SimAgent& agent, const std::string& table,

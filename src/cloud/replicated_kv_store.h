@@ -43,8 +43,8 @@ class ReplicatedKvStore final : public ForwardingKvStore {
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
-  Result<std::vector<Item>> Scan(SimAgent& agent,
-                                 const std::string& table) override;
+  Status Scan(SimAgent& agent, const std::string& table,
+              const ScanVisitor& visit) override;
   Status DeleteItem(SimAgent& agent, const std::string& table,
                     const std::string& hash_key,
                     const std::string& range_key) override;

@@ -12,10 +12,12 @@ Retrier::Retrier(const common::RetryPolicy& policy, uint64_t seed,
       tracer_(tracer),
       attempts_metric_(*metrics.GetCounter("cloud.retry.attempts.count")) {}
 
-Rng& Retrier::StreamFor(std::string_view key) {
-  auto it = streams_.find(key);
+Rng& Retrier::StreamFor(const StreamKey& key) {
+  key_.assign(key.prefix);
+  key_ += key.suffix;
+  auto it = streams_.find(key_);
   if (it == streams_.end()) {
-    it = streams_.emplace(std::string(key), Rng::ForKey(seed_, key)).first;
+    it = streams_.emplace(key_, Rng::ForKey(seed_, key_)).first;
   }
   return it->second;
 }
@@ -31,7 +33,7 @@ RetryingKvStore::RetryingKvStore(KvStore* base,
 
 Status RetryingKvStore::CreateTable(SimAgent& agent,
                                     const std::string& table) {
-  return retrier_.Call(agent, "retry:createtable:" + table,
+  return retrier_.Call(agent, {"retry:createtable:", table},
                        "attempt.create_table", table,
                        [&] { return base_->CreateTable(agent, table); });
 }
@@ -51,7 +53,7 @@ Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
   std::vector<Item> leftover;
   bool attempted = false;
   const Status status = retrier_.Call(
-      agent, "retry:batchput:" + table, "attempt.batch_put", table,
+      agent, {"retry:batchput:", table}, "attempt.batch_put", table,
       [&] {
         Status put = base_->BatchPut(agent, table, batch, &leftover);
         pending = std::move(leftover);
@@ -77,21 +79,23 @@ Result<std::vector<ItemView>> RetryingKvStore::BatchGetViews(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
   return retrier_.Call(
-      agent, "retry:batchget:" + table, "attempt.batch_get", table,
+      agent, {"retry:batchget:", table}, "attempt.batch_get", table,
       [&] { return base_->BatchGetViews(agent, table, hash_keys); });
 }
 
-Result<std::vector<Item>> RetryingKvStore::Scan(SimAgent& agent,
-                                               const std::string& table) {
-  return retrier_.Call(agent, "retry:scan:" + table, "attempt.scan", table,
-                       [&] { return base_->Scan(agent, table); });
+Status RetryingKvStore::Scan(SimAgent& agent, const std::string& table,
+                             const ScanVisitor& visit) {
+  // The store visits only after a whole successful call, so no item is
+  // visited by an attempt that is then retried.
+  return retrier_.Call(agent, {"retry:scan:", table}, "attempt.scan", table,
+                       [&] { return base_->Scan(agent, table, visit); });
 }
 
 Status RetryingKvStore::DeleteItem(SimAgent& agent, const std::string& table,
                                    const std::string& hash_key,
                                    const std::string& range_key) {
   return retrier_.Call(
-      agent, "retry:delete:" + table, "attempt.delete_item", table,
+      agent, {"retry:delete:", table}, "attempt.delete_item", table,
       [&] { return base_->DeleteItem(agent, table, hash_key, range_key); });
 }
 

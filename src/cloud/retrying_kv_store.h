@@ -44,6 +44,13 @@ namespace webdex::cloud {
 /// call that names no resource is never gated.
 class Retrier {
  public:
+  /// The key of a jitter stream: `prefix` then `suffix`, e.g.
+  /// "retry:delete:" and a table name.
+  struct StreamKey {
+    std::string_view prefix;
+    std::string_view suffix;
+  };
+
   Retrier(const common::RetryPolicy& policy, uint64_t seed, UsageMeter& meter,
           CircuitBreaker& breaker, common::MetricRegistry& metrics,
           common::Tracer& tracer);
@@ -55,7 +62,7 @@ class Retrier {
   /// `settle` returns: BatchPut turns a partial success into a retriable
   /// error this way without charging it to the breaker.
   template <typename Fn, typename Settle = std::identity>
-  auto Call(SimAgent& agent, std::string_view key, std::string_view span_name,
+  auto Call(SimAgent& agent, StreamKey key, std::string_view span_name,
             std::string_view resource, const Fn& fn,
             const Settle& settle = {}) -> decltype(fn()) {
     int attempt = 0;
@@ -71,7 +78,7 @@ class Retrier {
   }
 
  private:
-  Rng& StreamFor(std::string_view key);
+  Rng& StreamFor(const StreamKey& key);
 
   /// One try: the span, the attempts bump, the breaker gate on
   /// `resource` (when named), `fn`, and the breaker record.
@@ -110,6 +117,9 @@ class Retrier {
   common::Tracer& tracer_;
   common::Counter& attempts_metric_;
   std::map<std::string, Rng, std::less<>> streams_;
+  /// StreamFor's key, spelled into one reused buffer, so a look-up
+  /// allocates nothing once the buffer has grown.
+  std::string key_;
 };
 
 /// KvStore decorator that gives every caller the AWS-SDK retry behaviour:
@@ -145,8 +155,8 @@ class RetryingKvStore final : public ForwardingKvStore {
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
-  Result<std::vector<Item>> Scan(SimAgent& agent,
-                                const std::string& table) override;
+  Status Scan(SimAgent& agent, const std::string& table,
+              const ScanVisitor& visit) override;
   Status DeleteItem(SimAgent& agent, const std::string& table,
                     const std::string& hash_key,
                     const std::string& range_key) override;

@@ -140,31 +140,46 @@ Result<std::vector<ItemView>> ShardedKvStore::BatchGetViews(
   return out;
 }
 
-Result<std::vector<Item>> ShardedKvStore::Scan(SimAgent& agent,
-                                               const std::string& logical) {
+Status ShardedKvStore::Scan(SimAgent& agent, const std::string& logical,
+                            const ScanVisitor& visit) {
   const int shards = deployment_.spec().shards;
   MeteredSpan span(tracer_, meter_, agent, "shard.fanout");
   span.AddAttr("shards", shards);
   fanout_metric_.Add(1);
-  std::vector<Item> out;
+  // Every shard is billed before anything is visited.  Reads never
+  // invalidate views, so each shard's run stays valid through the merge.
+  std::vector<std::vector<ItemView>> runs(static_cast<size_t>(shards));
   for (int shard = 0; shard < shards; ++shard) {
     CountOp("scan", shard);
-    auto result =
-        base_->Scan(agent, deployment_.PhysicalName(logical, shard));
-    if (!result.status().ok()) {
+    auto& run = runs[static_cast<size_t>(shard)];
+    const Status status =
+        base_->Scan(agent, deployment_.PhysicalName(logical, shard),
+                    [&run](const ItemView& item) { run.push_back(item); });
+    if (!status.ok()) {
       span.AddAttr("error", 1);
-      return result.status();
+      return status;
     }
-    auto items = std::move(result).value();
-    out.insert(out.end(), std::make_move_iterator(items.begin()),
-               std::make_move_iterator(items.end()));
   }
-  // Restore the unsharded store's deterministic (hash, range) key order.
-  std::sort(out.begin(), out.end(), [](const Item& a, const Item& b) {
-    if (a.hash_key != b.hash_key) return a.hash_key < b.hash_key;
-    return a.range_key() < b.range_key();
-  });
-  return out;
+  // Each run is in (hash, range) order and a hash key lives on one shard,
+  // so merging the runs restores the unsharded store's order.
+  std::vector<size_t> next(runs.size(), 0);
+  for (;;) {
+    const ItemView* least = nullptr;
+    size_t from = 0;
+    for (size_t shard = 0; shard < runs.size(); ++shard) {
+      if (next[shard] == runs[shard].size()) continue;
+      const ItemView& head = runs[shard][next[shard]];
+      if (least == nullptr || head.hash_key < least->hash_key ||
+          (head.hash_key == least->hash_key &&
+           head.range_key() < least->range_key())) {
+        least = &head;
+        from = shard;
+      }
+    }
+    if (least == nullptr) return Status::OK();
+    visit(*least);
+    ++next[from];
+  }
 }
 
 Status ShardedKvStore::DeleteItem(SimAgent& agent, const std::string& logical,

@@ -30,7 +30,8 @@ namespace webdex::cloud {
 /// Contract preservation is what keeps architectures equivalent:
 ///   * BatchGetViews reassembles per-shard results into the documented
 ///     "concatenated in key order" order of the unsharded store;
-///   * Scan merges shard pages and re-sorts by (hash, range) key;
+///   * Scan bills every shard, then merges the shards' (hash, range)
+///     ordered runs of views;
 ///   * ForEachItem folds physical tables back to logical names and sorts,
 ///     so FingerprintStore() matches across shard counts;
 ///   * on a transient BatchPut error, `*unprocessed` aggregates the
@@ -56,8 +57,8 @@ class ShardedKvStore final : public ForwardingKvStore {
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& logical,
       const std::vector<std::string>& hash_keys) override;
-  Result<std::vector<Item>> Scan(SimAgent& agent,
-                                 const std::string& logical) override;
+  Status Scan(SimAgent& agent, const std::string& logical,
+              const ScanVisitor& visit) override;
   Status DeleteItem(SimAgent& agent, const std::string& logical,
                     const std::string& hash_key,
                     const std::string& range_key) override;

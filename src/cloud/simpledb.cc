@@ -161,11 +161,9 @@ Result<std::vector<ItemView>> SimpleDb::BatchGetViews(
   return out;
 }
 
-Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
-                                        const std::string& table) {
+Status SimpleDb::Scan(SimAgent& agent, const std::string& table,
+                      const ScanVisitor& visit) {
   WEBDEX_ASSIGN_OR_RETURN(const ItemTable* t, Open(table));
-  std::vector<Item> out;
-  t->AppendAll(&out);
   const uint64_t attr_total = t->value_count();
   // A full select paginates at 2500 attributes, like SelectKey.
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
@@ -176,7 +174,8 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
         meter_.pricing().simpledb_box_hours_per_get;
     call.Succeed({&request_limiter_, 1.0});
   }
-  return out;
+  t->ForEachLive(visit);
+  return Status::OK();
 }
 
 Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,

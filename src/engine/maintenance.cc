@@ -1,7 +1,8 @@
 #include "engine/maintenance.h"
 
+#include <algorithm>
+#include <map>
 #include <optional>
-#include <set>
 #include <string_view>
 #include <utility>
 
@@ -11,18 +12,32 @@ namespace webdex::engine {
 namespace {
 
 /// The document URI a stored posting belongs to (a view into its
-/// record), or nullopt when the posting violates the layout.  Layout
-/// contract (index/strategy.cc BuildEntryItems): every posting carries
-/// exactly one attribute beyond the reserved generation stamp, and its
-/// *name* is the source document's URI ('~' cannot begin a URI,
-/// index/generation.h).
-std::optional<std::string_view> OwnerUri(const cloud::Item& item) {
-  std::optional<std::string_view> owner;
-  for (const auto& [name, values] : item.attrs()) {
-    if (name == index::kGenAttr) continue;
-    if (owner.has_value()) return std::nullopt;
-    owner = name;
+/// record), or nullopt when the posting violates the layout, read in one
+/// walk with its generation stamp (`*stamp`, as index::StampOf reads
+/// it).  Layout contract (index/strategy.cc BuildEntryItems): every
+/// posting carries exactly one attribute beyond the reserved generation
+/// stamp, and its *name* is the source document's URI ('~' cannot begin
+/// a URI, index/generation.h).
+std::optional<std::string_view> ReadOwner(const cloud::ItemView& item,
+                                          uint64_t* stamp) {
+  const cloud::Item::AttributeList attrs = item.attrs();
+  std::string_view owner;
+  uint64_t owners = 0;
+  *stamp = 0;
+  auto attr = attrs.begin();
+  for (uint64_t i = 0; i < attrs.size(); ++i) {
+    // Steps over the previous attribute's values only when another
+    // attribute follows: the values are most of a posting's bytes.
+    if (i > 0) ++attr;
+    const auto [name, values] = *attr;
+    if (name == index::kGenAttr) {
+      *stamp = index::StampValue(values);
+    } else {
+      owner = name;
+      ++owners;
+    }
   }
+  if (owners != 1) return std::nullopt;
   return owner;
 }
 
@@ -81,32 +96,53 @@ IndexMaintainer::IndexMaintainer(cloud::CloudEnv* env, cloud::KvStore* store,
     : env_(env),
       store_(store),
       strategy_(strategy),
+      tables_(strategy->TableNames()),
       options_(options),
       data_bucket_(std::move(data_bucket)) {}
 
-Result<IndexMaintainer::PostingsByOwner> IndexMaintainer::Inventory(
+Result<std::vector<IndexMaintainer::Posting>> IndexMaintainer::Inventory(
     cloud::SimAgent& agent,
-    const std::function<bool(std::string_view, const cloud::Item&)>& keep,
+    const std::function<bool(std::string_view, uint64_t)>& keep,
     uint64_t* items_scanned) {
-  PostingsByOwner by_owner;
-  for (const auto& table : strategy_->TableNames()) {
-    WEBDEX_ASSIGN_OR_RETURN(std::vector<cloud::Item> items,
-                            store_->Scan(agent, table));
-    *items_scanned += items.size();
-    for (auto& item : items) {
-      const std::string_view owner = OwnerUri(item).value_or("");
-      if (keep && !keep(owner, item)) continue;
-      // `owner` views the item's record: look the group up and key the
-      // posting before the item moves.
-      auto group = by_owner.find(owner);
-      if (group == by_owner.end()) {
-        group = by_owner.try_emplace(std::string(owner)).first;
-      }
-      ItemKey key{table, item.hash_key, std::string(item.range_key())};
-      group->second.insert_or_assign(std::move(key), std::move(item));
-    }
+  std::vector<Posting> kept;
+  for (const std::string& table : tables_) {
+    WEBDEX_RETURN_IF_ERROR(
+        store_->Scan(agent, table, [&](const cloud::ItemView& item) {
+          *items_scanned += 1;
+          uint64_t stamp = 0;
+          const std::optional<std::string_view> owner = ReadOwner(item, &stamp);
+          if (keep && !keep(owner.value_or(std::string_view()), stamp)) return;
+          Posting& posting =
+              kept.emplace_back(Posting{&table, cloud::Item(item), stamp});
+          if (owner.has_value()) {
+            posting.owner_offset =
+                static_cast<uint32_t>(owner->data() - item.record().data());
+            posting.owner_size = static_cast<uint32_t>(owner->size());
+          }
+        }));
   }
-  return by_owner;
+  // Each table's postings arrive in (hash, range) order, which a stable
+  // sort by (owner, table) keeps.
+  std::stable_sort(kept.begin(), kept.end(),
+                   [](const Posting& a, const Posting& b) {
+                     if (const auto c = a.owner() <=> b.owner(); c != 0) {
+                       return c < 0;
+                     }
+                     return *a.table < *b.table;
+                   });
+  return kept;
+}
+
+std::pair<IndexMaintainer::PostingIt, IndexMaintainer::PostingIt>
+IndexMaintainer::OwnedBy(std::vector<Posting>& postings,
+                         std::string_view owner) {
+  const auto first = std::lower_bound(
+      postings.begin(), postings.end(), owner,
+      [](const Posting& p, std::string_view uri) { return p.owner() < uri; });
+  const auto last = std::upper_bound(
+      first, postings.end(), owner,
+      [](std::string_view uri, const Posting& p) { return uri < p.owner(); });
+  return {first, last};
 }
 
 Result<ExtractionResult> IndexMaintainer::Extract(cloud::SimAgent& agent,
@@ -124,23 +160,27 @@ Result<ExtractionResult> IndexMaintainer::Extract(cloud::SimAgent& agent,
 
 Status IndexMaintainer::Converge(cloud::SimAgent& agent,
                                  const std::vector<index::TableItems>& items,
-                                 const Postings& candidates,
+                                 std::span<const Posting> candidates,
                                  uint64_t* items_put,
                                  uint64_t* items_deleted) {
-  std::set<ItemKey> produced;
+  std::vector<PostingKey> produced;
   for (const auto& table_items : items) {
     WEBDEX_RETURN_IF_ERROR(
         store_->BatchPut(agent, table_items.table, table_items.items));
     *items_put += table_items.items.size();
     for (const auto& item : table_items.items) {
-      produced.insert(ItemKey{table_items.table, item.hash_key,
-                              std::string(item.range_key())});
+      produced.push_back({table_items.table, item.hash_key, item.range_key()});
     }
   }
-  for (const auto& [key, posting] : candidates) {
-    if (produced.count(key) > 0) continue;
-    WEBDEX_RETURN_IF_ERROR(
-        store_->DeleteItem(agent, key.table, key.hash, key.range));
+  std::sort(produced.begin(), produced.end());
+  std::string range;  // the deleted key's range, reused across deletes
+  for (const Posting& posting : candidates) {
+    if (std::binary_search(produced.begin(), produced.end(), posting.key())) {
+      continue;
+    }
+    range.assign(posting.item.range_key());
+    WEBDEX_RETURN_IF_ERROR(store_->DeleteItem(agent, *posting.table,
+                                              posting.item.hash_key, range));
     *items_deleted += 1;
   }
   return Status::OK();
@@ -152,17 +192,15 @@ Result<ScrubReport> IndexMaintainer::Scrub(cloud::SimAgent& agent,
   ScrubReport report;
   // Every owner is kept; postings that violate the layout belong to no
   // document and surface as orphaned garbage under "".
-  WEBDEX_ASSIGN_OR_RETURN(auto stored_by_uri,
+  WEBDEX_ASSIGN_OR_RETURN(std::vector<Posting> stored,
                           Inventory(agent, nullptr, &report.items_scanned));
 
   // Re-extract every document in the bucket (billed fetches) and compare
-  // with what the index actually holds.
+  // with what the index actually holds.  List returns keys in order.
   WEBDEX_ASSIGN_OR_RETURN(std::vector<std::string> uris,
                           env_->s3().List(agent, data_bucket_, ""));
   for (const auto& uri : uris) {
     report.documents_checked += 1;
-    // Whatever this loop leaves in `stored_by_uri` has no document.
-    auto owned = stored_by_uri.extract(uri);
     const index::GenerationInfo* info = view.Find(uri);
     // A tombstoned document must never be repaired back into the index —
     // its object always lingers until compaction reclaims it.
@@ -172,24 +210,33 @@ Result<ScrubReport> IndexMaintainer::Scrub(cloud::SimAgent& agent,
                             Extract(agent, uri, live_gen));
     // Unparseable (poison) documents expect no postings at all.
     if (!extraction.status.ok()) extraction.items.clear();
-    Postings expected;
+    std::vector<std::pair<PostingKey, const cloud::Item*>> expected;
     for (const auto& table_items : extraction.items) {
       for (const auto& item : table_items.items) {
-        expected[ItemKey{table_items.table, item.hash_key,
-                         std::string(item.range_key())}] = item;
+        expected.push_back(
+            {{table_items.table, item.hash_key, item.range_key()}, &item});
       }
     }
+    std::sort(expected.begin(), expected.end());
     // Only postings stamped at the live generation are compared:
     // superseded generations are pending history for compaction, not
-    // damage.
-    Postings stored = owned.empty() ? Postings() : std::move(owned.mapped());
-    std::erase_if(stored, [live_gen](const auto& posting) {
-      return index::StampOf(posting.second) != live_gen;
-    });
-    if (stored == expected) continue;
-    (stored.empty() ? report.missing_uris : report.partial_uris).push_back(uri);
+    // damage.  The partition keeps them in key order.
+    const auto [first, last] = OwnedBy(stored, uri);
+    const auto live_end =
+        std::stable_partition(first, last, [live_gen](const Posting& p) {
+          return p.stamp == live_gen;
+        });
+    const std::span<const Posting> live(first, live_end);
+    if (std::equal(live.begin(), live.end(), expected.begin(), expected.end(),
+                   [](const Posting& posting, const auto& want) {
+                     return posting.key() == want.first &&
+                            posting.item == *want.second;
+                   })) {
+      continue;
+    }
+    (live.empty() ? report.missing_uris : report.partial_uris).push_back(uri);
     if (!repair) continue;
-    WEBDEX_RETURN_IF_ERROR(Converge(agent, extraction.items, stored,
+    WEBDEX_RETURN_IF_ERROR(Converge(agent, extraction.items, live,
                                     &report.items_put, &report.items_deleted));
     report.repaired_uris += 1;
   }
@@ -197,7 +244,12 @@ Result<ScrubReport> IndexMaintainer::Scrub(cloud::SimAgent& agent,
   // Postings whose document is gone from the bucket.  Tombstoned
   // documents are expected to be gone — their postings await compaction,
   // so a scrub neither flags nor deletes them.
-  for (const auto& [uri, postings] : stored_by_uri) {
+  for (auto first = stored.begin(); first != stored.end();) {
+    const std::string uri(first->owner());
+    const auto last = OwnedBy(stored, uri).second;
+    const std::span<const Posting> postings(first, last);
+    first = last;
+    if (std::binary_search(uris.begin(), uris.end(), uri)) continue;
     const index::GenerationInfo* info = view.Find(uri);
     if (info != nullptr && info->tombstoned) continue;
     report.orphaned_uris.push_back(uri);
@@ -218,28 +270,41 @@ Result<CompactReport> IndexMaintainer::Compact(
 
   // Billed walk of the meta table: every row is one mutation layer, the
   // highest generation per URI wins (max-wins fold, same as readers).
-  // Per URI, its meta range keys (sorted = generation order).
-  std::map<std::string, std::vector<std::string>, std::less<>> mutated;
+  // Per URI, its meta range keys (sorted = generation order) and the
+  // folded generation.
+  struct Mutation {
+    std::vector<std::string> ranges;
+    index::GenerationInfo info;
+  };
+  std::map<std::string, Mutation, std::less<>> mutated;
   index::GenerationMap folded;
-  {
-    WEBDEX_ASSIGN_OR_RETURN(std::vector<cloud::Item> rows,
-                            store_->Scan(agent, index::kMetaTable));
-    for (auto& row : rows) {
-      index::ApplyMetaItem(row, &folded);
-      mutated[row.hash_key].emplace_back(row.range_key());
+  WEBDEX_RETURN_IF_ERROR(store_->Scan(
+      agent, index::kMetaTable, [&](const cloud::ItemView& row) {
+        index::ApplyMetaItem(row, &folded);
+        auto uri = mutated.find(row.hash_key);
+        if (uri == mutated.end()) {
+          uri = mutated.try_emplace(std::string(row.hash_key)).first;
+        }
+        uri->second.ranges.emplace_back(row.range_key());
+      }));
+  if (mutated.empty()) return report;  // nothing mutable to fold
+  for (auto& [uri, mutation] : mutated) {
+    if (const index::GenerationInfo* found = folded.Find(uri)) {
+      mutation.info = *found;
     }
   }
-  if (mutated.empty()) return report;  // nothing mutable to fold
 
   // Only postings the fold rewrites or deletes are kept: those of
   // mutated URIs — untouched static documents are never rewritten, and
   // layout violations are scrub territory, not history — less, on a
   // GC-only pass, the live generation's, which stay stamped.
-  const auto foldable = [&](std::string_view owner, const cloud::Item& item) {
-    return mutated.count(owner) > 0 &&
-           (full || !folded.Visible(owner, index::StampOf(item)));
+  const auto foldable = [&](std::string_view owner, uint64_t stamp) {
+    const auto uri = mutated.find(owner);
+    if (uri == mutated.end()) return false;
+    const index::GenerationInfo& info = uri->second.info;
+    return full || info.tombstoned || stamp != info.generation;
   };
-  WEBDEX_ASSIGN_OR_RETURN(auto postings,
+  WEBDEX_ASSIGN_OR_RETURN(std::vector<Posting> postings,
                           Inventory(agent, foldable, &report.items_scanned));
 
   // Per-URI fold, in sorted URI order so the resume cursor is a total
@@ -247,10 +312,8 @@ Result<CompactReport> IndexMaintainer::Compact(
   // the meta rows are deleted last, so re-doing a URI after a crash is
   // idempotent.
   const auto fold_uri = [&](const std::string& uri,
-                            const std::vector<std::string>& ranges) -> Status {
-    const index::GenerationInfo* found = folded.Find(uri);
-    const index::GenerationInfo info =
-        found != nullptr ? *found : index::GenerationInfo();
+                            const Mutation& mutation) -> Status {
+    const index::GenerationInfo& info = mutation.info;
     ExtractionResult canonical;  // a full pass's rewrite of the URI
     std::string live_row;        // meta row kept; empty = none
     if (!info.tombstoned && full) {
@@ -264,12 +327,13 @@ Result<CompactReport> IndexMaintainer::Compact(
       live_row = index::GenerationRangeKey(info.generation);
     }
     // A dead document loses every posting, then its stored object.
-    WEBDEX_RETURN_IF_ERROR(Converge(agent, canonical.items, postings[uri],
+    const auto [first, last] = OwnedBy(postings, uri);
+    WEBDEX_RETURN_IF_ERROR(Converge(agent, canonical.items, {first, last},
                                     &report.items_put, &report.items_deleted));
     if (info.tombstoned) {
       WEBDEX_RETURN_IF_ERROR(env_->s3().Delete(agent, data_bucket_, uri));
     }
-    for (const auto& range : ranges) {
+    for (const auto& range : mutation.ranges) {
       if (range == live_row) continue;
       WEBDEX_RETURN_IF_ERROR(
           store_->DeleteItem(agent, index::kMetaTable, uri, range));
@@ -284,7 +348,7 @@ Result<CompactReport> IndexMaintainer::Compact(
   };
 
   std::string completed = start_cursor;
-  for (const auto& [uri, ranges] : mutated) {
+  for (const auto& [uri, mutation] : mutated) {
     if (!start_cursor.empty() && uri <= start_cursor) continue;
     report.documents_checked += 1;
     if (should_crash && should_crash(uri)) {
@@ -292,7 +356,7 @@ Result<CompactReport> IndexMaintainer::Compact(
       report.resume_cursor = completed;
       break;
     }
-    const Status step = fold_uri(uri, ranges);
+    const Status step = fold_uri(uri, mutation);
     if (!step.ok()) {
       // Transient exhaustion (the retry decorator gave up) cuts the
       // pass short like a crash does — the caller backs off and resumes

@@ -4,9 +4,10 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cloud/cloud_env.h"
@@ -129,27 +130,47 @@ class IndexMaintainer {
       const std::function<bool(const std::string&)>& should_crash);
 
  private:
-  /// Items are unique per (table, hash, range): range keys are UUIDs
-  /// drawn from the per-URI stream, so one key identifies one posting.
-  struct ItemKey {
-    std::string table;
-    std::string hash;
-    std::string range;
-    auto operator<=>(const ItemKey&) const = default;
+  /// A posting's key.  Keys are unique per (table, hash, range): range
+  /// keys are UUIDs drawn from the per-URI stream, so one key identifies
+  /// one posting.
+  struct PostingKey {
+    std::string_view table;
+    std::string_view hash;
+    std::string_view range;
+    auto operator<=>(const PostingKey&) const = default;
   };
-  /// One owner's stored postings, in key order.
-  using Postings = std::map<ItemKey, cloud::Item>;
-  /// Owner URI -> its postings.
-  using PostingsByOwner = std::map<std::string, Postings, std::less<>>;
+  /// A stored posting a pass keeps: a copy of the item, the index table
+  /// it was scanned from (an element of `tables_`) and where its owner
+  /// URI sits in its record.
+  struct Posting {
+    const std::string* table;
+    cloud::Item item;
+    uint64_t stamp = 0;  // index::StampOf(item)
+    uint32_t owner_offset = 0;
+    uint32_t owner_size = 0;
 
-  /// Billed walk of every index table (TableNames() order), grouping
-  /// postings by owner URI; layout violations group under "".  Only
-  /// postings `keep(owner, item)` accepts are retained (null keeps
-  /// all).  Every scanned item counts toward `items_scanned`.
-  Result<PostingsByOwner> Inventory(
+    /// The owner URI; "" when the posting violates the layout.
+    std::string_view owner() const {
+      return std::string_view(item.record()).substr(owner_offset, owner_size);
+    }
+    PostingKey key() const {
+      return {*table, item.hash_key, item.range_key()};
+    }
+  };
+  using PostingIt = std::vector<Posting>::iterator;
+
+  /// Billed walk of every index table (TableNames() order) that copies
+  /// only the postings `keep(owner, stamp)` accepts (null keeps all), and
+  /// sorts them once by (owner, table, hash, range); layout violations
+  /// are owned by "".  Every scanned item counts toward `items_scanned`.
+  Result<std::vector<Posting>> Inventory(
       cloud::SimAgent& agent,
-      const std::function<bool(std::string_view, const cloud::Item&)>& keep,
+      const std::function<bool(std::string_view, uint64_t)>& keep,
       uint64_t* items_scanned);
+
+  /// The postings of `owner` in an Inventory.
+  static std::pair<PostingIt, PostingIt> OwnedBy(std::vector<Posting>& postings,
+                                                 std::string_view owner);
 
   /// Billed fetch of `uri` and its extraction at `generation`; a parse
   /// or extract failure is reported in the result's status.
@@ -162,12 +183,14 @@ class IndexMaintainer {
   /// order.  Idempotent, so an interrupted converge is safely redone.
   Status Converge(cloud::SimAgent& agent,
                   const std::vector<index::TableItems>& items,
-                  const Postings& candidates, uint64_t* items_put,
+                  std::span<const Posting> candidates, uint64_t* items_put,
                   uint64_t* items_deleted);
 
   cloud::CloudEnv* env_;
   cloud::KvStore* store_;
   const index::IndexingStrategy* strategy_;
+  /// The strategy's index tables, in TableNames() order.
+  std::vector<std::string> tables_;
   index::ExtractOptions options_;
   std::string data_bucket_;
 };

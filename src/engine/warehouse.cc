@@ -121,10 +121,11 @@ Status Warehouse::AttachToExistingCloud() {
       // scan).  A delete whose task died after the tombstone but before
       // the S3 unlink leaves the object listed above — drop such URIs
       // from the registry so a restored facade never resurrects them.
-      WEBDEX_ASSIGN_OR_RETURN(std::vector<cloud::Item> rows,
-                              store.Scan(front_end_, index::kMetaTable));
       auto rebuilt = std::make_shared<index::GenerationMap>();
-      for (const auto& row : rows) index::ApplyMetaItem(row, rebuilt.get());
+      WEBDEX_RETURN_IF_ERROR(store.Scan(
+          front_end_, index::kMetaTable, [&](const cloud::ItemView& row) {
+            index::ApplyMetaItem(row, rebuilt.get());
+          }));
       std::vector<std::string> dead;
       for (const auto& [uri, info] : rebuilt->entries()) {
         if (info.tombstoned) dead.push_back(uri);

@@ -385,7 +385,7 @@ class Warehouse {
   template <typename Fn>
   auto RetryCall(cloud::SimAgent& agent, const std::string& site,
                  const Fn& fn) -> decltype(fn()) {
-    return retrier_.Call(agent, "wh:" + site, "attempt." + site, {}, fn);
+    return retrier_.Call(agent, {"wh:", site}, "attempt." + site, {}, fn);
   }
 
   /// Uploads `items` to `table` one Limits().batch_put-sized page per API

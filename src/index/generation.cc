@@ -53,18 +53,22 @@ Result<uint64_t> ParseGenerationStamp(std::string_view value) {
 
 uint64_t StampOf(const cloud::ItemView& item) {
   const auto values = item.attrs().Find(kGenAttr);
-  if (!values.has_value() || values->empty()) return 0;
-  auto stamp = ParseGenerationStamp(values->front());
+  return values.has_value() ? StampValue(*values) : 0;
+}
+
+uint64_t StampValue(const cloud::Item::Values& values) {
+  if (values.empty()) return 0;
+  auto stamp = ParseGenerationStamp(values.front());
   return stamp.ok() ? stamp.value() : 0;
 }
 
-void ApplyMetaItem(const cloud::Item& item, GenerationMap* map) {
+void ApplyMetaItem(const cloud::ItemView& item, GenerationMap* map) {
   const cloud::Item::AttributeList attrs = item.attrs();
   const auto values = attrs.Find(kGenAttr);
   if (!values.has_value() || values->empty()) return;
   auto stamp = ParseGenerationStamp(values->front());
   if (!stamp.ok()) return;
-  map->Apply(item.hash_key, stamp.value(),
+  map->Apply(std::string(item.hash_key), stamp.value(),
              attrs.Find(kTombstoneAttr).has_value());
 }
 

@@ -97,10 +97,13 @@ Result<uint64_t> ParseGenerationStamp(std::string_view value);
 
 /// Reads a posting's stamp out of its attributes (0 when unstamped).
 uint64_t StampOf(const cloud::ItemView& item);
+/// The stamp a kGenAttr attribute's values carry (0 when they are empty
+/// or malformed).
+uint64_t StampValue(const cloud::Item::Values& values);
 
 /// Folds one scanned meta item into `map` (max-wins).  Items that are
 /// not meta-shaped are ignored.
-void ApplyMetaItem(const cloud::Item& item, GenerationMap* map);
+void ApplyMetaItem(const cloud::ItemView& item, GenerationMap* map);
 
 }  // namespace webdex::index
 

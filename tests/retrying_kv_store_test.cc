@@ -81,9 +81,13 @@ class ScriptedStore final : public KvStore {
     static const Item kItem{"k", "r", {}};
     return std::vector<ItemView>{kItem};
   }
-  Result<std::vector<Item>> Scan(SimAgent& agent,
-                                const std::string&) override {
-    return Items(Reach(agent, &Usage::ddb_get_requests).status);
+  Status Scan(SimAgent& agent, const std::string&,
+              const ScanVisitor& visit) override {
+    const Status status = Reach(agent, &Usage::ddb_get_requests).status;
+    if (!status.ok()) return status;
+    static const Item kItem{"k", "r", {}};
+    visit(kItem);
+    return status;
   }
   Status DeleteItem(SimAgent& agent, const std::string&, const std::string&,
                     const std::string&) override {
@@ -119,11 +123,6 @@ class ScriptedStore final : public KvStore {
     script.pop_front();
     return step;
   }
-  static Result<std::vector<Item>> Items(const Status& status) {
-    if (!status.ok()) return status;
-    return std::vector<Item>{Item{"k", "r", {}}};
-  }
-
   UsageMeter* meter_;
 };
 
@@ -208,7 +207,9 @@ std::vector<Verb> AllVerbs() {
          return h.retrying.BatchGet(h.agent, "t", {"a", "b"}).status();
        }},
       {"attempt.scan",
-       [](Harness& h) { return h.retrying.Scan(h.agent, "t").status(); }},
+       [](Harness& h) {
+         return h.retrying.Scan(h.agent, "t", [](const ItemView&) {});
+       }},
       {"attempt.delete_item",
        [](Harness& h) {
          return h.retrying.DeleteItem(h.agent, "t", "k", "r");
@@ -500,7 +501,7 @@ TEST(RetryingKvStoreTest, BackoffScheduleIsDeterministic) {
     }
     std::vector<Item> left;
     EXPECT_TRUE(h.retrying.BatchPut(h.agent, "t", MakeItems(5), &left).ok());
-    EXPECT_TRUE(h.retrying.Scan(h.agent, "u").ok());
+    EXPECT_TRUE(h.retrying.Scan(h.agent, "u", [](const ItemView&) {}).ok());
     return h.agent.now();
   };
   const Micros first = run();

@@ -1,0 +1,165 @@
+// Contract of KvStore::Scan (cloud/kv_store.h): the store bills every
+// page before it visits anything, so a scan whose page faults and is
+// retried visits each item exactly once and bills what a copying scan
+// billed, a scan that exhausts its retries visits nothing, and the
+// sharded, replicated layout visits the same items in the same (hash,
+// range) order, byte for byte, as the paper's single table.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cloud/cloud_env.h"
+#include "cloud/retrying_kv_store.h"
+#include "common/retry.h"
+#include "common/strings.h"
+#include "engine/warehouse.h"
+#include "xmark/xmark_generator.h"
+
+namespace webdex::cloud {
+namespace {
+
+class TestAgent : public SimAgent {};
+
+/// 50 items of 50 KB: 21 fit in a 1 MB DynamoDB scan page, so the table
+/// scans in three pages.
+constexpr int kItems = 50;
+/// What the retried scan below billed when Scan still copied every page
+/// into a vector: read units of pages 1, 1, 2 and 3, and the virtual time
+/// the five page requests and one backoff took.
+constexpr double kRetriedReadUnits = 887.67333984375;
+constexpr Micros kRetriedMicros = 3'575'488;
+
+std::vector<Item> PageItems(int count) {
+  std::vector<Item> items;
+  for (int i = 0; i < count; ++i) {
+    items.push_back(Item{StrFormat("key%03d", i), "r",
+                         {{"doc", {std::string(50 * 1024, 'a' + i % 26)}}}});
+  }
+  return items;
+}
+
+/// A CloudEnv whose DynamoDB table "t" holds `items` (restored, unbilled).
+std::unique_ptr<CloudEnv> EnvWith(const std::vector<Item>& items,
+                                  const FaultPlan& faults = FaultPlan()) {
+  CloudConfig config;
+  config.faults = faults;
+  auto env = std::make_unique<CloudEnv>(config);
+  EXPECT_TRUE(env->dynamodb().RestoreTable("t").ok());
+  for (const Item& item : items) env->dynamodb().RestoreItem("t", item);
+  return env;
+}
+
+/// The keys a scan visited, in visit order.
+struct Visits {
+  std::vector<std::string> keys;
+  KvStore::ScanVisitor Visitor() {
+    return [this](const ItemView& item) {
+      keys.emplace_back(item.hash_key);
+    };
+  }
+};
+
+RetryingKvStore Retrying(CloudEnv& env) {
+  return RetryingKvStore(&env.dynamodb(), common::RetryPolicy(), /*seed=*/42,
+                         env.meter(), env.breaker(), env.metrics(),
+                         env.tracer());
+}
+
+// A fault on the second of three pages fails the attempt after one page
+// was billed; the retry scans all three again.  The visitor runs once,
+// after the successful attempt, and the bill is the copying scan's.
+TEST(ScanContractTest, RetriedScanVisitsEachItemOnce) {
+  // The first page's duration, from a one-page twin of the table.
+  Micros first_page = 0;
+  {
+    auto twin = EnvWith(PageItems(21));
+    TestAgent agent;
+    ASSERT_TRUE(twin->dynamodb().Scan(agent, "t", [](const ItemView&) {}).ok());
+    first_page = agent.now();
+    ASSERT_EQ(twin->meter().usage().ddb_get_requests, 1u);
+  }
+  FaultPlan faults;
+  faults.outages.push_back(
+      {ServiceId::kDynamoDb, first_page, first_page + 1});
+  auto env = EnvWith(PageItems(kItems), faults);
+  RetryingKvStore retrying = Retrying(*env);
+  TestAgent agent;
+  Visits visits;
+  ASSERT_TRUE(retrying.Scan(agent, "t", visits.Visitor()).ok());
+
+  ASSERT_EQ(visits.keys.size(), static_cast<size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) {
+    EXPECT_EQ(visits.keys[static_cast<size_t>(i)], StrFormat("key%03d", i));
+  }
+  const Usage& usage = env->meter().usage();
+  EXPECT_EQ(usage.faulted_requests, 1u);
+  EXPECT_EQ(usage.retried_requests, 1u);
+  // Pages 1 and 2 (faulted), then pages 1-3: the parent's copying scan
+  // billed exactly this.
+  EXPECT_EQ(usage.ddb_get_requests, 5u);
+  EXPECT_EQ(usage.ddb_read_units, kRetriedReadUnits);
+  EXPECT_EQ(agent.now(), kRetriedMicros);
+}
+
+// A scan whose every attempt faults returns the error and visits
+// nothing, though each faulted attempt was billed.
+TEST(ScanContractTest, ExhaustedScanVisitsNothing) {
+  FaultPlan faults;
+  faults.outages.push_back({ServiceId::kDynamoDb, 0, kMicrosPerSecond * 3600});
+  auto env = EnvWith(PageItems(kItems), faults);
+  RetryingKvStore retrying = Retrying(*env);
+  TestAgent agent;
+  Visits visits;
+  const Status status = retrying.Scan(agent, "t", visits.Visitor());
+  EXPECT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsRetriable()) << status.ToString();
+  EXPECT_TRUE(visits.keys.empty());
+  EXPECT_GT(env->meter().usage().ddb_get_requests, 0u);
+}
+
+/// Every (hash, record) a warehouse's index store visits on `table`,
+/// after indexing one corpus on the layout `arch`.
+std::vector<std::pair<std::string, std::string>> ScanIndex(
+    const ArchitectureSpec& arch, const char* table) {
+  CloudConfig cloud_config;
+  cloud_config.arch = arch;
+  CloudEnv env(cloud_config);
+  engine::WarehouseConfig config;
+  config.strategy = index::StrategyKind::kLUP;
+  config.num_instances = 2;
+  engine::Warehouse warehouse(&env, config);
+  EXPECT_TRUE(warehouse.Setup().ok());
+  xmark::GeneratorConfig corpus;
+  corpus.num_documents = 6;
+  corpus.entities_per_document = 5;
+  for (const auto& doc : xmark::XmarkGenerator(corpus).GenerateAll()) {
+    EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
+  }
+  EXPECT_TRUE(warehouse.RunIndexers().ok());
+  std::vector<std::pair<std::string, std::string>> visited;
+  EXPECT_TRUE(warehouse.index_store()
+                  .Scan(warehouse.front_end(), table,
+                        [&visited](const ItemView& item) {
+                          visited.emplace_back(item.hash_key, item.record());
+                        })
+                  .ok());
+  return visited;
+}
+
+// The sharded decorator merges its shards' runs back into the unsharded
+// store's order: same items, same order, same record bytes.
+TEST(ScanContractTest, ShardedScanMatchesTheUnshardedStore) {
+  ArchitectureSpec sharded;
+  sharded.shards = 4;
+  sharded.replicas = 1;
+  const auto plain = ScanIndex(ArchitectureSpec(), "idx-lup");
+  ASSERT_GT(plain.size(), 100u);
+  EXPECT_EQ(ScanIndex(sharded, "idx-lup"), plain);
+}
+
+}  // namespace
+}  // namespace webdex::cloud
