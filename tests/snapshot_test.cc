@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cloud/snapshot.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
 #include "xmark/paintings.h"
+#include "xmark/xmark_generator.h"
 
 namespace webdex::cloud {
 namespace {
@@ -251,6 +256,73 @@ TEST(SnapshotTest, MidRunChaosResumeIsDeterministic) {
   EXPECT_EQ(delta_a.sqs_requests, delta_b.sqs_requests);
   EXPECT_DOUBLE_EQ(env_a.meter().ComputeBill(delta_a).total(),
                    env_b.meter().ComputeBill(delta_b).total());
+}
+
+// Pins what the host-side store walks produce: FingerprintStore over the
+// warehouse's logical index store and over each backend's physical
+// tables, and the snapshot's bytes, after a small 2LUPI build and one
+// upsert/delete round, on DynamoDB and SimpleDB at 1 and 3 shards.
+// Regenerate deliberately with WEBDEX_UPDATE_GOLDEN=1 (the test then
+// rewrites tests/golden/store_walks.txt and fails once).
+TEST(StoreWalkGoldenTest, FingerprintsAndSnapshotBytesAreUnchanged) {
+  xmark::GeneratorConfig corpus;
+  corpus.num_documents = 5;
+  corpus.entities_per_document = 4;
+  const xmark::XmarkGenerator generator(corpus);
+  std::string rendered;
+  for (engine::IndexBackend backend :
+       {engine::IndexBackend::kDynamoDb, engine::IndexBackend::kSimpleDb}) {
+    for (int shards : {1, 3}) {
+      CloudConfig cloud_config;
+      cloud_config.arch.shards = shards;
+      CloudEnv env(cloud_config);
+      engine::WarehouseConfig config;
+      config.strategy = index::StrategyKind::k2LUPI;
+      config.backend = backend;
+      engine::Warehouse warehouse(&env, config);
+      ASSERT_TRUE(warehouse.Setup().ok());
+      for (int d = 0; d < corpus.num_documents; ++d) {
+        const auto doc = generator.Generate(d);
+        ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
+      }
+      ASSERT_TRUE(warehouse.RunIndexers().ok());
+      ASSERT_TRUE(warehouse
+                      .UpsertDocument(generator.Generate(1).uri,
+                                      generator.Generate(3).text)
+                      .ok());
+      ASSERT_TRUE(warehouse.DeleteDocument(generator.Generate(2).uri).ok());
+      ASSERT_TRUE(warehouse.RunIndexers().ok());
+      const std::string snapshot = SerializeSnapshot(env);
+      rendered += StrFormat(
+          "=== %s %s\n"
+          "index store: %016llx\n"
+          "dynamodb: %016llx  simpledb: %016llx\n"
+          "snapshot: %zu bytes, fnv %016llx\n",
+          cloud_config.arch.Name().c_str(),
+          backend == engine::IndexBackend::kDynamoDb ? "DynamoDB"
+                                                     : "SimpleDB",
+          static_cast<unsigned long long>(
+              FingerprintStore(warehouse.index_store())),
+          static_cast<unsigned long long>(FingerprintStore(env.dynamodb())),
+          static_cast<unsigned long long>(FingerprintStore(env.simpledb())),
+          snapshot.size(),
+          static_cast<unsigned long long>(Fnv1a64(snapshot)));
+    }
+  }
+  std::string path = __FILE__;
+  path = path.substr(0, path.find_last_of('/')) + "/golden/store_walks.txt";
+  if (std::getenv("WEBDEX_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << path;
+    out << rendered;
+    FAIL() << "golden regenerated at " << path
+           << " — rerun without WEBDEX_UPDATE_GOLDEN";
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(rendered, golden.str());
 }
 
 TEST(SnapshotTest, MissingFileFails) {
