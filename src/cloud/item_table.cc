@@ -265,13 +265,6 @@ std::vector<std::string> ItemStore::TableNames() const {
   return names;
 }
 
-void ItemStore::ForEachItem(
-    const std::function<void(const std::string&, const Item&)>& fn) const {
-  for (const auto& [name, table] : tables_) {
-    table.ForEachLive([&](const ItemView& item) { fn(name, Item(item)); });
-  }
-}
-
 void ItemStore::RestoreItem(const std::string& table, const Item& item) {
   tables_[table].Put(item);
 }

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -174,10 +173,10 @@ class ItemStore : public KvStore {
   /// All table names (including empty tables), sorted.
   std::vector<std::string> TableNames() const override;
 
-  /// Every item in (table, hash key, range key) order.
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override;
+  void ForEachItem(const std::string& table,
+                   const ScanVisitor& visit) const override {
+    Lookup(table).ForEachLive(visit);
+  }
   void RestoreItem(const std::string& table, const Item& item) override;
   Status RestoreTable(const std::string& table) override {
     return Create(table);

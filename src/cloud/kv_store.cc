@@ -22,21 +22,23 @@ uint64_t FingerprintStore(const KvStore& store) {
     dump += ':';
     dump += field;
   };
-  store.ForEachItem([&](const std::string& table, const Item& item) {
-    dump.clear();
-    append(table);
-    append(item.hash_key);
-    append(item.range_key());
-    dump += std::to_string(item.attrs().size());
-    dump += ';';
-    for (const auto& [name, values] : item.attrs()) {
-      append(name);
-      dump += std::to_string(values.size());
+  for (const std::string& table : store.TableNames()) {
+    store.ForEachItem(table, [&](const ItemView& item) {
+      dump.clear();
+      append(table);
+      append(item.hash_key);
+      append(item.range_key());
+      dump += std::to_string(item.attrs().size());
       dump += ';';
-      for (const auto& value : values) append(value);
-    }
-    hash = Fnv1a64(dump, hash);
-  });
+      for (const auto& [name, values] : item.attrs()) {
+        append(name);
+        dump += std::to_string(values.size());
+        dump += ';';
+        for (const auto& value : values) append(value);
+      }
+      hash = Fnv1a64(dump, hash);
+    });
+  }
   return hash;
 }
 

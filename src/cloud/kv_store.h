@@ -40,7 +40,7 @@ struct StoreLimits {
 /// without touching index code.
 class KvStore {
  public:
-  /// What Scan calls with each item.
+  /// What Scan and ForEachItem call with each item.
   using ScanVisitor = std::function<void(const ItemView&)>;
 
   virtual ~KvStore() = default;
@@ -95,8 +95,8 @@ class KvStore {
 
   /// Calls `visit` with every item of `table` in deterministic (hash,
   /// range) key order — the *billed* full-table walk (DynamoDB's Scan,
-  /// SimpleDB's paginated select) that index maintenance uses, as opposed
-  /// to the free host-side ForEachItem below.  Paginated internally; each
+  /// SimpleDB's paginated select) that index maintenance uses; ForEachItem
+  /// below is its unbilled twin.  Paginated internally; each
   /// page costs a request, its latency, and data-proportional read
   /// capacity.  Nothing is copied: the visitor runs only once every page
   /// has been billed, so a scan that fails visits nothing and a retried
@@ -134,10 +134,11 @@ class KvStore {
   virtual std::vector<std::string> TableNames() const = 0;
 
   // --- Host-side tooling (snapshots; not billed, no virtual latency) ----
-  /// Iterates every item of every table in deterministic order.
-  virtual void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const = 0;
+  /// Scan without the bill: calls `visit` with every item of `table` in
+  /// (hash, range) key order, with the same view lifetime, but fault-free
+  /// and without billing or virtual time.  Nothing for an absent table.
+  virtual void ForEachItem(const std::string& table,
+                           const ScanVisitor& visit) const = 0;
   /// Restores one item, creating its table if needed (accounting
   /// updated, nothing billed).
   virtual void RestoreItem(const std::string& table, const Item& item) = 0;
@@ -199,10 +200,9 @@ class ForwardingKvStore : public KvStore {
     return base_->TableNames();
   }
 
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override {
-    base_->ForEachItem(fn);
+  void ForEachItem(const std::string& table,
+                   const ScanVisitor& visit) const override {
+    base_->ForEachItem(table, visit);
   }
   void RestoreItem(const std::string& table, const Item& item) override {
     base_->RestoreItem(table, item);
@@ -216,10 +216,10 @@ class ForwardingKvStore : public KvStore {
 };
 
 /// FNV-1a 64 fingerprint of a canonical length-prefixed dump of every
-/// (table, item) the store yields via ForEachItem, in iteration order.
-/// Two stores fingerprint equal iff they hold the same logical contents;
-/// the sharded decorator folds physical tables back to logical ones in
-/// its ForEachItem, so fingerprints are comparable across architectures
+/// (table, item), walking TableNames() in order and each table's items
+/// with ForEachItem.  Two stores fingerprint equal iff they hold the same
+/// logical contents; the sharded decorator names and walks logical
+/// tables, so fingerprints are comparable across architectures
 /// (docs/ARCHITECTURES.md, architecture_test.cc).
 uint64_t FingerprintStore(const KvStore& store);
 

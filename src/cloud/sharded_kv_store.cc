@@ -1,10 +1,38 @@
 #include "cloud/sharded_kv_store.h"
 
-#include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <set>
 
 namespace webdex::cloud {
+namespace {
+
+/// Visits the items of one logical table's shard `runs`, each in (hash,
+/// range) order, in the unsharded store's order: a hash key lives on one
+/// shard, so merging the runs restores it.  Scan and ForEachItem share it.
+void MergeRuns(const std::vector<std::vector<ItemView>>& runs,
+               const KvStore::ScanVisitor& visit) {
+  std::vector<size_t> next(runs.size(), 0);
+  for (;;) {
+    const ItemView* least = nullptr;
+    size_t from = 0;
+    for (size_t shard = 0; shard < runs.size(); ++shard) {
+      if (next[shard] == runs[shard].size()) continue;
+      const ItemView& head = runs[shard][next[shard]];
+      if (least == nullptr || head.hash_key < least->hash_key ||
+          (head.hash_key == least->hash_key &&
+           head.range_key() < least->range_key())) {
+        least = &head;
+        from = shard;
+      }
+    }
+    if (least == nullptr) return;
+    visit(*least);
+    ++next[from];
+  }
+}
+
+}  // namespace
 
 ShardedKvStore::ShardedKvStore(KvStore* base, Deployment& deployment,
                                UsageMeter& meter,
@@ -160,26 +188,8 @@ Status ShardedKvStore::Scan(SimAgent& agent, const std::string& logical,
       return status;
     }
   }
-  // Each run is in (hash, range) order and a hash key lives on one shard,
-  // so merging the runs restores the unsharded store's order.
-  std::vector<size_t> next(runs.size(), 0);
-  for (;;) {
-    const ItemView* least = nullptr;
-    size_t from = 0;
-    for (size_t shard = 0; shard < runs.size(); ++shard) {
-      if (next[shard] == runs[shard].size()) continue;
-      const ItemView& head = runs[shard][next[shard]];
-      if (least == nullptr || head.hash_key < least->hash_key ||
-          (head.hash_key == least->hash_key &&
-           head.range_key() < least->range_key())) {
-        least = &head;
-        from = shard;
-      }
-    }
-    if (least == nullptr) return Status::OK();
-    visit(*least);
-    ++next[from];
-  }
+  MergeRuns(runs, visit);
+  return Status::OK();
 }
 
 Status ShardedKvStore::DeleteItem(SimAgent& agent, const std::string& logical,
@@ -222,22 +232,15 @@ std::vector<std::string> ShardedKvStore::TableNames() const {
   return {logical.begin(), logical.end()};
 }
 
-void ShardedKvStore::ForEachItem(
-    const std::function<void(const std::string&, const Item&)>& fn) const {
-  // Fold physical tables back to logical ones and restore the unsharded
-  // store's per-table (hash, range) iteration order, so logical dumps —
-  // and FingerprintStore() over them — are identical across shard counts.
-  std::map<std::string, std::vector<Item>> logical_tables;
-  base_->ForEachItem([&](const std::string& physical, const Item& item) {
-    logical_tables[deployment_.LogicalName(physical)].push_back(item);
-  });
-  for (auto& [logical, items] : logical_tables) {
-    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-      if (a.hash_key != b.hash_key) return a.hash_key < b.hash_key;
-      return a.range_key() < b.range_key();
-    });
-    for (const Item& item : items) fn(logical, item);
+void ShardedKvStore::ForEachItem(const std::string& logical,
+                                 const ScanVisitor& visit) const {
+  std::vector<std::vector<ItemView>> runs;
+  for (const std::string& physical : deployment_.PhysicalTables(logical)) {
+    auto& run = runs.emplace_back();
+    base_->ForEachItem(physical,
+                       [&run](const ItemView& item) { run.push_back(item); });
   }
+  MergeRuns(runs, visit);
 }
 
 void ShardedKvStore::RestoreItem(const std::string& logical,

@@ -31,9 +31,9 @@ namespace webdex::cloud {
 ///   * BatchGetViews reassembles per-shard results into the documented
 ///     "concatenated in key order" order of the unsharded store;
 ///   * Scan bills every shard, then merges the shards' (hash, range)
-///     ordered runs of views;
-///   * ForEachItem folds physical tables back to logical names and sorts,
-///     so FingerprintStore() matches across shard counts;
+///     ordered runs of views; ForEachItem walks the shards unbilled and
+///     merges their runs the same way, so FingerprintStore() matches
+///     across shard counts;
 ///   * on a transient BatchPut error, `*unprocessed` aggregates the
 ///     bounced items of the failed shard plus every not-yet-attempted
 ///     shard, preserving the "everything not stored" contract.
@@ -69,12 +69,11 @@ class ShardedKvStore final : public ForwardingKvStore {
   uint64_t ItemCount(const std::string& logical) const override;
   /// Logical table names (each reported once however many shards back it).
   std::vector<std::string> TableNames() const override;
-  /// Yields logical tables with each table's items in (hash, range) key
-  /// order, exactly as an unsharded store would — the property behind
+  /// Visits the logical table's items in (hash, range) key order,
+  /// exactly as an unsharded store would — the property behind
   /// cross-architecture fingerprint equality.
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override;
+  void ForEachItem(const std::string& logical,
+                   const ScanVisitor& visit) const override;
   void RestoreItem(const std::string& logical, const Item& item) override;
   Status RestoreTable(const std::string& logical) override;
 

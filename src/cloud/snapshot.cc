@@ -54,15 +54,17 @@ void SerializeKvStore(const KvStore& store, std::string* out) {
   PutVarint64(out, tables.size());
   for (const auto& table : tables) PutString(out, table);
   uint64_t item_count = 0;
-  store.ForEachItem([&](const std::string&, const Item&) { ++item_count; });
+  for (const auto& table : tables) item_count += store.ItemCount(table);
   PutVarint64(out, item_count);
-  store.ForEachItem([&](const std::string& table, const Item& item) {
-    PutString(out, table);
-    PutString(out, item.hash_key);
-    // The rest of an item's section is its record's attribute bytes.
-    PutString(out, item.range_key());
-    out->append(item.record(), item.range_key().size());
-  });
+  for (const auto& table : tables) {
+    store.ForEachItem(table, [&](const ItemView& item) {
+      PutString(out, table);
+      PutString(out, item.hash_key);
+      // The rest of an item's section is its record's attribute bytes.
+      PutString(out, item.range_key());
+      out->append(item.record().substr(item.range_key().size()));
+    });
+  }
 }
 
 Status RestoreKvStore(const std::string& data, size_t* offset,
@@ -109,8 +111,9 @@ std::string SerializeSnapshot(CloudEnv& env) {
   PutVarint64(&out, buckets.size());
   for (const auto& bucket : buckets) PutString(&out, bucket);
   uint64_t object_count = 0;
-  env.s3().ForEachObject([&](const std::string&, const std::string&,
-                             const std::string&) { ++object_count; });
+  for (const auto& bucket : buckets) {
+    object_count += env.s3().ObjectCount(bucket);
+  }
   PutVarint64(&out, object_count);
   env.s3().ForEachObject([&](const std::string& bucket,
                              const std::string& key,

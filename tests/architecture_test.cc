@@ -23,6 +23,7 @@
 #include "engine/warehouse.h"
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
+#include "store_dump.h"
 
 namespace webdex::engine {
 namespace {
@@ -132,16 +133,7 @@ ArchFingerprint RunArch(const ArchitectureSpec& arch,
   if (report.ok()) out.report = report.value();
   if (options.maintenance) MaintainMutatedCorpus(warehouse);
   out.index_fingerprint = cloud::FingerprintStore(warehouse.index_store());
-  warehouse.index_store().ForEachItem(
-      [&out](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" +
-                           std::string(item.range_key());
-        for (const auto& [name, values] : item.ToAttributes()) {
-          line += "|" + name + "=";
-          for (const auto& value : values) line += value + ",";
-        }
-        out.logical_dump.push_back(std::move(line));
-      });
+  out.logical_dump = cloud::DumpStore(warehouse.index_store());
   for (int round = 0; round < options.query_rounds; ++round) {
     auto outcome = warehouse.ExecuteQuery(kQuery);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();

@@ -189,14 +189,10 @@ class BillingContractTest : public ::testing::TestWithParam<Backend> {
     uint64_t bytes = 0;
     uint64_t items = 0;
     uint64_t values = 0;
-    store_->ForEachItem([&](const std::string& table, const Item& item) {
-      if (table != "t") return;
+    store_->ForEachItem("t", [&](const ItemView& item) {
       bytes += item.SizeBytes();
       items += 1;
-      for (const auto& [name, attr_values] : item.ToAttributes()) {
-        (void)name;
-        values += attr_values.size();
-      }
+      for (const auto& attr : item.attrs()) values += attr.values.size();
     });
     EXPECT_EQ(store_->StoredBytes("t"), bytes);
     EXPECT_EQ(store_->ItemCount("t"), items);

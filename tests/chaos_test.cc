@@ -19,6 +19,7 @@
 #include "engine/warehouse.h"
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
+#include "store_dump.h"
 
 namespace webdex::engine {
 namespace {
@@ -91,16 +92,7 @@ ChaosFingerprint RunChaos(StrategyKind strategy, const cloud::FaultPlan& plan,
   auto report = warehouse.RunIndexers();
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   if (report.ok()) out.report = report.value();
-  warehouse.index_store().ForEachItem(
-      [&out](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" +
-                           std::string(item.range_key());
-        for (const auto& [name, values] : item.ToAttributes()) {
-          line += "|" + name + "=";
-          for (const auto& value : values) line += value + ",";
-        }
-        out.table_dump.push_back(std::move(line));
-      });
+  out.table_dump = cloud::DumpStore(warehouse.index_store());
   auto outcome = warehouse.ExecuteQuery(kQuery);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   if (outcome.ok()) out.rows = outcome.value().result.rows;
@@ -242,9 +234,10 @@ TEST(ChaosTest, MidBatchPutCrashConvergesOnRedelivery) {
     auto report = warehouse.RunIndexers();
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     std::vector<std::string> dump;
-    warehouse.index_store().ForEachItem(
-        [&dump](const std::string& table, const cloud::Item& item) {
-          dump.push_back(table + "|" + item.hash_key + "|" +
+    cloud::ForEachStoredItem(
+        warehouse.index_store(),
+        [&dump](const std::string& table, const cloud::ItemView& item) {
+          dump.push_back(table + "|" + std::string(item.hash_key) + "|" +
                          std::string(item.range_key()));
         });
     return std::make_pair(std::move(dump),

@@ -25,6 +25,7 @@
 #include "common/strings.h"
 #include "engine/warehouse.h"
 #include "xmark/xmark_generator.h"
+#include "store_dump.h"
 
 namespace webdex::engine {
 namespace {
@@ -39,23 +40,23 @@ xmark::GeneratorConfig TinyCorpus() {
   return config;
 }
 
-/// Canonical byte stream of every index table: ForEachItem's
-/// deterministic (table, hash, range) order with length-prefixed fields,
-/// so no separator can collide with payload bytes.
+/// Canonical byte stream of every index table: the deterministic
+/// (table, hash, range) walk with length-prefixed fields, so no
+/// separator can collide with payload bytes.
 std::string DumpIndex(const cloud::KvStore& store) {
   std::string dump;
-  store.ForEachItem([&dump](const std::string& table,
-                            const cloud::Item& item) {
-    const auto append = [&dump](const std::string& s) {
+  cloud::ForEachStoredItem(store, [&dump](std::string_view table,
+                                          const cloud::ItemView& item) {
+    const auto append = [&dump](std::string_view s) {
       dump += StrFormat("%zu:", s.size());
       dump += s;
     };
     append(table);
     append(item.hash_key);
-    append(std::string(item.range_key()));
-    for (const auto& [name, values] : item.ToAttributes()) {
+    append(item.range_key());
+    for (const auto& [name, values] : item.attrs()) {
       append(name);
-      for (const std::string& value : values) append(value);
+      for (const std::string_view value : values) append(value);
     }
     dump += '\n';
   });
@@ -231,8 +232,9 @@ TEST(DumpGoldenTest, SimpleDbRowsExerciseChunking) {
         DumpCase{"", kind, IndexBackend::kSimpleDb}, /*host_threads=*/1);
     uint64_t full_items = 0;
     uint64_t chunked_values = 0;
-    built.warehouse->index_store().ForEachItem(
-        [&](const std::string&, const cloud::Item& item) {
+    cloud::ForEachStoredItem(
+        built.warehouse->index_store(),
+        [&](const std::string&, const cloud::ItemView& item) {
           const auto values = item.attrs().Find("wide.xml");
           if (!values.has_value()) return;
           if (values->size() == 255) ++full_items;

@@ -36,6 +36,7 @@
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
+#include "store_dump.h"
 
 namespace webdex::cloud {
 namespace {
@@ -85,8 +86,8 @@ std::vector<std::pair<std::string, Item>> Contents(const Model& model) {
 
 std::vector<std::pair<std::string, Item>> Contents(const KvStore& store) {
   std::vector<std::pair<std::string, Item>> out;
-  store.ForEachItem([&](const std::string& name, const Item& item) {
-    out.emplace_back(name, item);
+  ForEachStoredItem(store, [&](const std::string& name, const ItemView& item) {
+    out.emplace_back(name, Item(item));
   });
   return out;
 }
@@ -646,7 +647,8 @@ TEST(ItemStoreTest, AccountingIsTheSumOverLiveItems) {
     uint64_t bytes = 0;
     uint64_t items = 0;
     uint64_t values = 0;
-    store.ForEachItem([&](const std::string&, const Item& item) {
+    store.ForEachItem("t", [&](const ItemView& view) {
+      const Item item(view);
       const Attributes attrs = item.ToAttributes();
       bytes += ModelBytes(item.hash_key, item.range_key(), attrs);
       items += 1;

@@ -29,6 +29,7 @@
 #include "engine/warehouse.h"
 #include "index/generation.h"
 #include "xmark/xmark_generator.h"
+#include "store_dump.h"
 
 namespace webdex::engine {
 namespace {
@@ -158,10 +159,12 @@ void DropHalfOfLivePostings(Warehouse& warehouse, const std::string& uri) {
     std::string table, hash, range;
   };
   std::vector<Key> keys;
-  warehouse.index_store().ForEachItem(
-      [&](const std::string& table, const cloud::Item& item) {
+  cloud::ForEachStoredItem(
+      warehouse.index_store(),
+      [&](const std::string& table, const cloud::ItemView& item) {
         if (item.attrs().Find(uri).has_value() && index::StampOf(item) > 0) {
-          keys.push_back({table, item.hash_key, std::string(item.range_key())});
+          keys.push_back({table, std::string(item.hash_key),
+                          std::string(item.range_key())});
         }
       });
   ASSERT_GE(keys.size(), 2u);

@@ -25,6 +25,7 @@
 #include "engine/warehouse.h"
 #include "index/generation.h"
 #include "xmark/xmark_generator.h"
+#include "store_dump.h"
 
 namespace webdex::engine {
 namespace {
@@ -137,16 +138,7 @@ struct Fingerprint {
 
 void CaptureState(cloud::CloudEnv& env, Warehouse& warehouse,
                   Fingerprint* fp) {
-  warehouse.index_store().ForEachItem(
-      [fp](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" +
-                           std::string(item.range_key());
-        for (const auto& [name, values] : item.ToAttributes()) {
-          line += "|" + name + "=";
-          for (const auto& value : values) line += value + ",";
-        }
-        fp->index_dump.push_back(std::move(line));
-      });
+  fp->index_dump = cloud::DumpStore(warehouse.index_store());
   const std::string bucket = warehouse.config().data_bucket;
   env.s3().ForEachObject([fp, &bucket](const std::string& b,
                                        const std::string& key,

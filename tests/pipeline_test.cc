@@ -24,6 +24,7 @@
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
+#include "store_dump.h"
 
 namespace webdex::engine {
 namespace {
@@ -39,17 +40,6 @@ std::vector<xmark::GeneratedDocument> Corpus() {
     docs.push_back(std::move(doc));
   }
   return docs;
-}
-
-// Canonical serialization of one stored item.
-std::string ItemLine(const std::string& table, const cloud::Item& item) {
-  std::string line = table + "|" + item.hash_key + "|" +
-                     std::string(item.range_key());
-  for (const auto& [name, values] : item.ToAttributes()) {
-    line += "|" + name + "=";
-    for (const auto& value : values) line += value + ",";
-  }
-  return line;
 }
 
 /// Everything that must not depend on host_threads.
@@ -93,10 +83,7 @@ RunFingerprint RunIndexing(
   for (const auto& table : warehouse.index_store().TableNames()) {
     out.item_counts[table] = warehouse.index_store().ItemCount(table);
   }
-  warehouse.index_store().ForEachItem(
-      [&out](const std::string& table, const cloud::Item& item) {
-        out.table_dump.push_back(ItemLine(table, item));
-      });
+  out.table_dump = cloud::DumpStore(warehouse.index_store());
   out.dollars = env->meter().ComputeBill().total();
   return out;
 }
@@ -273,7 +260,7 @@ class ExtractionPipelineTest : public ::testing::Test {
     std::vector<std::string> lines;
     for (const auto& batch : result.items) {
       for (const auto& item : batch.items) {
-        lines.push_back(ItemLine(batch.table, item));
+        lines.push_back(cloud::DumpLine(batch.table, item));
       }
     }
     return lines;

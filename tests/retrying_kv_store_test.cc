@@ -108,8 +108,7 @@ class ScriptedStore final : public KvStore {
   uint64_t OverheadBytes(const std::string&) const override { return 0; }
   uint64_t ItemCount(const std::string&) const override { return 0; }
   std::vector<std::string> TableNames() const override { return {}; }
-  void ForEachItem(const std::function<void(const std::string&, const Item&)>&)
-      const override {}
+  void ForEachItem(const std::string&, const ScanVisitor&) const override {}
   void RestoreItem(const std::string&, const Item&) override {}
   Status RestoreTable(const std::string&) override { return Status::OK(); }
 

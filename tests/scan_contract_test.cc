@@ -3,10 +3,14 @@
 // retried visits each item exactly once and bills what a copying scan
 // billed, a scan that exhausts its retries visits nothing, and the
 // sharded, replicated layout visits the same items in the same (hash,
-// range) order, byte for byte, as the paper's single table.
+// range) order, byte for byte, as the paper's single table.  Its
+// unbilled twin ForEachItem visits what a fault-free Scan visits, in
+// the same order, on both layouts, without moving the meter or the
+// clock, and visits everything even while every scan page faults.
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,6 +67,15 @@ struct Visits {
   }
 };
 
+/// Every Usage field rendered, so two meter readings compare whole.
+std::string Rendered(const Usage& usage) {
+  std::string out;
+  usage.ForEachField([&out](const char* name, auto value) {
+    out += StrFormat("%s=%.17g ", name, static_cast<double>(value));
+  });
+  return out;
+}
+
 RetryingKvStore Retrying(CloudEnv& env) {
   return RetryingKvStore(&env.dynamodb(), common::RetryPolicy(), /*seed=*/42,
                          env.meter(), env.breaker(), env.metrics(),
@@ -106,7 +119,9 @@ TEST(ScanContractTest, RetriedScanVisitsEachItemOnce) {
 }
 
 // A scan whose every attempt faults returns the error and visits
-// nothing, though each faulted attempt was billed.
+// nothing, though each faulted attempt was billed.  The unbilled walk is
+// fault-free: it still visits every item in key order, through the
+// retrying decorator and on the bare store, and bills nothing.
 TEST(ScanContractTest, ExhaustedScanVisitsNothing) {
   FaultPlan faults;
   faults.outages.push_back({ServiceId::kDynamoDb, 0, kMicrosPerSecond * 3600});
@@ -119,12 +134,31 @@ TEST(ScanContractTest, ExhaustedScanVisitsNothing) {
   EXPECT_TRUE(status.IsRetriable()) << status.ToString();
   EXPECT_TRUE(visits.keys.empty());
   EXPECT_GT(env->meter().usage().ddb_get_requests, 0u);
+
+  const std::string billed = Rendered(env->meter().Snapshot());
+  for (const KvStore* store : std::initializer_list<const KvStore*>{
+           &retrying, &env->dynamodb()}) {
+    Visits walked;
+    store->ForEachItem("t", walked.Visitor());
+    ASSERT_EQ(walked.keys.size(), static_cast<size_t>(kItems));
+    for (int i = 0; i < kItems; ++i) {
+      EXPECT_EQ(walked.keys[static_cast<size_t>(i)], StrFormat("key%03d", i));
+    }
+  }
+  EXPECT_EQ(Rendered(env->meter().Snapshot()), billed);
 }
 
-/// Every (hash, record) a warehouse's index store visits on `table`,
-/// after indexing one corpus on the layout `arch`.
-std::vector<std::pair<std::string, std::string>> ScanIndex(
-    const ArchitectureSpec& arch, const char* table) {
+/// Every (hash, record) a walk of one table visited, in visit order.
+using Walk = std::vector<std::pair<std::string, std::string>>;
+
+/// What a warehouse's index store visits on `table` after indexing one
+/// corpus on the layout `arch`: by a fault-free Scan and by ForEachItem.
+struct Walks {
+  Walk scanned;
+  Walk walked;
+};
+
+Walks WalkIndex(const ArchitectureSpec& arch, const char* table) {
   CloudConfig cloud_config;
   cloud_config.arch = arch;
   CloudEnv env(cloud_config);
@@ -140,25 +174,38 @@ std::vector<std::pair<std::string, std::string>> ScanIndex(
     EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
   }
   EXPECT_TRUE(warehouse.RunIndexers().ok());
-  std::vector<std::pair<std::string, std::string>> visited;
+  Walks walks;
+  const auto into = [](Walk& walk) {
+    return [&walk](const ItemView& item) {
+      walk.emplace_back(item.hash_key, item.record());
+    };
+  };
+  // The unbilled walk moves neither the meter nor the clock.
+  const std::string billed = Rendered(env.meter().Snapshot());
+  const Micros now = warehouse.front_end().now();
+  warehouse.index_store().ForEachItem(table, into(walks.walked));
+  EXPECT_EQ(Rendered(env.meter().Snapshot()), billed) << arch.Name();
+  EXPECT_EQ(warehouse.front_end().now(), now) << arch.Name();
   EXPECT_TRUE(warehouse.index_store()
-                  .Scan(warehouse.front_end(), table,
-                        [&visited](const ItemView& item) {
-                          visited.emplace_back(item.hash_key, item.record());
-                        })
+                  .Scan(warehouse.front_end(), table, into(walks.scanned))
                   .ok());
-  return visited;
+  EXPECT_NE(Rendered(env.meter().Snapshot()), billed) << arch.Name();
+  return walks;
 }
 
 // The sharded decorator merges its shards' runs back into the unsharded
-// store's order: same items, same order, same record bytes.
+// store's order: same items, same order, same record bytes.  On both
+// layouts ForEachItem visits what the fault-free Scan visits.
 TEST(ScanContractTest, ShardedScanMatchesTheUnshardedStore) {
   ArchitectureSpec sharded;
   sharded.shards = 4;
   sharded.replicas = 1;
-  const auto plain = ScanIndex(ArchitectureSpec(), "idx-lup");
-  ASSERT_GT(plain.size(), 100u);
-  EXPECT_EQ(ScanIndex(sharded, "idx-lup"), plain);
+  const Walks plain = WalkIndex(ArchitectureSpec(), "idx-lup");
+  ASSERT_GT(plain.scanned.size(), 100u);
+  EXPECT_EQ(plain.walked, plain.scanned);
+  const Walks spread = WalkIndex(sharded, "idx-lup");
+  EXPECT_EQ(spread.scanned, plain.scanned);
+  EXPECT_EQ(spread.walked, plain.scanned);
 }
 
 }  // namespace

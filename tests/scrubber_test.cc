@@ -18,6 +18,7 @@
 #include "index/generation.h"
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
+#include "store_dump.h"
 
 namespace webdex::engine {
 namespace {
@@ -40,18 +41,7 @@ const char* kQuery = "//painting[/name~'Lion', //painter/name/last:val]";
 /// Full byte-level fingerprint of the index tables (keys and attribute
 /// payloads), via the free host-side walk.
 std::vector<std::string> Dump(Warehouse& warehouse) {
-  std::vector<std::string> dump;
-  warehouse.index_store().ForEachItem(
-      [&dump](const std::string& table, const cloud::Item& item) {
-        std::string line = table + "|" + item.hash_key + "|" +
-                           std::string(item.range_key());
-        for (const auto& [name, values] : item.ToAttributes()) {
-          line += "|" + name + "=";
-          for (const auto& value : values) line += value + ",";
-        }
-        dump.push_back(std::move(line));
-      });
-  return dump;
+  return cloud::DumpStore(warehouse.index_store());
 }
 
 struct Deployment {
@@ -163,11 +153,13 @@ TEST(ScrubberTest, MissingPostingsAreRestored) {
     std::string table, hash, range;
   };
   std::vector<Key> keys;
-  d.warehouse->index_store().ForEachItem(
-      [&keys, &victim](const std::string& table, const cloud::Item& item) {
+  cloud::ForEachStoredItem(
+      d.warehouse->index_store(),
+      [&keys, &victim](const std::string& table, const cloud::ItemView& item) {
         if (item.attrs().size() == 1 &&
             (*item.attrs().begin()).name == victim) {
-          keys.push_back({table, item.hash_key, std::string(item.range_key())});
+          keys.push_back({table, std::string(item.hash_key),
+                          std::string(item.range_key())});
         }
       });
   ASSERT_FALSE(keys.empty());
@@ -213,10 +205,11 @@ TEST(ScrubberTest, OrphanedPostingsAreDeleted) {
   EXPECT_EQ(repair.value().repaired_uris, 1u);
   EXPECT_GT(repair.value().items_deleted, 0u);
   bool victim_posting_left = false;
-  d.warehouse->index_store().ForEachItem(
+  cloud::ForEachStoredItem(
+      d.warehouse->index_store(),
       [&victim_posting_left, &victim](const std::string&,
-                                      const cloud::Item& item) {
-        if (item.ToAttributes().count(victim) > 0) victim_posting_left = true;
+                                      const cloud::ItemView& item) {
+        if (item.attrs().Find(victim).has_value()) victim_posting_left = true;
       });
   EXPECT_FALSE(victim_posting_left);
 
@@ -258,11 +251,13 @@ TEST(ScrubberTest, UpsertedDocumentIsRepairedAtItsLiveGeneration) {
     std::string table, hash, range;
   };
   std::vector<Key> keys;
-  d.warehouse->index_store().ForEachItem(
-      [&keys, &victim](const std::string& table, const cloud::Item& item) {
-        if (item.ToAttributes().count(victim) > 0 &&
-            item.ToAttributes().count(index::kGenAttr) > 0) {
-          keys.push_back({table, item.hash_key, std::string(item.range_key())});
+  cloud::ForEachStoredItem(
+      d.warehouse->index_store(),
+      [&keys, &victim](const std::string& table, const cloud::ItemView& item) {
+        if (item.attrs().Find(victim).has_value() &&
+            item.attrs().Find(index::kGenAttr).has_value()) {
+          keys.push_back({table, std::string(item.hash_key),
+                          std::string(item.range_key())});
         }
       });
   ASSERT_FALSE(keys.empty());
@@ -315,10 +310,11 @@ TEST(ScrubberTest, TombstonedUriIsNeverResurrected) {
   EXPECT_EQ(compacted.value().collected_uris,
             std::vector<std::string>{victim});
   bool victim_posting_left = false;
-  d.warehouse->index_store().ForEachItem(
+  cloud::ForEachStoredItem(
+      d.warehouse->index_store(),
       [&victim_posting_left, &victim](const std::string&,
-                                      const cloud::Item& item) {
-        if (item.ToAttributes().count(victim) > 0) victim_posting_left = true;
+                                      const cloud::ItemView& item) {
+        if (item.attrs().Find(victim).has_value()) victim_posting_left = true;
       });
   EXPECT_FALSE(victim_posting_left);
   auto second = d.warehouse->Scrub(/*repair=*/false);
