@@ -47,7 +47,7 @@ Deployment::Deployment(const ArchitectureSpec& spec) : spec_(spec) {
   spec_.replication_lag = std::max<Micros>(0, spec_.replication_lag);
 }
 
-int Deployment::ShardFor(const std::string& hash_key) const {
+int Deployment::ShardFor(std::string_view hash_key) const {
   if (spec_.shards <= 1) return 0;
   return static_cast<int>(Fnv1a64(hash_key) %
                           static_cast<uint64_t>(spec_.shards));

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/sim.h"
@@ -83,7 +84,7 @@ class Deployment {
 
   /// Shard index for a hash key: FNV-1a of the key modulo the shard
   /// count.  Always 0 when unsharded.
-  int ShardFor(const std::string& hash_key) const;
+  int ShardFor(std::string_view hash_key) const;
 
   /// Physical table backing shard `shard` of `logical`.  Identity when
   /// shards == 1 so the default deployment's table names — and with them

@@ -155,7 +155,7 @@ Status DynamoDb::Admit(BilledCall& call, std::string_view site,
   return throttled;
 }
 
-Status DynamoDb::ValidateItem(const Item& item) const {
+Status DynamoDb::ValidateItem(const ItemView& item) const {
   if (item.hash_key.empty()) {
     return Status::InvalidArgument("empty hash key");
   }
@@ -172,14 +172,14 @@ Status DynamoDb::ValidateItem(const Item& item) const {
     return Status::InvalidArgument(
         StrFormat("item exceeds 64KB (%llu bytes) for hash key %s",
                   static_cast<unsigned long long>(item.SizeBytes()),
-                  item.hash_key.c_str()));
+                  std::string(item.hash_key).c_str()));
   }
   return Status::OK();
 }
 
-Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
-                          std::span<const Item> items,
-                          std::vector<Item>* unprocessed) {
+Status DynamoDb::BatchPutViews(SimAgent& agent, const std::string& table,
+                              std::span<const ItemView> items,
+                              std::vector<ItemView>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   WEBDEX_ASSIGN_OR_RETURN(ItemTable* t, Open(table));
   for (const auto& item : items) {

@@ -54,9 +54,9 @@ class DynamoDb final : public ItemStore {
            FaultInjector& injector, common::MetricRegistry& metrics);
 
   Status CreateTable(SimAgent& agent, const std::string& table) override;
-  Status BatchPut(SimAgent& agent, const std::string& table,
-                  std::span<const Item> items,
-                  std::vector<Item>* unprocessed = nullptr) override;
+  Status BatchPutViews(SimAgent& agent, const std::string& table,
+                       std::span<const ItemView> items,
+                       std::vector<ItemView>* unprocessed = nullptr) override;
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
@@ -123,7 +123,7 @@ class DynamoDb final : public ItemStore {
   /// fractional (same calibration rationale; AWS quantum is 4 KB).
   static double ReadUnits(uint64_t item_bytes);
 
-  Status ValidateItem(const Item& item) const;
+  Status ValidateItem(const ItemView& item) const;
 
   /// On-demand control loop: at each elapsed one-second window, folds the
   /// window's consumption into the sustained peak and raises (never

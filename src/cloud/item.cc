@@ -102,30 +102,50 @@ Attributes Item::ToAttributes() const {
 }
 
 ItemBuilder::ItemBuilder(std::string hash_key, std::string_view range_key,
-                         uint64_t attribute_count, size_t record_bytes) {
+                         uint64_t attribute_count, size_t record_bytes)
+    : out_(&item_.record_) {
   item_.hash_key = std::move(hash_key);
-  std::string& record = item_.record_;
-  record.clear();
-  record.reserve(record_bytes);
-  record.append(range_key);
-  PutVarint64(&record, attribute_count);
-  item_.range_size_ = static_cast<uint32_t>(range_key.size());
-  item_.payload_bytes_ = range_key.size();
+  out_->clear();
+  out_->reserve(record_bytes);
+  Start(range_key, attribute_count);
+}
+
+ItemBuilder::ItemBuilder(std::string* buffer, std::string_view hash_key,
+                         std::string_view range_key, uint64_t attribute_count)
+    : out_(buffer) {
+  packed_.offset = buffer->size();
+  packed_.hash_size = static_cast<uint32_t>(hash_key.size());
+  buffer->append(hash_key);
+  Start(range_key, attribute_count);
+}
+
+void ItemBuilder::Start(std::string_view range_key,
+                        uint64_t attribute_count) {
+  out_->append(range_key);
+  PutVarint64(out_, attribute_count);
+  packed_.range_size = static_cast<uint32_t>(range_key.size());
+  packed_.payload_bytes = range_key.size();
 }
 
 void ItemBuilder::AddAttribute(std::string_view name, uint64_t value_count) {
-  std::string& record = item_.record_;
-  PutVarint64(&record, name.size());
-  record.append(name);
-  PutVarint64(&record, value_count);
-  item_.payload_bytes_ += name.size();
-  item_.value_count_ += static_cast<uint32_t>(value_count);
+  PutVarint64(out_, name.size());
+  out_->append(name);
+  PutVarint64(out_, value_count);
+  packed_.payload_bytes += name.size();
+  packed_.value_count += static_cast<uint32_t>(value_count);
 }
 
 void ItemBuilder::AddValue(std::string_view value) {
-  PutVarint64(&item_.record_, value.size());
-  item_.record_.append(value);
-  item_.payload_bytes_ += value.size();
+  PutVarint64(out_, value.size());
+  out_->append(value);
+  packed_.payload_bytes += value.size();
+}
+
+Item ItemBuilder::Build() && {
+  item_.range_size_ = packed_.range_size;
+  item_.value_count_ = packed_.value_count;
+  item_.payload_bytes_ = packed_.payload_bytes;
+  return std::move(item_);
 }
 
 size_t ItemBuilder::HeaderBytes(size_t range_size, uint64_t attribute_count) {

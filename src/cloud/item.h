@@ -189,9 +189,16 @@ class ItemView {
   uint64_t SizeBytes() const { return hash_key.size() + payload_bytes_; }
   uint64_t ValueCount() const { return value_count_; }
 
+  /// Same keys and attributes, as Item's.
+  bool operator==(const ItemView& o) const {
+    return hash_key == o.hash_key && range_size_ == o.range_size_ &&
+           record_ == o.record_;
+  }
+
  private:
   friend class Item;
   friend class ItemTable;
+  friend struct PackedItem;
 
   ItemView(std::string_view hash_key, std::string_view record,
            uint32_t range_size, uint32_t value_count, uint64_t payload_bytes)
@@ -207,20 +214,56 @@ class ItemView {
   uint64_t payload_bytes_ = 0;
 };
 
-/// Writes one Item's record front to back: the range key at
-/// construction, then each attribute (ascending name order, each name
-/// once) followed by exactly its announced number of values.  Given the
-/// record's exact size (the sum of the *Bytes helpers below), the whole
-/// build costs one allocation, plus one for a hash key longer than the
-/// string's inline buffer.
+/// Where ItemBuilder packed one item into a shared buffer: its hash key
+/// at `offset`, its record right after it (ItemTable's layout).  Offsets,
+/// not pointers, so the buffer may grow and move while later items are
+/// appended; view the item once it has stopped growing.
+struct PackedItem {
+  size_t offset = 0;
+  uint32_t hash_size = 0;
+  uint32_t record_size = 0;
+  uint32_t range_size = 0;
+  uint32_t value_count = 0;
+  uint64_t payload_bytes = 0;
+
+  /// A view of the item in `buffer`, the bytes it was packed into.
+  ItemView View(std::string_view buffer) const {
+    return {buffer.substr(offset, hash_size),
+            buffer.substr(offset + hash_size, record_size), range_size,
+            value_count, payload_bytes};
+  }
+};
+
+/// Writes one item front to back: the range key at construction, then
+/// each attribute (ascending name order, each name once) followed by
+/// exactly its announced number of values.  It writes into one of two
+/// sinks.  An Item of its own: given the record's exact size (the sum of
+/// the *Bytes helpers below), the build costs one allocation, plus one
+/// for a hash key longer than the string's inline buffer.  Or a caller's
+/// buffer, which the hash key and record are appended to: no allocation
+/// beyond the buffer's own growth.
 class ItemBuilder {
  public:
+  /// Builds an Item (Build).
   ItemBuilder(std::string hash_key, std::string_view range_key,
               uint64_t attribute_count, size_t record_bytes = 0);
+  /// Appends the item to `*buffer` (Pack).
+  ItemBuilder(std::string* buffer, std::string_view hash_key,
+              std::string_view range_key, uint64_t attribute_count);
+
+  ItemBuilder(const ItemBuilder&) = delete;
+  ItemBuilder& operator=(const ItemBuilder&) = delete;
 
   void AddAttribute(std::string_view name, uint64_t value_count);
   void AddValue(std::string_view value);
-  Item Build() && { return std::move(item_); }
+  /// The built item; for the first constructor only.
+  Item Build() &&;
+  /// Where the item lies in the buffer; for the second constructor only.
+  PackedItem Pack() && {
+    packed_.record_size = static_cast<uint32_t>(
+        out_->size() - packed_.offset - packed_.hash_size);
+    return packed_;
+  }
 
   /// Record bytes taken by a range key of `range_size` bytes and
   /// `attribute_count` attributes, before their names and values.
@@ -231,7 +274,13 @@ class ItemBuilder {
   static size_t ValueBytes(size_t size);
 
  private:
+  void Start(std::string_view range_key, uint64_t attribute_count);
+
   Item item_;
+  /// The bytes written to: item_'s record or the caller's buffer.
+  std::string* out_;
+  /// The tallies, and the item's place in the caller's buffer.
+  PackedItem packed_;
 };
 
 }  // namespace webdex::cloud

@@ -95,9 +95,9 @@ ItemView ItemTable::View(const Entry& e) {
           e.payload_bytes};
 }
 
-void ItemTable::Put(const Item& item) {
+void ItemTable::Put(const ItemView& item) {
   MaybeRepack();
-  const std::string& record = item.record();
+  const std::string_view record = item.record_;
   char* data = Allocate(item.hash_key.size() + record.size());
   std::memcpy(data, item.hash_key.data(), item.hash_key.size());
   std::memcpy(data + item.hash_key.size(), record.data(), record.size());

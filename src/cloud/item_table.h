@@ -36,10 +36,11 @@ namespace webdex::cloud {
 /// written by one thread at a time (the stores' event-loop thread).
 class ItemTable {
  public:
-  /// Stores a copy of `item`.  An item with the same (hash, range) key
-  /// is completely replaced (Section 6): once sealed, its size, count and
-  /// values leave the accounting and the new item's enter it.
-  void Put(const Item& item);
+  /// Stores a copy of `item`'s bytes.  An item with the same (hash,
+  /// range) key is completely replaced (Section 6): once sealed, its
+  /// size, count and values leave the accounting and the new item's
+  /// enter it.
+  void Put(const ItemView& item);
   /// Erases the item keyed (hash_key, range_key); returns its billable
   /// size, or nullopt when no such item exists.
   std::optional<uint64_t> Erase(std::string_view hash_key,

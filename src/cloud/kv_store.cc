@@ -12,6 +12,17 @@ Result<std::vector<Item>> KvStore::BatchGet(
   return std::vector<Item>(views.begin(), views.end());
 }
 
+Status KvStore::BatchPut(SimAgent& agent, const std::string& table,
+                         std::span<const Item> items,
+                         std::vector<Item>* unprocessed) {
+  const std::vector<ItemView> views(items.begin(), items.end());
+  if (unprocessed == nullptr) return BatchPutViews(agent, table, views);
+  std::vector<ItemView> bounced;
+  const Status status = BatchPutViews(agent, table, views, &bounced);
+  *unprocessed = std::vector<Item>(bounced.begin(), bounced.end());
+  return status;
+}
+
 uint64_t FingerprintStore(const KvStore& store) {
   // Hashes each item's dump in turn rather than one dump of the store,
   // which would hold a copy of every item at once.

@@ -56,22 +56,31 @@ class KvStore {
   /// Inserts `items` (any count; internally issued as batched API calls
   /// of at most Limits().batch_put items).  An item with an existing
   /// (hash, range) key is completely replaced, as in DynamoDB.
-  /// `items` is borrowed for the call only: a caller may pass any
-  /// sub-span of its own vector (the engine pages uploads that way), and
-  /// a store copies what it keeps.  `items` must not view `*unprocessed`.
-  /// Validation errors (oversized item/value, binary data in a text-only
-  /// store) fail the whole call without partial effects.
+  /// `items` is borrowed for the call only, and so are the bytes its
+  /// views borrow: a caller may pass any sub-span of its own views (the
+  /// engine pages uploads that way), and a store copies what it keeps.
+  /// `items` must not view `*unprocessed`.  Validation errors (oversized
+  /// item/value, binary data in a text-only store) fail the whole call
+  /// without partial effects.
   ///
   /// Partial-failure contract (docs/FAULTS.md): when `unprocessed` is
   /// non-null, a store under fault injection may return OK having stored
   /// only a prefix, with the bounced items appended to `*unprocessed` for
   /// the caller to re-batch (DynamoDB's UnprocessedItems).  On a transient
-  /// error status, `*unprocessed` holds every item not yet stored.  When
-  /// `unprocessed` is null the caller cannot observe partial success, so
-  /// stores must not inject it.  `*unprocessed` is cleared on entry.
-  virtual Status BatchPut(SimAgent& agent, const std::string& table,
-                          std::span<const Item> items,
-                          std::vector<Item>* unprocessed = nullptr) = 0;
+  /// error status, `*unprocessed` holds every item not yet stored.  The
+  /// bounced items are views of the caller's bytes, copies of elements of
+  /// `items`, so they live as long as those bytes do.  When `unprocessed`
+  /// is null the caller cannot observe partial success, so stores must
+  /// not inject it.  `*unprocessed` is cleared on entry.
+  virtual Status BatchPutViews(
+      SimAgent& agent, const std::string& table,
+      std::span<const ItemView> items,
+      std::vector<ItemView>* unprocessed = nullptr) = 0;
+  /// BatchPutViews over Items, with the bounced items copied out into
+  /// `*unprocessed` (a convenience for tests and benches).
+  Status BatchPut(SimAgent& agent, const std::string& table,
+                  std::span<const Item> items,
+                  std::vector<Item>* unprocessed = nullptr);
 
   /// Returns all items whose hash key is one of `hash_keys` (the get(T,k)
   /// operation of Section 6, batched): up to Limits().batch_get keys per
@@ -114,13 +123,14 @@ class KvStore {
 
   // --- Store capability model -------------------------------------------
   // Thread-safety contract: Name() and Limits() are consulted by
-  // IndexingStrategy::ExtractItems while sizing items, which the engine's
-  // host-parallel extraction pipeline runs on pooled threads concurrently
-  // with simulated traffic on the event-loop thread.  Implementations
-  // must therefore answer them from immutable configuration only — no
-  // billing, no virtual latency, no mutable state (the DynamoDB and
-  // SimpleDB simulations return constructor data, and every decorator
-  // inherits ForwardingKvStore's pass-through answers).
+  // IndexingStrategy::ExtractBatches while sizing items, which the
+  // engine's host-parallel extraction pipeline runs on pooled threads
+  // concurrently with simulated traffic on the event-loop thread.
+  // Implementations must therefore answer them from immutable
+  // configuration only — no billing, no virtual latency, no mutable
+  // state (the DynamoDB and SimpleDB simulations return constructor
+  // data, and every decorator inherits ForwardingKvStore's pass-through
+  // answers).
   virtual const char* Name() const = 0;
   virtual const StoreLimits& Limits() const = 0;
   int BatchGetLimit() const { return Limits().batch_get; }
@@ -164,10 +174,10 @@ class ForwardingKvStore : public KvStore {
   bool HasTable(const std::string& table) const override {
     return base_->HasTable(table);
   }
-  Status BatchPut(SimAgent& agent, const std::string& table,
-                  std::span<const Item> items,
-                  std::vector<Item>* unprocessed = nullptr) override {
-    return base_->BatchPut(agent, table, items, unprocessed);
+  Status BatchPutViews(SimAgent& agent, const std::string& table,
+                       std::span<const ItemView> items,
+                       std::vector<ItemView>* unprocessed = nullptr) override {
+    return base_->BatchPutViews(agent, table, items, unprocessed);
   }
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,

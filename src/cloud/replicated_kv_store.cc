@@ -17,10 +17,11 @@ ReplicatedKvStore::ReplicatedKvStore(KvStore* base, Deployment& deployment,
       primary_reads_metric_(*metrics.GetCounter("replica.primary.count")),
       lag_metric_(*metrics.GetHistogram("replica.lag_us")) {}
 
-Status ReplicatedKvStore::BatchPut(SimAgent& agent, const std::string& table,
-                                   std::span<const Item> items,
-                                   std::vector<Item>* unprocessed) {
-  Status status = base_->BatchPut(agent, table, items, unprocessed);
+Status ReplicatedKvStore::BatchPutViews(SimAgent& agent,
+                                        const std::string& table,
+                                        std::span<const ItemView> items,
+                                        std::vector<ItemView>* unprocessed) {
+  Status status = base_->BatchPutViews(agent, table, items, unprocessed);
   // Even a failed round may have committed a prefix; moving the watermark
   // on every attempt is the conservative (read-your-writes-safe) choice.
   deployment_.RecordWrite(table, agent.now());

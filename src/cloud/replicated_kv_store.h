@@ -37,9 +37,9 @@ class ReplicatedKvStore final : public ForwardingKvStore {
   ReplicatedKvStore(KvStore* base, Deployment& deployment, UsageMeter& meter,
                     common::MetricRegistry& metrics, common::Tracer& tracer);
 
-  Status BatchPut(SimAgent& agent, const std::string& table,
-                  std::span<const Item> items,
-                  std::vector<Item>* unprocessed = nullptr) override;
+  Status BatchPutViews(SimAgent& agent, const std::string& table,
+                       std::span<const ItemView> items,
+                       std::vector<ItemView>* unprocessed = nullptr) override;
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;

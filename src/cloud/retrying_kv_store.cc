@@ -38,26 +38,27 @@ Status RetryingKvStore::CreateTable(SimAgent& agent,
                        [&] { return base_->CreateTable(agent, table); });
 }
 
-Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
-                                 std::span<const Item> items,
-                                 std::vector<Item>* unprocessed) {
+Status RetryingKvStore::BatchPutViews(SimAgent& agent,
+                                      const std::string& table,
+                                      std::span<const ItemView> items,
+                                      std::vector<ItemView>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   // Each round re-submits only what has not committed yet: re-batched
   // unprocessed items after a partial success, or the uncommitted suffix
   // after a transient page error.  Re-puts of committed items are
   // harmless anyway (replacement semantics, UUID range keys) — this just
   // avoids paying their write units twice.  A breaker short-circuit
-  // leaves the batch as it was: nothing was attempted or billed.
-  std::span<const Item> batch = items;
-  std::vector<Item> pending;
-  std::vector<Item> leftover;
+  // leaves the batch as it was: nothing was attempted or billed.  The
+  // rounds pass views of the caller's bytes, never copies of its items.
+  std::span<const ItemView> batch = items;
+  std::vector<ItemView> pending;
+  std::vector<ItemView> leftover;
   bool attempted = false;
   const Status status = retrier_.Call(
       agent, {"retry:batchput:", table}, "attempt.batch_put", table,
       [&] {
-        Status put = base_->BatchPut(agent, table, batch, &leftover);
-        pending = std::move(leftover);
-        leftover.clear();
+        Status put = base_->BatchPutViews(agent, table, batch, &leftover);
+        pending.swap(leftover);
         batch = pending;
         attempted = true;
         return put;
@@ -69,8 +70,11 @@ Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
             "unprocessed items remain after re-batching: " + table);
       });
   if (!status.ok() && unprocessed != nullptr) {
-    *unprocessed = attempted ? std::move(pending)
-                             : std::vector<Item>(items.begin(), items.end());
+    if (attempted) {
+      *unprocessed = std::move(pending);
+    } else {
+      unprocessed->assign(items.begin(), items.end());
+    }
   }
   return status;
 }

@@ -149,9 +149,9 @@ class RetryingKvStore final : public ForwardingKvStore {
   /// items still remain after max_attempts rounds, returns kUnavailable
   /// with the survivors in `*unprocessed` (when non-null) so the caller
   /// can decide between abandoning the task and dead-lettering it.
-  Status BatchPut(SimAgent& agent, const std::string& table,
-                  std::span<const Item> items,
-                  std::vector<Item>* unprocessed = nullptr) override;
+  Status BatchPutViews(SimAgent& agent, const std::string& table,
+                       std::span<const ItemView> items,
+                       std::vector<ItemView>* unprocessed = nullptr) override;
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;

@@ -1,7 +1,6 @@
 #include "cloud/sharded_kv_store.h"
 
 #include <cctype>
-#include <iterator>
 #include <set>
 
 namespace webdex::cloud {
@@ -78,13 +77,15 @@ bool ShardedKvStore::HasTable(const std::string& logical) const {
   return base_->HasTable(deployment_.PhysicalName(logical, 0));
 }
 
-Status ShardedKvStore::BatchPut(SimAgent& agent, const std::string& logical,
-                                std::span<const Item> items,
-                                std::vector<Item>* unprocessed) {
+Status ShardedKvStore::BatchPutViews(SimAgent& agent,
+                                     const std::string& logical,
+                                     std::span<const ItemView> items,
+                                     std::vector<ItemView>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   const int shards = deployment_.spec().shards;
-  std::vector<std::vector<Item>> per_shard(static_cast<size_t>(shards));
-  for (const Item& item : items) {
+  // Routes views: each shard's group borrows the caller's bytes.
+  std::vector<std::vector<ItemView>> per_shard(static_cast<size_t>(shards));
+  for (const ItemView& item : items) {
     per_shard[static_cast<size_t>(deployment_.ShardFor(item.hash_key))]
         .push_back(item);
   }
@@ -94,19 +95,17 @@ Status ShardedKvStore::BatchPut(SimAgent& agent, const std::string& logical,
     if (!group.empty()) ++touched;
   }
   if (touched > 1) fanout_metric_.Add(1);
-  std::vector<Item> bounced;
+  std::vector<ItemView> bounced;
   for (int shard = 0; shard < shards; ++shard) {
-    auto& group = per_shard[static_cast<size_t>(shard)];
+    const auto& group = per_shard[static_cast<size_t>(shard)];
     if (group.empty()) continue;
     CountOp("batch_put", shard);
-    bounced.clear();
-    Status status =
-        base_->BatchPut(agent, deployment_.PhysicalName(logical, shard),
-                        group, unprocessed == nullptr ? nullptr : &bounced);
+    Status status = base_->BatchPutViews(
+        agent, deployment_.PhysicalName(logical, shard), group,
+        unprocessed == nullptr ? nullptr : &bounced);
     if (unprocessed != nullptr) {
-      unprocessed->insert(unprocessed->end(),
-                          std::make_move_iterator(bounced.begin()),
-                          std::make_move_iterator(bounced.end()));
+      unprocessed->insert(unprocessed->end(), bounced.begin(),
+                          bounced.end());
     }
     if (!status.ok()) {
       // "Everything not stored" contract: the failed shard reported its
@@ -114,10 +113,9 @@ Status ShardedKvStore::BatchPut(SimAgent& agent, const std::string& logical,
       // of their items.
       if (unprocessed != nullptr) {
         for (int rest = shard + 1; rest < shards; ++rest) {
-          auto& pending = per_shard[static_cast<size_t>(rest)];
-          unprocessed->insert(unprocessed->end(),
-                              std::make_move_iterator(pending.begin()),
-                              std::make_move_iterator(pending.end()));
+          const auto& pending = per_shard[static_cast<size_t>(rest)];
+          unprocessed->insert(unprocessed->end(), pending.begin(),
+                              pending.end());
         }
       }
       return status;

@@ -51,9 +51,9 @@ class ShardedKvStore final : public ForwardingKvStore {
   /// Creates every physical shard of `logical` (first error wins).
   Status CreateTable(SimAgent& agent, const std::string& logical) override;
   bool HasTable(const std::string& logical) const override;
-  Status BatchPut(SimAgent& agent, const std::string& logical,
-                  std::span<const Item> items,
-                  std::vector<Item>* unprocessed = nullptr) override;
+  Status BatchPutViews(SimAgent& agent, const std::string& logical,
+                       std::span<const ItemView> items,
+                       std::vector<ItemView>* unprocessed = nullptr) override;
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& logical,
       const std::vector<std::string>& hash_keys) override;

@@ -58,7 +58,7 @@ Status SimpleDb::CreateTable(SimAgent& agent, const std::string& table) {
   return created;
 }
 
-Status SimpleDb::ValidateItem(const Item& item) const {
+Status SimpleDb::ValidateItem(const ItemView& item) const {
   if (item.hash_key.empty() || item.range_key().empty()) {
     return Status::InvalidArgument("empty key");
   }
@@ -86,9 +86,9 @@ Status SimpleDb::ValidateItem(const Item& item) const {
   return Status::OK();
 }
 
-Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
-                          std::span<const Item> items,
-                          std::vector<Item>* unprocessed) {
+Status SimpleDb::BatchPutViews(SimAgent& agent, const std::string& table,
+                              std::span<const ItemView> items,
+                              std::vector<ItemView>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   WEBDEX_ASSIGN_OR_RETURN(ItemTable* t, Open(table));
   for (const auto& item : items) {

@@ -44,9 +44,9 @@ class SimpleDb final : public ItemStore {
            FaultInjector& injector, common::MetricRegistry& metrics);
 
   Status CreateTable(SimAgent& agent, const std::string& table) override;
-  Status BatchPut(SimAgent& agent, const std::string& table,
-                  std::span<const Item> items,
-                  std::vector<Item>* unprocessed = nullptr) override;
+  Status BatchPutViews(SimAgent& agent, const std::string& table,
+                       std::span<const ItemView> items,
+                       std::vector<ItemView>* unprocessed = nullptr) override;
   Result<std::vector<ItemView>> BatchGetViews(
       SimAgent& agent, const std::string& table,
       const std::vector<std::string>& hash_keys) override;
@@ -62,7 +62,7 @@ class SimpleDb final : public ItemStore {
   static constexpr uint64_t kPerAttributeOverheadBytes = 45;
 
  private:
-  Status ValidateItem(const Item& item) const;
+  Status ValidateItem(const ItemView& item) const;
 
   /// The gates of every data-plane call: the fault gate at site
   /// `site` + `table`, then the organic throttle gate over the

@@ -49,8 +49,8 @@ ExtractionResult ExtractionPipeline::ExtractNow(
   // once the warehouse commits the task, without re-extracting
   // (docs/PLANNER.md).
   out.doc_index = index::ExtractDocIndex(*out.doc, options);
-  auto extracted = strategy.ExtractItems(*out.doc, out.doc_index, options,
-                                         store, uuid_rng, &out.stats);
+  auto extracted = strategy.ExtractBatches(*out.doc, out.doc_index, options,
+                                           store, uuid_rng, &out.stats);
   if (!extracted.ok()) {
     out.status = extracted.status();
     return out;

@@ -29,7 +29,9 @@ struct ExtractionResult {
   Status status = Status::OK();  // parse / extract outcome
   std::shared_ptr<const xml::Document> doc;
   index::ExtractStats stats;
-  std::vector<index::TableItems> items;
+  /// One batch per index table; each batch's views borrow its own
+  /// buffer, so moving the result (or the vector) keeps them valid.
+  std::vector<index::ItemBatch> items;
   /// The document's handle-keyed DocIndex — the warehouse feeds it to the
   /// planner's index::PathSummary once the task commits (deduplicated by
   /// URI across redeliveries).  Handles resolve against the global
@@ -43,7 +45,7 @@ struct ExtractionResult {
 ///
 /// The discrete-event scheduler serializes *virtual* execution on the
 /// host, so at scale the wall-clock of an indexing run is dominated by
-/// real `xml::ParseDocument` + `ExtractItems` CPU.  That work is pure and
+/// real `xml::ParseDocument` + `ExtractBatches` CPU.  That work is pure and
 /// embarrassingly parallel per document, so the pipeline runs it ahead of
 /// time on a ThreadPool while the event loop replays queue deliveries,
 /// billing, lease renewals and fault injection exactly as before; when

@@ -159,14 +159,14 @@ Result<ExtractionResult> IndexMaintainer::Extract(cloud::SimAgent& agent,
 }
 
 Status IndexMaintainer::Converge(cloud::SimAgent& agent,
-                                 const std::vector<index::TableItems>& items,
+                                 const std::vector<index::ItemBatch>& items,
                                  std::span<const Posting> candidates,
                                  uint64_t* items_put,
                                  uint64_t* items_deleted) {
   std::vector<PostingKey> produced;
   for (const auto& table_items : items) {
     WEBDEX_RETURN_IF_ERROR(
-        store_->BatchPut(agent, table_items.table, table_items.items));
+        store_->BatchPutViews(agent, table_items.table, table_items.items));
     *items_put += table_items.items.size();
     for (const auto& item : table_items.items) {
       produced.push_back({table_items.table, item.hash_key, item.range_key()});
@@ -210,7 +210,7 @@ Result<ScrubReport> IndexMaintainer::Scrub(cloud::SimAgent& agent,
                             Extract(agent, uri, live_gen));
     // Unparseable (poison) documents expect no postings at all.
     if (!extraction.status.ok()) extraction.items.clear();
-    std::vector<std::pair<PostingKey, const cloud::Item*>> expected;
+    std::vector<std::pair<PostingKey, const cloud::ItemView*>> expected;
     for (const auto& table_items : extraction.items) {
       for (const auto& item : table_items.items) {
         expected.push_back(
@@ -230,7 +230,7 @@ Result<ScrubReport> IndexMaintainer::Scrub(cloud::SimAgent& agent,
     if (std::equal(live.begin(), live.end(), expected.begin(), expected.end(),
                    [](const Posting& posting, const auto& want) {
                      return posting.key() == want.first &&
-                            posting.item == *want.second;
+                            cloud::ItemView(posting.item) == *want.second;
                    })) {
       continue;
     }

@@ -182,7 +182,7 @@ class IndexMaintainer {
   /// then deletes every `candidates` key they did not produce, in key
   /// order.  Idempotent, so an interrupted converge is safely redone.
   Status Converge(cloud::SimAgent& agent,
-                  const std::vector<index::TableItems>& items,
+                  const std::vector<index::ItemBatch>& items,
                   std::span<const Posting> candidates, uint64_t* items_put,
                   uint64_t* items_deleted);
 

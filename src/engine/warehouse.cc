@@ -328,8 +328,9 @@ Warehouse::TaskOutcome Warehouse::PutMetaRow(Instance& instance,
   const cloud::Item row =
       index::MakeMetaItem(request.uri, request.generation,
                           /*tombstoned=*/request.op == LoadOp::kDelete);
+  const cloud::ItemView view = row;
   const Status put =
-      index_store().BatchPut(instance, index::kMetaTable, {&row, 1});
+      index_store().BatchPutViews(instance, index::kMetaTable, {&view, 1});
   return put.ok() ? TaskOutcome::kOk : FailedWith(put);
 }
 
@@ -490,7 +491,7 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
 
 Warehouse::UploadResult Warehouse::PutItemsPaged(
     Instance& instance, const std::string& table,
-    std::span<const cloud::Item> items, const std::string& task_key) {
+    std::span<const cloud::ItemView> items, const std::string& task_key) {
   // Paging is externalized from the store (one API call per page) so the
   // engine can crash *between* pages, leaving a half-written index that
   // the redelivered task must converge despite.  Fault-free, the billed
@@ -504,8 +505,8 @@ Warehouse::UploadResult Warehouse::PutItemsPaged(
                                  instance.id(), task_key)) {
       return UploadResult{Status::OK(), /*crashed=*/true};
     }
-    const Status put =
-        store.BatchPut(instance, table, items.subspan(index, end - index));
+    const Status put = store.BatchPutViews(instance, table,
+                                           items.subspan(index, end - index));
     if (!put.ok()) return UploadResult{put, /*crashed=*/false};
     index = end;
   }

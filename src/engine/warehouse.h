@@ -398,7 +398,7 @@ class Warehouse {
   };
   UploadResult PutItemsPaged(cloud::Instance& instance,
                              const std::string& table,
-                             std::span<const cloud::Item> items,
+                             std::span<const cloud::ItemView> items,
                              const std::string& task_key);
 
   /// How a delivered task ended: acknowledged after success (kOk), left

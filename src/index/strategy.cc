@@ -42,7 +42,6 @@ LookupStats& LookupStats::operator+=(const LookupStats& o) {
 
 namespace {
 
-using cloud::Item;
 using cloud::KvStore;
 
 // ---------------------------------------------------------------------------
@@ -65,15 +64,16 @@ struct DocFrame {
 };
 
 /// Packs the (key, URI, values) entry into as few items as the store's
-/// limits allow and appends them to `*out`.  Every item gets a fresh
-/// client-side UUID range key so concurrent loaders can write the same
-/// hash key without clobbering each other (Section 6).  `key` and
-/// `values` are views into the DocIndex slabs, intern arenas or chunk
-/// buffer; each item's record is written once, exactly sized.
+/// limits allow, appends them to `*buffer` and records where each lies
+/// in `*out`.  Every item gets a fresh client-side UUID range key so
+/// concurrent loaders can write the same hash key without clobbering
+/// each other (Section 6).  `key` and `values` are views into the
+/// DocIndex slabs, intern arenas or chunk buffer.
 Status BuildEntryItems(const cloud::StoreLimits& limits, Rng& rng,
                        std::string_view key, const DocFrame& frame,
                        const std::vector<std::string_view>& values,
-                       std::vector<Item>* out) {
+                       std::string* buffer,
+                       std::vector<cloud::PackedItem>* out) {
   const uint64_t fixed = frame.FixedBytes(key);
   if (fixed + 64 > limits.max_item_bytes) {
     return Status::InvalidArgument("index key too large for store: " +
@@ -83,10 +83,6 @@ Status BuildEntryItems(const cloud::StoreLimits& limits, Rng& rng,
   // A URI equal to the stamp's name would shadow it, as a map did.
   const bool stamped = !frame.stamp.empty() && frame.uri != kGenAttr;
   const bool stamp_first = stamped && frame.uri > kGenAttr;
-  const size_t stamp_bytes =
-      stamped ? ItemBuilder::AttributeBytes(kGenAttr, 1) +
-                    ItemBuilder::ValueBytes(frame.stamp.size())
-              : 0;
   const auto add_stamp = [&frame](ItemBuilder& builder) {
     builder.AddAttribute(kGenAttr, 1);
     builder.AddValue(frame.stamp);
@@ -95,9 +91,6 @@ Status BuildEntryItems(const cloud::StoreLimits& limits, Rng& rng,
     // Values [begin, end) fill one item; its first value always fits.
     size_t end = begin;
     uint64_t bytes = fixed;
-    size_t record_bytes =
-        ItemBuilder::HeaderBytes(Rng::kUuidSize, stamped ? 2 : 1) +
-        stamp_bytes;
     do {
       const std::string_view value = values[end];
       if (value.size() > limits.max_value_bytes) {
@@ -109,20 +102,17 @@ Status BuildEntryItems(const cloud::StoreLimits& limits, Rng& rng,
                       std::string(key).c_str()));
       }
       bytes += value.size();
-      record_bytes += ItemBuilder::ValueBytes(value.size());
       ++end;
     } while (end < values.size() && end - begin < limits.max_values_per_item &&
              bytes + values[end].size() <= limits.max_item_bytes);
-    record_bytes += ItemBuilder::AttributeBytes(frame.uri, end - begin);
     char uuid[Rng::kUuidSize];
     rng.WriteUuid(uuid);
-    ItemBuilder builder(std::string(key), {uuid, Rng::kUuidSize},
-                        stamped ? 2 : 1, record_bytes);
+    ItemBuilder builder(buffer, key, {uuid, Rng::kUuidSize}, stamped ? 2 : 1);
     if (stamp_first) add_stamp(builder);
     builder.AddAttribute(frame.uri, end - begin);
     for (size_t i = begin; i < end; ++i) builder.AddValue(values[i]);
     if (stamped && !stamp_first) add_stamp(builder);
-    out->push_back(std::move(builder).Build());
+    out->push_back(std::move(builder).Pack());
     begin = end;
   }
   // An entry consumes one UUID more than it has items: every stored
@@ -273,14 +263,11 @@ std::vector<std::string> StrategyTableNames(StrategyKind kind) {
   return names;
 }
 
-Result<std::vector<TableItems>> IndexingStrategy::ExtractItems(
+Result<std::vector<ItemBatch>> IndexingStrategy::ExtractBatches(
     const xml::Document& doc, const DocIndex& index,
     const ExtractOptions& options, const KvStore& store, Rng& uuid_rng,
     ExtractStats* stats) const {
   const std::vector<TableLayout>& layout = StrategyLayout(kind_);
-  std::vector<TableItems> result;
-  result.reserve(layout.size());
-  for (const TableLayout& table : layout) result.push_back({table.table, {}});
   const cloud::StoreLimits& limits = store.Limits();
   const DocFrame frame{
       doc.uri(),
@@ -288,6 +275,22 @@ Result<std::vector<TableItems>> IndexingStrategy::ExtractItems(
           ? StrFormat("%llu",
                       static_cast<unsigned long long>(options.generation))
           : std::string()};
+  // Every entry makes at least one item per table, and each item at
+  // least its fixed bytes, so reserving those leaves each buffer only
+  // the values to grow into.
+  uint64_t fixed_bytes = 0;
+  for (const auto& entry : index.entries()) {
+    fixed_bytes += frame.FixedBytes(index.key(entry)) + 8;
+  }
+  std::vector<ItemBatch> result;
+  result.reserve(layout.size());
+  // Where each table's items lie in its batch's buffer, until the
+  // buffers stop growing.
+  std::vector<std::vector<cloud::PackedItem>> packed(layout.size());
+  for (size_t t = 0; t < layout.size(); ++t) {
+    result.emplace_back(layout[t].table).bytes_.reserve(fixed_bytes);
+    packed[t].reserve(index.entries().size());
+  }
   // Per-entry scratch, reused across entries.
   const std::vector<std::string_view> empty_value{""};
   std::vector<std::string_view> path_views;
@@ -325,17 +328,38 @@ Result<std::vector<TableItems>> IndexingStrategy::ExtractItems(
           values = &chunks.Views();
           break;
       }
-      std::vector<Item>& items = result[t].items;
-      const size_t first = items.size();
-      WEBDEX_RETURN_IF_ERROR(
-          BuildEntryItems(limits, uuid_rng, key, frame, *values, &items));
-      for (size_t i = first; i < items.size(); ++i) {
-        stats->payload_bytes += items[i].SizeBytes();
-      }
+      WEBDEX_RETURN_IF_ERROR(BuildEntryItems(limits, uuid_rng, key, frame,
+                                             *values, &result[t].bytes_,
+                                             &packed[t]));
     }
     stats->entries += 1;
   }
-  for (const TableItems& table : result) stats->items += table.items.size();
+  for (size_t t = 0; t < layout.size(); ++t) {
+    ItemBatch& batch = result[t];
+    batch.items.reserve(packed[t].size());
+    for (const cloud::PackedItem& item : packed[t]) {
+      const cloud::ItemView& view =
+          batch.items.emplace_back(item.View(batch.bytes_));
+      stats->payload_bytes += view.SizeBytes();
+    }
+    stats->items += batch.items.size();
+  }
+  return result;
+}
+
+Result<std::vector<TableItems>> IndexingStrategy::ExtractItems(
+    const xml::Document& doc, const DocIndex& index,
+    const ExtractOptions& options, const KvStore& store, Rng& uuid_rng,
+    ExtractStats* stats) const {
+  WEBDEX_ASSIGN_OR_RETURN(
+      std::vector<ItemBatch> batches,
+      ExtractBatches(doc, index, options, store, uuid_rng, stats));
+  std::vector<TableItems> result;
+  result.reserve(batches.size());
+  for (ItemBatch& batch : batches) {
+    result.push_back({std::move(batch.table),
+                      {batch.items.begin(), batch.items.end()}});
+  }
   return result;
 }
 

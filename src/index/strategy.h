@@ -45,7 +45,31 @@ struct LookupStats {
   LookupStats& operator+=(const LookupStats& o);
 };
 
-/// Items destined for one key-value table.
+/// One document's items for one key-value table, born in one buffer:
+/// each item's hash key and record lie next to each other in it, as
+/// cloud::ItemTable lays them out, and `items` views them in extraction
+/// order.  The views are made once the buffer has stopped growing, and
+/// live as long as the batch.  Move-only: a copy would view the
+/// original's bytes, while a move keeps the buffer, and so every view,
+/// where it is.
+class ItemBatch {
+ public:
+  explicit ItemBatch(std::string table) : table(std::move(table)) {}
+  ItemBatch(ItemBatch&&) = default;
+  ItemBatch& operator=(ItemBatch&&) = default;
+  ItemBatch(const ItemBatch&) = delete;
+  ItemBatch& operator=(const ItemBatch&) = delete;
+
+  std::string table;
+  std::vector<cloud::ItemView> items;
+
+ private:
+  friend class IndexingStrategy;
+  std::string bytes_;
+};
+
+/// Items destined for one key-value table, each a copy of its own (the
+/// copying form of ItemBatch, for tests and benches).
 struct TableItems {
   std::string table;
   std::vector<cloud::Item> items;
@@ -100,15 +124,26 @@ class IndexingStrategy {
     return StrategyTableNames(kind_);
   }
 
-  /// Translates one parsed document into store items.  `uuid_rng` feeds
-  /// the client-generated UUID range keys (Section 6).  Items are sized
-  /// to the store's limits: oversized ID lists are chunked across items,
-  /// and binary payloads are hex-armoured for text-only stores.
-  ///
-  /// Computes the document's DocIndex internally; callers that need the
-  /// DocIndex for their own bookkeeping (e.g. the extraction pipeline
-  /// feeding the planner's PathSummary) should compute it once and use
-  /// the overload below, which skips the recomputation.
+  /// Translates one parsed document into store items, one ItemBatch per
+  /// table of StrategyLayout(kind()), in order.  `uuid_rng` feeds the
+  /// client-generated UUID range keys (Section 6).  Items are sized to
+  /// the store's limits: oversized ID lists are chunked across items, and
+  /// binary payloads are hex-armoured for text-only stores.  `doc_index`
+  /// must be ExtractDocIndex(doc, options) for the same document and
+  /// options (the extraction pipeline computes it once, and also feeds
+  /// it to the planner's PathSummary).
+  Result<std::vector<ItemBatch>> ExtractBatches(
+      const xml::Document& doc, const DocIndex& doc_index,
+      const ExtractOptions& options, const cloud::KvStore& store,
+      Rng& uuid_rng, ExtractStats* stats) const;
+
+  /// ExtractBatches, with every item copied out into an Item of its own
+  /// (a convenience for tests and benches).
+  Result<std::vector<TableItems>> ExtractItems(
+      const xml::Document& doc, const DocIndex& doc_index,
+      const ExtractOptions& options, const cloud::KvStore& store,
+      Rng& uuid_rng, ExtractStats* stats) const;
+  /// Same, computing the document's DocIndex first.
   Result<std::vector<TableItems>> ExtractItems(const xml::Document& doc,
                                                const ExtractOptions& options,
                                                const cloud::KvStore& store,
@@ -117,13 +152,6 @@ class IndexingStrategy {
     return ExtractItems(doc, ExtractDocIndex(doc, options), options, store,
                         uuid_rng, stats);
   }
-
-  /// Same, from a precomputed `doc_index` (must be
-  /// ExtractDocIndex(doc, options) for the same document and options).
-  Result<std::vector<TableItems>> ExtractItems(
-      const xml::Document& doc, const DocIndex& doc_index,
-      const ExtractOptions& options, const cloud::KvStore& store,
-      Rng& uuid_rng, ExtractStats* stats) const;
 
   /// The reference look-up for one tree pattern (Section 5): returns
   /// the sorted URIs of documents that may contain matches, by running

@@ -1,7 +1,8 @@
 // Pins what a parsed document costs the heap: how many allocations
 // ParseDocument makes and how many bytes the finished Document holds
 // (Document::heap_bytes, the figure a byte-budgeted DOM cache reads),
-// for a full-site XMark document and a fragment.
+// for a full-site XMark document and a fragment.  Also pins how many
+// allocations building that document's index items makes.
 //
 // The executable replaces the global operator new with a counting one.
 // Sanitizer builds intercept operator new themselves, so there the
@@ -15,6 +16,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "cloud/cloud_env.h"
+#include "common/rng.h"
+#include "index/strategy.h"
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
 
@@ -95,6 +99,37 @@ TEST(DomFootprintTest, FragmentDocument) {
   config.num_documents = 240;
   config.entities_per_document = 40;
   ExpectSmallFootprint(config);
+}
+
+// Extraction writes each table's items into one buffer: on a full-site
+// document (2LUPI, DynamoDB limits) ExtractBatches allocates a number of
+// times that grows with the tables, not with its 12,296 items (30 when
+// written).  Copying every item into an Item of its own took 14,905.
+TEST(DomFootprintTest, ItemBuildAllocatesPerTableNotPerItem) {
+  constexpr uint64_t kMaxItemBuildAllocs = 64;
+  xmark::GeneratorConfig config;
+  config.num_documents = 60;
+  config.entities_per_document = 600;
+  const xmark::GeneratedDocument text =
+      xmark::XmarkGenerator(config).Generate(0);
+  Result<Document> doc = ParseDocument(text.uri, text.text);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const index::ExtractOptions options;
+  const index::DocIndex doc_index =
+      index::ExtractDocIndex(doc.value(), options);
+  cloud::CloudEnv env;
+  const index::IndexingStrategy strategy(index::StrategyKind::k2LUPI);
+  Rng rng = Rng::ForKey(1, text.uri);
+  index::ExtractStats stats;
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  auto batches = strategy.ExtractBatches(doc.value(), doc_index, options,
+                                         env.dynamodb(), rng, &stats);
+  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(batches.ok()) << batches.status().ToString();
+  EXPECT_GT(stats.items, 10000u);
+  if (WEBDEX_FOOTPRINT_COUNT_ALLOCS) {
+    EXPECT_LE(allocs, kMaxItemBuildAllocs) << stats.items << " items";
+  }
 }
 
 }  // namespace

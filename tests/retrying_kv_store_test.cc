@@ -56,9 +56,9 @@ class ScriptedStore final : public KvStore {
     return Reach(agent, &Usage::ddb_put_requests).status;
   }
   bool HasTable(const std::string&) const override { return true; }
-  Status BatchPut(SimAgent& agent, const std::string&,
-                  std::span<const Item> items,
-                  std::vector<Item>* unprocessed) override {
+  Status BatchPutViews(SimAgent& agent, const std::string&,
+                       std::span<const ItemView> items,
+                       std::vector<ItemView>* unprocessed) override {
     if (unprocessed != nullptr) unprocessed->clear();
     batch_sizes.push_back(items.size());
     const Step step = Reach(agent, &Usage::ddb_put_requests);
@@ -377,6 +377,35 @@ TEST(RetryingKvStoreTest, BatchPutStoresOnlyTheSubSpan) {
     EXPECT_EQ(RangeKeys(left),
               (std::vector<std::string>{"r3", "r4", "r5", "r6", "r7"}));
   }
+}
+
+// Survivors come back as views of the caller's bytes: each bounced view
+// is one of the caller's, record and hash key included, never a copy.
+// The retry after a partial success re-submits only the bounced items,
+// so no committed item is billed twice.
+TEST(RetryingKvStoreTest, BouncedViewsBorrowTheCallersBytes) {
+  common::RetryPolicy policy;
+  policy.max_attempts = 2;
+  const std::vector<Item> items = MakeItems(10);
+  const std::vector<ItemView> views(items.begin(), items.end());
+  Harness h(policy);
+  h.store.script = {Step{Status::OK(), 6}, Step{Status::OK(), 1}};
+  std::vector<ItemView> left;
+  const Status status = h.retrying.BatchPutViews(h.agent, "t", views, &left);
+  EXPECT_EQ(status.code(), Status::Code::kUnavailable);
+  ASSERT_EQ(left.size(), 3u);
+  for (size_t i = 0; i < left.size(); ++i) {
+    const Item& sent = items[7 + i];
+    EXPECT_EQ(left[i].record().data(), sent.record().data());
+    EXPECT_EQ(left[i].hash_key.data(), sent.hash_key.data());
+    EXPECT_TRUE(left[i] == ItemView(sent));
+  }
+  EXPECT_EQ(h.store.batch_sizes, (std::vector<size_t>{10, 4}));
+  EXPECT_EQ(h.store.committed,
+            (std::vector<std::string>{"r0", "r1", "r2", "r3", "r4", "r5",
+                                      "r6"}));
+  EXPECT_EQ(h.meter.usage().ddb_write_units, 7.0);
+  EXPECT_EQ(h.meter.usage().ddb_put_requests, 2u);
 }
 
 TEST(RetryingKvStoreTest, BatchPutWithoutSinkStillDrains) {

@@ -7,17 +7,25 @@
 // unbilled twin ForEachItem visits what a fault-free Scan visits, in
 // the same order, on both layouts, without moving the meter or the
 // clock, and visits everything even while every scan page faults.
+//
+// The put path's contract (KvStore::BatchPutViews): the sharded,
+// replicated layout hands back everything it did not store, in shard
+// order, as views of the caller's bytes; and BatchPut over Items bills
+// and stores exactly what BatchPutViews over views of them does.
 
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cloud/cloud_env.h"
+#include "cloud/replicated_kv_store.h"
 #include "cloud/retrying_kv_store.h"
+#include "cloud/sharded_kv_store.h"
 #include "common/retry.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
@@ -206,6 +214,157 @@ TEST(ScanContractTest, ShardedScanMatchesTheUnshardedStore) {
   const Walks spread = WalkIndex(sharded, "idx-lup");
   EXPECT_EQ(spread.scanned, plain.scanned);
   EXPECT_EQ(spread.walked, plain.scanned);
+}
+
+/// `count` small items, each under a hash key of its own.
+std::vector<Item> KeyedItems(int count) {
+  std::vector<Item> items;
+  for (int i = 0; i < count; ++i) {
+    items.push_back(Item{StrFormat("key%03d", i), StrFormat("r%03d", i),
+                         {{"doc", {StrFormat("v%d", i)}}}});
+  }
+  return items;
+}
+
+/// The record bytes of the element of `items` that `stored` equals.
+const char* FindSent(const std::vector<Item>& items, const ItemView& stored) {
+  for (const Item& item : items) {
+    if (ItemView(item) == stored) return item.record().data();
+  }
+  ADD_FAILURE() << "stored an item never sent: " << stored.hash_key;
+  return nullptr;
+}
+
+// prov-s4-r1 without retries: a put under partial-batch and transient
+// faults stores some items and hands back every other one, grouped by
+// shard in shard order and in the caller's order within a shard, each a
+// view of the caller's bytes.  Over the plan seeds tried, some puts end
+// OK with bounced suffixes and some fail part-way, leaving the shards
+// after the failed one unattempted.
+TEST(PutContractTest, ShardedPutBouncesEverythingNotStoredInShardOrder) {
+  const std::vector<Item> items = KeyedItems(120);
+  const std::vector<ItemView> views(items.begin(), items.end());
+  std::map<const char*, size_t> sent;  // record bytes -> index in `items`
+  for (size_t i = 0; i < items.size(); ++i) {
+    sent[items[i].record().data()] = i;
+  }
+  int bounced_ok = 0;
+  int failed = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    CloudConfig config;
+    config.arch.shards = 4;
+    config.arch.replicas = 1;
+    config.faults.seed = seed;
+    config.faults.dynamodb.unprocessed_probability = 0.5;
+    config.faults.dynamodb.error_probability = 0.2;
+    CloudEnv env(config);
+    ASSERT_EQ(config.arch.Name(), "prov-s4-r1");
+    ReplicatedKvStore replicated(&env.dynamodb(), env.deployment(),
+                                 env.meter(), env.metrics(), env.tracer());
+    ShardedKvStore sharded(&replicated, env.deployment(), env.meter(),
+                           env.metrics(), env.tracer());
+    ASSERT_TRUE(sharded.RestoreTable("t").ok());
+    TestAgent agent;
+    std::vector<ItemView> left;
+    const Status status = sharded.BatchPutViews(agent, "t", views, &left);
+    ASSERT_TRUE(status.ok() || status.IsRetriable()) << status.ToString();
+
+    std::vector<bool> pending(items.size(), false);
+    std::pair<int, size_t> previous(-1, 0);
+    for (const ItemView& view : left) {
+      const auto found = sent.find(view.record().data());
+      ASSERT_NE(found, sent.end()) << "bounced view copies the item";
+      const size_t index = found->second;
+      EXPECT_EQ(view.hash_key.data(), items[index].hash_key.data());
+      const std::pair<int, size_t> at(env.deployment().ShardFor(view.hash_key),
+                                      index);
+      EXPECT_LT(previous, at) << "seed " << seed;
+      previous = at;
+      pending[index] = true;
+    }
+    std::vector<bool> stored(items.size(), false);
+    sharded.ForEachItem("t", [&](const ItemView& item) {
+      stored[sent.at(FindSent(items, item))] = true;
+    });
+    for (size_t i = 0; i < items.size(); ++i) {
+      EXPECT_NE(stored[i], pending[i]) << "seed " << seed << " item " << i;
+    }
+    if (!status.ok()) {
+      ++failed;
+      // A shard the failure stopped before was never attempted: all of
+      // its items are pending.
+      for (size_t i = 0; i < items.size(); ++i) {
+        const int shard = env.deployment().ShardFor(items[i].hash_key);
+        if (env.metrics().CounterValue(StrFormat(
+                "service.dynamodb.batch_put.s%d.count", shard)) == 0) {
+          EXPECT_TRUE(pending[i]) << "seed " << seed << " item " << i;
+        }
+      }
+    } else if (!left.empty()) {
+      ++bounced_ok;
+    }
+  }
+  EXPECT_GT(bounced_ok, 0);
+  EXPECT_GT(failed, 0);
+}
+
+// The Item convenience is BatchPutViews underneath: through the retrying
+// decorator, under partial-batch and transient faults, putting Items and
+// putting views of them bill the same Usage, take the same virtual time,
+// hand back the same survivors and leave the same store, on DynamoDB and
+// (fault-free) on SimpleDB.
+TEST(PutContractTest, BatchPutOverItemsBillsAndStoresAsViews) {
+  const std::vector<Item> items = KeyedItems(80);
+  const std::vector<ItemView> views(items.begin(), items.end());
+  for (const bool simpledb : {false, true}) {
+    struct Outcome {
+      std::string status;
+      std::string usage;
+      Micros now = 0;
+      std::vector<std::string> left;
+      uint64_t fingerprint = 0;
+    };
+    const auto put = [&](bool as_views) {
+      CloudConfig config;
+      config.faults.seed = 3;
+      config.faults.dynamodb.unprocessed_probability = 0.4;
+      config.faults.dynamodb.error_probability = 0.3;
+      CloudEnv env(config);
+      KvStore& base = simpledb ? static_cast<KvStore&>(env.simpledb())
+                               : static_cast<KvStore&>(env.dynamodb());
+      common::RetryPolicy policy;
+      policy.max_attempts = 3;
+      RetryingKvStore retrying(&base, policy, /*seed=*/42, env.meter(),
+                               env.breaker(), env.metrics(), env.tracer());
+      EXPECT_TRUE(base.RestoreTable("t").ok());
+      TestAgent agent;
+      Outcome out;
+      Status status;
+      if (as_views) {
+        std::vector<ItemView> left;
+        status = retrying.BatchPutViews(agent, "t", views, &left);
+        for (const ItemView& item : left) {
+          out.left.emplace_back(item.range_key());
+        }
+      } else {
+        std::vector<Item> left;
+        status = retrying.BatchPut(agent, "t", items, &left);
+        for (const Item& item : left) out.left.emplace_back(item.range_key());
+      }
+      out.status = status.ToString();
+      out.usage = Rendered(env.meter().Snapshot());
+      out.now = agent.now();
+      out.fingerprint = FingerprintStore(base);
+      return out;
+    };
+    const Outcome copied = put(false);
+    const Outcome viewed = put(true);
+    EXPECT_EQ(viewed.status, copied.status) << simpledb;
+    EXPECT_EQ(viewed.usage, copied.usage) << simpledb;
+    EXPECT_EQ(viewed.now, copied.now) << simpledb;
+    EXPECT_EQ(viewed.left, copied.left) << simpledb;
+    EXPECT_EQ(viewed.fingerprint, copied.fingerprint) << simpledb;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <type_traits>
 
 #include "cloud/cloud_env.h"
+#include "common/strings.h"
+#include "engine/extraction_pipeline.h"
 #include "index/strategy.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
@@ -487,6 +491,181 @@ TEST(StrategyStoreTest, CompressedPathsGiveSameLookups) {
     ASSERT_TRUE(from_coded.ok()) << from_coded.status().ToString();
     EXPECT_EQ(from_plain.value(), from_coded.value()) << text;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Item batches: the one extraction body and its copying convenience.
+
+static_assert(!std::is_copy_constructible_v<ItemBatch>);
+static_assert(!std::is_copy_assignable_v<ItemBatch>);
+static_assert(std::is_nothrow_move_constructible_v<ItemBatch>);
+
+/// The paintings corpus, one full-site XMark document and one document
+/// of 40,000 sibling elements, parsed.
+std::vector<xml::Document> BatchCorpus() {
+  std::vector<xmark::GeneratedDocument> generated =
+      xmark::GeneratePaintings();
+  xmark::GeneratorConfig config;
+  config.num_documents = 60;
+  config.entities_per_document = 600;
+  generated.push_back(xmark::XmarkGenerator(config).Generate(0));
+  std::string wide = "<r>";
+  for (int i = 0; i < 40000; ++i) wide += "<a/>";
+  generated.push_back({"wide.xml", wide + "</r>"});
+  std::vector<xml::Document> docs;
+  for (const auto& doc : generated) {
+    auto parsed = xml::ParseDocument(doc.uri, doc.text);
+    EXPECT_TRUE(parsed.ok()) << doc.uri;
+    docs.push_back(std::move(parsed).value());
+  }
+  return docs;
+}
+
+// ExtractItems is ExtractBatches with every item copied out: the same
+// items in the same order, byte for byte, the same counters and the same
+// UUID draws, for every strategy on both stores, with and without path
+// compression, at generation 0 and for an upsert.  The full-site
+// document chunks ID lists into several values per item, and the wide
+// document's ID list of 40,000 nodes is split across items on both
+// stores (at 255 values on SimpleDB).
+TEST(ItemBatchTest, ExtractItemsMatchesExtractBatches) {
+  const std::vector<xml::Document> docs = BatchCorpus();
+  cloud::CloudEnv env;
+  std::map<std::string, uint64_t> chunked_items;  // per document
+  std::map<std::string, uint64_t> split_keys;     // per store
+  uint64_t full_sdb_items = 0;
+  for (const StrategyKind kind : AllStrategyKinds()) {
+    const auto strategy = IndexingStrategy::Create(kind);
+    for (const cloud::KvStore* store :
+         {static_cast<const cloud::KvStore*>(&env.dynamodb()),
+          static_cast<const cloud::KvStore*>(&env.simpledb())}) {
+      const bool sdb = store == &env.simpledb();
+      for (const bool compress : {false, true}) {
+        for (const uint64_t generation : {0, 2}) {
+          ExtractOptions options;
+          options.compress_paths = compress;
+          options.generation = generation;
+          const std::string where =
+              StrFormat("%s %s compress=%d gen=%llu", strategy->name(),
+                        store->Name(), compress,
+                        static_cast<unsigned long long>(generation));
+          for (const xml::Document& doc : docs) {
+            const DocIndex index = ExtractDocIndex(doc, options);
+            Rng copied_rng = Rng::ForKey(7, doc.uri());
+            Rng viewed_rng = copied_rng;
+            ExtractStats copied_stats;
+            ExtractStats viewed_stats;
+            auto copied = strategy->ExtractItems(doc, index, options, *store,
+                                                 copied_rng, &copied_stats);
+            auto viewed = strategy->ExtractBatches(
+                doc, index, options, *store, viewed_rng, &viewed_stats);
+            ASSERT_TRUE(copied.ok()) << where << copied.status().ToString();
+            ASSERT_TRUE(viewed.ok()) << where << viewed.status().ToString();
+            ASSERT_EQ(copied.value().size(), viewed.value().size()) << where;
+            for (size_t t = 0; t < viewed.value().size(); ++t) {
+              const TableItems& items = copied.value()[t];
+              const ItemBatch& batch = viewed.value()[t];
+              EXPECT_EQ(items.table, batch.table) << where;
+              ASSERT_EQ(items.items.size(), batch.items.size()) << where;
+              std::map<std::string_view, int> per_key;
+              for (size_t i = 0; i < batch.items.size(); ++i) {
+                const cloud::Item& item = items.items[i];
+                const cloud::ItemView& view = batch.items[i];
+                EXPECT_EQ(item.hash_key, view.hash_key) << where;
+                EXPECT_EQ(item.range_key(), view.range_key()) << where;
+                EXPECT_EQ(item.record(), view.record()) << where;
+                EXPECT_EQ(item.SizeBytes(), view.SizeBytes()) << where;
+                EXPECT_EQ(item.ValueCount(), view.ValueCount()) << where;
+                EXPECT_TRUE(cloud::ItemView(item) == view) << where;
+                const uint64_t stamps = generation > 0 ? 1 : 0;
+                if (StrategyLayout(kind)[t].payload == Payload::kIds &&
+                    view.ValueCount() > 1 + stamps) {
+                  ++chunked_items[doc.uri()];
+                }
+                if (++per_key[view.hash_key] == 2) {
+                  ++split_keys[store->Name()];
+                }
+                if (sdb && view.ValueCount() == 255 + stamps) {
+                  ++full_sdb_items;
+                }
+              }
+            }
+            EXPECT_EQ(copied_stats.entries, viewed_stats.entries) << where;
+            EXPECT_EQ(copied_stats.items, viewed_stats.items) << where;
+            EXPECT_EQ(copied_stats.payload_bytes, viewed_stats.payload_bytes)
+                << where;
+            EXPECT_EQ(copied_rng.Next(), viewed_rng.Next()) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(chunked_items[docs[docs.size() - 2].uri()], 0u);
+  EXPECT_GT(split_keys[env.dynamodb().Name()], 0u);
+  EXPECT_GT(split_keys[env.simpledb().Name()], 0u);
+  EXPECT_GT(full_sdb_items, 0u);
+}
+
+// A batch's views borrow its own buffer, so they stay valid, and keep
+// viewing the same bytes, when the batches or the extraction result
+// holding them are moved.
+TEST(ItemBatchTest, ViewsSurviveMovingTheBatchesAndTheResult) {
+  xmark::GeneratorConfig config;
+  config.num_documents = 60;
+  config.entities_per_document = 600;
+  const xmark::GeneratedDocument text =
+      xmark::XmarkGenerator(config).Generate(0);
+  cloud::CloudEnv env;
+  const auto strategy = IndexingStrategy::Create(StrategyKind::k2LUPI);
+  const ExtractOptions options;
+
+  const auto copies = [](const std::vector<ItemBatch>& batches) {
+    std::vector<std::vector<cloud::Item>> out;
+    for (const ItemBatch& batch : batches) {
+      out.emplace_back(batch.items.begin(), batch.items.end());
+    }
+    return out;
+  };
+  const auto expect_views = [](const std::vector<ItemBatch>& batches,
+                               const std::vector<std::vector<cloud::Item>>&
+                                   want) {
+    ASSERT_EQ(batches.size(), want.size());
+    for (size_t t = 0; t < batches.size(); ++t) {
+      ASSERT_EQ(batches[t].items.size(), want[t].size());
+      for (size_t i = 0; i < want[t].size(); ++i) {
+        ASSERT_TRUE(batches[t].items[i] == cloud::ItemView(want[t][i]));
+      }
+    }
+  };
+
+  auto doc = xml::ParseDocument(text.uri, text.text);
+  ASSERT_TRUE(doc.ok());
+  Rng rng = Rng::ForKey(1, text.uri);
+  ExtractStats stats;
+  auto extracted = strategy->ExtractBatches(
+      doc.value(), ExtractDocIndex(doc.value(), options), options,
+      env.dynamodb(), rng, &stats);
+  ASSERT_TRUE(extracted.ok());
+  const std::vector<std::vector<cloud::Item>> want =
+      copies(extracted.value());
+  const char* first = extracted.value()[0].items[0].record().data();
+  std::vector<ItemBatch> batches = std::move(extracted).value();
+  std::vector<ItemBatch> moved(std::move(batches));
+  ItemBatch one = std::move(moved[0]);
+  moved[0] = std::move(one);
+  EXPECT_EQ(moved[0].items[0].record().data(), first);
+  expect_views(moved, want);
+
+  engine::ExtractionResult result = engine::ExtractionPipeline::ExtractNow(
+      text.uri, text.text, *strategy, options, env.dynamodb(), /*seed=*/1);
+  ASSERT_TRUE(result.status.ok());
+  expect_views(result.items, want);
+  engine::ExtractionResult kept = std::move(result);
+  expect_views(kept.items, want);
+  std::vector<engine::ExtractionResult> results;
+  results.push_back(std::move(kept));
+  results.reserve(8);
+  expect_views(results[0].items, want);
 }
 
 }  // namespace
