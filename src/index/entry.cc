@@ -9,65 +9,174 @@
 namespace webdex::index {
 namespace {
 
-/// One key occurrence recorded during the walk; `entry` is filled by the
-/// grouping pass.
-struct Occurrence {
+constexpr uint32_t kNone = 0xFFFFFFFFu;
+
+/// A doc-local open-addressed table in the (hash, link) slot style of
+/// radb's string_index: each slot holds a record's 32-bit hash and
+/// link = value + 1 (0 = empty); the front end owns the records behind
+/// the values and decides what "equal" means.  Reset sizes it from the
+/// document and clears only that many slots; it doubles at half load
+/// into a spare slot array.  Both arrays keep their capacity, so a warm
+/// thread never allocates here.
+class SlotTable {
+ public:
+  void Reset(size_t expected) {
+    size_t size = 256;
+    while (size < expected * 2) size *= 2;
+    Clear(&slots_, size);
+    count_ = 0;
+  }
+
+  /// The value `eq` accepts among those filed under `hash`; on a miss,
+  /// files and returns `add()`.
+  template <typename Eq, typename Add>
+  uint32_t FindOrAdd(uint32_t hash, const Eq& eq, const Add& add) {
+    size_t i = hash & mask_;
+    while (slots_[i].link != 0) {
+      if (slots_[i].hash == hash && eq(slots_[i].link - 1)) {
+        return slots_[i].link - 1;
+      }
+      i = (i + 1) & mask_;
+    }
+    const uint32_t value = add();
+    slots_[i] = Slot{hash, value + 1};
+    if (++count_ * 2 > mask_ + 1) Grow();
+    return value;
+  }
+
+ private:
+  struct Slot {
+    uint32_t hash;
+    uint32_t link;
+  };
+
+  void Clear(std::vector<Slot>* slots, size_t size) {
+    if (slots->size() < size) slots->resize(size);
+    std::fill_n(slots->begin(), size, Slot{0, 0});
+    mask_ = size - 1;
+  }
+
+  void Grow() {
+    const size_t old_size = mask_ + 1;
+    Clear(&spare_, old_size * 2);
+    for (size_t i = 0; i < old_size; ++i) {
+      const Slot slot = slots_[i];
+      if (slot.link == 0) continue;
+      size_t j = slot.hash & mask_;
+      while (spare_[j].link != 0) j = (j + 1) & mask_;
+      spare_[j] = slot;
+    }
+    slots_.swap(spare_);
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<Slot> spare_;
+  size_t mask_ = 0;
+  uint32_t count_ = 0;
+};
+
+uint32_t MixToHash(uint64_t x) {
+  x *= 0x9E3779B97F4A7C15ull;
+  return static_cast<uint32_t>(x >> 32);
+}
+
+/// One distinct key of the document: the entry it becomes.
+struct EntryState {
   KeyHandle key;
-  PathHandle path;
-  xml::NodeId id;
+  uint32_t id_count = 0;
+  uint32_t path_count = 0;
+  /// Pre of the last ID recorded; IDs arrive in pre order, so a repeat
+  /// is always the last one.
+  uint32_t last_pre = kNone;
+  /// A word entry's lowercased bytes in ExtractScratch::word_bytes.
+  uint32_t word_begin = 0;
+  uint32_t word_size = 0;
+  /// Scatter cursors of the grouping pass.
+  uint32_t id_next = 0;
+  uint32_t path_next = 0;
+};
+
+/// One distinct (parent path, key) pair of the document: a doc-local
+/// path ordinal.  A path's last component is its entry's key, so each
+/// path belongs to exactly one entry.
+struct PathRecord {
+  PathHandle handle;
+  uint32_t parent;  // ordinal, kNone at the root
   uint32_t entry;
 };
 
-/// Per-thread reusable extraction state: the occurrence buffer plus a
-/// tiny open-addressed KeyHandle -> dense-entry-index table.  Everything
-/// is cleared per document but keeps its capacity, so steady-state
-/// extraction allocates nothing.
+/// A recorded (entry, structural ID) occurrence, deduplicated per entry.
+struct Occurrence {
+  uint32_t entry;
+  xml::NodeId id;
+};
+
+/// Entry order: the key's first 8 bytes, big-endian, then the resolved
+/// key on a tie.
+struct SortKey {
+  uint64_t prefix;
+  std::string_view key;
+  uint32_t entry;
+};
+
+uint64_t BigEndianPrefix(std::string_view key) {
+  uint64_t prefix = 0;
+  const size_t n = std::min<size_t>(key.size(), 8);
+  for (size_t i = 0; i < n; ++i) {
+    prefix |= uint64_t{static_cast<unsigned char>(key[i])} << (56 - 8 * i);
+  }
+  return prefix;
+}
+
+/// Per-thread extraction state: a front cache of the document's keys
+/// and paths ahead of the shared InternCore, plus the grouping buffers.
+/// Everything is reset per document but keeps its capacity, so
+/// steady-state extraction allocates nothing but the DocIndex's own
+/// three slabs.
 struct ExtractScratch {
+  std::vector<EntryState> entries;
+  std::vector<PathRecord> paths;
   std::vector<Occurrence> occurrences;
-  /// Packed slots: high 32 bits = key+1 (0 = empty), low 32 = entry idx.
-  std::vector<uint64_t> table;
-  uint32_t distinct = 0;
-  std::vector<uint32_t> id_cursor;
-  std::vector<uint32_t> path_cursor;
-  /// Per document label, its element or attribute-name key once met.
-  std::vector<KeyHandle> label_keys;
-  /// Per node index, the element's path (read only for elements).
-  std::vector<PathHandle> element_paths;
+  std::vector<SortKey> sort_keys;
+  /// Word bytes -> entry, compared case-folded against word_bytes.
+  SlotTable word_table;
+  /// Element, attribute-name and attribute-value KeyHandle -> entry.
+  SlotTable key_table;
+  /// (parent ordinal, entry) -> path ordinal.
+  SlotTable path_table;
+  /// Every cached word as its key, "w" + the lowercased word.
+  std::string word_bytes;
+  /// Per document label, its entry once met.
+  std::vector<uint32_t> label_entries;
+  /// Per node index, the element's path ordinal (read only for
+  /// elements).
+  std::vector<uint32_t> element_paths;
+  /// Key and path assembly for the interner's misses.
+  std::string key_buffer;
+  std::string path_buffer;
 
-  void Reset() {
+  void Reset(const xml::Document& doc) {
+    // Sized from the node count, so a fragment resets little and a cold
+    // thread allocates each buffer about once rather than at every
+    // doubling.  XMark documents, full sites and fragments alike, hold
+    // per node about 0.2 distinct words, 0.3-0.6 distinct keys and
+    // paths, 0.13 attributes and 2-2.3 deduplicated occurrences.
+    const size_t nodes = doc.nodes().size();
+    entries.clear();
+    entries.reserve(nodes * 2 / 3);
+    paths.clear();
+    paths.reserve(nodes * 2 / 3);
     occurrences.clear();
-    distinct = 0;  // GrowTable re-zeroes the slots before use
-  }
-
-  static size_t SlotOf(KeyHandle key, size_t mask) {
-    // Fibonacci hashing spreads consecutive handles.
-    return (uint64_t{key} * 11400714819323198485ull >> 33) & mask;
-  }
-
-  void GrowTable(size_t at_least) {
-    size_t size = 1024;
-    while (size < at_least * 2) size *= 2;
-    if (size <= table.size()) {
-      std::fill(table.begin(), table.end(), 0);
-      return;
-    }
-    table.assign(size, 0);
-  }
-
-  uint32_t EntryOf(KeyHandle key) {
-    const size_t mask = table.size() - 1;
-    size_t i = SlotOf(key, mask);
-    while (true) {
-      const uint64_t slot = table[i];
-      if (slot == 0) {
-        table[i] = (uint64_t{key} + 1) << 32 | distinct;
-        return distinct++;
-      }
-      if ((slot >> 32) == uint64_t{key} + 1) {
-        return static_cast<uint32_t>(slot);
-      }
-      i = (i + 1) & mask;
-    }
+    occurrences.reserve(nodes * 5 / 2);
+    word_bytes.clear();
+    word_bytes.reserve(nodes * 2);
+    word_table.Reset(nodes / 4);
+    key_table.Reset(doc.label_count() + nodes / 8);
+    path_table.Reset(nodes / 2);
+    label_entries.assign(doc.label_count(), kNone);
+    element_paths.resize(nodes);
+    key_buffer.reserve(256);
+    path_buffer.reserve(256);
   }
 };
 
@@ -76,67 +185,158 @@ ExtractScratch& ScratchForThread() {
   return scratch;
 }
 
-/// Walks the document's nodes in pre order, recording every key
-/// occurrence.  Each element and attribute-name key is interned once per
-/// document label, at the label's first node, so the interner sees the
-/// same first-interning order as a node-by-node walk.
-void Walk(const xml::Document& doc, StringInterner& keys, PathDict& paths,
-          const ExtractOptions& options, ExtractScratch& scratch) {
-  std::vector<Occurrence>& occurrences = scratch.occurrences;
-  auto add = [&occurrences](KeyHandle key, const xml::NodeId& id,
-                            PathHandle path) {
-    occurrences.push_back(Occurrence{key, path, id, 0});
-  };
-  scratch.label_keys.assign(doc.label_count(), kNoHandle);
-  scratch.element_paths.resize(doc.nodes().size());
-  for (const xml::Node& node : doc.nodes()) {
-    const PathHandle parent_path = node.parent() == xml::kNoParent
-                                       ? kNoHandle
-                                       : scratch.element_paths[node.parent()];
-    switch (node.kind()) {
-      case xml::NodeKind::kElement: {
-        KeyHandle& key = scratch.label_keys[node.label_id()];
-        if (key == kNoHandle) key = InternElementKey(keys, doc.label(node));
-        const PathHandle path = paths.Extend(parent_path, key);
-        scratch.element_paths[node.index()] = path;
-        add(key, node.id(), path);
-        break;
-      }
-      case xml::NodeKind::kAttribute: {
-        // Two keys per attribute: a‖name and a‖name value (Section 5).
-        KeyHandle& name_key = scratch.label_keys[node.label_id()];
-        if (name_key == kNoHandle) {
-          name_key = InternAttributeNameKey(keys, doc.label(node));
+/// One document's walk: resolves each occurrence to its entry and path
+/// ordinal through the front cache, and goes to the shared interner only
+/// on a miss.  Each distinct key and path is interned at its first
+/// occurrence in pre order, as a node-by-node walk would intern it.
+class Walker {
+ public:
+  Walker(const xml::Document& doc, InternCore* core, ExtractScratch* scratch)
+      : doc_(doc), keys_(core->keys()), dict_(core->paths()), s_(*scratch) {}
+
+  void Run(bool include_words) {
+    for (const xml::Node& node : doc_.nodes()) {
+      const uint32_t parent_path = node.parent() == xml::kNoParent
+                                       ? kNone
+                                       : s_.element_paths[node.parent()];
+      switch (node.kind()) {
+        case xml::NodeKind::kElement: {
+          const uint32_t entry = LabelEntry(node, kElementPrefix);
+          Record(entry, node.id());
+          s_.element_paths[node.index()] = PathOf(parent_path, entry);
+          break;
         }
-        const PathHandle name_path = paths.Extend(parent_path, name_key);
-        add(name_key, node.id(), name_path);
-        const KeyHandle value_key =
-            InternAttributeValueKey(keys, doc.label(node), doc.value(node));
-        add(value_key, node.id(), paths.Extend(parent_path, value_key));
-        if (options.include_words) {
+        case xml::NodeKind::kAttribute: {
+          // Two keys per attribute: a‖name and a‖name value (Section 5).
+          const uint32_t name_entry = LabelEntry(node, kAttributePrefix);
+          Record(name_entry, node.id());
+          const uint32_t name_path = PathOf(parent_path, name_entry);
+          const uint32_t value_entry = KeyEntry(InternAttributeValueKey(
+              keys_, doc_.label(node), doc_.value(node), &s_.key_buffer));
+          Record(value_entry, node.id());
+          PathOf(parent_path, value_entry);
           // Attribute-value words share the attribute's structural ID (an
           // attribute is a leaf, so its value has no separate position);
           // the key twig connects them with a self edge.
-          xml::ForEachWord(doc.value(node), [&](std::string_view word) {
-            const KeyHandle word_key = InternWordKey(keys, word);
-            add(word_key, node.id(), paths.Extend(name_path, word_key));
-          });
+          if (include_words) Words(doc_.value(node), node.id(), name_path);
+          break;
         }
-        break;
-      }
-      case xml::NodeKind::kText: {
-        if (!options.include_words) break;
-        xml::ForEachWord(doc.value(node), [&](std::string_view word) {
-          const KeyHandle word_key = InternWordKey(keys, word);
+        case xml::NodeKind::kText:
           // Word occurrences carry the text node's ID: a child of the
           // enclosing element in (pre, post, depth) space.
-          add(word_key, node.id(), paths.Extend(parent_path, word_key));
-        });
-        break;
+          if (include_words) Words(doc_.value(node), node.id(), parent_path);
+          break;
       }
     }
   }
-}
+
+ private:
+  uint32_t NewEntry(KeyHandle key) {
+    s_.entries.push_back(EntryState{key});
+    return static_cast<uint32_t>(s_.entries.size() - 1);
+  }
+
+  /// The entry of an element or attribute-name key, interned once per
+  /// document label.
+  uint32_t LabelEntry(const xml::Node& node, char prefix) {
+    uint32_t& entry = s_.label_entries[node.label_id()];
+    if (entry == kNone) {
+      const std::string_view label = doc_.label(node);
+      entry = KeyEntry(prefix == kElementPrefix
+                           ? InternElementKey(keys_, label, &s_.key_buffer)
+                           : InternAttributeNameKey(keys_, label,
+                                                    &s_.key_buffer));
+    }
+    return entry;
+  }
+
+  uint32_t KeyEntry(KeyHandle key) {
+    return s_.key_table.FindOrAdd(
+        MixToHash(key),
+        [this, key](uint32_t entry) { return s_.entries[entry].key == key; },
+        [this, key] { return NewEntry(key); });
+  }
+
+  /// Records `id` under `entry`; false when it repeats the entry's last
+  /// ID (a word repeated within one text node or attribute value).
+  bool Record(uint32_t entry, const xml::NodeId& id) {
+    EntryState& e = s_.entries[entry];
+    if (e.last_pre == id.pre) return false;
+    e.last_pre = id.pre;
+    e.id_count += 1;
+    s_.occurrences.push_back(Occurrence{entry, id});
+    return true;
+  }
+
+  /// The ordinal of `parent`/key(entry), extending the shared PathDict
+  /// on a miss.
+  uint32_t PathOf(uint32_t parent, uint32_t entry) {
+    return s_.path_table.FindOrAdd(
+        MixToHash(uint64_t{parent} << 32 | entry),
+        [this, parent, entry](uint32_t ordinal) {
+          const PathRecord& p = s_.paths[ordinal];
+          return p.parent == parent && p.entry == entry;
+        },
+        [this, parent, entry] {
+          const PathHandle parent_handle =
+              parent == kNone ? kNoHandle : s_.paths[parent].handle;
+          s_.paths.push_back(PathRecord{
+              dict_.Extend(parent_handle, s_.entries[entry].key,
+                           &s_.path_buffer),
+              parent, entry});
+          s_.entries[entry].path_count += 1;
+          return static_cast<uint32_t>(s_.paths.size() - 1);
+        });
+  }
+
+  /// The entry of `word`'s w‖word key.  The word is hashed lowercased in
+  /// one pass and compared case-folded against the cached bytes; only a
+  /// miss copies it (into word_bytes, as its key) and interns it.
+  uint32_t WordEntry(std::string_view word) {
+    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the lowered bytes
+    for (const char c : word) {
+      h = (h ^ static_cast<unsigned char>(xml::LowerAscii(c))) *
+          0x100000001b3ull;
+    }
+    return s_.word_table.FindOrAdd(
+        static_cast<uint32_t>(h ^ (h >> 32)),
+        [this, word](uint32_t entry) {
+          const EntryState& e = s_.entries[entry];
+          if (e.word_size != word.size()) return false;
+          const char* cached = s_.word_bytes.data() + e.word_begin;
+          for (size_t i = 0; i < word.size(); ++i) {
+            if (xml::LowerAscii(word[i]) != cached[i]) return false;
+          }
+          return true;
+        },
+        [this, word] {
+          const size_t key_begin = s_.word_bytes.size();
+          s_.word_bytes.push_back(kWordPrefix);
+          for (const char c : word) {
+            s_.word_bytes.push_back(xml::LowerAscii(c));
+          }
+          const uint32_t entry = NewEntry(keys_.Intern(
+              std::string_view(s_.word_bytes).substr(key_begin)));
+          s_.entries[entry].word_begin = static_cast<uint32_t>(key_begin + 1);
+          s_.entries[entry].word_size = static_cast<uint32_t>(word.size());
+          return entry;
+        });
+  }
+
+  void Words(std::string_view text, const xml::NodeId& id,
+             uint32_t parent_path) {
+    xml::ForEachWord(text, [&](std::string_view word) {
+      const uint32_t entry = WordEntry(word);
+      // A repeated occurrence has this node's path already.
+      if (Record(entry, id)) PathOf(parent_path, entry);
+    });
+  }
+
+  const xml::Document& doc_;
+  StringInterner& keys_;
+  PathDict& dict_;
+  ExtractScratch& s_;
+};
 
 }  // namespace
 
@@ -164,72 +364,65 @@ DocIndex ExtractDocIndexInto(const xml::Document& doc,
                              const ExtractOptions& options, InternCore* core) {
   DocIndex index(core);
   ExtractScratch& scratch = ScratchForThread();
-  scratch.Reset();
+  scratch.Reset(doc);
+  Walker(doc, core, &scratch).Run(options.include_words);
 
-  Walk(doc, core->keys(), core->paths(), options, scratch);
-
-  // Group occurrences by key: assign each a dense entry index, count, and
-  // scatter IDs / paths into the two slabs.
-  scratch.GrowTable(scratch.occurrences.size());
-  for (Occurrence& occ : scratch.occurrences) {
-    occ.entry = scratch.EntryOf(occ.key);
+  // Lay the entries' IDs and paths out in first-seen entry order, then
+  // scatter: occurrences arrive in pre order and deduplicated, and each
+  // distinct path belongs to exactly one entry.
+  std::vector<EntryState>& entries = scratch.entries;
+  uint32_t id_total = 0;
+  uint32_t path_total = 0;
+  for (EntryState& e : entries) {
+    e.id_next = id_total;
+    e.path_next = path_total;
+    id_total += e.id_count;
+    path_total += e.path_count;
   }
-  const uint32_t distinct = scratch.distinct;
-  index.entries_.assign(distinct, DocIndex::Entry{});
+  index.ids_.resize(id_total);
+  index.paths_.resize(path_total);
   for (const Occurrence& occ : scratch.occurrences) {
-    DocIndex::Entry& e = index.entries_[occ.entry];
-    e.key = occ.key;
-    e.id_count += 1;
-    e.path_count += 1;
+    index.ids_[entries[occ.entry].id_next++] = occ.id;
   }
-  uint32_t id_offset = 0;
-  uint32_t path_offset = 0;
-  for (DocIndex::Entry& e : index.entries_) {
-    e.id_begin = id_offset;
-    e.path_begin = path_offset;
-    id_offset += e.id_count;
-    path_offset += e.path_count;
-  }
-  index.ids_.resize(id_offset);
-  index.paths_.resize(path_offset);
-  scratch.id_cursor.assign(distinct, 0);
-  scratch.path_cursor.assign(distinct, 0);
-  for (const Occurrence& occ : scratch.occurrences) {
-    const DocIndex::Entry& e = index.entries_[occ.entry];
-    index.ids_[e.id_begin + scratch.id_cursor[occ.entry]++] = occ.id;
-    index.paths_[e.path_begin + scratch.path_cursor[occ.entry]++] = occ.path;
+  for (const PathRecord& p : scratch.paths) {
+    index.paths_[entries[p.entry].path_next++] = p.handle;
   }
 
-  // Per entry: IDs arrive in document order already (pre-order walk), but
-  // repeated words within one text node produce duplicates worth
-  // removing; paths order by their resolved strings — the legacy map's
-  // sorted-vector contract, and what keeps serialization byte-identical.
+  // An entry's paths order by their resolved strings (the legacy map's
+  // sorted-vector contract, and what keeps serialization byte-identical);
+  // a single path needs no sort.
   const PathDict& dict = core->paths();
-  for (DocIndex::Entry& e : index.entries_) {
-    auto id_begin = index.ids_.begin() + e.id_begin;
-    auto id_end = id_begin + e.id_count;
-    if (!std::is_sorted(id_begin, id_end)) std::sort(id_begin, id_end);
-    e.id_count = static_cast<uint32_t>(
-        std::distance(id_begin, std::unique(id_begin, id_end)));
-
-    auto path_begin = index.paths_.begin() + e.path_begin;
-    auto path_end = path_begin + e.path_count;
-    std::sort(path_begin, path_end, [&dict](PathHandle a, PathHandle b) {
-      return a != b && dict.Resolve(a) < dict.Resolve(b);
+  for (const EntryState& e : entries) {
+    if (e.path_count < 2) continue;
+    auto end = index.paths_.begin() + e.path_next;
+    std::sort(end - e.path_count, end, [&dict](PathHandle a, PathHandle b) {
+      return dict.Resolve(a) < dict.Resolve(b);
     });
-    e.path_count = static_cast<uint32_t>(
-        std::distance(path_begin, std::unique(path_begin, path_end)));
   }
 
   // Entries iterate in resolved-key-string order (the legacy std::map
   // contract); handle values — which depend on which thread interned a
   // key first — never influence the order.
   const StringInterner& keys = core->keys();
-  std::sort(index.entries_.begin(), index.entries_.end(),
-            [&keys](const DocIndex::Entry& a, const DocIndex::Entry& b) {
-              return a.key != b.key &&
-                     keys.Resolve(a.key) < keys.Resolve(b.key);
+  std::vector<SortKey>& order = scratch.sort_keys;
+  order.clear();
+  order.reserve(entries.size());
+  for (uint32_t i = 0; i < entries.size(); ++i) {
+    const std::string_view key = keys.Resolve(entries[i].key);
+    order.push_back(SortKey{BigEndianPrefix(key), key, i});
+  }
+  std::sort(order.begin(), order.end(),
+            [](const SortKey& a, const SortKey& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              return a.key < b.key;
             });
+  index.entries_.resize(entries.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    const EntryState& e = entries[order[i].entry];
+    index.entries_[i] = DocIndex::Entry{e.key, e.id_next - e.id_count,
+                                        e.id_count, e.path_next - e.path_count,
+                                        e.path_count};
+  }
   return index;
 }
 

@@ -169,25 +169,25 @@ InternStats StringInterner::Stats() const { return table_.Stats(); }
 
 // --- PathDict --------------------------------------------------------------
 
-PathHandle PathDict::Extend(PathHandle parent, KeyHandle component) {
+PathHandle PathDict::Extend(PathHandle parent, KeyHandle component,
+                            std::string* scratch) {
   const uint64_t key = (uint64_t{parent} << 32) | uint64_t{component};
   return table_.FindOrInsert(
       HashBytes({reinterpret_cast<const char*>(&key), sizeof(key)}),
       [parent, component](const Node& n) {
         return n.parent == parent && n.component == component;
       },
-      [this, parent, component](Node& n) {
+      [this, parent, component, scratch](Node& n) {
         // Miss: assemble parent + "/" + escaped(component) under the
         // shard lock.  Parent resolution is lock-free, so no cross-shard
         // lock order exists.
         n.parent = parent;
         n.component = component;
-        thread_local std::string scratch;
-        scratch.clear();
-        if (parent != kNoHandle) scratch.append(Resolve(parent));
-        scratch.push_back('/');
-        AppendPathComponent(&scratch, keys_->Resolve(component));
-        return std::string_view(scratch);
+        scratch->clear();
+        if (parent != kNoHandle) scratch->append(Resolve(parent));
+        scratch->push_back('/');
+        AppendPathComponent(scratch, keys_->Resolve(component));
+        return std::string_view(*scratch);
       });
 }
 
@@ -214,41 +214,35 @@ InternCore& InternCore::Global() {
 namespace {
 
 KeyHandle InternPrefixed(StringInterner& interner, char prefix,
-                         std::string_view body) {
-  thread_local std::string scratch;
-  scratch.clear();
-  scratch.reserve(body.size() + 1);
-  scratch.push_back(prefix);
-  scratch.append(body);
-  return interner.Intern(scratch);
+                         std::string_view body, std::string* scratch) {
+  scratch->clear();
+  scratch->push_back(prefix);
+  scratch->append(body);
+  return interner.Intern(*scratch);
 }
 
 }  // namespace
 
-KeyHandle InternElementKey(StringInterner& interner, std::string_view label) {
-  return InternPrefixed(interner, kElementPrefix, label);
+KeyHandle InternElementKey(StringInterner& interner, std::string_view label,
+                           std::string* scratch) {
+  return InternPrefixed(interner, kElementPrefix, label, scratch);
 }
 
 KeyHandle InternAttributeNameKey(StringInterner& interner,
-                                 std::string_view name) {
-  return InternPrefixed(interner, kAttributePrefix, name);
+                                 std::string_view name, std::string* scratch) {
+  return InternPrefixed(interner, kAttributePrefix, name, scratch);
 }
 
 KeyHandle InternAttributeValueKey(StringInterner& interner,
                                   std::string_view name,
-                                  std::string_view value) {
-  thread_local std::string scratch;
-  scratch.clear();
-  scratch.reserve(name.size() + value.size() + 2);
-  scratch.push_back(kAttributePrefix);
-  scratch.append(name);
-  scratch.push_back(' ');
-  scratch.append(value);
-  return interner.Intern(scratch);
-}
-
-KeyHandle InternWordKey(StringInterner& interner, std::string_view word) {
-  return InternPrefixed(interner, kWordPrefix, word);
+                                  std::string_view value,
+                                  std::string* scratch) {
+  scratch->clear();
+  scratch->push_back(kAttributePrefix);
+  scratch->append(name);
+  scratch->push_back(' ');
+  scratch->append(value);
+  return interner.Intern(*scratch);
 }
 
 // --- Metrics ---------------------------------------------------------------

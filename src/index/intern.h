@@ -200,8 +200,10 @@ class PathDict {
   /// Handle of `parent`/`component` (parent == kNoHandle means a
   /// root-level component).  The cached string is
   /// parent-string + "/" + percent-escaped component (index::PathComponent
-  /// escaping), matching the stored-path format byte for byte.
-  PathHandle Extend(PathHandle parent, KeyHandle component);
+  /// escaping), matching the stored-path format byte for byte.  A miss
+  /// assembles that string in the caller's `*scratch`.
+  PathHandle Extend(PathHandle parent, KeyHandle component,
+                    std::string* scratch);
 
   /// The cached full path string ("/esite/eregions/eitem/ename").
   std::string_view Resolve(PathHandle handle) const {
@@ -261,16 +263,17 @@ class InternCore {
 };
 
 /// Prefix-composing intern helpers for the key(n) encodings of Section 5
-/// ("e"+label, "a"+name, "a"+name+" "+value, "w"+word) — assemble the key
-/// in a reused thread-local scratch buffer and intern it without a heap
-/// allocation per call.
-KeyHandle InternElementKey(StringInterner& interner, std::string_view label);
+/// ("e"+label, "a"+name, "a"+name+" "+value) — assemble the key in the
+/// caller's reused `*scratch` and intern it without a heap allocation per
+/// call.  Extraction assembles "w"+word keys in its own word cache.
+KeyHandle InternElementKey(StringInterner& interner, std::string_view label,
+                           std::string* scratch);
 KeyHandle InternAttributeNameKey(StringInterner& interner,
-                                 std::string_view name);
+                                 std::string_view name, std::string* scratch);
 KeyHandle InternAttributeValueKey(StringInterner& interner,
                                   std::string_view name,
-                                  std::string_view value);
-KeyHandle InternWordKey(StringInterner& interner, std::string_view word);
+                                  std::string_view value,
+                                  std::string* scratch);
 
 /// Mirrors the global interner's health into `registry` —
 /// `index.intern.keys` / `.bytes` / `.paths` / `.path_bytes` /

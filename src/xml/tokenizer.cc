@@ -1,13 +1,13 @@
 #include "xml/tokenizer.h"
 
-#include <cctype>
-
 namespace webdex::xml {
 
 std::vector<std::string> TokenizeWords(std::string_view text) {
   std::vector<std::string> words;
-  ForEachWord(text,
-              [&words](std::string_view word) { words.emplace_back(word); });
+  ForEachWord(text, [&words](std::string_view word) {
+    std::string& lowered = words.emplace_back(word);
+    for (char& c : lowered) c = LowerAscii(c);
+  });
   return words;
 }
 
@@ -15,10 +15,7 @@ std::string NormalizeWord(std::string_view word) {
   std::string out;
   out.reserve(word.size());
   for (char c : word) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c))));
-    }
+    if (IsWordByte(c)) out.push_back(LowerAscii(c));
   }
   return out;
 }

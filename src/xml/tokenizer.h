@@ -1,40 +1,46 @@
 #ifndef WEBDEX_XML_TOKENIZER_H_
 #define WEBDEX_XML_TOKENIZER_H_
 
-#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace webdex::xml {
 
+/// The word alphabet: ASCII letters and digits, exactly what the "C"
+/// locale's std::isalnum accepts.  Every other byte, bytes >= 0x80
+/// included, separates words, so no key depends on the process locale.
+constexpr bool IsWordByte(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  return static_cast<unsigned char>((u | 0x20) - 'a') < 26 ||
+         static_cast<unsigned char>(u - '0') < 10;
+}
+
+/// The "C" locale's std::tolower: ASCII upper case to lower case, every
+/// other byte unchanged.
+constexpr char LowerAscii(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
 /// Splits character data into full-text index words: maximal runs of
-/// alphanumeric characters, lowercased.  This is the word granularity of
-/// the `w‖word` keys (paper Section 5) and of the `contains(c)` predicate
-/// (Section 4), which are deliberately consistent with each other so a
-/// containment look-up can be answered from the word index.
+/// word bytes, lowercased.  This is the word granularity of the `w‖word`
+/// keys (paper Section 5) and of the `contains(c)` predicate (Section 4),
+/// which are deliberately consistent with each other so a containment
+/// look-up can be answered from the word index.
 std::vector<std::string> TokenizeWords(std::string_view text);
 
 /// Streaming form of TokenizeWords for the extraction hot path: calls
-/// `fn(word)` per word with a view into a reused thread-local buffer —
-/// valid only for the duration of the call, no per-word heap allocation.
+/// `fn(word)` per word with a view of `text` itself, in its original
+/// case.  The caller lowercases (LowerAscii) as it reads the bytes.
 template <typename Fn>
 void ForEachWord(std::string_view text, Fn&& fn) {
-  thread_local std::string buffer;
   size_t i = 0;
   const size_t n = text.size();
   while (i < n) {
-    while (i < n && !std::isalnum(static_cast<unsigned char>(text[i]))) ++i;
+    while (i < n && !IsWordByte(text[i])) ++i;
     const size_t start = i;
-    while (i < n && std::isalnum(static_cast<unsigned char>(text[i]))) ++i;
-    if (i > start) {
-      buffer.clear();
-      for (size_t k = start; k < i; ++k) {
-        buffer.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(text[k]))));
-      }
-      fn(std::string_view(buffer));
-    }
+    while (i < n && IsWordByte(text[i])) ++i;
+    if (i > start) fn(text.substr(start, i - start));
   }
 }
 

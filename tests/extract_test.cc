@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <map>
+#include <set>
+
 #include "common/strings.h"
 #include "common/varint.h"
 #include "index/entry.h"
+#include "index/key_twig.h"
 #include "index/keys.h"
+#include "query/parser.h"
+#include "xmark/xmark_generator.h"
 #include "xml/parser.h"
+#include "xml/tokenizer.h"
 
 namespace webdex::index {
 namespace {
@@ -131,6 +140,200 @@ TEST(ExtractTest, StatsCountKeysIdsPathBytes) {
   EXPECT_EQ(stats.keys, index.size());
   EXPECT_GT(stats.ids, 10u);
   EXPECT_GT(stats.path_bytes, 100u);
+}
+
+// --- Differential: the front-cached walk against a plain reference ---------
+
+/// One key's postings as the reference extractor builds them.
+struct RefEntry {
+  std::vector<xml::NodeId> ids;
+  std::set<std::string> paths;
+};
+
+/// The key(n) extraction written out plainly: keys.h's encodings,
+/// TokenizeWords for words, and full path strings per occurrence.
+std::map<std::string, RefEntry> ReferenceExtract(const xml::Document& doc,
+                                                 bool include_words) {
+  std::map<std::string, RefEntry> out;
+  std::vector<std::string> element_paths(doc.nodes().size());
+  const auto add = [&out](const std::string& key, const xml::NodeId& id,
+                          const std::string& parent_path) {
+    const std::string path = parent_path + "/" + PathComponent(key);
+    RefEntry& entry = out[key];
+    entry.ids.push_back(id);
+    entry.paths.insert(path);
+    return path;
+  };
+  for (const xml::Node& node : doc.nodes()) {
+    const std::string parent_path = node.parent() == xml::kNoParent
+                                        ? std::string()
+                                        : element_paths[node.parent()];
+    const std::string label(doc.label(node));
+    const std::string value(doc.value(node));
+    switch (node.kind()) {
+      case xml::NodeKind::kElement:
+        element_paths[node.index()] =
+            add(ElementKey(label), node.id(), parent_path);
+        break;
+      case xml::NodeKind::kAttribute: {
+        const std::string name_path =
+            add(AttributeNameKey(label), node.id(), parent_path);
+        add(AttributeValueKey(label, value), node.id(), parent_path);
+        if (!include_words) break;
+        for (const std::string& word : xml::TokenizeWords(value)) {
+          add(WordKey(word), node.id(), name_path);
+        }
+        break;
+      }
+      case xml::NodeKind::kText:
+        if (!include_words) break;
+        for (const std::string& word : xml::TokenizeWords(value)) {
+          add(WordKey(word), node.id(), parent_path);
+        }
+        break;
+    }
+  }
+  for (auto& [key, entry] : out) {
+    std::sort(entry.ids.begin(), entry.ids.end());
+    entry.ids.erase(std::unique(entry.ids.begin(), entry.ids.end()),
+                    entry.ids.end());
+  }
+  return out;
+}
+
+/// Extracts `doc` both ways and compares them entry by entry.
+void ExpectMatchesReference(const xml::Document& doc, bool include_words) {
+  ExtractOptions options;
+  options.include_words = include_words;
+  const DocIndex index = ExtractDocIndex(doc, options);
+  const std::map<std::string, RefEntry> reference =
+      ReferenceExtract(doc, include_words);
+  ASSERT_EQ(index.size(), reference.size()) << doc.uri();
+  auto ref = reference.begin();
+  for (const DocIndex::Entry& entry : index.entries()) {
+    ASSERT_EQ(index.key(entry), ref->first) << doc.uri();
+    EXPECT_EQ(index.IdVector(entry), ref->second.ids) << ref->first;
+    EXPECT_EQ(index.PathVector(entry),
+              std::vector<std::string>(ref->second.paths.begin(),
+                                       ref->second.paths.end()))
+        << ref->first;
+    ++ref;
+  }
+}
+
+xml::Document XmarkDoc(bool split, int number) {
+  xmark::GeneratorConfig config;
+  config.num_documents = 4;
+  config.entities_per_document = split ? 40 : 120;
+  config.split_sections = split;
+  const xmark::GeneratedDocument generated =
+      xmark::XmarkGenerator(config).Generate(number);
+  auto doc = xml::ParseDocument(generated.uri, generated.text);
+  EXPECT_TRUE(doc.ok());
+  return std::move(doc).value();
+}
+
+// Attribute values holding '/', '%' and repeated words; one word under
+// many parents; mixed case, digits, punctuation and bytes >= 0x80.
+const char* kAwkward =
+    "<site region=\"Europe/West 100% west WEST\">"
+    "<item id=\"a/b%c\" ref=\"a/b%c\"><name>Lion lion LION</name>"
+    "<note>lion</note><text>The lion, the Lion; l1on 1854-1854.</text>"
+    "</item>"
+    "<item id=\"x%2Fy\"><name>Caf\xC3\xA9 na\xC3\xAFve \xC3\x9C"
+    "ber</name><deep><deeper><name>LiOn</name></deeper></deep></item>"
+    "</site>";
+
+TEST(ExtractDifferentialTest, FullSiteDocument) {
+  const xml::Document doc = XmarkDoc(/*split=*/false, 0);
+  ExpectMatchesReference(doc, true);
+  ExpectMatchesReference(doc, false);
+}
+
+TEST(ExtractDifferentialTest, Fragment) {
+  const xml::Document doc = XmarkDoc(/*split=*/true, 1);
+  ExpectMatchesReference(doc, true);
+  ExpectMatchesReference(doc, false);
+}
+
+TEST(ExtractDifferentialTest, EscapedAttributesRepeatsAndMixedCase) {
+  const xml::Document doc = Doc(kAwkward);
+  ExpectMatchesReference(doc, true);
+  ExpectMatchesReference(doc, false);
+  const DocIndex index = ExtractDocIndex(doc);
+  // "lion" in every case, in four text nodes under four parents, is one
+  // entry.
+  const DocIndex::Entry* lion = index.Find("wlion");
+  ASSERT_NE(lion, nullptr);
+  EXPECT_EQ(lion->path_count, 4u);
+  EXPECT_EQ(lion->id_count, 4u);
+  EXPECT_FALSE(index.Contains("wLion"));
+  EXPECT_EQ(index.PathVector(*index.Find("aid a/b%c")),
+            (std::vector<std::string>{"/esite/eitem/aid a%2Fb%25c"}));
+}
+
+TEST(ExtractDifferentialTest, BackToBackDocumentsResetTheCache) {
+  // One thread, documents of different shapes and sizes in turn: no key,
+  // entry or path of one may leak into the next.  `wordy` holds far more
+  // distinct words, attribute values and paths per node than the cache
+  // sizes its tables for, so every table grows mid-document.
+  std::string wordy = "<r><p>";
+  for (int i = 0; i < 3000; ++i) wordy += StrFormat(" Word%d", i);
+  wordy += "</p>";
+  for (int i = 0; i < 600; ++i) {
+    wordy += StrFormat("<e k=\"v%d\">t%d</e>", i, i % 7);
+  }
+  wordy += "</r>";
+  const xml::Document full = XmarkDoc(/*split=*/false, 2);
+  const xml::Document fragment = XmarkDoc(/*split=*/true, 3);
+  const xml::Document awkward = Doc(kAwkward);
+  const xml::Document small = Doc(kDelacroix);
+  const xml::Document many = Doc(wordy);
+  for (const xml::Document* doc : {&full, &small, &fragment, &awkward,
+                                   &many, &full, &awkward, &small, &many}) {
+    ExpectMatchesReference(*doc, true);
+    ExpectMatchesReference(*doc, false);
+  }
+}
+
+// --- One ASCII word alphabet ----------------------------------------------
+
+TEST(WordAlphabetTest, MatchesTheCLocale) {
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    EXPECT_EQ(xml::IsWordByte(ch), std::isalnum(c) != 0) << c;
+    EXPECT_EQ(xml::LowerAscii(ch), static_cast<char>(std::tolower(c))) << c;
+  }
+}
+
+TEST(WordAlphabetTest, ExtractionTokenizerAndQueryAgree) {
+  const std::string text =
+      "MiXeD CASE 42Answers, punct-uated! Caf\xC3\xA9 \xFFz\x80Q";
+  const DocIndex index = ExtractDocIndex(Doc("<p>" + text + "</p>"));
+  std::set<std::string> extracted;
+  for (const DocIndex::Entry& entry : index.entries()) {
+    if (index.key(entry)[0] == kWordPrefix) {
+      extracted.insert(std::string(index.key(entry).substr(1)));
+    }
+  }
+  const std::vector<std::string> words = xml::TokenizeWords(text);
+  EXPECT_EQ(extracted, std::set<std::string>(words.begin(), words.end()));
+  EXPECT_EQ(extracted,
+            (std::set<std::string>{"mixed", "case", "42answers", "punct",
+                                   "uated", "caf", "z", "q"}));
+  for (const std::string& word : words) {
+    EXPECT_EQ(xml::NormalizeWord(word), word);
+  }
+  EXPECT_EQ(xml::NormalizeWord("42Answers!"), "42answers");
+  EXPECT_EQ(xml::NormalizeWord("\xC3\xA9Q"), "q");
+  // A contains() look-up on the original spelling asks for the key the
+  // extraction stored.
+  auto query = query::ParseQuery("//p~'42ANSWERS'");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const KeyTwig twig = BuildKeyTwig(query.value().patterns()[0]);
+  ASSERT_EQ(twig.keys.size(), 2u);
+  EXPECT_EQ(twig.keys[1], "w42answers");
+  EXPECT_TRUE(index.Contains(twig.keys[1]));
 }
 
 // --- ID codec ----------------------------------------------------------------

@@ -165,15 +165,14 @@ TEST(InternTest, ConcurrentInterningAgreesOnHandles) {
 
 TEST(InternTest, PrefixedKeyHelpersMatchLegacyEncodings) {
   StringInterner interner;
-  EXPECT_EQ(interner.Resolve(InternElementKey(interner, "painting")),
+  std::string scratch;
+  EXPECT_EQ(interner.Resolve(InternElementKey(interner, "painting", &scratch)),
             ElementKey("painting"));
-  EXPECT_EQ(interner.Resolve(InternAttributeNameKey(interner, "id")),
+  EXPECT_EQ(interner.Resolve(InternAttributeNameKey(interner, "id", &scratch)),
             AttributeNameKey("id"));
-  EXPECT_EQ(
-      interner.Resolve(InternAttributeValueKey(interner, "id", "1863-1")),
-      AttributeValueKey("id", "1863-1"));
-  EXPECT_EQ(interner.Resolve(InternWordKey(interner, "olympia")),
-            WordKey("olympia"));
+  EXPECT_EQ(interner.Resolve(
+                InternAttributeValueKey(interner, "id", "1863-1", &scratch)),
+            AttributeValueKey("id", "1863-1"));
 }
 
 // --- PathDict ----------------------------------------------------------------
@@ -184,8 +183,9 @@ TEST(PathDictTest, ExtendBuildsEscapedPathStrings) {
   PathDict& paths = core.paths();
   const KeyHandle site = keys.Intern("esite");
   const KeyHandle item = keys.Intern("eitem");
-  const PathHandle p1 = paths.Extend(kNoHandle, site);
-  const PathHandle p2 = paths.Extend(p1, item);
+  std::string scratch;
+  const PathHandle p1 = paths.Extend(kNoHandle, site, &scratch);
+  const PathHandle p2 = paths.Extend(p1, item, &scratch);
   EXPECT_EQ(paths.Resolve(p1), "/esite");
   EXPECT_EQ(paths.Resolve(p2), "/esite/eitem");
   EXPECT_EQ(paths.Parent(p2), p1);
@@ -197,10 +197,11 @@ TEST(PathDictTest, SameEdgeSameHandle) {
   InternCore core;
   const KeyHandle site = core.keys().Intern("esite");
   const KeyHandle item = core.keys().Intern("eitem");
-  const PathHandle p1 = core.paths().Extend(kNoHandle, site);
-  EXPECT_EQ(core.paths().Extend(kNoHandle, site), p1);
-  const PathHandle p2 = core.paths().Extend(p1, item);
-  EXPECT_EQ(core.paths().Extend(p1, item), p2);
+  std::string scratch;
+  const PathHandle p1 = core.paths().Extend(kNoHandle, site, &scratch);
+  EXPECT_EQ(core.paths().Extend(kNoHandle, site, &scratch), p1);
+  const PathHandle p2 = core.paths().Extend(p1, item, &scratch);
+  EXPECT_EQ(core.paths().Extend(p1, item, &scratch), p2);
   EXPECT_EQ(core.paths().size(), 2u);
 }
 
@@ -209,8 +210,9 @@ TEST(PathDictTest, ComponentsEscapingRoundTrips) {
   // A key containing both escape triggers ('/' and '%').
   const KeyHandle weird = core.keys().Intern("aid a/b%c");
   const KeyHandle plain = core.keys().Intern("ename");
-  const PathHandle p =
-      core.paths().Extend(core.paths().Extend(kNoHandle, plain), weird);
+  std::string scratch;
+  const PathHandle p = core.paths().Extend(
+      core.paths().Extend(kNoHandle, plain, &scratch), weird, &scratch);
   EXPECT_EQ(core.paths().Resolve(p), "/ename/aid a%2Fb%25c");
   // SplitPath undoes the escaping back to the raw component keys.
   const auto split = SplitPath(std::string(core.paths().Resolve(p)));
@@ -228,17 +230,18 @@ TEST(PathDictTest, DeepChainsAndManySiblings) {
   // Deep chain.
   PathHandle parent = kNoHandle;
   std::string expected;
+  std::string scratch;
   for (int depth = 0; depth < 200; ++depth) {
     const std::string label = StrFormat("ed%d", depth);
-    parent = core.paths().Extend(parent, core.keys().Intern(label));
+    parent = core.paths().Extend(parent, core.keys().Intern(label), &scratch);
     expected += "/" + label;
   }
   EXPECT_EQ(core.paths().Resolve(parent), expected);
   // Fan-out of siblings under one parent, forcing bucket growth.
   std::set<PathHandle> siblings;
   for (int i = 0; i < 5000; ++i) {
-    siblings.insert(
-        core.paths().Extend(parent, core.keys().Intern(StrFormat("ws%d", i))));
+    siblings.insert(core.paths().Extend(
+        parent, core.keys().Intern(StrFormat("ws%d", i)), &scratch));
   }
   EXPECT_EQ(siblings.size(), 5000u);
 }
@@ -265,15 +268,18 @@ TEST(PathDictTest, ConcurrentExtendAgreesOnHandlesAndPaths) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, &core, &labels, &handles, &resolved] {
+      std::string scratch;
       for (int i = 0; i < kChains; ++i) {
         const int chain = (i + t * (kChains / kThreads)) % kChains;
         // Chains c and c + 16 share a root, and c and c + 48 are the
         // same chain, so handles are shared within a thread as well.
         PathHandle parent = core.paths().Extend(
-            kNoHandle, core.keys().Intern(StrFormat("eroot%d", chain % 16)));
+            kNoHandle, core.keys().Intern(StrFormat("eroot%d", chain % 16)),
+            &scratch);
         for (int d = 0; d < kDepth; ++d) {
           parent = core.paths().Extend(
-              parent, labels[static_cast<size_t>((d + chain) % kDepth)]);
+              parent, labels[static_cast<size_t>((d + chain) % kDepth)],
+              &scratch);
           const size_t at = static_cast<size_t>(chain * kDepth + d);
           handles[static_cast<size_t>(t)][at] = parent;
           resolved[static_cast<size_t>(t)][at] =
@@ -309,6 +315,7 @@ TEST(InternPropertyTest, ExtractDocIndexRoundTripsAllKeysAndPaths) {
   config.entities_per_document = 12;
   xmark::XmarkGenerator generator(config);
   InternCore core;
+  std::string scratch;
   for (int i = 0; i < config.num_documents; ++i) {
     const xml::Document doc = generator.GenerateDom(i);
     const DocIndex index = ExtractDocIndexInto(doc, ExtractOptions(), &core);
@@ -334,7 +341,7 @@ TEST(InternPropertyTest, ExtractDocIndexRoundTripsAllKeysAndPaths) {
         for (const std::string& component : components) {
           const KeyHandle ch = core.keys().Find(component);
           ASSERT_NE(ch, kNoHandle) << component;
-          rebuilt = core.paths().Extend(rebuilt, ch);
+          rebuilt = core.paths().Extend(rebuilt, ch, &scratch);
         }
         EXPECT_EQ(core.paths().Resolve(rebuilt), path);
       }
@@ -365,7 +372,8 @@ TEST(HistogramRecordNTest, BulkRecordMatchesRepeatedRecord) {
 
 TEST(InternMetricsTest, PublishMirrorsCoreIntoRegistry) {
   InternCore core;
-  core.paths().Extend(kNoHandle, core.keys().Intern("esite"));
+  std::string scratch;
+  core.paths().Extend(kNoHandle, core.keys().Intern("esite"), &scratch);
   core.keys().Intern("ename");
   common::MetricRegistry registry;
   PublishInternMetrics(&registry, core);
