@@ -56,35 +56,6 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool ContainsWord(std::string_view haystack, std::string_view word) {
-  if (word.empty()) return false;
-  const std::string lowered_word = ToLower(word);
-  size_t i = 0;
-  const size_t n = haystack.size();
-  while (i < n) {
-    while (i < n && !std::isalnum(static_cast<unsigned char>(haystack[i]))) {
-      ++i;
-    }
-    size_t j = i;
-    while (j < n && std::isalnum(static_cast<unsigned char>(haystack[j]))) {
-      ++j;
-    }
-    if (j - i == lowered_word.size()) {
-      bool match = true;
-      for (size_t k = 0; k < lowered_word.size(); ++k) {
-        if (std::tolower(static_cast<unsigned char>(haystack[i + k])) !=
-            static_cast<unsigned char>(lowered_word[k])) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return true;
-    }
-    i = j;
-  }
-  return false;
-}
-
 std::string HumanBytes(uint64_t bytes) {
   static const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
   double v = static_cast<double>(bytes);

@@ -27,11 +27,6 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
-/// True if `haystack` contains `needle` as a whole word, where words are
-/// maximal runs of alphanumeric characters (case-insensitive).  This is the
-/// semantics of the paper's `contains(c)` predicate.
-bool ContainsWord(std::string_view haystack, std::string_view word);
-
 /// Parses `text` as an unsigned decimal: one or more ASCII digits and
 /// nothing else (no sign, no spaces).  Empty input, any other byte and a
 /// value past UINT64_MAX are kInvalidArgument, naming `what`.

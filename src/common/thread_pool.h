@@ -1,8 +1,11 @@
 #ifndef WEBDEX_COMMON_THREAD_POOL_H_
 #define WEBDEX_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -53,11 +56,36 @@ class ThreadPool {
     return result;
   }
 
+  /// Runs `fn(i)` once for every i in [0, count) and returns when all
+  /// have run.  The calling thread claims indexes from a shared atomic
+  /// counter, and up to `count - 1` pool tasks claim beside it, so the
+  /// caller waits only for indexes another thread has already started:
+  /// a call from inside a task of this same pool, or with every worker
+  /// busy, runs the rest itself instead of deadlocking.  Tasks that start
+  /// after every index is claimed exit at once.  The first exception an
+  /// `fn` throws is rethrown here once every started index has finished.
+  template <typename Fn>
+  void ParallelFor(size_t count, Fn&& fn) {
+    auto call = [](void* context, size_t i) {
+      (*static_cast<std::remove_reference_t<Fn>*>(context))(i);
+    };
+    ParallelFor(count, const_cast<void*>(static_cast<const void*>(&fn)),
+                call);
+  }
+
+  /// The process-lifetime pool of `num_threads` workers (clamped to at
+  /// least 1), created on first use and never destroyed: one per
+  /// distinct size, so no run or query pays for thread start-up and the
+  /// workers' thread-local scratch stays warm from one run to the next.
+  static ThreadPool& Shared(int num_threads);
+
   /// Number of hardware threads, with a sane floor when the runtime
   /// cannot tell (hardware_concurrency() may return 0).
   static int HardwareThreads();
 
  private:
+  void ParallelFor(size_t count, void* context,
+                   void (*call)(void* context, size_t i));
   void WorkerLoop();
 
   std::mutex mu_;

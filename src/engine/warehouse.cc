@@ -548,13 +548,12 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
   // host_threads == 1 the serial path runs the identical extraction
   // inline.
   const int host_threads = ResolvedHostThreads();
-  std::unique_ptr<common::ThreadPool> pool;
   std::unique_ptr<ExtractionPipeline> pipeline;
   if (host_threads > 1) {
-    pool = std::make_unique<common::ThreadPool>(host_threads);
     pipeline = std::make_unique<ExtractionPipeline>(
-        pool.get(), strategy_.get(), config_.extract, &index_store(),
-        &env_->s3(), config_.data_bucket, env_->config().seed);
+        &common::ThreadPool::Shared(host_threads), strategy_.get(),
+        config_.extract, &index_store(), &env_->s3(), config_.data_bucket,
+        env_->config().seed);
     for (const auto& body : env_->sqs().PeekBodies(config_.loader_queue)) {
       auto request = LoadRequest::Parse(body);
       if (request.ok() && request.value().op != LoadOp::kDelete) {
@@ -595,9 +594,10 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
   front_end_.AdvanceTo(cluster_.MaxClock());
   run_span.AddAttr("documents", static_cast<double>(report.documents));
   run_span.AddAttr("makespan_us", static_cast<double>(report.makespan));
-  // Snapshot the interner after the fleet drains: pooled extraction
-  // threads are joined, so this runs on the event-loop thread as the
-  // MetricRegistry contract requires.
+  // Snapshot the interner once no extraction is in flight: destroying
+  // the pipeline waits for its pooled tasks, so this runs on the
+  // event-loop thread alone, as the MetricRegistry contract requires.
+  pipeline.reset();
   index::PublishInternMetrics(&env_->metrics());
   return report;
 }
@@ -795,11 +795,17 @@ Status Warehouse::RunQuery(Instance& instance, const QueryRequest& request,
   doc_ptrs.reserve(docs.size());
   for (const auto& doc : docs) doc_ptrs.push_back(doc.get());
   (void)query::Evaluator::ConsumeWorkStats();
-  outcome->result = query::Evaluator::Evaluate(logical.query(), doc_ptrs);
+  // The instance's cores evaluate the fetched documents in parallel
+  // (Section 3); on the host the per-document matching fans out on the
+  // process-lifetime pool.  Rows and work counters do not depend on it.
+  const int host_threads = ResolvedHostThreads();
+  outcome->result = query::Evaluator::Evaluate(
+      logical.query(), doc_ptrs,
+      host_threads > 1 ? &common::ThreadPool::Shared(host_threads) : nullptr);
   // The evaluator's work counters are thread_local; they are only
-  // visible — and chargeable — on the thread that evaluated.  If this
-  // assertion fires, evaluation ran on a different thread than the one
-  // consuming its stats (see the contract in query/evaluator.h).
+  // visible — and chargeable — on the thread that called Evaluate.  If
+  // this assertion fires, evaluation ran on a different thread than the
+  // one consuming its stats (see the contract in query/evaluator.h).
   assert(query::Evaluator::HasPendingWorkStats());
   const auto eval_stats = query::Evaluator::ConsumeWorkStats();
   instance.ChargeParallelWork(

@@ -71,12 +71,14 @@ struct WarehouseConfig {
   cloud::InstanceType instance_type = cloud::InstanceType::kLarge;
   int num_instances = 1;
 
-  /// Host threads for the speculative extraction pipeline that runs the
-  /// parse/extract phase of indexing tasks on real cores while the
-  /// deterministic event loop replays deliveries and billing.  0 = one
-  /// thread per hardware core; 1 = legacy serial path (extraction inline
-  /// on the event-loop thread).  Purely a wall-clock optimization: the
-  /// virtual makespan, usage meter, and IndexingRunReport are
+  /// Host threads of the process-lifetime pool
+  /// (common::ThreadPool::Shared) that runs the parse/extract phase of
+  /// indexing tasks on real cores while the deterministic event loop
+  /// replays deliveries and billing, and that matches a query task's
+  /// fetched documents beside the event-loop thread.  0 = one thread per
+  /// hardware core; 1 = serial path (extraction and evaluation inline on
+  /// the event-loop thread).  Purely a wall-clock optimization: the
+  /// virtual makespan, usage meter, IndexingRunReport and query rows are
   /// bit-identical for every value (see docs/PARALLELISM.md).
   int host_threads = 0;
 
@@ -343,8 +345,9 @@ class Warehouse {
  private:
   class FrontEndAgent : public cloud::SimAgent {};
 
-  /// Host threads the extraction pipeline should use (resolves the
-  /// host_threads == 0 default to the hardware concurrency).
+  /// Host threads the extraction pipeline and query evaluation use
+  /// (resolves the host_threads == 0 default to the hardware
+  /// concurrency).
   int ResolvedHostThreads() const;
 
   /// True if the test hook or the cloud's fault plan says the instance

@@ -9,7 +9,6 @@ namespace webdex::index {
 
 void PathSummary::AddDocument(const DocIndex& index) {
   documents_ += 1;
-  const PathDict& dict = core_->paths();
   for (const auto& entry : index.entries()) {
     Bump(&docs_per_key_, entry.key);
     const PathHandle* paths = index.paths(entry);
@@ -18,17 +17,34 @@ void PathSummary::AddDocument(const DocIndex& index) {
       if (path >= docs_per_path_.size()) {
         docs_per_path_.resize(path + 1, 0);
       }
-      if (docs_per_path_[path] == 0) {
-        distinct_paths_ += 1;
-        const KeyHandle last = dict.LastKey(path);
-        if (last >= paths_by_last_key_.size()) {
-          paths_by_last_key_.resize(last + 1);
-        }
-        paths_by_last_key_[last].push_back(path);
-      }
+      if (docs_per_path_[path] == 0) paths_.push_back(path);
       docs_per_path_[path] += 1;
     }
   }
+}
+
+void PathSummary::GroupByLastKey() const {
+  if (grouped_paths_ == paths_.size()) return;
+  const PathDict& dict = core_->paths();
+  KeyHandle keys = 0;
+  for (const PathHandle path : paths_) {
+    keys = std::max(keys, dict.LastKey(path) + 1);
+  }
+  // A counting sort: group_begin_[k + 2] first counts key k's paths,
+  // the prefix sum turns group_begin_[k + 1] into key k's begin, and
+  // placing each path advances it to key k's end, which is key k + 1's
+  // begin.  Each group keeps first-seen order.
+  group_begin_.assign(keys + 2, 0);
+  for (const PathHandle path : paths_) ++group_begin_[dict.LastKey(path) + 2];
+  for (size_t k = 2; k < group_begin_.size(); ++k) {
+    group_begin_[k] += group_begin_[k - 1];
+  }
+  by_last_key_.resize(paths_.size());
+  for (const PathHandle path : paths_) {
+    by_last_key_[group_begin_[dict.LastKey(path) + 1]++] = path;
+  }
+  group_begin_.pop_back();
+  grouped_paths_ = paths_.size();
 }
 
 uint64_t PathSummary::DocsWithKey(const std::string& key) const {
@@ -44,15 +60,17 @@ uint64_t PathSummary::DocsMatchingPath(const QueryPath& path) const {
 
 uint64_t PathSummary::DocsMatchingPath(
     const QueryPath& path, std::vector<KeyHandle>* components) const {
+  GroupByLastKey();
   const KeyHandle last = core_->keys().Find(path.LookupKey());
-  if (last == kNoHandle || last >= paths_by_last_key_.size()) return 0;
+  if (last == kNoHandle || last + 1 >= group_begin_.size()) return 0;
   const HandleQueryPath resolved = ResolveQueryPath(path, core_->keys());
   if (!resolved.viable) return 0;
   // Distinct data paths are disjoint *path* shapes but one document may
   // carry several; summing their document counts is an upper bound,
   // capped at the corpus size.
   uint64_t total = 0;
-  for (const PathHandle data_path : paths_by_last_key_[last]) {
+  for (uint32_t i = group_begin_[last]; i < group_begin_[last + 1]; ++i) {
+    const PathHandle data_path = by_last_key_[i];
     core_->paths().Components(data_path, components);
     if (PathMatches(resolved, *components)) {
       total += docs_per_path_[data_path];

@@ -75,6 +75,9 @@ struct PatternProfile {
 /// index core, docs/PERFORMANCE.md): accounting a document is a handful
 /// of vector bumps per entry instead of string-keyed map inserts, and
 /// the summary stays tiny — distinct handles, not per-document entries.
+/// A new distinct path is one push onto a flat list; the reads group
+/// that list by last key once, on the first read after it grew, so the
+/// reads of one summary must not run concurrently with each other.
 /// Copyable (Warehouse::AdoptExistingData clones it); the InternCore it
 /// indexes into is process-wide and immortal.
 class PathSummary {
@@ -89,7 +92,7 @@ class PathSummary {
   void AddDocument(const DocIndex& index);
 
   uint64_t documents() const { return documents_; }
-  uint64_t distinct_paths() const { return distinct_paths_; }
+  uint64_t distinct_paths() const { return paths_.size(); }
 
   /// Documents containing at least one occurrence of `key` (0 if never
   /// seen).
@@ -108,6 +111,10 @@ class PathSummary {
   uint64_t DocsMatchingPath(const QueryPath& path,
                             std::vector<KeyHandle>* components) const;
 
+  /// Groups `paths_` by last key into `by_last_key_`, unless no path
+  /// was added since the last grouping.
+  void GroupByLastKey() const;
+
   uint64_t CountAt(const std::vector<uint64_t>& counts, uint32_t handle) const {
     return handle < counts.size() ? counts[handle] : 0;
   }
@@ -118,13 +125,18 @@ class PathSummary {
 
   const InternCore* core_;
   uint64_t documents_ = 0;
-  uint64_t distinct_paths_ = 0;
   /// Indexed by KeyHandle / PathHandle.
   std::vector<uint64_t> docs_per_key_;
   std::vector<uint64_t> docs_per_path_;
-  /// lookup key (last path component) -> distinct data paths ending in
-  /// it, for DocsMatchingPath without a full scan.
-  std::vector<std::vector<PathHandle>> paths_by_last_key_;
+  /// The distinct data paths, in first-seen order.
+  std::vector<PathHandle> paths_;
+  /// `paths_` grouped by look-up key (last path component), for
+  /// DocsMatchingPath without a full scan: the paths ending in key k are
+  /// by_last_key_[group_begin_[k], group_begin_[k + 1]).  Built from the
+  /// first `grouped_paths_` entries of `paths_`.
+  mutable std::vector<PathHandle> by_last_key_;
+  mutable std::vector<uint32_t> group_begin_;
+  mutable size_t grouped_paths_ = 0;
 };
 
 }  // namespace webdex::index

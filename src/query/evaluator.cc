@@ -8,11 +8,54 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "xml/serializer.h"
 #include "xml/structural_join.h"
 
 namespace webdex::query {
 namespace {
+
+/// The embeddings of one pattern over a run of documents, in evaluation
+/// order.  Each match has `width` output cells, then `join_width` join
+/// cells, stored back to back in one byte buffer.
+struct PatternRelation {
+  size_t width = 0;
+  size_t join_width = 0;
+  std::string bytes;
+  /// Per cell, its end offset in `bytes`; a cell begins where the one
+  /// before it ends.
+  std::vector<size_t> ends;
+  /// The document of each match; its size is the match count.
+  std::vector<const xml::Document*> docs;
+
+  void AddCell(std::string_view value) {
+    bytes.append(value);
+    ends.push_back(bytes.size());
+  }
+
+  std::string_view Output(uint32_t match, size_t column) const {
+    return Cell(match * (width + join_width) + column);
+  }
+
+  std::string_view Join(uint32_t match, int slot) const {
+    return Cell(match * (width + join_width) + width +
+                static_cast<size_t>(slot));
+  }
+
+  /// Appends `other`'s matches after this relation's own.
+  void Append(const PatternRelation& other) {
+    const size_t shift = bytes.size();
+    bytes.append(other.bytes);
+    for (const size_t end : other.ends) ends.push_back(shift + end);
+    docs.insert(docs.end(), other.docs.begin(), other.docs.end());
+  }
+
+ private:
+  std::string_view Cell(size_t i) const {
+    const size_t begin = i == 0 ? 0 : ends[i - 1];
+    return std::string_view(bytes).substr(begin, ends[i] - begin);
+  }
+};
 
 /// Embeds one tree pattern into documents.  Reset runs the structural
 /// twig join over the document's label streams, one per pattern node:
@@ -94,6 +137,13 @@ class PatternMatcher {
     }
   }
 
+  /// Appends the current embedding to `rel`: its outputs, then its join
+  /// values.
+  void AppendMatch(const xml::Document* doc, PatternRelation* rel) {
+    for (size_t s = 0; s < slots_.size(); ++s) rel->AddCell(Value(s));
+    rel->docs.push_back(doc);
+  }
+
  private:
   /// A node whose string is materialized per embedding, and the last
   /// string made for it.  Consecutive embeddings often share bindings.
@@ -160,20 +210,71 @@ class PatternMatcher {
   std::string predicate_value_;
 };
 
-/// The embeddings of one pattern over all evaluated documents, in
-/// evaluation order: `width` outputs and `join_width` join values each.
-struct PatternRelation {
-  size_t width = 0;
-  size_t join_width = 0;
-  std::vector<std::string> outputs;
-  std::vector<std::string> joins;
-  /// The document of each match; its size is the match count.
-  std::vector<const xml::Document*> docs;
-
-  const std::string& Join(uint32_t match, int slot) const {
-    return joins[match * join_width + static_cast<size_t>(slot)];
-  }
+/// Step 1 over one contiguous run of documents: every pattern's
+/// relation, and the work counters of the run.  Touches no thread-local
+/// state, so a chunk runs on any thread and hands its counters back by
+/// value.
+struct Chunk {
+  std::vector<PatternRelation> relations;
+  uint64_t doc_bytes_scanned = 0;
+  uint64_t embeddings_found = 0;
 };
+
+Chunk MatchChunk(const std::vector<TreePattern>& patterns,
+                 std::span<const xml::Document* const> docs) {
+  Chunk chunk;
+  chunk.relations.resize(patterns.size());
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    PatternMatcher matcher(patterns[p]);
+    PatternRelation& rel = chunk.relations[p];
+    rel.width = matcher.num_outputs();
+    rel.join_width = matcher.num_joins();
+    for (const xml::Document* doc : docs) {
+      chunk.doc_bytes_scanned += doc->size_bytes();
+      if (!matcher.Reset(*doc)) continue;
+      matcher.ForEachEmbedding([&] { matcher.AppendMatch(doc, &rel); });
+    }
+    chunk.embeddings_found += rel.docs.size();
+  }
+  return chunk;
+}
+
+/// Below this many documents step 1 stays on the calling thread: a
+/// handful of documents matches faster than the pool wakes up.
+constexpr size_t kMinFanOutDocs = 8;
+
+/// How many chunks step 1 splits `docs` into on `pool`: one per pool
+/// thread, each of at least 4 documents.
+size_t FanOutChunks(size_t docs, const common::ThreadPool* pool) {
+  if (pool == nullptr || docs < kMinFanOutDocs) return 1;
+  return std::min(static_cast<size_t>(pool->size()), docs / 4);
+}
+
+/// Concatenates the chunks' relations in chunk order, so each relation
+/// lists its matches in `docs` order.
+std::vector<PatternRelation> MergeChunks(std::vector<Chunk>* chunks) {
+  std::vector<PatternRelation> relations =
+      std::move(chunks->front().relations);
+  for (size_t p = 0; p < relations.size(); ++p) {
+    PatternRelation& rel = relations[p];
+    size_t bytes = rel.bytes.size();
+    size_t cells = rel.ends.size();
+    size_t matches = rel.docs.size();
+    for (size_t c = 1; c < chunks->size(); ++c) {
+      const PatternRelation& part = (*chunks)[c].relations[p];
+      bytes += part.bytes.size();
+      cells += part.ends.size();
+      matches += part.docs.size();
+    }
+    rel.bytes.reserve(bytes);
+    rel.ends.reserve(cells);
+    rel.docs.reserve(matches);
+    for (size_t c = 1; c < chunks->size(); ++c) {
+      rel.Append((*chunks)[c].relations[p]);
+    }
+  }
+  return relations;
+}
 
 /// The join slot of pattern node `node`: its rank among the pattern's
 /// join-tagged nodes in pre-order, or -1 when it carries no tag.
@@ -278,28 +379,33 @@ bool Evaluator::Matches(const TreePattern& pattern,
 }
 
 QueryResult Evaluator::Evaluate(const Query& query,
-                                const std::vector<const xml::Document*>& docs) {
+                                const std::vector<const xml::Document*>& docs,
+                                common::ThreadPool* pool) {
   const auto& patterns = query.patterns();
   QueryResult result;
-  // Step 1: evaluate each tree pattern individually over every document.
-  std::vector<PatternRelation> relations(patterns.size());
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    PatternMatcher matcher(patterns[p]);
-    PatternRelation& rel = relations[p];
-    rel.width = matcher.num_outputs();
-    rel.join_width = matcher.num_joins();
-    for (const xml::Document* doc : docs) {
-      ThreadStats().doc_bytes_scanned += doc->size_bytes();
-      if (!matcher.Reset(*doc)) continue;
-      const size_t before = rel.docs.size();
-      matcher.ForEachEmbedding([&] {
-        matcher.AppendOutputs(&rel.outputs);
-        matcher.AppendJoins(&rel.joins);
-        rel.docs.push_back(doc);
-      });
-      ThreadStats().embeddings_found += rel.docs.size() - before;
-    }
-    for (const PatternNode* node : patterns[p].output_nodes()) {
+  // Step 1: evaluate each tree pattern individually over every document,
+  // split into contiguous chunks of `docs` that run on the pool beside
+  // this thread.
+  const size_t num_chunks = FanOutChunks(docs.size(), pool);
+  std::vector<Chunk> chunks(num_chunks);
+  auto match_chunk = [&](size_t c) {
+    const size_t begin = docs.size() * c / num_chunks;
+    const size_t end = docs.size() * (c + 1) / num_chunks;
+    chunks[c] = MatchChunk(
+        patterns, std::span(docs).subspan(begin, end - begin));
+  };
+  if (num_chunks == 1) {
+    match_chunk(0);
+  } else {
+    pool->ParallelFor(num_chunks, match_chunk);
+  }
+  for (const Chunk& chunk : chunks) {
+    ThreadStats().doc_bytes_scanned += chunk.doc_bytes_scanned;
+    ThreadStats().embeddings_found += chunk.embeddings_found;
+  }
+  const std::vector<PatternRelation> relations = MergeChunks(&chunks);
+  for (const TreePattern& pattern : patterns) {
+    for (const PatternNode* node : pattern.output_nodes()) {
       result.xml_columns.push_back(node->want_cont && !node->is_attribute);
     }
   }
@@ -362,10 +468,9 @@ QueryResult Evaluator::Evaluate(const Query& query,
       uris.reserve(patterns.size());
       for (size_t q = 0; q < patterns.size(); ++q) {
         const PatternRelation& rel = relations[q];
-        const auto first = rel.outputs.begin() +
-                           static_cast<std::ptrdiff_t>(current[q] * rel.width);
-        row.insert(row.end(), first,
-                   first + static_cast<std::ptrdiff_t>(rel.width));
+        for (size_t c = 0; c < rel.width; ++c) {
+          row.emplace_back(rel.Output(current[q], c));
+        }
         uris.push_back(rel.docs[current[q]]->uri());
       }
       return;

@@ -7,6 +7,10 @@
 #include "query/tree_pattern.h"
 #include "xml/dom.h"
 
+namespace webdex::common {
+class ThreadPool;
+}  // namespace webdex::common
+
 namespace webdex::query {
 
 /// One embedding of a tree pattern into a document.
@@ -69,24 +73,31 @@ class Evaluator {
   /// individually; then apply the value joins on the tree pattern
   /// results").  Rows come in nested-loop order: pattern by pattern,
   /// each pattern's matches in `docs` order, then MatchPattern order.
+  ///
+  /// With a `pool`, the per-document matching of at least 8 documents
+  /// splits `docs` into contiguous chunks, one per pool thread and at
+  /// least 4 documents each, which the calling thread and the pool's
+  /// workers claim (ThreadPool::ParallelFor).  The chunks' relations
+  /// concatenate in `docs` order and the value joins run on the calling
+  /// thread, so rows, row URIs and work counters are identical with and
+  /// without a pool.  `docs` must not change while the call runs.
   static QueryResult Evaluate(const Query& query,
-                              const std::vector<const xml::Document*>& docs);
+                              const std::vector<const xml::Document*>& docs,
+                              common::ThreadPool* pool = nullptr);
 
   /// Work-accounting hooks: number of document bytes scanned and result
   /// bytes produced since the last consume on this thread.  Consumed by
   /// the engine to charge simulated CPU time.
   ///
-  /// Threading contract: the counters live in thread_local storage, so
-  /// they are only visible on the thread that ran the evaluation.
-  /// ConsumeWorkStats() MUST be called on the same thread as the
-  /// Evaluate / MatchPattern / Matches calls it accounts for — calling
-  /// it from another thread silently returns that thread's (empty)
-  /// stats and the work goes uncharged.  If query evaluation is ever
-  /// moved onto pooled host threads (the way indexing extraction was),
-  /// each task must consume its own stats before returning and hand
-  /// them to the event loop by value.  HasPendingWorkStats() lets
-  /// callers assert the pairing; the engine does so after every
-  /// evaluation.
+  /// Threading contract: the counters live in thread_local storage of
+  /// the thread that called Evaluate / MatchPattern / Matches.
+  /// ConsumeWorkStats() MUST be called on that same thread — calling it
+  /// from another thread silently returns that thread's (empty) stats
+  /// and the work goes uncharged.  Evaluate's pooled chunks never touch
+  /// these counters: each chunk returns its counts by value, and the
+  /// calling thread adds them to its own before Evaluate returns.
+  /// HasPendingWorkStats() lets callers assert the pairing; the engine
+  /// does so after every evaluation.
   struct WorkStats {
     uint64_t doc_bytes_scanned = 0;
     uint64_t result_bytes = 0;

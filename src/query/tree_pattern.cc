@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/strings.h"
+#include "xml/tokenizer.h"
 
 namespace webdex::query {
 
@@ -13,7 +14,7 @@ bool Predicate::Matches(std::string_view value) const {
     case PredicateKind::kEquals:
       return Trim(value) == constant;
     case PredicateKind::kContains:
-      return ContainsWord(value, constant);
+      return xml::ContainsWord(value, constant);
     case PredicateKind::kRange: {
       const std::string trimmed(Trim(value));
       if (trimmed.empty()) return false;

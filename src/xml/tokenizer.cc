@@ -1,5 +1,7 @@
 #include "xml/tokenizer.h"
 
+#include <algorithm>
+
 namespace webdex::xml {
 
 std::vector<std::string> TokenizeWords(std::string_view text) {
@@ -9,6 +11,18 @@ std::vector<std::string> TokenizeWords(std::string_view text) {
     for (char& c : lowered) c = LowerAscii(c);
   });
   return words;
+}
+
+bool ContainsWord(std::string_view text, std::string_view word) {
+  if (word.empty()) return false;
+  bool found = false;
+  ForEachWord(text, [&](std::string_view candidate) {
+    found = found || std::equal(candidate.begin(), candidate.end(),
+                                word.begin(), word.end(), [](char a, char b) {
+                                  return LowerAscii(a) == LowerAscii(b);
+                                });
+  });
+  return found;
 }
 
 std::string NormalizeWord(std::string_view word) {

@@ -44,6 +44,13 @@ void ForEachWord(std::string_view text, Fn&& fn) {
   }
 }
 
+/// The paper's `contains(word)` predicate (Section 4): true when some
+/// word of `text`, split as ForEachWord splits it, equals `word` up to
+/// ASCII case.  For a `word` of word bytes, it holds exactly when the
+/// text's extraction stored the key `w‖` + NormalizeWord(word).  An
+/// empty `word` is in no text.  Allocation-free.
+bool ContainsWord(std::string_view text, std::string_view word);
+
 /// Lowercases and validates a single word (what a query constant must be
 /// reduced to before index look-up).  Multi-word constants tokenize into
 /// several look-ups.

@@ -312,16 +312,6 @@ TEST(StringsTest, StartsEndsWith) {
   EXPECT_FALSE(EndsWith(".xml", "delacroix.xml"));
 }
 
-TEST(StringsTest, ContainsWordIsWholeWordCaseInsensitive) {
-  EXPECT_TRUE(ContainsWord("The Lion Hunt", "Lion"));
-  EXPECT_TRUE(ContainsWord("The Lion Hunt", "lion"));
-  EXPECT_FALSE(ContainsWord("The Lionheart", "lion"));
-  EXPECT_FALSE(ContainsWord("The Lion Hunt", "io"));
-  EXPECT_TRUE(ContainsWord("year:1854!", "1854"));
-  EXPECT_FALSE(ContainsWord("", "x"));
-  EXPECT_FALSE(ContainsWord("x", ""));
-}
-
 TEST(StringsTest, ParseDecimalIsStrict) {
   EXPECT_EQ(ParseDecimal("0", "n").value(), 0u);
   EXPECT_EQ(ParseDecimal("007", "n").value(), 7u);

@@ -310,6 +310,16 @@ TEST(TokenizerTest, NormalizeWordStripsAndLowercases) {
   EXPECT_EQ(NormalizeWord("--"), "");
 }
 
+TEST(TokenizerTest, ContainsWordIsWholeWordCaseInsensitive) {
+  EXPECT_TRUE(ContainsWord("The Lion Hunt", "Lion"));
+  EXPECT_TRUE(ContainsWord("The Lion Hunt", "lion"));
+  EXPECT_FALSE(ContainsWord("The Lionheart", "lion"));
+  EXPECT_FALSE(ContainsWord("The Lion Hunt", "io"));
+  EXPECT_TRUE(ContainsWord("year:1854!", "1854"));
+  EXPECT_FALSE(ContainsWord("", "x"));
+  EXPECT_FALSE(ContainsWord("x", ""));
+}
+
 TEST(TokenizerTest, ConsistentWithContainsWordPredicate) {
   // Every token of a text must satisfy contains(token) on that text —
   // the invariant that lets the word index answer containment look-ups.

@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "evaluator_reference.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
@@ -536,6 +537,89 @@ TEST(EvaluatorDifferentialTest, BenchmarkQueriesOverFullSites) {
   const Corpus corpus = XmarkCorpus(/*split_sections=*/false, 4, 40);
   for (const std::string& text : BenchmarkQueries()) {
     EXPECT_FALSE(ExpectSameAsReference(text, corpus.ptrs).skipped);
+  }
+}
+
+/// Evaluates `text` over `docs` serially and on shared pools of 2, 3 and
+/// 8 threads, and expects the pooled calls to give the serial rows, row
+/// URIs, XML columns and work counters; the serial call is checked
+/// against the reference matcher.
+void ExpectPooledSameAsSerial(const std::string& text,
+                              const std::vector<const xml::Document*>& docs) {
+  SCOPED_TRACE(text);
+  SCOPED_TRACE(StrFormat("%zu documents", docs.size()));
+  EXPECT_FALSE(ExpectSameAsReference(text, docs).skipped);
+  auto parsed = ParseQuery(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  (void)Evaluator::ConsumeWorkStats();
+  const QueryResult want = Evaluator::Evaluate(parsed.value(), docs);
+  const Evaluator::WorkStats want_stats = Evaluator::ConsumeWorkStats();
+  for (const int threads : {2, 3, 8}) {
+    SCOPED_TRACE(StrFormat("%d threads", threads));
+    const QueryResult got = Evaluator::Evaluate(
+        parsed.value(), docs, &common::ThreadPool::Shared(threads));
+    EXPECT_TRUE(Evaluator::HasPendingWorkStats());
+    const Evaluator::WorkStats got_stats = Evaluator::ConsumeWorkStats();
+    EXPECT_TRUE(got.rows == want.rows) << "rows differ";
+    EXPECT_TRUE(got.row_uris == want.row_uris) << "row URIs differ";
+    EXPECT_EQ(got.xml_columns, want.xml_columns);
+    EXPECT_EQ(got_stats.doc_bytes_scanned, want_stats.doc_bytes_scanned);
+    EXPECT_EQ(got_stats.result_bytes, want_stats.result_bytes);
+    EXPECT_EQ(got_stats.embeddings_found, want_stats.embeddings_found);
+  }
+}
+
+/// The first `n` documents of `corpus`.
+std::vector<const xml::Document*> Prefix(const Corpus& corpus, size_t n) {
+  return {corpus.ptrs.begin(),
+          corpus.ptrs.begin() + static_cast<std::ptrdiff_t>(n)};
+}
+
+// q1-q10, value joins included, over document counts around the
+// evaluator's fan-out threshold of 8 and a prime, so chunks split
+// unevenly, and over the whole corpus.
+TEST(EvaluatorDifferentialTest, PooledEvaluationMatchesSerialOverFragments) {
+  const Corpus corpus = XmarkCorpus(/*split_sections=*/true, 60, 20);
+  for (const size_t n : {0u, 1u, 7u, 8u, 9u, 37u, 60u}) {
+    for (const std::string& text : BenchmarkQueries()) {
+      ExpectPooledSameAsSerial(text, Prefix(corpus, n));
+    }
+  }
+}
+
+TEST(EvaluatorDifferentialTest, PooledEvaluationMatchesSerialOverFullSites) {
+  const Corpus corpus = XmarkCorpus(/*split_sections=*/false, 13, 12);
+  for (const size_t n : {0u, 1u, 7u, 8u, 9u, 13u}) {
+    for (const std::string& text : BenchmarkQueries()) {
+      ExpectPooledSameAsSerial(text, Prefix(corpus, n));
+    }
+  }
+}
+
+// Evaluate called from tasks of the pool it fans out on, with every
+// worker busy in one, completes: each caller matches the chunks no
+// worker is free to take.
+TEST(EvaluatorDifferentialTest, PooledEvaluationInsideAPoolTaskCompletes) {
+  const Corpus corpus = XmarkCorpus(/*split_sections=*/true, 24, 10);
+  auto parsed = ParseQuery(BenchmarkQueries()[6]);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Query& query = parsed.value();
+  const QueryResult want = Evaluator::Evaluate(query, corpus.ptrs);
+  (void)Evaluator::ConsumeWorkStats();
+  ASSERT_FALSE(want.rows.empty());
+  for (const int threads : {1, 2}) {
+    common::ThreadPool& pool = common::ThreadPool::Shared(threads);
+    std::vector<std::future<QueryResult>> callers;
+    for (int t = 0; t < threads; ++t) {
+      callers.push_back(pool.Submit([&] {
+        QueryResult result = Evaluator::Evaluate(query, corpus.ptrs, &pool);
+        (void)Evaluator::ConsumeWorkStats();
+        return result;
+      }));
+    }
+    for (auto& caller : callers) {
+      EXPECT_TRUE(caller.get().rows == want.rows) << threads << " threads";
+    }
   }
 }
 

@@ -336,6 +336,41 @@ TEST(WordAlphabetTest, ExtractionTokenizerAndQueryAgree) {
   EXPECT_TRUE(index.Contains(twig.keys[1]));
 }
 
+TEST(WordAlphabetTest, ContainsSplitsWordsWhereExtractionDoes) {
+  int extracted_bytes = 0;
+  for (int c = 0; c < 256; ++c) {
+    SCOPED_TRACE(c);
+    const char ch = static_cast<char>(c);
+    const std::string text = std::string("Ab") + ch + "cD";
+    const std::string joined = std::string("ab") + xml::LowerAscii(ch) + "cd";
+    const bool splits = !xml::IsWordByte(ch);
+    EXPECT_EQ(xml::ContainsWord(text, "AB"), splits);
+    EXPECT_EQ(xml::ContainsWord(text, "cd"), splits);
+    EXPECT_EQ(xml::ContainsWord(text, joined), !splits);
+    // The words extraction stores for the text are exactly the words
+    // contains() finds in it.  '<' and '&' are markup, not text.
+    if (ch == '<' || ch == '&') continue;
+    auto doc = xml::ParseDocument("byte.xml", "<p>" + text + "</p>");
+    if (!doc.ok()) continue;
+    ++extracted_bytes;
+    std::set<std::string> stored;
+    const DocIndex index = ExtractDocIndex(doc.value());
+    for (const DocIndex::Entry& entry : index.entries()) {
+      if (index.key(entry)[0] == kWordPrefix) {
+        stored.insert(std::string(index.key(entry).substr(1)));
+      }
+    }
+    const std::set<std::string> want =
+        splits ? std::set<std::string>{"ab", "cd"}
+               : std::set<std::string>{joined};
+    EXPECT_EQ(stored, want);
+    for (const std::string& word : stored) {
+      EXPECT_TRUE(xml::ContainsWord(text, word)) << word;
+    }
+  }
+  EXPECT_GE(extracted_bytes, 250);
+}
+
 // --- ID codec ----------------------------------------------------------------
 
 TEST(IdCodecTest, RoundTrip) {

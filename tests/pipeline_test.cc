@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
+#include "benchmark_queries.h"
 #include "store_dump.h"
 
 namespace webdex::engine {
@@ -225,6 +229,130 @@ TEST(PipelineTest, QueriesAgreeAfterSerialAndParallelIndexing) {
   EXPECT_EQ(serial.second, parallel.second);
   ASSERT_FALSE(serial.first.empty());
   EXPECT_EQ(serial.first[0][0], "Delacroix");
+}
+
+/// One indexed deployment over XMark fragments, enough of them that most
+/// of q1-q10 fetch more documents than the evaluator's fan-out needs.
+struct QueryDeployment {
+  QueryDeployment(StrategyKind strategy, int host_threads) {
+    env->tracer().set_enabled(true);
+    WarehouseConfig config;
+    config.strategy = strategy;
+    config.num_instances = 2;
+    config.host_threads = host_threads;
+    warehouse = std::make_unique<Warehouse>(env.get(), config);
+    EXPECT_TRUE(warehouse->Setup().ok());
+    xmark::GeneratorConfig corpus;
+    corpus.num_documents = 48;
+    corpus.entities_per_document = 10;
+    corpus.split_sections = true;
+    for (const auto& doc : xmark::XmarkGenerator(corpus).GenerateAll()) {
+      EXPECT_TRUE(warehouse->SubmitDocument(doc.uri, doc.text).ok());
+    }
+    EXPECT_TRUE(warehouse->RunIndexers().ok());
+  }
+
+  std::unique_ptr<cloud::CloudEnv> env = std::make_unique<cloud::CloudEnv>();
+  std::unique_ptr<Warehouse> warehouse;
+};
+
+/// What a query run must reproduce whatever the host thread count.
+struct QueryFingerprint {
+  std::vector<std::vector<std::vector<std::string>>> rows;
+  std::vector<std::vector<std::vector<std::string>>> row_uris;
+  std::vector<uint64_t> docs_fetched;
+  cloud::Micros makespan = 0;
+  std::string usage;
+  double dollars = 0;
+  std::string trace;
+
+  bool operator==(const QueryFingerprint&) const = default;
+};
+
+QueryFingerprint RunQueries(QueryDeployment& deployment,
+                            const std::vector<std::string>& queries) {
+  QueryFingerprint out;
+  auto report = deployment.warehouse->ExecuteQueries(queries);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return out;
+  for (const QueryOutcome& outcome : report.value().outcomes) {
+    out.rows.push_back(outcome.result.rows);
+    out.row_uris.push_back(outcome.result.row_uris);
+    out.docs_fetched.push_back(outcome.docs_fetched);
+  }
+  out.makespan = report.value().makespan;
+  std::ostringstream usage;
+  usage.precision(17);
+  deployment.env->meter().usage().ForEachField(
+      [&usage](const char* name, auto value) {
+        usage << name << '=' << value << '\n';
+      });
+  out.usage = usage.str();
+  out.dollars = deployment.env->meter().ComputeBill().total();
+  out.trace = deployment.env->tracer().Canonical();
+  return out;
+}
+
+class QueryDeterminismTest : public ::testing::TestWithParam<StrategyKind> {};
+
+// Query evaluation fans out on the host pool (query::Evaluator::Evaluate
+// with the warehouse's shared pool): rows, Usage, bill and canonical
+// trace of q1-q10 are the serial run's.
+TEST_P(QueryDeterminismTest, BenchmarkQueriesAreIdenticalAcrossHostThreads) {
+  QueryDeployment serial(GetParam(), 1);
+  QueryDeployment parallel(GetParam(), 8);
+  const QueryFingerprint want = RunQueries(serial, BenchmarkQueries());
+  const QueryFingerprint got = RunQueries(parallel, BenchmarkQueries());
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.row_uris, want.row_uris);
+  EXPECT_EQ(got.docs_fetched, want.docs_fetched);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.usage, want.usage);
+  EXPECT_EQ(got.dollars, want.dollars);
+  EXPECT_EQ(got.trace, want.trace);
+  // Some queries return rows, and some fetch enough documents to fan
+  // out.
+  size_t rows = 0;
+  uint64_t most_fetched = 0;
+  for (size_t q = 0; q < want.rows.size(); ++q) {
+    rows += want.rows[q].size();
+    most_fetched = std::max(most_fetched, want.docs_fetched[q]);
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_GE(most_fetched, 16u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IndexedStrategies, QueryDeterminismTest,
+    ::testing::Values(StrategyKind::k2LUPI, StrategyKind::kLUP,
+                      StrategyKind::kLUI),
+    [](const ::testing::TestParamInfo<StrategyKind>& info) {
+      return std::string(index::StrategyKindName(info.param));
+    });
+
+// Two warehouses of one host thread count share one process-lifetime
+// pool (common::ThreadPool::Shared): interleaving their indexing runs
+// and queries on it gives each the results it gets alone.
+TEST(PipelineTest, TwoWarehousesInterleaveOnTheSharedPool) {
+  const std::vector<std::string>& queries = BenchmarkQueries();
+  const std::vector<std::string> first(queries.begin(), queries.begin() + 5);
+  const std::vector<std::string> second(queries.begin() + 5, queries.end());
+  auto alone = [&](StrategyKind strategy) {
+    QueryDeployment deployment(strategy, 1);
+    RunQueries(deployment, first);
+    return RunQueries(deployment, second);
+  };
+  const QueryFingerprint want_lup = alone(StrategyKind::kLUP);
+  const QueryFingerprint want_lui = alone(StrategyKind::kLUI);
+
+  QueryDeployment lup(StrategyKind::kLUP, 3);
+  QueryDeployment lui(StrategyKind::kLUI, 3);
+  RunQueries(lup, first);
+  RunQueries(lui, first);
+  const QueryFingerprint got_lup = RunQueries(lup, second);
+  const QueryFingerprint got_lui = RunQueries(lui, second);
+  EXPECT_TRUE(got_lup == want_lup);
+  EXPECT_TRUE(got_lui == want_lui);
 }
 
 // The ExtractionPipeline on its own: a data bucket holding Corpus(), a

@@ -62,6 +62,59 @@ TEST(ThreadPoolTest, DrainsQueueOnDestruction) {
   EXPECT_EQ(counter.load(), 200);
 }
 
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (const size_t count : {0u, 1u, 2u, 7u, 64u}) {
+    std::vector<std::atomic<int>> runs(count);
+    pool.ParallelFor(count, [&runs](size_t i) { runs[i].fetch_add(1); });
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << count << " " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsAfterEveryIndexRan) {
+  ThreadPool pool(2);
+  std::atomic<int> runs{0};
+  EXPECT_THROW(pool.ParallelFor(9,
+                                [&runs](size_t i) {
+                                  runs.fetch_add(1);
+                                  if (i == 4) throw std::runtime_error("4");
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(runs.load(), 9);
+}
+
+// A ParallelFor from inside a task of the same pool, with every worker
+// busy in one, completes: each caller claims the indexes no worker is
+// free to take.
+TEST(ThreadPoolTest, ParallelForInsideTasksOfTheSamePoolCompletes) {
+  for (const int threads : {1, 2}) {
+    ThreadPool& pool = ThreadPool::Shared(threads);
+    std::vector<std::future<int>> callers;
+    for (int t = 0; t < threads; ++t) {
+      callers.push_back(pool.Submit([&pool] {
+        std::atomic<int> sum{0};
+        pool.ParallelFor(16, [&sum](size_t i) {
+          sum.fetch_add(static_cast<int>(i));
+        });
+        return sum.load();
+      }));
+    }
+    for (auto& caller : callers) EXPECT_EQ(caller.get(), 120) << threads;
+  }
+}
+
+TEST(ThreadPoolTest, SharedIsOnePoolPerSize) {
+  ThreadPool& three = ThreadPool::Shared(3);
+  EXPECT_EQ(&ThreadPool::Shared(3), &three);
+  EXPECT_EQ(three.size(), 3);
+  EXPECT_NE(&ThreadPool::Shared(4), &three);
+  EXPECT_EQ(&ThreadPool::Shared(0), &ThreadPool::Shared(1));
+  EXPECT_EQ(ThreadPool::Shared(1).size(), 1);
+  EXPECT_EQ(three.Submit([] { return 5; }).get(), 5);
+}
+
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1);
 }
