@@ -41,7 +41,7 @@ void PutString(std::string* out, std::string_view s) {
 
 Result<std::string> GetString(const std::string& data, size_t* offset) {
   WEBDEX_ASSIGN_OR_RETURN(uint64_t length, GetVarint64(data, offset));
-  if (*offset + length > data.size()) {
+  if (length > data.size() - *offset) {
     return Status::Corruption("truncated string in snapshot");
   }
   std::string out = data.substr(*offset, length);
@@ -198,7 +198,6 @@ Status RestoreChaosState(const std::string& snapshot, size_t* offset,
   WEBDEX_ASSIGN_OR_RETURN(uint64_t stream_count,
                           GetVarint64(snapshot, offset));
   std::vector<FaultInjector::StreamState> streams;
-  streams.reserve(stream_count);
   for (uint64_t i = 0; i < stream_count; ++i) {
     WEBDEX_ASSIGN_OR_RETURN(std::string site, GetString(snapshot, offset));
     std::array<uint64_t, 4> state;
@@ -212,7 +211,6 @@ Status RestoreChaosState(const std::string& snapshot, size_t* offset,
   WEBDEX_ASSIGN_OR_RETURN(uint64_t tracker_count,
                           GetVarint64(snapshot, offset));
   std::vector<CircuitBreaker::TrackerState> trackers;
-  trackers.reserve(tracker_count);
   for (uint64_t i = 0; i < tracker_count; ++i) {
     WEBDEX_ASSIGN_OR_RETURN(std::string resource,
                             GetString(snapshot, offset));

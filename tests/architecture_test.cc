@@ -9,21 +9,16 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "cloud/cloud_env.h"
 #include "cloud/deployment.h"
 #include "cloud/retrying_kv_store.h"
 #include "cloud/sharded_kv_store.h"
 #include "cloud/snapshot.h"
 #include "common/strings.h"
-#include "engine/warehouse.h"
-#include "xmark/paintings.h"
-#include "xmark/xmark_generator.h"
-#include "store_dump.h"
+#include "scenario.h"
 
 namespace webdex::engine {
 namespace {
@@ -34,19 +29,6 @@ using index::StrategyKind;
 
 class Agent : public cloud::SimAgent {};
 
-std::vector<xmark::GeneratedDocument> Corpus() {
-  auto docs = xmark::GeneratePaintings();
-  xmark::GeneratorConfig config;
-  config.num_documents = 6;
-  config.entities_per_document = 5;
-  for (auto& doc : xmark::XmarkGenerator(config).GenerateAll()) {
-    docs.push_back(std::move(doc));
-  }
-  return docs;
-}
-
-const char* kQuery = "//painting[/name~'Lion', //painter/name/last:val]";
-
 ArchitectureSpec Arch(CapacityMode capacity, int shards, int replicas) {
   ArchitectureSpec arch;
   arch.capacity = capacity;
@@ -55,33 +37,13 @@ ArchitectureSpec Arch(CapacityMode capacity, int shards, int replicas) {
   return arch;
 }
 
-/// Everything two architectures must agree on (state, rows) or may
-/// legitimately differ in (usage, dollars, makespan).
-struct ArchFingerprint {
-  uint64_t index_fingerprint = 0;
-  std::vector<std::string> logical_dump;
-  std::vector<std::vector<std::string>> rows;
-  IndexingRunReport report;
-  cloud::Usage usage;
-  double dollars = 0;
-};
-
-struct RunOptions {
-  IndexBackend backend = IndexBackend::kDynamoDb;
-  cloud::FaultPlan faults;
-  int host_threads = 1;
-  int query_rounds = 1;
-  /// After the build, mutate the corpus and run both maintenance passes
-  /// (MaintainMutatedCorpus) before the state is fingerprinted.
-  bool maintenance = false;
-};
-
 /// Upserts two documents, deletes one, commits them, then scrubs,
 /// fully compacts and scrubs again — through whatever store stack the
 /// architecture built.  Both scrubs must audit clean.
 void MaintainMutatedCorpus(Warehouse& warehouse) {
   // Only XMark documents change, so the painting query keeps its rows.
-  const std::vector<xmark::GeneratedDocument> corpus = Corpus();
+  const std::vector<xmark::GeneratedDocument> corpus =
+      PaintingsAndXmark(6, 5);
   const size_t n = corpus.size();
   EXPECT_TRUE(
       warehouse.UpsertDocument(corpus[n - 1].uri, corpus[n - 2].text).ok());
@@ -104,44 +66,35 @@ void MaintainMutatedCorpus(Warehouse& warehouse) {
   expect_clean("after compaction");
 }
 
-ArchFingerprint RunArch(const ArchitectureSpec& arch,
-                        const RunOptions& options = RunOptions()) {
-  cloud::CloudConfig cloud_config;
-  cloud_config.arch = arch;
-  cloud_config.faults = options.faults;
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  config.backend = options.backend;
-  config.num_instances = 2;
-  config.host_threads = options.host_threads;
-  Warehouse warehouse(env.get(), config);
-  EXPECT_TRUE(warehouse.Setup().ok());
-  // Every decorator of the stack passes the backend's capabilities up.
-  const cloud::KvStore& backend =
-      options.backend == IndexBackend::kSimpleDb
-          ? static_cast<const cloud::KvStore&>(env->simpledb())
-          : env->dynamodb();
-  EXPECT_EQ(warehouse.index_store().Limits(), backend.Limits()) << arch.Name();
-  EXPECT_STREQ(warehouse.index_store().Name(), backend.Name()) << arch.Name();
-  for (const auto& doc : Corpus()) {
-    EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  ArchFingerprint out;
-  auto report = warehouse.RunIndexers();
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (report.ok()) out.report = report.value();
-  if (options.maintenance) MaintainMutatedCorpus(warehouse);
-  out.index_fingerprint = cloud::FingerprintStore(warehouse.index_store());
-  out.logical_dump = cloud::DumpStore(warehouse.index_store());
-  for (int round = 0; round < options.query_rounds; ++round) {
-    auto outcome = warehouse.ExecuteQuery(kQuery);
-    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
-    if (outcome.ok()) out.rows = outcome.value().result.rows;
-  }
-  out.usage = env->meter().usage();
-  out.dollars = env->meter().ComputeBill().total();
-  return out;
+/// LUP on `arch` answering the painting query; with `maintenance`, the
+/// corpus is mutated and maintained (MaintainMutatedCorpus) before the
+/// state is captured.  Every run checks that each decorator of the
+/// stack passes the backend's capabilities up.
+Scenario Layout(const ArchitectureSpec& arch,
+                IndexBackend backend = IndexBackend::kDynamoDb,
+                bool maintenance = false) {
+  Scenario scenario;
+  scenario.cloud.arch = arch;
+  scenario.warehouse.strategy = StrategyKind::kLUP;
+  scenario.warehouse.backend = backend;
+  scenario.warehouse.num_instances = 2;
+  scenario.warehouse.host_threads = 1;
+  scenario.documents = PaintingsAndXmark(6, 5);
+  scenario.queries = {kPaintingQuery};
+  scenario.after_index = [maintenance](Outcome& run) {
+    cloud::CloudEnv& env = run.env();
+    const cloud::KvStore& backend =
+        run.warehouse().config().backend == IndexBackend::kSimpleDb
+            ? static_cast<const cloud::KvStore&>(env.simpledb())
+            : env.dynamodb();
+    const std::string name = env.deployment().spec().Name();
+    EXPECT_EQ(run.warehouse().index_store().Limits(), backend.Limits())
+        << name;
+    EXPECT_STREQ(run.warehouse().index_store().Name(), backend.Name())
+        << name;
+    if (maintenance) MaintainMutatedCorpus(run.warehouse());
+  };
+  return scenario;
 }
 
 // ---------------------------------------------------------------------------
@@ -219,12 +172,11 @@ TEST(DeploymentTest, ReplicaReadableFollowsWatermark) {
 class ArchitectureTest : public ::testing::TestWithParam<IndexBackend> {};
 
 TEST_P(ArchitectureTest, AllArchitecturesConvergeToSameLogicalState) {
-  RunOptions options{GetParam(), cloud::FaultPlan(), 1, 1};
-  options.maintenance = true;
-  const ArchFingerprint baseline = RunArch(ArchitectureSpec(), options);
-  ASSERT_FALSE(baseline.rows.empty());
-  EXPECT_EQ(baseline.rows[0][0], "Delacroix");
-  ASSERT_FALSE(baseline.logical_dump.empty());
+  const Outcome baseline = RunScenario(
+      Layout(ArchitectureSpec(), GetParam(), /*maintenance=*/true));
+  ASSERT_FALSE(baseline.rows[0].empty());
+  EXPECT_EQ(baseline.rows[0][0][0], "Delacroix");
+  ASSERT_FALSE(baseline.dump.empty());
 
   const std::vector<ArchitectureSpec> architectures = {
       Arch(CapacityMode::kProvisioned, 4, 0),
@@ -235,12 +187,11 @@ TEST_P(ArchitectureTest, AllArchitecturesConvergeToSameLogicalState) {
       Arch(CapacityMode::kOnDemand, 4, 2),
   };
   for (const ArchitectureSpec& arch : architectures) {
-    const ArchFingerprint run = RunArch(arch, options);
-    EXPECT_EQ(run.index_fingerprint, baseline.index_fingerprint)
-        << arch.Name();
-    EXPECT_EQ(run.logical_dump, baseline.logical_dump) << arch.Name();
-    EXPECT_EQ(run.rows, baseline.rows) << arch.Name();
-    EXPECT_EQ(run.report.documents, baseline.report.documents) << arch.Name();
+    SCOPED_TRACE(arch.Name());
+    const Outcome run =
+        RunScenario(Layout(arch, GetParam(), /*maintenance=*/true));
+    ExpectSameState(baseline, run);
+    EXPECT_EQ(run.report.documents, baseline.report.documents);
   }
 }
 
@@ -257,14 +208,19 @@ INSTANTIATE_TEST_SUITE_P(BothBackends, ArchitectureTest,
 // Replicated reads actually fire and are cheaper than primary reads:
 // same rows, fewer read dollars than the unreplicated run.
 TEST(ArchitectureTest, ReplicaReadsAreBilledAtHalfPrice) {
-  RunOptions options;
-  options.query_rounds = 3;
-  const ArchFingerprint primary = RunArch(ArchitectureSpec(), options);
+  // Three query rounds, one after the other.
+  const auto rounds = [](const ArchitectureSpec& arch) {
+    Outcome run = RunScenario(Layout(arch));
+    RunQueries(run, {kPaintingQuery});
+    RunQueries(run, {kPaintingQuery});
+    return run;
+  };
+  const Outcome primary = rounds(ArchitectureSpec());
   // Short lag so the post-indexing queries find the replicas caught up;
   // the equivalence suite above covers the default 500 ms lag.
   ArchitectureSpec arch = Arch(CapacityMode::kProvisioned, 1, 2);
   arch.replication_lag = 1000;
-  const ArchFingerprint replicated = RunArch(arch, options);
+  const Outcome replicated = rounds(arch);
   EXPECT_EQ(replicated.rows, primary.rows);
   EXPECT_GT(replicated.usage.replica_reads, 0u);
   EXPECT_EQ(primary.usage.replica_reads, 0u);
@@ -277,28 +233,19 @@ TEST(ArchitectureTest, ReplicaReadsAreBilledAtHalfPrice) {
 // write: deleting postings moves the table's replication watermark, so
 // a replica read right after a compaction cannot serve the stale rows.
 TEST(ArchitectureTest, CompactionAdvancesReplicaWatermark) {
-  cloud::CloudConfig cloud_config;
-  cloud_config.arch = Arch(CapacityMode::kProvisioned, 1, 2);
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  config.num_instances = 2;
-  Warehouse warehouse(env.get(), config);
-  ASSERT_TRUE(warehouse.Setup().ok());
-  const std::vector<xmark::GeneratedDocument> corpus = Corpus();
-  for (const auto& doc : corpus) {
-    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  ASSERT_TRUE(warehouse.RunIndexers().ok());
-  ASSERT_TRUE(warehouse.DeleteDocument(corpus.back().uri).ok());
+  const Outcome run =
+      RunScenario(Layout(Arch(CapacityMode::kProvisioned, 1, 2)));
+  Warehouse& warehouse = run.warehouse();
+  const std::string victim = warehouse.document_uris().back();
+  ASSERT_TRUE(warehouse.DeleteDocument(victim).ok());
   ASSERT_TRUE(warehouse.RunIndexers().ok());
 
-  const cloud::Micros before = env->deployment().Watermark("idx-lup");
+  const cloud::Micros before = run.env().deployment().Watermark("idx-lup");
   auto compacted = warehouse.Compact(/*full=*/true);
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
   ASSERT_EQ(compacted.value().collected_uris,
-            std::vector<std::string>{corpus.back().uri});
-  EXPECT_GT(env->deployment().Watermark("idx-lup"), before);
+            std::vector<std::string>{victim});
+  EXPECT_GT(run.env().deployment().Watermark("idx-lup"), before);
 }
 
 // On-demand capacity bills to the pay-per-request counters at a premium
@@ -331,31 +278,16 @@ TEST(ArchitectureTest, OnDemandBillsPerRequest) {
 // Run reports count index units on either price sheet: an on-demand
 // deployment reports the on-demand units it metered, not zero.
 TEST(ArchitectureTest, OnDemandReportsIndexUnits) {
-  cloud::CloudConfig cloud_config;
-  cloud_config.arch = Arch(CapacityMode::kOnDemand, 1, 0);
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  config.num_instances = 2;
-  Warehouse warehouse(env.get(), config);
-  ASSERT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  auto report = warehouse.RunIndexers();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const double write_units = env->meter().usage().ddb_ondemand_write_units;
+  const Outcome run =
+      RunScenario(Layout(Arch(CapacityMode::kOnDemand, 1, 0)));
+  const double write_units = run.index_usage.ddb_ondemand_write_units;
   ASSERT_GT(write_units, 0.0);
-  EXPECT_NEAR(report.value().index_put_units, write_units,
-              1e-9 * write_units);
+  EXPECT_NEAR(run.report.index_put_units, write_units, 1e-9 * write_units);
 
-  const cloud::Usage before = env->meter().Snapshot();
-  auto outcome = warehouse.ExecuteQuery(kQuery);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_GT(outcome.value().index_get_units, 0.0);
-  EXPECT_DOUBLE_EQ(
-      outcome.value().index_get_units,
-      (env->meter().Snapshot() - before).ddb_ondemand_read_units);
+  const QueryOutcome& outcome = run.queries.outcomes[0];
+  EXPECT_GT(outcome.index_get_units, 0.0);
+  EXPECT_DOUBLE_EQ(outcome.index_get_units,
+                   run.query_usage.ddb_ondemand_read_units);
 }
 
 // The sharded router takes a borrowed sub-span: a batch whose items all
@@ -417,34 +349,20 @@ cloud::FaultPlan ArchChaosPlan() {
 }
 
 TEST(ArchitectureTest, FaultedShardedReplicatedRunConverges) {
-  const ArchitectureSpec arch = Arch(CapacityMode::kProvisioned, 4, 2);
-  const ArchFingerprint clean = RunArch(arch);
-  RunOptions faulted_options;
-  faulted_options.faults = ArchChaosPlan();
-  const ArchFingerprint faulted = RunArch(arch, faulted_options);
+  Scenario scenario = Layout(Arch(CapacityMode::kProvisioned, 4, 2));
+  const Outcome clean = RunScenario(scenario);
+  scenario.cloud.faults = ArchChaosPlan();
+  const Outcome faulted = RunScenario(scenario);
   EXPECT_GT(faulted.usage.faulted_requests, 0u);
   EXPECT_GT(faulted.usage.retried_requests, 0u);
-  EXPECT_EQ(faulted.index_fingerprint, clean.index_fingerprint);
-  EXPECT_EQ(faulted.logical_dump, clean.logical_dump);
-  EXPECT_EQ(faulted.rows, clean.rows);
-  EXPECT_GE(faulted.dollars, clean.dollars);
+  ExpectSameState(clean, faulted);
+  EXPECT_GE(faulted.bill, clean.bill);
 }
 
 TEST(ArchitectureTest, SerialAndParallelShardedRunsAreBitIdentical) {
-  const ArchitectureSpec arch = Arch(CapacityMode::kProvisioned, 4, 2);
-  RunOptions serial_options;
-  serial_options.faults = ArchChaosPlan();
-  serial_options.host_threads = 1;
-  RunOptions parallel_options = serial_options;
-  parallel_options.host_threads = 8;
-  const ArchFingerprint serial = RunArch(arch, serial_options);
-  const ArchFingerprint parallel = RunArch(arch, parallel_options);
-  EXPECT_EQ(serial.logical_dump, parallel.logical_dump);
-  EXPECT_EQ(serial.rows, parallel.rows);
-  EXPECT_DOUBLE_EQ(serial.dollars, parallel.dollars);
-  EXPECT_EQ(serial.report.makespan, parallel.report.makespan);
-  EXPECT_EQ(serial.usage.ddb_put_requests, parallel.usage.ddb_put_requests);
-  EXPECT_EQ(serial.usage.replica_reads, parallel.usage.replica_reads);
+  Scenario scenario = Layout(Arch(CapacityMode::kProvisioned, 4, 2));
+  scenario.cloud.faults = ArchChaosPlan();
+  ExpectSerialEqualsParallel(scenario);
 }
 
 // ---------------------------------------------------------------------------
@@ -496,39 +414,20 @@ TEST(ArchitectureTest, FaultFreeCreateTableIsFreeAndInstant) {
 // Snapshot v5: deployment state is durable, restore validates the shape.
 
 TEST(ArchitectureTest, SnapshotV5RoundTripsShardedReplicatedState) {
-  const ArchitectureSpec arch = Arch(CapacityMode::kProvisioned, 4, 2);
-  cloud::CloudConfig cloud_config;
-  cloud_config.arch = arch;
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  Warehouse warehouse(env.get(), config);
-  ASSERT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  ASSERT_TRUE(warehouse.RunIndexers().ok());
-  const uint64_t fingerprint =
-      cloud::FingerprintStore(warehouse.index_store());
-  auto rows = warehouse.ExecuteQuery(kQuery);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_FALSE(env->deployment().watermarks().empty());
+  Scenario scenario = Layout(Arch(CapacityMode::kProvisioned, 4, 2));
+  scenario.warehouse.num_instances = 1;
+  Outcome run = RunScenario(scenario);
+  ASSERT_FALSE(run.env().deployment().watermarks().empty());
+  EXPECT_EQ(SerializeSnapshot(run.env()).substr(0, 8), "WDXSNAP5");
 
-  const std::string snapshot = SerializeSnapshot(*env);
-  EXPECT_EQ(snapshot.substr(0, 8), "WDXSNAP5");
-
-  cloud::CloudConfig restored_config;
-  restored_config.arch = arch;
-  auto restored_env = std::make_unique<cloud::CloudEnv>(restored_config);
-  ASSERT_TRUE(RestoreSnapshot(snapshot, restored_env.get()).ok());
-  EXPECT_EQ(restored_env->deployment().watermarks(),
-            env->deployment().watermarks());
-  Warehouse restored(restored_env.get(), config);
-  ASSERT_TRUE(restored.AttachToExistingCloud().ok());
-  EXPECT_EQ(cloud::FingerprintStore(restored.index_store()), fingerprint);
-  auto restored_rows = restored.ExecuteQuery(kQuery);
-  ASSERT_TRUE(restored_rows.ok());
-  EXPECT_EQ(restored_rows.value().result.rows, rows.value().result.rows);
+  Restart(run);
+  EXPECT_EQ(run.env().deployment().watermarks(),
+            run.deployment.retired.back()->deployment().watermarks());
+  EXPECT_EQ(cloud::FingerprintStore(run.warehouse().index_store()),
+            run.fingerprint);
+  const std::vector<Rows> rows = run.rows;
+  RunQueries(run, {kPaintingQuery});
+  EXPECT_EQ(run.rows, rows);
 }
 
 TEST(ArchitectureTest, SnapshotRestoreRejectsArchitectureMismatch) {

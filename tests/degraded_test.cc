@@ -8,15 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "cloud/circuit_breaker.h"
-#include "cloud/cloud_env.h"
-#include "engine/warehouse.h"
-#include "xmark/paintings.h"
+#include "scenario.h"
 
 namespace webdex::engine {
 namespace {
@@ -25,48 +22,25 @@ using cloud::BreakerState;
 using cloud::Micros;
 using index::StrategyKind;
 
-const char* kQuery = "//painting[/name~'Lion', //painter/name/last:val]";
+const std::vector<std::string> kWorkload = {
+    kPaintingQuery, "//painting[/year:val, /museum]", kPaintingQuery};
 
-std::vector<std::string> Workload() {
-  return {kQuery, "//painting[/year:val, /museum]", kQuery};
-}
+constexpr Micros kForever = 3600 * cloud::kMicrosPerSecond;
 
-struct BrownoutRun {
-  QueryRunReport report;
-  double total_dollars = 0;
-  double query_dollars = 0;
-  cloud::Usage usage;
-  Micros index_end = 0;  // front-end clock after indexing
-};
-
-/// Indexes the paintings corpus fault-free, then runs the workload with
-/// a sustained index-store outage covering [index_end + outage_start,
-/// index_end + outage_end) — (0, 0) means no outage.  `index_end` is
-/// deterministic, so it is measured by a dry run inside.
-BrownoutRun RunBrownout(StrategyKind strategy, IndexBackend backend,
-                        Micros outage_start, Micros outage_end,
-                        int host_threads) {
-  // Pass 1: fault-free, to learn when the query phase begins.
-  Micros index_end = 0;
-  {
-    cloud::CloudEnv env;
-    WarehouseConfig config;
-    config.strategy = strategy;
-    config.backend = backend;
-    config.host_threads = host_threads;
-    Warehouse warehouse(&env, config);
-    EXPECT_TRUE(warehouse.Setup().ok());
-    for (const auto& doc : xmark::GeneratePaintings()) {
-      EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-    }
-    auto report = warehouse.RunIndexers();
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    index_end = warehouse.front_end().now();
-  }
-
-  // Pass 2: indexing is deterministic, so it finishes at the same
-  // instant and the outage window hits only the queries.
-  cloud::CloudConfig cloud_config;
+/// The paintings corpus, indexed fault-free, then the workload under a
+/// sustained index-store outage covering [index_end + outage_start,
+/// index_end + outage_end) — (0, 0) means no outage.  Indexing is
+/// deterministic, so a fault-free build pins `index_end`, when the query
+/// phase begins, and the outage window hits only the queries.
+Scenario Brownout(StrategyKind strategy, IndexBackend backend,
+                  Micros outage_start, Micros outage_end) {
+  Scenario scenario;
+  scenario.warehouse.strategy = strategy;
+  scenario.warehouse.backend = backend;
+  scenario.warehouse.host_threads = 1;
+  scenario.documents = xmark::GeneratePaintings();
+  const Micros index_end = RunScenario(scenario).index_end;
+  scenario.queries = kWorkload;
   if (outage_end > outage_start) {
     cloud::OutageWindow window;
     window.service = backend == IndexBackend::kSimpleDb
@@ -74,36 +48,17 @@ BrownoutRun RunBrownout(StrategyKind strategy, IndexBackend backend,
                          : cloud::ServiceId::kDynamoDb;
     window.start = index_end + outage_start;
     window.end = index_end + outage_end;
-    cloud_config.faults.outages.push_back(window);
+    scenario.cloud.faults.outages.push_back(window);
   }
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = strategy;
-  config.backend = backend;
-  config.host_threads = host_threads;
-  Warehouse warehouse(env.get(), config);
-  EXPECT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : xmark::GeneratePaintings()) {
-    EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  auto indexing = warehouse.RunIndexers();
-  EXPECT_TRUE(indexing.ok()) << indexing.status().ToString();
-  EXPECT_EQ(warehouse.front_end().now(), index_end);
-
-  BrownoutRun out;
-  out.index_end = index_end;
-  const cloud::Usage before = env->meter().Snapshot();
-  auto report = warehouse.ExecuteQueries(Workload());
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (report.ok()) out.report = std::move(report).value();
-  out.query_dollars =
-      env->meter().ComputeBill(env->meter().Snapshot() - before).total();
-  out.total_dollars = env->meter().ComputeBill().total();
-  out.usage = env->meter().usage();
-  return out;
+  scenario.after_index = [index_end](Outcome& run) {
+    EXPECT_EQ(run.index_end, index_end);
+  };
+  return scenario;
 }
 
-constexpr Micros kForever = 3600 * cloud::kMicrosPerSecond;
+double QueryDollars(const Outcome& run) {
+  return run.env().meter().ComputeBill(run.query_usage).total();
+}
 
 class DegradedTest : public ::testing::TestWithParam<StrategyKind> {};
 
@@ -111,14 +66,14 @@ class DegradedTest : public ::testing::TestWithParam<StrategyKind> {};
 // every query onto the scan fallback; answers are bit-identical to the
 // healthy run and strictly dearer.
 TEST_P(DegradedTest, SustainedOutageDegradesEveryQueryBitIdentically) {
-  const BrownoutRun healthy =
-      RunBrownout(GetParam(), IndexBackend::kDynamoDb, 0, 0, 1);
-  const BrownoutRun browned =
-      RunBrownout(GetParam(), IndexBackend::kDynamoDb, 0, kForever, 1);
+  const Outcome healthy =
+      RunScenario(Brownout(GetParam(), IndexBackend::kDynamoDb, 0, 0));
+  const Outcome browned =
+      RunScenario(Brownout(GetParam(), IndexBackend::kDynamoDb, 0, kForever));
 
   // The healthy run answered from the index, breakers untouched.
-  ASSERT_EQ(healthy.report.outcomes.size(), Workload().size());
-  for (const auto& outcome : healthy.report.outcomes) {
+  ASSERT_EQ(healthy.queries.outcomes.size(), kWorkload.size());
+  for (const auto& outcome : healthy.queries.outcomes) {
     EXPECT_FALSE(outcome.degraded);
     EXPECT_EQ(outcome.scan_docs, 0u);
   }
@@ -127,50 +82,34 @@ TEST_P(DegradedTest, SustainedOutageDegradesEveryQueryBitIdentically) {
   EXPECT_EQ(healthy.usage.degraded_queries, 0u);
 
   // The browned-out run answered every query, all via the fallback.
-  ASSERT_EQ(browned.report.outcomes.size(), Workload().size());
-  for (size_t q = 0; q < Workload().size(); ++q) {
-    const QueryOutcome& degraded = browned.report.outcomes[q];
+  ASSERT_EQ(browned.queries.outcomes.size(), kWorkload.size());
+  for (size_t q = 0; q < kWorkload.size(); ++q) {
+    const QueryOutcome& degraded = browned.queries.outcomes[q];
     EXPECT_TRUE(degraded.degraded) << "query " << q;
     EXPECT_EQ(degraded.scan_docs, xmark::GeneratePaintings().size());
     EXPECT_EQ(degraded.docs_from_index, 0u);
-    // Bit-identical answers.
-    EXPECT_EQ(degraded.result.rows, healthy.report.outcomes[q].result.rows);
   }
-  EXPECT_EQ(browned.report.degraded_queries, Workload().size());
-  EXPECT_GE(browned.report.breaker_opens, 1u);
+  // Bit-identical answers.
+  EXPECT_EQ(browned.rows, healthy.rows);
+  EXPECT_EQ(browned.queries.degraded_queries, kWorkload.size());
+  EXPECT_GE(browned.queries.breaker_opens, 1u);
   // The planner consults breaker health before issuing look-ups
   // (docs/PLANNER.md): after the first query's failed look-up opens the
   // breaker, later queries plan straight to the scan path instead of
   // burning short-circuited attempts against the open breaker.  Every
   // query records its fallback.
   EXPECT_EQ(browned.usage.breaker_short_circuits, 0u);
-  EXPECT_EQ(browned.report.planner_fallbacks, Workload().size());
+  EXPECT_EQ(browned.queries.planner_fallbacks, kWorkload.size());
   // Availability was paid for: strictly more dollars, longer makespan.
-  EXPECT_GT(browned.query_dollars, healthy.query_dollars);
-  EXPECT_GT(browned.report.makespan, healthy.report.makespan);
+  EXPECT_GT(QueryDollars(browned), QueryDollars(healthy));
+  EXPECT_GT(browned.queries.makespan, healthy.queries.makespan);
 }
 
 // The brownout schedule is deterministic: serial and host-parallel runs
 // agree bit-for-bit on answers, counters and bills.
 TEST_P(DegradedTest, SerialAndParallelBrownoutRunsAreBitIdentical) {
-  const BrownoutRun serial =
-      RunBrownout(GetParam(), IndexBackend::kDynamoDb, 0, kForever, 1);
-  const BrownoutRun parallel =
-      RunBrownout(GetParam(), IndexBackend::kDynamoDb, 0, kForever, 8);
-  ASSERT_EQ(serial.report.outcomes.size(), parallel.report.outcomes.size());
-  for (size_t q = 0; q < serial.report.outcomes.size(); ++q) {
-    EXPECT_EQ(serial.report.outcomes[q].result.rows,
-              parallel.report.outcomes[q].result.rows);
-    EXPECT_EQ(serial.report.outcomes[q].degraded,
-              parallel.report.outcomes[q].degraded);
-  }
-  EXPECT_EQ(serial.report.makespan, parallel.report.makespan);
-  EXPECT_DOUBLE_EQ(serial.total_dollars, parallel.total_dollars);
-  EXPECT_EQ(serial.usage.breaker_opens, parallel.usage.breaker_opens);
-  EXPECT_EQ(serial.usage.breaker_short_circuits,
-            parallel.usage.breaker_short_circuits);
-  EXPECT_EQ(serial.usage.degraded_queries, parallel.usage.degraded_queries);
-  EXPECT_EQ(serial.usage.faulted_requests, parallel.usage.faulted_requests);
+  ExpectSerialEqualsParallel(
+      Brownout(GetParam(), IndexBackend::kDynamoDb, 0, kForever));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,18 +121,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The legacy SimpleDB deployment browns out and recovers the same way.
 TEST(DegradedSimpleDbTest, SustainedOutageDegradesQueries) {
-  const BrownoutRun healthy =
-      RunBrownout(StrategyKind::kLUP, IndexBackend::kSimpleDb, 0, 0, 1);
-  const BrownoutRun browned =
-      RunBrownout(StrategyKind::kLUP, IndexBackend::kSimpleDb, 0, kForever, 1);
-  ASSERT_EQ(browned.report.outcomes.size(), Workload().size());
-  for (size_t q = 0; q < Workload().size(); ++q) {
-    EXPECT_TRUE(browned.report.outcomes[q].degraded);
-    EXPECT_EQ(browned.report.outcomes[q].result.rows,
-              healthy.report.outcomes[q].result.rows);
+  const Outcome healthy =
+      RunScenario(Brownout(StrategyKind::kLUP, IndexBackend::kSimpleDb, 0, 0));
+  const Outcome browned = RunScenario(
+      Brownout(StrategyKind::kLUP, IndexBackend::kSimpleDb, 0, kForever));
+  ASSERT_EQ(browned.queries.outcomes.size(), kWorkload.size());
+  for (size_t q = 0; q < kWorkload.size(); ++q) {
+    EXPECT_TRUE(browned.queries.outcomes[q].degraded);
   }
-  EXPECT_GE(browned.report.breaker_opens, 1u);
-  EXPECT_GT(browned.query_dollars, healthy.query_dollars);
+  EXPECT_EQ(browned.rows, healthy.rows);
+  EXPECT_GE(browned.queries.breaker_opens, 1u);
+  EXPECT_GT(QueryDollars(browned), QueryDollars(healthy));
 }
 
 // A finite outage: queries inside it degrade; once it lifts and the
@@ -201,39 +139,22 @@ TEST(DegradedSimpleDbTest, SustainedOutageDegradesQueries) {
 // answer from the index again.
 TEST(BreakerRecoveryTest, BreakerClosesAfterOutageLifts) {
   const Micros outage = 120 * cloud::kMicrosPerSecond;
-  cloud::CloudConfig cloud_config;
+  Scenario scenario;
+  scenario.warehouse.strategy = StrategyKind::kLUP;
+  scenario.documents = xmark::GeneratePaintings();
   // Learn the indexing end time from a dry run.
-  Micros index_end = 0;
-  {
-    cloud::CloudEnv env;
-    WarehouseConfig config;
-    config.strategy = StrategyKind::kLUP;
-    Warehouse warehouse(&env, config);
-    ASSERT_TRUE(warehouse.Setup().ok());
-    for (const auto& doc : xmark::GeneratePaintings()) {
-      ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-    }
-    ASSERT_TRUE(warehouse.RunIndexers().ok());
-    index_end = warehouse.front_end().now();
-  }
+  const Micros index_end = RunScenario(scenario).index_end;
   cloud::OutageWindow window;
   window.service = cloud::ServiceId::kDynamoDb;
   window.start = index_end;
   window.end = index_end + outage;
-  cloud_config.faults.outages.push_back(window);
-
-  cloud::CloudEnv env(cloud_config);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  Warehouse warehouse(&env, config);
-  ASSERT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : xmark::GeneratePaintings()) {
-    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  ASSERT_TRUE(warehouse.RunIndexers().ok());
+  scenario.cloud.faults.outages.push_back(window);
+  const Outcome run = RunScenario(scenario);
+  Warehouse& warehouse = run.warehouse();
+  cloud::CloudEnv& env = run.env();
 
   // During the outage: degraded, breaker opens.
-  auto during = warehouse.ExecuteQuery(kQuery);
+  auto during = warehouse.ExecuteQuery(kPaintingQuery);
   ASSERT_TRUE(during.ok()) << during.status().ToString();
   EXPECT_TRUE(during.value().degraded);
   EXPECT_GE(env.meter().usage().breaker_opens, 1u);
@@ -243,7 +164,7 @@ TEST(BreakerRecoveryTest, BreakerClosesAfterOutageLifts) {
   const uint64_t opens_before = env.meter().usage().breaker_opens;
   warehouse.front_end().AdvanceTo(
       index_end + outage / 2 + env.config().breaker.cooldown);
-  auto still_down = warehouse.ExecuteQuery(kQuery);
+  auto still_down = warehouse.ExecuteQuery(kPaintingQuery);
   ASSERT_TRUE(still_down.ok()) << still_down.status().ToString();
   EXPECT_TRUE(still_down.value().degraded);
   EXPECT_GT(env.meter().usage().breaker_opens, opens_before);
@@ -252,14 +173,14 @@ TEST(BreakerRecoveryTest, BreakerClosesAfterOutageLifts) {
   // answers from the index again (half-open lets real traffic through).
   warehouse.front_end().AdvanceTo(index_end + outage +
                                   env.config().breaker.cooldown);
-  auto after = warehouse.ExecuteQuery(kQuery);
+  auto after = warehouse.ExecuteQuery(kPaintingQuery);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_FALSE(after.value().degraded);
   EXPECT_EQ(after.value().result.rows, during.value().result.rows);
 
   // Once success_threshold probe calls have accumulated, the breaker is
   // closed for good.
-  auto settled = warehouse.ExecuteQuery(kQuery);
+  auto settled = warehouse.ExecuteQuery(kPaintingQuery);
   ASSERT_TRUE(settled.ok()) << settled.status().ToString();
   EXPECT_FALSE(settled.value().degraded);
   EXPECT_GE(env.meter().usage().breaker_closes, 1u);

@@ -5,66 +5,22 @@
 // allocations building that document's index items makes, and how many
 // accounting a corpus in the planner's PathSummary makes.
 //
-// The executable replaces the global operator new with a counting one.
-// Sanitizer builds intercept operator new themselves, so there the
-// counter is compiled out and only the byte bound is checked.
+// The executable links the benches' counting operator new
+// (bench/alloc_counter.cc).  Sanitizer builds intercept operator new
+// themselves, so there the counter is compiled out and only the byte
+// bound is checked.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "bench/alloc_counter.h"
 #include "cloud/cloud_env.h"
 #include "common/rng.h"
 #include "index/strategy.h"
 #include "index/summary.h"
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define WEBDEX_FOOTPRINT_COUNT_ALLOCS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define WEBDEX_FOOTPRINT_COUNT_ALLOCS 0
-#else
-#define WEBDEX_FOOTPRINT_COUNT_ALLOCS 1
-#endif
-#else
-#define WEBDEX_FOOTPRINT_COUNT_ALLOCS 1
-#endif
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}  // namespace
-
-#if WEBDEX_FOOTPRINT_COUNT_ALLOCS
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p,
-                     std::max(static_cast<std::size_t>(align), sizeof(void*)),
-                     size ? size : 1) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif  // WEBDEX_FOOTPRINT_COUNT_ALLOCS
 
 namespace webdex::xml {
 namespace {
@@ -76,11 +32,11 @@ constexpr size_t kMaxHeapPerSerializedByte = 3;
 void ExpectSmallFootprint(const xmark::GeneratorConfig& config) {
   const xmark::GeneratedDocument text =
       xmark::XmarkGenerator(config).Generate(0);
-  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t before = bench::AllocCount();
   Result<Document> doc = ParseDocument(text.uri, text.text);
-  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  const uint64_t allocs = bench::AllocCount() - before;
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  if (WEBDEX_FOOTPRINT_COUNT_ALLOCS) {
+  if (WEBDEX_BENCH_COUNT_ALLOCS) {
     EXPECT_LT(allocs, kMaxParseAllocs);
   }
   EXPECT_LE(doc.value().heap_bytes(),
@@ -123,13 +79,13 @@ TEST(DomFootprintTest, ItemBuildAllocatesPerTableNotPerItem) {
   const index::IndexingStrategy strategy(index::StrategyKind::k2LUPI);
   Rng rng = Rng::ForKey(1, text.uri);
   index::ExtractStats stats;
-  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t before = bench::AllocCount();
   auto batches = strategy.ExtractBatches(doc.value(), doc_index, options,
                                          env.dynamodb(), rng, &stats);
-  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  const uint64_t allocs = bench::AllocCount() - before;
   ASSERT_TRUE(batches.ok()) << batches.status().ToString();
   EXPECT_GT(stats.items, 10000u);
-  if (WEBDEX_FOOTPRINT_COUNT_ALLOCS) {
+  if (WEBDEX_BENCH_COUNT_ALLOCS) {
     EXPECT_LE(allocs, kMaxItemBuildAllocs) << stats.items << " items";
   }
 }
@@ -150,12 +106,12 @@ TEST(DomFootprintTest, PathSummaryAllocatesPerGrowthNotPerPath) {
   for (int i = 0; i < config.num_documents; ++i) {
     const index::DocIndex doc_index =
         index::ExtractDocIndex(generator.GenerateDom(i));
-    const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const uint64_t before = bench::AllocCount();
     summary.AddDocument(doc_index);
-    allocs += g_allocs.load(std::memory_order_relaxed) - before;
+    allocs += bench::AllocCount() - before;
   }
   EXPECT_GT(summary.distinct_paths(), 1000u);
-  if (WEBDEX_FOOTPRINT_COUNT_ALLOCS) {
+  if (WEBDEX_BENCH_COUNT_ALLOCS) {
     EXPECT_LE(allocs, kMaxSummaryAllocs)
         << summary.distinct_paths() << " distinct paths";
   }

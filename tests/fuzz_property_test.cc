@@ -8,7 +8,10 @@
 #include <set>
 
 #include "cloud/cloud_env.h"
+#include "cloud/snapshot.h"
 #include "common/rng.h"
+#include "common/varint.h"
+#include "engine/message.h"
 #include "index/entry.h"
 #include "index/strategy.h"
 #include "query/evaluator.h"
@@ -17,6 +20,7 @@
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
+#include "scenario.h"
 
 namespace webdex {
 namespace {
@@ -252,6 +256,162 @@ TEST_P(ParserFuzz, RandomBlobsNeverCrashTheCodecs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(0, 4));
+
+// Whatever a message parser accepts reads back from its serialization
+// with every field intact.
+void ExpectMessageRoundTrip(const std::string& input) {
+  if (auto load = engine::LoadRequest::Parse(input); load.ok()) {
+    auto again = engine::LoadRequest::Parse(load.value().Serialize());
+    ASSERT_TRUE(again.ok()) << input;
+    EXPECT_EQ(again.value().uri, load.value().uri);
+    EXPECT_EQ(again.value().op, load.value().op);
+    EXPECT_EQ(again.value().generation, load.value().generation);
+  }
+  if (auto query = engine::QueryRequest::Parse(input); query.ok()) {
+    auto again = engine::QueryRequest::Parse(query.value().Serialize());
+    ASSERT_TRUE(again.ok()) << input;
+    EXPECT_EQ(again.value().id, query.value().id);
+    EXPECT_EQ(again.value().query_text, query.value().query_text);
+    EXPECT_EQ(again.value().tenant, query.value().tenant);
+  }
+  if (auto response = engine::QueryResponse::Parse(input); response.ok()) {
+    auto again = engine::QueryResponse::Parse(response.value().Serialize());
+    ASSERT_TRUE(again.ok()) << input;
+    EXPECT_EQ(again.value().id, response.value().id);
+    EXPECT_EQ(again.value().result_key, response.value().result_key);
+    EXPECT_EQ(again.value().row_count, response.value().row_count);
+    EXPECT_EQ(again.value().shed, response.value().shed);
+  }
+}
+
+TEST_P(ParserFuzz, RandomAndMutatedMessagesParseOrFailCleanly) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 5);
+  const char* kTags[] = {"LOAD",  "UPSERT", "DELETE", "QUERY",
+                         "QUERYT", "DONE",  "SHED"};
+  engine::LoadRequest upsert{"xmark-000001.xml", engine::LoadOp::kUpsert, 3};
+  engine::QueryRequest tenant_query{7, "//item[/name:val]", "hot"};
+  engine::QueryResponse done{7, "results/7.xml", 12, false};
+  const std::string valid[] = {
+      engine::LoadRequest{"a.xml"}.Serialize(), upsert.Serialize(),
+      engine::QueryRequest{1, "//a", ""}.Serialize(), tenant_query.Serialize(),
+      done.Serialize(), engine::QueryResponse{9, "", 0, true}.Serialize()};
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string input;
+    if (rng.NextBool(0.5)) {
+      // A tag line, then lines of digits, newlines and random bytes.
+      input = std::string(kTags[rng.NextBelow(std::size(kTags))]) + "\n";
+      const size_t length = rng.NextBelow(24);
+      for (size_t i = 0; i < length; ++i) {
+        static const char kAlphabet[] = "0123456789\n\nx/";
+        input.push_back(rng.NextBool(0.8)
+                            ? kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)]
+                            : static_cast<char>(rng.NextBelow(256)));
+      }
+    } else {
+      input = valid[rng.NextBelow(std::size(valid))];
+      const int edits = 1 + static_cast<int>(rng.NextBelow(3));
+      for (int e = 0; e < edits && !input.empty(); ++e) {
+        const size_t pos = rng.NextBelow(input.size());
+        switch (rng.NextBelow(3)) {
+          case 0:
+            input[pos] = static_cast<char>(rng.NextBelow(256));
+            break;
+          case 1:
+            input.erase(pos, 1);
+            break;
+          default:
+            input.insert(pos, 1, rng.NextBool(0.5) ? '\n' : '9');
+            break;
+        }
+      }
+    }
+    ExpectMessageRoundTrip(input);
+  }
+}
+
+// --- Snapshot decoder totality -------------------------------------------------
+
+/// A real image: 2LUPI with one upsert and one delete, under faults, on
+/// one read replica.
+struct RealImage {
+  RealImage() {
+    engine::Scenario scenario;
+    scenario.cloud.faults = engine::ChaosPlan();
+    scenario.cloud.arch.replicas = 1;
+    scenario.warehouse.strategy = index::StrategyKind::k2LUPI;
+    scenario.warehouse.num_instances = 2;
+    scenario.warehouse.host_threads = 1;
+    scenario.documents = xmark::GeneratePaintings();
+    scenario.documents.resize(3);
+    scenario.after_index = [docs = scenario.documents](engine::Outcome& run) {
+      EXPECT_TRUE(
+          run.warehouse().UpsertDocument(docs[0].uri, docs[1].text).ok());
+      EXPECT_TRUE(run.warehouse().DeleteDocument(docs[2].uri).ok());
+      EXPECT_TRUE(run.warehouse().RunIndexers().ok());
+    };
+    const engine::Outcome run = engine::RunScenario(scenario);
+    config = run.env().config();
+    image = cloud::SerializeSnapshot(run.env());
+  }
+
+  /// Restores `bytes` into a fresh cloud of the image's shape.
+  Status Restore(const std::string& bytes) const {
+    cloud::CloudEnv env(config);
+    return cloud::RestoreSnapshot(bytes, &env);
+  }
+
+  cloud::CloudConfig config;
+  std::string image;
+};
+
+TEST(SnapshotFuzz, EveryTruncationOfARealImageIsRejected) {
+  const RealImage real;
+  ASSERT_TRUE(real.Restore(real.image).ok());
+  for (size_t cut = 0; cut < real.image.size(); ++cut) {
+    const Status status = real.Restore(real.image.substr(0, cut));
+    ASSERT_TRUE(status.IsCorruption()) << cut << ": " << status.ToString();
+  }
+}
+
+// 2^64-1 written over each byte in turn of a small image with every
+// section filled: every count, length and enum is at some point absurd.
+TEST(SnapshotFuzz, MaximalVarintAtEveryOffsetNeverCrashes) {
+  cloud::CloudConfig config;
+  config.faults = engine::ChaosPlan();
+  config.arch.replicas = 1;
+  cloud::CloudEnv env(config);
+  cloud::SimAgent agent;
+  (void)env.s3().CreateBucket("data");
+  (void)env.s3().Put(agent, "data", "a.xml", "<a><b>x</b></a>");
+  (void)env.dynamodb().CreateTable(agent, "idx");
+  const std::vector<cloud::Item> items = {
+      cloud::Item{"k", "r", {{"a.xml", {"v1", "v2"}}}},
+      cloud::Item{"k2", "r2", {{"a.xml", {"v3"}}, {"b.xml", {}}}}};
+  (void)env.dynamodb().BatchPut(agent, "idx", items);
+  env.breaker().RecordFailure("idx", 5);
+  env.maintenance().compact_cursor = "a.xml";
+  env.maintenance().generation_watermark = 3;
+  env.deployment().RecordWrite("idx", 7);
+  const std::string image = cloud::SerializeSnapshot(env);
+  std::string huge;
+  PutVarint64(&huge, ~uint64_t{0});
+  for (size_t offset = 0; offset < image.size(); ++offset) {
+    cloud::CloudEnv target(config);
+    (void)cloud::RestoreSnapshot(
+        image.substr(0, offset) + huge + image.substr(offset + 1), &target);
+  }
+}
+
+TEST(SnapshotFuzz, SeededByteFlipsNeverCrash) {
+  const RealImage real;
+  Rng rng(20261020);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string flipped = real.image;
+    flipped[rng.NextBelow(flipped.size())] ^=
+        static_cast<char>(1 + rng.NextBelow(255));
+    (void)real.Restore(flipped);
+  }
+}
 
 }  // namespace
 }  // namespace webdex

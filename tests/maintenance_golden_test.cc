@@ -28,8 +28,7 @@
 #include "common/strings.h"
 #include "engine/warehouse.h"
 #include "index/generation.h"
-#include "xmark/xmark_generator.h"
-#include "store_dump.h"
+#include "scenario.h"
 
 namespace webdex::engine {
 namespace {
@@ -37,17 +36,7 @@ namespace {
 using index::StrategyKind;
 
 constexpr int kNumDocs = 6;
-
-std::string DocUri(int doc) { return StrFormat("xmark-%06d.xml", doc); }
-
-/// Document `doc` at content `version`: each version is a fresh corpus.
-std::string DocText(int doc, int version) {
-  xmark::GeneratorConfig config;
-  config.num_documents = kNumDocs;
-  config.entities_per_document = 5;
-  config.seed += static_cast<uint64_t>(version) * 1000003ull;
-  return xmark::XmarkGenerator(config).Generate(doc).text;
-}
+constexpr int kEntities = 5;
 
 std::string GoldenPath() {
   // __FILE__ is the absolute source path under CMake, so the golden file
@@ -73,7 +62,8 @@ class Run {
     warehouse_ = std::make_unique<Warehouse>(env_.get(), config);
     EXPECT_TRUE(warehouse_->Setup().ok());
     for (int d = 0; d < kNumDocs; ++d) {
-      EXPECT_TRUE(warehouse_->SubmitDocument(DocUri(d), DocText(d, 0)).ok());
+      const std::string text = DocText(kNumDocs, kEntities, d, 0);
+      EXPECT_TRUE(warehouse_->SubmitDocument(DocUri(d), text).ok());
     }
     Index();
     env_->tracer().set_enabled(true);
@@ -84,8 +74,8 @@ class Run {
   const std::string& out() const { return out_; }
 
   void Upsert(int doc, int version) {
-    EXPECT_TRUE(
-        warehouse_->UpsertDocument(DocUri(doc), DocText(doc, version)).ok());
+    const std::string text = DocText(kNumDocs, kEntities, doc, version);
+    EXPECT_TRUE(warehouse_->UpsertDocument(DocUri(doc), text).ok());
   }
   void Delete(int doc) {
     EXPECT_TRUE(warehouse_->DeleteDocument(DocUri(doc)).ok());

@@ -10,11 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <set>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "cloud/cloud_env.h"
@@ -22,8 +19,7 @@
 #include "common/metrics.h"
 #include "common/tracer.h"
 #include "engine/warehouse.h"
-#include "xmark/paintings.h"
-#include "xmark/xmark_generator.h"
+#include "scenario.h"
 
 namespace webdex {
 namespace {
@@ -266,136 +262,53 @@ TEST(MeteredSpanTest, AttributesTheExactMeteredDelta) {
 
 // --- End-to-end: cost conservation and trace determinism -----------------
 
-using engine::IndexBackend;
-using engine::Warehouse;
-using engine::WarehouseConfig;
+using engine::Outcome;
+using engine::RunScenario;
+using engine::Scenario;
 using index::StrategyKind;
 
-std::vector<xmark::GeneratedDocument> Corpus() {
-  auto docs = xmark::GeneratePaintings();
-  xmark::GeneratorConfig config;
-  config.num_documents = 6;
-  config.entities_per_document = 5;
-  for (auto& doc : xmark::XmarkGenerator(config).GenerateAll()) {
-    docs.push_back(std::move(doc));
-  }
-  return docs;
-}
-
-const char* kQuery = "//painting[/name~'Lion', //painter/name/last:val]";
-
-cloud::FaultPlan ChaosPlan() {
-  cloud::FaultPlan plan;
-  plan.seed = 7;
-  plan.s3.error_probability = 0.05;
-  plan.s3.throttle_share = 0.3;
-  plan.dynamodb.error_probability = 0.05;
-  plan.dynamodb.throttle_share = 0.7;
-  plan.dynamodb.unprocessed_probability = 0.15;
-  plan.sqs.error_probability = 0.04;
-  plan.sqs.duplicate_probability = 0.06;
-  plan.sqs.delay_probability = 0.2;
-  plan.sqs.max_delay = 2 * cloud::kMicrosPerSecond;
+/// chaos_test's cloud without plan-driven crashes.
+cloud::FaultPlan TransientChaosPlan() {
+  cloud::FaultPlan plan = engine::ChaosPlan();
+  plan.crash = cloud::CrashFaults();
   return plan;
 }
 
-/// Rebuilds a span's Usage delta from its `usage.<field>` attributes.
-cloud::Usage UsageFromAttrs(const TraceSpan& span) {
-  cloud::Usage u;
-  u.ForEachField([&span](const char* name, auto* field) {
-    *field = static_cast<std::remove_reference_t<decltype(*field)>>(
-        Tracer::Attr(span, std::string("usage.") + name));
-  });
-  return u;
+/// 2LUPI answering the painting query under `plan`.  Every RunScenario
+/// checks cost conservation on every span (engine::ExpectSpanCostConserved).
+Scenario Traced(const cloud::FaultPlan& plan) {
+  Scenario scenario;
+  scenario.cloud.faults = plan;
+  scenario.warehouse.strategy = StrategyKind::k2LUPI;
+  scenario.warehouse.num_instances = 2;
+  scenario.warehouse.host_threads = 1;
+  scenario.documents = engine::PaintingsAndXmark(6, 5);
+  scenario.queries = {engine::kPaintingQuery};
+  return scenario;
 }
 
-struct TracedRun {
-  std::string canonical;
-  double indexing_usd = 0;      // metered around RunIndexers
-  double query_usd = 0;         // metered around ExecuteQuery
-  double index_span_usd = 0;    // the index.run root's `usd` attribute
-  double query_span_usd = 0;    // the query.run root's `usd` attribute
-  cloud::Usage usage;
-  std::vector<std::vector<std::string>> rows;
-};
-
-TracedRun RunTraced(const cloud::FaultPlan& plan, int host_threads) {
-  cloud::CloudConfig cloud_config;
-  cloud_config.faults = plan;
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  env->tracer().set_enabled(true);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::k2LUPI;
-  config.num_instances = 2;
-  config.host_threads = host_threads;
-  Warehouse warehouse(env.get(), config);
-  EXPECT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
+/// The `usd` attribute of the run's root span named `name`.
+double RootUsd(const Outcome& run, const std::string& name) {
+  for (const TraceSpan* root : run.env().tracer().Roots()) {
+    if (root->name == name) return Tracer::Attr(*root, "usd");
   }
-  TracedRun out;
-  const cloud::Usage before_index = env->meter().Snapshot();
-  auto report = warehouse.RunIndexers();
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  out.indexing_usd =
-      env->meter().ComputeBill(env->meter().Snapshot() - before_index).total();
-  const cloud::Usage before_query = env->meter().Snapshot();
-  auto outcome = warehouse.ExecuteQuery(kQuery);
-  EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
-  out.query_usd =
-      env->meter().ComputeBill(env->meter().Snapshot() - before_query).total();
-  if (outcome.ok()) out.rows = outcome.value().result.rows;
+  return 0;
+}
 
-  const Tracer& tracer = env->tracer();
-  for (const TraceSpan* root : tracer.Roots()) {
-    if (root->name == "index.run") {
-      out.index_span_usd = Tracer::Attr(*root, "usd");
-    } else if (root->name == "query.run") {
-      out.query_span_usd = Tracer::Attr(*root, "usd");
-    }
-  }
-
-  // Structural cost conservation, on every span of the trace: the `usd`
-  // attribute prices the span's own usage.* delta exactly, and a parent's
-  // delta covers the sum of its children's (self share >= 0 per field) —
-  // so any subtree's rolled-up cost is the exact metered sum.
-  for (const TraceSpan& span : tracer.spans()) {
-    const cloud::Usage own = UsageFromAttrs(span);
-    EXPECT_DOUBLE_EQ(Tracer::Attr(span, "usd"),
-                     env->meter().ComputeBill(own).total())
-        << "span " << span.id << " (" << span.name << ")";
-    cloud::Usage children_sum;
-    for (const TraceSpan* child : tracer.Children(span.id)) {
-      children_sum += UsageFromAttrs(*child);
-    }
-    // Per field, the parent's delta covers the sum of its children's
-    // (compare in doubles: Usage fields are unsigned).
-    std::map<std::string, double> child_fields;
-    static_cast<const cloud::Usage&>(children_sum)
-        .ForEachField([&child_fields](const char* n, auto v) {
-          child_fields[n] = double(v);
-        });
-    own.ForEachField([&](const char* name, auto parent_value) {
-      EXPECT_GE(double(parent_value) + 1e-9, child_fields[name])
-          << "span " << span.id << " (" << span.name << ") field " << name;
-    });
-  }
-
-  out.canonical = tracer.Canonical();
-  out.usage = env->meter().usage();
-  return out;
+double Dollars(const Outcome& run, const cloud::Usage& usage) {
+  return run.env().meter().ComputeBill(usage).total();
 }
 
 // The acceptance check: the traced roots' rolled-up dollars equal the
 // independently metered deltas to the cent (exactly, in fact).
 TEST(CostConservationTest, FaultFreeRootSpansMatchMeteredBills) {
-  const TracedRun run = RunTraced(cloud::FaultPlan(), 1);
-  ASSERT_FALSE(run.rows.empty());
-  EXPECT_EQ(run.rows[0][0], "Delacroix");
-  EXPECT_GT(run.indexing_usd, 0.0);
-  EXPECT_GT(run.query_usd, 0.0);
-  EXPECT_DOUBLE_EQ(run.index_span_usd, run.indexing_usd);
-  EXPECT_DOUBLE_EQ(run.query_span_usd, run.query_usd);
+  const Outcome run = RunScenario(Traced(cloud::FaultPlan()));
+  ASSERT_FALSE(run.rows[0].empty());
+  EXPECT_EQ(run.rows[0][0][0], "Delacroix");
+  EXPECT_GT(Dollars(run, run.index_usage), 0.0);
+  EXPECT_GT(Dollars(run, run.query_usage), 0.0);
+  EXPECT_DOUBLE_EQ(RootUsd(run, "index.run"), Dollars(run, run.index_usage));
+  EXPECT_DOUBLE_EQ(RootUsd(run, "query.run"), Dollars(run, run.query_usage));
   EXPECT_EQ(run.usage.faulted_requests, 0u);
 }
 
@@ -403,30 +316,28 @@ TEST(CostConservationTest, FaultFreeRootSpansMatchMeteredBills) {
 // billed inside the attempt.* leaf spans, so the rollup still accounts
 // for every metered cent.
 TEST(CostConservationTest, ChaosRootSpansMatchMeteredBillsExactly) {
-  const TracedRun run = RunTraced(ChaosPlan(), 1);
+  const Outcome run = RunScenario(Traced(TransientChaosPlan()));
   EXPECT_GT(run.usage.faulted_requests, 0u);
   EXPECT_GT(run.usage.retried_requests, 0u);
-  ASSERT_FALSE(run.rows.empty());
-  EXPECT_EQ(run.rows[0][0], "Delacroix");
-  EXPECT_DOUBLE_EQ(run.index_span_usd, run.indexing_usd);
-  EXPECT_DOUBLE_EQ(run.query_span_usd, run.query_usd);
+  ASSERT_FALSE(run.rows[0].empty());
+  EXPECT_EQ(run.rows[0][0][0], "Delacroix");
+  EXPECT_DOUBLE_EQ(RootUsd(run, "index.run"), Dollars(run, run.index_usage));
+  EXPECT_DOUBLE_EQ(RootUsd(run, "query.run"), Dollars(run, run.query_usage));
 }
 
 // Span ids are creation ordinals and all timestamps are virtual, so the
 // canonical trace is byte-identical serial vs host-parallel — fault-free
 // and under chaos.
 TEST(TraceDeterminismTest, SerialAndParallelTracesAreByteIdentical) {
-  const TracedRun serial = RunTraced(cloud::FaultPlan(), 1);
-  const TracedRun parallel = RunTraced(cloud::FaultPlan(), 8);
-  EXPECT_EQ(serial.canonical, parallel.canonical);
-  EXPECT_FALSE(serial.canonical.empty());
+  const auto [serial, parallel] =
+      engine::ExpectSerialEqualsParallel(Traced(cloud::FaultPlan()));
+  EXPECT_FALSE(serial.trace.empty());
 }
 
 TEST(TraceDeterminismTest, ChaosTracesAreByteIdenticalAcrossHostThreads) {
-  const TracedRun serial = RunTraced(ChaosPlan(), 1);
-  const TracedRun parallel = RunTraced(ChaosPlan(), 8);
+  const auto [serial, parallel] =
+      engine::ExpectSerialEqualsParallel(Traced(TransientChaosPlan()));
   EXPECT_GT(serial.usage.faulted_requests, 0u);
-  EXPECT_EQ(serial.canonical, parallel.canonical);
 }
 
 // Each cloud event has exactly one count.  Usage alone counts faults,
@@ -437,20 +348,8 @@ TEST(TraceDeterminismTest, ChaosTracesAreByteIdenticalAcrossHostThreads) {
 // counter and with Usage::retried_requests, and every registered name
 // obeys the documented grammar.
 TEST(OneCountPerEventTest, AttemptSpansMatchRetryCountsAfterChaosRun) {
-  cloud::CloudConfig cloud_config;
-  cloud_config.faults = ChaosPlan();
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  env->tracer().set_enabled(true);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::k2LUPI;
-  config.num_instances = 2;
-  Warehouse warehouse(env.get(), config);
-  ASSERT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  ASSERT_TRUE(warehouse.RunIndexers().ok());
-  ASSERT_TRUE(warehouse.ExecuteQuery(kQuery).ok());
+  const Outcome run = RunScenario(Traced(TransientChaosPlan()));
+  cloud::CloudEnv* env = &run.env();
 
   const MetricRegistry& metrics = env->metrics();
   const cloud::Usage& usage = env->meter().usage();

@@ -19,16 +19,12 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cloud/cloud_env.h"
 #include "cloud/snapshot.h"
 #include "engine/admission.h"
-#include "engine/warehouse.h"
-#include "xmark/paintings.h"
-#include "xmark/xmark_generator.h"
+#include "scenario.h"
 
 namespace webdex::engine {
 namespace {
@@ -37,18 +33,18 @@ using index::StrategyKind;
 
 class Agent : public cloud::SimAgent {};
 
-std::vector<xmark::GeneratedDocument> Corpus() {
-  auto docs = xmark::GeneratePaintings();
-  xmark::GeneratorConfig config;
-  config.num_documents = 8;
-  config.entities_per_document = 6;
-  for (auto& doc : xmark::XmarkGenerator(config).GenerateAll()) {
-    docs.push_back(std::move(doc));
-  }
-  return docs;
+/// LUP on two instances over the paintings and eight XMark sites,
+/// answering the painting query `repeats` times in one batch.
+Scenario Repeated(int repeats, const cloud::CloudConfig& cloud_config) {
+  Scenario scenario;
+  scenario.cloud = cloud_config;
+  scenario.warehouse.strategy = StrategyKind::kLUP;
+  scenario.warehouse.num_instances = 2;
+  scenario.warehouse.host_threads = 1;
+  scenario.documents = PaintingsAndXmark(8, 6);
+  scenario.queries.assign(repeats, kPaintingQuery);
+  return scenario;
 }
-
-const char* kQuery = "//painting[/name~'Lion', //painter/name/last:val]";
 
 // ---------------------------------------------------------------------------
 // Layer 1: the fluid limiter's read-only backlog probe and the organic
@@ -187,49 +183,21 @@ TEST(OverloadTest, HintPacedRetriesConvergeToProvisionedThroughput) {
 // stack absorbs it, and the answers stay bit-identical to the unbounded
 // deployment's.
 
-struct OverloadFingerprint {
-  QueryRunReport report;
-  std::vector<std::vector<std::vector<std::string>>> rows;  // per outcome
-  cloud::Usage usage;
-};
-
-OverloadFingerprint RunKnee(cloud::Micros backlog_bound, int repeats,
-                            const AdmissionConfig& admission =
-                                AdmissionConfig(),
-                            int host_threads = 1) {
+/// The workload against a store of 5 read units/s whose delay bound is
+/// `backlog_bound` (0: unbounded).
+Scenario Knee(cloud::Micros backlog_bound, int repeats,
+              const AdmissionConfig& admission = AdmissionConfig()) {
   cloud::CloudConfig cloud_config;
   cloud_config.dynamodb.read_units_per_second = 5;
   cloud_config.dynamodb.max_backlog_micros = backlog_bound;
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  config.num_instances = 2;
-  config.host_threads = host_threads;
-  config.admission = admission;
-  Warehouse warehouse(env.get(), config);
-  EXPECT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  EXPECT_TRUE(warehouse.RunIndexers().ok());
-  std::vector<std::string> workload;
-  for (int i = 0; i < repeats; ++i) workload.push_back(kQuery);
-  OverloadFingerprint out;
-  auto report = warehouse.ExecuteQueries(workload);
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (report.ok()) {
-    out.report = report.value();
-    for (const auto& outcome : out.report.outcomes) {
-      out.rows.push_back(outcome.result.rows);
-    }
-  }
-  out.usage = env->meter().usage();
-  return out;
+  Scenario scenario = Repeated(repeats, cloud_config);
+  scenario.warehouse.admission = admission;
+  return scenario;
 }
 
 TEST(OverloadTest, OrganicThrottleAtTheKneeWithoutFaultPlan) {
-  const OverloadFingerprint unbounded = RunKnee(/*backlog_bound=*/0, 8);
-  const OverloadFingerprint bounded = RunKnee(/*backlog_bound=*/100'000, 8);
+  const Outcome unbounded = RunScenario(Knee(/*backlog_bound=*/0, 8));
+  const Outcome bounded = RunScenario(Knee(/*backlog_bound=*/100'000, 8));
 
   // The knee fired organically: no FaultPlan, yet throttles and retries.
   EXPECT_EQ(bounded.usage.faulted_requests, 0u);
@@ -239,7 +207,7 @@ TEST(OverloadTest, OrganicThrottleAtTheKneeWithoutFaultPlan) {
 
   // Nothing was shed (no admission control) and every answer matches the
   // unbounded deployment bit for bit.
-  EXPECT_EQ(bounded.report.shed_queries, 0u);
+  EXPECT_EQ(bounded.queries.shed_queries, 0u);
   EXPECT_EQ(bounded.usage.shed_queries, 0u);
   ASSERT_EQ(bounded.rows.size(), unbounded.rows.size());
   EXPECT_EQ(bounded.rows, unbounded.rows);
@@ -387,28 +355,19 @@ TEST(OverloadTest, IndexerBackpressureNeedsDepthAndFreshThrottles) {
 // queries keep being admitted — fairness comes from per-tenant buckets,
 // not from luck of arrival order.
 TEST(OverloadTest, PerTenantBucketsShedTheHotTenantOnly) {
-  cloud::CloudConfig cloud_config;
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  config.num_instances = 2;
-  config.admission.enabled = true;
-  config.admission.per_tenant_rate = 0.001;  // no meaningful refill
-  config.admission.per_tenant_burst = 2;
-  config.admission.deadline_micros = 0;  // shed, never queue
-  Warehouse warehouse(env.get(), config);
-  ASSERT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  ASSERT_TRUE(warehouse.RunIndexers().ok());
-
+  Scenario scenario = Repeated(0, cloud::CloudConfig());
+  AdmissionConfig& admission = scenario.warehouse.admission;
+  admission.enabled = true;
+  admission.per_tenant_rate = 0.001;  // no meaningful refill
+  admission.per_tenant_burst = 2;
+  admission.deadline_micros = 0;  // shed, never queue
+  const Outcome run = RunScenario(scenario);
   std::vector<TenantQuery> workload;
-  for (int i = 0; i < 12; ++i) workload.push_back({"hot", kQuery});
-  workload.insert(workload.begin() + 3, {"cold", kQuery});
-  workload.push_back({"cold", kQuery});
+  for (int i = 0; i < 12; ++i) workload.push_back({"hot", kPaintingQuery});
+  workload.insert(workload.begin() + 3, {"cold", kPaintingQuery});
+  workload.push_back({"cold", kPaintingQuery});
 
-  auto report = warehouse.ExecuteQueries(workload);
+  auto report = run.warehouse().ExecuteQueries(workload);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   uint64_t hot_admitted = 0, hot_shed = 0, cold_admitted = 0, cold_shed = 0;
   for (const auto& outcome : report.value().outcomes) {
@@ -430,7 +389,7 @@ TEST(OverloadTest, PerTenantBucketsShedTheHotTenantOnly) {
   EXPECT_EQ(cold_admitted, 2u);
   EXPECT_EQ(cold_shed, 0u);
   EXPECT_EQ(report.value().shed_queries, 10u);
-  EXPECT_EQ(env->meter().usage().shed_queries, 10u);
+  EXPECT_EQ(run.env().meter().usage().shed_queries, 10u);
 }
 
 // Shed queries bill nothing: the run that sheds nine of ten queries
@@ -438,50 +397,31 @@ TEST(OverloadTest, PerTenantBucketsShedTheHotTenantOnly) {
 // only ever saw the admitted one, the breaker never short-circuits, and
 // the admitted query's outcome is bit-identical.
 TEST(OverloadTest, ShedQueriesBillNoLoserWork) {
-  auto build = [](const AdmissionConfig& admission) {
-    cloud::CloudConfig cloud_config;
-    auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-    WarehouseConfig config;
-    config.strategy = StrategyKind::kLUP;
-    config.num_instances = 1;  // FIFO: the first query is the admitted one
-    config.admission = admission;
-    auto warehouse = std::make_unique<Warehouse>(env.get(), config);
-    EXPECT_TRUE(warehouse->Setup().ok());
-    for (const auto& doc : Corpus()) {
-      EXPECT_TRUE(warehouse->SubmitDocument(doc.uri, doc.text).ok());
-    }
-    EXPECT_TRUE(warehouse->RunIndexers().ok());
-    return std::make_pair(std::move(env), std::move(warehouse));
-  };
-
   // Baseline: no admission, exactly the one query that will be admitted.
-  auto [base_env, base_wh] = build(AdmissionConfig());
-  const cloud::Usage base_before = base_env->meter().Snapshot();
-  auto base_report = base_wh->ExecuteQueries(std::vector<std::string>{kQuery});
-  ASSERT_TRUE(base_report.ok());
-  const cloud::Usage base_delta = base_env->meter().Snapshot() - base_before;
+  Scenario scenario = Repeated(1, cloud::CloudConfig());
+  scenario.warehouse.num_instances = 1;  // FIFO: the first query is admitted
+  const Outcome base = RunScenario(scenario);
+  const cloud::Usage& base_delta = base.query_usage;
 
   // Overloaded: ten queries, a global burst of one, shed-don't-queue.
-  AdmissionConfig admission;
+  scenario.queries.assign(10, kPaintingQuery);
+  AdmissionConfig& admission = scenario.warehouse.admission;
   admission.enabled = true;
   admission.global_rate = 0.001;
   admission.global_burst = 1;
   admission.deadline_micros = 0;
-  auto [shed_env, shed_wh] = build(admission);
-  const cloud::Usage shed_before = shed_env->meter().Snapshot();
-  auto shed_report = shed_wh->ExecuteQueries(
-      std::vector<std::string>(10, std::string(kQuery)));
-  ASSERT_TRUE(shed_report.ok());
-  const cloud::Usage shed_delta = shed_env->meter().Snapshot() - shed_before;
+  const Outcome shed = RunScenario(scenario);
+  const QueryRunReport& shed_report = shed.queries;
+  const cloud::Usage& shed_delta = shed.query_usage;
 
-  ASSERT_EQ(shed_report.value().outcomes.size(), 10u);
-  EXPECT_EQ(shed_report.value().shed_queries, 9u);
+  ASSERT_EQ(shed_report.outcomes.size(), 10u);
+  EXPECT_EQ(shed_report.shed_queries, 9u);
   EXPECT_EQ(shed_delta.shed_queries, 9u);
-  const QueryOutcome& admitted = shed_report.value().outcomes[0];
-  const QueryOutcome& baseline = base_report.value().outcomes[0];
+  const QueryOutcome& admitted = shed_report.outcomes[0];
+  const QueryOutcome& baseline = base.queries.outcomes[0];
   EXPECT_FALSE(admitted.shed);
-  for (size_t i = 1; i < shed_report.value().outcomes.size(); ++i) {
-    EXPECT_TRUE(shed_report.value().outcomes[i].shed);
+  for (size_t i = 1; i < shed_report.outcomes.size(); ++i) {
+    EXPECT_TRUE(shed_report.outcomes[i].shed);
   }
 
   // The admitted query is unperturbed: same rows, same work, same split.
@@ -510,13 +450,13 @@ TEST(OverloadTest, AimdConvergesUnderOrganicThrottling) {
   admission.min_concurrency = 1;
   admission.max_concurrency = 8;
   admission.deadline_micros = 30 * cloud::kMicrosPerSecond;
-  const OverloadFingerprint run = RunKnee(/*backlog_bound=*/100'000, 8,
-                                          admission);
+  const Outcome run =
+      RunScenario(Knee(/*backlog_bound=*/100'000, 8, admission));
   EXPECT_GT(run.usage.throttled_requests, 0u);
   EXPECT_EQ(run.usage.faulted_requests, 0u);
-  EXPECT_EQ(run.report.shed_queries, 0u);  // deferred, never dropped
+  EXPECT_EQ(run.queries.shed_queries, 0u);  // deferred, never dropped
   ASSERT_EQ(run.rows.size(), 8u);
-  const OverloadFingerprint clean = RunKnee(/*backlog_bound=*/0, 8);
+  const Outcome clean = RunScenario(Knee(/*backlog_bound=*/0, 8));
   EXPECT_EQ(run.rows, clean.rows);
 }
 
@@ -538,67 +478,25 @@ cloud::CloudConfig AutoscaledConfig() {
   return config;
 }
 
-struct AutoscaleFingerprint {
-  std::vector<std::vector<std::vector<std::string>>> rows;
-  cloud::Usage usage;
-  cloud::AutoscalerState state;
-  cloud::Micros makespan = 0;
-  double dollars = 0;
-};
-
-AutoscaleFingerprint RunAutoscaled(int host_threads) {
-  auto env = std::make_unique<cloud::CloudEnv>(AutoscaledConfig());
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  config.num_instances = 2;
-  config.host_threads = host_threads;
-  Warehouse warehouse(env.get(), config);
-  EXPECT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  EXPECT_TRUE(warehouse.RunIndexers().ok());
-  std::vector<std::string> workload(16, std::string(kQuery));
-  AutoscaleFingerprint out;
-  auto report = warehouse.ExecuteQueries(workload);
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (report.ok()) {
-    out.makespan = report.value().makespan;
-    for (const auto& outcome : report.value().outcomes) {
-      out.rows.push_back(outcome.result.rows);
-    }
-  }
-  env->autoscaler().FinishBilling(warehouse.front_end().now());
-  out.usage = env->meter().usage();
-  out.state = env->autoscaler().state();
-  out.dollars = env->meter().ComputeBill().total();
-  return out;
-}
-
 TEST(OverloadTest, AutoscalerFollowsTheLoadDeterministically) {
-  const AutoscaleFingerprint serial = RunAutoscaled(/*host_threads=*/1);
+  // The capacity trajectory is a pure function of virtual time: the
+  // host-parallel run is bit-identical, dollars included.
+  const auto [serial, parallel] =
+      ExpectSerialEqualsParallel(Repeated(16, AutoscaledConfig()));
+  const cloud::AutoscalerState& state = serial.env().autoscaler().state();
+  const cloud::AutoscalerState& other = parallel.env().autoscaler().state();
+  EXPECT_DOUBLE_EQ(state.write_units, other.write_units);
+  EXPECT_DOUBLE_EQ(state.read_units, other.read_units);
+  EXPECT_EQ(state.window_start, other.window_start);
+  EXPECT_EQ(state.last_scale_up, other.last_scale_up);
 
   // The controller reacted: scale events fired and read capacity moved
   // off the floor while the overload was in flight.
   EXPECT_GT(serial.usage.scale_events, 0u);
   EXPECT_GT(serial.usage.throttled_requests, 0u);
-  EXPECT_GT(serial.state.read_units, 5.0);
+  EXPECT_GT(state.read_units, 5.0);
   EXPECT_GT(serial.usage.ddb_read_capacity_hours, 0.0);
   EXPECT_GT(serial.usage.ddb_write_capacity_hours, 0.0);
-
-  // The capacity trajectory is a pure function of virtual time: the
-  // host-parallel run is bit-identical, dollars included.
-  const AutoscaleFingerprint parallel = RunAutoscaled(/*host_threads=*/8);
-  EXPECT_EQ(serial.rows, parallel.rows);
-  EXPECT_EQ(serial.makespan, parallel.makespan);
-  EXPECT_EQ(serial.usage.scale_events, parallel.usage.scale_events);
-  EXPECT_EQ(serial.usage.throttled_requests,
-            parallel.usage.throttled_requests);
-  EXPECT_DOUBLE_EQ(serial.state.write_units, parallel.state.write_units);
-  EXPECT_DOUBLE_EQ(serial.state.read_units, parallel.state.read_units);
-  EXPECT_EQ(serial.state.window_start, parallel.state.window_start);
-  EXPECT_EQ(serial.state.last_scale_up, parallel.state.last_scale_up);
-  EXPECT_DOUBLE_EQ(serial.dollars, parallel.dollars);
 }
 
 // ---------------------------------------------------------------------------

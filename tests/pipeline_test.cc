@@ -12,141 +12,82 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "engine/extraction_pipeline.h"
-#include "engine/warehouse.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
-#include "xmark/paintings.h"
-#include "xmark/xmark_generator.h"
 #include "xml/parser.h"
 #include "benchmark_queries.h"
-#include "store_dump.h"
+#include "scenario.h"
 
 namespace webdex::engine {
 namespace {
 
 using index::StrategyKind;
 
-std::vector<xmark::GeneratedDocument> Corpus() {
-  auto docs = xmark::GeneratePaintings();
-  xmark::GeneratorConfig config;
-  config.num_documents = 12;
-  config.entities_per_document = 8;
-  for (auto& doc : xmark::XmarkGenerator(config).GenerateAll()) {
-    docs.push_back(std::move(doc));
-  }
-  return docs;
-}
-
-/// Everything that must not depend on host_threads.
-struct RunFingerprint {
-  IndexingRunReport report;
-  std::vector<std::string> table_dump;  // canonical item serialization
-  double dollars = 0;
-  // The storage accounting the stores bill from.
-  uint64_t raw_bytes = 0;
-  uint64_t overhead_bytes = 0;
-  std::map<std::string, uint64_t> item_counts;  // per table
-};
-
-RunFingerprint RunIndexing(
-    WarehouseConfig config, int crashes = 0,
+/// `strategy` indexing the paintings and twelve XMark sites on
+/// `instances` instances; with `crashes`, that many tasks crash at
+/// `crash_at` and are redelivered.
+Scenario Indexing(
+    StrategyKind strategy, int instances, int crashes = 0,
     cloud::CrashPoint crash_at = cloud::CrashPoint::kBeforeDelete) {
-  RunFingerprint out;
-  int crashes_remaining = crashes;
+  Scenario scenario;
+  scenario.warehouse.strategy = strategy;
+  scenario.warehouse.num_instances = instances;
+  scenario.warehouse.host_threads = 1;
+  scenario.documents = PaintingsAndXmark(12, 8);
   if (crashes > 0) {
-    config.crash_plan = [&crashes_remaining, crash_at](
-                            cloud::CrashPoint point, int,
-                            const std::string&) {
-      if (point == crash_at && crashes_remaining > 0) {
-        --crashes_remaining;
-        return true;
-      }
-      return false;
-    };
+    scenario.warehouse.crash_plan =
+        [remaining = crashes, crash_at](cloud::CrashPoint point, int,
+                                        const std::string&) mutable {
+          if (point == crash_at && remaining > 0) {
+            --remaining;
+            return true;
+          }
+          return false;
+        };
   }
-  auto env = std::make_unique<cloud::CloudEnv>();
-  Warehouse warehouse(env.get(), config);
-  EXPECT_TRUE(warehouse.Setup().ok());
-  for (const auto& doc : Corpus()) {
-    EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-  }
-  auto report = warehouse.RunIndexers();
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  out.report = report.value();
-  out.raw_bytes = warehouse.IndexRawBytes();
-  out.overhead_bytes = warehouse.IndexOverheadBytes();
-  for (const auto& table : warehouse.index_store().TableNames()) {
-    out.item_counts[table] = warehouse.index_store().ItemCount(table);
-  }
-  out.table_dump = cloud::DumpStore(warehouse.index_store());
-  out.dollars = env->meter().ComputeBill().total();
-  return out;
+  return scenario;
 }
 
 /// The same stored items and the same storage accounting.
-void ExpectSameIndex(const RunFingerprint& a, const RunFingerprint& b) {
-  EXPECT_EQ(a.table_dump, b.table_dump);
-  EXPECT_EQ(a.raw_bytes, b.raw_bytes);
-  EXPECT_EQ(a.overhead_bytes, b.overhead_bytes);
-  EXPECT_EQ(a.item_counts, b.item_counts);
+void ExpectSameIndex(const Outcome& a, const Outcome& b) {
+  EXPECT_EQ(a.dump, b.dump);
+  EXPECT_EQ(a.warehouse().IndexRawBytes(), b.warehouse().IndexRawBytes());
+  EXPECT_EQ(a.warehouse().IndexOverheadBytes(),
+            b.warehouse().IndexOverheadBytes());
+  const cloud::KvStore& a_store = a.warehouse().index_store();
+  const cloud::KvStore& b_store = b.warehouse().index_store();
+  EXPECT_EQ(a_store.TableNames(), b_store.TableNames());
+  for (const std::string& table : a_store.TableNames()) {
+    EXPECT_EQ(a_store.ItemCount(table), b_store.ItemCount(table)) << table;
+  }
 }
 
-void ExpectIdentical(const RunFingerprint& serial,
-                     const RunFingerprint& parallel) {
-  EXPECT_EQ(serial.report.documents, parallel.report.documents);
-  EXPECT_EQ(serial.report.extraction_micros, parallel.report.extraction_micros);
-  EXPECT_EQ(serial.report.upload_micros, parallel.report.upload_micros);
-  EXPECT_EQ(serial.report.makespan, parallel.report.makespan);
-  EXPECT_EQ(serial.report.extract_stats.entries,
-            parallel.report.extract_stats.entries);
-  EXPECT_EQ(serial.report.extract_stats.items,
-            parallel.report.extract_stats.items);
-  EXPECT_EQ(serial.report.extract_stats.payload_bytes,
-            parallel.report.extract_stats.payload_bytes);
-  EXPECT_DOUBLE_EQ(serial.report.index_put_units,
-                   parallel.report.index_put_units);
-  EXPECT_EQ(serial.report.redeliveries, parallel.report.redeliveries);
-  EXPECT_EQ(serial.report.dead_lettered, parallel.report.dead_lettered);
-  EXPECT_DOUBLE_EQ(serial.dollars, parallel.dollars);
-  ASSERT_EQ(serial.table_dump.size(), parallel.table_dump.size());
+/// Runs `scenario` at host_threads 1 and 8: every Outcome field, and the
+/// stored items and storage accounting, agree.
+Outcome ExpectIdenticalIndexing(const Scenario& scenario) {
+  auto [serial, parallel] = ExpectSerialEqualsParallel(scenario);
   ExpectSameIndex(serial, parallel);
+  return std::move(serial);
 }
 
 class PipelineDeterminismTest
     : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(PipelineDeterminismTest, SerialAndParallelRunsAreBitIdentical) {
-  WarehouseConfig config;
-  config.strategy = GetParam();
-  config.num_instances = 3;
-  WarehouseConfig serial = config;
-  serial.host_threads = 1;
-  WarehouseConfig parallel = config;
-  parallel.host_threads = 8;
-  ExpectIdentical(RunIndexing(serial), RunIndexing(parallel));
+  ExpectIdenticalIndexing(Indexing(GetParam(), 3));
 }
 
 TEST_P(PipelineDeterminismTest, IdenticalUnderCrashRedeliveries) {
-  WarehouseConfig config;
-  config.strategy = GetParam();
-  config.num_instances = 2;
-  WarehouseConfig serial = config;
-  serial.host_threads = 1;
-  WarehouseConfig parallel = config;
-  parallel.host_threads = 8;
-  const auto serial_run = RunIndexing(serial, /*crashes=*/3);
-  const auto parallel_run = RunIndexing(parallel, /*crashes=*/3);
-  EXPECT_EQ(serial_run.report.documents, Corpus().size() + 3);
-  ExpectIdentical(serial_run, parallel_run);
+  const Scenario scenario = Indexing(GetParam(), 2, /*crashes=*/3);
+  const Outcome serial_run = ExpectIdenticalIndexing(scenario);
+  EXPECT_EQ(serial_run.report.documents, scenario.documents.size() + 3);
 }
 
 // A crash between two BatchPut pages lands after the task took its
@@ -159,25 +100,18 @@ TEST_P(PipelineDeterminismTest, IdenticalWhenReleasedResultsAreReExtracted) {
   for (const IndexBackend backend :
        {IndexBackend::kDynamoDb, IndexBackend::kSimpleDb}) {
     SCOPED_TRACE(backend == IndexBackend::kDynamoDb ? "DynamoDB" : "SimpleDB");
-    WarehouseConfig config;
-    config.strategy = GetParam();
-    config.num_instances = 2;
-    config.backend = backend;
-    WarehouseConfig serial = config;
-    serial.host_threads = 1;
-    WarehouseConfig parallel = config;
-    parallel.host_threads = 8;
-    const auto clean = RunIndexing(serial);
-    const auto serial_run = RunIndexing(
-        serial, /*crashes=*/3, cloud::CrashPoint::kBetweenBatchPutPages);
-    const auto parallel_run = RunIndexing(
-        parallel, /*crashes=*/3, cloud::CrashPoint::kBetweenBatchPutPages);
+    Scenario scenario = Indexing(GetParam(), 2);
+    scenario.warehouse.backend = backend;
+    const Outcome clean = RunScenario(scenario);
+    scenario = Indexing(GetParam(), 2, /*crashes=*/3,
+                        cloud::CrashPoint::kBetweenBatchPutPages);
+    scenario.warehouse.backend = backend;
+    const Outcome serial_run = ExpectIdenticalIndexing(scenario);
     // A mid-upload crash completes no task: `documents` stays the corpus
     // size, and the three crashed tasks come back as redeliveries.
     EXPECT_EQ(serial_run.report.redeliveries, 3u);
-    EXPECT_EQ(serial_run.report.documents, Corpus().size());
+    EXPECT_EQ(serial_run.report.documents, scenario.documents.size());
     ExpectSameIndex(serial_run, clean);
-    ExpectIdentical(serial_run, parallel_run);
   }
 }
 
@@ -192,12 +126,10 @@ INSTANTIATE_TEST_SUITE_P(
 // are seeded per document URI), so crash replays *replace* rather than
 // duplicate index items: the surviving tables equal a crash-free run's.
 TEST(PipelineTest, CrashReplayIsIdempotentOnTableContents) {
-  WarehouseConfig config;
-  config.strategy = StrategyKind::kLUP;
-  config.num_instances = 2;
-  const auto clean = RunIndexing(config);
-  const auto crashed = RunIndexing(config, /*crashes=*/3);
-  EXPECT_EQ(clean.table_dump, crashed.table_dump);
+  const Outcome clean = RunScenario(Indexing(StrategyKind::kLUP, 2));
+  const Outcome crashed =
+      RunScenario(Indexing(StrategyKind::kLUP, 2, /*crashes=*/3));
+  EXPECT_EQ(clean.dump, crashed.dump);
   // The redone work is still billed: more put units, more dollars.
   EXPECT_GT(crashed.report.index_put_units, clean.report.index_put_units);
 }
@@ -205,92 +137,23 @@ TEST(PipelineTest, CrashReplayIsIdempotentOnTableContents) {
 // Querying after a pipelined indexing run returns the same rows as after
 // a serial one (the index contents being identical, it must).
 TEST(PipelineTest, QueriesAgreeAfterSerialAndParallelIndexing) {
-  const char* query =
-      "//painting[/name~'Lion', //painter/name/last:val]";
-  auto run = [&](int host_threads) {
-    WarehouseConfig config;
-    config.strategy = StrategyKind::k2LUPI;
-    config.host_threads = host_threads;
-    auto env = std::make_unique<cloud::CloudEnv>();
-    Warehouse warehouse(env.get(), config);
-    EXPECT_TRUE(warehouse.Setup().ok());
-    for (const auto& doc : Corpus()) {
-      EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
-    }
-    EXPECT_TRUE(warehouse.RunIndexers().ok());
-    auto outcome = warehouse.ExecuteQuery(query);
-    EXPECT_TRUE(outcome.ok());
-    return std::make_pair(outcome.value().result.rows,
-                          outcome.value().timings.total);
-  };
-  const auto serial = run(1);
-  const auto parallel = run(8);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
-  ASSERT_FALSE(serial.first.empty());
-  EXPECT_EQ(serial.first[0][0], "Delacroix");
+  Scenario scenario = Indexing(StrategyKind::k2LUPI, 1);
+  scenario.queries = {kPaintingQuery};
+  const auto [serial, parallel] = ExpectSerialEqualsParallel(scenario);
+  ASSERT_FALSE(serial.rows[0].empty());
+  EXPECT_EQ(serial.rows[0][0][0], "Delacroix");
 }
 
-/// One indexed deployment over XMark fragments, enough of them that most
-/// of q1-q10 fetch more documents than the evaluator's fan-out needs.
-struct QueryDeployment {
-  QueryDeployment(StrategyKind strategy, int host_threads) {
-    env->tracer().set_enabled(true);
-    WarehouseConfig config;
-    config.strategy = strategy;
-    config.num_instances = 2;
-    config.host_threads = host_threads;
-    warehouse = std::make_unique<Warehouse>(env.get(), config);
-    EXPECT_TRUE(warehouse->Setup().ok());
-    xmark::GeneratorConfig corpus;
-    corpus.num_documents = 48;
-    corpus.entities_per_document = 10;
-    corpus.split_sections = true;
-    for (const auto& doc : xmark::XmarkGenerator(corpus).GenerateAll()) {
-      EXPECT_TRUE(warehouse->SubmitDocument(doc.uri, doc.text).ok());
-    }
-    EXPECT_TRUE(warehouse->RunIndexers().ok());
-  }
-
-  std::unique_ptr<cloud::CloudEnv> env = std::make_unique<cloud::CloudEnv>();
-  std::unique_ptr<Warehouse> warehouse;
-};
-
-/// What a query run must reproduce whatever the host thread count.
-struct QueryFingerprint {
-  std::vector<std::vector<std::vector<std::string>>> rows;
-  std::vector<std::vector<std::vector<std::string>>> row_uris;
-  std::vector<uint64_t> docs_fetched;
-  cloud::Micros makespan = 0;
-  std::string usage;
-  double dollars = 0;
-  std::string trace;
-
-  bool operator==(const QueryFingerprint&) const = default;
-};
-
-QueryFingerprint RunQueries(QueryDeployment& deployment,
-                            const std::vector<std::string>& queries) {
-  QueryFingerprint out;
-  auto report = deployment.warehouse->ExecuteQueries(queries);
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (!report.ok()) return out;
-  for (const QueryOutcome& outcome : report.value().outcomes) {
-    out.rows.push_back(outcome.result.rows);
-    out.row_uris.push_back(outcome.result.row_uris);
-    out.docs_fetched.push_back(outcome.docs_fetched);
-  }
-  out.makespan = report.value().makespan;
-  std::ostringstream usage;
-  usage.precision(17);
-  deployment.env->meter().usage().ForEachField(
-      [&usage](const char* name, auto value) {
-        usage << name << '=' << value << '\n';
-      });
-  out.usage = usage.str();
-  out.dollars = deployment.env->meter().ComputeBill().total();
-  out.trace = deployment.env->tracer().Canonical();
-  return out;
+/// q1-q10 over XMark fragments, enough of them that most queries fetch
+/// more documents than the evaluator's fan-out needs.
+Scenario Queried(StrategyKind strategy, std::vector<std::string> queries) {
+  Scenario scenario;
+  scenario.warehouse.strategy = strategy;
+  scenario.warehouse.num_instances = 2;
+  scenario.warehouse.host_threads = 1;
+  scenario.documents = XmarkFragments(48, 10);
+  scenario.queries = std::move(queries);
+  return scenario;
 }
 
 class QueryDeterminismTest : public ::testing::TestWithParam<StrategyKind> {};
@@ -299,24 +162,15 @@ class QueryDeterminismTest : public ::testing::TestWithParam<StrategyKind> {};
 // with the warehouse's shared pool): rows, Usage, bill and canonical
 // trace of q1-q10 are the serial run's.
 TEST_P(QueryDeterminismTest, BenchmarkQueriesAreIdenticalAcrossHostThreads) {
-  QueryDeployment serial(GetParam(), 1);
-  QueryDeployment parallel(GetParam(), 8);
-  const QueryFingerprint want = RunQueries(serial, BenchmarkQueries());
-  const QueryFingerprint got = RunQueries(parallel, BenchmarkQueries());
-  EXPECT_EQ(got.rows, want.rows);
-  EXPECT_EQ(got.row_uris, want.row_uris);
-  EXPECT_EQ(got.docs_fetched, want.docs_fetched);
-  EXPECT_EQ(got.makespan, want.makespan);
-  EXPECT_EQ(got.usage, want.usage);
-  EXPECT_EQ(got.dollars, want.dollars);
-  EXPECT_EQ(got.trace, want.trace);
+  const auto [want, got] =
+      ExpectSerialEqualsParallel(Queried(GetParam(), BenchmarkQueries()));
   // Some queries return rows, and some fetch enough documents to fan
   // out.
   size_t rows = 0;
   uint64_t most_fetched = 0;
-  for (size_t q = 0; q < want.rows.size(); ++q) {
-    rows += want.rows[q].size();
-    most_fetched = std::max(most_fetched, want.docs_fetched[q]);
+  for (const QueryOutcome& outcome : want.queries.outcomes) {
+    rows += outcome.result.rows.size();
+    most_fetched = std::max(most_fetched, outcome.docs_fetched);
   }
   EXPECT_GT(rows, 0u);
   EXPECT_GE(most_fetched, 16u);
@@ -338,26 +192,29 @@ TEST(PipelineTest, TwoWarehousesInterleaveOnTheSharedPool) {
   const std::vector<std::string> first(queries.begin(), queries.begin() + 5);
   const std::vector<std::string> second(queries.begin() + 5, queries.end());
   auto alone = [&](StrategyKind strategy) {
-    QueryDeployment deployment(strategy, 1);
-    RunQueries(deployment, first);
-    return RunQueries(deployment, second);
+    Outcome run = RunScenario(Queried(strategy, first));
+    RunQueries(run, second);
+    return run;
   };
-  const QueryFingerprint want_lup = alone(StrategyKind::kLUP);
-  const QueryFingerprint want_lui = alone(StrategyKind::kLUI);
+  const Outcome want_lup = alone(StrategyKind::kLUP);
+  const Outcome want_lui = alone(StrategyKind::kLUI);
 
-  QueryDeployment lup(StrategyKind::kLUP, 3);
-  QueryDeployment lui(StrategyKind::kLUI, 3);
-  RunQueries(lup, first);
-  RunQueries(lui, first);
-  const QueryFingerprint got_lup = RunQueries(lup, second);
-  const QueryFingerprint got_lui = RunQueries(lui, second);
-  EXPECT_TRUE(got_lup == want_lup);
-  EXPECT_TRUE(got_lui == want_lui);
+  Scenario lup_scenario = Queried(StrategyKind::kLUP, first);
+  Scenario lui_scenario = Queried(StrategyKind::kLUI, first);
+  lup_scenario.warehouse.host_threads = 3;
+  lui_scenario.warehouse.host_threads = 3;
+  Outcome lup = RunScenario(lup_scenario);
+  Outcome lui = RunScenario(lui_scenario);
+  RunQueries(lup, second);
+  RunQueries(lui, second);
+  ExpectIdentical(want_lup, lup);
+  ExpectIdentical(want_lui, lui);
 }
 
-// The ExtractionPipeline on its own: a data bucket holding Corpus(), a
-// LUP strategy and a two-thread pool, so the window (four results, three
-// of them in flight) is much smaller than the corpus.
+// The ExtractionPipeline on its own: a data bucket holding the paintings
+// and twelve XMark sites, a LUP strategy and a two-thread pool, so the
+// window (four results, three of them in flight) is much smaller than
+// the corpus.
 class ExtractionPipelineTest : public ::testing::Test {
  protected:
   ExtractionPipelineTest()
@@ -395,7 +252,8 @@ class ExtractionPipelineTest : public ::testing::Test {
   }
 
   static constexpr uint64_t kSeed = 7;
-  const std::vector<xmark::GeneratedDocument> corpus_ = Corpus();
+  const std::vector<xmark::GeneratedDocument> corpus_ =
+      PaintingsAndXmark(12, 8);
   cloud::CloudEnv env_;
   std::unique_ptr<index::IndexingStrategy> strategy_;
   common::ThreadPool pool_{2};

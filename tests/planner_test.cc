@@ -14,13 +14,11 @@
 #include <vector>
 
 #include "benchmark_queries.h"
-#include "cloud/cloud_env.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "engine/warehouse.h"
 #include "index/strategy.h"
 #include "query/parser.h"
-#include "xmark/xmark_generator.h"
+#include "scenario.h"
 
 namespace webdex::engine {
 namespace {
@@ -28,15 +26,16 @@ namespace {
 using cloud::Micros;
 using index::StrategyKind;
 
-// Fragment XMark documents (split sections) as in the Table 5 bench:
-// path mutations and optional elements give the planner real LUP-vs-LUI
-// discrimination.
-xmark::GeneratorConfig Corpus(int documents, int entities) {
-  xmark::GeneratorConfig config;
-  config.split_sections = true;
-  config.num_documents = documents;
-  config.entities_per_document = entities;
-  return config;
+/// `kind` over `documents` XMark fragments of `entities` entities each,
+/// as in the Table 5 bench: path mutations and optional elements give
+/// the planner real LUP-vs-LUI discrimination.
+Scenario Fragments(int documents, int entities, StrategyKind kind,
+                   PlannerForce force = PlannerForce::kAuto) {
+  Scenario scenario;
+  scenario.warehouse.strategy = kind;
+  scenario.warehouse.planner_force = force;
+  scenario.documents = XmarkFragments(documents, entities);
+  return scenario;
 }
 
 // A single-path query: LUP path matching is exact, so the planner must
@@ -47,70 +46,38 @@ const char* kPathSelective = "//item[/description/name:val]";
 const char* kBranchingTwig =
     "//item[/name:val, /mailbox/mail/from:val, /description~'lantern']";
 
-struct Deployed {
-  std::unique_ptr<cloud::CloudEnv> env;
-  std::unique_ptr<Warehouse> warehouse;
-  StrategyKind kind = StrategyKind::kLU;
-  Micros index_end = 0;
-};
-
-Deployed Deploy(const xmark::GeneratorConfig& corpus, StrategyKind kind,
-                PlannerForce force = PlannerForce::kAuto,
-                const cloud::CloudConfig& cloud_config = cloud::CloudConfig(),
-                const index::ExtractOptions& extract = {}) {
-  Deployed d;
-  d.kind = kind;
-  d.env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  WarehouseConfig config;
-  config.strategy = kind;
-  config.planner_force = force;
-  config.extract = extract;
-  d.warehouse = std::make_unique<Warehouse>(d.env.get(), config);
-  EXPECT_TRUE(d.warehouse->Setup().ok());
-  xmark::XmarkGenerator generator(corpus);
-  for (int i = 0; i < corpus.num_documents; ++i) {
-    auto doc = generator.Generate(i);
-    EXPECT_TRUE(
-        d.warehouse->SubmitDocument(doc.uri, std::move(doc.text)).ok());
-  }
-  auto report = d.warehouse->RunIndexers();
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  d.index_end = d.warehouse->front_end().now();
-  return d;
-}
-
 /// A second warehouse facade over the same simulated cloud (documents
 /// and index tables persist), with a different planner configuration.
-std::unique_ptr<Warehouse> Facade(const Deployed& d, PlannerForce force) {
+std::unique_ptr<Warehouse> Facade(const Outcome& run, PlannerForce force) {
   WarehouseConfig config;
-  config.strategy = d.kind;
+  config.strategy = run.warehouse().config().strategy;
   config.planner_force = force;
-  auto facade = std::make_unique<Warehouse>(d.env.get(), config);
-  facade->AdoptExistingData(*d.warehouse);
+  auto facade = std::make_unique<Warehouse>(&run.env(), config);
+  facade->AdoptExistingData(run.warehouse());
   return facade;
 }
 
 // --- 2LUPI: the planner exploits both tables --------------------------------
 
 TEST(TwoLupiPlannerTest, PathSelectiveQueryChoosesLupSide) {
-  Deployed d = Deploy(Corpus(36, 24), StrategyKind::k2LUPI);
-  auto outcome = d.warehouse->ExecuteQuery(kPathSelective);
+  const Outcome d = RunScenario(Fragments(36, 24, StrategyKind::k2LUPI));
+  auto outcome = d.warehouse().ExecuteQuery(kPathSelective);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome.value().chosen_path, "2LUPI/lup");
 
-  auto explain = d.warehouse->ExplainQuery(kPathSelective);
+  auto explain = d.warehouse().ExplainQuery(kPathSelective);
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain.value().find("chose 2LUPI/lup"), std::string::npos)
       << explain.value();
 }
 
 TEST(TwoLupiPlannerTest, BranchingTwigChoosesLuiSide) {
-  Deployed d = Deploy(Corpus(36, 24), StrategyKind::k2LUPI);
-  auto outcome = d.warehouse->ExecuteQuery(kBranchingTwig);
+  const Outcome d = RunScenario(Fragments(36, 24, StrategyKind::k2LUPI));
+  auto outcome = d.warehouse().ExecuteQuery(kBranchingTwig);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome.value().chosen_path, "2LUPI/lui");
 
-  auto explain = d.warehouse->ExplainQuery(kBranchingTwig);
+  auto explain = d.warehouse().ExplainQuery(kBranchingTwig);
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain.value().find("chose 2LUPI/lui"), std::string::npos)
       << explain.value();
@@ -123,13 +90,13 @@ TEST(TwoLupiPlannerTest, BranchingTwigChoosesLuiSide) {
 // side's look-up consumes exactly the index units a forced run on that
 // side consumes, and the rows are identical everywhere.
 TEST(TwoLupiPlannerTest, LosingSideIsNeverBilled) {
-  Deployed d = Deploy(Corpus(36, 24), StrategyKind::k2LUPI);
+  const Outcome d = RunScenario(Fragments(36, 24, StrategyKind::k2LUPI));
   auto lup = Facade(d, PlannerForce::kLup);
   auto lui = Facade(d, PlannerForce::kLui);
   auto off = Facade(d, PlannerForce::kOff);
 
   for (const char* query : {kPathSelective, kBranchingTwig}) {
-    auto chosen = d.warehouse->ExecuteQuery(query);
+    auto chosen = d.warehouse().ExecuteQuery(query);
     auto forced_lup = lup->ExecuteQuery(query);
     auto forced_lui = lui->ExecuteQuery(query);
     auto semijoin = off->ExecuteQuery(query);
@@ -162,17 +129,18 @@ TEST(TwoLupiPlannerTest, LosingSideIsNeverBilled) {
 // one-candidate plan: EXPLAIN shows exactly the plan that runs, and the
 // look-up reads exactly what the strategy's reference LookupPattern does.
 TEST(TwoLupiPlannerTest, PlannerOffExplainsAndRunsTheSemijoin) {
-  Deployed d = Deploy(Corpus(36, 24), StrategyKind::k2LUPI, PlannerForce::kOff);
+  const Outcome d = RunScenario(
+      Fragments(36, 24, StrategyKind::k2LUPI, PlannerForce::kOff));
   auto planned = Facade(d, PlannerForce::kAuto);
   // Every indexed route carries an estimate, so the planner's report card
   // covers planner-off queries too.
   auto ratios = [&d]() -> uint64_t {
     const common::Histogram* ratio =
-        d.env->metrics().FindHistogram("planner.estimate_error_ratio");
+        d.env().metrics().FindHistogram("planner.estimate_error_ratio");
     return ratio == nullptr ? 0 : ratio->count();
   };
   for (const char* query : {kPathSelective, kBranchingTwig}) {
-    auto explain = d.warehouse->ExplainQuery(query);
+    auto explain = d.warehouse().ExplainQuery(query);
     ASSERT_TRUE(explain.ok()) << explain.status().ToString();
     EXPECT_NE(explain.value().find("physical: strategy 2LUPI, planner off\n"),
               std::string::npos)
@@ -184,7 +152,7 @@ TEST(TwoLupiPlannerTest, PlannerOffExplainsAndRunsTheSemijoin) {
         << explain.value();
 
     const uint64_t ratios_before = ratios();
-    auto outcome = d.warehouse->ExecuteQuery(query);
+    auto outcome = d.warehouse().ExecuteQuery(query);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_EQ(ratios(), ratios_before + 1);
     EXPECT_EQ(outcome.value().chosen_path, "2LUPI");
@@ -196,14 +164,14 @@ TEST(TwoLupiPlannerTest, PlannerOffExplainsAndRunsTheSemijoin) {
     auto parsed = query::ParseQuery(query);
     ASSERT_TRUE(parsed.ok());
     auto strategy = index::IndexingStrategy::Create(StrategyKind::k2LUPI);
-    cloud::SimAgent& agent = d.warehouse->front_end();
-    const cloud::Usage before = d.env->meter().Snapshot();
+    cloud::SimAgent& agent = d.warehouse().front_end();
+    const cloud::Usage before = d.env().meter().Snapshot();
     index::LookupStats stats;
     auto uris = strategy->LookupPattern(
-        agent, d.warehouse->index_store(), parsed.value().patterns()[0],
-        d.warehouse->config().extract, &stats);
+        agent, d.warehouse().index_store(), parsed.value().patterns()[0],
+        d.warehouse().config().extract, &stats);
     ASSERT_TRUE(uris.ok());
-    const cloud::Usage delta = d.env->meter().Snapshot() - before;
+    const cloud::Usage delta = d.env().meter().Snapshot() - before;
     EXPECT_EQ(outcome.value().index_get_units, delta.ddb_read_units) << query;
     EXPECT_EQ(outcome.value().lookup.items_fetched, stats.items_fetched);
     EXPECT_EQ(outcome.value().lookup.twig_id_ops, stats.twig_id_ops);
@@ -254,55 +222,52 @@ std::vector<std::string> SweepWorkload(uint64_t seed) {
 class PlannerSweepTest : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(PlannerSweepTest, RowsBitIdenticalAcrossPlannerAndOutage) {
-  const auto corpus = Corpus(12, 8);
   const auto workload = SweepWorkload(20260805);
 
   // Healthy deployment; the planner toggle is a facade over the same
   // cloud, so both runs answer from the very same index bytes.
-  Deployed healthy = Deploy(corpus, GetParam());
+  const Scenario scenario = Fragments(12, 8, GetParam());
+  const Outcome healthy = RunScenario(scenario);
   auto healthy_off = Facade(healthy, PlannerForce::kOff);
 
   // Browned-out deployments: a sustained index-store outage covering
   // the whole query phase (indexing is deterministic, so the healthy
   // run's index_end pins where the query phase starts).
-  cloud::CloudConfig outage_config;
+  Scenario outage = scenario;
   cloud::OutageWindow window;
   window.service = cloud::ServiceId::kDynamoDb;
   window.start = healthy.index_end;
   window.end = healthy.index_end + kForever;
-  outage_config.faults.outages.push_back(window);
-  Deployed outage_planned =
-      Deploy(corpus, GetParam(), PlannerForce::kAuto, outage_config);
-  Deployed outage_off =
-      Deploy(corpus, GetParam(), PlannerForce::kOff, outage_config);
+  outage.cloud.faults.outages.push_back(window);
+  outage.queries = workload;
+  const Outcome browned_planned = RunScenario(outage);
+  outage.warehouse.planner_force = PlannerForce::kOff;
+  const Outcome browned_off = RunScenario(outage);
 
-  auto planned = healthy.warehouse->ExecuteQueries(workload);
+  auto planned = healthy.warehouse().ExecuteQueries(workload);
   auto off = healthy_off->ExecuteQueries(workload);
-  auto browned_planned = outage_planned.warehouse->ExecuteQueries(workload);
-  auto browned_off = outage_off.warehouse->ExecuteQueries(workload);
-  ASSERT_TRUE(planned.ok() && off.ok() && browned_planned.ok() &&
-              browned_off.ok());
+  ASSERT_TRUE(planned.ok() && off.ok());
 
   ASSERT_EQ(planned.value().outcomes.size(), workload.size());
   for (size_t q = 0; q < workload.size(); ++q) {
     const auto& rows = planned.value().outcomes[q].result.rows;
     EXPECT_EQ(rows, off.value().outcomes[q].result.rows)
         << workload[q] << " (planner off)";
-    EXPECT_EQ(rows, browned_planned.value().outcomes[q].result.rows)
+    EXPECT_EQ(rows, browned_planned.rows[q])
         << workload[q] << " (planner on, outage)";
-    EXPECT_EQ(rows, browned_off.value().outcomes[q].result.rows)
+    EXPECT_EQ(rows, browned_off.rows[q])
         << workload[q] << " (planner off, outage)";
-    EXPECT_TRUE(browned_planned.value().outcomes[q].degraded);
-    EXPECT_TRUE(browned_off.value().outcomes[q].degraded);
+    EXPECT_TRUE(browned_planned.queries.outcomes[q].degraded);
+    EXPECT_TRUE(browned_off.queries.outcomes[q].degraded);
   }
   // Under the outage neither mode burns attempts against an open breaker
   // — planner off is a one-candidate plan behind the same plan-time gate
   // — and every query records at least one fallback to the scan path
   // (value-join queries fall back once per tree pattern).
-  EXPECT_EQ(outage_planned.env->meter().usage().breaker_short_circuits, 0u);
-  EXPECT_EQ(outage_off.env->meter().usage().breaker_short_circuits, 0u);
-  EXPECT_GE(browned_planned.value().planner_fallbacks, workload.size());
-  EXPECT_GE(browned_off.value().planner_fallbacks, workload.size());
+  EXPECT_EQ(browned_planned.usage.breaker_short_circuits, 0u);
+  EXPECT_EQ(browned_off.usage.breaker_short_circuits, 0u);
+  EXPECT_GE(browned_planned.queries.planner_fallbacks, workload.size());
+  EXPECT_GE(browned_off.queries.planner_fallbacks, workload.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -321,9 +286,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PlannerEstimateTest, EstimateWithinFixedFactorOfBilledCost) {
   constexpr double kFactor = 32.0;
   for (StrategyKind kind : index::AllStrategyKinds()) {
-    Deployed d = Deploy(Corpus(36, 24), kind);
+    const Outcome d = RunScenario(Fragments(36, 24, kind));
     for (const auto& query : SweepWorkload(7)) {
-      auto outcome = d.warehouse->ExecuteQuery(query);
+      auto outcome = d.warehouse().ExecuteQuery(query);
       ASSERT_TRUE(outcome.ok()) << query;
       const double est = outcome.value().estimated_cost_usd;
       const double actual = outcome.value().actual_cost_usd;
@@ -343,13 +308,12 @@ TEST(PlannerEstimateTest, EstimateWithinFixedFactorOfBilledCost) {
 // never stored, would estimate zero candidates for a query that fetches
 // several.
 TEST(PlannerEstimateTest, NoWordsIndexEstimatesTheTwigItLooksUp) {
-  index::ExtractOptions no_words;
-  no_words.include_words = false;
-  Deployed d = Deploy(Corpus(60, 8), StrategyKind::kLUP, PlannerForce::kAuto,
-                      cloud::CloudConfig(), no_words);
+  Scenario no_words = Fragments(60, 8, StrategyKind::kLUP);
+  no_words.warehouse.extract.include_words = false;
+  const Outcome d = RunScenario(no_words);
   const char* query =
       "//closed_auction[/annotation:cont, /annotation/description~'amber']";
-  auto explain = d.warehouse->ExplainQuery(query);
+  auto explain = d.warehouse().ExplainQuery(query);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   const std::string& text = explain.value();
   const size_t line = text.find("    LUP ");
@@ -358,7 +322,7 @@ TEST(PlannerEstimateTest, NoWordsIndexEstimatesTheTwigItLooksUp) {
   ASSERT_NE(docs_at, std::string::npos) << text;
   const double estimated_docs = std::atof(text.c_str() + docs_at + 5);
 
-  auto outcome = d.warehouse->ExecuteQuery(query);
+  auto outcome = d.warehouse().ExecuteQuery(query);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_GT(outcome.value().docs_fetched, 0u);
   EXPECT_GT(estimated_docs, 0.0) << text;
@@ -387,8 +351,8 @@ std::string ExplainGoldenPath() {
 // change; and, last, a plan whose look-ups an open breaker blocks, with
 // the executed path and its estimate.
 TEST(ExplainTest, GoldenOutput) {
-  Deployed d = Deploy(Corpus(12, 8), StrategyKind::k2LUPI);
-  auto explain = d.warehouse->ExplainQuery(kBranchingTwig);
+  const Outcome d = RunScenario(Fragments(12, 8, StrategyKind::k2LUPI));
+  auto explain = d.warehouse().ExplainQuery(kBranchingTwig);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_EQ(explain.value(),
             "logical: 1 pattern, 0 value joins\n"
@@ -407,7 +371,7 @@ TEST(ExplainTest, GoldenOutput) {
 
   auto off = Facade(d, PlannerForce::kOff);
   std::string rendered;
-  for (Warehouse* warehouse : {d.warehouse.get(), off.get()}) {
+  for (Warehouse* warehouse : {&d.warehouse(), off.get()}) {
     for (size_t q = 0; q < BenchmarkQueries().size(); ++q) {
       auto plan = warehouse->ExplainQuery(BenchmarkQueries()[q]);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -429,15 +393,15 @@ TEST(ExplainTest, GoldenOutput) {
 
   // An open breaker on both 2LUPI tables leaves the scan as the only
   // viable path.
-  cloud::CircuitBreaker& breaker = d.env->breaker();
-  const Micros now = d.warehouse->front_end().now();
+  cloud::CircuitBreaker& breaker = d.env().breaker();
+  const Micros now = d.warehouse().front_end().now();
   for (const std::string& table :
        index::StrategyTableNames(StrategyKind::k2LUPI)) {
     for (int i = 0; i < breaker.config().failure_threshold; ++i) {
       breaker.RecordFailure(table, now);
     }
   }
-  explain = d.warehouse->ExplainQuery(kBranchingTwig);
+  explain = d.warehouse().ExplainQuery(kBranchingTwig);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_EQ(explain.value(),
             "logical: 1 pattern, 0 value joins\n"
@@ -453,7 +417,7 @@ TEST(ExplainTest, GoldenOutput) {
             "    scan       est $0.00002814  keys 0  index-req 0  docs 12"
             "  requests 13  [chosen]\n"
             "  estimated total: $0.00002814, 13 requests\n");
-  auto outcome = d.warehouse->ExecuteQuery(kBranchingTwig);
+  auto outcome = d.warehouse().ExecuteQuery(kBranchingTwig);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome.value().chosen_path, "scan");
   EXPECT_EQ(outcome.value().planner_fallbacks, 1);

@@ -10,6 +10,7 @@
 #include "cloud/snapshot.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/varint.h"
 #include "engine/warehouse.h"
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
@@ -194,6 +195,40 @@ TEST(SnapshotTest, LegacyV1SnapshotsStillRestore) {
       EXPECT_EQ(SerializeSnapshot(env), v5) << magic;
     }
   }
+}
+
+// A count the decoder reads from the image sizes nothing up front: a
+// fresh image whose chaos stream count (offset 14) or breaker tracker
+// count (offset 15) claims 2^60 entries is a truncated image, not an
+// allocation of 2^60 entries.
+TEST(SnapshotTest, HugeChaosCountsAreCorruption) {
+  CloudEnv fresh;
+  const std::string image = SerializeSnapshot(fresh);
+  ASSERT_EQ(image.size(), 42u);
+  std::string huge;
+  PutVarint64(&huge, uint64_t{1} << 60);
+  for (const size_t offset : {size_t{14}, size_t{15}}) {
+    ASSERT_EQ(image[offset], '\0') << offset;
+    const std::string bad =
+        image.substr(0, offset) + huge + image.substr(offset + 1);
+    CloudEnv env;
+    const Status status = RestoreSnapshot(bad, &env);
+    EXPECT_TRUE(status.IsCorruption()) << offset << ": " << status.ToString();
+  }
+}
+
+// A string length near 2^64 must not wrap the bounds check and rewind
+// the read offset.
+TEST(SnapshotTest, WrappingStringLengthIsCorruption) {
+  CloudEnv fresh;
+  const std::string image = SerializeSnapshot(fresh);
+  std::string bad = image.substr(0, 8);  // magic
+  PutVarint64(&bad, 1);                  // one bucket...
+  PutVarint64(&bad, ~uint64_t{0});       // ...whose name is 2^64-1 long
+  bad += image.substr(9);
+  CloudEnv env;
+  const Status status = RestoreSnapshot(bad, &env);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
 }
 
 // The point of saving chaos state: a faulted run snapshotted mid-way and

@@ -1,58 +1,40 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "engine/warehouse.h"
-#include "xmark/paintings.h"
-#include "xmark/xmark_generator.h"
+#include "scenario.h"
 
 namespace webdex::engine {
 namespace {
 
 using index::StrategyKind;
 
-std::vector<xmark::GeneratedDocument> Corpus() {
-  auto docs = xmark::GeneratePaintings();
-  xmark::GeneratorConfig config;
-  config.num_documents = 15;
-  config.entities_per_document = 6;
-  for (auto& doc : xmark::XmarkGenerator(config).GenerateAll()) {
-    docs.push_back(std::move(doc));
-  }
-  return docs;
+/// `config` with `documents` submitted: by default the paintings and
+/// fifteen XMark sites.
+Scenario Loaded(const WarehouseConfig& config,
+                std::vector<xmark::GeneratedDocument> documents =
+                    PaintingsAndXmark(15, 6)) {
+  Scenario scenario;
+  scenario.warehouse = config;
+  scenario.documents = std::move(documents);
+  return scenario;
 }
 
-struct Harness {
-  std::unique_ptr<cloud::CloudEnv> env;
-  std::unique_ptr<Warehouse> warehouse;
-};
-
-Harness MakeWarehouse(
-    WarehouseConfig config, cloud::CloudConfig cloud_config = {},
-    const std::vector<xmark::GeneratedDocument>& corpus = Corpus()) {
-  Harness setup;
-  setup.env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  setup.warehouse = std::make_unique<Warehouse>(setup.env.get(), config);
-  EXPECT_TRUE(setup.warehouse->Setup().ok());
-  for (const auto& doc : corpus) {
-    EXPECT_TRUE(setup.warehouse->SubmitDocument(doc.uri, doc.text).ok());
-  }
-  return setup;
-}
-
-// Corpus()'s first document, painting-000.xml ("The Lion Hunt"), with its
-// painter renamed: the one q3 row changes from Delacroix to Gericault.
+// The corpus's first document, painting-000.xml ("The Lion Hunt"), with
+// its painter renamed: the one q3 row changes from Delacroix to Gericault.
 xmark::GeneratedDocument RenamedPainting() {
-  xmark::GeneratedDocument doc = Corpus().front();
+  xmark::GeneratedDocument doc = Loaded({}).documents.front();
   const size_t at = doc.text.find("Delacroix");
   EXPECT_NE(at, std::string::npos);
   doc.text.replace(at, std::string("Delacroix").size(), "Gericault");
   return doc;
 }
 
-// Corpus() after RenamedPainting() replaced its first document.
+// The corpus after RenamedPainting() replaced its first document.
 std::vector<xmark::GeneratedDocument> FinalCorpus() {
-  auto docs = Corpus();
+  auto docs = Loaded({}).documents;
   docs.front() = RenamedPainting();
   return docs;
 }
@@ -70,11 +52,12 @@ TEST_P(WarehouseStrategyTest, EndToEndIndexAndQuery) {
   WarehouseConfig config;
   config.strategy = GetParam();
   config.num_instances = 2;
-  Harness setup = MakeWarehouse(config);
+  const Scenario scenario = Loaded(config);
+  Deployment setup = Deploy(scenario);
 
   auto indexing = setup.warehouse->RunIndexers();
   ASSERT_TRUE(indexing.ok()) << indexing.status().ToString();
-  EXPECT_EQ(indexing.value().documents, Corpus().size());
+  EXPECT_EQ(indexing.value().documents, scenario.documents.size());
   EXPECT_GT(indexing.value().makespan, 0);
   EXPECT_GT(indexing.value().extract_stats.entries, 0u);
   EXPECT_GT(indexing.value().index_put_units, 0u);
@@ -84,7 +67,7 @@ TEST_P(WarehouseStrategyTest, EndToEndIndexAndQuery) {
   ASSERT_EQ(outcome.value().result.rows.size(), 1u);
   EXPECT_EQ(outcome.value().result.rows[0][0], "Delacroix");
   EXPECT_GT(outcome.value().docs_fetched, 0u);
-  EXPECT_LT(outcome.value().docs_fetched, Corpus().size());
+  EXPECT_LT(outcome.value().docs_fetched, scenario.documents.size());
   EXPECT_GT(outcome.value().timings.total, 0);
   EXPECT_GT(outcome.value().timings.index_get, 0);
 }
@@ -92,12 +75,12 @@ TEST_P(WarehouseStrategyTest, EndToEndIndexAndQuery) {
 TEST_P(WarehouseStrategyTest, MatchesNoIndexBaselineResults) {
   WarehouseConfig config;
   config.strategy = GetParam();
-  Harness indexed = MakeWarehouse(config);
+  Deployment indexed = Deploy(Loaded(config));
   ASSERT_TRUE(indexed.warehouse->RunIndexers().ok());
 
   WarehouseConfig baseline_config;
   baseline_config.use_index = false;
-  Harness baseline = MakeWarehouse(baseline_config);
+  Deployment baseline = Deploy(Loaded(baseline_config));
 
   for (const char* query : {kQ1, kQ3, kQ5}) {
     auto with_index = indexed.warehouse->ExecuteQuery(query);
@@ -118,7 +101,7 @@ TEST_P(WarehouseStrategyTest, MatchesNoIndexBaselineResults) {
 TEST_P(WarehouseStrategyTest, QueryBeforeReindexingEvaluatesTheStoredObject) {
   WarehouseConfig config;
   config.strategy = GetParam();
-  Harness indexed = MakeWarehouse(config);
+  Deployment indexed = Deploy(Loaded(config));
   ASSERT_TRUE(indexed.warehouse->RunIndexers().ok());
   ASSERT_TRUE(indexed.warehouse->ExecuteQuery(kQ3).ok());  // warm cache
 
@@ -127,7 +110,7 @@ TEST_P(WarehouseStrategyTest, QueryBeforeReindexingEvaluatesTheStoredObject) {
       indexed.warehouse->UpsertDocument(renamed.uri, renamed.text).ok());
   WarehouseConfig baseline_config;
   baseline_config.use_index = false;
-  Harness baseline = MakeWarehouse(baseline_config, {}, FinalCorpus());
+  Deployment baseline = Deploy(Loaded(baseline_config, FinalCorpus()));
 
   auto expected = baseline.warehouse->ExecuteQuery(kQ3);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
@@ -153,10 +136,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WarehouseTest, NoIndexFetchesEverything) {
   WarehouseConfig config;
   config.use_index = false;
-  Harness setup = MakeWarehouse(config);
+  const Scenario scenario = Loaded(config);
+  Deployment setup = Deploy(scenario);
   auto outcome = setup.warehouse->ExecuteQuery(kQ1);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().docs_fetched, Corpus().size());
+  EXPECT_EQ(outcome.value().docs_fetched, scenario.documents.size());
   EXPECT_EQ(outcome.value().docs_from_index, 0u);
   EXPECT_EQ(outcome.value().timings.index_get, 0);
 }
@@ -166,13 +150,15 @@ TEST(WarehouseTest, NoIndexFetchesEverything) {
 TEST(WarehouseTest, ResubmittingToANoIndexWarehouseReplacesTheDocument) {
   WarehouseConfig config;
   config.use_index = false;
-  Harness resubmitted = MakeWarehouse(config);
+  const Scenario scenario = Loaded(config);
+  Deployment resubmitted = Deploy(scenario);
   const auto renamed = RenamedPainting();
   ASSERT_TRUE(
       resubmitted.warehouse->SubmitDocument(renamed.uri, renamed.text).ok());
-  Harness baseline = MakeWarehouse(config, {}, FinalCorpus());
+  Deployment baseline = Deploy(Loaded(config, FinalCorpus()));
 
-  EXPECT_EQ(resubmitted.warehouse->document_uris().size(), Corpus().size());
+  EXPECT_EQ(resubmitted.warehouse->document_uris().size(),
+            scenario.documents.size());
   EXPECT_EQ(resubmitted.warehouse->data_bytes(),
             baseline.warehouse->data_bytes());
   for (const char* query : {kQ1, kQ3}) {
@@ -180,7 +166,8 @@ TEST(WarehouseTest, ResubmittingToANoIndexWarehouseReplacesTheDocument) {
     auto expected = baseline.warehouse->ExecuteQuery(query);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    EXPECT_EQ(outcome.value().docs_fetched, Corpus().size()) << query;
+    EXPECT_EQ(outcome.value().docs_fetched, scenario.documents.size())
+        << query;
     EXPECT_EQ(outcome.value().result.rows, expected.value().result.rows)
         << query;
   }
@@ -190,7 +177,7 @@ TEST(WarehouseTest, ResubmittingToANoIndexWarehouseReplacesTheDocument) {
 // query "//x" would read back as tenant "a" and query "b\n//x".  The
 // whole batch is refused before any request is sent.
 TEST(WarehouseTest, TenantWithNewlineIsRejectedBeforeAnyRequest) {
-  Harness setup = MakeWarehouse(WarehouseConfig{});
+  Deployment setup = Deploy(Loaded(WarehouseConfig{}));
   ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
   const uint64_t sqs_before = setup.env->meter().Snapshot().sqs_requests;
   auto report = setup.warehouse->ExecuteQueries(
@@ -201,7 +188,7 @@ TEST(WarehouseTest, TenantWithNewlineIsRejectedBeforeAnyRequest) {
 }
 
 TEST(WarehouseTest, MalformedQueryIsRejectedBeforeAnyRequest) {
-  Harness setup = MakeWarehouse(WarehouseConfig{});
+  Deployment setup = Deploy(Loaded(WarehouseConfig{}));
   ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
   const cloud::Usage before = setup.env->meter().Snapshot();
   auto report = setup.warehouse->ExecuteQueries(
@@ -215,7 +202,7 @@ TEST(WarehouseTest, MalformedQueryIsRejectedBeforeAnyRequest) {
 TEST(WarehouseTest, RunIndexersWithoutIndexFails) {
   WarehouseConfig config;
   config.use_index = false;
-  Harness setup = MakeWarehouse(config);
+  Deployment setup = Deploy(Loaded(config));
   EXPECT_TRUE(setup.warehouse->RunIndexers().status().IsFailedPrecondition());
 }
 
@@ -224,7 +211,7 @@ TEST(WarehouseTest, DeterministicAcrossRuns) {
     WarehouseConfig config;
     config.strategy = StrategyKind::kLUP;
     config.num_instances = 3;
-    Harness setup = MakeWarehouse(config);
+    Deployment setup = Deploy(Loaded(config));
     EXPECT_TRUE(setup.warehouse->RunIndexers().ok());
     auto report = setup.warehouse->ExecuteQueries({kQ1, kQ3, kQ5});
     EXPECT_TRUE(report.ok());
@@ -242,7 +229,7 @@ TEST(WarehouseTest, MoreInstancesShortenTheQueryMakespan) {
     WarehouseConfig config;
     config.strategy = StrategyKind::kLUP;
     config.num_instances = instances;
-    Harness setup = MakeWarehouse(config);
+    Deployment setup = Deploy(Loaded(config));
     EXPECT_TRUE(setup.warehouse->RunIndexers().ok());
     std::vector<std::string> workload;
     for (int i = 0; i < 8; ++i) workload.push_back(kQ3);
@@ -261,7 +248,7 @@ TEST(WarehouseTest, XlInstancesFasterThanL) {
     WarehouseConfig config;
     config.strategy = StrategyKind::kLU;
     config.instance_type = type;
-    Harness setup = MakeWarehouse(config);
+    Deployment setup = Deploy(Loaded(config));
     EXPECT_TRUE(setup.warehouse->RunIndexers().ok());
     auto outcome = setup.warehouse->ExecuteQuery(kQ1);
     EXPECT_TRUE(outcome.ok());
@@ -283,12 +270,13 @@ TEST(WarehouseTest, CrashedIndexerTaskIsRedone) {
     }
     return false;
   };
-  Harness setup = MakeWarehouse(config);
+  const Scenario scenario = Loaded(config);
+  Deployment setup = Deploy(scenario);
   auto report = setup.warehouse->RunIndexers();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Every document ends up indexed despite the crashes; the three lost
   // tasks were re-processed.
-  EXPECT_EQ(report.value().documents, Corpus().size() + 3);
+  EXPECT_EQ(report.value().documents, scenario.documents.size() + 3);
   EXPECT_EQ(crashes_remaining, 0);
   EXPECT_TRUE(setup.env->sqs().Drained("loader-requests"));
   // Queries still work (duplicate index items are harmless).
@@ -310,7 +298,7 @@ TEST(WarehouseTest, CrashedQueryTaskIsRedone) {
     }
     return false;
   };
-  Harness setup = MakeWarehouse(config);
+  Deployment setup = Deploy(Loaded(config));
   ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
   auto outcome = setup.warehouse->ExecuteQuery(kQ3);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -334,7 +322,7 @@ TEST(WarehouseTest, RedeliveredQueryTaskIsDeadLettered) {
     }
     return false;
   };
-  Harness setup = MakeWarehouse(config);
+  Deployment setup = Deploy(Loaded(config));
   ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
   auto outcome = setup.warehouse->ExecuteQuery(kQ3);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -363,7 +351,7 @@ TEST(WarehouseTest, IdListsLongerThanOneItemIndexOnDynamoDb) {
       {"wide.xml", wide}, {"small.xml", "<site><a/><b/></site>"}};
   WarehouseConfig baseline_config;
   baseline_config.use_index = false;
-  Harness baseline = MakeWarehouse(baseline_config, {}, corpus);
+  Deployment baseline = Deploy(Loaded(baseline_config, corpus));
   const char* kQuery = "//site//a";
   auto expected = baseline.warehouse->ExecuteQuery(kQuery);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
@@ -373,7 +361,7 @@ TEST(WarehouseTest, IdListsLongerThanOneItemIndexOnDynamoDb) {
     SCOPED_TRACE(index::StrategyKindName(kind));
     WarehouseConfig config;
     config.strategy = kind;
-    Harness indexed = MakeWarehouse(config, {}, corpus);
+    Deployment indexed = Deploy(Loaded(config, corpus));
     auto report = indexed.warehouse->RunIndexers();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report.value().documents, corpus.size());
@@ -389,16 +377,16 @@ TEST(WarehouseTest, IdListsLongerThanOneItemIndexOnDynamoDb) {
 // and counted as poisoned (not dead-lettered, and nothing extra billed),
 // and every other document still indexes.
 TEST(WarehouseTest, MalformedDocumentIsCountedAsPoisoned) {
-  auto corpus = Corpus();
+  auto corpus = Loaded({}).documents;
   corpus.push_back({"broken.xml", "<painting><name>unclosed</painting>"});
   WarehouseConfig config;
   config.strategy = StrategyKind::kLUP;
-  Harness setup = MakeWarehouse(config, {}, corpus);
+  Deployment setup = Deploy(Loaded(config, corpus));
   auto report = setup.warehouse->RunIndexers();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().poisoned, 1u);
   EXPECT_EQ(report.value().dead_lettered, 0u);
-  EXPECT_EQ(report.value().documents, Corpus().size());
+  EXPECT_EQ(report.value().documents, corpus.size() - 1);
   EXPECT_TRUE(setup.env->sqs().Drained("loader-requests"));
   EXPECT_TRUE(setup.env->sqs().PeekBodies("dead-letter").empty());
   auto outcome = setup.warehouse->ExecuteQuery(kQ3);
@@ -410,7 +398,7 @@ TEST(WarehouseTest, MalformedDocumentIsCountedAsPoisoned) {
 TEST(WarehouseTest, MeterAccountsEveryService) {
   WarehouseConfig config;
   config.strategy = StrategyKind::kLUP;
-  Harness setup = MakeWarehouse(config);
+  Deployment setup = Deploy(Loaded(config));
   ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
   ASSERT_TRUE(setup.warehouse->ExecuteQuery(kQ1).ok());
   const cloud::Usage& usage = setup.env->meter().usage();
@@ -429,7 +417,7 @@ TEST(WarehouseTest, MeterAccountsEveryService) {
 TEST(WarehouseTest, IndexSizesExposed) {
   WarehouseConfig config;
   config.strategy = StrategyKind::k2LUPI;
-  Harness setup = MakeWarehouse(config);
+  Deployment setup = Deploy(Loaded(config));
   ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
   EXPECT_GT(setup.warehouse->IndexRawBytes(), 0u);
   EXPECT_GT(setup.warehouse->IndexOverheadBytes(), 0u);
@@ -441,7 +429,7 @@ TEST(WarehouseTest, SimpleDbBackendWorksButCostsMore) {
     WarehouseConfig config;
     config.strategy = StrategyKind::kLU;
     config.backend = backend;
-    Harness setup = MakeWarehouse(config);
+    Deployment setup = Deploy(Loaded(config));
     EXPECT_TRUE(setup.warehouse->RunIndexers().ok());
     auto outcome = setup.warehouse->ExecuteQuery(kQ3);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -461,7 +449,7 @@ TEST(WarehouseTest, SimpleDbBackendWorksButCostsMore) {
 TEST(WarehouseTest, FrontEndClockAdvancesThroughPipeline) {
   WarehouseConfig config;
   config.strategy = StrategyKind::kLU;
-  Harness setup = MakeWarehouse(config);
+  Deployment setup = Deploy(Loaded(config));
   const cloud::Micros after_load = setup.warehouse->front_end().now();
   EXPECT_GT(after_load, 0);
   ASSERT_TRUE(setup.warehouse->RunIndexers().ok());
@@ -477,34 +465,29 @@ TEST(WarehouseTest, LongIndexingTasksRenewTheirLease) {
   // makes the upload phase ~6 s, against a 8 s timeout.  Without the
   // phase-boundary lease renewals the message would be redelivered to
   // the second instance mid-task and the document indexed twice.
-  cloud::CloudConfig cloud_config;
-  cloud_config.s3.request_latency = 3 * cloud::kMicrosPerSecond;
-  cloud_config.dynamodb.request_latency = 3 * cloud::kMicrosPerSecond;
-  cloud_config.sqs.visibility_timeout = 8 * cloud::kMicrosPerSecond;
-
   WarehouseConfig config;
   config.strategy = StrategyKind::kLU;
   config.num_instances = 2;
-
-  auto env = std::make_unique<cloud::CloudEnv>(cloud_config);
-  Warehouse warehouse(env.get(), config);
-  ASSERT_TRUE(warehouse.Setup().ok());
   // One document with enough keys for two upload batches (~6 s upload).
   std::string xml = "<r>";
   for (int i = 0; i < 40; ++i) {
     xml += "<k" + std::to_string(i) + ">x</k" + std::to_string(i) + ">";
   }
   xml += "</r>";
-  ASSERT_TRUE(warehouse.SubmitDocument("big.xml", xml).ok());
+  Scenario scenario = Loaded(config, {{"big.xml", xml}});
+  scenario.cloud.s3.request_latency = 3 * cloud::kMicrosPerSecond;
+  scenario.cloud.dynamodb.request_latency = 3 * cloud::kMicrosPerSecond;
+  scenario.cloud.sqs.visibility_timeout = 8 * cloud::kMicrosPerSecond;
+  Deployment setup = Deploy(scenario);
 
-  const uint64_t sqs_before = env->meter().usage().sqs_requests;
-  auto report = warehouse.RunIndexers();
+  const uint64_t sqs_before = setup.env->meter().usage().sqs_requests;
+  auto report = setup.warehouse->RunIndexers();
   ASSERT_TRUE(report.ok());
   // Exactly one task processed: the lease held through both phases.
   EXPECT_EQ(report.value().documents, 1u);
-  EXPECT_TRUE(env->sqs().Drained("loader-requests"));
+  EXPECT_TRUE(setup.env->sqs().Drained("loader-requests"));
   // And at least one renewal request was billed.
-  EXPECT_GT(env->meter().usage().sqs_requests - sqs_before, 3u);
+  EXPECT_GT(setup.env->meter().usage().sqs_requests - sqs_before, 3u);
 }
 
 }  // namespace
