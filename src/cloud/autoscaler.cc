@@ -8,9 +8,32 @@ namespace webdex::cloud {
 
 namespace {
 constexpr double kChangeEpsilon = 1e-9;
+// A throttled window proves demand beyond what a saturated limiter lets
+// consumption show, so it scales up to at least current * kThrottleBoost
+// (doubling climbs out of a deep knee in a handful of windows).
+// Utilization below target * kScaleDownHeadroom decays capacity to no
+// less than current * kScaleDownStep per window (slow decay).
+constexpr double kThrottleBoost = 2.0;
+constexpr double kScaleDownHeadroom = 0.5;
+constexpr double kScaleDownStep = 0.7;
 
 double Clamp(double v, double lo, double hi) {
   return v < lo ? lo : (v > hi ? hi : v);
+}
+
+// The target-utilization law for one dimension: `units` provisioned,
+// `consumed` units per second over a window that saw `throttles`.
+double DesiredUnits(double units, double consumed, uint64_t throttles,
+                    double target) {
+  const double util = units <= 0 ? 0 : consumed / units;
+  if (throttles > 0) {
+    return std::max(consumed / target, units * kThrottleBoost);
+  }
+  if (util > target) return consumed / target;
+  if (util < target * kScaleDownHeadroom) {
+    return std::max(consumed / target, units * kScaleDownStep);
+  }
+  return units;
 }
 }  // namespace
 
@@ -90,41 +113,17 @@ void Autoscaler::EvaluateWindow(Micros boundary) {
       static_cast<double>(kMicrosPerSecond);
 
   if (config_.enabled && window_seconds > 0) {
-    const double consumed_w = state_.window_write_units / window_seconds;
-    const double consumed_r = state_.window_read_units / window_seconds;
-    const double util_w =
-        state_.write_units <= 0 ? 0 : consumed_w / state_.write_units;
-    const double util_r =
-        state_.read_units <= 0 ? 0 : consumed_r / state_.read_units;
     const double target = config_.target_utilization;
-
-    double desired_w = state_.write_units;
-    if (state_.window_write_throttles > 0) {
-      // A saturated limiter admits at most its own capacity, so
-      // consumption under-reports demand; boost multiplicatively.
-      desired_w = std::max(consumed_w / target,
-                           state_.write_units * config_.throttle_boost);
-    } else if (util_w > target) {
-      desired_w = consumed_w / target;
-    } else if (util_w < target * config_.scale_down_headroom) {
-      desired_w = std::max(consumed_w / target,
-                           state_.write_units * config_.scale_down_step);
-    }
-    desired_w =
-        Clamp(desired_w, config_.min_write_units, config_.max_write_units);
-
-    double desired_r = state_.read_units;
-    if (state_.window_read_throttles > 0) {
-      desired_r = std::max(consumed_r / target,
-                           state_.read_units * config_.throttle_boost);
-    } else if (util_r > target) {
-      desired_r = consumed_r / target;
-    } else if (util_r < target * config_.scale_down_headroom) {
-      desired_r = std::max(consumed_r / target,
-                           state_.read_units * config_.scale_down_step);
-    }
-    desired_r =
-        Clamp(desired_r, config_.min_read_units, config_.max_read_units);
+    const double desired_w = Clamp(
+        DesiredUnits(state_.write_units,
+                     state_.window_write_units / window_seconds,
+                     state_.window_write_throttles, target),
+        config_.min_write_units, config_.max_write_units);
+    const double desired_r = Clamp(
+        DesiredUnits(state_.read_units,
+                     state_.window_read_units / window_seconds,
+                     state_.window_read_throttles, target),
+        config_.min_read_units, config_.max_read_units);
 
     const bool up = desired_w > state_.write_units + kChangeEpsilon ||
                     desired_r > state_.read_units + kChangeEpsilon;

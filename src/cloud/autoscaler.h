@@ -35,17 +35,6 @@ struct AutoscalerConfig {
 
   /// Control law: provision so that consumed/provisioned ~= target.
   double target_utilization = 0.7;
-  /// A throttled window proves demand exceeds what consumption can
-  /// measure (a saturated limiter admits at most its own capacity), so
-  /// scale up to at least current * throttle_boost — doubling climbs
-  /// out of a deep knee in a handful of windows where consumed/target
-  /// alone would creep at 1/target per window.
-  double throttle_boost = 2.0;
-  /// Scale down only when utilization falls below target * headroom.
-  double scale_down_headroom = 0.5;
-  /// Each scale-down step keeps at least this fraction of current
-  /// capacity (slow decay; scale-up jumps straight to consumed/target).
-  double scale_down_step = 0.7;
 
   /// Control-loop cadence in virtual time.
   Micros evaluation_interval = 10 * kMicrosPerSecond;
@@ -80,7 +69,7 @@ struct AutoscalerState {
 /// idx_*_unit_hour), then applies the target-utilization law per
 /// dimension.  A throttle or utilization above target scales up to
 /// consumed/target immediately (subject to the short up-cooldown); deep
-/// idleness decays capacity by at most `scale_down_step` per window
+/// idleness decays capacity by at most kScaleDownStep per window
 /// (subject to the long down-cooldown).  Every applied change emits an
 /// `autoscale.scale` span, bumps `usage.scale_events`, and re-times the
 /// store's fluid limiters from the window boundary on.

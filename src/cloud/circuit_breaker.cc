@@ -57,7 +57,7 @@ void CircuitBreaker::RecordSuccess(std::string_view resource) {
       tracker.consecutive_failures = 0;
       break;
     case BreakerState::kHalfOpen:
-      if (++tracker.consecutive_successes >= config_.success_threshold) {
+      if (++tracker.consecutive_successes >= kSuccessThreshold) {
         tracker = HealthTracker();  // back to a fresh closed breaker
         meter_.mutable_usage().breaker_closes += 1;
         TraceTransition("breaker.close", resource, last_now_);

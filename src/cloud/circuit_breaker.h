@@ -23,8 +23,6 @@ struct CircuitBreakerConfig {
   bool enabled = true;
   /// Consecutive retriable failures that trip a closed breaker open.
   int failure_threshold = 5;
-  /// Consecutive half-open probe successes that close it again.
-  int success_threshold = 2;
   /// Virtual time an open breaker waits before letting probes through.
   Micros cooldown = 30 * kMicrosPerSecond;
 };
@@ -69,6 +67,9 @@ class CircuitBreaker {
 
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
+
+  /// Consecutive half-open probe successes that close a breaker again.
+  static constexpr int kSuccessThreshold = 2;
 
   const CircuitBreakerConfig& config() const { return config_; }
 

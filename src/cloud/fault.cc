@@ -158,18 +158,14 @@ Micros FaultInjector::DeliveryDelay(ServiceId service, std::string_view site) {
 
 bool FaultInjector::ShouldCrash(CrashPoint point, std::string_view task_key) {
   if (!enabled_ || !plan_.crash.Any()) return false;
-  double probability = 0;
-  switch (point) {
-    case CrashPoint::kBeforeDelete:
-      probability = plan_.crash.before_delete_probability;
-      break;
-    case CrashPoint::kBetweenBatchPutPages:
-      probability = plan_.crash.between_batch_put_pages_probability;
-      break;
-    case CrashPoint::kMidCompaction:
-      probability = plan_.crash.mid_compaction_probability;
-      break;
-  }
+  // kMidCompaction has no probability: only the engine's crash plan
+  // drives it.
+  const double probability =
+      point == CrashPoint::kBeforeDelete
+          ? plan_.crash.before_delete_probability
+          : point == CrashPoint::kBetweenBatchPutPages
+                ? plan_.crash.between_batch_put_pages_probability
+                : 0.0;
   if (probability <= 0) return false;
   std::string site = "crash:";
   site += CrashPointName(point);

@@ -75,15 +75,14 @@ struct ServiceFaults {
 /// Probabilities of the plan-driven crash points, evaluated per task (the
 /// stream is keyed by the queue-message body, so a given task crashes at
 /// the same points no matter which instance or delivery runs it).
+/// kMidCompaction has none: only WarehouseConfig::crash_plan drives it.
 struct CrashFaults {
   double before_delete_probability = 0;
   double between_batch_put_pages_probability = 0;
-  double mid_compaction_probability = 0;
 
   bool Any() const {
     return before_delete_probability > 0 ||
-           between_batch_put_pages_probability > 0 ||
-           mid_compaction_probability > 0;
+           between_batch_put_pages_probability > 0;
   }
 };
 

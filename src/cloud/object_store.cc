@@ -51,7 +51,7 @@ Status ObjectStore::Put(SimAgent& agent, const std::string& bucket,
   WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.put:", bucket, upload));
   meter_.mutable_usage().s3_bytes_in += data.size();
   call.Succeed(upload);
-  it->second[key] = std::move(data);
+  it->second.Put(key, std::move(data));
   return Status::OK();
 }
 
@@ -64,8 +64,8 @@ Result<std::string> ObjectStore::Get(SimAgent& agent,
   }
   BilledCall call(endpoint_, agent, get_metrics_, &Usage::s3_get_requests);
   WEBDEX_RETURN_IF_ERROR(call.FaultGate("s3.get:", bucket, Transfer(0)));
-  auto obj = it->second.find(key);
-  if (obj == it->second.end()) {
+  auto obj = it->second.objects.find(key);
+  if (obj == it->second.objects.end()) {
     // A failed lookup is still a billed request that took a round trip.
     return call.Fail(
         Status::NotFound("no such object: " + bucket + "/" + key),
@@ -101,9 +101,9 @@ Result<std::vector<std::string_view>> ObjectStore::BatchGet(
                                     0.0);
   size_t next_stream = 0;
   for (const auto& key : keys) {
-    auto obj = it->second.find(key);
+    auto obj = it->second.objects.find(key);
     call.Bill();
-    if (obj == it->second.end()) {
+    if (obj == it->second.objects.end()) {
       call.Record(/*error=*/true);
       return Status::NotFound("no such object: " + bucket + "/" + key);
     }
@@ -135,22 +135,26 @@ Status ObjectStore::Delete(SimAgent& agent, const std::string& bucket,
   // Free, but still a round trip through the request limiter.
   agent.AdvanceTo(request_limiter_.Acquire(agent.now(), 1.0));
   agent.Advance(config_.request_latency);
-  it->second.erase(key);
+  auto& objects = it->second.objects;
+  if (auto obj = objects.find(key); obj != objects.end()) {
+    it->second.bytes -= obj->second.size();
+    objects.erase(obj);
+  }
   return Status::OK();
 }
 
 bool ObjectStore::Exists(const std::string& bucket,
                          const std::string& key) const {
   auto it = buckets_.find(bucket);
-  return it != buckets_.end() && it->second.count(key) > 0;
+  return it != buckets_.end() && it->second.objects.count(key) > 0;
 }
 
 const std::string* ObjectStore::PeekObject(const std::string& bucket,
                                            const std::string& key) const {
   auto bucket_it = buckets_.find(bucket);
   if (bucket_it == buckets_.end()) return nullptr;
-  auto object_it = bucket_it->second.find(key);
-  if (object_it == bucket_it->second.end()) return nullptr;
+  auto object_it = bucket_it->second.objects.find(key);
+  if (object_it == bucket_it->second.objects.end()) return nullptr;
   return &object_it->second;
 }
 
@@ -160,9 +164,10 @@ Result<std::vector<std::string>> ObjectStore::List(
   if (it == buckets_.end()) {
     return Status::NotFound("no such bucket: " + bucket);
   }
+  const auto& objects = it->second.objects;
   std::vector<std::string> keys;
-  for (auto iter = it->second.lower_bound(prefix);
-       iter != it->second.end() && StartsWith(iter->first, prefix); ++iter) {
+  for (auto iter = objects.lower_bound(prefix);
+       iter != objects.end() && StartsWith(iter->first, prefix); ++iter) {
     keys.push_back(iter->first);
   }
   BilledCall call(endpoint_, agent, list_metrics_, &Usage::s3_get_requests);
@@ -175,31 +180,25 @@ Result<std::vector<std::string>> ObjectStore::List(
 
 uint64_t ObjectStore::BucketBytes(const std::string& bucket) const {
   auto it = buckets_.find(bucket);
-  if (it == buckets_.end()) return 0;
-  uint64_t total = 0;
-  for (const auto& [key, data] : it->second) total += data.size();
-  return total;
+  return it == buckets_.end() ? 0 : it->second.bytes;
 }
 
 uint64_t ObjectStore::TotalBytes() const {
   uint64_t total = 0;
-  for (const auto& [name, bucket] : buckets_) {
-    (void)bucket;
-    total += BucketBytes(name);
-  }
+  for (const auto& [name, bucket] : buckets_) total += bucket.bytes;
   return total;
 }
 
 uint64_t ObjectStore::ObjectCount(const std::string& bucket) const {
   auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? 0 : it->second.size();
+  return it == buckets_.end() ? 0 : it->second.objects.size();
 }
 
 std::vector<std::string> ObjectStore::BucketNames() const {
   std::vector<std::string> names;
   names.reserve(buckets_.size());
-  for (const auto& [name, objects] : buckets_) {
-    (void)objects;
+  for (const auto& [name, bucket] : buckets_) {
+    (void)bucket;
     names.push_back(name);
   }
   return names;
@@ -208,14 +207,20 @@ std::vector<std::string> ObjectStore::BucketNames() const {
 void ObjectStore::ForEachObject(
     const std::function<void(const std::string&, const std::string&,
                              const std::string&)>& fn) const {
-  for (const auto& [bucket, objects] : buckets_) {
-    for (const auto& [key, data] : objects) fn(bucket, key, data);
+  for (const auto& [name, bucket] : buckets_) {
+    for (const auto& [key, data] : bucket.objects) fn(name, key, data);
   }
 }
 
 void ObjectStore::RestoreObject(const std::string& bucket,
                                 const std::string& key, std::string data) {
-  buckets_[bucket][key] = std::move(data);
+  buckets_[bucket].Put(key, std::move(data));
+}
+
+void ObjectStore::Bucket::Put(const std::string& key, std::string data) {
+  std::string& stored = objects[key];
+  bytes = bytes - stored.size() + data.size();
+  stored = std::move(data);
 }
 
 }  // namespace webdex::cloud

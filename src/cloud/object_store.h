@@ -82,7 +82,7 @@ class ObjectStore {
                                         const std::string& bucket,
                                         const std::string& prefix);
 
-  /// Total payload bytes currently stored in `bucket` (0 if absent).
+  /// Total payload bytes currently stored in `bucket` (0 if absent), O(1).
   uint64_t BucketBytes(const std::string& bucket) const;
 
   /// Total payload bytes across all buckets.
@@ -127,8 +127,15 @@ class ObjectStore {
   OpMetrics batch_get_metrics_;
   OpMetrics list_metrics_;
   RateLimiter request_limiter_;
-  // bucket -> key -> object payload.
-  std::map<std::string, std::map<std::string, std::string>> buckets_;
+
+  struct Bucket {
+    std::map<std::string, std::string> objects;  // key -> payload
+    uint64_t bytes = 0;                          // sum of payload sizes
+
+    /// Stores or replaces `key`, keeping `bytes`.
+    void Put(const std::string& key, std::string data);
+  };
+  std::map<std::string, Bucket> buckets_;
 };
 
 }  // namespace webdex::cloud

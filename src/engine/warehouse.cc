@@ -85,14 +85,11 @@ Status Warehouse::Setup() {
 }
 
 void Warehouse::AdoptExistingData(const Warehouse& other) {
-  document_uris_ = other.document_uris_;
-  registered_uris_ = other.registered_uris_;
-  data_bytes_ = other.data_bytes_;
+  documents_ = other.documents_;
   next_query_id_ = other.next_query_id_;
   // The planner statistics travel with the data: the new fleet prices
   // access paths against the same corpus the old fleet indexed.
   path_summary_ = other.path_summary_;
-  summarized_uris_ = other.summarized_uris_;
   {
     std::lock_guard<std::mutex> lock(generations_mu_);
     generations_ = other.GenerationSnapshot();
@@ -110,27 +107,22 @@ Status Warehouse::AttachToExistingCloud() {
   WEBDEX_ASSIGN_OR_RETURN(
       std::vector<std::string> uris,
       env_->s3().List(front_end_, config_.data_bucket, ""));
-  document_uris_ = std::move(uris);
-  registered_uris_ =
-      std::set<std::string>(document_uris_.begin(), document_uris_.end());
-  data_bytes_ = env_->s3().BucketBytes(config_.data_bucket);
+  for (const auto& uri : uris) documents_.SetLive(uri, true);
   if (config_.use_index) {
     auto& store = index_store();
     if (store.HasTable(index::kMetaTable)) {
       // Rebuild the generation view from the durable meta table (billed
-      // scan).  A delete whose task died after the tombstone but before
-      // the S3 unlink leaves the object listed above — drop such URIs
-      // from the registry so a restored facade never resurrects them.
+      // scan).  A tombstoned document's object stays listed above until
+      // compaction collects it — mark such URIs dead so a restored facade
+      // never resurrects them.
       auto rebuilt = std::make_shared<index::GenerationMap>();
       WEBDEX_RETURN_IF_ERROR(store.Scan(
           front_end_, index::kMetaTable, [&](const cloud::ItemView& row) {
             index::ApplyMetaItem(row, rebuilt.get());
           }));
-      std::vector<std::string> dead;
       for (const auto& [uri, info] : rebuilt->entries()) {
-        if (info.tombstoned) dead.push_back(uri);
+        if (info.tombstoned) documents_.SetLive(uri, false);
       }
-      for (const auto& uri : dead) UnregisterDocument(uri);
       std::lock_guard<std::mutex> lock(generations_mu_);
       generations_ = std::move(rebuilt);
     } else {
@@ -164,19 +156,15 @@ Status Warehouse::PutDocumentObject(const std::string& uri,
 
 Status Warehouse::SubmitDocument(const std::string& uri,
                                  std::string xml_text) {
-  if (registered_uris_.count(uri) > 0) {
+  if (documents_.entries.count(uri) > 0) {
     // Re-submission replaces the document.  With an index only the
     // generation machinery keeps readers consistent through that, so
     // route through it; without one the stored object is all there is.
     if (config_.use_index) return UpsertDocument(uri, std::move(xml_text));
-    WEBDEX_RETURN_IF_ERROR(PutDocumentObject(uri, xml_text));
-    data_bytes_ = env_->s3().BucketBytes(config_.data_bucket);
-    return Status::OK();
+    return PutDocumentObject(uri, xml_text);
   }
-  data_bytes_ += xml_text.size();
   WEBDEX_RETURN_IF_ERROR(PutDocumentObject(uri, xml_text));
-  document_uris_.push_back(uri);
-  registered_uris_.insert(uri);
+  documents_.SetLive(uri, true);
   if (config_.use_index) {
     LoadRequest request{uri};
     WEBDEX_RETURN_IF_ERROR(RetryCall(front_end_, "fe.load", [&] {
@@ -194,10 +182,7 @@ Status Warehouse::UpsertDocument(const std::string& uri,
         "document mutation requires an indexed warehouse");
   }
   WEBDEX_RETURN_IF_ERROR(PutDocumentObject(uri, xml_text));
-  // Replacement may shrink or grow the stored object; re-read the
-  // bucket's authoritative size instead of accumulating deltas.
-  data_bytes_ = env_->s3().BucketBytes(config_.data_bucket);
-  if (registered_uris_.insert(uri).second) document_uris_.push_back(uri);
+  documents_.SetLive(uri, true);
   LoadRequest request{uri};
   request.op = LoadOp::kUpsert;
   request.generation = AllocateGeneration();
@@ -213,7 +198,8 @@ Status Warehouse::DeleteDocument(const std::string& uri) {
     return Status::FailedPrecondition(
         "document mutation requires an indexed warehouse");
   }
-  if (registered_uris_.count(uri) == 0) {
+  const auto entry = documents_.entries.find(uri);
+  if (entry == documents_.entries.end() || !entry->second.live) {
     return Status::NotFound("no such document: " + uri);
   }
   LoadRequest request{uri};
@@ -241,6 +227,9 @@ void Warehouse::CommitGeneration(const std::string& uri, uint64_t generation,
   std::lock_guard<std::mutex> lock(generations_mu_);
   auto next = std::make_shared<index::GenerationMap>(*generations_);
   next->Apply(uri, generation, tombstoned);
+  // A delete committing after a higher-generation revival leaves the
+  // document live, and vice versa.
+  documents_.SetLive(uri, !next->Find(uri)->tombstoned);
   generations_ = std::move(next);
 }
 
@@ -251,11 +240,20 @@ void Warehouse::EraseGeneration(const std::string& uri) {
   generations_ = std::move(next);
 }
 
-void Warehouse::UnregisterDocument(const std::string& uri) {
-  if (registered_uris_.erase(uri) == 0) return;
-  document_uris_.erase(
-      std::remove(document_uris_.begin(), document_uris_.end(), uri),
-      document_uris_.end());
+void Warehouse::DocumentRegistry::SetLive(const std::string& uri,
+                                          bool is_live) {
+  bool& entry_live = entries[uri].live;
+  live = live - entry_live + is_live;
+  entry_live = is_live;
+}
+
+std::vector<std::string> Warehouse::document_uris() const {
+  std::vector<std::string> uris;
+  uris.reserve(documents_.live);
+  for (const auto& [uri, entry] : documents_.entries) {
+    if (entry.live) uris.push_back(uri);
+  }
+  return uris;
 }
 
 Warehouse::TaskOutcome Warehouse::FailedWith(const Status& status) {
@@ -462,7 +460,6 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
     // Host-side delete commit — all idempotent under redelivery.
     CommitGeneration(request.value().uri, request.value().generation,
                      /*tombstoned=*/true);
-    UnregisterDocument(request.value().uri);
     doc_cache_.Erase(request.value().uri);
     env_->meter().mutable_usage().tombstones_written += 1;
   } else if (outcome == TaskOutcome::kOk) {
@@ -478,7 +475,8 @@ Warehouse::TaskOutcome Warehouse::IndexerStep(
       // (docs/MUTABILITY.md).
       CommitGeneration(request.value().uri, request.value().generation,
                        /*tombstoned=*/false);
-    } else if (summarized_uris_.insert(request.value().uri).second) {
+    } else if (!std::exchange(
+                   documents_.entries[request.value().uri].summarized, true)) {
       // Feed the planner's corpus statistics once per document: a
       // crashed task redone on redelivery must not double-count its
       // paths.
@@ -611,8 +609,8 @@ QueryPlanner Warehouse::MakePlanner() {
   context.force = config_.planner_force;
   context.use_index = config_.use_index;
   context.stats.summary = &path_summary_;
-  context.stats.documents = document_uris_.size();
-  context.stats.data_bytes = data_bytes_;
+  context.stats.documents = documents_.live;
+  context.stats.data_bytes = data_bytes();
   // Pin the generation view into the plan: every access path built from
   // it reads each document at exactly this generation.
   context.stats.generations = GenerationSnapshot();
@@ -719,9 +717,9 @@ Status Warehouse::LookupCandidates(Instance& instance,
     outcome->chosen_path = "scan";
     outcome->degraded = true;
     outcome->docs_from_index = 0;
-    outcome->scan_docs = document_uris_.size();
+    outcome->scan_docs = documents_.live;
     env_->meter().mutable_usage().degraded_queries += 1;
-    *to_fetch = document_uris_;
+    *to_fetch = document_uris();
   } else {
     *to_fetch = std::move(fetch);
   }
@@ -750,7 +748,7 @@ Status Warehouse::RunQuery(Instance& instance, const QueryRequest& request,
   } else {
     // No index: the query runs over the entire warehouse.
     outcome->chosen_path = "scan";
-    to_fetch = document_uris_;
+    to_fetch = document_uris();
   }
   outcome->docs_fetched = to_fetch.size();
 
@@ -1122,9 +1120,6 @@ Result<CompactReport> Warehouse::Compact(bool full) {
   // gone entirely.
   for (const auto& uri : report.canonicalized_uris) EraseGeneration(uri);
   for (const auto& uri : report.collected_uris) EraseGeneration(uri);
-  // Collected tombstones reclaimed their stored objects (the delete task
-  // itself never unlinks — docs/MUTABILITY.md).
-  data_bytes_ = env_->s3().BucketBytes(config_.data_bucket);
   env_->metrics()
       .GetCounter("index.compact.canonicalized.count")
       ->Add(report.canonicalized_uris.size());

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -237,8 +236,8 @@ class Warehouse {
   /// Stores the document in the file store and enqueues an indexing
   /// request.  (With use_index == false the document is still registered
   /// and stored, and the loader queue stays empty.)  Submitting a URI
-  /// that is already registered routes to UpsertDocument — the corpus is
-  /// mutable, re-submission means replacement (docs/MUTABILITY.md).
+  /// that was ever registered, even a deleted one, routes to
+  /// UpsertDocument: re-submission means replacement (docs/MUTABILITY.md).
   Status SubmitDocument(const std::string& uri, std::string xml_text);
 
   // --- Mutation (docs/MUTABILITY.md) ---------------------------------------
@@ -254,9 +253,8 @@ class Warehouse {
   /// task that writes a tombstone meta row — never an in-place erase.
   /// Postings *and* the stored object linger until compaction collects
   /// them, so a queued revival (a later-generation upsert) can never
-  /// lose its object to an earlier delete task.  NotFound if the URI was
-  /// never registered.  Requires use_index.  Run RunIndexers() to
-  /// process.
+  /// lose its object to an earlier delete task.  NotFound if the URI is
+  /// not live.  Requires use_index.  Run RunIndexers() to process.
   Status DeleteDocument(const std::string& uri);
 
   // --- Indexing (steps 4-6) ----------------------------------------------
@@ -315,10 +313,11 @@ class Warehouse {
   cloud::SimAgent& front_end() { return front_end_; }
   cloud::KvStore& index_store() { return *index_store_; }
   const WarehouseConfig& config() const { return config_; }
-  const std::vector<std::string>& document_uris() const {
-    return document_uris_;
+  /// The live documents' URIs, in URI order.
+  std::vector<std::string> document_uris() const;
+  uint64_t data_bytes() const {
+    return env_->s3().BucketBytes(config_.data_bucket);
   }
-  uint64_t data_bytes() const { return data_bytes_; }
 
   /// The admission controller gating this warehouse's query processors
   /// and extraction pipeline (inert unless config().admission.enabled).
@@ -364,8 +363,8 @@ class Warehouse {
   /// watermark (monotone, persisted by snapshots).
   uint64_t AllocateGeneration();
 
-  /// Publishes a copy-on-write update of the generation view: the
-  /// host-side commit of an upsert/delete task or a compaction step.
+  /// Publishes a copy-on-write update of the generation view (the commit
+  /// of an upsert/delete task) and marks `uri` live or dead as it says.
   /// Idempotent under redelivery (GenerationMap::Apply is max-wins).
   void CommitGeneration(const std::string& uri, uint64_t generation,
                         bool tombstoned);
@@ -373,10 +372,6 @@ class Warehouse {
   /// Drops `uri` from the generation view — its index state is canonical
   /// again (fully compacted to generation 0, or collected).
   void EraseGeneration(const std::string& uri);
-
-  /// Removes `uri` from the document registry (delete-task commit);
-  /// idempotent.
-  void UnregisterDocument(const std::string& uri);
 
   /// Runs `fn` (returning Status or Result<T>) under the configured retry
   /// policy through the warehouse's Retrier, which holds the env's
@@ -502,10 +497,9 @@ class Warehouse {
   /// environment's price sheet.
   cost::CostModel cost_model_;
   /// Planner statistics: distinct paths/keys per document, fed by the
-  /// indexing run as each task commits; `summarized_uris_` dedups across
-  /// redeliveries so a re-done task never double-counts its document.
+  /// indexing run as each task commits; the registry's `summarized` flags
+  /// dedup across redeliveries so a re-done task never double-counts.
   index::PathSummary path_summary_;
-  std::set<std::string> summarized_uris_;
   /// Decorator stack over the backend index store, bottom-up: retries
   /// always, then a replicated read pool when the deployment has
   /// replicas, then shard routing when it has shards
@@ -520,17 +514,29 @@ class Warehouse {
   std::unique_ptr<IndexMaintainer> maintainer_;
   cloud::Cluster cluster_;
   FrontEndAgent front_end_;
-  std::vector<std::string> document_uris_;
-  /// O(1) membership mirror of document_uris_, so SubmitDocument can
-  /// route re-submissions to UpsertDocument without a linear scan.
-  std::set<std::string> registered_uris_;
+
+  /// Every URI ever stored, in URI order, the order of indexed answers
+  /// and of the data bucket's List.  A committed delete clears `live`
+  /// but never erases the entry, so `summarized` still guards the path
+  /// summary when the URI comes back.
+  struct DocumentRegistry {
+    struct Entry {
+      bool live = false;
+      bool summarized = false;
+    };
+    std::map<std::string, Entry> entries;
+    uint64_t live = 0;  // entries with `live` set
+
+    /// Marks `uri` live or dead, adding it if new.
+    void SetLive(const std::string& uri, bool is_live);
+  };
+  DocumentRegistry documents_;
   /// The published generation view (copy-on-write; GenerationSnapshot).
   /// The mutex guards only the pointer swap — published maps are
   /// immutable, so readers on other host threads see a consistent view.
   mutable std::mutex generations_mu_;
   std::shared_ptr<const index::GenerationMap> generations_ =
       std::make_shared<index::GenerationMap>();
-  uint64_t data_bytes_ = 0;
   uint64_t next_query_id_ = 1;
   DocCache doc_cache_;
   /// The retry loop of the warehouse's own S3/SQS calls (RetryCall).

@@ -134,6 +134,46 @@ TEST(DegradedSimpleDbTest, SustainedOutageDegradesQueries) {
   EXPECT_GT(QueryDollars(browned), QueryDollars(healthy));
 }
 
+// A document deleted and revived keeps its place in the registry, so the
+// degraded scan fetches it in URI order — the order the indexed answer
+// lists it in — and its rows stay bit-identical to the indexed run's.
+TEST(DegradedRevivalTest, RevivedDocumentScansInUriOrder) {
+  constexpr int kDocs = 6;
+  Scenario scenario;
+  scenario.warehouse.strategy = StrategyKind::kLUP;
+  for (int d = 0; d < kDocs; ++d) {
+    scenario.documents.push_back({DocUri(d), DocText(kDocs, 5, d, 0)});
+  }
+  scenario.after_index = [](Outcome& run) {
+    Warehouse& warehouse = run.warehouse();
+    ASSERT_TRUE(warehouse.DeleteDocument(DocUri(1)).ok());
+    ASSERT_TRUE(warehouse.RunIndexers().ok());
+    ASSERT_TRUE(
+        warehouse.UpsertDocument(DocUri(1), DocText(kDocs, 5, 1, 0)).ok());
+    ASSERT_TRUE(warehouse.RunIndexers().ok());
+  };
+  // A dry run pins when the revival is indexed; the outage starts there.
+  const Micros revived_at = RunScenario(scenario).warehouse().front_end().now();
+  scenario.queries = {"//people/person[/name:val]"};
+  const Outcome indexed = RunScenario(scenario);
+  cloud::OutageWindow window;
+  window.service = cloud::ServiceId::kDynamoDb;
+  window.start = revived_at;
+  window.end = revived_at + kForever;
+  scenario.cloud.faults.outages.push_back(window);
+  const Outcome browned = RunScenario(scenario);
+
+  ASSERT_EQ(indexed.queries.outcomes.size(), 1u);
+  ASSERT_EQ(browned.queries.outcomes.size(), 1u);
+  EXPECT_FALSE(indexed.queries.outcomes[0].degraded);
+  EXPECT_TRUE(browned.queries.outcomes[0].degraded);
+  EXPECT_EQ(browned.queries.outcomes[0].scan_docs, uint64_t{kDocs});
+  ASSERT_EQ(indexed.rows[0].size(), size_t{kDocs});
+  EXPECT_EQ(browned.rows, indexed.rows);
+  EXPECT_EQ(browned.queries.outcomes[0].result.row_uris,
+            indexed.queries.outcomes[0].result.row_uris);
+}
+
 // A finite outage: queries inside it degrade; once it lifts and the
 // cooldown lapses, half-open probes close the breaker and later queries
 // answer from the index again.
@@ -178,7 +218,7 @@ TEST(BreakerRecoveryTest, BreakerClosesAfterOutageLifts) {
   EXPECT_FALSE(after.value().degraded);
   EXPECT_EQ(after.value().result.rows, during.value().result.rows);
 
-  // Once success_threshold probe calls have accumulated, the breaker is
+  // Once kSuccessThreshold probe calls have accumulated, the breaker is
   // closed for good.
   auto settled = warehouse.ExecuteQuery(kPaintingQuery);
   ASSERT_TRUE(settled.ok()) << settled.status().ToString();
@@ -221,7 +261,7 @@ TEST(CircuitBreakerTest, OpensAfterConsecutiveFailuresAndCoolsDown) {
   // Second cooldown, then enough successes close it for good.
   const Micros t1 = t0 + 2 * config.cooldown;
   EXPECT_TRUE(breaker.Allow("t", t1).ok());
-  for (int i = 0; i < config.success_threshold; ++i) {
+  for (int i = 0; i < cloud::CircuitBreaker::kSuccessThreshold; ++i) {
     breaker.RecordSuccess("t");
   }
   EXPECT_EQ(breaker.state("t"), BreakerState::kClosed);

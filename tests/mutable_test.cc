@@ -270,6 +270,63 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, MutableParallelTest,
                                index::StrategyKindName(info.param));
                          });
 
+constexpr int kSites = 4;
+
+/// Four one-person XMark sites; after indexing, document 1 is deleted,
+/// the delete committed, and its URI submitted again (`resubmit`) or
+/// upserted with the same text.
+Scenario Revived(bool resubmit) {
+  Scenario scenario;
+  scenario.warehouse.strategy = StrategyKind::kLUP;
+  for (int d = 0; d < kSites; ++d) {
+    scenario.documents.push_back({DocUri(d), DocText(kSites, 5, d, 0)});
+  }
+  scenario.queries = {"//people/person[/name:val]"};
+  scenario.after_index = [resubmit](Outcome& run) {
+    Warehouse& warehouse = run.warehouse();
+    ASSERT_TRUE(warehouse.DeleteDocument(DocUri(1)).ok());
+    ASSERT_TRUE(warehouse.RunIndexers().ok());
+    const std::string text = DocText(kSites, 5, 1, 0);
+    ASSERT_TRUE((resubmit ? warehouse.SubmitDocument(DocUri(1), text)
+                          : warehouse.UpsertDocument(DocUri(1), text))
+                    .ok());
+    ASSERT_TRUE(warehouse.RunIndexers().ok());
+  };
+  return scenario;
+}
+
+// A committed delete keeps the URI's registry entry, so submitting the
+// URI again is an upsert: a generation-0 load would stay hidden behind
+// the tombstone.  The path summary still counts the document once.
+TEST(ResubmitTest, ResubmittingADeletedUriIsAnUpsert) {
+  const Outcome upserted = RunScenario(Revived(/*resubmit=*/false));
+  const Outcome resubmitted = RunScenario(Revived(/*resubmit=*/true));
+  ASSERT_EQ(upserted.rows.size(), 1u);
+  EXPECT_EQ(upserted.rows[0].size(), 4u);
+  EXPECT_EQ(resubmitted.rows, upserted.rows);
+  EXPECT_FALSE(resubmitted.queries.outcomes[0].degraded);
+  EXPECT_EQ(resubmitted.warehouse().path_summary().documents(), 4u);
+  EXPECT_EQ(resubmitted.warehouse().document_uris().size(), 4u);
+}
+
+// A revival queued behind its own delete commits after it and leaves the
+// document live: the registry follows the generation view, not the order
+// the two tasks commit in.
+TEST(ResubmitTest, RevivalQueuedBehindItsDeleteStaysLive) {
+  Scenario scenario = Revived(/*resubmit=*/false);
+  scenario.after_index = [](Outcome& run) {
+    Warehouse& warehouse = run.warehouse();
+    ASSERT_TRUE(warehouse.DeleteDocument(DocUri(1)).ok());
+    ASSERT_TRUE(
+        warehouse.UpsertDocument(DocUri(1), DocText(kSites, 5, 1, 0)).ok());
+    ASSERT_TRUE(warehouse.RunIndexers().ok());
+  };
+  const Outcome run = RunScenario(scenario);
+  EXPECT_EQ(run.warehouse().document_uris().size(), size_t{kSites});
+  ASSERT_EQ(run.rows.size(), 1u);
+  EXPECT_EQ(run.rows[0].size(), size_t{kSites});
+}
+
 // Generation stamps are strict decimals: the meta rows and posting
 // stamps read back from the store never wrap or parse a prefix.  A
 // malformed stamp reads as unstamped, and a malformed meta row is

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_env.h"
+#include "cloud/snapshot.h"
 #include "common/strings.h"
 
 namespace webdex::cloud {
@@ -55,6 +56,43 @@ TEST_F(ObjectStoreTest, PutReplacesAndTracksBytes) {
   ASSERT_TRUE(store_.Put(agent_, "b", "k", "123").ok());
   EXPECT_EQ(store_.BucketBytes("b"), 3u);
   EXPECT_EQ(store_.ObjectCount("b"), 1u);
+}
+
+uint64_t Recount(const ObjectStore& store, const std::string& bucket) {
+  uint64_t total = 0;
+  store.ForEachObject([&](const std::string& name, const std::string&,
+                          const std::string& data) {
+    if (name == bucket) total += data.size();
+  });
+  return total;
+}
+
+// BucketBytes is a running total kept by every write; it must always
+// equal a recount of the stored payloads.
+TEST_F(ObjectStoreTest, BucketBytesMatchesARecountAfterEveryWrite) {
+  const auto expect_bytes = [this](const char* step, uint64_t want) {
+    EXPECT_EQ(store_.BucketBytes("b"), want) << step;
+    EXPECT_EQ(Recount(store_, "b"), want) << step;
+  };
+  ASSERT_TRUE(store_.Put(agent_, "b", "k", "12345").ok());
+  ASSERT_TRUE(store_.Put(agent_, "b", "j", "abc").ok());
+  expect_bytes("put", 8);
+  ASSERT_TRUE(store_.Put(agent_, "b", "k", "1234567890").ok());
+  expect_bytes("growing overwrite", 13);
+  ASSERT_TRUE(store_.Put(agent_, "b", "k", "12").ok());
+  expect_bytes("shrinking overwrite", 5);
+  ASSERT_TRUE(store_.Delete(agent_, "b", "j").ok());
+  expect_bytes("delete", 2);
+  ASSERT_TRUE(store_.Delete(agent_, "b", "absent").ok());
+  expect_bytes("delete of an absent key", 2);
+  store_.RestoreObject("b", "k", "wxyz");
+  expect_bytes("restore over an existing key", 4);
+
+  CloudEnv restored(Config());
+  ASSERT_TRUE(RestoreSnapshot(SerializeSnapshot(env_), &restored).ok());
+  EXPECT_EQ(restored.s3().BucketBytes("b"), 4u);
+  EXPECT_EQ(Recount(restored.s3(), "b"), 4u);
+  EXPECT_EQ(restored.s3().TotalBytes(), store_.TotalBytes());
 }
 
 TEST_F(ObjectStoreTest, LatencyChargedToAgent) {

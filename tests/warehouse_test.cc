@@ -173,6 +173,28 @@ TEST(WarehouseTest, ResubmittingToANoIndexWarehouseReplacesTheDocument) {
   }
 }
 
+// A deleted document's object stays stored until compaction collects it,
+// so re-submitting the URI replaces that object: data_bytes() is the
+// bucket's size, not the object counted twice.
+TEST(WarehouseTest, ResubmittingADeletedDocumentCountsItsBytesOnce) {
+  std::vector<xmark::GeneratedDocument> corpus;
+  for (int d = 0; d < 4; ++d) {
+    corpus.push_back({DocUri(d), DocText(4, 5, d, 0)});
+  }
+  WarehouseConfig config;
+  config.strategy = StrategyKind::kLUP;
+  Deployment setup = Deploy(Loaded(config, corpus));
+  Warehouse& warehouse = *setup.warehouse;
+  ASSERT_TRUE(warehouse.RunIndexers().ok());
+  ASSERT_TRUE(warehouse.DeleteDocument(corpus[1].uri).ok());
+  ASSERT_TRUE(warehouse.RunIndexers().ok());
+  ASSERT_TRUE(warehouse.SubmitDocument(corpus[1].uri, corpus[1].text).ok());
+  ASSERT_TRUE(warehouse.RunIndexers().ok());
+  EXPECT_EQ(warehouse.data_bytes(),
+            setup.env->s3().BucketBytes(config.data_bucket));
+  EXPECT_EQ(warehouse.document_uris().size(), corpus.size());
+}
+
 // The tenant is one line of the QUERYT wire format: tenant "a\nb" with
 // query "//x" would read back as tenant "a" and query "b\n//x".  The
 // whole batch is refused before any request is sent.

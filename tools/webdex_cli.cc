@@ -1176,7 +1176,7 @@ class Cli {
 
   void Docs() {
     if (!Opened()) return;
-    const auto& uris = warehouse_->document_uris();
+    const std::vector<std::string> uris = warehouse_->document_uris();
     for (size_t i = 0; i < uris.size() && i < 20; ++i) {
       std::printf("  %s\n", uris[i].c_str());
     }
